@@ -7,7 +7,8 @@ and reruns of the same config are byte-identical at any worker count;
 timestamps live in an optional metadata block.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure (decay,
-divergence, aliasing, support), 3 bound violation from the verify suites.
+divergence, aliasing, support, NaN results), 3 bound violation from the verify
+suites.
 """
 
 from __future__ import annotations
@@ -78,6 +79,10 @@ class ConfigError(ValueError):
     pass
 
 
+class NonFiniteOutputError(ValueError):
+    """A result that must be serialized is NaN: a numerical failure, not bad config."""
+
+
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
@@ -88,7 +93,7 @@ def format_number(x) -> str:
         return str(int(x))
     x = float(x)
     if math.isnan(x):
-        raise ValueError("NaN in output")
+        raise NonFiniteOutputError("NaN in output")
     if math.isinf(x):
         return "1e999" if x > 0 else "-1e999"  # round-trips to infinity
     return format(x, ".17g")
@@ -742,6 +747,14 @@ def run_config(subcommand: str, config: dict, n_workers: int = 1):
     return code, doc
 
 
+def _env_workers() -> int:
+    raw = os.environ.get(WORKERS_ENV, "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="weylfk",
@@ -750,8 +763,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--workers", type=int,
-        default=int(os.environ.get(WORKERS_ENV, "1")),
-        help="worker threads for chunked estimation (results do not depend on this)",
+        help=f"worker threads for chunked estimation, default ${WORKERS_ENV} or 1 "
+             "(results do not depend on this)",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in COMMANDS:
@@ -759,14 +772,16 @@ def main(argv=None) -> int:
         p.add_argument("config", help="JSON config: inline document or file path")
     args = parser.parse_args(argv)
     try:
+        workers = args.workers if args.workers is not None else _env_workers()
         config = load_config(args.config)
-        code, doc = run_config(args.subcommand, config, max(1, args.workers))
+        code, doc = run_config(args.subcommand, config, max(1, workers))
         print(dumps(doc))
         return code
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
-    except (DecayError, DivergentIntegralError, AliasingError, SupportError) as err:
+    except (DecayError, DivergentIntegralError, AliasingError, SupportError,
+            NonFiniteOutputError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
     except ValueError as err:

@@ -31,13 +31,15 @@ class ScalarFunction:
 
     deriv_fn(k, y) returns the k-th derivative at y (any array shape);
     sup_fn(k) returns a valid upper bound for sup |f^(k)|, or None when no
-    finite certified bound is available at that order.
+    finite certified bound is available at that order.  even declares
+    f(-y) == f(y), which lets pair potentials evaluate each unordered pair once.
     """
 
     name: str
     deriv_fn: Callable
     sup_fn: Callable
     params: Optional[dict] = None
+    even: bool = False
 
     def derivative(self, k: int, y):
         if k < 0:
@@ -84,6 +86,7 @@ def zero_function() -> ScalarFunction:
         lambda k, y: np.zeros_like(y),
         lambda k: 0.0,
         params={},
+        even=True,
     )
 
 
@@ -96,7 +99,8 @@ def constant_function(amplitude=1.0) -> ScalarFunction:
         return np.full_like(y, a) if k == 0 else np.zeros_like(y)
 
     return ScalarFunction(
-        "constant", deriv, lambda k: a if k == 0 else 0.0, params={"amplitude": a}
+        "constant", deriv, lambda k: a if k == 0 else 0.0, params={"amplitude": a},
+        even=True,
     )
 
 
@@ -120,7 +124,7 @@ def harmonic_function(amplitude=1.0) -> ScalarFunction:
             return None
         return 2.0 * a if k == 2 else 0.0
 
-    return ScalarFunction("harmonic", deriv, sup, params={"amplitude": a})
+    return ScalarFunction("harmonic", deriv, sup, params={"amplitude": a}, even=True)
 
 
 def _hermite_e(k, u):
@@ -149,7 +153,7 @@ def gaussian_bump_function(amplitude=1.0, width=1.0) -> ScalarFunction:
         return a * w ** (-k) * CRAMER_CONSTANT * math.sqrt(math.factorial(k))
 
     return ScalarFunction(
-        "gaussian_bump", deriv, sup, params={"amplitude": a, "width": w}
+        "gaussian_bump", deriv, sup, params={"amplitude": a, "width": w}, even=True
     )
 
 
@@ -158,6 +162,13 @@ def lorentzian_function(amplitude=1.0, width=1.0) -> ScalarFunction:
     a, w = _validate_amp_width(amplitude, width)
 
     def deriv(k, y):
+        if k == 0:
+            # real closed form, in place on one fresh array: the complex power
+            # below is several times slower
+            v = np.divide(y, w, out=np.empty_like(y))
+            v *= v
+            v += 1.0
+            return np.divide(a, v, out=v)
         u = y / w
         sign = -1.0 if k % 2 == 0 else 1.0
         # d^k/du^k 1/(1+u^2) = (-1)^(k+1) k! Im((u+i)^(-k-1))
@@ -170,7 +181,7 @@ def lorentzian_function(amplitude=1.0, width=1.0) -> ScalarFunction:
         return a * w ** (-k) * math.factorial(k)
 
     return ScalarFunction(
-        "lorentzian", deriv, sup, params={"amplitude": a, "width": w}
+        "lorentzian", deriv, sup, params={"amplitude": a, "width": w}, even=True
     )
 
 
@@ -187,7 +198,9 @@ def cosine_function(amplitude=1.0, width=1.0) -> ScalarFunction:
     def sup(k):
         return a if k == 0 else a * 0.5 * w ** (-k)
 
-    return ScalarFunction("cosine", deriv, sup, params={"amplitude": a, "width": w})
+    return ScalarFunction(
+        "cosine", deriv, sup, params={"amplitude": a, "width": w}, even=True
+    )
 
 
 _BUILTIN_SCALARS = {
@@ -210,6 +223,42 @@ def scalar_from_json(obj: dict) -> ScalarFunction:
         )
     kwargs = {k: v for k, v in obj.items() if k != "name"}
     return _BUILTIN_SCALARS[name](**kwargs)
+
+
+def _pair_blocks(pairs) -> list:
+    """Group unordered site pairs (j, k), j < k, into blocks of contiguous slices.
+
+    A block (a, b) pairs x[..., a] with x[..., b] elementwise; it holds the pairs
+    of one offset k - j whose lower sites j are consecutive, so a 1-d chain in
+    site order is a single block.
+    """
+    runs = []  # [offset, first j, last j + 1]
+    for j, k in sorted(pairs, key=lambda p: (p[1] - p[0], p[0])):
+        d = k - j
+        if runs and runs[-1][0] == d and runs[-1][2] == j:
+            runs[-1][2] = j + 1
+        else:
+            runs.append([d, j, j + 1])
+    return [(slice(lo + d, hi + d), slice(lo, hi)) for d, lo, hi in runs]
+
+
+def _pair_sum(pair: ScalarFunction, x, blocks):
+    """Sum of G(x_j - x_k) + G(x_k - x_j) over the unordered pairs in blocks.
+
+    Terms accumulate elementwise into an array as wide as the longest block, so
+    the working set stays linear in the site count.  An even G is evaluated once
+    per unordered pair and doubled.
+    """
+    width = max((b.stop - b.start for _, b in blocks), default=0)
+    acc = np.zeros(x.shape[:-1] + (width,))
+    for a, b in blocks:
+        diff = x[..., a] - x[..., b]
+        head = acc[..., : diff.shape[-1]]
+        head += pair.value(diff)
+        if not pair.even:
+            head += pair.value(-diff)
+    total = acc.sum(axis=-1)
+    return 2.0 * total if pair.even else total
 
 
 class PotentialSpec:
@@ -338,13 +387,11 @@ class NearestNeighborPotential(PotentialSpec):
             for k in range(len(sites))
             if j != k and max(abs(a - b) for a, b in zip(sites[j], sites[k])) == 1
         ]
+        self._blocks = _pair_blocks((j, k) for j, k in self._pairs if j < k)
 
     def eval(self, x):
         x = self._as_points(x)
-        total = self.on_site.value(x).sum(axis=-1)
-        for j, k in self._pairs:
-            total = total + self.pair.value(x[..., j] - x[..., k])
-        return total
+        return self.on_site.value(x).sum(axis=-1) + _pair_sum(self.pair, x, self._blocks)
 
     def partial(self, alpha, x):
         self._check_alpha(alpha)
@@ -404,21 +451,16 @@ class MeanFieldPotential(PotentialSpec):
         self.pair = pair
         self.include_diagonal = bool(include_diagonal)
         n = len(self.sites)
-        self._pairs = [
-            (j, k) for j in range(n) for k in range(n)
-            if include_diagonal or j != k
-        ]
+        # one block per site offset d: the pairs (j, j + d) for all j
+        self._blocks = [(slice(d, n), slice(0, n - d)) for d in range(1, n)]
 
     def eval(self, x):
         x = self._as_points(x)
         n = self.n_sites
-        diffs = x[..., :, None] - x[..., None, :]
-        vals = self.pair.value(diffs)
-        if not self.include_diagonal:
-            idx = np.arange(n)
-            vals = vals.copy()
-            vals[..., idx, idx] = 0.0
-        return vals.sum(axis=(-2, -1)) / n
+        total = _pair_sum(self.pair, x, self._blocks)
+        if self.include_diagonal:
+            total += n * float(self.pair.value(0.0))
+        return total / n
 
     def partial(self, alpha, x):
         self._check_alpha(alpha)

@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .brownian import DEFAULT_PRESET, DiscretePath, resolve_variance
+from .brownian import DEFAULT_PRESET, DiscretePath, resolve_variance, sample_path_batch
 from .multiindex import MultiIndex, ZERO_INDEX
 from .potentials import PotentialSpec
 
@@ -131,22 +131,18 @@ def _estimate(V, point, t, beta, stencil, n_paths, n_steps, seed, variance,
         if site not in V.sites:
             raise ValueError(f"multi-index site {site!r} is not a potential site")
 
-    sigma2, tag = resolve_variance(variance)
+    _, tag = resolve_variance(variance)
     n_sites = V.n_sites
     n_pairs = n_paths // 2
     dt = t / n_steps
     beta_vec = np.array([beta.get(s) for s in V.sites], dtype=int)
     beta_total = beta.order
     x0, xi = point.x, point.xi
-    scale = math.sqrt(sigma2 * dt)
 
     def run_chunk(args):
         index, pairs = args
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-        increments = rng.standard_normal((pairs, n_steps, n_sites)) * scale
-        w = np.empty((pairs, n_steps + 1, n_sites))
-        w[:, 0, :] = 0.0
-        np.cumsum(increments, axis=1, out=w[:, 1:, :])
+        w = sample_path_batch(rng, pairs, t, n_steps, n_sites, variance)
         endpoint = w[:, -1, :]
         phase = np.exp(-1j * (endpoint @ xi))
         if beta_total:

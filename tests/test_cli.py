@@ -86,6 +86,30 @@ class TestExitCodes:
         assert code == 1
         assert "invalid config" in capsys.readouterr().err
 
+    def test_bad_workers_env_is_config_error(self, monkeypatch, capsys):
+        monkeypatch.setenv(cli.WORKERS_ENV, "abc")
+        code = cli.main(["estimate", "{}"])
+        assert code == 1
+        assert f"{cli.WORKERS_ENV} must be an integer" in capsys.readouterr().err
+
+    def test_nan_result_is_numerical_failure(self, monkeypatch, capsys):
+        from weylfk.potentials import CustomPotential
+
+        def nan_potential(obj):
+            return CustomPotential(obj["sites"], lambda x: np.full(x.shape[:-1], np.nan))
+
+        monkeypatch.setattr(cli, "potential_from_json", nan_potential)
+        config = {
+            "potential": {"variant": "zero", "sites": [0]},
+            "x": [0.0], "xi": [1.0], "t": 0.5, "seed": 1,
+            "n_paths": 200, "n_steps": 2, "emit_metadata": False,
+        }
+        with pytest.raises(cli.NonFiniteOutputError):
+            run("estimate", config)
+        code = cli.main(["estimate", json.dumps(config)])
+        assert code == 2
+        assert "numerical failure: NaN in output" in capsys.readouterr().err
+
     def test_verify_zero_potential_l1_is_two(self, capsys):
         config = {
             "suite": "l1", "seed": 1,

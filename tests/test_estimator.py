@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from weylfk.brownian import DiscretePath, VariancePreset, sample_path
+from weylfk import symbol_estimator
+from weylfk.brownian import DiscretePath, VariancePreset, resolve_variance, sample_path
 from weylfk.multiindex import MultiIndex
 from weylfk.potentials import (
     CustomPotential,
@@ -144,6 +146,30 @@ class TestEstimateProperties:
             estimate_u(V, p, 0.0, 4, 4, seed=0)
         with pytest.raises(ValueError):
             estimate_u(V, p, 1.0, 4, 0, seed=0)
+
+
+def reference_sampler(rng, n_paths, t, n_steps, n_sites, variance_scale):
+    """Paths written out directly: scaled normals in (path, step, site) order, summed."""
+    sigma2, _ = resolve_variance(variance_scale)
+    increments = rng.standard_normal((n_paths, n_steps, n_sites)) * math.sqrt(
+        sigma2 * (t / n_steps))
+    paths = np.zeros((n_paths, n_steps + 1, n_sites))
+    paths[:, 1:, :] = np.cumsum(increments, axis=1)
+    return paths
+
+
+class TestSampler:
+    def test_estimate_byte_identical_to_reference_sampler(self, monkeypatch):
+        V = CustomPotential(range(3), lambda x: 0.3 * (x**2).sum(axis=-1))
+        point = PhasePoint(np.array([0.2, -0.1, 0.4]), np.array([0.5, 0.0, -0.3]))
+
+        def digest():
+            est = estimate_u(V, point, 0.5, 6000, 8, seed=7, chunk_size=1000, n_workers=2)
+            return hashlib.sha256(repr((est.value, est.stderr)).encode()).hexdigest()
+
+        shared = digest()
+        monkeypatch.setattr(symbol_estimator, "sample_path_batch", reference_sampler)
+        assert digest() == shared
 
 
 class TestFrequencyDerivative:

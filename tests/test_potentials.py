@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from weylfk.potentials import (
     MeanFieldPotential,
     MissingSupBoundError,
     NearestNeighborPotential,
+    ScalarFunction,
     ZeroPotential,
     constant_function,
     cosine_function,
@@ -136,6 +138,92 @@ class TestEval:
         out = V.eval(xs)
         assert out.shape == (10, 7)
         assert out[2, 3] == pytest.approx(float(V.eval(xs[2, 3])), rel=1e-14)
+
+
+BUILTIN_SCALARS = [
+    zero_function(), constant_function(0.7), harmonic_function(1.2),
+    gaussian_bump_function(1.3, 0.9), lorentzian_function(1.3, 0.9),
+    cosine_function(1.3, 0.9),
+]
+
+
+def exp_like_function():
+    """A pair function that is not even, so both orders of a pair are evaluated."""
+    return ScalarFunction(
+        "exp_like", lambda k, y: 0.3**k * np.exp(0.3 * y), lambda k: None
+    )
+
+
+def dense_mean_field(G, x, include_diagonal):
+    """sum_{j,k} G(x_j - x_k) / n over the full n x n difference tensor."""
+    n = x.shape[-1]
+    vals = G.value(x[..., :, None] - x[..., None, :])
+    if not include_diagonal:
+        vals = vals * (1.0 - np.eye(n))
+    return vals.sum(axis=(-2, -1)) / n
+
+
+def ordered_pair_loop(sites, F, G, x):
+    """On-site terms plus G(x_j - x_k) over every ordered adjacent pair."""
+    total = F.value(x).sum(axis=-1)
+    for j, sj in enumerate(sites):
+        for k, sk in enumerate(sites):
+            if j != k and max(abs(a - b) for a, b in zip(sj, sk)) == 1:
+                total = total + G.value(x[..., j] - x[..., k])
+    return total
+
+
+class TestPairEvaluation:
+    @pytest.mark.parametrize("G", [lorentzian_function(1.3, 0.8),
+                                   cosine_function(0.9, 0.7), exp_like_function()])
+    @pytest.mark.parametrize("include_diagonal", [True, False])
+    @pytest.mark.parametrize("n", [1, 2, 7, 16])
+    def test_mean_field_matches_dense_reference(self, G, include_diagonal, n):
+        x = np.random.default_rng(n).normal(size=(5, 4, n))
+        V = MeanFieldPotential(range(n), G, include_diagonal)
+        ref = dense_mean_field(G, x, include_diagonal)
+        np.testing.assert_allclose(V.eval(x), ref, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("G", [lorentzian_function(1.3, 0.8), exp_like_function()])
+    @pytest.mark.parametrize("sites", [
+        [(i,) for i in range(9)],                          # 1-d chain in site order
+        [(2,), (0,), (4,), (1,), (3,)],                    # chain in shuffled order
+        [(i, j) for i in range(3) for j in range(4)],     # 2-d lattice
+        [(0, 0), (2, 1), (1, 1), (0, 1), (2, 0), (1, 0)],  # 2-d, shuffled
+    ])
+    def test_nearest_neighbor_matches_pair_loop(self, G, sites):
+        F = gaussian_bump_function(0.8, 1.1)
+        x = np.random.default_rng(len(sites)).normal(size=(5, 4, len(sites)))
+        V = NearestNeighborPotential(len(sites[0]), sites, F, G)
+        ref = ordered_pair_loop(sites, F, G, x)
+        np.testing.assert_allclose(V.eval(x), ref, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("f", BUILTIN_SCALARS, ids=lambda f: f.name)
+    def test_builtins_flagged_even_are_even(self, f):
+        assert f.even
+        y = np.random.default_rng(3).normal(scale=3.0, size=1000)
+        assert np.array_equal(f.value(-y), f.value(y))
+
+    def test_lorentzian_value_matches_partial_fraction_form(self):
+        a, w = 1.3, 0.9
+        f = lorentzian_function(a, w)
+        y = np.random.default_rng(4).normal(scale=5.0, size=1000)
+        partial_fraction = -a * np.imag((y / w + 1j) ** -1)
+        np.testing.assert_allclose(f.value(y), partial_fraction, rtol=1e-15, atol=0.0)
+
+    def test_mean_field_working_set_linear_in_sites(self):
+        def peak(n):
+            V = MeanFieldPotential(range(n), lorentzian_function())
+            x = np.random.default_rng(n).normal(size=(64, 33, n))
+            tracemalloc.start()
+            try:
+                V.eval(x)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # linear growth gives about 31/7 from n=8 to n=32; an n^2 tensor gives 16
+        assert peak(32) / peak(8) < 8.0
 
 
 class TestPartial:
