@@ -9,12 +9,10 @@ integral, and commutator-trace bounds the representation implies.
 
 from .brownian import (
     DEFAULT_PRESET,
-    DiscretePath,
     VariancePreset,
     abs_moment_constant,
     abs_moment_max,
     absolute_moment_product,
-    sample_path,
     sample_path_batch,
 )
 from .bounds import (
@@ -61,8 +59,7 @@ from .oracle import (
     build_hamiltonian,
     free_symbol,
     pairing_check,
-    semigroup,
-    weyl_symbol_from_kernel,
+    semigroup_symbol_at,
     wigner,
 )
 from .potentials import (
@@ -91,7 +88,6 @@ from .symbol_estimator import (
     estimate_u,
     estimate_x_derivative,
     estimate_xi_derivative,
-    path_action,
 )
 
 __version__ = "0.1.0"

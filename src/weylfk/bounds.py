@@ -21,7 +21,7 @@ from .brownian import (
 )
 from .faadibruno import mixed_derivative_bound
 from .multiindex import MultiIndex
-from .oracle import Grid, GridOracle
+from .oracle import Grid, GridOracle, semigroup_symbol_at
 from .potentials import PotentialFamily, PotentialSpec
 from .symbol_estimator import PhasePoint, estimate_mixed_derivative
 
@@ -154,12 +154,13 @@ def check_l1_bound(V: PotentialSpec, t, xi_list, grid: Grid,
             "the comparison integral does not converge"
         )
     right_side = float(weights.sum() * grid.spacing**grid.dim)
-    table = oracle.symbol(t)
+    S = oracle.semigroup(t)
+    table = oracle.symbol(t, semigroup=S)
     margins = []
     for xi in xi_list:
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         if grid.dim == 1:
-            values = np.array([table.value_at(x, xi[0]) for x in table.x])
+            values = np.array([semigroup_symbol_at(S, x, xi[0]) for x in table.x])
             left = float(np.abs(values).sum() * grid.spacing)
         else:
             k = [int(np.argmin(np.abs(ax - c))) for ax, c in zip(table.xi_axes, xi)]

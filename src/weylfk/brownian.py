@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,59 +53,13 @@ def resolve_variance(variance) -> tuple:
     return scale, f"sigma2={scale:g}"
 
 
-@dataclass(frozen=True)
-class DiscretePath:
-    """One trajectory on a uniform grid over [0, t], vanishing at time zero."""
-
-    t: float
-    n_steps: int
-    sites: tuple
-    values: np.ndarray  # shape (n_sites, n_steps + 1), values[:, 0] == 0
-    variance_scale: float
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.shape != (len(self.sites), self.n_steps + 1):
-            raise ValueError(
-                f"values shape {values.shape} does not match "
-                f"{len(self.sites)} sites and {self.n_steps} steps"
-            )
-        if values.size and np.any(values[:, 0] != 0.0):
-            raise ValueError("paths must vanish at time zero")
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t, self.n_steps + 1)
-
-    @property
-    def endpoint(self) -> np.ndarray:
-        return self.values[:, -1]
-
-
-def sample_path(seed, t, n_steps, sites, variance_scale=DEFAULT_PRESET) -> DiscretePath:
-    """Sample one path; reproducible for a given seed."""
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    sigma2, _ = resolve_variance(variance_scale)
-    sites = tuple(sites)
-    rng = np.random.default_rng(seed)
-    dt = t / n_steps
-    increments = rng.standard_normal((len(sites), n_steps)) * math.sqrt(sigma2 * dt)
-    values = np.concatenate(
-        [np.zeros((len(sites), 1)), np.cumsum(increments, axis=1)], axis=1
-    )
-    return DiscretePath(float(t), int(n_steps), sites, values, sigma2)
-
-
 def sample_path_batch(rng, n_paths, t, n_steps, n_sites, variance_scale=DEFAULT_PRESET):
-    """Sample many paths at once; returns shape (n_paths, n_steps + 1, n_sites).
+    """Sample a batch of paths; returns shape (n_paths, n_steps + 1, n_sites).
 
-    This is the vectorized sampler the Monte Carlo estimator is built on; the
-    increments for one path are drawn contiguously so a batch of size one
-    reproduces :func:`sample_path` given the same generator state.
+    This is the sampler the Monte Carlo estimator is built on.  Every path
+    vanishes at time zero.  The increments of one path are drawn
+    contiguously, so each path depends only on the generator state and its
+    place in the batch.
     """
     if not t > 0.0:
         raise ValueError("t must be positive")

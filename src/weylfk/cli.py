@@ -53,7 +53,6 @@ from .oracle import (
     Grid,
     GridOracle,
     SupportError,
-    matrix_weyl_symbol,
     pairing_check,
 )
 from .potentials import (
@@ -497,10 +496,8 @@ def cmd_oracle(config, n_workers):
     oracle = GridOracle(V, grid)
     t = config["t"]
     S = oracle.semigroup(t)
-    table = oracle.symbol(t) if config["region"] == "auto" else (
-        oracle.symbol(t, region=config["region"])
-    )
-    full = matrix_weyl_symbol(S.matrix, grid, region="full")
+    table = oracle.symbol(t, region=config["region"], semigroup=S)
+    full = S.full_table
     dxi = table.xi_cell_volume
     symbol_integral = float(
         (full.values.real.sum()) * table.cell_volume * dxi / (2 * math.pi) ** grid.dim

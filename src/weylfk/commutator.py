@@ -21,7 +21,7 @@ from .oracle import (
     Grid,
     GridOracle,
     SupportError,
-    default_margin,
+    decay_window,
     matrix_weyl_symbol,
 )
 from .potentials import PotentialSpec
@@ -193,17 +193,15 @@ def commutator_trace(poly_coeffs, site_axis: int, V: PotentialSpec, t: float,
 
     tr_matrix = complex((C * op_matrix.T).sum())
 
-    F_full = matrix_weyl_symbol(C, grid, region="full")
+    F = matrix_weyl_symbol(C, grid)
     dxi = math.pi / (grid.n_grid * grid.spacing)
     tr_symbol = complex(
-        (F_full.values * p.table).sum()
+        (F.values * p.table).sum()
         * (grid.spacing * dxi / (2.0 * math.pi)) ** grid.dim
     )
 
-    F_window = matrix_weyl_symbol(C, grid, region="auto",
-                                  margin=default_margin(t, grid.spacing),
-                                  check_decay=True)
-    symbol_sup = float(np.abs(F_window.values).max())
+    window = np.ix_(*(decay_window(C, grid, t),) * grid.dim)
+    symbol_sup = float(np.abs(F.values[window]).max())
 
     axis_residual = max(abs(tr_matrix.real), abs(tr_symbol.real))
     return CommutatorTraceResult(

@@ -30,9 +30,6 @@ class FaaDiBrunoTerm:
                 return k
         return 0
 
-    def as_dict(self) -> dict:
-        return dict(self.counts)
-
     def reconstructs(self, alpha: MultiIndex) -> bool:
         """Re-verify the defining constraint."""
         acc = {}

@@ -82,9 +82,6 @@ class MultiIndex:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def as_dict(self) -> dict:
-        return dict(self.entries)
-
     def __le__(self, other) -> bool:
         if not isinstance(other, MultiIndex):
             return NotImplemented

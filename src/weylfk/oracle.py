@@ -9,16 +9,18 @@ operators and the matrix trace equal the operator trace.
 The phase-space symbol of a kernel is its Fourier transform along the
 antidiagonal.  On the grid, the antidiagonal through a center x_i carries a
 step of twice the spacing, so the frequency grid is pi*k/(n*dx).  Entries
-falling outside the matrix are zero-padded; a decay check converts that
-truncation into a hard error wherever symbol accuracy is claimed.  Full-window
-extraction (no check) is used for trace and pairing identities, where the
-padding cancels between the two sides exactly.
+falling outside the matrix are zero-padded.  Each transform covers the full
+window of centers, which trace and pairing identities use as it is, because
+the padding cancels between their two sides; where symbol accuracy is
+claimed, a window of centers is cut from it and a decay check converts the
+truncation into a hard error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -103,34 +105,16 @@ def build_hamiltonian(V: PotentialSpec, grid: Grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridSemigroup:
-    """Matrix exponential exp(-t H) on the grid, with its spectral factors."""
+    """The matrix exp(-t H) on the grid, built by :meth:`GridOracle.semigroup`."""
 
     grid: Grid
     t: float
     matrix: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
-    def at(self, t: float) -> "GridSemigroup":
-        """Re-exponentiate the cached eigenbasis at another time."""
-        if not t > 0.0:
-            raise ValueError("t must be positive")
-        M = (self.eigenvectors * np.exp(-t * self.eigenvalues)) @ self.eigenvectors.T
-        return GridSemigroup(self.grid, float(t), 0.5 * (M + M.T),
-                             self.eigenvalues, self.eigenvectors)
-
-
-def semigroup(H: np.ndarray, t: float, grid: Grid) -> GridSemigroup:
-    """Spectral decomposition of H and the matrix exp(-t H)."""
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    H = np.asarray(H, dtype=float)
-    scale = np.abs(H).max() or 1.0
-    if not np.allclose(H, H.T, rtol=0.0, atol=1e-12 * scale):
-        raise ValueError("H is not symmetric")
-    w, Q = np.linalg.eigh(H)
-    M = (Q * np.exp(-t * w)) @ Q.T
-    return GridSemigroup(grid, float(t), 0.5 * (M + M.T), w, Q)
+    @cached_property
+    def full_table(self) -> "PhaseSpaceTable":
+        """Complex symbol on the full window of centers, transformed once."""
+        return matrix_weyl_symbol(self.matrix, self.grid)
 
 
 @dataclass(frozen=True)
@@ -143,7 +127,6 @@ class PhaseSpaceTable:
     x_axes: tuple          # per-axis center coordinates
     xi_axes: tuple         # per-axis frequency coordinates
     values: np.ndarray     # shape (*n_centers, *n_frequencies)
-    antidiag: Optional[np.ndarray] = None  # 1-d only, for off-grid frequencies
     max_imag: float = 0.0
 
     @property
@@ -164,126 +147,66 @@ class PhaseSpaceTable:
     def xi_cell_volume(self) -> float:
         return (math.pi / (self.grid.n_grid * self.grid.spacing)) ** self.grid.dim
 
-    def value_at(self, x: float, xi):
-        """Band-limited value at a stored center and arbitrary frequencies (1-d)."""
-        if self.antidiag is None:
-            raise ValueError("off-grid evaluation requires a 1-d table")
-        (ax,) = self.x_axes
-        rows = np.nonzero(np.isclose(ax, x, rtol=0.0, atol=1e-9))[0]
-        if rows.size != 1:
-            raise ValueError(f"x={x!r} is not one of the stored centers")
-        n = self.grid.n_grid
-        msigned = np.arange(n) - n // 2
-        xi = np.asarray(xi, dtype=float)
-        phases = np.exp(-2j * self.grid.spacing * np.multiply.outer(msigned, xi))
-        out = 2.0 * np.tensordot(self.antidiag[rows[0]], phases, axes=(0, 0))
-        if np.iscomplexobj(self.values):
-            return out
-        return np.real(out)
 
+def _antidiagonals(centers, n):
+    """Index pairs (center + m, center - m) per center, offsets m in FFT order.
 
-def _center_window(grid: Grid, region, margin):
-    xs = grid.axis()
-    if region == "full":
-        mask = np.ones(grid.n_grid, dtype=bool)
-    elif region == "auto":
-        if margin is None:
-            raise ValueError("auto region needs a margin")
-        mask = np.abs(xs) <= grid.half_width - margin
-    else:
-        mask = np.abs(xs) <= float(region)
-    centers = np.nonzero(mask)[0]
-    if centers.size == 0:
-        raise DecayError(
-            "no usable centers: the grid is too small for this time horizon"
-        )
-    return centers
-
-
-def matrix_weyl_symbol(matrix: np.ndarray, grid: Grid, region="full",
-                       decay_tol=1e-12, margin=None, check_decay=None) -> PhaseSpaceTable:
-    """Phase-space symbol of a kernel matrix via antidiagonal Fourier transform.
-
-    Returns complex values; take the real part through
-    :func:`weyl_symbol_from_kernel` when the matrix is a semigroup.
+    Returns the pairs clipped onto the grid, the mask of pairs really on it,
+    and the offsets.
     """
-    if check_decay is None:
-        check_decay = region != "full"
+    m = np.fft.ifftshift(np.arange(n) - n // 2)  # 0, 1, ..., n/2 - 1, -n/2, ..., -1
+    plus = centers[:, None] + m
+    minus = centers[:, None] - m
+    valid = (plus >= 0) & (plus < n) & (minus >= 0) & (minus < n)
+    return plus.clip(0, n - 1), minus.clip(0, n - 1), valid, m
+
+
+def _antidiagonal_fft(entries, grid: Grid, scale: float, inverse=False) -> np.ndarray:
+    """Fourier transform along the antidiagonals through every grid center.
+
+    ``entries(plus, minus)`` returns the kernel at the flat grid indices
+    center + m and center - m.  One weight per axis folds in the mask that
+    zero-pads pairs off the grid, the sign (-1)^m that centers the frequency
+    axis, and the scale, so no shifted copies are made.  The forward
+    transform is unnormalized; ``inverse`` conjugates the phases, also
+    unnormalized.  Returns shape (*centers, *frequencies).  In 2-d one
+    first-axis center is done at a time, which bounds the working set.
+    """
     n = grid.n_grid
+    plus, minus, valid, m = _antidiagonals(np.arange(n), n)
+    weight = np.where(valid, scale * (-1.0) ** m, 0.0)
+    fftn, norm = (np.fft.ifftn, "forward") if inverse else (np.fft.fftn, "backward")
+
+    def transform(a):
+        return fftn(a, axes=tuple(range(-grid.dim, 0)), norm=norm)
+
+    if grid.dim == 1:
+        return transform(weight * entries(plus, minus))
+    values = np.empty((n,) * 4, dtype=complex)
+    for p in range(n):
+        # block axes: (second-axis center, first-axis offset, second-axis offset)
+        block = entries(plus[p][:, None] * n + plus[:, None, :],
+                        minus[p][:, None] * n + minus[:, None, :])
+        values[p] = transform(block * (weight[p][:, None] * weight[:, None, :]))
+    return values
+
+
+def _full_window_table(grid: Grid, values: np.ndarray) -> PhaseSpaceTable:
+    dim = grid.dim
+    return PhaseSpaceTable(grid, None, (np.arange(grid.n_grid),) * dim,
+                           (grid.axis(),) * dim, (grid.xi_axis(),) * dim, values)
+
+
+def matrix_weyl_symbol(matrix: np.ndarray, grid: Grid) -> PhaseSpaceTable:
+    """Phase-space symbol of a kernel matrix on the full window of centers.
+
+    Values are complex; :meth:`GridOracle.symbol` takes the real part on a
+    decay-checked window.
+    """
     if matrix.shape != (grid.n_points, grid.n_points):
         raise ValueError("matrix does not match the grid")
-    centers = _center_window(grid, region, margin)
-    msigned = np.arange(n) - n // 2
-    xi = grid.xi_axis()
-    if grid.dim == 1:
-        a = centers[:, None] + msigned[None, :]
-        b = centers[:, None] - msigned[None, :]
-        valid = (a >= 0) & (a < n) & (b >= 0) & (b < n)
-        A = np.where(valid, matrix[a.clip(0, n - 1), b.clip(0, n - 1)], 0.0)
-        if check_decay:
-            _check_antidiagonal_decay(A, centers, grid, np.abs(matrix).max(), decay_tol)
-        U = 2.0 * np.fft.fftshift(np.fft.fft(np.fft.ifftshift(A, axes=1), axis=1), axes=1)
-        return PhaseSpaceTable(
-            grid, None, (centers,), (grid.axis()[centers],), (xi,), U, antidiag=A
-        )
-    # dim 2: one small transform per center
-    max_abs = np.abs(matrix).max()
-    nc = centers.size
-    values = np.empty((nc, nc, n, n), dtype=complex)
-    half = n // 2
-    for p, i0 in enumerate(centers):
-        a0 = i0 + msigned
-        b0 = i0 - msigned
-        valid0 = (a0 >= 0) & (a0 < n) & (b0 >= 0) & (b0 < n)
-        for q, i1 in enumerate(centers):
-            a1 = i1 + msigned
-            b1 = i1 - msigned
-            valid1 = (a1 >= 0) & (a1 < n) & (b1 >= 0) & (b1 < n)
-            rows = a0.clip(0, n - 1)[:, None] * n + a1.clip(0, n - 1)[None, :]
-            cols = b0.clip(0, n - 1)[:, None] * n + b1.clip(0, n - 1)[None, :]
-            block = np.where(
-                valid0[:, None] & valid1[None, :], matrix[rows, cols], 0.0
-            )
-            if check_decay:
-                mm0 = min(i0, n - 1 - i0, half - 1)
-                mm1 = min(i1, n - 1 - i1, half - 1)
-                edge = max(
-                    np.abs(block[half - mm0, :]).max(),
-                    np.abs(block[half + mm0, :]).max(),
-                    np.abs(block[:, half - mm1]).max(),
-                    np.abs(block[:, half + mm1]).max(),
-                )
-                if edge > decay_tol * max_abs:
-                    raise DecayError(
-                        f"kernel mass {edge / max_abs:.3e} at the truncation edge of "
-                        f"center index ({i0}, {i1}) exceeds {decay_tol:g}"
-                    )
-            values[p, q] = 4.0 * np.fft.fftshift(
-                np.fft.fft2(np.fft.ifftshift(block))
-            )
-    ax = grid.axis()[centers]
-    return PhaseSpaceTable(
-        grid, None, (centers, centers), (ax, ax), (xi, xi), values
-    )
-
-
-def _check_antidiagonal_decay(A, centers, grid, max_abs, decay_tol):
-    n = grid.n_grid
-    half = n // 2
-    worst = -1.0
-    worst_center = None
-    for row, i in enumerate(centers):
-        mm = min(i, n - 1 - i, half - 1)
-        edge = max(abs(A[row, half - mm]), abs(A[row, half + mm]))
-        if edge > worst:
-            worst = edge
-            worst_center = i
-    if max_abs > 0 and worst > decay_tol * max_abs:
-        x_bad = grid.axis()[worst_center]
-        raise DecayError(
-            f"kernel mass {worst / max_abs:.3e} at the truncation edge of center "
-            f"x={x_bad:.4g} exceeds {decay_tol:g}; enlarge the grid for this t"
-        )
+    values = _antidiagonal_fft(lambda plus, minus: matrix[plus, minus], grid, 2.0)
+    return _full_window_table(grid, values)
 
 
 def default_margin(t: float, spacing: float, decay_tol=1e-12) -> float:
@@ -307,24 +230,57 @@ def default_margin(t: float, spacing: float, decay_tol=1e-12) -> float:
     return max(continuum, lattice)
 
 
-def weyl_symbol_from_kernel(S: GridSemigroup, region="auto",
-                            decay_tol=1e-12) -> PhaseSpaceTable:
-    """Real phase-space symbol of a semigroup, on the decay-checked window.
+def decay_window(matrix: np.ndarray, grid: Grid, t: float, region="auto",
+                 decay_tol=1e-12) -> np.ndarray:
+    """Grid indices (per axis) of the centers whose symbol is claimed accurate.
 
-    The default window keeps centers far enough from the boundary that the
-    kernel envelope puts the antidiagonal truncation below the decay
-    tolerance; nonnegative potentials only shrink the kernel further.
+    ``"full"`` keeps every center unchecked, for identities in which the
+    zero padding cancels.  ``"auto"`` keeps the centers that
+    :func:`default_margin` puts far enough from the boundary for time t, and a
+    number keeps |x| <= region.  Both are checked: kernel mass above
+    ``decay_tol`` times the matrix maximum at the last on-grid offset of any
+    antidiagonal through a kept center raises :class:`DecayError`.
     """
-    margin = (
-        default_margin(S.t, S.grid.spacing, decay_tol) if region == "auto" else None
-    )
-    table = matrix_weyl_symbol(S.matrix, S.grid, region=region,
-                               decay_tol=decay_tol, margin=margin)
-    max_imag = float(np.abs(table.values.imag).max())
-    return PhaseSpaceTable(
-        table.grid, S.t, table.center_indices, table.x_axes, table.xi_axes,
-        table.values.real.copy(), antidiag=table.antidiag, max_imag=max_imag,
-    )
+    n = grid.n_grid
+    if region == "full":
+        return np.arange(n)
+    if region == "auto":
+        limit = grid.half_width - default_margin(t, grid.spacing, decay_tol)
+    else:
+        limit = float(region)
+    centers = np.nonzero(np.abs(grid.axis()) <= limit)[0]
+    if centers.size == 0:
+        raise DecayError(
+            "no usable centers: the grid is too small for this time horizon"
+        )
+    plus, minus, valid, _ = _antidiagonals(centers, n)
+    reach = np.minimum(centers, n - 1 - centers)  # last offset on the grid
+    edge = np.zeros((centers.size,) * grid.dim)
+    for sign in (1, -1):
+        lo, hi = centers + sign * reach, centers - sign * reach
+        if grid.dim == 1:
+            faces = [np.abs(matrix[lo, hi])]
+        else:
+            # (first-axis center, second-axis center, offset along the other axis)
+            faces = [
+                np.where(valid, np.abs(matrix[lo[:, None, None] * n + plus,
+                                              hi[:, None, None] * n + minus]), 0.0),
+                np.where(valid[:, None, :],
+                         np.abs(matrix[plus[:, None, :] * n + lo[:, None],
+                                       minus[:, None, :] * n + hi[:, None]]), 0.0),
+            ]
+            faces = [face.max(axis=-1) for face in faces]
+        for face in faces:
+            np.maximum(edge, face, out=edge)
+    max_abs = np.abs(matrix).max()
+    worst = np.unravel_index(np.argmax(edge), edge.shape)
+    if edge[worst] > decay_tol * max_abs:
+        where = ", ".join(f"{grid.axis()[centers[k]]:.4g}" for k in worst)
+        raise DecayError(
+            f"kernel mass {edge[worst] / max_abs:.3e} at the truncation edge of center "
+            f"x=({where}) exceeds {decay_tol:g}; enlarge the grid for this t"
+        )
+    return centers
 
 
 def semigroup_symbol_at(S: GridSemigroup, x: float, xi) -> np.ndarray:
@@ -381,64 +337,30 @@ def wigner(f, g, grid: Grid) -> PhaseSpaceTable:
     g = np.asarray(g, dtype=complex).reshape(grid.n_points)
     _check_support(f, grid)
     _check_support(g, grid)
-    n = grid.n_grid
-    msigned = np.arange(n) - n // 2
-    centers = np.arange(n)
-    xi = grid.xi_axis()
-    scale_1d = grid.spacing / math.pi
-    if grid.dim == 1:
-        f_idx = centers[:, None] - msigned[None, :]
-        g_idx = centers[:, None] + msigned[None, :]
-        valid = (f_idx >= 0) & (f_idx < n) & (g_idx >= 0) & (g_idx < n)
-        arr = np.where(
-            valid, f[f_idx.clip(0, n - 1)] * np.conj(g[g_idx.clip(0, n - 1)]), 0.0
-        )
-        W = scale_1d * n * np.fft.fftshift(
-            np.fft.ifft(np.fft.ifftshift(arr, axes=1), axis=1), axes=1
-        )
-        return PhaseSpaceTable(
-            grid, None, (centers,), (grid.axis(),), (xi,), W
-        )
-    f2 = f.reshape(n, n)
-    g2 = g.reshape(n, n)
-    values = np.empty((n, n, n, n), dtype=complex)
-    for i0 in range(n):
-        lo0 = i0 - msigned
-        hi0 = i0 + msigned
-        valid0 = (lo0 >= 0) & (lo0 < n) & (hi0 >= 0) & (hi0 < n)
-        for i1 in range(n):
-            lo1 = i1 - msigned
-            hi1 = i1 + msigned
-            valid1 = (lo1 >= 0) & (lo1 < n) & (hi1 >= 0) & (hi1 < n)
-            block = np.where(
-                valid0[:, None] & valid1[None, :],
-                f2[lo0.clip(0, n - 1)[:, None], lo1.clip(0, n - 1)[None, :]]
-                * np.conj(
-                    g2[hi0.clip(0, n - 1)[:, None], hi1.clip(0, n - 1)[None, :]]
-                ),
-                0.0,
-            )
-            values[i0, i1] = scale_1d**2 * n**2 * np.fft.fftshift(
-                np.fft.ifft2(np.fft.ifftshift(block))
-            )
-    ax = grid.axis()
-    return PhaseSpaceTable(grid, None, (centers, centers), (ax, ax), (xi, xi), values)
+    g_conj = np.conj(g)
+    values = _antidiagonal_fft(lambda plus, minus: f[minus] * g_conj[plus], grid,
+                               grid.spacing / math.pi, inverse=True)
+    return _full_window_table(grid, values)
 
 
 def pairing_check(S: GridSemigroup, f, g) -> float:
     """Residual of the quadratic-form identity between operator and symbol sides.
 
     Left side: the grid inner product of exp(-tH) f against g.  Right side:
-    the symbol integrated against the phase-space transform of (f, g) on
-    matching full-window tables, where zero-padding cancels identically.
+    the semigroup's full-window symbol table integrated against the
+    phase-space transform of (f, g) on the same window, where zero-padding
+    cancels identically.
     """
     grid = S.grid
     f = np.asarray(f, dtype=complex).reshape(grid.n_points)
     g = np.asarray(g, dtype=complex).reshape(grid.n_points)
     lhs = grid.spacing**grid.dim * np.vdot(g, S.matrix @ f)  # vdot conjugates g
-    U = matrix_weyl_symbol(S.matrix, grid, region="full")
+    U = S.full_table
     W = wigner(f, g, grid)
-    rhs = (U.values * W.values).sum() * U.cell_volume * U.xi_cell_volume
+    # the product overwrites this local Wigner table, so no third table is made;
+    # numpy's pairwise sum keeps the rounding of a residual far above roundoff
+    product = np.multiply(U.values, W.values, out=W.values)
+    rhs = product.sum() * U.cell_volume * U.xi_cell_volume
     return float(abs(lhs - rhs))
 
 
@@ -452,7 +374,7 @@ def free_symbol(xi, t, variance_scale=ORACLE_VARIANCE) -> float:
 
 
 class GridOracle:
-    """Hamiltonian, cached spectral factors, and symbol tables for one potential."""
+    """Hamiltonian, its spectral factors, and symbol tables for one potential."""
 
     def __init__(self, V: PotentialSpec, grid: Grid):
         self.grid = grid
@@ -460,17 +382,31 @@ class GridOracle:
         self.hamiltonian = build_hamiltonian(V, grid)
         self._eigenvalues, self._eigenvectors = np.linalg.eigh(self.hamiltonian)
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self._eigenvalues
-
     def semigroup(self, t: float) -> GridSemigroup:
+        """exp(-tH) from the cached spectral factors."""
         if not t > 0.0:
             raise ValueError("t must be positive")
-        M = (self._eigenvectors * np.exp(-t * self._eigenvalues)) @ self._eigenvectors.T
-        return GridSemigroup(self.grid, float(t), 0.5 * (M + M.T),
-                             self._eigenvalues, self._eigenvectors)
+        Q = self._eigenvectors
+        M = (Q * np.exp(-t * self._eigenvalues)) @ Q.T
+        return GridSemigroup(self.grid, float(t), 0.5 * (M + M.T))
 
-    def symbol(self, t: float, region="auto", decay_tol=1e-12) -> PhaseSpaceTable:
-        return weyl_symbol_from_kernel(self.semigroup(t), region=region,
-                                       decay_tol=decay_tol)
+    def symbol(self, t: float, region="auto", decay_tol=1e-12,
+               semigroup: Optional[GridSemigroup] = None) -> PhaseSpaceTable:
+        """Real symbol of exp(-tH) on the window of centers that :func:`decay_window` keeps.
+
+        Nonnegative potentials only shrink the kernel, so the free envelope
+        behind the default window is conservative.  The window is cut from the
+        semigroup's full-window table; pass ``semigroup``, this oracle's
+        :meth:`semigroup` at the same t, to exponentiate and transform once.
+        """
+        S = self.semigroup(t) if semigroup is None else semigroup
+        if S.t != t:
+            raise ValueError(f"semigroup is at t={S.t!r}, not {t!r}")
+        centers = decay_window(S.matrix, self.grid, S.t, region, decay_tol)
+        dim = self.grid.dim
+        values = S.full_table.values[np.ix_(*(centers,) * dim)]
+        ax = self.grid.axis()[centers]
+        return PhaseSpaceTable(
+            self.grid, S.t, (centers,) * dim, (ax,) * dim, S.full_table.xi_axes,
+            values.real.copy(), max_imag=float(np.abs(values.imag).max()),
+        )

@@ -21,9 +21,8 @@ from itertools import product
 
 import numpy as np
 
-from .brownian import DEFAULT_PRESET, DiscretePath, resolve_variance, sample_path_batch
+from .brownian import DEFAULT_PRESET, resolve_variance, sample_path_batch
 from .multiindex import MultiIndex, ZERO_INDEX
-from .potentials import PotentialSpec
 
 DEFAULT_CHUNK_SIZE = 4096  # antithetic pairs per chunk
 
@@ -54,20 +53,6 @@ class SymbolEstimate:
     n_steps: int
     variance_preset: str
     t: float
-
-
-def path_action(V: PotentialSpec, path: DiscretePath, x) -> float:
-    """Trapezoidal approximation of the potential integral along one path."""
-    if path.sites != V.sites:
-        raise ValueError("path sites do not match the potential's sites")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (V.n_sites,):
-        raise ValueError(f"x must have shape ({V.n_sites},)")
-    w = path.values.T  # (n_steps + 1, n_sites)
-    positions = x - w[-1] / 2.0 + w
-    values = V.eval(positions)
-    dt = path.t / path.n_steps
-    return float(_trapezoid(values, dt))
 
 
 def _trapezoid(values, dt):

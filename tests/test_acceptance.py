@@ -146,13 +146,14 @@ def test_criterion_4_oracle_cross_validation():
         g /= math.sqrt((g**2).sum() * grid.spacing)
         worst_pairing = max(worst_pairing, w.pairing_check(oracle.semigroup(0.5), f, g))
         for t in (0.1, 0.5, 1.0):
-            tab = oracle.symbol(t)
+            S = oracle.semigroup(t)
+            tab = oracle.symbol(t, semigroup=S)
             n_steps = max(16, int(96 * t))
             xs = [tab.x[int(np.argmin(np.abs(tab.x - v)))]
                   for v in (-1.5, -0.75, 0.0, 0.75, 1.5)]
             for x in xs:
                 xi_probes = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-                u_ref = tab.value_at(x, xi_probes)
+                u_ref = w.semigroup_symbol_at(S, x, xi_probes)
                 for xi, ref in zip(xi_probes, u_ref):
                     est = w.estimate_u(
                         V, w.PhasePoint([x], [xi]), t, 80_000, n_steps, seed=seed

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from weylfk.brownian import (
-    DiscretePath,
     VariancePreset,
     abs_moment_constant,
     abs_moment_max,
     absolute_moment_product,
     resolve_variance,
-    sample_path,
     sample_path_batch,
 )
 from weylfk.multiindex import MultiIndex
@@ -71,31 +69,24 @@ class TestMomentProduct:
 
 class TestSampling:
     def test_same_seed_same_path(self):
-        a = sample_path(7, 1.0, 16, [0, 1], 1.0)
-        b = sample_path(7, 1.0, 16, [0, 1], 1.0)
-        assert np.array_equal(a.values, b.values)
+        a = sample_path_batch(np.random.default_rng(7), 3, 1.0, 16, 2, 1.0)
+        b = sample_path_batch(np.random.default_rng(7), 3, 1.0, 16, 2, 1.0)
+        assert np.array_equal(a, b)
 
     def test_starts_at_zero(self):
-        p = sample_path(1, 0.5, 8, [0, 1, 2])
-        assert np.all(p.values[:, 0] == 0.0)
+        p = sample_path_batch(np.random.default_rng(1), 4, 0.5, 8, 3)
+        assert np.all(p[:, 0, :] == 0.0)
 
     def test_empty_sites(self):
-        p = sample_path(1, 1.0, 4, [])
-        assert p.values.shape == (0, 5)
+        p = sample_path_batch(np.random.default_rng(1), 2, 1.0, 4, 0)
+        assert p.shape == (2, 5, 0)
 
     def test_bad_inputs(self):
+        rng = np.random.default_rng(1)
         with pytest.raises(ValueError):
-            sample_path(1, 0.0, 4, [0])
+            sample_path_batch(rng, 1, 0.0, 4, 1)
         with pytest.raises(ValueError):
-            sample_path(1, 1.0, 0, [0])
-
-    def test_endpoint_variance_over_seeds(self):
-        t = 0.7
-        endpoints = np.array([
-            sample_path(seed, t, 1, [0], 1.0).endpoint[0] for seed in range(100_000)
-        ])
-        assert endpoints.var() == pytest.approx(t, rel=0.05)
-        assert abs(endpoints.mean()) <= 4.0 * endpoints.std() / math.sqrt(len(endpoints))
+            sample_path_batch(rng, 1, 1.0, 0, 1)
 
     def test_batch_endpoint_variance(self):
         rng = np.random.default_rng(123)
@@ -103,12 +94,6 @@ class TestSampling:
         paths = sample_path_batch(rng, 100_000, t, 1, 1, 1.0)
         var = paths[:, -1, 0].var()
         assert var == pytest.approx(t, rel=0.05)
-
-    def test_path_shape_validation(self):
-        with pytest.raises(ValueError):
-            DiscretePath(1.0, 4, (0,), np.zeros((1, 3)), 1.0)
-        with pytest.raises(ValueError):
-            DiscretePath(1.0, 2, (0,), np.array([[1.0, 0.0, 0.0]]), 1.0)
 
 
 class TestSampledMoments:

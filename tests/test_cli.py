@@ -239,6 +239,54 @@ class TestSubcommands:
         assert csv.read_text().startswith("t,trace_matrix,trace_symbol")
 
 
+class TestSinglePass:
+    """Each spectral factorization, exponentiation and transform runs once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from weylfk import commutator, oracle
+
+        calls = {"eigh": 0, "semigroup": 0, "transform": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        monkeypatch.setattr(oracle.GridOracle, "semigroup",
+                            counted("semigroup", oracle.GridOracle.semigroup))
+        transform = counted("transform", oracle.matrix_weyl_symbol)
+        for module in (oracle, commutator, cli):  # every module binding of the name
+            if hasattr(module, "matrix_weyl_symbol"):
+                monkeypatch.setattr(module, "matrix_weyl_symbol", transform)
+        return calls
+
+    def test_oracle_2d(self, calls):
+        code, doc = run("oracle", {
+            "potential": {"variant": "nearest_neighbor", "d": 1, "sites": [[0], [1]],
+                          "F": {"name": "harmonic"}, "G": {"name": "lorentzian"}},
+            "grid": {"half_width": 8.0, "n_grid": 16, "dim": 2},
+            "t": 0.1,
+        })
+        assert code == 0
+        assert doc["results"]["n_centers"] > 0
+        assert calls == {"eigh": 1, "semigroup": 1, "transform": 1}
+
+    def test_commutator_one_transform_per_time(self, calls):
+        t_list = [0.01, 0.05, 0.2]
+        code, _ = run("commutator", {
+            "potential": harmonic_potential_json(),
+            "grid": {"half_width": 10.0, "n_grid": 128, "dim": 1},
+            "state": {"center_x": [0.6], "center_xi": [0.6],
+                      "width_x": [1.0], "width_xi": [1.0]},
+            "t_list": t_list,
+        })
+        assert code == 0
+        assert calls == {"eigh": 1, "semigroup": len(t_list), "transform": len(t_list)}
+
+
 class TestDeterminism:
     def test_rerun_and_worker_count_byte_identical(self, tmp_path):
         out = tmp_path / "est.json"

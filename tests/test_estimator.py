@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from weylfk import symbol_estimator
-from weylfk.brownian import DiscretePath, VariancePreset, resolve_variance, sample_path
+from weylfk.brownian import VariancePreset, resolve_variance
 from weylfk.multiindex import MultiIndex
 from weylfk.potentials import (
     CustomPotential,
@@ -23,7 +23,6 @@ from weylfk.symbol_estimator import (
     estimate_u,
     estimate_x_derivative,
     estimate_xi_derivative,
-    path_action,
 )
 
 mi = MultiIndex.of
@@ -46,31 +45,37 @@ def harmonic_1site():
 
 
 class TestPathAction:
+    # the action is the trapezoid integral of V along each path inside estimate_u
     def test_zero_potential(self):
-        V = ZeroPotential([0])
-        path = sample_path(3, 1.0, 32, [0])
-        assert path_action(V, path, [0.7]) == 0.0
+        # a potential that is zero everywhere adds nothing to the action
+        p = PhasePoint([0.7], [0.9])
+        free = estimate_u(ZeroPotential([0]), p, 1.0, 2000, 32, seed=3)
+        zero = estimate_u(MeanFieldPotential([0], constant_function(0.0)), p, 1.0,
+                          2000, 32, seed=3)
+        assert zero == free
 
     def test_constant_potential_exact(self):
         c, t = 0.9, 0.7
         V = MeanFieldPotential([0], constant_function(c))  # V == c everywhere
-        path = sample_path(5, t, 17, [0])
-        assert path_action(V, path, [0.0]) == pytest.approx(c * t, rel=1e-12)
+        p = PhasePoint([0.0], [0.8])
+        est = estimate_u(V, p, t, 2000, 17, seed=5)
+        free = estimate_u(ZeroPotential([0]), p, t, 2000, 17, seed=5)
+        assert est.value == pytest.approx(math.exp(-c * t) * free.value, rel=1e-12)
+        assert est.stderr == pytest.approx(math.exp(-c * t) * free.stderr, rel=1e-12)
 
     def test_straight_line_square_well(self):
         # path w(s) = s on [0, 1]; integrand (s - 1/2)^2 integrates to 1/12
         n = 100
-        values = np.linspace(0.0, 1.0, n + 1)[None, :]
-        path = DiscretePath(1.0, n, (0,), values, 1.0)
-        V = harmonic_1site()
-        action = path_action(V, path, [0.0])
+        s = np.linspace(0.0, 1.0, n + 1)
+        x = 0.0 - s[-1] / 2.0 + s  # the estimator's bridge from x - w(t)/2
+        values = harmonic_1site().eval(x[:, None])
+        action = symbol_estimator._trapezoid(values, 1.0 / n)
         assert action == pytest.approx(1.0 / 12.0, abs=1e-3)
 
     def test_site_mismatch(self):
         V = ZeroPotential([0, 1])
-        path = sample_path(1, 1.0, 4, [0])
         with pytest.raises(ValueError):
-            path_action(V, path, [0.0, 0.0])
+            estimate_u(V, PhasePoint([0.0], [0.0]), 1.0, 2, 4, seed=1)
 
 
 class TestFreeCase:
@@ -225,7 +230,7 @@ class TestPositionDerivative:
 
     def test_matches_oracle_derivative(self):
         # compare against centered differences of the grid oracle's symbol
-        from weylfk.oracle import Grid, GridOracle
+        from weylfk.oracle import Grid, GridOracle, semigroup_symbol_at
 
         V = harmonic_1site()
         t = 0.25
@@ -234,12 +239,13 @@ class TestPositionDerivative:
             NearestNeighborPotential(1, [(0,)], harmonic_function(), zero_function()),
             grid,
         )
-        tab = oracle.symbol(t)
+        S = oracle.semigroup(t)
+        tab = oracle.symbol(t, semigroup=S)
         ix = int(np.argmin(np.abs(tab.x - 0.75)))
         x, xi = float(tab.x[ix]), 0.6
-        du_oracle = (tab.value_at(tab.x[ix + 1], xi) - tab.value_at(tab.x[ix - 1], xi)) / (
-            tab.x[ix + 1] - tab.x[ix - 1]
-        )
+        du_oracle = (
+            semigroup_symbol_at(S, tab.x[ix + 1], xi) - semigroup_symbol_at(S, tab.x[ix - 1], xi)
+        ) / (tab.x[ix + 1] - tab.x[ix - 1])
         est = estimate_x_derivative(V, PhasePoint([x], [xi]), t, mi({0: 1}),
                                     100_000, 32, seed=12)
         assert abs(est.value - du_oracle) <= max(3 * est.stderr, 1e-2)

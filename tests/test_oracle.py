@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -7,17 +8,16 @@ from weylfk.oracle import (
     DecayError,
     Grid,
     GridOracle,
-    GridSemigroup,
     SupportError,
     build_hamiltonian,
     free_symbol,
     matrix_weyl_symbol,
     pairing_check,
-    semigroup,
-    weyl_symbol_from_kernel,
+    semigroup_symbol_at,
     wigner,
 )
 from weylfk.potentials import (
+    CustomPotential,
     NearestNeighborPotential,
     ZeroPotential,
     gaussian_bump_function,
@@ -85,33 +85,28 @@ class TestHamiltonian:
 
 class TestSemigroup:
     def test_near_identity_at_small_time(self):
-        grid = Grid(8.0, 16, 1)
-        H = build_hamiltonian(harmonic_potential(), grid)
-        S = semigroup(H, 1e-6, grid)
+        oracle = GridOracle(harmonic_potential(), Grid(8.0, 16, 1))
+        S = oracle.semigroup(1e-6)
         assert np.abs(S.matrix - np.eye(16)).max() <= 1e-3
 
     def test_semigroup_law(self):
-        grid = Grid(8.0, 64, 1)
-        H = build_hamiltonian(harmonic_potential(), grid)
-        S1 = semigroup(H, 0.3, grid)
-        S2 = S1.at(0.45)
-        S3 = S1.at(0.75)
+        oracle = GridOracle(harmonic_potential(), Grid(8.0, 64, 1))
+        S1 = oracle.semigroup(0.3)
+        S2 = oracle.semigroup(0.45)
+        S3 = oracle.semigroup(0.75)
         assert np.abs(S1.matrix @ S2.matrix - S3.matrix).max() <= 1e-10
 
     def test_spectrum_in_unit_interval(self):
-        grid = Grid(8.0, 64, 1)
-        H = build_hamiltonian(ZeroPotential([(0,)]), grid)
-        S = semigroup(H, 0.5, grid)
+        oracle = GridOracle(ZeroPotential([(0,)]), Grid(8.0, 64, 1))
+        S = oracle.semigroup(0.5)
         eigs = np.linalg.eigvalsh(S.matrix)
         assert eigs.min() > 0.0
         assert eigs.max() <= 1.0 + 1e-8
 
-    def test_nonsymmetric_rejected(self):
-        grid = Grid(8.0, 16, 1)
-        M = np.eye(16)
-        M[0, 1] = 1.0
+    def test_nonpositive_time_rejected(self):
+        oracle = GridOracle(ZeroPotential([(0,)]), Grid(8.0, 16, 1))
         with pytest.raises(ValueError):
-            semigroup(M, 1.0, grid)
+            oracle.semigroup(0.0)
 
 
 class TestSymbolExtraction:
@@ -142,7 +137,7 @@ class TestSymbolExtraction:
         grid = Grid(10.0, 256, 1)
         oracle = GridOracle(harmonic_potential(), grid)
         S = oracle.semigroup(1.0)
-        full = matrix_weyl_symbol(S.matrix, grid, region="full")
+        full = matrix_weyl_symbol(S.matrix, grid)
         integral = (
             full.values.real.sum()
             * full.cell_volume
@@ -159,15 +154,14 @@ class TestSymbolExtraction:
             assert np.abs(tab.values).max() <= 1.0 + 1e-8
 
     def test_decay_error_when_grid_too_small(self):
-        grid = Grid(2.0, 64, 1)  # time horizon too long for this box
-        oracle = GridOracle(ZeroPotential([(0,)]), grid)
-        with pytest.raises(DecayError):
-            oracle.symbol(1.0)
+        for dim, n in ((1, 64), (2, 16)):
+            grid = Grid(2.0, n, dim)  # time horizon too long for this box
+            oracle = GridOracle(ZeroPotential([(k,) for k in range(dim)]), grid)
+            with pytest.raises(DecayError):
+                oracle.symbol(1.0)
 
     def test_refinement_convergence(self):
         # matched half-grid centers nest across refinement
-        from weylfk.oracle import semigroup_symbol_at
-
         t = 0.25
         xi = np.array([0.0, 0.7, 1.4])
         values = {}
@@ -257,3 +251,155 @@ class TestPairing:
         f = normalized_gaussian(grid, center=0.2, width=0.55)
         g = normalized_gaussian(grid, center=-0.1, width=0.55)
         assert pairing_check(oracle.semigroup(0.5), f, g) <= 1e-6
+
+
+# Reference transforms: one center at a time, with shifted copies, as the
+# oracle computed them before the shared antidiagonal transform.
+
+def _reference_offsets(i, n):
+    m = np.arange(n) - n // 2
+    plus, minus = i + m, i - m
+    valid = (plus >= 0) & (plus < n) & (minus >= 0) & (minus < n)
+    return plus.clip(0, n - 1), minus.clip(0, n - 1), valid
+
+
+def _reference_antidiagonal(matrix, grid, idx):
+    """Kernel entries (center + m, center - m) through one center, m centred."""
+    n = grid.n_grid
+    if grid.dim == 1:
+        a, b, valid = _reference_offsets(idx[0], n)
+        return np.where(valid, matrix[a, b], 0.0)
+    a0, b0, v0 = _reference_offsets(idx[0], n)
+    a1, b1, v1 = _reference_offsets(idx[1], n)
+    rows = a0[:, None] * n + a1[None, :]
+    cols = b0[:, None] * n + b1[None, :]
+    return np.where(v0[:, None] & v1[None, :], matrix[rows, cols], 0.0)
+
+
+def reference_symbol(matrix, grid, centers):
+    n = grid.n_grid
+    values = np.empty((len(centers),) * grid.dim + (n,) * grid.dim, dtype=complex)
+    for pos in product(range(len(centers)), repeat=grid.dim):
+        block = _reference_antidiagonal(matrix, grid, [centers[p] for p in pos])
+        values[pos] = 2.0**grid.dim * np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(block)))
+    return values
+
+
+def reference_decay_edge(matrix, grid, centers):
+    """Largest |kernel| at the last on-grid offset of any kept antidiagonal."""
+    n = grid.n_grid
+    half = n // 2
+    worst = 0.0
+    for idx in product(centers, repeat=grid.dim):
+        block = np.abs(_reference_antidiagonal(matrix, grid, idx))
+        for axis, i in enumerate(idx):
+            mm = min(i, n - 1 - i, half - 1)
+            for k in (half - mm, half + mm):
+                worst = max(worst, np.take(block, k, axis=axis).max())
+    return worst
+
+
+def reference_wigner(f, g, grid):
+    n = grid.n_grid
+    scale = grid.spacing / math.pi * n
+    if grid.dim == 1:
+        values = np.empty((n, n), dtype=complex)
+        for i in range(n):
+            hi, lo, valid = _reference_offsets(i, n)
+            line = np.where(valid, f[lo] * np.conj(g[hi]), 0.0)
+            values[i] = scale * np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(line)))
+        return values
+    f2, g2 = f.reshape(n, n), g.reshape(n, n)
+    values = np.empty((n,) * 4, dtype=complex)
+    for i0 in range(n):
+        hi0, lo0, valid0 = _reference_offsets(i0, n)
+        for i1 in range(n):
+            hi1, lo1, valid1 = _reference_offsets(i1, n)
+            block = np.where(
+                valid0[:, None] & valid1[None, :],
+                f2[lo0[:, None], lo1[None, :]] * np.conj(g2[hi0[:, None], hi1[None, :]]),
+                0.0,
+            )
+            values[i0, i1] = scale**2 * np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(block)))
+    return values
+
+
+def coupled_oracle(n):
+    V = NearestNeighborPotential(
+        1, [(0,), (1,)], gaussian_bump_function(), lorentzian_function(2.0, 2.0)
+    )
+    return GridOracle(V, Grid(4.5, n, 2))
+
+
+class TestTransformReference:
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_2d_symbol_full_and_windowed(self, n):
+        oracle = coupled_oracle(n)
+        t = 0.05
+        S = oracle.semigroup(t)
+        full = matrix_weyl_symbol(S.matrix, oracle.grid)
+        assert np.abs(full.values - reference_symbol(S.matrix, oracle.grid, range(n))).max() <= 1e-13
+        tab = oracle.symbol(t, semigroup=S)
+        (centers, _) = tab.center_indices
+        assert 0 < len(centers) < n
+        ref = reference_symbol(S.matrix, oracle.grid, centers)
+        assert np.abs(tab.values - ref.real).max() <= 1e-13
+        assert tab.max_imag == pytest.approx(np.abs(ref.imag).max(), abs=1e-13)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_2d_wigner(self, n):
+        grid = Grid(4.5, n, 2)
+        f = normalized_gaussian(grid, center=0.2, width=0.55)
+        g = normalized_gaussian(grid, center=-0.1, width=0.55) * np.exp(1j * grid.points()[:, 0])
+        W = wigner(f, g, grid)
+        assert np.abs(W.values - reference_wigner(f, g, grid)).max() <= 1e-13
+
+    def test_1d_symbol_and_wigner(self):
+        grid = Grid(8.0, 64, 1)
+        S = GridOracle(harmonic_potential(), grid).semigroup(0.3)
+        full = matrix_weyl_symbol(S.matrix, grid)
+        assert np.abs(full.values - reference_symbol(S.matrix, grid, range(64))).max() <= 1e-13
+        f = normalized_gaussian(grid, center=0.4)
+        g = normalized_gaussian(grid, center=-0.2, width=0.9)
+        assert np.abs(wigner(f, g, grid).values - reference_wigner(f, g, grid)).max() <= 1e-13
+
+    @pytest.mark.parametrize("case", ["1-d", "coupled-16", "coupled-32", "one-axis"])
+    def test_decay_error_in_the_reference_cases(self, case):
+        # a window raises exactly when the reference edge check fails
+        if case == "1-d":
+            oracle = GridOracle(harmonic_potential(), Grid(4.5, 64, 1))
+        elif case == "one-axis":
+            # confining only the first axis makes the second axis's edges the larger
+            V = CustomPotential([0, 1], lambda x: 40.0 * x[..., 0] ** 2)
+            oracle = GridOracle(V, Grid(4.5, 16, 2))
+        else:
+            oracle = coupled_oracle(int(case.split("-")[1]))
+        grid = oracle.grid
+        outcomes = set()
+        for t in (0.02, 0.05, 0.2):
+            S = oracle.semigroup(t)
+            max_abs = np.abs(S.matrix).max()
+            for region in (1.0, 2.0, 3.0, 4.5):
+                centers = np.nonzero(np.abs(grid.axis()) <= region)[0]
+                fails = reference_decay_edge(S.matrix, grid, centers) > 1e-12 * max_abs
+                outcomes.add(fails)
+                if fails:
+                    with pytest.raises(DecayError):
+                        oracle.symbol(t, region=region, semigroup=S)
+                else:
+                    tab = oracle.symbol(t, region=region, semigroup=S)
+                    assert np.array_equal(tab.center_indices[0], centers)
+        assert outcomes == {True, False}
+
+    def test_grid_centers_match_pointwise_values(self):
+        grid = Grid(8.0, 128, 1)
+        oracle = GridOracle(harmonic_potential(), grid)
+        S = oracle.semigroup(0.4)
+        tab = oracle.symbol(0.4, semigroup=S)
+        pointwise = np.stack([semigroup_symbol_at(S, x, tab.xi) for x in tab.x])
+        assert np.abs(tab.values - pointwise).max() <= 1e-13
+
+    def test_semigroup_at_another_time_rejected(self):
+        oracle = GridOracle(harmonic_potential(), Grid(8.0, 64, 1))
+        with pytest.raises(ValueError):
+            oracle.symbol(0.5, semigroup=oracle.semigroup(0.4))
