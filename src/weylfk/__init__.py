@@ -86,7 +86,6 @@ from .symbol_estimator import (
     SymbolEstimate,
     estimate_mixed_derivative,
     estimate_u,
-    estimate_x_derivative,
     estimate_xi_derivative,
 )
 

@@ -179,7 +179,7 @@ def check_l1_bound(V: PotentialSpec, t, xi_list, grid: Grid,
 def check_mixed_derivative_bound(family: PotentialFamily, m, t, alpha, beta,
                                  lambda_sizes, n_paths, n_steps, seed,
                                  variance=DEFAULT_PRESET, n_probes=2,
-                                 probe_halfwidth=1.5, h=None, n_workers=1):
+                                 probe_halfwidth=1.5, n_workers=1):
     """Mixed-derivative estimates against the closed-form bound, across site counts.
 
     alpha and beta address sites by their position in the built potential's
@@ -205,7 +205,7 @@ def check_mixed_derivative_bound(family: PotentialFamily, m, t, alpha, beta,
             )
             est = estimate_mixed_derivative(
                 V, point, t, alpha_sites, beta_sites, n_paths, n_steps,
-                seed + 7919 * probe, h=h, variance=variance, n_workers=n_workers,
+                seed + 7919 * probe, variance=variance, n_workers=n_workers,
             )
             margins.append(bound - abs(est.value))
             slacks.append(STAT_SLACK * est.stderr)

@@ -212,7 +212,6 @@ SCHEMAS = {
             "t": {"type": "number", "exclusiveMinimum": 0},
             "alpha": {"type": "string", "default": ""},
             "beta": {"type": "string", "default": ""},
-            "h": {"type": ["number", "null"], "default": None},
             "n_paths": {"type": "integer", "minimum": 2, "default": 20000},
             "n_steps": {"type": "integer", "minimum": 1, "default": 32},
             "seed": {"type": "integer"},
@@ -428,9 +427,7 @@ def cmd_estimate(config, n_workers):
         seed=config["seed"], variance=preset,
         chunk_size=config["chunk_size"], n_workers=n_workers,
     )
-    est = estimate_mixed_derivative(
-        V, point, config["t"], alpha, beta, h=config["h"], **kwargs
-    )
+    est = estimate_mixed_derivative(V, point, config["t"], alpha, beta, **kwargs)
     results = {
         "value_re": est.value.real,
         "value_im": est.value.imag,
@@ -452,7 +449,7 @@ def cmd_estimate(config, n_workers):
             xi[sweep["site_index"]] = v
             e = estimate_mixed_derivative(
                 V, PhasePoint(np.array(config["x"]), xi), config["t"],
-                alpha, beta, h=config["h"], **kwargs
+                alpha, beta, **kwargs
             )
             rows.append((v, e.value.real, e.value.imag, e.stderr))
         csv = (["xi", "value_re", "value_im", "stderr"], rows)

@@ -142,7 +142,8 @@ def op_weyl_matrix(p: WeylObservable, grid: Grid = None,
         px = factor.x_profile(half_centers)  # (2n-1,)
         diffs = np.arange(-(n - 1), n) * dx  # (2n-1,)
         phases = np.exp(1j * np.outer(xi_band, diffs)) * dxi / (2.0 * math.pi)
-        M = (px[:, None] * pxi[None, :]) @ phases  # (2n-1, 2n-1) over (sum, diff)
+        # the profile product is rank one: scale the frequency quadrature by px
+        M = px[:, None] * (pxi @ phases)[None, :]  # (2n-1, 2n-1) over (sum, diff)
         a = np.arange(n)
         block = dx * M[a[:, None] + a[None, :], a[:, None] - a[None, :] + (n - 1)]
         blocks.append(block)

@@ -78,12 +78,13 @@ def multiindex_partitions(alpha: MultiIndex) -> list:
     return [FaaDiBrunoTerm(counts) for counts in descend(0, alpha)]
 
 
-def derivative_of_exponential(w_derivs: Mapping, alpha: MultiIndex) -> float:
+def derivative_of_exponential(w_derivs: Mapping, alpha: MultiIndex):
     """Exact value of (d^alpha exp(W)) / exp(W) from the derivatives of W.
 
-    w_derivs must supply the derivative of W for every nonzero beta <= alpha.
-    All combinatorial factors are computed in exact integer arithmetic before
-    any floating-point multiplication.
+    w_derivs must supply the derivative of W for every nonzero beta <= alpha,
+    as scalars or as arrays of one common shape (the result then has that
+    shape).  All combinatorial factors are computed in exact integer
+    arithmetic before any floating-point multiplication.
     """
     for beta in sub_multiindices(alpha):
         if beta not in w_derivs:
@@ -95,7 +96,7 @@ def derivative_of_exponential(w_derivs: Mapping, alpha: MultiIndex) -> float:
         value = 1.0
         for beta, k in term.counts:
             coeff /= math.factorial(k) * beta.factorial**k
-            value *= float(w_derivs[beta]) ** k
+            value = value * w_derivs[beta] ** k
         total += float(coeff) * value
     return total
 
@@ -108,13 +109,17 @@ def mixed_derivative_bound(alpha: MultiIndex, beta: MultiIndex, m: int, t,
     derivative budget c_m for the potential family.  The value is
     m^|S(alpha)| * exp(t c_m |S(alpha)|) * B_m^|S(beta)| * (sigma2 t)^(|beta|/2)
     with B_m the largest Gaussian absolute-moment constant up to order m.
-    The leading factor dominates the per-site factorials of alpha only when
-    every order is at most two, which is the regime exercised here.
+    The leading factor dominates the per-site chain-rule sums of alpha only
+    when every position order is at most two, so larger orders are rejected.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     if not has_max_order(alpha, m) or not has_max_order(beta, m):
         raise ValueError("alpha and beta must have per-site orders at most m")
+    if not has_max_order(alpha, 2):
+        raise ValueError(
+            "the bound is certified only for per-site position orders at most 2"
+        )
     if not t > 0.0:
         raise ValueError("t must be positive")
     if c_m < 0.0:

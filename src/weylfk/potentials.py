@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .multiindex import MultiIndex, sub_multiindices
+from .multiindex import MultiIndex
 
 # sup_y |He_k(y)| exp(-y^2/4) <= CRAMER_CONSTANT * sqrt(k!)
 CRAMER_CONSTANT = 1.086435
@@ -295,17 +295,6 @@ class PotentialSpec:
 
     def partial(self, alpha: MultiIndex, x):
         raise NotImplementedError
-
-    def derivative_sum(self, alpha: MultiIndex, x):
-        """Sum of |partial derivative| over all nonzero beta <= alpha."""
-        self._check_alpha(alpha)
-        x = self._as_points(x)
-        if alpha.is_zero():
-            return np.zeros(x.shape[:-1])
-        total = np.zeros(x.shape[:-1])
-        for beta in sub_multiindices(alpha):
-            total += np.abs(self.partial(beta, x))
-        return total
 
     def certified_cm(self, m: int) -> float:
         raise ValueError(

@@ -7,6 +7,11 @@ path is paired with its reflection (antithetic pairing), which cancels the
 imaginary part of the free factor at the pair level; standard errors are
 computed over pair averages so they stay unbiased.
 
+Frequency derivatives insert powers of the endpoint w(t).  Position
+derivatives differentiate exp(-action) along each path by the chain rule
+(the pathwise derivative estimator), using the exact partials of the
+potential, so they carry no finite-difference step.
+
 Sampling is split into fixed-size chunks with seeds derived from
 (master seed, chunk index), and partial sums are reduced in chunk order, so
 results are bit-identical for any worker count.
@@ -17,12 +22,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .brownian import DEFAULT_PRESET, resolve_variance, sample_path_batch
-from .multiindex import MultiIndex, ZERO_INDEX
+from .faadibruno import derivative_of_exponential
+from .multiindex import MultiIndex, ZERO_INDEX, sub_multiindices
 
 DEFAULT_CHUNK_SIZE = 4096  # antithetic pairs per chunk
 
@@ -62,45 +67,12 @@ def _trapezoid(values, dt):
     )
 
 
-def _difference_stencil(alpha: MultiIndex, h: float, sites) -> list:
-    """Tensor-product central-difference stencil for the x-derivative order alpha.
-
-    Per-site orders are limited to 1 and 2; the returned list holds pairs of
-    (offset vector, weight) covering all stencil corners.
-    """
-    if not h > 0.0:
-        raise ValueError("finite-difference step h must be positive")
-    pos = {site: i for i, site in enumerate(sites)}
-    axes = []
-    for site, order in alpha.entries:
-        if site not in pos:
-            raise ValueError(f"multi-index site {site!r} is not a potential site")
-        i = pos[site]
-        if order == 1:
-            axes.append([(i, h, 0.5 / h), (i, -h, -0.5 / h)])
-        elif order == 2:
-            axes.append([(i, h, 1.0 / h**2), (i, 0.0, -2.0 / h**2), (i, -h, 1.0 / h**2)])
-        else:
-            raise ValueError(
-                "x-derivatives support per-site orders 1 and 2; nest calls for more"
-            )
-    stencil = []
-    for combo in product(*axes):
-        offset = np.zeros(len(sites))
-        weight = 1.0
-        for i, shift, w in combo:
-            offset[i] = shift
-            weight *= w
-        stencil.append((offset, weight))
-    return stencil
-
-
 def _chunk_sizes(n_pairs, chunk_size):
     full, rest = divmod(n_pairs, chunk_size)
     return [chunk_size] * full + ([rest] if rest else [])
 
 
-def _estimate(V, point, t, beta, stencil, n_paths, n_steps, seed, variance,
+def _estimate(V, point, t, alpha, beta, n_paths, n_steps, seed, variance,
               chunk_size, n_workers):
     if not t > 0.0:
         raise ValueError("t must be positive")
@@ -112,7 +84,7 @@ def _estimate(V, point, t, beta, stencil, n_paths, n_steps, seed, variance,
         raise ValueError(
             f"phase point has {point.x.shape[0]} coordinates, potential has {V.n_sites}"
         )
-    for site in beta.support:
+    for site in alpha.support + beta.support:
         if site not in V.sites:
             raise ValueError(f"multi-index site {site!r} is not a potential site")
 
@@ -123,6 +95,16 @@ def _estimate(V, point, t, beta, stencil, n_paths, n_steps, seed, variance,
     beta_vec = np.array([beta.get(s) for s in V.sites], dtype=int)
     beta_total = beta.order
     x0, xi = point.x, point.xi
+    alpha_subs = () if alpha.is_zero() else sub_multiindices(alpha)
+
+    def weight(path):
+        # exp(-A) times (d^alpha exp(-A)) / exp(-A): x enters the path only as a
+        # uniform shift, so d^gamma A is the action of d^gamma V on the same path
+        value = np.exp(-_trapezoid(V.eval(path), dt))
+        if alpha_subs:
+            w_derivs = {g: -_trapezoid(V.partial(g, path), dt) for g in alpha_subs}
+            value = value * derivative_of_exponential(w_derivs, alpha)
+        return value
 
     def run_chunk(args):
         index, pairs = args
@@ -135,18 +117,12 @@ def _estimate(V, point, t, beta, stencil, n_paths, n_steps, seed, variance,
             moment_reflected = moment * (-1.0) ** beta_total
         else:
             moment = moment_reflected = np.ones(pairs, dtype=complex)
-        combined = np.zeros(pairs, dtype=complex)
-        for offset, weight in stencil:
-            base = x0 + offset
-            forward = (base - endpoint / 2.0)[:, None, :] + w
-            backward = (base + endpoint / 2.0)[:, None, :] - w
-            act_f = _trapezoid(V.eval(forward), dt)
-            act_b = _trapezoid(V.eval(backward), dt)
-            pair_mean = 0.5 * (
-                moment * phase * np.exp(-act_f)
-                + moment_reflected * np.conj(phase) * np.exp(-act_b)
-            )
-            combined += weight * pair_mean
+        forward = (x0 - endpoint / 2.0)[:, None, :] + w
+        backward = (x0 + endpoint / 2.0)[:, None, :] - w
+        combined = 0.5 * (
+            moment * phase * weight(forward)
+            + moment_reflected * np.conj(phase) * weight(backward)
+        )
         return (
             pairs,
             combined.sum(),
@@ -184,14 +160,10 @@ def _estimate(V, point, t, beta, stencil, n_paths, n_steps, seed, variance,
     return SymbolEstimate(complex(mean), stderr, n_paths, n_steps, tag, float(t))
 
 
-def _zero_stencil(n_sites):
-    return [(np.zeros(n_sites), 1.0)]
-
-
 def estimate_u(V, point: PhasePoint, t, n_paths, n_steps, seed,
                variance=DEFAULT_PRESET, chunk_size=DEFAULT_CHUNK_SIZE, n_workers=1):
     """Estimate the symbol value at one phase point."""
-    return _estimate(V, point, t, ZERO_INDEX, _zero_stencil(V.n_sites),
+    return _estimate(V, point, t, ZERO_INDEX, ZERO_INDEX,
                      n_paths, n_steps, seed, variance, chunk_size, n_workers)
 
 
@@ -203,35 +175,19 @@ def estimate_xi_derivative(V, point: PhasePoint, t, beta: MultiIndex, n_paths,
     The estimate's modulus is bounded by the exact absolute-moment product of
     the endpoint law, up to statistical noise.
     """
-    return _estimate(V, point, t, beta, _zero_stencil(V.n_sites),
-                     n_paths, n_steps, seed, variance, chunk_size, n_workers)
-
-
-def default_x_step(t, variance=DEFAULT_PRESET) -> float:
-    sigma2, _ = resolve_variance(variance)
-    return 0.01 * math.sqrt(sigma2 * t)
-
-
-def estimate_x_derivative(V, point: PhasePoint, t, alpha: MultiIndex, n_paths,
-                          n_steps, seed, h=None, variance=DEFAULT_PRESET,
-                          chunk_size=DEFAULT_CHUNK_SIZE, n_workers=1):
-    """Estimate a position derivative by central differences.
-
-    All stencil corners reuse one common random stream, so the difference is
-    smooth in h and the standard error reflects the differenced estimator.
-    """
-    if h is None:
-        h = default_x_step(t, variance)
-    return _estimate(V, point, t, ZERO_INDEX, _difference_stencil(alpha, h, V.sites),
+    return _estimate(V, point, t, ZERO_INDEX, beta,
                      n_paths, n_steps, seed, variance, chunk_size, n_workers)
 
 
 def estimate_mixed_derivative(V, point: PhasePoint, t, alpha: MultiIndex,
-                              beta: MultiIndex, n_paths, n_steps, seed, h=None,
+                              beta: MultiIndex, n_paths, n_steps, seed,
                               variance=DEFAULT_PRESET, chunk_size=DEFAULT_CHUNK_SIZE,
                               n_workers=1):
-    """Position differences applied to the frequency-derivative estimator."""
-    if h is None:
-        h = default_x_step(t, variance)
-    return _estimate(V, point, t, beta, _difference_stencil(alpha, h, V.sites),
-                     n_paths, n_steps, seed, variance, chunk_size, n_workers)
+    """Chain-rule position derivatives of the frequency-derivative estimator.
+
+    Each path's weight exp(-A) is differentiated exactly (Faa di Bruno over the
+    actions of the partials of V along the same path), so the estimate has no
+    step-size bias.  V.partial must supply every nonzero sub-index of alpha.
+    """
+    return _estimate(V, point, t, alpha, beta, n_paths, n_steps, seed, variance,
+                     chunk_size, n_workers)

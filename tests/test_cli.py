@@ -120,6 +120,29 @@ class TestExitCodes:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_step_key_is_config_error(self, capsys):
+        # x-derivatives are exact chain-rule sums: there is no step to set
+        config = {
+            "potential": harmonic_potential_json(),
+            "x": [0.3], "xi": [0.5], "t": 0.5, "seed": 1, "alpha": "0:1",
+            "h": 0.01, "n_paths": 200, "n_steps": 2,
+        }
+        assert cli.main(["estimate", json.dumps(config)]) == 1
+        assert "'h' was unexpected" in capsys.readouterr().err
+
+    def test_third_order_bound_is_config_error(self, capsys):
+        # the closed-form bound is certified only up to per-site order 2
+        bound = {"alpha": "0:3", "beta": "", "m": 3, "t": 0.5, "c_m": 1.0}
+        verify = {
+            "suite": "mixed-deriv", "seed": 2,
+            "family": {"family": "mean_field", "G": {"name": "lorentzian"}},
+            "m": 3, "t": 0.5, "alpha": "0:3", "beta": "",
+            "lambda_sizes": [2], "n_paths": 64, "n_steps": 2,
+        }
+        for subcommand, config in (("bound", bound), ("verify", verify)):
+            assert cli.main([subcommand, json.dumps(config)]) == 1
+            assert "per-site position orders at most 2" in capsys.readouterr().err
+
     def test_verify_violation_is_three(self, monkeypatch):
         from weylfk.symbol_estimator import SymbolEstimate
 
@@ -186,6 +209,15 @@ class TestSubcommands:
                                   "preset": "standard_wiener"})
         assert code == 0
         assert doc["results"]["bound"] == pytest.approx(math.exp(2.0))
+
+    def test_estimate_third_order_position_derivative(self):
+        code, doc = run("estimate", {
+            "potential": harmonic_potential_json(),
+            "x": [0.6], "xi": [0.5], "t": 0.25, "seed": 3, "alpha": "(0):3",
+            "n_paths": 2000, "n_steps": 8,
+        })
+        assert code == 0
+        assert math.isfinite(doc["results"]["value_re"])
 
     def test_oracle_summary_and_csv(self, tmp_path):
         out = tmp_path / "oracle.json"

@@ -1,12 +1,13 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from weylfk import symbol_estimator
-from weylfk.brownian import VariancePreset, resolve_variance
-from weylfk.multiindex import MultiIndex
+from weylfk.brownian import VariancePreset, resolve_variance, sample_path_batch
+from weylfk.multiindex import MultiIndex, from_text
 from weylfk.potentials import (
     CustomPotential,
     MeanFieldPotential,
@@ -21,7 +22,6 @@ from weylfk.symbol_estimator import (
     PhasePoint,
     estimate_mixed_derivative,
     estimate_u,
-    estimate_x_derivative,
     estimate_xi_derivative,
 )
 
@@ -214,18 +214,31 @@ class TestFrequencyDerivative:
         assert abs(est.value) <= bound + 3 * est.stderr
 
 
+def estimate_position_derivative(V, point, t, alpha, n_paths, n_steps, seed):
+    return estimate_mixed_derivative(V, point, t, alpha, MultiIndex(), n_paths,
+                                     n_steps, seed)
+
+
+def mehler_x_derivative(order, t, x, xi):
+    """d^order/dx^order of sech(t) exp(-tanh(t)(x^2 + xi^2)), the V = x^2 symbol."""
+    a = math.tanh(t)
+    poly = {1: -2 * a * x, 2: 4 * a * a * x * x - 2 * a,
+            3: -8 * a**3 * x**3 + 12 * a * a * x}[order]
+    return poly * math.exp(-a * (x * x + xi * xi)) / math.cosh(t)
+
+
 class TestPositionDerivative:
     def test_empty_index_identical_to_plain(self):
         V = harmonic_1site()
         p = PhasePoint([0.3], [0.9])
         a = estimate_u(V, p, 0.5, 4000, 16, seed=21)
-        b = estimate_x_derivative(V, p, 0.5, mi({}), 4000, 16, seed=21)
+        b = estimate_position_derivative(V, p, 0.5, mi({}), 4000, 16, seed=21)
         assert a.value == b.value and a.stderr == b.stderr
 
     def test_free_symbol_position_independent(self):
         V = ZeroPotential([0])
         p = PhasePoint([0.7], [0.8])
-        est = estimate_x_derivative(V, p, 0.5, mi({0: 1}), 20_000, 1, seed=5)
+        est = estimate_position_derivative(V, p, 0.5, mi({0: 1}), 20_000, 1, seed=5)
         assert abs(est.value) <= max(3 * est.stderr, 1e-12)
 
     def test_matches_oracle_derivative(self):
@@ -246,21 +259,88 @@ class TestPositionDerivative:
         du_oracle = (
             semigroup_symbol_at(S, tab.x[ix + 1], xi) - semigroup_symbol_at(S, tab.x[ix - 1], xi)
         ) / (tab.x[ix + 1] - tab.x[ix - 1])
-        est = estimate_x_derivative(V, PhasePoint([x], [xi]), t, mi({0: 1}),
-                                    100_000, 32, seed=12)
+        est = estimate_position_derivative(V, PhasePoint([x], [xi]), t, mi({0: 1}),
+                                           100_000, 32, seed=12)
         assert abs(est.value - du_oracle) <= max(3 * est.stderr, 1e-2)
 
-    def test_order_cap(self):
-        V = harmonic_1site()
-        p = PhasePoint([0.0], [0.0])
-        with pytest.raises(ValueError):
-            estimate_x_derivative(V, p, 0.5, mi({0: 3}), 100, 4, seed=0)
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_mehler_closed_form(self, order):
+        # per-site orders above two need no special case in the chain rule
+        t, x, xi = 0.25, 0.6, 0.5
+        est = estimate_position_derivative(harmonic_1site(), PhasePoint([x], [xi]),
+                                           t, mi({0: order}), 100_000, 32,
+                                           seed=40 + order)
+        assert abs(est.value - mehler_x_derivative(order, t, x, xi)) <= 3 * est.stderr
 
-    def test_bad_step(self):
+    def test_custom_without_partials_rejected(self):
+        V = CustomPotential([0], lambda x: x[..., 0] ** 2)
+        p = PhasePoint([0.2], [0.3])
+        estimate_position_derivative(V, p, 0.5, mi({}), 100, 4, seed=0)  # needs none
+        with pytest.raises(ValueError, match="derivatives only up to order 0"):
+            estimate_position_derivative(V, p, 0.5, mi({0: 1}), 100, 4, seed=0)
+
+    def test_unknown_site_rejected(self):
         V = harmonic_1site()
-        p = PhasePoint([0.0], [0.0])
-        with pytest.raises(ValueError):
-            estimate_x_derivative(V, p, 0.5, mi({0: 1}), 100, 4, seed=0, h=0.0)
+        with pytest.raises(ValueError, match="not a potential site"):
+            estimate_position_derivative(V, PhasePoint([0.0], [0.0]), 0.5,
+                                         mi({7: 1}), 100, 4, seed=0)
+
+
+def stencil_reference(V, point, t, alpha, n_paths, n_steps, seed):
+    """The central-difference estimator the chain rule replaced, written out.
+
+    Per-site orders 1 and 2, step 0.01 * sqrt(sigma2 t); every stencil corner
+    reuses the estimator's first-chunk paths (common random numbers).
+    """
+    sigma2, _ = resolve_variance(GEN)
+    h = 0.01 * math.sqrt(sigma2 * t)
+    pos = {site: i for i, site in enumerate(V.sites)}
+    axes = []
+    for site, order in alpha.entries:
+        i = pos[site]
+        if order == 1:
+            axes.append([(i, h, 0.5 / h), (i, -h, -0.5 / h)])
+        else:
+            axes.append([(i, h, 1.0 / h**2), (i, 0.0, -2.0 / h**2), (i, -h, 1.0 / h**2)])
+    pairs = n_paths // 2
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    w = sample_path_batch(rng, pairs, t, n_steps, V.n_sites, GEN)
+    endpoint = w[:, -1, :]
+    phase = np.exp(-1j * (endpoint @ point.xi))
+    dt = t / n_steps
+    combined = np.zeros(pairs, dtype=complex)
+    for corner in itertools.product(*axes):
+        base = point.x.copy()
+        weight = 1.0
+        for i, shift, factor in corner:
+            base[i] += shift
+            weight *= factor
+        forward = (base - endpoint / 2.0)[:, None, :] + w
+        backward = (base + endpoint / 2.0)[:, None, :] - w
+        act_f = symbol_estimator._trapezoid(V.eval(forward), dt)
+        act_b = symbol_estimator._trapezoid(V.eval(backward), dt)
+        combined += weight * 0.5 * (
+            phase * np.exp(-act_f) + np.conj(phase) * np.exp(-act_b)
+        )
+    return combined.mean()
+
+
+class TestStencilReference:
+    @pytest.mark.parametrize("alpha", ["0:1", "0:2", "0:1,1:1"])
+    @pytest.mark.parametrize("V", [
+        MeanFieldPotential(range(8), lorentzian_function()),
+        NearestNeighborPotential(1, [(i,) for i in range(8)], harmonic_function(),
+                                 lorentzian_function()),
+    ], ids=["mean_field_8", "harmonic_lorentzian_chain_8"])
+    def test_common_random_numbers_agree(self, V, alpha):
+        # on the same paths the two estimators differ only by the stencil's
+        # O(h^2) bias, far below the statistical error
+        alpha = mi({V.sites[slot]: k for slot, k in from_text(alpha).entries})
+        rng = np.random.default_rng(5)
+        point = PhasePoint(rng.uniform(-1, 1, 8), rng.uniform(-1, 1, 8))
+        est = estimate_position_derivative(V, point, 0.5, alpha, 4000, 16, seed=19)
+        reference = stencil_reference(V, point, 0.5, alpha, 4000, 16, seed=19)
+        assert abs(est.value - reference) <= 0.05 * est.stderr
 
 
 class TestMixedDerivative:

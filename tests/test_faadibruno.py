@@ -88,6 +88,18 @@ class TestDerivativeOfExponential:
         value = derivative_of_exponential(derivs, mi({1: 1, 2: 1}))
         assert value == pytest.approx(2.0 * 7.0 - 3.0)
 
+    def test_arrays_evaluate_elementwise(self):
+        # the estimator passes one derivative value per path
+        alpha = mi({1: 2, 2: 1})
+        rng = np.random.default_rng(4)
+        derivs = {beta: rng.normal(size=5) for beta in sub_multiindices(alpha)}
+        values = derivative_of_exponential(derivs, alpha)
+        assert values.shape == (5,)
+        for i in range(5):
+            scalar = {beta: float(d[i]) for beta, d in derivs.items()}
+            assert values[i] == derivative_of_exponential(scalar, alpha)
+        assert isinstance(derivative_of_exponential(scalar, alpha), float)
+
     def test_missing_entry(self):
         with pytest.raises(ValueError):
             derivative_of_exponential({mi({1: 1}): 1.0}, mi({1: 2}))
@@ -172,6 +184,9 @@ class TestMixedDerivativeBound:
             mixed_derivative_bound(mi({1: 3}), mi({}), 2, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             mixed_derivative_bound(mi({}), mi({1: 3}), 2, 1.0, 1.0, 1.0)
+        # order three is inside the class at m = 3 but beyond the certified form
+        with pytest.raises(ValueError, match="at most 2"):
+            mixed_derivative_bound(mi({1: 3}), mi({}), 3, 1.0, 1.0, 1.0)
 
     def test_size_never_enters(self):
         # same per-site pattern, different ambient site sets: same bound
