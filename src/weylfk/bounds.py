@@ -176,6 +176,30 @@ def check_l1_bound(V: PotentialSpec, t, xi_list, grid: Grid,
     )
 
 
+def _probe_margins(V, bound, t, alpha, beta, n_paths, n_steps, seed, key,
+                   seed_stride, n_probes, halfwidth, variance, n_workers):
+    """Bound minus |mixed-derivative estimate|, and its slack, at sampled points.
+
+    Probe i draws its phase point uniformly from [-halfwidth, halfwidth] per
+    coordinate with the spawn key (key, i), and its paths from the seed
+    seed + seed_stride * i.
+    """
+    margins, slacks = [], []
+    for probe in range(n_probes):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key, probe)))
+        point = PhasePoint(
+            rng.uniform(-halfwidth, halfwidth, V.n_sites),
+            rng.uniform(-halfwidth, halfwidth, V.n_sites),
+        )
+        est = estimate_mixed_derivative(
+            V, point, t, alpha, beta, n_paths, n_steps, seed + seed_stride * probe,
+            variance=variance, n_workers=n_workers,
+        )
+        margins.append(bound - abs(est.value))
+        slacks.append(STAT_SLACK * est.stderr)
+    return margins, slacks
+
+
 def check_mixed_derivative_bound(family: PotentialFamily, m, t, alpha, beta,
                                  lambda_sizes, n_paths, n_steps, seed,
                                  variance=DEFAULT_PRESET, n_probes=2,
@@ -191,24 +215,13 @@ def check_mixed_derivative_bound(family: PotentialFamily, m, t, alpha, beta,
     c_m = family.certified_cm(m)
     for size in lambda_sizes:
         V = family.build(size)
-        alpha_sites = MultiIndex.of({V.sites[slot]: k for slot, k in alpha.entries})
-        beta_sites = MultiIndex.of({V.sites[slot]: k for slot, k in beta.entries})
+        alpha_sites, beta_sites = V.at_slots(alpha), V.at_slots(beta)
         bound = mixed_derivative_bound(alpha_sites, beta_sites, m, t, c_m, variance)
-        margins, slacks = [], []
-        for probe in range(n_probes):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(size, probe))
-            )
-            point = PhasePoint(
-                rng.uniform(-probe_halfwidth, probe_halfwidth, size),
-                rng.uniform(-probe_halfwidth, probe_halfwidth, size),
-            )
-            est = estimate_mixed_derivative(
-                V, point, t, alpha_sites, beta_sites, n_paths, n_steps,
-                seed + 7919 * probe, variance=variance, n_workers=n_workers,
-            )
-            margins.append(bound - abs(est.value))
-            slacks.append(STAT_SLACK * est.stderr)
+        margins, slacks = _probe_margins(
+            V, bound, t, alpha_sites, beta_sites, n_paths, n_steps, seed,
+            key=size, seed_stride=7919, n_probes=n_probes,
+            halfwidth=probe_halfwidth, variance=variance, n_workers=n_workers,
+        )
         reports.append(BoundReport.from_margins(
             f"mixed-derivative-bound[size={size}]",
             margins,
@@ -241,24 +254,13 @@ def class_membership(family: PotentialFamily, m, t, n_paths, n_steps, seed,
         ]
     reports = []
     for pair_index, (alpha, beta) in enumerate(index_pairs):
-        alpha_sites = MultiIndex.of({V.sites[s]: k for s, k in alpha.entries})
-        beta_sites = MultiIndex.of({V.sites[s]: k for s, k in beta.entries})
+        alpha_sites, beta_sites = V.at_slots(alpha), V.at_slots(beta)
         bound = params.bound_for(alpha_sites, beta_sites, V.sites)
-        margins, slacks = [], []
-        for probe in range(n_probes):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(pair_index, probe))
-            )
-            point = PhasePoint(
-                rng.uniform(-1.5, 1.5, lambda_size),
-                rng.uniform(-1.5, 1.5, lambda_size),
-            )
-            est = estimate_mixed_derivative(
-                V, point, t, alpha_sites, beta_sites, n_paths, n_steps,
-                seed + 104729 * probe, variance=variance, n_workers=n_workers,
-            )
-            margins.append(bound - abs(est.value))
-            slacks.append(STAT_SLACK * est.stderr)
+        margins, slacks = _probe_margins(
+            V, bound, t, alpha_sites, beta_sites, n_paths, n_steps, seed,
+            key=pair_index, seed_stride=104729, n_probes=n_probes, halfwidth=1.5,
+            variance=variance, n_workers=n_workers,
+        )
         label = f"class-bound[alpha={alpha.to_text() or '0'};beta={beta.to_text() or '0'}]"
         reports.append(BoundReport.from_margins(
             label, margins, slacks, extra={"bound": bound},

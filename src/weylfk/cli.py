@@ -589,10 +589,7 @@ def cmd_verify(config, n_workers):
                 1, [(0,)], lorentzian_function(), zero_function()
             )
         for text in config["betas"]:
-            beta_slots = _parse_index(text, "beta")
-            beta = MultiIndex.of(
-                {V.sites[s]: k for s, k in beta_slots.entries}
-            )
+            beta = V.at_slots(_parse_index(text, "beta"))
             estimates = []
             for k in range(config["n_points"]):
                 point = PhasePoint(

@@ -2,15 +2,17 @@
 
 Four variants: identically zero, user-supplied callables, nearest-neighbor
 pair interactions on a lattice, and all-pairs mean-field interactions.  The
-structured variants evaluate exact partial derivatives from the chain rule on
-their defining sums and certify a site-uniform budget for summed derivative
-magnitudes that does not grow with the number of sites.
+last two are pair potentials: one class evaluates them and their exact
+partial derivatives from the chain rule on their defining sums, and each
+certifies a site-uniform budget for summed derivative magnitudes that does
+not grow with the number of sites.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,7 +40,6 @@ class ScalarFunction:
     name: str
     deriv_fn: Callable
     sup_fn: Callable
-    params: Optional[dict] = None
     even: bool = False
 
     def derivative(self, k: int, y):
@@ -66,11 +67,6 @@ class ScalarFunction:
             worst = max(worst, bound)
         return worst
 
-    def to_json(self) -> dict:
-        if self.params is None:
-            raise ValueError(f"scalar function {self.name!r} is not serializable")
-        return {"name": self.name, **self.params}
-
 
 def _validate_amp_width(amplitude, width):
     if amplitude < 0:
@@ -85,7 +81,6 @@ def zero_function() -> ScalarFunction:
         "zero",
         lambda k, y: np.zeros_like(y),
         lambda k: 0.0,
-        params={},
         even=True,
     )
 
@@ -98,10 +93,7 @@ def constant_function(amplitude=1.0) -> ScalarFunction:
     def deriv(k, y):
         return np.full_like(y, a) if k == 0 else np.zeros_like(y)
 
-    return ScalarFunction(
-        "constant", deriv, lambda k: a if k == 0 else 0.0, params={"amplitude": a},
-        even=True,
-    )
+    return ScalarFunction("constant", deriv, lambda k: a if k == 0 else 0.0, even=True)
 
 
 def harmonic_function(amplitude=1.0) -> ScalarFunction:
@@ -124,7 +116,7 @@ def harmonic_function(amplitude=1.0) -> ScalarFunction:
             return None
         return 2.0 * a if k == 2 else 0.0
 
-    return ScalarFunction("harmonic", deriv, sup, params={"amplitude": a}, even=True)
+    return ScalarFunction("harmonic", deriv, sup, even=True)
 
 
 def _hermite_e(k, u):
@@ -152,9 +144,7 @@ def gaussian_bump_function(amplitude=1.0, width=1.0) -> ScalarFunction:
             return a
         return a * w ** (-k) * CRAMER_CONSTANT * math.sqrt(math.factorial(k))
 
-    return ScalarFunction(
-        "gaussian_bump", deriv, sup, params={"amplitude": a, "width": w}, even=True
-    )
+    return ScalarFunction("gaussian_bump", deriv, sup, even=True)
 
 
 def lorentzian_function(amplitude=1.0, width=1.0) -> ScalarFunction:
@@ -180,9 +170,7 @@ def lorentzian_function(amplitude=1.0, width=1.0) -> ScalarFunction:
         # |(u+i)^(-k-1)| <= 1 on the real line
         return a * w ** (-k) * math.factorial(k)
 
-    return ScalarFunction(
-        "lorentzian", deriv, sup, params={"amplitude": a, "width": w}, even=True
-    )
+    return ScalarFunction("lorentzian", deriv, sup, even=True)
 
 
 def cosine_function(amplitude=1.0, width=1.0) -> ScalarFunction:
@@ -198,9 +186,7 @@ def cosine_function(amplitude=1.0, width=1.0) -> ScalarFunction:
     def sup(k):
         return a if k == 0 else a * 0.5 * w ** (-k)
 
-    return ScalarFunction(
-        "cosine", deriv, sup, params={"amplitude": a, "width": w}, even=True
-    )
+    return ScalarFunction("cosine", deriv, sup, even=True)
 
 
 _BUILTIN_SCALARS = {
@@ -285,24 +271,39 @@ class PotentialSpec:
             )
         return x
 
-    def _check_alpha(self, alpha: MultiIndex):
-        for site in alpha.support:
-            if site not in self._site_pos:
-                raise ValueError(f"multi-index site {site!r} is not in the site list")
+    def at_slots(self, index: MultiIndex) -> MultiIndex:
+        """Map a multi-index over site positions 0..n_sites-1 onto the sites."""
+        entries = {}
+        for slot, order in index.entries:
+            if not isinstance(slot, int) or not 0 <= slot < self.n_sites:
+                raise ValueError(
+                    f"multi-index slot {slot!r} is not a site position: "
+                    f"the site count is {self.n_sites}"
+                )
+            entries[self.sites[slot]] = order
+        return MultiIndex.of(entries)
 
     def eval(self, x):
         raise NotImplementedError
 
     def partial(self, alpha: MultiIndex, x):
+        """The partial derivative of order alpha (keyed by site) at the points x."""
+        for site in alpha.support:
+            if site not in self._site_pos:
+                raise ValueError(f"multi-index site {site!r} is not in the site list")
+        x = self._as_points(x)
+        if alpha.is_zero():
+            return self.eval(x)
+        return self._partial(alpha, x)
+
+    def _partial(self, alpha: MultiIndex, x):
+        """partial() for a nonzero alpha on checked points."""
         raise NotImplementedError
 
     def certified_cm(self, m: int) -> float:
         raise ValueError(
             f"no certified derivative budget for the {self.variant!r} variant"
         )
-
-    def to_json(self) -> dict:
-        raise ValueError(f"the {self.variant!r} variant is not serializable")
 
 
 class ZeroPotential(PotentialSpec):
@@ -311,12 +312,8 @@ class ZeroPotential(PotentialSpec):
     def eval(self, x):
         return np.zeros(self._as_points(x).shape[:-1])
 
-    def partial(self, alpha, x):
-        self._check_alpha(alpha)
-        return np.zeros(self._as_points(x).shape[:-1])
-
-    def to_json(self):
-        return {"variant": "zero", "sites": list(self.sites)}
+    def _partial(self, alpha, x):
+        return np.zeros(x.shape[:-1])
 
 
 class CustomPotential(PotentialSpec):
@@ -338,11 +335,7 @@ class CustomPotential(PotentialSpec):
     def eval(self, x):
         return np.asarray(self.eval_fn(self._as_points(x)), dtype=float)
 
-    def partial(self, alpha, x):
-        self._check_alpha(alpha)
-        x = self._as_points(x)
-        if alpha.is_zero():
-            return self.eval(x)
+    def _partial(self, alpha, x):
         if self.partial_fn is None or alpha.order > self.smoothness_order:
             raise ValueError(
                 f"custom potential {self.name!r} provides derivatives only up to "
@@ -351,7 +344,66 @@ class CustomPotential(PotentialSpec):
         return np.asarray(self.partial_fn(alpha, x), dtype=float)
 
 
-class NearestNeighborPotential(PotentialSpec):
+def _pair_term(pair: ScalarFunction, m, diff, forward, backward):
+    """forward * G^(m)(diff) + backward * G^(m)(-diff).
+
+    An even G has G^(m)(-y) = (-1)^m G^(m)(y), so it takes one derivative call.
+    """
+    if pair.even:
+        return (forward + backward * (-1.0) ** m) * pair.derivative(m, diff)
+    return forward * pair.derivative(m, diff) + backward * pair.derivative(m, -diff)
+
+
+class PairPotential(PotentialSpec):
+    """(sum_j F(x_j) + sum_{j<k} [G(x_j - x_k) + G(x_k - x_j)] + constant) / divisor.
+
+    pairs lists the interacting unordered pairs (j, k), j < k, by site
+    position; on_site may be None for no on-site term.  Partial derivatives
+    follow from the chain rule term by term: a pair term depends on two
+    sites, so indices over three or more sites give zero.
+    """
+
+    def __init__(self, sites, on_site: Optional[ScalarFunction], pair: ScalarFunction,
+                 pairs, divisor=1, constant=0.0):
+        super().__init__(sites)
+        self.on_site = on_site
+        self.pair = pair
+        self._divisor = divisor
+        self._constant = constant
+        pairs = list(pairs)
+        self._blocks = _pair_blocks(pairs)
+        self._partners = [[] for _ in self.sites]
+        for j, k in pairs:
+            self._partners[j].append(k)
+            self._partners[k].append(j)
+
+    def eval(self, x):
+        x = self._as_points(x)
+        total = _pair_sum(self.pair, x, self._blocks) + self._constant
+        if self.on_site is not None:
+            total += self.on_site.value(x).sum(axis=-1)
+        return total / self._divisor
+
+    def _partial(self, alpha, x):
+        m = alpha.order
+        support = [self._site_pos[s] for s in alpha.support]
+        total = np.zeros(x.shape[:-1])
+        if len(support) == 1:
+            (j,) = support
+            if self.on_site is not None:
+                total += self.on_site.derivative(m, x[..., j])
+            for k in self._partners[j]:
+                total += _pair_term(self.pair, m, x[..., j] - x[..., k], 1.0, (-1.0) ** m)
+        elif len(support) == 2 and support[1] in self._partners[support[0]]:
+            j, k = support
+            total += _pair_term(
+                self.pair, m, x[..., j] - x[..., k],
+                (-1.0) ** alpha.get(self.sites[k]), (-1.0) ** alpha.get(self.sites[j]),
+            )
+        return total / self._divisor
+
+
+class NearestNeighborPotential(PairPotential):
     """On-site terms F(x_j) plus pair terms G(x_j - x_k) over adjacent lattice sites.
 
     Sites carry integer lattice coordinates; two sites are adjacent when the
@@ -366,42 +418,13 @@ class NearestNeighborPotential(PotentialSpec):
         for s in sites:
             if len(s) != dim:
                 raise ValueError(f"site {s!r} does not have {dim} coordinates")
-        super().__init__(sites)
         self.dim = int(dim)
-        self.on_site = on_site
-        self.pair = pair
-        self._pairs = [
+        adjacent = [
             (j, k)
-            for j in range(len(sites))
-            for k in range(len(sites))
-            if j != k and max(abs(a - b) for a, b in zip(sites[j], sites[k])) == 1
+            for j, k in itertools.combinations(range(len(sites)), 2)
+            if max(abs(a - b) for a, b in zip(sites[j], sites[k])) == 1
         ]
-        self._blocks = _pair_blocks((j, k) for j, k in self._pairs if j < k)
-
-    def eval(self, x):
-        x = self._as_points(x)
-        return self.on_site.value(x).sum(axis=-1) + _pair_sum(self.pair, x, self._blocks)
-
-    def partial(self, alpha, x):
-        self._check_alpha(alpha)
-        x = self._as_points(x)
-        if alpha.is_zero():
-            return self.eval(x)
-        support = [self._site_pos[s] for s in alpha.support]
-        total = np.zeros(x.shape[:-1])
-        if len(support) == 1:
-            j = support[0]
-            total = total + self.on_site.derivative(alpha.order, x[..., j])
-        if len(support) <= 2:
-            support_set = set(support)
-            for j, k in self._pairs:
-                if support_set <= {j, k}:
-                    order_k = alpha.get(self.sites[k])
-                    sign = -1.0 if order_k % 2 else 1.0
-                    total = total + sign * self.pair.derivative(
-                        alpha.order, x[..., j] - x[..., k]
-                    )
-        return total
+        super().__init__(sites, on_site, pair, adjacent)
 
     def certified_cm(self, m: int) -> float:
         """Site-uniform budget for summed derivative magnitudes, valid for any site count.
@@ -416,17 +439,8 @@ class NearestNeighborPotential(PotentialSpec):
         pair_part = 2.0 * 3.0**self.dim * 4.0**m * self.pair.max_sup(1, 2 * m)
         return on_site_part + pair_part
 
-    def to_json(self):
-        return {
-            "variant": "nearest_neighbor",
-            "d": self.dim,
-            "sites": [list(s) for s in self.sites],
-            "F": self.on_site.to_json(),
-            "G": self.pair.to_json(),
-        }
 
-
-class MeanFieldPotential(PotentialSpec):
+class MeanFieldPotential(PairPotential):
     """All-ordered-pairs interaction averaged by the site count.
 
     The diagonal pairs contribute the constant G(0) per site and are included
@@ -436,42 +450,14 @@ class MeanFieldPotential(PotentialSpec):
     variant = "mean_field"
 
     def __init__(self, sites, pair: ScalarFunction, include_diagonal=True):
-        super().__init__(sites)
-        self.pair = pair
+        sites = tuple(sites)
+        n = len(sites)
         self.include_diagonal = bool(include_diagonal)
-        n = len(self.sites)
-        # one block per site offset d: the pairs (j, j + d) for all j
-        self._blocks = [(slice(d, n), slice(0, n - d)) for d in range(1, n)]
-
-    def eval(self, x):
-        x = self._as_points(x)
-        n = self.n_sites
-        total = _pair_sum(self.pair, x, self._blocks)
-        if self.include_diagonal:
-            total += n * float(self.pair.value(0.0))
-        return total / n
-
-    def partial(self, alpha, x):
-        self._check_alpha(alpha)
-        x = self._as_points(x)
-        if alpha.is_zero():
-            return self.eval(x)
-        support = [self._site_pos[s] for s in alpha.support]
-        total = np.zeros(x.shape[:-1])
-        if len(support) > 2:
-            return total
-        support_set = set(support)
-        n = self.n_sites
-        for j in range(n):
-            for k in range(n):
-                if j == k or not support_set <= {j, k}:
-                    continue
-                order_k = alpha.get(self.sites[k])
-                sign = -1.0 if order_k % 2 else 1.0
-                total = total + sign * self.pair.derivative(
-                    alpha.order, x[..., j] - x[..., k]
-                )
-        return total / n
+        constant = n * float(pair.value(0.0)) if self.include_diagonal else 0.0
+        super().__init__(
+            sites, None, pair, itertools.combinations(range(n), 2), divisor=n,
+            constant=constant,
+        )
 
     def certified_cm(self, m: int) -> float:
         """Site-uniform budget for summed derivative magnitudes; the 1/n averaging
@@ -479,14 +465,6 @@ class MeanFieldPotential(PotentialSpec):
         if m < 1:
             raise ValueError("m must be >= 1")
         return 2.0 * 4.0**m * self.pair.max_sup(1, 2 * m)
-
-    def to_json(self):
-        return {
-            "variant": "mean_field",
-            "sites": list(self.sites),
-            "G": self.pair.to_json(),
-            "include_diagonal": self.include_diagonal,
-        }
 
 
 def potential_from_json(obj: dict) -> PotentialSpec:

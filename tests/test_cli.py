@@ -143,6 +143,25 @@ class TestExitCodes:
             assert cli.main([subcommand, json.dumps(config)]) == 1
             assert "per-site position orders at most 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", [
+        {"suite": "xi-deriv", "seed": 1, "betas": ["5:1"], "n_points": 1,
+         "n_paths": 64},
+        {"suite": "mixed-deriv", "seed": 2,
+         "family": {"family": "mean_field", "G": {"name": "lorentzian"}},
+         "m": 1, "t": 0.5, "alpha": "3:1", "beta": "",
+         "lambda_sizes": [2], "n_paths": 64, "n_steps": 2},
+        {"suite": "mixed-deriv", "seed": 2,
+         "family": {"family": "mean_field", "G": {"name": "lorentzian"}},
+         "m": 1, "t": 0.5, "alpha": "(0):1", "beta": "",
+         "lambda_sizes": [2], "n_paths": 64, "n_steps": 2},
+    ], ids=["xi-deriv-slot-5", "mixed-deriv-slot-3", "mixed-deriv-tuple-slot"])
+    def test_slot_outside_site_list_is_config_error(self, config, capsys):
+        # slot-indexed multi-indices address site positions 0..n_sites-1
+        assert cli.main(["verify", json.dumps(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "is not a site position" in err
+
     def test_verify_violation_is_three(self, monkeypatch):
         from weylfk.symbol_estimator import SymbolEstimate
 

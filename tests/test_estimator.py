@@ -335,7 +335,7 @@ class TestStencilReference:
     def test_common_random_numbers_agree(self, V, alpha):
         # on the same paths the two estimators differ only by the stencil's
         # O(h^2) bias, far below the statistical error
-        alpha = mi({V.sites[slot]: k for slot, k in from_text(alpha).entries})
+        alpha = V.at_slots(from_text(alpha))
         rng = np.random.default_rng(5)
         point = PhasePoint(rng.uniform(-1, 1, 8), rng.uniform(-1, 1, 8))
         est = estimate_position_derivative(V, point, 0.5, alpha, 4000, 16, seed=19)

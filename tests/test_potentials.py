@@ -85,9 +85,24 @@ class TestScalarFunctions:
         with pytest.raises(MissingSupBoundError):
             f.max_sup(1, 2)
 
-    def test_json_roundtrip(self):
-        f = scalar_from_json({"name": "lorentzian", "amplitude": 2.0, "width": 3.0})
-        assert f.to_json() == {"name": "lorentzian", "amplitude": 2.0, "width": 3.0}
+    def test_parse_matches_direct_construction(self):
+        cases = [
+            ({"name": "zero"}, zero_function()),
+            ({"name": "constant", "amplitude": 0.7}, constant_function(0.7)),
+            ({"name": "harmonic", "amplitude": 1.2}, harmonic_function(1.2)),
+            ({"name": "gaussian_bump", "amplitude": 1.3, "width": 0.9},
+             gaussian_bump_function(1.3, 0.9)),
+            ({"name": "lorentzian", "amplitude": 2.0, "width": 3.0},
+             lorentzian_function(2.0, 3.0)),
+            ({"name": "cosine", "amplitude": 1.3, "width": 0.9}, cosine_function(1.3, 0.9)),
+        ]
+        y = np.random.default_rng(2).normal(scale=3.0, size=50)
+        for obj, direct in cases:
+            parsed = scalar_from_json(obj)
+            assert parsed.name == direct.name and parsed.even == direct.even
+            for k in range(4):
+                assert np.array_equal(parsed.derivative(k, y), direct.derivative(k, y))
+                assert parsed.sup_bound(k) == direct.sup_bound(k)
         with pytest.raises(ValueError):
             scalar_from_json({"name": "nope"})
 
@@ -163,19 +178,55 @@ def dense_mean_field(G, x, include_diagonal):
     return vals.sum(axis=(-2, -1)) / n
 
 
+def adjacent_ordered_pairs(sites):
+    """Every ordered pair (j, k) of lattice sites at sup-norm distance one."""
+    return [
+        (j, k)
+        for j, sj in enumerate(sites)
+        for k, sk in enumerate(sites)
+        if j != k and max(abs(a - b) for a, b in zip(sj, sk)) == 1
+    ]
+
+
 def ordered_pair_loop(sites, F, G, x):
     """On-site terms plus G(x_j - x_k) over every ordered adjacent pair."""
     total = F.value(x).sum(axis=-1)
-    for j, sj in enumerate(sites):
-        for k, sk in enumerate(sites):
-            if j != k and max(abs(a - b) for a, b in zip(sj, sk)) == 1:
-                total = total + G.value(x[..., j] - x[..., k])
+    for j, k in adjacent_ordered_pairs(sites):
+        total = total + G.value(x[..., j] - x[..., k])
     return total
 
 
+def ordered_pair_partial(sites, ordered_pairs, F, G, divisor, alpha, x):
+    """The chain rule term by term: F^(m) at a lone active site, plus one
+    signed G^(m)(x_j - x_k) for every ordered pair (j, k) covering the support."""
+    pos = {s: i for i, s in enumerate(sites)}
+    support = {pos[s] for s in alpha.support}
+    total = np.zeros(x.shape[:-1])
+    if len(support) == 1 and F is not None:
+        (j,) = support
+        total = total + F.derivative(alpha.order, x[..., j])
+    if len(support) <= 2:
+        for j, k in ordered_pairs:
+            if support <= {j, k}:
+                sign = -1.0 if alpha.get(sites[k]) % 2 else 1.0
+                total = total + sign * G.derivative(alpha.order, x[..., j] - x[..., k])
+    return total / divisor
+
+
+PAIR_FUNCTIONS = [lorentzian_function(1.3, 0.8), cosine_function(0.9, 0.7),
+                  exp_like_function()]
+
+
+NN_LAYOUTS = [
+    [(i,) for i in range(9)],                          # 1-d chain in site order
+    [(2,), (0,), (4,), (1,), (3,)],                    # chain in shuffled order
+    [(i, j) for i in range(3) for j in range(4)],     # 2-d lattice
+    [(0, 0), (2, 1), (1, 1), (0, 1), (2, 0), (1, 0)],  # 2-d, shuffled
+]
+
+
 class TestPairEvaluation:
-    @pytest.mark.parametrize("G", [lorentzian_function(1.3, 0.8),
-                                   cosine_function(0.9, 0.7), exp_like_function()])
+    @pytest.mark.parametrize("G", PAIR_FUNCTIONS)
     @pytest.mark.parametrize("include_diagonal", [True, False])
     @pytest.mark.parametrize("n", [1, 2, 7, 16])
     def test_mean_field_matches_dense_reference(self, G, include_diagonal, n):
@@ -185,12 +236,7 @@ class TestPairEvaluation:
         np.testing.assert_allclose(V.eval(x), ref, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("G", [lorentzian_function(1.3, 0.8), exp_like_function()])
-    @pytest.mark.parametrize("sites", [
-        [(i,) for i in range(9)],                          # 1-d chain in site order
-        [(2,), (0,), (4,), (1,), (3,)],                    # chain in shuffled order
-        [(i, j) for i in range(3) for j in range(4)],     # 2-d lattice
-        [(0, 0), (2, 1), (1, 1), (0, 1), (2, 0), (1, 0)],  # 2-d, shuffled
-    ])
+    @pytest.mark.parametrize("sites", NN_LAYOUTS)
     def test_nearest_neighbor_matches_pair_loop(self, G, sites):
         F = gaussian_bump_function(0.8, 1.1)
         x = np.random.default_rng(len(sites)).normal(size=(5, 4, len(sites)))
@@ -224,6 +270,52 @@ class TestPairEvaluation:
 
         # linear growth gives about 31/7 from n=8 to n=32; an n^2 tensor gives 16
         assert peak(32) / peak(8) < 8.0
+
+
+def partial_indices(sites, ordered_pairs):
+    """Single-site orders 1-3, an adjacent and a non-adjacent two-site index,
+    and a three-site index, as far as the site count allows."""
+    out = [mi({sites[j]: m}) for j in (0, len(sites) // 2) for m in (1, 2, 3)]
+    adjacent = {tuple(sorted(p)) for p in ordered_pairs}
+    two_site = list(itertools.combinations(range(len(sites)), 2))
+    for j, k in [p for p in two_site if p in adjacent][:1]:
+        out += [mi({sites[j]: 1, sites[k]: 1}), mi({sites[j]: 2, sites[k]: 1}),
+                mi({sites[j]: 1, sites[k]: 2})]
+    for j, k in [p for p in two_site if p not in adjacent][:1]:
+        out.append(mi({sites[j]: 1, sites[k]: 1}))
+    if len(sites) >= 3:
+        out.append(mi({sites[0]: 1, sites[1]: 1, sites[2]: 1}))
+    return out
+
+
+class TestPairPartial:
+    """Partials against the term-by-term loop over ordered pairs, for even and
+    non-even G on every TestPairEvaluation layout."""
+
+    @staticmethod
+    def assert_matches(V, ordered_pairs, F, G, divisor, x):
+        for alpha in partial_indices(V.sites, ordered_pairs):
+            ref = ordered_pair_partial(V.sites, ordered_pairs, F, G, divisor, alpha, x)
+            scale = max(float(np.abs(ref).max()), 1e-300)
+            np.testing.assert_allclose(V.partial(alpha, x), ref, rtol=1e-13,
+                                       atol=1e-13 * scale, err_msg=str(alpha))
+
+    @pytest.mark.parametrize("G", PAIR_FUNCTIONS, ids=lambda G: G.name)
+    @pytest.mark.parametrize("include_diagonal", [True, False])
+    @pytest.mark.parametrize("n", [1, 2, 7, 16])
+    def test_mean_field(self, G, include_diagonal, n):
+        x = np.random.default_rng(n).normal(size=(5, 4, n))
+        V = MeanFieldPotential(range(n), G, include_diagonal)
+        ordered = [(j, k) for j in range(n) for k in range(n) if j != k]
+        self.assert_matches(V, ordered, None, G, n, x)
+
+    @pytest.mark.parametrize("G", PAIR_FUNCTIONS, ids=lambda G: G.name)
+    @pytest.mark.parametrize("sites", NN_LAYOUTS)
+    def test_nearest_neighbor(self, G, sites):
+        F = gaussian_bump_function(0.8, 1.1)
+        x = np.random.default_rng(len(sites)).normal(size=(5, 4, len(sites)))
+        V = NearestNeighborPotential(len(sites[0]), sites, F, G)
+        self.assert_matches(V, adjacent_ordered_pairs(sites), F, G, 1, x)
 
 
 class TestPartial:
@@ -346,26 +438,37 @@ class TestCertifiedBudget:
 
 
 class TestJson:
-    def test_roundtrip_variants(self):
-        specs = [
-            {"variant": "zero", "sites": [0, 1]},
-            {
-                "variant": "nearest_neighbor",
-                "d": 1,
-                "sites": [[0], [1]],
-                "F": {"name": "gaussian_bump", "amplitude": 1.0, "width": 1.0},
-                "G": {"name": "lorentzian", "amplitude": 1.0, "width": 1.0},
-            },
-            {
-                "variant": "mean_field",
-                "sites": [0, 1, 2],
-                "G": {"name": "cosine", "amplitude": 1.0, "width": 1.0},
-                "include_diagonal": False,
-            },
+    def test_parse_matches_direct_construction(self):
+        cases = [
+            ({"variant": "zero", "sites": [0, 1]}, ZeroPotential([0, 1])),
+            (
+                {
+                    "variant": "nearest_neighbor",
+                    "d": 1,
+                    "sites": [[0], [1]],
+                    "F": {"name": "gaussian_bump", "amplitude": 1.0, "width": 1.0},
+                    "G": {"name": "lorentzian", "amplitude": 1.0, "width": 1.0},
+                },
+                NearestNeighborPotential(
+                    1, [(0,), (1,)], gaussian_bump_function(), lorentzian_function()
+                ),
+            ),
+            (
+                {
+                    "variant": "mean_field",
+                    "sites": [0, 1, 2],
+                    "G": {"name": "cosine", "amplitude": 1.0, "width": 1.0},
+                    "include_diagonal": False,
+                },
+                MeanFieldPotential(range(3), cosine_function(), include_diagonal=False),
+            ),
         ]
-        for spec in specs:
+        rng = np.random.default_rng(8)
+        for spec, direct in cases:
             V = potential_from_json(spec)
-            assert potential_from_json(V.to_json()).to_json() == V.to_json()
+            assert V.variant == direct.variant and V.sites == direct.sites
+            x = rng.normal(size=(6, V.n_sites))
+            assert np.array_equal(V.eval(x), direct.eval(x))
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
