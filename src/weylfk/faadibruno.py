@@ -30,14 +30,6 @@ class FaaDiBrunoTerm:
                 return k
         return 0
 
-    def reconstructs(self, alpha: MultiIndex) -> bool:
-        """Re-verify the defining constraint."""
-        acc = {}
-        for beta, k in self.counts:
-            for site, order in beta.entries:
-                acc[site] = acc.get(site, 0) + k * order
-        return MultiIndex.of(acc) == alpha
-
 
 def multiindex_partitions(alpha: MultiIndex) -> list:
     """Enumerate every multiplicity assignment once, in canonical order.

@@ -4,7 +4,10 @@ Conventions.  The operator is the Dirichlet finite-difference Laplacian plus
 the diagonal potential on a cell-centered uniform grid, so the matching path
 sampler preset is GENERATOR_LAPLACIAN.  A matrix M represents the kernel
 K(y, z) times the cell volume, which makes matrix products compose like
-operators and the matrix trace equal the operator trace.
+operators and the matrix trace equal the operator trace.  A 2-site potential
+without a pair term separates, H = H_1 x I + I x H_1, and its semigroup is
+the Kronecker square of the n x n axis semigroup; every other potential is
+decomposed densely.
 
 The phase-space symbol of a kernel is its Fourier transform along the
 antidiagonal.  On the grid, the antidiagonal through a center x_i carries a
@@ -374,13 +377,16 @@ def free_symbol(xi, t, variance_scale=ORACLE_VARIANCE) -> float:
 
 
 class GridOracle:
-    """Hamiltonian, its spectral factors, and symbol tables for one potential."""
+    """Spectral factors of the Hamiltonian (of one axis, if V separates) and symbol tables."""
 
     def __init__(self, V: PotentialSpec, grid: Grid):
         self.grid = grid
         self.potential = V
-        self.hamiltonian = build_hamiltonian(V, grid)
-        self._eigenvalues, self._eigenvectors = np.linalg.eigh(self.hamiltonian)
+        axis = V.separable_axis() if grid.dim == 2 and V.n_sites == 2 else None
+        self._separable = axis is not None
+        H = (build_hamiltonian(axis, Grid(grid.half_width, grid.n_grid)) if self._separable
+             else build_hamiltonian(V, grid))
+        self._eigenvalues, self._eigenvectors = np.linalg.eigh(H)
 
     def semigroup(self, t: float) -> GridSemigroup:
         """exp(-tH) from the cached spectral factors."""
@@ -388,7 +394,8 @@ class GridOracle:
             raise ValueError("t must be positive")
         Q = self._eigenvectors
         M = (Q * np.exp(-t * self._eigenvalues)) @ Q.T
-        return GridSemigroup(self.grid, float(t), 0.5 * (M + M.T))
+        M = 0.5 * (M + M.T)
+        return GridSemigroup(self.grid, float(t), np.kron(M, M) if self._separable else M)
 
     def symbol(self, t: float, region="auto", decay_tol=1e-12,
                semigroup: Optional[GridSemigroup] = None) -> PhaseSpaceTable:

@@ -305,9 +305,16 @@ class PotentialSpec:
             f"no certified derivative budget for the {self.variant!r} variant"
         )
 
+    def separable_axis(self) -> Optional["PotentialSpec"]:
+        """A one-site potential W with V(x) = sum_j W(x_j), or None if V couples sites."""
+        return None
+
 
 class ZeroPotential(PotentialSpec):
     variant = "zero"
+
+    def separable_axis(self):
+        return ZeroPotential(self.sites[:1])
 
     def eval(self, x):
         return np.zeros(self._as_points(x).shape[:-1])
@@ -376,6 +383,14 @@ class PairPotential(PotentialSpec):
         for j, k in pairs:
             self._partners[j].append(k)
             self._partners[k].append(j)
+
+    def separable_axis(self):
+        """The on-site term and an even share of the constant, when no pair term
+        remains: no interacting pairs, or a pair function certified zero."""
+        if self._blocks and self.pair.sup_bound(0) != 0:
+            return None
+        return PairPotential(self.sites[:1], self.on_site, self.pair, [], self._divisor,
+                             self._constant / self.n_sites)
 
     def eval(self, x):
         x = self._as_points(x)

@@ -1,7 +1,9 @@
+import copy
 import json
 import math
 import os
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -67,6 +69,38 @@ class TestConfigHandling:
             cli.validate_config("moments", {
                 "beta": "0:2", "t": 1.0, "seed": 0, "bogus": 1,
             })
+
+    @pytest.mark.parametrize("subcommand,config", [
+        ("bound", {"m": 1, "t": 0.5, "c_m": 1.0}),
+        ("moments", {"beta": "0:2", "t": 1.0, "seed": 3, "n_paths": 2000}),
+    ])
+    def test_validated_once_per_run(self, subcommand, config, monkeypatch):
+        schemas = []
+        validate = jsonschema.validate
+
+        def recorded(instance, schema, *args, **kwargs):
+            schemas.append(schema)
+            return validate(instance, schema, *args, **kwargs)
+
+        monkeypatch.setattr(jsonschema, "validate", recorded)
+        code, _ = run(subcommand, config)
+        assert code == 0
+        assert schemas == [cli.SCHEMAS[subcommand]]
+
+    @pytest.mark.parametrize("subcommand", sorted(cli.SCHEMAS))
+    def test_schema_defaults_validate(self, subcommand):
+        # run_config validates a config once, with its defaults filled in, so
+        # every default must satisfy the schema it fills
+        def with_defaults(schema):
+            for sub in schema.get("properties", {}).values():
+                if "default" in sub:
+                    yield sub
+                yield from with_defaults(sub)
+
+        subs = list(with_defaults(cli.SCHEMAS[subcommand]))
+        assert subs
+        for sub in subs:
+            jsonschema.validate(cli.apply_defaults(sub, copy.deepcopy(sub["default"])), sub)
 
     def test_inline_and_file_configs(self, tmp_path):
         config = {"beta": "0:2", "t": 1.0, "seed": 3, "n_paths": 2000}
@@ -323,6 +357,26 @@ class TestSinglePass:
         })
         assert code == 0
         assert doc["results"]["n_centers"] > 0
+        assert calls == {"eigh": 1, "semigroup": 1, "transform": 1}
+
+    def test_separable_oracle_2d_decomposes_one_axis(self, calls, monkeypatch):
+        shapes = []
+        eigh = np.linalg.eigh  # the counting wrapper
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        code, doc = run("oracle", {
+            "potential": {"variant": "nearest_neighbor", "d": 1, "sites": [[0], [1]],
+                          "F": {"name": "harmonic"}, "G": {"name": "zero"}},
+            "grid": {"half_width": 8.0, "n_grid": 16, "dim": 2},
+            "t": 0.1,
+        })
+        assert code == 0
+        assert doc["results"]["n_centers"] > 0
+        assert shapes == [(16, 16)]
         assert calls == {"eigh": 1, "semigroup": 1, "transform": 1}
 
     def test_commutator_one_transform_per_time(self, calls):

@@ -34,6 +34,15 @@ def brute_force_partitions(alpha):
     return found
 
 
+def reconstructs(term, alpha):
+    """Re-verify the defining constraint: sum of multiplicity * sub-index is alpha."""
+    acc = {}
+    for beta, k in term.counts:
+        for site, order in beta.entries:
+            acc[site] = acc.get(site, 0) + k * order
+    return MultiIndex.of(acc) == alpha
+
+
 class TestEnumeration:
     def test_single_order_one(self):
         terms = multiindex_partitions(mi({1: 1}))
@@ -70,7 +79,7 @@ class TestEnumeration:
     ])
     def test_constraint_reverified(self, alpha):
         for term in multiindex_partitions(alpha):
-            assert term.reconstructs(alpha)
+            assert reconstructs(term, alpha)
 
 
 class TestDerivativeOfExponential:

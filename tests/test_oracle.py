@@ -18,7 +18,10 @@ from weylfk.oracle import (
 )
 from weylfk.potentials import (
     CustomPotential,
+    MeanFieldPotential,
     NearestNeighborPotential,
+    PairPotential,
+    ScalarFunction,
     ZeroPotential,
     gaussian_bump_function,
     harmonic_function,
@@ -403,3 +406,80 @@ class TestTransformReference:
         oracle = GridOracle(harmonic_potential(), Grid(8.0, 64, 1))
         with pytest.raises(ValueError):
             oracle.symbol(0.5, semigroup=oracle.semigroup(0.4))
+
+
+# Separable 2-site potentials: the oracle decomposes one n x n axis Hamiltonian
+# and takes the Kronecker square of its semigroup.
+
+SEPARABLE = {
+    "harmonic-zero-G": lambda: NearestNeighborPotential(
+        1, [(0,), (1,)], harmonic_function(), zero_function()),
+    "zero": lambda: ZeroPotential([(0,), (1,)]),
+    "mean-field-zero-G": lambda: MeanFieldPotential([0, 1], zero_function()),
+    "non-adjacent": lambda: NearestNeighborPotential(
+        1, [(0,), (2,)], harmonic_function(), lorentzian_function()),
+    "zero-amplitude-G": lambda: NearestNeighborPotential(
+        1, [(0,), (1,)], gaussian_bump_function(), lorentzian_function(0.0)),
+    "no-pairs-divisor-constant": lambda: PairPotential(
+        [0, 1], harmonic_function(), lorentzian_function(), [], divisor=2, constant=0.5),
+}
+
+
+def dense_semigroup(V, grid, t):
+    """exp(-tH) from one eigendecomposition of the full n^2 x n^2 Hamiltonian."""
+    w, Q = np.linalg.eigh(build_hamiltonian(V, grid))
+    M = (Q * np.exp(-t * w)) @ Q.T
+    return 0.5 * (M + M.T)
+
+
+@pytest.fixture
+def eigh_shapes(monkeypatch):
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return shapes
+
+
+class TestSeparable:
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("case", sorted(SEPARABLE))
+    def test_kronecker_matches_dense(self, case, n, eigh_shapes):
+        V, grid, t = SEPARABLE[case](), Grid(6.0, n, 2), 0.25
+        S = GridOracle(V, grid).semigroup(t)
+        assert eigh_shapes == [(n, n)]
+        reference = dense_semigroup(V, grid, t)
+        assert np.abs(S.matrix - reference).max() <= 1e-13
+        assert np.array_equal(S.matrix, S.matrix.T)
+        full = matrix_weyl_symbol(reference, grid).values
+        assert np.abs(S.full_table.values - full).max() <= 1e-13
+
+    @pytest.mark.parametrize("case", ["coupled", "custom"])
+    def test_coupled_and_custom_stay_dense(self, case, eigh_shapes):
+        n = 16
+        if case == "coupled":
+            oracle = coupled_oracle(n)
+        else:
+            V = CustomPotential([0, 1], lambda x: x[..., 0] ** 2 + x[..., 1] ** 2)
+            oracle = GridOracle(V, Grid(4.5, n, 2))
+        assert eigh_shapes == [(n * n, n * n)]
+        S = oracle.semigroup(0.25)
+        assert np.array_equal(S.matrix, dense_semigroup(oracle.potential, oracle.grid, 0.25))
+
+    def test_negative_on_site_rejected(self):
+        negative = ScalarFunction("negative", lambda k, y: np.full_like(y, -1.0 if k == 0 else 0.0),
+                                  lambda k: 1.0 if k == 0 else 0.0, even=True)
+        V = NearestNeighborPotential(1, [(0,), (1,)], negative, zero_function())
+        assert V.separable_axis() is not None
+        with pytest.raises(ValueError, match="negative"):
+            GridOracle(V, Grid(6.0, 16, 2))
+
+    def test_site_count_checked(self):
+        with pytest.raises(ValueError, match="sites"):
+            GridOracle(ZeroPotential([(0,), (1,)]), Grid(6.0, 16, 1))
+        with pytest.raises(ValueError, match="sites"):
+            GridOracle(ZeroPotential([(0,)]), Grid(6.0, 16, 2))
