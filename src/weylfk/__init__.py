@@ -24,6 +24,8 @@ from .bounds import (
     check_mixed_derivative_bound,
     check_xi_derivative_bounds,
     class_membership,
+    linf_sweep,
+    xi_derivative_sweep,
 )
 from .commutator import (
     AliasingError,
@@ -46,7 +48,6 @@ from .multiindex import (
     ZERO_INDEX,
     from_text,
     has_max_order,
-    leq,
     sub_multiindices,
 )
 from .oracle import (
@@ -57,7 +58,6 @@ from .oracle import (
     PhaseSpaceTable,
     SupportError,
     build_hamiltonian,
-    free_symbol,
     pairing_check,
     semigroup_symbol_at,
     wigner,
@@ -85,8 +85,6 @@ from .symbol_estimator import (
     PhasePoint,
     SymbolEstimate,
     estimate_mixed_derivative,
-    estimate_u,
-    estimate_xi_derivative,
 )
 
 __version__ = "0.1.0"

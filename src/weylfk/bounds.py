@@ -4,6 +4,10 @@ Every check produces a report with the worst margin (bound minus observed;
 negative means violation) and a violation flag that allows three standard
 errors of statistical slack on Monte Carlo inputs.  Exact oracle quantities
 get a small fixed numerical slack instead.
+
+The four Monte Carlo suites differ only in how they draw their probes, each
+a (potential, phase point, time, seed); one loop estimates every probe and
+one report builder turns the estimates into margins.
 """
 
 from __future__ import annotations
@@ -20,12 +24,32 @@ from .brownian import (
     resolve_variance,
 )
 from .faadibruno import mixed_derivative_bound
-from .multiindex import MultiIndex
-from .oracle import Grid, GridOracle, semigroup_symbol_at
-from .potentials import PotentialFamily, PotentialSpec
+from .multiindex import MultiIndex, ZERO_INDEX
+from .oracle import Grid, GridOracle, grid_edge_max, semigroup_symbol_at
+from .potentials import (
+    NearestNeighborPotential,
+    PotentialFamily,
+    PotentialSpec,
+    gaussian_bump_function,
+    harmonic_function,
+    lorentzian_function,
+    zero_function,
+)
 from .symbol_estimator import PhasePoint, estimate_mixed_derivative
 
 STAT_SLACK = 3.0  # standard errors of slack on Monte Carlo comparisons
+L1_NUMERIC_SLACK = 1e-6  # slack on the exact grid quadratures of the L1 check
+DIVERGENCE_TOL = 1e-8  # largest exp(-tV) the L1 check accepts on the grid boundary
+SWEEP_HALFWIDTH = 2.0  # linf and xi-deriv points lie in [-2, 2] per coordinate
+SPAWNED_PROBES = 2  # probes per report in the mixed-derivative and class suites
+SPAWNED_HALFWIDTH = 1.5  # their points lie in [-1.5, 1.5] per coordinate
+# slot-indexed (alpha, beta) pairs that the class suite samples
+CLASS_INDEX_PAIRS = (
+    (ZERO_INDEX, ZERO_INDEX),
+    (MultiIndex.of({0: 1}), ZERO_INDEX),
+    (ZERO_INDEX, MultiIndex.of({0: 1})),
+    (MultiIndex.of({0: 1}), MultiIndex.of({1: 1})),
+)
 
 
 class DivergentIntegralError(RuntimeError):
@@ -95,60 +119,138 @@ class BoundReport:
         }
 
 
+def default_sweep_potentials() -> dict:
+    """The one-site harmonic and Lorentzian wells and a two-site bump chain."""
+    return {
+        "harmonic": NearestNeighborPotential(
+            1, [(0,)], harmonic_function(), zero_function()
+        ),
+        "lorentzian": NearestNeighborPotential(
+            1, [(0,)], lorentzian_function(), zero_function()
+        ),
+        "chain2": NearestNeighborPotential(
+            1, [(0,), (1,)], gaussian_bump_function(), lorentzian_function(2.0, 2.0)
+        ),
+    }
+
+
+def _report(inequality, bound, estimates, extra=None) -> BoundReport:
+    """Bound minus |estimate| per estimate, with STAT_SLACK standard errors of slack."""
+    estimates = list(estimates)
+    return BoundReport.from_margins(
+        inequality,
+        [bound - abs(e.value) for e in estimates],
+        [STAT_SLACK * e.stderr for e in estimates],
+        extra,
+    )
+
+
+def _estimate_probes(probes, n_paths, n_steps, variance, n_workers,
+                     alpha=ZERO_INDEX, beta=ZERO_INDEX) -> list:
+    """One mixed-derivative estimate per probe (V, point, t, seed), in order."""
+    return [
+        estimate_mixed_derivative(
+            V, point, t, n_paths, n_steps, seed, alpha=alpha, beta=beta,
+            variance=variance, n_workers=n_workers,
+        )
+        for V, point, t, seed in probes
+    ]
+
+
+def _uniform_point(rng, n_sites, halfwidth) -> PhasePoint:
+    return PhasePoint(
+        rng.uniform(-halfwidth, halfwidth, n_sites),
+        rng.uniform(-halfwidth, halfwidth, n_sites),
+    )
+
+
+def _spawned_probes(V, t, seed, key, seed_stride) -> list:
+    """Probe i draws its point with the spawn key (key, i), its paths from
+    the seed seed + seed_stride * i."""
+    return [
+        (V, _uniform_point(
+            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key, i))),
+            V.n_sites, SPAWNED_HALFWIDTH,
+        ), t, seed + seed_stride * i)
+        for i in range(SPAWNED_PROBES)
+    ]
+
+
 def check_linf(estimates) -> BoundReport:
     """Unit bound on the symbol modulus, with statistical slack."""
-    estimates = list(estimates)
-    if not estimates:
-        raise ValueError("empty sweep")
-    margins = [1.0 - abs(e.value) for e in estimates]
-    slacks = [STAT_SLACK * e.stderr for e in estimates]
-    return BoundReport.from_margins("symbol-sup-unit", margins, slacks)
+    return _report("symbol-sup-unit", 1.0, estimates)
 
 
 def check_xi_derivative_bounds(estimates, beta: MultiIndex, t,
                                variance=DEFAULT_PRESET):
     """Frequency-derivative bounds: the exact moment product and its max-order coarsening."""
     estimates = list(estimates)
-    if not estimates:
-        raise ValueError("empty sweep")
     sigma2, _ = resolve_variance(variance)
     product_bound = absolute_moment_product(beta, t, sigma2)
     m = beta.max_order
     coarse_bound = abs_moment_max(m) ** beta.order * (sigma2 * t) ** (beta.order / 2.0)
-    slacks = [STAT_SLACK * e.stderr for e in estimates]
-    product_report = BoundReport.from_margins(
-        "xi-derivative-moment-product",
-        [product_bound - abs(e.value) for e in estimates],
-        slacks,
-        extra={"bound": product_bound},
+    return (
+        _report("xi-derivative-moment-product", product_bound, estimates,
+                {"bound": product_bound}),
+        _report("xi-derivative-max-order", coarse_bound, estimates,
+                {"bound": coarse_bound}),
     )
-    coarse_report = BoundReport.from_margins(
-        "xi-derivative-max-order",
-        [coarse_bound - abs(e.value) for e in estimates],
-        slacks,
-        extra={"bound": coarse_bound},
-    )
-    return product_report, coarse_report
 
 
-def check_l1_bound(V: PotentialSpec, t, xi_list, grid: Grid,
-                   numeric_slack=1e-6, divergence_tol=1e-8,
-                   oracle: GridOracle = None) -> BoundReport:
+def linf_sweep(n_points, n_paths, n_steps, seed, variance=DEFAULT_PRESET,
+               n_workers=1) -> BoundReport:
+    """The unit sup bound at n_points probes, cycling through the sweep potentials.
+
+    One stream seeded by seed draws each probe's point and its time in
+    [0.1, 1]; probe k samples its paths from the seed seed + k.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    potentials = list(default_sweep_potentials().values())
+    probes = []
+    for k in range(n_points):
+        V = potentials[k % len(potentials)]
+        point = _uniform_point(rng, V.n_sites, SWEEP_HALFWIDTH)
+        probes.append((V, point, float(rng.uniform(0.1, 1.0)), seed + k))
+    return check_linf(_estimate_probes(probes, n_paths, n_steps, variance, n_workers))
+
+
+def xi_derivative_sweep(V: PotentialSpec, betas, t, n_points, n_paths, n_steps,
+                        seed, variance=DEFAULT_PRESET, n_workers=1) -> list:
+    """Both frequency-derivative bounds for each slot-indexed beta, at n_points probes.
+
+    One stream seeded by seed draws the points and keeps running across
+    betas; probe k of every beta samples its paths from the seed seed + 31 k.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    reports = []
+    for beta in betas:
+        beta = V.at_slots(beta)
+        probes = [(V, _uniform_point(rng, V.n_sites, SWEEP_HALFWIDTH), t, seed + 31 * k)
+                  for k in range(n_points)]
+        estimates = _estimate_probes(probes, n_paths, n_steps, variance, n_workers,
+                                     beta=beta)
+        reports.extend(check_xi_derivative_bounds(estimates, beta, t, variance))
+    return reports
+
+
+def check_l1_bound(V: PotentialSpec, t, xi_list, grid: Grid) -> BoundReport:
     """Position integral of |symbol| against the integral of exp(-t V).
 
-    Both sides use the same grid quadrature.  A non-decaying integrand at the
+    Each frequency in xi_list is a number or a list of grid.dim numbers.  Both
+    sides use the same grid quadrature.  A non-decaying integrand at the
     boundary means the right side diverges and is reported as an error.
     """
-    if oracle is None:
-        oracle = GridOracle(V, grid)
+    xis = [np.atleast_1d(np.asarray(xi, dtype=float)) for xi in xi_list]
+    for xi in xis:
+        if xi.shape != (grid.dim,):
+            raise ValueError(
+                f"frequency {xi.tolist()} has {xi.size} coordinates, "
+                f"the grid has {grid.dim}"
+            )
+    oracle = GridOracle(V, grid)
     weights = np.exp(-t * V.eval(grid.points()))
-    if grid.dim == 1:
-        edge = max(weights[0], weights[-1])
-    else:
-        square = weights.reshape(grid.n_grid, grid.n_grid)
-        edge = max(square[0, :].max(), square[-1, :].max(),
-                   square[:, 0].max(), square[:, -1].max())
-    if edge > divergence_tol:
+    edge = grid_edge_max(weights, grid)
+    if edge > DIVERGENCE_TOL:
         raise DivergentIntegralError(
             f"exp(-tV) is {edge:.3e} at the grid boundary; "
             "the comparison integral does not converge"
@@ -157,8 +259,7 @@ def check_l1_bound(V: PotentialSpec, t, xi_list, grid: Grid,
     S = oracle.semigroup(t)
     table = oracle.symbol(t, semigroup=S)
     margins = []
-    for xi in xi_list:
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    for xi in xis:
         if grid.dim == 1:
             values = np.array([semigroup_symbol_at(S, x, xi[0]) for x in table.x])
             left = float(np.abs(values).sum() * grid.spacing)
@@ -171,45 +272,21 @@ def check_l1_bound(V: PotentialSpec, t, xi_list, grid: Grid,
     return BoundReport.from_margins(
         "l1-against-exp-potential",
         margins,
-        [numeric_slack] * len(margins),
+        [L1_NUMERIC_SLACK] * len(margins),
         extra={"right_side": right_side},
     )
 
 
-def _probe_margins(V, bound, t, alpha, beta, n_paths, n_steps, seed, key,
-                   seed_stride, n_probes, halfwidth, variance, n_workers):
-    """Bound minus |mixed-derivative estimate|, and its slack, at sampled points.
-
-    Probe i draws its phase point uniformly from [-halfwidth, halfwidth] per
-    coordinate with the spawn key (key, i), and its paths from the seed
-    seed + seed_stride * i.
-    """
-    margins, slacks = [], []
-    for probe in range(n_probes):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key, probe)))
-        point = PhasePoint(
-            rng.uniform(-halfwidth, halfwidth, V.n_sites),
-            rng.uniform(-halfwidth, halfwidth, V.n_sites),
-        )
-        est = estimate_mixed_derivative(
-            V, point, t, alpha, beta, n_paths, n_steps, seed + seed_stride * probe,
-            variance=variance, n_workers=n_workers,
-        )
-        margins.append(bound - abs(est.value))
-        slacks.append(STAT_SLACK * est.stderr)
-    return margins, slacks
-
-
 def check_mixed_derivative_bound(family: PotentialFamily, m, t, alpha, beta,
                                  lambda_sizes, n_paths, n_steps, seed,
-                                 variance=DEFAULT_PRESET, n_probes=2,
-                                 probe_halfwidth=1.5, n_workers=1):
+                                 variance=DEFAULT_PRESET, n_workers=1):
     """Mixed-derivative estimates against the closed-form bound, across site counts.
 
     alpha and beta address sites by their position in the built potential's
     site list, so the same derivative pattern is applied at every size.  The
     bound itself carries no size dependence; reports record it per size so the
-    caller can assert it literally does not move.
+    caller can assert it literally does not move.  Each size gets
+    SPAWNED_PROBES probes, spawned under the key size.
     """
     reports = []
     c_m = family.certified_cm(m)
@@ -217,27 +294,24 @@ def check_mixed_derivative_bound(family: PotentialFamily, m, t, alpha, beta,
         V = family.build(size)
         alpha_sites, beta_sites = V.at_slots(alpha), V.at_slots(beta)
         bound = mixed_derivative_bound(alpha_sites, beta_sites, m, t, c_m, variance)
-        margins, slacks = _probe_margins(
-            V, bound, t, alpha_sites, beta_sites, n_paths, n_steps, seed,
-            key=size, seed_stride=7919, n_probes=n_probes,
-            halfwidth=probe_halfwidth, variance=variance, n_workers=n_workers,
+        estimates = _estimate_probes(
+            _spawned_probes(V, t, seed, key=size, seed_stride=7919),
+            n_paths, n_steps, variance, n_workers, alpha_sites, beta_sites,
         )
-        reports.append(BoundReport.from_margins(
-            f"mixed-derivative-bound[size={size}]",
-            margins,
-            slacks,
-            extra={"bound": bound, "size": int(size), "c_m": c_m},
+        reports.append(_report(
+            f"mixed-derivative-bound[size={size}]", bound, estimates,
+            {"bound": bound, "size": int(size), "c_m": c_m},
         ))
     return reports
 
 
 def class_membership(family: PotentialFamily, m, t, n_paths, n_steps, seed,
-                     variance=DEFAULT_PRESET, lambda_size=4, index_pairs=None,
-                     n_probes=2, n_workers=1):
+                     variance=DEFAULT_PRESET, lambda_size=4, n_workers=1):
     """Certified symbol-class parameters plus sampled verification reports.
 
     The growth factors are uniform across sites: m * exp(t * c_m) per position
-    order and B_m * sqrt(sigma2 * t) per frequency order.
+    order and B_m * sqrt(sigma2 * t) per frequency order.  Each pair of
+    CLASS_INDEX_PAIRS gets SPAWNED_PROBES probes, spawned under its position.
     """
     sigma2, _ = resolve_variance(variance)
     c_m = family.certified_cm(m)
@@ -245,24 +319,14 @@ def class_membership(family: PotentialFamily, m, t, n_paths, n_steps, seed,
     rho = np.full(lambda_size, m * math.exp(t * c_m))
     delta = np.full(lambda_size, abs_moment_max(m) * math.sqrt(sigma2 * t))
     params = SymbolClassParams(1.0, rho, delta, m)
-    if index_pairs is None:
-        index_pairs = [
-            (MultiIndex(), MultiIndex()),
-            (MultiIndex.of({0: 1}), MultiIndex()),
-            (MultiIndex(), MultiIndex.of({0: 1})),
-            (MultiIndex.of({0: 1}), MultiIndex.of({1: 1})),
-        ]
     reports = []
-    for pair_index, (alpha, beta) in enumerate(index_pairs):
+    for pair_index, (alpha, beta) in enumerate(CLASS_INDEX_PAIRS):
         alpha_sites, beta_sites = V.at_slots(alpha), V.at_slots(beta)
         bound = params.bound_for(alpha_sites, beta_sites, V.sites)
-        margins, slacks = _probe_margins(
-            V, bound, t, alpha_sites, beta_sites, n_paths, n_steps, seed,
-            key=pair_index, seed_stride=104729, n_probes=n_probes, halfwidth=1.5,
-            variance=variance, n_workers=n_workers,
+        estimates = _estimate_probes(
+            _spawned_probes(V, t, seed, key=pair_index, seed_stride=104729),
+            n_paths, n_steps, variance, n_workers, alpha_sites, beta_sites,
         )
         label = f"class-bound[alpha={alpha.to_text() or '0'};beta={beta.to_text() or '0'}]"
-        reports.append(BoundReport.from_margins(
-            label, margins, slacks, extra={"bound": bound},
-        ))
+        reports.append(_report(label, bound, estimates, {"bound": bound}))
     return params, reports

@@ -28,10 +28,11 @@ from . import __version__
 from .bounds import (
     DivergentIntegralError,
     check_l1_bound,
-    check_linf,
     check_mixed_derivative_bound,
-    check_xi_derivative_bounds,
     class_membership,
+    default_sweep_potentials,
+    linf_sweep,
+    xi_derivative_sweep,
 )
 from .brownian import (
     VariancePreset,
@@ -43,7 +44,6 @@ from .commutator import (
     AliasingError,
     commutator_trace,
     gaussian_state_symbol,
-    op_weyl_matrix,
     scaling_fit,
 )
 from .faadibruno import mixed_derivative_bound
@@ -55,21 +55,8 @@ from .oracle import (
     SupportError,
     pairing_check,
 )
-from .potentials import (
-    family_from_json,
-    harmonic_function,
-    lorentzian_function,
-    gaussian_bump_function,
-    NearestNeighborPotential,
-    potential_from_json,
-    zero_function,
-)
-from .symbol_estimator import (
-    PhasePoint,
-    estimate_mixed_derivative,
-    estimate_u,
-    estimate_xi_derivative,
-)
+from .potentials import family_from_json, potential_from_json
+from .symbol_estimator import PhasePoint, estimate_mixed_derivative
 
 WORKERS_ENV = "WEYLFK_WORKERS"
 
@@ -302,8 +289,12 @@ SCHEMAS = {
                 "default": [2, 4, 8],
             },
             "lambda_size": {"type": "integer", "minimum": 2, "default": 4},
-            "xi": {"type": "array", "items": {"type": "number"},
-                   "default": [-2.0, -1.0, 0.0, 1.0, 2.0]},
+            "xi": {
+                "type": "array",
+                # a number, or one coordinate per grid dimension
+                "items": {"type": ["number", "array"], "items": {"type": "number"}},
+                "default": [-2.0, -1.0, 0.0, 1.0, 2.0],
+            },
             "grid": _GRID_SCHEMA,
             **_OUTPUT_PROPS,
         },
@@ -423,11 +414,11 @@ def cmd_estimate(config, n_workers):
     point = PhasePoint(np.array(config["x"]), np.array(config["xi"]))
     preset = _preset(config)
     kwargs = dict(
-        n_paths=config["n_paths"], n_steps=config["n_steps"],
+        alpha=alpha, beta=beta, n_paths=config["n_paths"], n_steps=config["n_steps"],
         seed=config["seed"], variance=preset,
         chunk_size=config["chunk_size"], n_workers=n_workers,
     )
-    est = estimate_mixed_derivative(V, point, config["t"], alpha, beta, **kwargs)
+    est = estimate_mixed_derivative(V, point, config["t"], **kwargs)
     results = {
         "value_re": est.value.real,
         "value_im": est.value.imag,
@@ -448,8 +439,7 @@ def cmd_estimate(config, n_workers):
             xi = np.array(config["xi"], dtype=float)
             xi[sweep["site_index"]] = v
             e = estimate_mixed_derivative(
-                V, PhasePoint(np.array(config["x"]), xi), config["t"],
-                alpha, beta, **kwargs
+                V, PhasePoint(np.array(config["x"]), xi), config["t"], **kwargs
             )
             rows.append((v, e.value.real, e.value.imag, e.stderr))
         csv = (["xi", "value_re", "value_im", "stderr"], rows)
@@ -545,91 +535,39 @@ def cmd_bound(config, n_workers):
     return results, None, 0
 
 
-def _default_sweep_potentials():
-    harmonic = NearestNeighborPotential(
-        1, [(0,)], harmonic_function(), zero_function()
-    )
-    lorentz = NearestNeighborPotential(
-        1, [(0,)], lorentzian_function(), zero_function()
-    )
-    chain2 = NearestNeighborPotential(
-        1, [(0,), (1,)], gaussian_bump_function(), lorentzian_function(2.0, 2.0)
-    )
-    return [("harmonic", harmonic), ("lorentzian", lorentz), ("chain2", chain2)]
-
-
 def cmd_verify(config, n_workers):
     suite = config["suite"]
-    preset = _preset(config)
-    seed = config["seed"]
-    reports = []
+    mc = dict(n_paths=config["n_paths"], n_steps=config["n_steps"],
+              seed=config["seed"], variance=_preset(config), n_workers=n_workers)
     extra_results = {}
     if suite == "linf":
-        estimates = []
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        potentials = _default_sweep_potentials()
-        for k in range(config["n_points"]):
-            _, V = potentials[k % len(potentials)]
-            point = PhasePoint(
-                rng.uniform(-2, 2, V.n_sites), rng.uniform(-2, 2, V.n_sites)
-            )
-            t = float(rng.uniform(0.1, 1.0))
-            estimates.append(estimate_u(
-                V, point, t, config["n_paths"], config["n_steps"],
-                seed + k, variance=preset, n_workers=n_workers,
-            ))
-        reports.append(check_linf(estimates))
+        reports = [linf_sweep(config["n_points"], **mc)]
     elif suite == "xi-deriv":
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        t = config["t"]
-        if "potential" in config:
-            V = _build_potential(config["potential"])
-        else:
-            V = NearestNeighborPotential(
-                1, [(0,)], lorentzian_function(), zero_function()
-            )
-        for text in config["betas"]:
-            beta = V.at_slots(_parse_index(text, "beta"))
-            estimates = []
-            for k in range(config["n_points"]):
-                point = PhasePoint(
-                    rng.uniform(-2, 2, V.n_sites), rng.uniform(-2, 2, V.n_sites)
-                )
-                estimates.append(estimate_xi_derivative(
-                    V, point, t, beta, config["n_paths"], config["n_steps"],
-                    seed + 31 * k, variance=preset, n_workers=n_workers,
-                ))
-            reports.extend(check_xi_derivative_bounds(estimates, beta, t, preset))
+        betas = [_parse_index(text, "beta") for text in config["betas"]]
+        reports = xi_derivative_sweep(
+            _verify_potential(config, "lorentzian"), betas, config["t"],
+            config["n_points"], **mc,
+        )
     elif suite == "l1":
-        if "potential" in config:
-            V = _build_potential(config["potential"])
-        else:
-            V = NearestNeighborPotential(
-                1, [(0,)], harmonic_function(), zero_function()
-            )
-        reports.append(check_l1_bound(V, config["t"], config["xi"], _grid(config)))
+        reports = [check_l1_bound(_verify_potential(config, "harmonic"), config["t"],
+                                  config["xi"], _grid(config))]
     elif suite == "mixed-deriv":
-        family = _family(config)
-        reports.extend(check_mixed_derivative_bound(
-            family, config["m"], config["t"],
+        reports = check_mixed_derivative_bound(
+            _family(config), config["m"], config["t"],
             _parse_index(config["alpha"], "alpha"),
             _parse_index(config["beta"], "beta"),
-            config["lambda_sizes"], config["n_paths"], config["n_steps"],
-            seed, variance=preset, n_workers=n_workers,
-        ))
+            config["lambda_sizes"], **mc,
+        )
         bound_values = [r.extra["bound"] for r in reports]
         extra_results["bound_values"] = bound_values
         extra_results["bound_is_size_independent"] = bool(
             max(bound_values) == min(bound_values)
         )
-    elif suite == "class":
-        family = _family(config)
-        params, class_reports = class_membership(
-            family, config["m"], config["t"], config["n_paths"],
-            config["n_steps"], seed, variance=preset,
-            lambda_size=config["lambda_size"], n_workers=n_workers,
+    else:  # class
+        params, reports = class_membership(
+            _family(config), config["m"], config["t"],
+            lambda_size=config["lambda_size"], **mc,
         )
-        reports.extend(class_reports)
         extra_results["class_params"] = {
             "max_norm": params.max_norm,
             "rho": list(params.rho),
@@ -646,6 +584,12 @@ def cmd_verify(config, n_workers):
     return results, None, code
 
 
+def _verify_potential(config, default):
+    if "potential" in config:
+        return _build_potential(config["potential"])
+    return default_sweep_potentials()[default]
+
+
 def _family(config):
     if "family" not in config:
         raise ConfigError("this suite requires a 'family' entry")
@@ -656,28 +600,18 @@ def _family(config):
 
 
 def cmd_commutator(config, n_workers):
-    V = _build_potential(config["potential"])
     grid = _grid(config)
     state_cfg = config["state"]
     state = gaussian_state_symbol(
         grid, state_cfg["center_x"], state_cfg["center_xi"],
         state_cfg["width_x"], state_cfg["width_xi"],
     )
-    oracle = GridOracle(V, grid)
-    op = op_weyl_matrix(state, grid)
-    rows = []
-    traces = []
-    for t in config["t_list"]:
-        r = commutator_trace(
-            config["poly"], config["site_axis"], V, t, state, grid,
-            oracle=oracle, op_matrix=op,
-        )
-        traces.append(r)
-        rows.append((t, r.trace_matrix, r.trace_symbol, r.symbol_sup))
+    oracle = GridOracle(_build_potential(config["potential"]), grid)
+    traces = commutator_trace(oracle, state, config["poly"], config["site_axis"],
+                              config["t_list"])
     fit = None
-    values = [(r.t, r.trace_matrix) for r in traces]
     try:
-        fit_result = scaling_fit(values)
+        fit_result = scaling_fit([(r.t, r.trace_matrix) for r in traces])
         fit = {
             "slope": fit_result.slope,
             "coefficient": fit_result.coefficient,
@@ -686,7 +620,7 @@ def cmd_commutator(config, n_workers):
     except ValueError:
         pass
     results = {
-        "state_trace": traces[0].state_trace if traces else None,
+        "state_trace": traces[0].state_trace,
         "points": [
             {
                 "t": r.t,
@@ -701,8 +635,9 @@ def cmd_commutator(config, n_workers):
         "fit": fit,
     }
     csv_rows = [
-        (t, tm, ts, sup, (fit["coefficient"] * math.sqrt(t)) if fit else 0.0)
-        for (t, tm, ts, sup) in rows
+        (r.t, r.trace_matrix, r.trace_symbol, r.symbol_sup,
+         (fit["coefficient"] * math.sqrt(r.t)) if fit else 0.0)
+        for r in traces
     ]
     csv = (["t", "trace_matrix", "trace_symbol", "symbol_sup", "sqrt_bound"], csv_rows)
     return results, csv, 0

@@ -24,7 +24,6 @@ from .oracle import (
     decay_window,
     matrix_weyl_symbol,
 )
-from .potentials import PotentialSpec
 
 
 class AliasingError(RuntimeError):
@@ -65,14 +64,6 @@ class WeylObservable:
         (px0, pxi0), (px1, pxi1) = profiles
         return self.norm_const * np.einsum("a,b,c,d->abcd", px0, px1, pxi0, pxi1)
 
-    def value(self, x, xi):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        out = self.norm_const
-        for d, factor in enumerate(self.axes):
-            out = out * factor.x_profile(x[..., d]) * factor.xi_profile(xi[..., d])
-        return out
-
     def trace_quadrature(self) -> float:
         table = self.table
         dxi = math.pi / (self.grid.n_grid * self.grid.spacing)
@@ -112,8 +103,7 @@ def gaussian_state_symbol(grid: Grid, center_x, center_xi, width_x, width_xi,
     return WeylObservable(grid, axes, 1.0 / raw_integral)
 
 
-def op_weyl_matrix(p: WeylObservable, grid: Grid = None,
-                   aliasing_tol=1e-10) -> np.ndarray:
+def op_weyl_matrix(p: WeylObservable, aliasing_tol=1e-10) -> np.ndarray:
     """Quantize the symbol into a Hermitian kernel matrix by discrete Fourier transform.
 
     The frequency quadrature spans the full band conjugate to the grid
@@ -122,9 +112,7 @@ def op_weyl_matrix(p: WeylObservable, grid: Grid = None,
     symbol to decay within the table band; for admissible symbols the matrix
     trace then equals the quadrature of p, which is one by construction.
     """
-    grid = grid or p.grid
-    if grid != p.grid:
-        raise ValueError("observable was built on a different grid")
+    grid = p.grid
     n = grid.n_grid
     dx = grid.spacing
     dxi = math.pi / (n * dx)
@@ -169,50 +157,47 @@ class CommutatorTraceResult:
         return abs(self.trace_matrix - self.trace_symbol)
 
 
-def commutator_trace(poly_coeffs, site_axis: int, V: PotentialSpec, t: float,
-                     p: WeylObservable, grid: Grid, oracle: GridOracle = None,
-                     op_matrix: np.ndarray = None) -> CommutatorTraceResult:
+def commutator_trace(oracle: GridOracle, p: WeylObservable, poly_coeffs,
+                     site_axis: int, times) -> list:
     """Trace of [A, exp(-tH)] composed with the quantized state, both routes.
 
     A is the multiplication operator by a polynomial (degree at most four) of
-    the coordinate along ``site_axis``.  Pass a prebuilt oracle and quantized
-    matrix to amortize the spectral factorization over a sweep of times.
+    the coordinate along ``site_axis``.  The state is quantized once and the
+    oracle's spectral factors serve every time; returns one
+    :class:`CommutatorTraceResult` per entry of ``times``.
     """
+    grid = oracle.grid
+    if p.grid != grid:
+        raise ValueError("observable was built on a different grid")
     poly_coeffs = list(poly_coeffs)
     if len(poly_coeffs) > 5:
         raise ValueError("observable polynomial degree is limited to four")
     if not 0 <= site_axis < grid.dim:
         raise ValueError("site_axis out of range")
-    if oracle is None:
-        oracle = GridOracle(V, grid)
-    if op_matrix is None:
-        op_matrix = op_weyl_matrix(p, grid)
-    S = oracle.semigroup(t).matrix
-    coords = grid.points()[:, site_axis]
-    a_vals = np.polynomial.polynomial.polyval(coords, poly_coeffs)
-    C = a_vals[:, None] * S - S * a_vals[None, :]
-
-    tr_matrix = complex((C * op_matrix.T).sum())
-
-    F = matrix_weyl_symbol(C, grid)
+    op_matrix = op_weyl_matrix(p)
+    a_vals = np.polynomial.polynomial.polyval(grid.points()[:, site_axis], poly_coeffs)
     dxi = math.pi / (grid.n_grid * grid.spacing)
-    tr_symbol = complex(
-        (F.values * p.table).sum()
-        * (grid.spacing * dxi / (2.0 * math.pi)) ** grid.dim
-    )
-
-    window = np.ix_(*(decay_window(C, grid, t),) * grid.dim)
-    symbol_sup = float(np.abs(F.values[window]).max())
-
-    axis_residual = max(abs(tr_matrix.real), abs(tr_symbol.real))
-    return CommutatorTraceResult(
-        t=float(t),
-        trace_matrix=tr_matrix.imag,
-        trace_symbol=tr_symbol.imag,
-        symbol_sup=symbol_sup,
-        axis_residual=axis_residual,
-        state_trace=p.trace_quadrature(),
-    )
+    state_trace = p.trace_quadrature()
+    results = []
+    for t in times:
+        S = oracle.semigroup(t).matrix
+        C = a_vals[:, None] * S - S * a_vals[None, :]
+        tr_matrix = complex((C * op_matrix.T).sum())
+        F = matrix_weyl_symbol(C, grid)
+        tr_symbol = complex(
+            (F.values * p.table).sum()
+            * (grid.spacing * dxi / (2.0 * math.pi)) ** grid.dim
+        )
+        window = np.ix_(*(decay_window(C, grid, t),) * grid.dim)
+        results.append(CommutatorTraceResult(
+            t=float(t),
+            trace_matrix=tr_matrix.imag,
+            trace_symbol=tr_symbol.imag,
+            symbol_sup=float(np.abs(F.values[window]).max()),
+            axis_residual=max(abs(tr_matrix.real), abs(tr_symbol.real)),
+            state_trace=state_trace,
+        ))
+    return results
 
 
 @dataclass(frozen=True)

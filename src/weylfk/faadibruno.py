@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .brownian import DEFAULT_PRESET, abs_moment_max, resolve_variance
-from .multiindex import MultiIndex, has_max_order, leq, sub_multiindices, subtract
+from .multiindex import MultiIndex, has_max_order, sub_multiindices, subtract
 
 
 @dataclass(frozen=True)
@@ -23,12 +23,6 @@ class FaaDiBrunoTerm:
     """Multiplicities phi over nonzero sub-indices, with sum phi(beta)*beta = alpha."""
 
     counts: tuple  # ((MultiIndex, multiplicity >= 1), ...) in canonical order
-
-    def multiplicity(self, beta: MultiIndex) -> int:
-        for b, k in self.counts:
-            if b == beta:
-                return k
-        return 0
 
 
 def multiindex_partitions(alpha: MultiIndex) -> list:
@@ -59,7 +53,7 @@ def multiindex_partitions(alpha: MultiIndex) -> list:
             head = ((beta, multiplicity),) if multiplicity else ()
             for tail in descend(i + 1, rest):
                 out.append(head + tail)
-            if leq(beta, rest):
+            if beta <= rest:
                 rest = subtract(rest, beta)
                 multiplicity += 1
             else:

@@ -87,11 +87,6 @@ class MultiIndex:
             return NotImplemented
         return all(other.get(site) >= order for site, order in self.entries)
 
-    def __ge__(self, other) -> bool:
-        if not isinstance(other, MultiIndex):
-            return NotImplemented
-        return other <= self
-
     def to_text(self) -> str:
         """Render as "site:order,site:order" with sites sorted."""
         return ",".join(f"{_site_text(site)}:{order}" for site, order in self.entries)
@@ -148,11 +143,6 @@ def _parse_site(token: str):
             raise ValueError(f"empty coordinate tuple in {token!r}")
         return tuple(int(c) for c in inner.split(","))
     return int(token)
-
-
-def leq(a: MultiIndex, b: MultiIndex) -> bool:
-    """Componentwise order: true iff a_j <= b_j at every site."""
-    return a <= b
 
 
 def has_max_order(a: MultiIndex, m: int) -> bool:

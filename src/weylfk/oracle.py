@@ -28,10 +28,11 @@ from typing import Optional
 
 import numpy as np
 
-from .brownian import resolve_variance
 from .potentials import PotentialSpec
 
 ORACLE_VARIANCE = 2.0  # the grid realizes the full-Laplacian convention
+DECAY_TOL = 1e-12  # kernel mass, relative to its peak, allowed at a truncation edge
+SUPPORT_TOL = 1e-10  # grid-function mass, relative to its peak, allowed on the boundary
 
 
 class DecayError(RuntimeError):
@@ -212,43 +213,42 @@ def matrix_weyl_symbol(matrix: np.ndarray, grid: Grid) -> PhaseSpaceTable:
     return _full_window_table(grid, values)
 
 
-def default_margin(t: float, spacing: float, decay_tol=1e-12) -> float:
+def default_margin(t: float, spacing: float) -> float:
     """Boundary distance at which the discrete kernel envelope has dropped
-    below the decay tolerance along the antidiagonal.
+    below DECAY_TOL along the antidiagonal.
 
     The continuum Gaussian scale governs t >> spacing^2; for smaller t the
     matrix exponential decays per cell (hopping rate t/spacing^2) and a short
     Poisson-tail solve gives the required number of cells.  The decay check
     still hard-errors if either estimate proves too thin for a given kernel.
     """
-    continuum = 1.1 * math.sqrt(ORACLE_VARIANCE * t * math.log(1.0 / decay_tol))
+    continuum = 1.1 * math.sqrt(ORACLE_VARIANCE * t * math.log(1.0 / DECAY_TOL))
     rate = ORACLE_VARIANCE * t / spacing**2
     if rate > 4.0:
         return continuum  # Gaussian regime; the Poisson tail bound is looser here
     term, hops = 1.0, 0
-    while term > decay_tol and hops < 80:
+    while term > DECAY_TOL and hops < 80:
         hops += 1
         term *= rate / hops
     lattice = (hops / 2.0 + 1.0) * spacing
     return max(continuum, lattice)
 
 
-def decay_window(matrix: np.ndarray, grid: Grid, t: float, region="auto",
-                 decay_tol=1e-12) -> np.ndarray:
+def decay_window(matrix: np.ndarray, grid: Grid, t: float, region="auto") -> np.ndarray:
     """Grid indices (per axis) of the centers whose symbol is claimed accurate.
 
     ``"full"`` keeps every center unchecked, for identities in which the
     zero padding cancels.  ``"auto"`` keeps the centers that
     :func:`default_margin` puts far enough from the boundary for time t, and a
     number keeps |x| <= region.  Both are checked: kernel mass above
-    ``decay_tol`` times the matrix maximum at the last on-grid offset of any
+    ``DECAY_TOL`` times the matrix maximum at the last on-grid offset of any
     antidiagonal through a kept center raises :class:`DecayError`.
     """
     n = grid.n_grid
     if region == "full":
         return np.arange(n)
     if region == "auto":
-        limit = grid.half_width - default_margin(t, grid.spacing, decay_tol)
+        limit = grid.half_width - default_margin(t, grid.spacing)
     else:
         limit = float(region)
     centers = np.nonzero(np.abs(grid.axis()) <= limit)[0]
@@ -277,11 +277,11 @@ def decay_window(matrix: np.ndarray, grid: Grid, t: float, region="auto",
             np.maximum(edge, face, out=edge)
     max_abs = np.abs(matrix).max()
     worst = np.unravel_index(np.argmax(edge), edge.shape)
-    if edge[worst] > decay_tol * max_abs:
+    if edge[worst] > DECAY_TOL * max_abs:
         where = ", ".join(f"{grid.axis()[centers[k]]:.4g}" for k in worst)
         raise DecayError(
             f"kernel mass {edge[worst] / max_abs:.3e} at the truncation edge of center "
-            f"x=({where}) exceeds {decay_tol:g}; enlarge the grid for this t"
+            f"x=({where}) exceeds {DECAY_TOL:g}; enlarge the grid for this t"
         )
     return centers
 
@@ -315,20 +315,20 @@ def semigroup_symbol_at(S: GridSemigroup, x: float, xi) -> np.ndarray:
     return np.real(values)
 
 
-def _check_support(values, grid, tol=1e-10):
-    flat = np.abs(np.asarray(values).reshape(grid.n_points))
-    peak = flat.max()
+def grid_edge_max(values, grid: Grid) -> float:
+    """Largest |value| of a grid function on the grid boundary: the two ends
+    in 1-d, the four faces in 2-d."""
+    cube = np.abs(np.asarray(values)).reshape((grid.n_grid,) * grid.dim)
+    return max(float(np.take(cube, end, axis=axis).max())
+               for axis in range(grid.dim) for end in (0, -1))
+
+
+def _check_support(values, grid):
+    peak = np.abs(np.asarray(values)).max()
     if peak == 0.0:
         return
-    if grid.dim == 1:
-        edge = max(flat[0], flat[-1])
-    else:
-        square = flat.reshape(grid.n_grid, grid.n_grid)
-        edge = max(
-            square[0, :].max(), square[-1, :].max(),
-            square[:, 0].max(), square[:, -1].max(),
-        )
-    if edge > tol * peak:
+    edge = grid_edge_max(values, grid)
+    if edge > SUPPORT_TOL * peak:
         raise SupportError(
             f"grid function carries {edge / peak:.3e} of its peak at the boundary"
         )
@@ -367,15 +367,6 @@ def pairing_check(S: GridSemigroup, f, g) -> float:
     return float(abs(lhs - rhs))
 
 
-def free_symbol(xi, t, variance_scale=ORACLE_VARIANCE) -> float:
-    """Exact symbol with no potential: the characteristic function of the endpoint."""
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    sigma2, _ = resolve_variance(variance_scale)
-    xi = np.asarray(xi, dtype=float)
-    return float(np.exp(-0.5 * sigma2 * t * np.sum(np.square(xi))))
-
-
 class GridOracle:
     """Spectral factors of the Hamiltonian (of one axis, if V separates) and symbol tables."""
 
@@ -397,7 +388,7 @@ class GridOracle:
         M = 0.5 * (M + M.T)
         return GridSemigroup(self.grid, float(t), np.kron(M, M) if self._separable else M)
 
-    def symbol(self, t: float, region="auto", decay_tol=1e-12,
+    def symbol(self, t: float, region="auto",
                semigroup: Optional[GridSemigroup] = None) -> PhaseSpaceTable:
         """Real symbol of exp(-tH) on the window of centers that :func:`decay_window` keeps.
 
@@ -409,7 +400,7 @@ class GridOracle:
         S = self.semigroup(t) if semigroup is None else semigroup
         if S.t != t:
             raise ValueError(f"semigroup is at t={S.t!r}, not {t!r}")
-        centers = decay_window(S.matrix, self.grid, S.t, region, decay_tol)
+        centers = decay_window(S.matrix, self.grid, S.t, region)
         dim = self.grid.dim
         values = S.full_table.values[np.ix_(*(centers,) * dim)]
         ax = self.grid.axis()[centers]

@@ -160,34 +160,20 @@ def _estimate(V, point, t, alpha, beta, n_paths, n_steps, seed, variance,
     return SymbolEstimate(complex(mean), stderr, n_paths, n_steps, tag, float(t))
 
 
-def estimate_u(V, point: PhasePoint, t, n_paths, n_steps, seed,
-               variance=DEFAULT_PRESET, chunk_size=DEFAULT_CHUNK_SIZE, n_workers=1):
-    """Estimate the symbol value at one phase point."""
-    return _estimate(V, point, t, ZERO_INDEX, ZERO_INDEX,
-                     n_paths, n_steps, seed, variance, chunk_size, n_workers)
-
-
-def estimate_xi_derivative(V, point: PhasePoint, t, beta: MultiIndex, n_paths,
-                           n_steps, seed, variance=DEFAULT_PRESET,
-                           chunk_size=DEFAULT_CHUNK_SIZE, n_workers=1):
-    """Estimate a frequency derivative by inserting prod_j (-i w_j(t))^(beta_j).
-
-    The estimate's modulus is bounded by the exact absolute-moment product of
-    the endpoint law, up to statistical noise.
-    """
-    return _estimate(V, point, t, ZERO_INDEX, beta,
-                     n_paths, n_steps, seed, variance, chunk_size, n_workers)
-
-
-def estimate_mixed_derivative(V, point: PhasePoint, t, alpha: MultiIndex,
-                              beta: MultiIndex, n_paths, n_steps, seed,
+def estimate_mixed_derivative(V, point: PhasePoint, t, n_paths, n_steps, seed, *,
+                              alpha: MultiIndex = ZERO_INDEX,
+                              beta: MultiIndex = ZERO_INDEX,
                               variance=DEFAULT_PRESET, chunk_size=DEFAULT_CHUNK_SIZE,
                               n_workers=1):
-    """Chain-rule position derivatives of the frequency-derivative estimator.
+    """Estimate d_x^alpha d_xi^beta of the symbol at one phase point.
 
-    Each path's weight exp(-A) is differentiated exactly (Faa di Bruno over the
-    actions of the partials of V along the same path), so the estimate has no
-    step-size bias.  V.partial must supply every nonzero sub-index of alpha.
+    With both indices zero this is the symbol value.  A frequency derivative
+    inserts prod_j (-i w_j(t))^(beta_j), so its modulus is bounded by the
+    exact absolute-moment product of the endpoint law, up to statistical
+    noise.  Each path's weight exp(-A) is differentiated exactly (Faa di
+    Bruno over the actions of the partials of V along the same path), so the
+    estimate has no step-size bias.  V.partial must supply every nonzero
+    sub-index of alpha.
     """
     return _estimate(V, point, t, alpha, beta, n_paths, n_steps, seed, variance,
                      chunk_size, n_workers)

@@ -54,7 +54,7 @@ def test_criterion_1_free_symbol_closed_form():
         sigma2 = preset.sigma2
         for xi in (0.25, 0.75, 1.25, 1.75, 2.5):
             for t in (0.1, 0.25, 0.5, 0.75, 1.0):
-                est = w.estimate_u(
+                est = w.estimate_mixed_derivative(
                     V, w.PhasePoint([0.0], [xi]), t, 200_000, 1,
                     seed=101 + runs, variance=preset,
                 )
@@ -114,7 +114,7 @@ def test_criterion_3_sup_bound_sweep():
         )
         t = float(rng.uniform(0.1, 1.0))
         estimates.append(
-            w.estimate_u(V, point, t, 4096, 16, seed=7000 + k)
+            w.estimate_mixed_derivative(V, point, t, 4096, 16, seed=7000 + k)
         )
     report = w.check_linf(estimates)
     assert report.n_samples == 100
@@ -155,7 +155,7 @@ def test_criterion_4_oracle_cross_validation():
                 xi_probes = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
                 u_ref = w.semigroup_symbol_at(S, x, xi_probes)
                 for xi, ref in zip(xi_probes, u_ref):
-                    est = w.estimate_u(
+                    est = w.estimate_mixed_derivative(
                         V, w.PhasePoint([x], [xi]), t, 80_000, n_steps, seed=seed
                     )
                     seed += 1
@@ -254,18 +254,16 @@ def test_criterion_8_commutator_trace():
     V = harmonic_1d()
     oracle = w.GridOracle(V, grid)
     state = w.gaussian_state_symbol(grid, [0.6], [0.6], [1.0], [1.0])
-    op = w.op_weyl_matrix(state, grid)
+    op = w.op_weyl_matrix(state)
     assert abs(np.trace(op).real - 1.0) <= 1e-8
     assert abs(np.trace(op).imag) <= 1e-10
 
     ts = [0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0]
     values = []
-    for t in ts:
-        r = w.commutator_trace([0.0, 1.0], 0, V, t, state, grid,
-                               oracle=oracle, op_matrix=op)
-        assert r.route_gap <= 1e-6 * abs(r.trace_matrix), t
+    for r in w.commutator_trace(oracle, state, [0.0, 1.0], 0, ts):
+        assert r.route_gap <= 1e-6 * abs(r.trace_matrix), r.t
         assert r.axis_residual <= 1e-10
-        values.append((t, r.trace_matrix))
+        values.append((r.t, r.trace_matrix))
     fit = w.scaling_fit(values)
     c_full = fit.coefficient
     c_low = max(abs(v) / math.sqrt(t) for t, v in values if t <= 0.1)

@@ -12,6 +12,9 @@ from weylfk.bounds import (
     check_mixed_derivative_bound,
     check_xi_derivative_bounds,
     class_membership,
+    default_sweep_potentials,
+    linf_sweep,
+    xi_derivative_sweep,
 )
 from weylfk.brownian import VariancePreset, abs_moment_max
 from weylfk.multiindex import MultiIndex
@@ -25,7 +28,7 @@ from weylfk.potentials import (
     nearest_neighbor_chain_family,
     zero_function,
 )
-from weylfk.symbol_estimator import PhasePoint, SymbolEstimate, estimate_u
+from weylfk.symbol_estimator import PhasePoint, SymbolEstimate, estimate_mixed_derivative
 
 mi = MultiIndex.of
 
@@ -39,7 +42,7 @@ class TestLinf:
         V = ZeroPotential([0])
         rng = np.random.default_rng(1)
         estimates = [
-            estimate_u(
+            estimate_mixed_derivative(
                 V, PhasePoint([0.0], [float(rng.uniform(-2, 2))]),
                 0.5, 4000, 1, seed=k,
             )
@@ -61,6 +64,27 @@ class TestLinf:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             check_linf([])
+
+
+class TestSweeps:
+    def test_linf_sweep(self):
+        report = linf_sweep(4, 2000, 4, seed=3)
+        assert report.inequality == "symbol-sup-unit"
+        assert report.n_samples == 4
+        assert not report.violation
+
+    def test_xi_derivative_sweep_reports_both_bounds_per_beta(self):
+        V = default_sweep_potentials()["lorentzian"]
+        betas = [mi({0: 1}), mi({0: 2})]
+        reports = xi_derivative_sweep(V, betas, 0.5, 3, 2000, 4, seed=4)
+        assert [r.inequality for r in reports] == [
+            "xi-derivative-moment-product", "xi-derivative-max-order",
+        ] * 2
+        assert all(r.n_samples == 3 and not r.violation for r in reports)
+        # the point stream runs on across betas: the second beta alone sees
+        # the first beta's points instead
+        alone = xi_derivative_sweep(V, betas[1:], 0.5, 3, 2000, 4, seed=4)
+        assert alone[0].worst_margin != reports[2].worst_margin
 
 
 class TestXiDerivativeBounds:
@@ -121,6 +145,17 @@ class TestL1Bound:
         )
         assert report.extra["right_side"] == pytest.approx(4 * math.pi, rel=1e-9)
         assert not report.violation
+
+    def test_frequency_needs_one_coordinate_per_axis(self):
+        one_site = NearestNeighborPotential(1, [(0,)], harmonic_function(), zero_function())
+        two_sites = NearestNeighborPotential(
+            1, [(0,), (1,)], harmonic_function(), zero_function()
+        )
+        assert check_l1_bound(one_site, 1.0, [[0.0]], Grid(14.0, 256, 1)).n_samples == 1
+        with pytest.raises(ValueError, match="has 1 coordinates, the grid has 2"):
+            check_l1_bound(two_sites, 1.0, [0.0], Grid(10.0, 16, 2))
+        with pytest.raises(ValueError, match="has 2 coordinates, the grid has 1"):
+            check_l1_bound(one_site, 1.0, [[0.0, 1.0]], Grid(14.0, 256, 1))
 
 
 class TestMixedDerivativeBoundCheck:

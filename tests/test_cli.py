@@ -154,6 +154,25 @@ class TestExitCodes:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_verify_l1_on_2d_grid(self, capsys):
+        # frequencies carry one coordinate per grid axis
+        config = {
+            "suite": "l1", "seed": 1, "t": 1.0,
+            "xi": [[0.0, 0.0], [1.0, -0.5]],
+            "potential": {"variant": "nearest_neighbor", "d": 1, "sites": [[0], [1]],
+                          "F": {"name": "harmonic"}, "G": {"name": "zero"}},
+            "grid": {"dim": 2, "n_grid": 32},
+        }
+        assert cli.main(["verify", json.dumps(config)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["results"]["reports"][0]["n_samples"] == 2
+        config["xi"] = [0.0, [1.0, -0.5]]  # a bare number is one coordinate
+        assert cli.main(["verify", json.dumps(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert "has 1 coordinates, the grid has 2" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_step_key_is_config_error(self, capsys):
         # x-derivatives are exact chain-rule sums: there is no step to set
         config = {
@@ -197,18 +216,21 @@ class TestExitCodes:
         assert "is not a site position" in err
 
     def test_verify_violation_is_three(self, monkeypatch):
+        from weylfk import bounds
         from weylfk.symbol_estimator import SymbolEstimate
 
-        def fake_estimate_u(*args, **kwargs):
+        def fake_estimate(*args, **kwargs):
             return SymbolEstimate(2.0 + 0j, 1e-6, 100, 1, "generator_laplacian", 0.5)
 
-        monkeypatch.setattr(cli, "estimate_u", fake_estimate_u)
-        code, doc = run("verify", {
-            "suite": "linf", "seed": 1, "n_points": 3,
-            "n_paths": 100, "n_steps": 1,
-        })
-        assert code == 3
-        assert doc["results"]["violations"] == 1
+        # the verify suites estimate through bounds, not through the CLI
+        monkeypatch.setattr(bounds, "estimate_mixed_derivative", fake_estimate)
+        for suite, n_reports in (("linf", 1), ("xi-deriv", 2)):
+            code, doc = run("verify", {
+                "suite": suite, "seed": 1, "n_points": 3, "betas": ["0:1"],
+                "n_paths": 100, "n_steps": 1,
+            })
+            assert code == 3, suite
+            assert doc["results"]["violations"] == n_reports, suite
 
     def test_verify_linf_clean_is_zero(self):
         code, doc = run("verify", {
@@ -392,7 +414,48 @@ class TestSinglePass:
         assert calls == {"eigh": 1, "semigroup": len(t_list), "transform": len(t_list)}
 
 
+_WORKER_INVARIANCE_CONFIGS = {
+    "linf": ("verify", {"suite": "linf", "seed": 5, "n_points": 4,
+                        "n_paths": 8200, "n_steps": 4}),
+    "xi-deriv": ("verify", {"suite": "xi-deriv", "seed": 9, "n_points": 2,
+                            "betas": ["0:1", "0:2"], "n_paths": 8200, "n_steps": 4}),
+    "l1": ("verify", {"suite": "l1", "seed": 1, "t": 1.0,
+                      "grid": {"half_width": 12.0, "n_grid": 64, "dim": 1}}),
+    "mixed-deriv": ("verify", {
+        "suite": "mixed-deriv", "seed": 2,
+        "family": {"family": "mean_field", "G": {"name": "lorentzian"}},
+        "m": 1, "t": 0.5, "alpha": "0:1", "beta": "1:1",
+        "lambda_sizes": [2, 3], "n_paths": 8200, "n_steps": 4}),
+    "class": ("verify", {
+        "suite": "class", "seed": 3,
+        "family": {"family": "mean_field", "G": {"name": "gaussian_bump"}},
+        "m": 1, "t": 0.5, "lambda_size": 2, "n_paths": 8200, "n_steps": 4}),
+    "commutator": ("commutator", {
+        "potential": harmonic_potential_json(),
+        "grid": {"half_width": 10.0, "n_grid": 128, "dim": 1},
+        "state": {"center_x": [0.6], "center_xi": [0.6],
+                  "width_x": [1.0], "width_xi": [1.0]},
+        "t_list": [0.05, 0.2, 1.0]}),
+}
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("name", sorted(_WORKER_INVARIANCE_CONFIGS))
+    def test_worker_count_invariance(self, name, tmp_path):
+        # n_paths = 8200 makes two chunks, so two workers really split the work
+        subcommand, config = _WORKER_INVARIANCE_CONFIGS[name]
+        out = tmp_path / "out.json"
+        csv = tmp_path / "out.csv"
+        config = dict(config, output=str(out), csv_output=str(csv),
+                      emit_metadata=False)
+        outputs = []
+        for workers in (1, 2):
+            code, _ = run(subcommand, config, workers=workers)
+            assert code == 0
+            outputs.append(out.read_bytes() + (csv.read_bytes() if csv.exists() else b""))
+        assert outputs[1] == outputs[0]
+
+
     def test_rerun_and_worker_count_byte_identical(self, tmp_path):
         out = tmp_path / "est.json"
         csv = tmp_path / "est.csv"

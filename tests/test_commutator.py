@@ -25,7 +25,7 @@ def harmonic_setup():
     V = NearestNeighborPotential(1, [(0,)], harmonic_function(), zero_function())
     oracle = GridOracle(V, grid)
     state = gaussian_state_symbol(grid, [0.6], [0.6], [1.0], [1.0])
-    op = op_weyl_matrix(state, grid)
+    op = op_weyl_matrix(state)
     return grid, V, oracle, state, op
 
 
@@ -45,7 +45,7 @@ class TestState:
         wide = gaussian_state_symbol(grid, [0.0], [0.0], [1.0], [1.0])
         narrow = gaussian_state_symbol(grid, [0.0], [0.0], [0.5], [0.5])
         # trace-one normalization: halving both widths quadruples the peak
-        ratio = narrow.value([0.0], [0.0]) / wide.value([0.0], [0.0])
+        ratio = narrow.norm_const / wide.norm_const
         assert ratio == pytest.approx(4.0, rel=1e-6)
 
     def test_support_violations(self):
@@ -66,7 +66,7 @@ class TestQuantization:
         grid = Grid(10.0, 128, 1)
         state = gaussian_state_symbol(grid, [0.0], [0.0], [1e6], [1e6],
                                       support_tol=1.0)
-        op = op_weyl_matrix(state, grid, aliasing_tol=1.0)
+        op = op_weyl_matrix(state, aliasing_tol=1.0)
         c = state.norm_const  # the (tiny) constant symbol value
         assert np.abs(op - c * np.eye(grid.n_grid)).max() <= 1e-9 * c
 
@@ -75,53 +75,60 @@ class TestQuantization:
         with pytest.raises(AliasingError):
             state = gaussian_state_symbol(grid, [0.0], [0.0], [1.0], [40.0],
                                           support_tol=1.0)
-            op_weyl_matrix(state, grid)
+            op_weyl_matrix(state)
 
 
 class TestTrace:
     def test_small_time_limit(self, harmonic_setup):
         grid, V, oracle, state, op = harmonic_setup
-        r = commutator_trace([0.0, 1.0], 0, V, 1e-4, state, grid,
-                             oracle=oracle, op_matrix=op)
+        (r,) = commutator_trace(oracle, state, [0.0, 1.0], 0, [1e-4])
         assert abs(r.trace_matrix) <= 0.1 * math.sqrt(1e-4) * 10.0
 
     def test_parity_zero_for_free_centered_state(self):
         grid = Grid(8.0, 256, 1)
-        V = ZeroPotential([(0,)])
-        oracle = GridOracle(V, grid)
+        oracle = GridOracle(ZeroPotential([(0,)]), grid)
         state = gaussian_state_symbol(grid, [0.0], [0.0], [1.0], [1.0])
-        r = commutator_trace([0.0, 1.0], 0, V, 0.5, state, grid, oracle=oracle)
+        (r,) = commutator_trace(oracle, state, [0.0, 1.0], 0, [0.5])
         assert abs(r.trace_matrix) <= 1e-8
         assert abs(r.trace_symbol) <= 1e-8
 
     def test_routes_agree(self, harmonic_setup):
         grid, V, oracle, state, op = harmonic_setup
-        for t in (0.01, 0.1, 1.0):
-            r = commutator_trace([0.0, 1.0], 0, V, t, state, grid,
-                                 oracle=oracle, op_matrix=op)
+        for r in commutator_trace(oracle, state, [0.0, 1.0], 0, [0.01, 0.1, 1.0]):
             assert r.route_gap <= 1e-6 * max(1e-30, abs(r.trace_matrix))
             assert r.axis_residual <= 1e-10
 
     def test_sqrt_scaling(self, harmonic_setup):
         grid, V, oracle, state, op = harmonic_setup
         ts = [0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0]
-        values = []
-        for t in ts:
-            r = commutator_trace([0.0, 1.0], 0, V, t, state, grid,
-                                 oracle=oracle, op_matrix=op)
-            values.append((t, r.trace_matrix))
+        results = commutator_trace(oracle, state, [0.0, 1.0], 0, ts)
+        assert [r.t for r in results] == ts
+        for r in results:
             # the symbol sup itself obeys the square-root envelope
-            assert r.symbol_sup <= 2.0 * math.sqrt(t)
+            assert r.symbol_sup <= 2.0 * math.sqrt(r.t)
+        values = [(r.t, r.trace_matrix) for r in results]
         fit = scaling_fit(values)
         assert fit.slope >= 0.4
         for t, v in values:
             assert abs(v) <= fit.coefficient * math.sqrt(t) * (1 + 1e-12)
 
+    def test_one_time_matches_sweep(self, harmonic_setup):
+        # every time is computed alone: a sweep entry equals a one-time call
+        grid, V, oracle, state, op = harmonic_setup
+        sweep = commutator_trace(oracle, state, [0.0, 1.0], 0, [0.05, 0.5])
+        (single,) = commutator_trace(oracle, state, [0.0, 1.0], 0, [0.5])
+        assert single == sweep[1]
+
     def test_degree_cap(self, harmonic_setup):
         grid, V, oracle, state, op = harmonic_setup
         with pytest.raises(ValueError):
-            commutator_trace([0.0] * 6, 0, V, 0.1, state, grid,
-                             oracle=oracle, op_matrix=op)
+            commutator_trace(oracle, state, [0.0] * 6, 0, [0.1])
+
+    def test_state_on_another_grid_rejected(self, harmonic_setup):
+        grid, V, oracle, state, op = harmonic_setup
+        other = gaussian_state_symbol(Grid(10.0, 256, 1), [0.6], [0.6], [1.0], [1.0])
+        with pytest.raises(ValueError, match="different grid"):
+            commutator_trace(oracle, other, [0.0, 1.0], 0, [0.1])
 
 
 class TestScalingFit:

@@ -21,8 +21,6 @@ from weylfk.potentials import (
 from weylfk.symbol_estimator import (
     PhasePoint,
     estimate_mixed_derivative,
-    estimate_u,
-    estimate_xi_derivative,
 )
 
 mi = MultiIndex.of
@@ -45,21 +43,21 @@ def harmonic_1site():
 
 
 class TestPathAction:
-    # the action is the trapezoid integral of V along each path inside estimate_u
+    # the action is the trapezoid integral of V along each path inside the estimator
     def test_zero_potential(self):
         # a potential that is zero everywhere adds nothing to the action
         p = PhasePoint([0.7], [0.9])
-        free = estimate_u(ZeroPotential([0]), p, 1.0, 2000, 32, seed=3)
-        zero = estimate_u(MeanFieldPotential([0], constant_function(0.0)), p, 1.0,
-                          2000, 32, seed=3)
+        free = estimate_mixed_derivative(ZeroPotential([0]), p, 1.0, 2000, 32, seed=3)
+        zero = estimate_mixed_derivative(MeanFieldPotential([0], constant_function(0.0)),
+                                         p, 1.0, 2000, 32, seed=3)
         assert zero == free
 
     def test_constant_potential_exact(self):
         c, t = 0.9, 0.7
         V = MeanFieldPotential([0], constant_function(c))  # V == c everywhere
         p = PhasePoint([0.0], [0.8])
-        est = estimate_u(V, p, t, 2000, 17, seed=5)
-        free = estimate_u(ZeroPotential([0]), p, t, 2000, 17, seed=5)
+        est = estimate_mixed_derivative(V, p, t, 2000, 17, seed=5)
+        free = estimate_mixed_derivative(ZeroPotential([0]), p, t, 2000, 17, seed=5)
         assert est.value == pytest.approx(math.exp(-c * t) * free.value, rel=1e-12)
         assert est.stderr == pytest.approx(math.exp(-c * t) * free.stderr, rel=1e-12)
 
@@ -75,26 +73,26 @@ class TestPathAction:
     def test_site_mismatch(self):
         V = ZeroPotential([0, 1])
         with pytest.raises(ValueError):
-            estimate_u(V, PhasePoint([0.0], [0.0]), 1.0, 2, 4, seed=1)
+            estimate_mixed_derivative(V, PhasePoint([0.0], [0.0]), 1.0, 2, 4, seed=1)
 
 
 class TestFreeCase:
     def test_generator_preset_closed_form(self):
         V = ZeroPotential([0])
         p = PhasePoint([0.3], [1.0])
-        est = estimate_u(V, p, 0.5, 100_000, 1, seed=11, variance=GEN)
+        est = estimate_mixed_derivative(V, p, 0.5, 100_000, 1, seed=11, variance=GEN)
         assert abs(est.value - math.exp(-0.5)) <= 3 * est.stderr
 
     def test_wiener_preset_closed_form(self):
         V = ZeroPotential([0])
         p = PhasePoint([0.3], [1.0])
-        est = estimate_u(V, p, 0.5, 100_000, 1, seed=11, variance=WIENER)
+        est = estimate_mixed_derivative(V, p, 0.5, 100_000, 1, seed=11, variance=WIENER)
         assert abs(est.value - math.exp(-0.25)) <= 3 * est.stderr
 
     def test_zero_frequency_real_unit(self):
         V = MeanFieldPotential([0, 1], lorentzian_function())
         p = PhasePoint([0.2, -0.4], [0.0, 0.0])
-        est = estimate_u(V, p, 0.8, 2000, 16, seed=2)
+        est = estimate_mixed_derivative(V, p, 0.8, 2000, 16, seed=2)
         assert est.value.imag == 0.0
         assert 0.0 < est.value.real <= 1.0
 
@@ -107,21 +105,22 @@ class TestEstimateProperties:
         )
         for k in range(10):
             p = PhasePoint(rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2))
-            est = estimate_u(V, p, float(rng.uniform(0.1, 1.0)), 2000, 8, seed=k)
+            t = float(rng.uniform(0.1, 1.0))
+            est = estimate_mixed_derivative(V, p, t, 2000, 8, seed=k)
             assert abs(est.value) <= 1.0 + 3 * est.stderr
 
     def test_imaginary_part_statistically_zero(self):
         V = harmonic_1site()
         p = PhasePoint([0.5], [1.3])
-        est = estimate_u(V, p, 0.5, 40_000, 32, seed=4)
+        est = estimate_mixed_derivative(V, p, 0.5, 40_000, 32, seed=4)
         assert abs(est.value.imag) <= 3 * est.stderr
 
     def test_stderr_scales_with_paths(self):
         V = ZeroPotential([0])
         p = PhasePoint([0.0], [1.2])
-        prev = estimate_u(V, p, 0.5, 10_000, 1, seed=3).stderr
+        prev = estimate_mixed_derivative(V, p, 0.5, 10_000, 1, seed=3).stderr
         for n in (20_000, 40_000):
-            cur = estimate_u(V, p, 0.5, n, 1, seed=3).stderr
+            cur = estimate_mixed_derivative(V, p, 0.5, n, 1, seed=3).stderr
             ratio = prev / cur
             assert math.sqrt(2) / 1.5 <= ratio <= math.sqrt(2) * 1.5
             prev = cur
@@ -129,16 +128,17 @@ class TestEstimateProperties:
     def test_step_doubling_consistency(self):
         V = harmonic_1site()
         p = PhasePoint([0.4], [0.8])
-        a = estimate_u(V, p, 0.5, 100_000, 24, seed=9)
-        b = estimate_u(V, p, 0.5, 100_000, 48, seed=10)
+        a = estimate_mixed_derivative(V, p, 0.5, 100_000, 24, seed=9)
+        b = estimate_mixed_derivative(V, p, 0.5, 100_000, 48, seed=10)
         assert abs(a.value - b.value) <= 3 * (a.stderr + b.stderr)
 
     def test_determinism_across_workers_and_chunks(self):
         V = MeanFieldPotential([0, 1, 2], lorentzian_function())
         p = PhasePoint([0.1, 0.2, 0.3], [0.5, -0.5, 0.25])
-        ref = estimate_u(V, p, 0.4, 10_000, 8, seed=77, n_workers=1)
+        ref = estimate_mixed_derivative(V, p, 0.4, 10_000, 8, seed=77, n_workers=1)
         for workers in (2, 4):
-            out = estimate_u(V, p, 0.4, 10_000, 8, seed=77, n_workers=workers)
+            out = estimate_mixed_derivative(V, p, 0.4, 10_000, 8, seed=77,
+                                            n_workers=workers)
             assert out.value == ref.value
             assert out.stderr == ref.stderr
 
@@ -146,11 +146,11 @@ class TestEstimateProperties:
         V = ZeroPotential([0])
         p = PhasePoint([0.0], [0.0])
         with pytest.raises(ValueError):
-            estimate_u(V, p, 1.0, 3, 4, seed=0)  # odd path count
+            estimate_mixed_derivative(V, p, 1.0, 3, 4, seed=0)  # odd path count
         with pytest.raises(ValueError):
-            estimate_u(V, p, 0.0, 4, 4, seed=0)
+            estimate_mixed_derivative(V, p, 0.0, 4, 4, seed=0)
         with pytest.raises(ValueError):
-            estimate_u(V, p, 1.0, 4, 0, seed=0)
+            estimate_mixed_derivative(V, p, 1.0, 4, 0, seed=0)
 
 
 def reference_sampler(rng, n_paths, t, n_steps, n_sites, variance_scale):
@@ -169,7 +169,8 @@ class TestSampler:
         point = PhasePoint(np.array([0.2, -0.1, 0.4]), np.array([0.5, 0.0, -0.3]))
 
         def digest():
-            est = estimate_u(V, point, 0.5, 6000, 8, seed=7, chunk_size=1000, n_workers=2)
+            est = estimate_mixed_derivative(V, point, 0.5, 6000, 8, seed=7,
+                                            chunk_size=1000, n_workers=2)
             return hashlib.sha256(repr((est.value, est.stderr)).encode()).hexdigest()
 
         shared = digest()
@@ -181,8 +182,8 @@ class TestFrequencyDerivative:
     def test_empty_index_identical_to_plain(self):
         V = harmonic_1site()
         p = PhasePoint([0.3], [0.9])
-        a = estimate_u(V, p, 0.5, 4000, 16, seed=21)
-        b = estimate_xi_derivative(V, p, 0.5, mi({}), 4000, 16, seed=21)
+        a = estimate_mixed_derivative(V, p, 0.5, 4000, 16, seed=21)
+        b = estimate_mixed_derivative(V, p, 0.5, 4000, 16, seed=21, beta=mi({}))
         assert a.value == b.value and a.stderr == b.stderr
 
     def test_free_first_derivative_closed_form(self):
@@ -190,8 +191,8 @@ class TestFrequencyDerivative:
         V = ZeroPotential([0])
         t, xi = 1.0, 1.0
         p = PhasePoint([0.0], [xi])
-        est = estimate_xi_derivative(
-            V, p, t, mi({0: 1}), 200_000, 1, seed=6, variance=WIENER
+        est = estimate_mixed_derivative(
+            V, p, t, 200_000, 1, seed=6, beta=mi({0: 1}), variance=WIENER
         )
         exact = -t * xi * math.exp(-t * xi * xi / 2.0)
         assert abs(est.value - exact) <= 3 * est.stderr
@@ -199,7 +200,7 @@ class TestFrequencyDerivative:
     def test_zero_frequency_pure_imaginary(self):
         V = harmonic_1site()
         p = PhasePoint([0.4], [0.0])
-        est = estimate_xi_derivative(V, p, 0.5, mi({0: 1}), 4000, 16, seed=13)
+        est = estimate_mixed_derivative(V, p, 0.5, 4000, 16, seed=13, beta=mi({0: 1}))
         assert est.value.real == 0.0  # odd order: exact cancellation per pair
 
     def test_moment_bound(self):
@@ -209,14 +210,13 @@ class TestFrequencyDerivative:
         beta = mi({0: 2, 1: 1})
         t = 0.6
         p = PhasePoint([0.1, -0.2], [0.7, 0.3])
-        est = estimate_xi_derivative(V, p, t, beta, 20_000, 16, seed=3)
+        est = estimate_mixed_derivative(V, p, t, 20_000, 16, seed=3, beta=beta)
         bound = absolute_moment_product(beta, t, GEN)
         assert abs(est.value) <= bound + 3 * est.stderr
 
 
 def estimate_position_derivative(V, point, t, alpha, n_paths, n_steps, seed):
-    return estimate_mixed_derivative(V, point, t, alpha, MultiIndex(), n_paths,
-                                     n_steps, seed)
+    return estimate_mixed_derivative(V, point, t, n_paths, n_steps, seed, alpha=alpha)
 
 
 def mehler_x_derivative(order, t, x, xi):
@@ -231,7 +231,7 @@ class TestPositionDerivative:
     def test_empty_index_identical_to_plain(self):
         V = harmonic_1site()
         p = PhasePoint([0.3], [0.9])
-        a = estimate_u(V, p, 0.5, 4000, 16, seed=21)
+        a = estimate_mixed_derivative(V, p, 0.5, 4000, 16, seed=21)
         b = estimate_position_derivative(V, p, 0.5, mi({}), 4000, 16, seed=21)
         assert a.value == b.value and a.stderr == b.stderr
 
@@ -348,9 +348,9 @@ class TestMixedDerivative:
         V = harmonic_1site()
         p = PhasePoint([0.3], [0.9])
         mixed = estimate_mixed_derivative(
-            V, p, 0.5, mi({}), mi({0: 1}), 4000, 16, seed=31
+            V, p, 0.5, 4000, 16, seed=31, alpha=mi({}), beta=mi({0: 1})
         )
-        direct = estimate_xi_derivative(V, p, 0.5, mi({0: 1}), 4000, 16, seed=31)
+        direct = estimate_mixed_derivative(V, p, 0.5, 4000, 16, seed=31, beta=mi({0: 1}))
         assert mixed.value == direct.value
 
     def test_free_mixed_derivative(self):
@@ -358,6 +358,6 @@ class TestMixedDerivative:
         V = ZeroPotential([0, 1])
         p = PhasePoint([0.1, 0.2], [0.5, 0.9])
         est = estimate_mixed_derivative(
-            V, p, 0.5, mi({0: 1}), mi({1: 1}), 20_000, 1, seed=8
+            V, p, 0.5, 20_000, 1, seed=8, alpha=mi({0: 1}), beta=mi({1: 1})
         )
         assert abs(est.value) <= max(3 * est.stderr, 1e-12)

@@ -47,7 +47,7 @@ class TestEnumeration:
     def test_single_order_one(self):
         terms = multiindex_partitions(mi({1: 1}))
         assert len(terms) == 1
-        assert terms[0].multiplicity(mi({1: 1})) == 1
+        assert terms[0].counts == ((mi({1: 1}), 1),)
 
     def test_single_order_two(self):
         terms = multiindex_partitions(mi({1: 2}))

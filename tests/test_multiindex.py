@@ -9,7 +9,6 @@ from weylfk.multiindex import (
     ZERO_INDEX,
     from_text,
     has_max_order,
-    leq,
     sub_multiindices,
     subtract,
 )
@@ -54,21 +53,21 @@ class TestBasics:
 
 class TestLeq:
     def test_zero_is_minimal(self):
-        assert leq(mi({}), mi({1: 2}))
+        assert mi({}) <= mi({1: 2})
 
     def test_exceeding_site(self):
-        assert not leq(mi({1: 1, 2: 1}), mi({1: 2}))
+        assert not mi({1: 1, 2: 1}) <= mi({1: 2})
 
     def test_reflexive(self):
-        assert leq(mi({1: 2}), mi({1: 2}))
+        assert mi({1: 2}) <= mi({1: 2})
 
     @given(multiindices, multiindices, multiindices)
     def test_partial_order(self, a, b, c):
-        assert leq(a, a)
-        if leq(a, b) and leq(b, a):
+        assert a <= a
+        if a <= b and b <= a:
             assert a == b
-        if leq(a, b) and leq(b, c):
-            assert leq(a, c)
+        if a <= b and b <= c:
+            assert a <= c
 
 
 class TestClassMembership:
@@ -139,7 +138,7 @@ class TestSubMultiindices:
 class TestSubtract:
     @given(multiindices, multiindices)
     def test_subtract_roundtrip(self, a, b):
-        if leq(b, a):
+        if b <= a:
             d = subtract(a, b)
             total = {s: d.get(s) + b.get(s) for s in set(a.support) | set(b.support)}
             assert MultiIndex.of(total) == a

@@ -10,7 +10,7 @@ from weylfk.oracle import (
     GridOracle,
     SupportError,
     build_hamiltonian,
-    free_symbol,
+    grid_edge_max,
     matrix_weyl_symbol,
     pairing_check,
     semigroup_symbol_at,
@@ -122,14 +122,6 @@ class TestSymbolExtraction:
         exact = np.exp(-t * tab.xi[mask] ** 2)
         assert np.abs(tab.values[:, mask] - exact[None, :]).max() <= 1e-4
 
-    def test_free_symbol_closed_form_values(self):
-        assert free_symbol(0.0, 1.0) == 1.0
-        assert free_symbol(1.0, 0.5, 2.0) == pytest.approx(math.exp(-0.5), rel=1e-14)
-        assert free_symbol(1.0, 1.0, 1.0) == pytest.approx(math.exp(-0.5), rel=1e-14)
-        assert free_symbol([1.0, 1.0], 1.0, 1.0) == pytest.approx(
-            math.exp(-1.0), rel=1e-14
-        )
-
     def test_symbol_real(self):
         grid = Grid(10.0, 256, 1)
         oracle = GridOracle(harmonic_potential(), grid)
@@ -187,6 +179,23 @@ class TestSymbolExtraction:
         exact = np.exp(-t * (xi[:, None] ** 2 + xi[None, :] ** 2))
         sub = tab.values[:, :, k[:, None], k[None, :]]
         assert np.abs(sub - exact[None, None]).max() <= 2e-2
+
+
+class TestGridEdge:
+    def test_ends_in_1d(self):
+        grid = Grid(8.0, 16, 1)
+        values = np.zeros(16)
+        values[5] = 9.0
+        values[-1] = -2.0
+        assert grid_edge_max(values, grid) == 2.0
+
+    def test_four_faces_in_2d(self):
+        grid = Grid(8.0, 16, 2)
+        for face in (np.s_[0, 7], np.s_[-1, 7], np.s_[7, 0], np.s_[7, -1]):
+            square = np.zeros((16, 16))
+            square[8, 8] = 9.0  # interior values never count
+            square[face] = -3.0
+            assert grid_edge_max(square.ravel(), grid) == 3.0
 
 
 class TestWigner:
