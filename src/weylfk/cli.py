@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import jsonschema
 import numpy as np
@@ -411,37 +412,34 @@ def cmd_estimate(config, n_workers):
     V = _build_potential(config["potential"])
     alpha = _parse_index(config["alpha"], "alpha")
     beta = _parse_index(config["beta"], "beta")
-    point = PhasePoint(np.array(config["x"]), np.array(config["xi"]))
-    preset = _preset(config)
-    kwargs = dict(
-        alpha=alpha, beta=beta, n_paths=config["n_paths"], n_steps=config["n_steps"],
-        seed=config["seed"], variance=preset,
-        chunk_size=config["chunk_size"], n_workers=n_workers,
+    # row 0 is the configured frequency, rows 1.. the sweep; one path set serves all
+    xi = np.array([config["xi"]], dtype=float)
+    sweep = config["xi_sweep"]
+    if sweep is not None:
+        if sweep["site_index"] >= min(V.n_sites, xi.shape[1]):
+            raise ConfigError("xi_sweep.site_index out of range")
+        grid_vals = np.linspace(sweep["start"], sweep["stop"], sweep["count"])
+        xi = np.repeat(xi, 1 + len(grid_vals), axis=0)
+        xi[1:, sweep["site_index"]] = grid_vals
+    est = estimate_mixed_derivative(
+        V, PhasePoint(np.array(config["x"]), xi), config["t"], config["n_paths"],
+        config["n_steps"], config["seed"], alpha=alpha, beta=beta,
+        variance=_preset(config), chunk_size=config["chunk_size"], n_workers=n_workers,
     )
-    est = estimate_mixed_derivative(V, point, config["t"], **kwargs)
+    values, stderrs = est.value.tolist(), est.stderr.tolist()
     results = {
-        "value_re": est.value.real,
-        "value_im": est.value.imag,
-        "stderr": est.stderr,
+        "value_re": values[0].real,
+        "value_im": values[0].imag,
+        "stderr": stderrs[0],
         "n_paths": est.n_paths,
         "n_steps": est.n_steps,
         "preset": est.variance_preset,
         "t": est.t,
     }
     csv = None
-    sweep = config["xi_sweep"]
     if sweep is not None:
-        if sweep["site_index"] >= V.n_sites:
-            raise ConfigError("xi_sweep.site_index out of range")
-        rows = []
-        grid_vals = np.linspace(sweep["start"], sweep["stop"], sweep["count"])
-        for v in grid_vals:
-            xi = np.array(config["xi"], dtype=float)
-            xi[sweep["site_index"]] = v
-            e = estimate_mixed_derivative(
-                V, PhasePoint(np.array(config["x"]), xi), config["t"], **kwargs
-            )
-            rows.append((v, e.value.real, e.value.imag, e.stderr))
+        rows = [(v, u.real, u.imag, se)
+                for v, u, se in zip(grid_vals, values[1:], stderrs[1:])]
         csv = (["xi", "value_re", "value_im", "stderr"], rows)
     return results, csv, 0
 
@@ -457,10 +455,7 @@ def cmd_moments(config, n_workers):
     paths = sample_path_batch(rng, n, t, 1, max(len(sites), 1), preset)
     endpoint = paths[:, -1, :]
     orders = np.array([beta.get(s) for s in sites], dtype=int)
-    if sites:
-        samples = np.prod(np.abs(endpoint[:, : len(sites)]) ** orders, axis=1)
-    else:
-        samples = np.ones(n)
+    samples = np.prod(np.abs(endpoint[:, : len(sites)]) ** orders, axis=1)  # 1 if none
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
     results = {
@@ -568,12 +563,7 @@ def cmd_verify(config, n_workers):
             _family(config), config["m"], config["t"],
             lambda_size=config["lambda_size"], **mc,
         )
-        extra_results["class_params"] = {
-            "max_norm": params.max_norm,
-            "rho": list(params.rho),
-            "delta": list(params.delta),
-            "m": params.m,
-        }
+        extra_results["class_params"] = asdict(params)
     results = {
         "suite": suite,
         "reports": [r.to_json() for r in reports],
@@ -609,16 +599,10 @@ def cmd_commutator(config, n_workers):
     oracle = GridOracle(_build_potential(config["potential"]), grid)
     traces = commutator_trace(oracle, state, config["poly"], config["site_axis"],
                               config["t_list"])
-    fit = None
     try:
-        fit_result = scaling_fit([(r.t, r.trace_matrix) for r in traces])
-        fit = {
-            "slope": fit_result.slope,
-            "coefficient": fit_result.coefficient,
-            "n_points": fit_result.n_points,
-        }
+        fit = asdict(scaling_fit([(r.t, r.trace_matrix) for r in traces]))
     except ValueError:
-        pass
+        fit = None
     results = {
         "state_trace": traces[0].state_trace,
         "points": [

@@ -14,7 +14,9 @@ potential, so they carry no finite-difference step.
 
 Sampling is split into fixed-size chunks with seeds derived from
 (master seed, chunk index), and partial sums are reduced in chunk order, so
-results are bit-identical for any worker count.
+results are bit-identical for any worker count.  The weight exp(-action)
+does not depend on xi, so a batch of frequencies shares one path set, each
+value bit-identical to its lone call.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ DEFAULT_CHUNK_SIZE = 4096  # antithetic pairs per chunk
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """A point (x, xi) in phase space, indexed by the same site list."""
+    """A point (x, xi) in phase space, or a (k, n_sites) batch of xi at one x."""
 
     x: np.ndarray
     xi: np.ndarray
@@ -44,16 +46,17 @@ class PhasePoint:
         xi = np.atleast_1d(np.asarray(self.xi, dtype=float))
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "xi", xi)
-        if x.shape != xi.shape or x.ndim != 1:
-            raise ValueError("x and xi must be 1-d arrays of equal length")
+        if x.ndim != 1 or xi.ndim > 2 or xi.shape[-1:] != x.shape or not xi.size:
+            raise ValueError("x must be 1-d and xi one or more rows of the same length")
 
 
 @dataclass(frozen=True)
 class SymbolEstimate:
-    """A complex Monte Carlo estimate with its standard error and provenance."""
+    """A complex Monte Carlo estimate, its standard error and provenance; for a
+    batch of k frequencies, value and stderr have shape (k,)."""
 
-    value: complex
-    stderr: float
+    value: complex | np.ndarray
+    stderr: float | np.ndarray
     n_paths: int
     n_steps: int
     variance_preset: str
@@ -72,8 +75,22 @@ def _chunk_sizes(n_pairs, chunk_size):
     return [chunk_size] * full + ([rest] if rest else [])
 
 
-def _estimate(V, point, t, alpha, beta, n_paths, n_steps, seed, variance,
-              chunk_size, n_workers):
+def estimate_mixed_derivative(V, point: PhasePoint, t, n_paths, n_steps, seed, *,
+                              alpha: MultiIndex = ZERO_INDEX,
+                              beta: MultiIndex = ZERO_INDEX,
+                              variance=DEFAULT_PRESET, chunk_size=DEFAULT_CHUNK_SIZE,
+                              n_workers=1):
+    """Estimate d_x^alpha d_xi^beta of the symbol at one phase point.
+
+    With both indices zero this is the symbol value; a (k, n_sites) point.xi
+    gives k of them from one path set, each equal to its lone call.  A
+    frequency derivative inserts prod_j (-i w_j(t))^(beta_j), so its modulus
+    is bounded by the exact absolute-moment product of the endpoint law, up
+    to statistical noise.  Each path's weight exp(-A) is differentiated
+    exactly (Faa di Bruno over the actions of the partials of V along the
+    same path), so the estimate has no step-size bias.  V.partial must supply
+    every nonzero sub-index of alpha.
+    """
     if not t > 0.0:
         raise ValueError("t must be positive")
     if n_steps < 1:
@@ -94,7 +111,7 @@ def _estimate(V, point, t, alpha, beta, n_paths, n_steps, seed, variance,
     dt = t / n_steps
     beta_vec = np.array([beta.get(s) for s in V.sites], dtype=int)
     beta_total = beta.order
-    x0, xi = point.x, point.xi
+    x0, xis = point.x, np.atleast_2d(point.xi)
     alpha_subs = () if alpha.is_zero() else sub_multiindices(alpha)
 
     def weight(path):
@@ -111,26 +128,25 @@ def _estimate(V, point, t, alpha, beta, n_paths, n_steps, seed, variance,
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
         w = sample_path_batch(rng, pairs, t, n_steps, n_sites, variance)
         endpoint = w[:, -1, :]
-        phase = np.exp(-1j * (endpoint @ xi))
         if beta_total:
             moment = np.prod((-1j * endpoint) ** beta_vec, axis=-1)
             moment_reflected = moment * (-1.0) ** beta_total
         else:
             moment = moment_reflected = np.ones(pairs, dtype=complex)
-        forward = (x0 - endpoint / 2.0)[:, None, :] + w
-        backward = (x0 + endpoint / 2.0)[:, None, :] - w
-        combined = 0.5 * (
-            moment * phase * weight(forward)
-            + moment_reflected * np.conj(phase) * weight(backward)
-        )
-        return (
-            pairs,
-            combined.sum(),
-            combined.real.sum(),
-            combined.imag.sum(),
-            (combined.real**2).sum(),
-            (combined.imag**2).sum(),
-        )
+        weight_forward = weight((x0 - endpoint / 2.0)[:, None, :] + w)
+        weight_backward = weight((x0 + endpoint / 2.0)[:, None, :] - w)
+        # one reduction per frequency over the same paths; the phase of each
+        # is its own matrix-vector product, so its bits match a lone call
+        sums = []
+        for xi in xis:
+            phase = np.exp(-1j * (endpoint @ xi))
+            combined = 0.5 * (
+                moment * phase * weight_forward
+                + moment_reflected * np.conj(phase) * weight_backward
+            )
+            re, im = combined.real, combined.imag
+            sums.append((combined.sum(), re.sum(), im.sum(), (re**2).sum(), (im**2).sum()))
+        return pairs, sums
 
     tasks = list(enumerate(_chunk_sizes(n_pairs, chunk_size)))
     if n_workers > 1 and len(tasks) > 1:
@@ -139,41 +155,26 @@ def _estimate(V, point, t, alpha, beta, n_paths, n_steps, seed, variance,
     else:
         results = [run_chunk(task) for task in tasks]
 
-    # fixed-order reduction: results arrive indexed by chunk
-    count = 0
-    total = 0.0 + 0.0j
-    sum_re = sum_im = sum_re2 = sum_im2 = 0.0
-    for pairs, s, sre, sim, sre2, sim2 in results:
-        count += pairs
-        total += s
-        sum_re += sre
-        sum_im += sim
-        sum_re2 += sre2
-        sum_im2 += sim2
-    mean = total / count
-    if count > 1:
-        var_re = max(0.0, (sum_re2 - sum_re**2 / count) / (count - 1))
-        var_im = max(0.0, (sum_im2 - sum_im**2 / count) / (count - 1))
-        stderr = math.sqrt((var_re + var_im) / count)
-    else:
-        stderr = math.inf
-    return SymbolEstimate(complex(mean), stderr, n_paths, n_steps, tag, float(t))
-
-
-def estimate_mixed_derivative(V, point: PhasePoint, t, n_paths, n_steps, seed, *,
-                              alpha: MultiIndex = ZERO_INDEX,
-                              beta: MultiIndex = ZERO_INDEX,
-                              variance=DEFAULT_PRESET, chunk_size=DEFAULT_CHUNK_SIZE,
-                              n_workers=1):
-    """Estimate d_x^alpha d_xi^beta of the symbol at one phase point.
-
-    With both indices zero this is the symbol value.  A frequency derivative
-    inserts prod_j (-i w_j(t))^(beta_j), so its modulus is bounded by the
-    exact absolute-moment product of the endpoint law, up to statistical
-    noise.  Each path's weight exp(-A) is differentiated exactly (Faa di
-    Bruno over the actions of the partials of V along the same path), so the
-    estimate has no step-size bias.  V.partial must supply every nonzero
-    sub-index of alpha.
-    """
-    return _estimate(V, point, t, alpha, beta, n_paths, n_steps, seed, variance,
-                     chunk_size, n_workers)
+    # fixed-order reduction per frequency: results arrive indexed by chunk
+    count = sum(pairs for pairs, _ in results)
+    means, stderrs = [], []
+    for by_chunk in zip(*(sums for _, sums in results)):
+        total = 0.0 + 0.0j
+        sum_re = sum_im = sum_re2 = sum_im2 = 0.0
+        for s, sre, sim, sre2, sim2 in by_chunk:
+            total += s
+            sum_re += sre
+            sum_im += sim
+            sum_re2 += sre2
+            sum_im2 += sim2
+        means.append(complex(total / count))
+        if count > 1:
+            var_re = max(0.0, (sum_re2 - sum_re**2 / count) / (count - 1))
+            var_im = max(0.0, (sum_im2 - sum_im**2 / count) / (count - 1))
+            stderrs.append(math.sqrt((var_re + var_im) / count))
+        else:
+            stderrs.append(math.inf)
+    if point.xi.ndim == 2:
+        return SymbolEstimate(np.array(means), np.array(stderrs), n_paths, n_steps,
+                              tag, float(t))
+    return SymbolEstimate(means[0], stderrs[0], n_paths, n_steps, tag, float(t))

@@ -144,6 +144,24 @@ class TestExitCodes:
         assert code == 2
         assert "numerical failure: NaN in output" in capsys.readouterr().err
 
+    def test_sweep_site_out_of_range_fails_before_estimating(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return estimate(*args, **kwargs)
+
+        estimate = cli.estimate_mixed_derivative
+        monkeypatch.setattr(cli, "estimate_mixed_derivative", counted)
+        config = {
+            "potential": {"variant": "zero", "sites": [0]},
+            "x": [0.0], "xi": [1.0], "t": 0.5, "seed": 1, "n_paths": 200, "n_steps": 2,
+            "xi_sweep": {"site_index": 1, "start": -1.0, "stop": 1.0, "count": 3},
+        }
+        assert cli.main(["estimate", json.dumps(config)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert calls == []
+
     def test_verify_zero_potential_l1_is_two(self, capsys):
         config = {
             "suite": "l1", "seed": 1,
@@ -347,7 +365,7 @@ class TestSubcommands:
 
 
 class TestSinglePass:
-    """Each spectral factorization, exponentiation and transform runs once."""
+    """Each spectral factorization, exponentiation, transform and path set is made once."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -412,6 +430,32 @@ class TestSinglePass:
         })
         assert code == 0
         assert calls == {"eigh": 1, "semigroup": len(t_list), "transform": len(t_list)}
+
+    def test_estimate_sweep_samples_one_path_set_per_chunk(self, monkeypatch):
+        from weylfk import potentials, symbol_estimator
+
+        calls = {"sample": 0, "eval": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(symbol_estimator, "sample_path_batch",
+                            counted("sample", symbol_estimator.sample_path_batch))
+        monkeypatch.setattr(potentials.ZeroPotential, "eval",
+                            counted("eval", potentials.ZeroPotential.eval))
+        code, doc = run("estimate", {
+            "potential": {"variant": "zero", "sites": [0]},
+            "x": [0.0], "xi": [0.5], "t": 0.5, "seed": 4,
+            "n_paths": 400, "n_steps": 4, "chunk_size": 100,
+            "xi_sweep": {"site_index": 0, "start": -1.0, "stop": 1.0, "count": 20},
+        })
+        assert code == 0
+        # 200 pairs in two chunks; each chunk weights its forward and backward
+        # paths once for all 21 frequencies
+        assert calls == {"sample": 2, "eval": 4}
 
 
 _WORKER_INVARIANCE_CONFIGS = {

@@ -361,3 +361,49 @@ class TestMixedDerivative:
             V, p, 0.5, 20_000, 1, seed=8, alpha=mi({0: 1}), beta=mi({1: 1})
         )
         assert abs(est.value) <= max(3 * est.stderr, 1e-12)
+
+
+_BATCH_CASES = {
+    "zero_1site": (lambda: ZeroPotential([0]), [0.3], "", ""),
+    # the case where one (k, pairs) matmul phase moves the last bits
+    "mean_field_lorentzian_3": (
+        lambda: MeanFieldPotential([0, 1, 2], lorentzian_function()),
+        [0.1, -0.2, 0.3], "0:1,1:1", "2:1"),
+}
+
+
+class TestFrequencyBatch:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", sorted(_BATCH_CASES))
+    def test_rows_bitwise_equal_single_calls(self, case, workers):
+        make, x, alpha, beta = _BATCH_CASES[case]
+        V = make()
+        xis = np.random.default_rng(4).uniform(-2.0, 2.0, (5, V.n_sites))
+        # 4000 paths in chunks of 1000 pairs: two chunks
+        kwargs = dict(alpha=from_text(alpha), beta=from_text(beta), chunk_size=1000,
+                      n_workers=workers)
+        batch = estimate_mixed_derivative(V, PhasePoint(x, xis), 0.5, 4000, 8, seed=17,
+                                          **kwargs)
+        for k, xi in enumerate(xis):
+            single = estimate_mixed_derivative(V, PhasePoint(x, xi.copy()), 0.5, 4000, 8,
+                                               seed=17, **kwargs)
+            assert batch.value[k] == single.value
+            assert batch.stderr[k] == single.stderr
+
+    def test_batch_keeps_one_estimate_with_integer_provenance(self):
+        # per-call counters (perfbench/tracing.py) read n_paths and n_steps off
+        # whatever the estimator returns, batch or not
+        V = ZeroPotential([0])
+        batch = estimate_mixed_derivative(V, PhasePoint([0.0], [[0.0], [0.5], [1.0]]),
+                                          0.5, 200, 4, seed=1)
+        assert isinstance(batch, symbol_estimator.SymbolEstimate)
+        assert type(batch.n_paths) is int and type(batch.n_steps) is int
+        assert batch.value.shape == (3,) and batch.stderr.shape == (3,)
+        single = estimate_mixed_derivative(V, PhasePoint([0.0], [0.5]), 0.5, 200, 4, seed=1)
+        assert type(single.value) is complex and type(single.stderr) is float
+
+    @pytest.mark.parametrize("xi", [np.zeros((0, 2)), np.zeros((2, 3)), np.zeros((1, 1, 2))],
+                             ids=["empty", "wrong_width", "3d"])
+    def test_bad_batch_rejected(self, xi):
+        with pytest.raises(ValueError):
+            PhasePoint([0.0, 0.0], xi)

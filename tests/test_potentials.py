@@ -257,6 +257,17 @@ class TestPairEvaluation:
         partial_fraction = -a * np.imag((y / w + 1j) ** -1)
         np.testing.assert_allclose(f.value(y), partial_fraction, rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_lorentzian_derivatives_match_complex_power_form(self, k):
+        # the real Horner form against (-1)^(k+1) k! Im((u+i)^(-k-1))
+        a, w = 1.3, 0.8
+        f = lorentzian_function(a, w)
+        y = np.concatenate([np.linspace(-20.0, 20.0, 2001),
+                            np.random.default_rng(6).normal(scale=3.0, size=2000)])
+        complex_form = a * w ** (-k) * (-1.0) ** (k + 1) * math.factorial(k) * np.imag(
+            (y / w + 1j) ** (-(k + 1)))
+        assert np.abs(f.derivative(k, y) - complex_form).max() <= 1e-15 * f.sup_bound(k)
+
     def test_mean_field_working_set_linear_in_sites(self):
         def peak(n):
             V = MeanFieldPotential(range(n), lorentzian_function())
