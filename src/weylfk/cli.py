@@ -479,22 +479,14 @@ def cmd_oracle(config, n_workers):
     t = config["t"]
     S = oracle.semigroup(t)
     table = oracle.symbol(t, region=config["region"], semigroup=S)
-    full = S.full_table
-    dxi = table.xi_cell_volume
-    symbol_integral = float(
-        (full.values.real.sum()) * table.cell_volume * dxi / (2 * math.pi) ** grid.dim
-    )
-    # normalized Gaussian test functions for the pairing identity
-    pts = grid.points()
-    f = np.exp(-0.5 * (pts**2).sum(axis=1))
-    f /= math.sqrt((np.abs(f) ** 2).sum() * table.cell_volume)
-    g = np.exp(-0.5 * ((pts - 0.3) ** 2).sum(axis=1))
-    g /= math.sqrt((np.abs(g) ** 2).sum() * table.cell_volume)
-    residual = pairing_check(S, f, g)
+    # normalized Gaussian test functions for the pairing identity, one factor per axis
+    f, g = (np.exp(-0.5 * (grid.axis() - center) ** 2) for center in (0.0, 0.3))
+    f, g = (h / math.sqrt((h**2).sum() * grid.spacing) for h in (f, g))
+    residual = pairing_check(S, (f,) * grid.dim, (g,) * grid.dim)
     results = {
         "t": t,
-        "trace": float(np.trace(S.matrix)),
-        "symbol_integral": symbol_integral,
+        "trace": S.trace,
+        "symbol_integral": S.symbol_integral,
         "max_abs_symbol": float(np.abs(table.values).max()),
         "max_imag_symbol": table.max_imag,
         "pairing_residual": residual,

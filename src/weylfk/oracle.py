@@ -5,9 +5,9 @@ the diagonal potential on a cell-centered uniform grid, so the matching path
 sampler preset is GENERATOR_LAPLACIAN.  A matrix M represents the kernel
 K(y, z) times the cell volume, which makes matrix products compose like
 operators and the matrix trace equal the operator trace.  A 2-site potential
-without a pair term separates, H = H_1 x I + I x H_1, and its semigroup is
-the Kronecker square of the n x n axis semigroup; every other potential is
-decomposed densely.
+without a pair term separates, H = H_1 x I + I x H_1, and is handled end to
+end from its axis factor: exp(-tH) = M_1 x M_1, and trace, symbol, decay check
+and pairing come from M_1 by product identities; others are handled densely.
 
 The phase-space symbol of a kernel is its Fourier transform along the
 antidiagonal.  On the grid, the antidiagonal through a center x_i carries a
@@ -22,8 +22,8 @@ truncation into a hard error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property, reduce
 from typing import Optional
 
 import numpy as np
@@ -81,6 +81,14 @@ class Grid:
         n = self.n_grid
         return (np.arange(n) - n // 2) * math.pi / (n * self.spacing)
 
+    @property
+    def cell_volume(self) -> float:
+        return self.spacing**self.dim
+
+    @property
+    def xi_cell_volume(self) -> float:
+        return (math.pi / (self.n_grid * self.spacing)) ** self.dim
+
 
 def build_hamiltonian(V: PotentialSpec, grid: Grid) -> np.ndarray:
     """Second-order central-difference Laplacian (Dirichlet) plus diagonal potential."""
@@ -109,16 +117,40 @@ def build_hamiltonian(V: PotentialSpec, grid: Grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridSemigroup:
-    """The matrix exp(-t H) on the grid, built by :meth:`GridOracle.semigroup`."""
+    """exp(-t H) on the grid, built by :meth:`GridOracle.semigroup`; a separable one
+    keeps its axis factor M_1 and forms the Kronecker ``matrix`` only when read."""
 
     grid: Grid
     t: float
-    matrix: np.ndarray
+    factor: np.ndarray  # exp(-tH) itself, or its axis factor M_1 if separable
+    separable: bool = False
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return np.kron(self.factor, self.factor) if self.separable else self.factor
 
     @cached_property
     def full_table(self) -> "PhaseSpaceTable":
         """Complex symbol on the full window of centers, transformed once."""
         return matrix_weyl_symbol(self.matrix, self.grid)
+
+    @cached_property
+    def axis_table(self) -> np.ndarray:
+        """Full-window table T_1 of the axis factor; the 2-d table is T_1[a,k] T_1[b,l]."""
+        return matrix_weyl_symbol(self.factor, replace(self.grid, dim=1)).values
+
+    @property
+    def trace(self) -> float:
+        trace = float(np.trace(self.factor))
+        return trace * trace if self.separable else trace
+
+    @property
+    def symbol_integral(self) -> float:
+        """Phase-space integral of the full-window symbol, which equals the trace."""
+        total = ((self.axis_table.sum() ** 2).real if self.separable
+                 else self.full_table.values.real.sum())
+        grid = self.grid
+        return float(total * grid.cell_volume * grid.xi_cell_volume / (2 * math.pi) ** grid.dim)
 
 
 @dataclass(frozen=True)
@@ -142,14 +174,6 @@ class PhaseSpaceTable:
     def xi(self) -> np.ndarray:
         (ax,) = self.xi_axes
         return ax
-
-    @property
-    def cell_volume(self) -> float:
-        return self.grid.spacing**self.grid.dim
-
-    @property
-    def xi_cell_volume(self) -> float:
-        return (math.pi / (self.grid.n_grid * self.grid.spacing)) ** self.grid.dim
 
 
 def _antidiagonals(centers, n):
@@ -234,7 +258,8 @@ def default_margin(t: float, spacing: float) -> float:
     return max(continuum, lattice)
 
 
-def decay_window(matrix: np.ndarray, grid: Grid, t: float, region="auto") -> np.ndarray:
+def decay_window(matrix: np.ndarray, grid: Grid, t: float, region="auto",
+                 separable=False) -> np.ndarray:
     """Grid indices (per axis) of the centers whose symbol is claimed accurate.
 
     ``"full"`` keeps every center unchecked, for identities in which the
@@ -243,6 +268,9 @@ def decay_window(matrix: np.ndarray, grid: Grid, t: float, region="auto") -> np.
     number keeps |x| <= region.  Both are checked: kernel mass above
     ``DECAY_TOL`` times the matrix maximum at the last on-grid offset of any
     antidiagonal through a kept center raises :class:`DecayError`.
+    If ``separable``, ``matrix`` is the axis factor M_1 of the 2-d kernel and an
+    edge is |M_1| at the last offset on one axis times its masked maximum on the
+    other; rounding is monotone, so this equals the dense check bitwise.
     """
     n = grid.n_grid
     if region == "full":
@@ -259,9 +287,14 @@ def decay_window(matrix: np.ndarray, grid: Grid, t: float, region="auto") -> np.
     plus, minus, valid, _ = _antidiagonals(centers, n)
     reach = np.minimum(centers, n - 1 - centers)  # last offset on the grid
     edge = np.zeros((centers.size,) * grid.dim)
+    if separable:
+        along = np.where(valid, np.abs(matrix[plus, minus]), 0.0).max(axis=-1)
     for sign in (1, -1):
         lo, hi = centers + sign * reach, centers - sign * reach
-        if grid.dim == 1:
+        if separable:
+            end = np.abs(matrix[lo, hi])
+            faces = [np.multiply.outer(end, along), np.multiply.outer(along, end)]
+        elif grid.dim == 1:
             faces = [np.abs(matrix[lo, hi])]
         else:
             # (first-axis center, second-axis center, offset along the other axis)
@@ -275,7 +308,7 @@ def decay_window(matrix: np.ndarray, grid: Grid, t: float, region="auto") -> np.
             faces = [face.max(axis=-1) for face in faces]
         for face in faces:
             np.maximum(edge, face, out=edge)
-    max_abs = np.abs(matrix).max()
+    max_abs = np.square(np.abs(matrix).max()) if separable else np.abs(matrix).max()
     worst = np.unravel_index(np.argmax(edge), edge.shape)
     if edge[worst] > DECAY_TOL * max_abs:
         where = ", ".join(f"{grid.axis()[centers[k]]:.4g}" for k in worst)
@@ -349,21 +382,30 @@ def wigner(f, g, grid: Grid) -> PhaseSpaceTable:
 def pairing_check(S: GridSemigroup, f, g) -> float:
     """Residual of the quadratic-form identity between operator and symbol sides.
 
-    Left side: the grid inner product of exp(-tH) f against g.  Right side:
-    the semigroup's full-window symbol table integrated against the
-    phase-space transform of (f, g) on the same window, where zero-padding
-    cancels identically.
+    ``f`` and ``g`` hold one 1-d factor per grid axis; the grid functions are
+    their outer products, and the transform of the pair is the outer product
+    of the 1-d transforms.  Left side: the grid inner product of exp(-tH) f
+    against g.  Right side: the semigroup's full-window symbol table
+    integrated against the transform of (f, g) on the same window, where
+    zero-padding cancels identically.  A separable semigroup pairs axis by axis.
     """
-    grid = S.grid
-    f = np.asarray(f, dtype=complex).reshape(grid.n_points)
-    g = np.asarray(g, dtype=complex).reshape(grid.n_points)
-    lhs = grid.spacing**grid.dim * np.vdot(g, S.matrix @ f)  # vdot conjugates g
-    U = S.full_table
-    W = wigner(f, g, grid)
+    grid, axis = S.grid, replace(S.grid, dim=1)
+    if len(f) != grid.dim or len(g) != grid.dim:
+        raise ValueError(f"test functions need one factor per grid axis, {grid.dim}")
+    f, g = ([np.asarray(h, dtype=complex) for h in hs] for hs in (f, g))
+    W = [wigner(fa, ga, axis).values for fa, ga in zip(f, g)]
+    cell = axis.cell_volume * axis.xi_cell_volume
+    if S.separable:  # vdot conjugates g
+        lhs = math.prod(axis.spacing * np.vdot(ga, S.factor @ fa) for fa, ga in zip(f, g))
+        rhs = math.prod((S.axis_table * Wa).sum() * cell for Wa in W)
+        return float(abs(lhs - rhs))
+    f, g = (reduce(np.multiply.outer, h).ravel() for h in (f, g))
+    lhs = grid.cell_volume * np.vdot(g, S.matrix @ f)
+    W = W[0] if grid.dim == 1 else np.einsum("ak,bl->abkl", *W)
     # the product overwrites this local Wigner table, so no third table is made;
     # numpy's pairwise sum keeps the rounding of a residual far above roundoff
-    product = np.multiply(U.values, W.values, out=W.values)
-    rhs = product.sum() * U.cell_volume * U.xi_cell_volume
+    product = np.multiply(S.full_table.values, W, out=W)
+    rhs = product.sum() * grid.cell_volume * grid.xi_cell_volume
     return float(abs(lhs - rhs))
 
 
@@ -375,18 +417,18 @@ class GridOracle:
         self.potential = V
         axis = V.separable_axis() if grid.dim == 2 and V.n_sites == 2 else None
         self._separable = axis is not None
-        H = (build_hamiltonian(axis, Grid(grid.half_width, grid.n_grid)) if self._separable
+        H = (build_hamiltonian(axis, replace(grid, dim=1)) if self._separable
              else build_hamiltonian(V, grid))
         self._eigenvalues, self._eigenvectors = np.linalg.eigh(H)
 
     def semigroup(self, t: float) -> GridSemigroup:
-        """exp(-tH) from the cached spectral factors."""
+        """exp(-tH) from the cached spectral factors, kept as its axis factor if V separates."""
         if not t > 0.0:
             raise ValueError("t must be positive")
         Q = self._eigenvectors
         M = (Q * np.exp(-t * self._eigenvalues)) @ Q.T
         M = 0.5 * (M + M.T)
-        return GridSemigroup(self.grid, float(t), np.kron(M, M) if self._separable else M)
+        return GridSemigroup(self.grid, float(t), M, self._separable)
 
     def symbol(self, t: float, region="auto",
                semigroup: Optional[GridSemigroup] = None) -> PhaseSpaceTable:
@@ -398,13 +440,19 @@ class GridOracle:
         :meth:`semigroup` at the same t, to exponentiate and transform once.
         """
         S = self.semigroup(t) if semigroup is None else semigroup
+        if S.grid != self.grid:
+            raise ValueError(f"semigroup was built on {S.grid}, not {self.grid}")
         if S.t != t:
             raise ValueError(f"semigroup is at t={S.t!r}, not {t!r}")
-        centers = decay_window(S.matrix, self.grid, S.t, region)
+        centers = decay_window(S.factor, self.grid, S.t, region, S.separable)
         dim = self.grid.dim
-        values = S.full_table.values[np.ix_(*(centers,) * dim)]
+        if S.separable:
+            rows = S.axis_table[centers]
+            values = np.einsum("ak,bl->abkl", rows, rows)
+        else:
+            values = S.full_table.values[np.ix_(*(centers,) * dim)]
         ax = self.grid.axis()[centers]
         return PhaseSpaceTable(
-            self.grid, S.t, (centers,) * dim, (ax,) * dim, S.full_table.xi_axes,
+            self.grid, S.t, (centers,) * dim, (ax,) * dim, (self.grid.xi_axis(),) * dim,
             values.real.copy(), max_imag=float(np.abs(values.imag).max()),
         )

@@ -139,12 +139,13 @@ def test_criterion_4_oracle_cross_validation():
     seed = 500
     for V in (w.ZeroPotential([(0,)]), harmonic_1d(), lorentzian_1d()):
         oracle = w.GridOracle(V, grid)
-        pts = grid.points()
-        f = np.exp(-0.5 * (pts**2).sum(axis=1))
+        x = grid.axis()
+        f = np.exp(-0.5 * x**2)
         f /= math.sqrt((f**2).sum() * grid.spacing)
-        g = np.exp(-0.5 * ((pts - 0.4) ** 2).sum(axis=1))
+        g = np.exp(-0.5 * (x - 0.4) ** 2)
         g /= math.sqrt((g**2).sum() * grid.spacing)
-        worst_pairing = max(worst_pairing, w.pairing_check(oracle.semigroup(0.5), f, g))
+        worst_pairing = max(worst_pairing,
+                            w.pairing_check(oracle.semigroup(0.5), (f,), (g,)))
         for t in (0.1, 0.5, 1.0):
             S = oracle.semigroup(t)
             tab = oracle.symbol(t, semigroup=S)

@@ -18,7 +18,7 @@ from weylfk.bounds import (
 )
 from weylfk.brownian import VariancePreset, abs_moment_max
 from weylfk.multiindex import MultiIndex
-from weylfk.oracle import Grid
+from weylfk.oracle import Grid, GridOracle, GridSemigroup
 from weylfk.potentials import (
     NearestNeighborPotential,
     ZeroPotential,
@@ -145,6 +145,25 @@ class TestL1Bound:
         )
         assert report.extra["right_side"] == pytest.approx(4 * math.pi, rel=1e-9)
         assert not report.violation
+
+    def test_two_site_separable_matches_dense_route(self, monkeypatch):
+        # the factorized symbol window against the dense transform of the same matrix
+        V = NearestNeighborPotential(
+            1, [(0,), (1,)], harmonic_function(), zero_function()
+        )
+        grid = Grid(10.0, 32, 2)
+        xis = [[0.0, 0.0], [1.0, -0.5], [0.3, 2.0]]
+        factorized = [check_l1_bound(V, 1.0, [xi], grid).worst_margin for xi in xis]
+        semigroup = GridOracle.semigroup
+
+        def dense(oracle, t):
+            S = semigroup(oracle, t)
+            assert S.separable
+            return GridSemigroup(S.grid, S.t, S.matrix)
+
+        monkeypatch.setattr(GridOracle, "semigroup", dense)
+        reference = [check_l1_bound(V, 1.0, [xi], grid).worst_margin for xi in xis]
+        assert np.abs(np.subtract(factorized, reference)).max() <= 1e-13
 
     def test_frequency_needs_one_coordinate_per_axis(self):
         one_site = NearestNeighborPotential(1, [(0,)], harmonic_function(), zero_function())

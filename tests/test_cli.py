@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -400,14 +401,26 @@ class TestSinglePass:
         assert calls == {"eigh": 1, "semigroup": 1, "transform": 1}
 
     def test_separable_oracle_2d_decomposes_one_axis(self, calls, monkeypatch):
-        shapes = []
-        eigh = np.linalg.eigh  # the counting wrapper
+        from weylfk import commutator, oracle
 
-        def recorded(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return eigh(a, *args, **kwargs)
+        shapes = {"eigh": [], "transform": [], "kron": []}
 
-        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        def recorded(key, fn):
+            def wrapper(a, *args, **kwargs):
+                shapes[key].append(np.shape(a))
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded("eigh", np.linalg.eigh))
+        monkeypatch.setattr(np, "kron", recorded("kron", np.kron))
+        transform = recorded("transform", oracle.matrix_weyl_symbol)
+        for module in (oracle, commutator, cli):
+            if hasattr(module, "matrix_weyl_symbol"):
+                monkeypatch.setattr(module, "matrix_weyl_symbol", transform)
+        dense_reads = []
+        for name in ("matrix", "full_table"):  # the n^2 x n^2 matrix and its n^4 table
+            monkeypatch.setattr(oracle.GridSemigroup, name,
+                                property(lambda S, name=name: dense_reads.append(name)))
         code, doc = run("oracle", {
             "potential": {"variant": "nearest_neighbor", "d": 1, "sites": [[0], [1]],
                           "F": {"name": "harmonic"}, "G": {"name": "zero"}},
@@ -416,8 +429,25 @@ class TestSinglePass:
         })
         assert code == 0
         assert doc["results"]["n_centers"] > 0
-        assert shapes == [(16, 16)]
+        assert shapes == {"eigh": [(16, 16)], "transform": [(16, 16)], "kron": []}
+        assert dense_reads == []
         assert calls == {"eigh": 1, "semigroup": 1, "transform": 1}
+
+    def test_separable_oracle_memory_bounded(self):
+        # the n = 64 op of the benchmark: a dense route peaks near 670 MB here
+        tracemalloc.start()
+        try:
+            code, _ = run("oracle", {
+                "potential": {"variant": "nearest_neighbor", "d": 1, "sites": [[0], [1]],
+                              "F": {"name": "harmonic"}, "G": {"name": "zero"}},
+                "grid": {"half_width": 8.0, "n_grid": 64, "dim": 2},
+                "t": 0.5,
+            })
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 64 * 2**20
 
     def test_commutator_one_transform_per_time(self, calls):
         t_list = [0.01, 0.05, 0.2]

@@ -10,7 +10,7 @@ from weylfk.commutator import (
     op_weyl_matrix,
     scaling_fit,
 )
-from weylfk.oracle import Grid, GridOracle, SupportError
+from weylfk.oracle import Grid, GridOracle, GridSemigroup, SupportError, build_hamiltonian
 from weylfk.potentials import (
     NearestNeighborPotential,
     ZeroPotential,
@@ -129,6 +129,33 @@ class TestTrace:
         other = gaussian_state_symbol(Grid(10.0, 256, 1), [0.6], [0.6], [1.0], [1.0])
         with pytest.raises(ValueError, match="different grid"):
             commutator_trace(oracle, other, [0.0, 1.0], 0, [0.1])
+
+    def test_separable_two_sites_match_dense(self, monkeypatch):
+        # the semigroup's lazily formed Kronecker matrix against one dense eigh.
+        # At this spacing the route gap is grid bias (3e-5 down to 2e-8); it
+        # drops below 1e-12 only from n = 64, a 4096^2 dense commutator, so
+        # here both semigroups must give the same gap
+        grid = Grid(4.0, 32, 2)
+        V = NearestNeighborPotential(1, [(0,), (1,)], harmonic_function(), zero_function())
+        state = gaussian_state_symbol(grid, [0.2, -0.1], [0.3, 0.1], [0.4, 0.4], [0.5, 0.5])
+        oracle = GridOracle(V, grid)
+        times = [0.05, 0.1, 0.2]
+        factorized = commutator_trace(oracle, state, [0.0, 1.0, 0.5], 1, times)
+        w, Q = np.linalg.eigh(build_hamiltonian(V, grid))
+
+        def dense(t):
+            M = (Q * np.exp(-t * w)) @ Q.T
+            return GridSemigroup(grid, t, 0.5 * (M + M.T))
+
+        monkeypatch.setattr(oracle, "semigroup", dense)
+        reference = commutator_trace(oracle, state, [0.0, 1.0, 0.5], 1, times)
+        assert factorized[-1].route_gap <= 1e-7
+        for got, ref in zip(factorized, reference):
+            assert got.route_gap == pytest.approx(ref.route_gap, abs=1e-12)
+            assert got.axis_residual <= 1e-12
+            assert got.trace_matrix == pytest.approx(ref.trace_matrix, abs=1e-12)
+            assert got.trace_symbol == pytest.approx(ref.trace_symbol, abs=1e-12)
+            assert got.symbol_sup == pytest.approx(ref.symbol_sup, abs=1e-12)
 
 
 class TestScalingFit:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -8,8 +9,10 @@ from weylfk.oracle import (
     DecayError,
     Grid,
     GridOracle,
+    GridSemigroup,
     SupportError,
     build_hamiltonian,
+    decay_window,
     grid_edge_max,
     matrix_weyl_symbol,
     pairing_check,
@@ -135,8 +138,8 @@ class TestSymbolExtraction:
         full = matrix_weyl_symbol(S.matrix, grid)
         integral = (
             full.values.real.sum()
-            * full.cell_volume
-            * full.xi_cell_volume
+            * grid.cell_volume
+            * grid.xi_cell_volume
             / (2 * math.pi) ** grid.dim
         )
         assert integral == pytest.approx(float(np.trace(S.matrix)), abs=1e-6)
@@ -205,7 +208,7 @@ class TestWigner:
         W = wigner(f, f, grid)
         assert W.values.real.min() >= -1e-12
         assert np.abs(W.values.imag).max() <= 1e-12
-        total = W.values.real.sum() * W.cell_volume * W.xi_cell_volume
+        total = W.values.real.sum() * grid.cell_volume * grid.xi_cell_volume
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_function(self):
@@ -236,14 +239,14 @@ class TestPairing:
         oracle = GridOracle(ZeroPotential([(0,)]), grid)
         f = normalized_gaussian(grid, center=0.3)
         g = normalized_gaussian(grid, center=-0.5, width=0.8)
-        assert pairing_check(oracle.semigroup(t), f, g) <= 1e-6
+        assert pairing_check(oracle.semigroup(t), (f,), (g,)) <= 1e-6
 
     def test_harmonic_pairing(self):
         grid = Grid(8.0, 256, 1)
         oracle = GridOracle(harmonic_potential(), grid)
         f = normalized_gaussian(grid, center=0.4)
         g = normalized_gaussian(grid, center=0.1, width=0.9)
-        assert pairing_check(oracle.semigroup(0.5), f, g) <= 1e-6
+        assert pairing_check(oracle.semigroup(0.5), (f,), (g,)) <= 1e-6
 
     def test_small_time_limit(self):
         grid = Grid(8.0, 128, 1)
@@ -260,9 +263,17 @@ class TestPairing:
             1, [(0,), (1,)], gaussian_bump_function(), lorentzian_function(2.0, 2.0)
         )
         oracle = GridOracle(V, grid)
-        f = normalized_gaussian(grid, center=0.2, width=0.55)
-        g = normalized_gaussian(grid, center=-0.1, width=0.55)
-        assert pairing_check(oracle.semigroup(0.5), f, g) <= 1e-6
+        # per-axis factors of the Gaussians centred at (0.2, 0.2) and (-0.1, -0.1)
+        f = normalized_gaussian(replace(grid, dim=1), center=0.2, width=0.55)
+        g = normalized_gaussian(replace(grid, dim=1), center=-0.1, width=0.55)
+        assert pairing_check(oracle.semigroup(0.5), (f, f), (g, g)) <= 1e-6
+
+    def test_factor_count_checked(self):
+        grid = Grid(4.5, 16, 2)
+        f = normalized_gaussian(replace(grid, dim=1))
+        S = GridOracle(ZeroPotential([(0,), (1,)]), grid).semigroup(0.5)
+        with pytest.raises(ValueError, match="one factor per grid axis"):
+            pairing_check(S, (f,), (f, f))
 
 
 # Reference transforms: one center at a time, with shifted copies, as the
@@ -416,6 +427,16 @@ class TestTransformReference:
         with pytest.raises(ValueError):
             oracle.symbol(0.5, semigroup=oracle.semigroup(0.4))
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("region", ["auto", "full"])
+    def test_semigroup_on_another_grid_rejected(self, dim, region):
+        # same size, other half-width: the table would be read on the wrong axes
+        sites = [(k,) for k in range(dim)]
+        other = GridOracle(ZeroPotential(sites), Grid(4.0, 64, dim)).semigroup(0.5)
+        oracle = GridOracle(ZeroPotential(sites), Grid(8.0, 64, dim))
+        with pytest.raises(ValueError, match="built on"):
+            oracle.symbol(0.5, region=region, semigroup=other)
+
 
 # Separable 2-site potentials: the oracle decomposes one n x n axis Hamiltonian
 # and takes the Kronecker square of its semigroup.
@@ -466,6 +487,41 @@ class TestSeparable:
         assert np.array_equal(S.matrix, S.matrix.T)
         full = matrix_weyl_symbol(reference, grid).values
         assert np.abs(S.full_table.values - full).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("case", sorted(SEPARABLE))
+    def test_factorized_route_matches_dense(self, case, n):
+        # the dense route on the same Kronecker matrix is the reference: its
+        # window and decay check must agree exactly, its values to roundoff
+        V, grid = SEPARABLE[case](), Grid(6.0, n, 2)
+        oracle = GridOracle(V, grid)
+        axis = replace(grid, dim=1)
+        f = (normalized_gaussian(axis, 0.2, 0.7), normalized_gaussian(axis, -0.3, 0.6))
+        g = (normalized_gaussian(axis, 0.1, 0.75), normalized_gaussian(axis, 0.4, 0.6))
+        outcomes = set()
+        for t in (0.05, 0.25, 2.0):
+            S = oracle.semigroup(t)
+            assert S.separable
+            dense = GridSemigroup(grid, t, np.kron(S.factor, S.factor))
+            assert S.trace == pytest.approx(dense.trace, abs=1e-13)
+            assert S.symbol_integral == pytest.approx(dense.symbol_integral, abs=1e-13)
+            assert pairing_check(S, f, g) == pytest.approx(pairing_check(dense, f, g), abs=1e-13)
+            for region in ("auto", 1.5, 3.0, 6.0):
+                try:
+                    centers = decay_window(dense.matrix, grid, t, region)
+                except DecayError as err:
+                    outcomes.add(True)
+                    with pytest.raises(DecayError) as raised:
+                        oracle.symbol(t, region=region, semigroup=S)
+                    assert str(raised.value) == str(err)
+                    continue
+                outcomes.add(False)
+                tab = oracle.symbol(t, region=region, semigroup=S)
+                assert all(np.array_equal(c, centers) for c in tab.center_indices)
+                ref = dense.full_table.values[np.ix_(centers, centers)]
+                assert np.abs(tab.values - ref.real).max() <= 1e-13
+                assert tab.max_imag == pytest.approx(np.abs(ref.imag).max(), abs=1e-13)
+        assert outcomes == {True, False}
 
     @pytest.mark.parametrize("case", ["coupled", "custom"])
     def test_coupled_and_custom_stay_dense(self, case, eigh_shapes):
