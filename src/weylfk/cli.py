@@ -310,6 +310,7 @@ SCHEMAS = {
             "poly": {
                 "type": "array",
                 "items": {"type": "number"},
+                "minItems": 1,
                 "maxItems": 5,
                 "default": [0.0, 1.0],
             },

@@ -118,6 +118,7 @@ def op_weyl_matrix(p: WeylObservable, aliasing_tol=1e-10) -> np.ndarray:
     dxi = math.pi / (n * dx)
     xi_table = grid.xi_axis()
     xi_band = (np.arange(2 * n) - n) * dxi  # covers +-pi/spacing
+    a = np.arange(n)
     blocks = []
     for factor in p.axes:
         pxi_table = factor.xi_profile(xi_table)
@@ -125,16 +126,13 @@ def op_weyl_matrix(p: WeylObservable, aliasing_tol=1e-10) -> np.ndarray:
             raise AliasingError(
                 "insufficient frequency decay for quantization on this grid"
             )
-        pxi = factor.xi_profile(xi_band)
         half_centers = (np.arange(2 * n - 1) + 1.0) * dx / 2.0 - grid.half_width
-        px = factor.x_profile(half_centers)  # (2n-1,)
-        diffs = np.arange(-(n - 1), n) * dx  # (2n-1,)
-        phases = np.exp(1j * np.outer(xi_band, diffs)) * dxi / (2.0 * math.pi)
-        # the profile product is rank one: scale the frequency quadrature by px
-        M = px[:, None] * (pxi @ phases)[None, :]  # (2n-1, 2n-1) over (sum, diff)
-        a = np.arange(n)
-        block = dx * M[a[:, None] + a[None, :], a[:, None] - a[None, :] + (n - 1)]
-        blocks.append(block)
+        px = factor.x_profile(half_centers)  # over index sums i + j
+        # xi_k (x_i - x_j) = pi k (i - j) / n: the frequency quadrature at every
+        # index difference is one length-2n inverse DFT, read at (i - j) mod 2n
+        pxi = np.fft.ifftshift(factor.xi_profile(xi_band))
+        quad = np.fft.ifft(pxi, norm="forward") * (dxi / (2.0 * math.pi))
+        blocks.append(dx * px[a[:, None] + a] * quad[a[:, None] - a])
     out = blocks[0]
     for block in blocks[1:]:
         out = np.kron(out, block)
@@ -170,34 +168,38 @@ def commutator_trace(oracle: GridOracle, p: WeylObservable, poly_coeffs,
     if p.grid != grid:
         raise ValueError("observable was built on a different grid")
     poly_coeffs = list(poly_coeffs)
+    if not poly_coeffs:
+        raise ValueError("observable polynomial needs at least one coefficient")
     if len(poly_coeffs) > 5:
         raise ValueError("observable polynomial degree is limited to four")
     if not 0 <= site_axis < grid.dim:
         raise ValueError("site_axis out of range")
-    op_matrix = op_weyl_matrix(p)
+    # transposed once, so each time's product reads it in memory order
+    op_transposed = np.ascontiguousarray(op_weyl_matrix(p).T)
     a_vals = np.polynomial.polynomial.polyval(grid.points()[:, site_axis], poly_coeffs)
     dxi = math.pi / (grid.n_grid * grid.spacing)
     state_trace = p.trace_quadrature()
-    results = []
-    for t in times:
+
+    def trace_at(t):  # its n^2 arrays are freed before the next time starts
         S = oracle.semigroup(t).matrix
         C = a_vals[:, None] * S - S * a_vals[None, :]
-        tr_matrix = complex((C * op_matrix.T).sum())
+        tr_matrix = complex((C * op_transposed).sum())
         F = matrix_weyl_symbol(C, grid)
         tr_symbol = complex(
             (F.values * p.table).sum()
             * (grid.spacing * dxi / (2.0 * math.pi)) ** grid.dim
         )
         window = np.ix_(*(decay_window(C, grid, t),) * grid.dim)
-        results.append(CommutatorTraceResult(
+        return CommutatorTraceResult(
             t=float(t),
             trace_matrix=tr_matrix.imag,
             trace_symbol=tr_symbol.imag,
             symbol_sup=float(np.abs(F.values[window]).max()),
             axis_residual=max(abs(tr_matrix.real), abs(tr_symbol.real)),
             state_trace=state_trace,
-        ))
-    return results
+        )
+
+    return [trace_at(t) for t in times]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Optional
 
 import numpy as np
@@ -176,17 +176,23 @@ class PhaseSpaceTable:
         return ax
 
 
-def _antidiagonals(centers, n):
-    """Index pairs (center + m, center - m) per center, offsets m in FFT order.
+@lru_cache(maxsize=4)
+def _antidiagonals(n):
+    """Index pairs (center + m, center - m) for every center, offsets m in FFT order.
 
     Returns the pairs clipped onto the grid, the mask of pairs really on it,
-    and the offsets.
+    and the offsets, built once per grid size as read-only arrays; row c
+    belongs to center c, so a window of centers is a row slice.
     """
     m = np.fft.ifftshift(np.arange(n) - n // 2)  # 0, 1, ..., n/2 - 1, -n/2, ..., -1
-    plus = centers[:, None] + m
-    minus = centers[:, None] - m
+    centers = np.arange(n)[:, None]
+    plus = centers + m
+    minus = centers - m
     valid = (plus >= 0) & (plus < n) & (minus >= 0) & (minus < n)
-    return plus.clip(0, n - 1), minus.clip(0, n - 1), valid, m
+    tables = plus.clip(0, n - 1), minus.clip(0, n - 1), valid, m
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _antidiagonal_fft(entries, grid: Grid, scale: float, inverse=False) -> np.ndarray:
@@ -201,7 +207,7 @@ def _antidiagonal_fft(entries, grid: Grid, scale: float, inverse=False) -> np.nd
     first-axis center is done at a time, which bounds the working set.
     """
     n = grid.n_grid
-    plus, minus, valid, m = _antidiagonals(np.arange(n), n)
+    plus, minus, valid, m = _antidiagonals(n)
     weight = np.where(valid, scale * (-1.0) ** m, 0.0)
     fftn, norm = (np.fft.ifftn, "forward") if inverse else (np.fft.fftn, "backward")
 
@@ -284,7 +290,7 @@ def decay_window(matrix: np.ndarray, grid: Grid, t: float, region="auto",
         raise DecayError(
             "no usable centers: the grid is too small for this time horizon"
         )
-    plus, minus, valid, _ = _antidiagonals(centers, n)
+    plus, minus, valid = (table[centers] for table in _antidiagonals(n)[:3])
     reach = np.minimum(centers, n - 1 - centers)  # last offset on the grid
     edge = np.zeros((centers.size,) * grid.dim)
     if separable:
@@ -426,7 +432,10 @@ class GridOracle:
         if not t > 0.0:
             raise ValueError("t must be positive")
         Q = self._eigenvectors
-        M = (Q * np.exp(-t * self._eigenvalues)) @ Q.T
+        QW = Q * np.exp(-t * self._eigenvalues)
+        # subnormal terms (each below 2.3e-308) slow the product several-fold
+        QW[np.abs(QW) < np.finfo(float).tiny] = 0.0
+        M = QW @ Q.T
         M = 0.5 * (M + M.T)
         return GridSemigroup(self.grid, float(t), M, self._separable)
 

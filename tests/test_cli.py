@@ -163,6 +163,18 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error:")
         assert calls == []
 
+    def test_empty_commutator_polynomial_is_config_error(self, capsys):
+        config = {
+            "potential": harmonic_potential_json(), "poly": [],
+            "grid": {"half_width": 10.0, "n_grid": 128, "dim": 1},
+            "state": {"center_x": [0.6], "center_xi": [0.6],
+                      "width_x": [1.0], "width_xi": [1.0]},
+        }
+        assert cli.main(["commutator", json.dumps(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+
     def test_verify_zero_potential_l1_is_two(self, capsys):
         config = {
             "suite": "l1", "seed": 1,
@@ -460,6 +472,35 @@ class TestSinglePass:
         })
         assert code == 0
         assert calls == {"eigh": 1, "semigroup": len(t_list), "transform": len(t_list)}
+
+    def test_commutator_memory_bounded(self):
+        # the 1-d op of the benchmark over the default times; 168 MB with a dense
+        # phase matrix and a (2n-1)^2 quantization table
+        tracemalloc.start()
+        try:
+            code, doc = run("commutator", {
+                "potential": harmonic_potential_json(),
+                "grid": {"half_width": 10.0, "n_grid": 1024, "dim": 1},
+                "state": {"center_x": [0.6], "center_xi": [0.6],
+                          "width_x": [1.0], "width_xi": [1.0]},
+            })
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(doc["results"]["points"]) == 7
+        assert peak < 128 * 2**20
+
+    def test_antidiagonal_tables_built_once_per_grid(self):
+        from weylfk import oracle
+
+        first = oracle._antidiagonals(64)
+        second = oracle._antidiagonals(64)
+        assert len(first) == 4
+        for table, again in zip(first, second):
+            assert again is table
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
 
     def test_estimate_sweep_samples_one_path_set_per_chunk(self, monkeypatch):
         from weylfk import potentials, symbol_estimator

@@ -70,6 +70,33 @@ class TestQuantization:
         c = state.norm_const  # the (tiny) constant symbol value
         assert np.abs(op - c * np.eye(grid.n_grid)).max() <= 1e-9 * c
 
+    @pytest.mark.parametrize("grid, state", [
+        (Grid(10.0, 128, 1), ([0.6], [0.6], [1.0], [1.0])),
+        (Grid(10.0, 128, 1), ([-1.3], [-2.0], [0.8], [0.7])),
+        (Grid(10.0, 512, 1), ([0.6], [0.6], [1.0], [1.0])),
+        (Grid(10.0, 512, 1), ([-1.3], [-2.0], [0.8], [0.7])),
+        (Grid(4.0, 16, 2), ([0.2, -0.1], [0.1, -0.1], [0.5, 0.5], [0.3, 0.3])),
+    ], ids=["n128-a", "n128-b", "n512-a", "n512-b", "2d-n16"])
+    def test_matches_direct_quadrature(self, grid, state):
+        # reference: the frequency integral at every index difference as one
+        # dense phase matrix, and the (sum, difference) table it fills
+        p = gaussian_state_symbol(grid, *state)
+        n, dx = grid.n_grid, grid.spacing
+        dxi = math.pi / (n * dx)
+        xi_band = (np.arange(2 * n) - n) * dxi
+        half_centers = (np.arange(2 * n - 1) + 1.0) * dx / 2.0 - grid.half_width
+        diffs = np.arange(-(n - 1), n) * dx
+        phases = np.exp(1j * np.outer(xi_band, diffs)) * dxi / (2.0 * math.pi)
+        a = np.arange(n)
+        reference = np.ones((1, 1))
+        for factor in p.axes:
+            M = factor.x_profile(half_centers)[:, None] * (factor.xi_profile(xi_band) @ phases)
+            reference = np.kron(reference, dx * M[a[:, None] + a, a[:, None] - a + (n - 1)])
+        reference *= p.norm_const
+        op = op_weyl_matrix(p)
+        assert op.shape == reference.shape
+        assert np.abs(op - reference).max() <= 1e-15 * np.abs(reference).max()
+
     def test_aliasing_detected(self):
         grid = Grid(10.0, 64, 1)
         with pytest.raises(AliasingError):
@@ -123,6 +150,11 @@ class TestTrace:
         grid, V, oracle, state, op = harmonic_setup
         with pytest.raises(ValueError):
             commutator_trace(oracle, state, [0.0] * 6, 0, [0.1])
+
+    def test_empty_polynomial_rejected(self, harmonic_setup):
+        grid, V, oracle, state, op = harmonic_setup
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            commutator_trace(oracle, state, [], 0, [0.1])
 
     def test_state_on_another_grid_rejected(self, harmonic_setup):
         grid, V, oracle, state, op = harmonic_setup

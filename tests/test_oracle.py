@@ -109,6 +109,17 @@ class TestSemigroup:
         assert eigs.min() > 0.0
         assert eigs.max() <= 1.0 + 1e-8
 
+    @pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
+    def test_subnormal_terms_flushed_bitwise(self, t):
+        # dropping the subnormal entries of Q exp(-t w) leaves every bit of M
+        oracle = GridOracle(harmonic_potential(), Grid(10.0, 1024, 1))
+        w, Q = np.linalg.eigh(build_hamiltonian(harmonic_potential(), oracle.grid))
+        QW = Q * np.exp(-t * w)
+        tiny = np.finfo(float).tiny
+        assert np.count_nonzero((QW != 0.0) & (np.abs(QW) < tiny)) > 0
+        M = QW @ Q.T
+        assert np.array_equal(oracle.semigroup(t).factor, 0.5 * (M + M.T))
+
     def test_nonpositive_time_rejected(self):
         oracle = GridOracle(ZeroPotential([(0,)]), Grid(8.0, 16, 1))
         with pytest.raises(ValueError):
