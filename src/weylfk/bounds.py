@@ -13,6 +13,7 @@ one report builder turns the estimates into margins.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,14 +148,15 @@ def _report(inequality, bound, estimates, extra=None) -> BoundReport:
 
 def _estimate_probes(probes, n_paths, n_steps, variance, n_workers,
                      alpha=ZERO_INDEX, beta=ZERO_INDEX) -> list:
-    """One mixed-derivative estimate per probe (V, point, t, seed), in order."""
-    return [
-        estimate_mixed_derivative(
-            V, point, t, n_paths, n_steps, seed, alpha=alpha, beta=beta,
-            variance=variance, n_workers=n_workers,
-        )
-        for V, point, t, seed in probes
-    ]
+    """One mixed-derivative estimate per probe (V, point, t, seed), in order; the
+    probes run concurrently, one worker each, and each depends only on its probe."""
+    def estimate(probe):
+        V, point, t, seed = probe
+        return estimate_mixed_derivative(V, point, t, n_paths, n_steps, seed,
+                                         alpha=alpha, beta=beta, variance=variance)
+
+    with ThreadPoolExecutor(max_workers=max(1, n_workers)) as pool:
+        return list(pool.map(estimate, probes))
 
 
 def _uniform_point(rng, n_sites, halfwidth) -> PhasePoint:

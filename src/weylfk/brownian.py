@@ -59,7 +59,9 @@ def sample_path_batch(rng, n_paths, t, n_steps, n_sites, variance_scale=DEFAULT_
     This is the sampler the Monte Carlo estimator is built on.  Every path
     vanishes at time zero.  The increments of one path are drawn
     contiguously, so each path depends only on the generator state and its
-    place in the batch.
+    place in the batch, and consecutive calls continue one stream.  The
+    result is a view of site-major storage (each x[..., j] is a contiguous
+    (n_paths, n_steps + 1) block), so callers must not assume C-contiguity.
     """
     if not t > 0.0:
         raise ValueError("t must be positive")
@@ -67,8 +69,9 @@ def sample_path_batch(rng, n_paths, t, n_steps, n_sites, variance_scale=DEFAULT_
         raise ValueError("n_steps must be >= 1")
     sigma2, _ = resolve_variance(variance_scale)
     dt = t / n_steps
-    increments = rng.standard_normal((n_paths, n_steps, n_sites)) * math.sqrt(sigma2 * dt)
-    paths = np.empty((n_paths, n_steps + 1, n_sites))
+    increments = rng.standard_normal((n_paths, n_steps, n_sites))
+    increments *= math.sqrt(sigma2 * dt)
+    paths = np.moveaxis(np.empty((n_sites, n_paths, n_steps + 1)), 0, -1)
     paths[:, 0, :] = 0.0
     np.cumsum(increments, axis=1, out=paths[:, 1:, :])
     return paths

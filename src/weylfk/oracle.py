@@ -195,6 +195,15 @@ def _antidiagonals(n):
     return tables
 
 
+@lru_cache(maxsize=4)
+def _antidiagonal_weight(n, scale):
+    """_antidiagonal_fft's mask, sign (-1)^m and scale, read-only, once per (n, scale)."""
+    _, _, valid, m = _antidiagonals(n)
+    weight = np.where(valid, scale * (-1.0) ** m, 0.0)
+    weight.flags.writeable = False
+    return weight
+
+
 def _antidiagonal_fft(entries, grid: Grid, scale: float, inverse=False) -> np.ndarray:
     """Fourier transform along the antidiagonals through every grid center.
 
@@ -207,21 +216,24 @@ def _antidiagonal_fft(entries, grid: Grid, scale: float, inverse=False) -> np.nd
     first-axis center is done at a time, which bounds the working set.
     """
     n = grid.n_grid
-    plus, minus, valid, m = _antidiagonals(n)
-    weight = np.where(valid, scale * (-1.0) ** m, 0.0)
+    plus, minus, _, _ = _antidiagonals(n)
+    weight = _antidiagonal_weight(n, scale)
     fftn, norm = (np.fft.ifftn, "forward") if inverse else (np.fft.fftn, "backward")
 
     def transform(a):
         return fftn(a, axes=tuple(range(-grid.dim, 0)), norm=norm)
 
     if grid.dim == 1:
-        return transform(weight * entries(plus, minus))
+        values = entries(plus, minus)  # a fresh gather, weighted in place
+        values *= weight
+        return transform(values)
     values = np.empty((n,) * 4, dtype=complex)
     for p in range(n):
         # block axes: (second-axis center, first-axis offset, second-axis offset)
         block = entries(plus[p][:, None] * n + plus[:, None, :],
                         minus[p][:, None] * n + minus[:, None, :])
-        values[p] = transform(block * (weight[p][:, None] * weight[:, None, :]))
+        block *= weight[p][:, None] * weight[:, None, :]
+        values[p] = transform(block)
     return values
 
 

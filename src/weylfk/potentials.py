@@ -237,22 +237,53 @@ def _pair_blocks(pairs) -> list:
     return [(slice(lo + d, hi + d), slice(lo, hi)) for d, lo, hi in runs]
 
 
+def _site_sum(columns, n, shape, lo=0):
+    """Sum of the site columns lo..lo+n-1 in numpy's pairwise order, so bitwise
+    equal to x.sum(axis=-1) for columns(lo, hi) = x[..., lo:hi]: zeros plus,
+    up to 128 terms, 8 strided accumulators as a tree and the rest in turn;
+    above that two halves split at n//2 - (n//2) % 8.  At most 8 columns are
+    asked for at once, as whole rows on site-major paths.
+    """
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return (_site_sum(columns, half, shape, lo)
+                + _site_sum(columns, n - half, shape, lo + half))
+    total = np.zeros(shape)
+    stop = lo + n - n % 8
+    if n >= 8:
+        acc = np.copy(columns(lo, lo + 8), order="K")
+        for i in range(lo + 8, stop, 8):
+            acc += columns(i, i + 8)
+        r = [acc[..., k] for k in range(8)]
+        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    rest = columns(stop, lo + n)
+    for j in range(n % 8):
+        total += rest[..., j]
+    return total
+
+
 def _pair_sum(pair: ScalarFunction, x, blocks):
     """Sum of G(x_j - x_k) + G(x_k - x_j) over the unordered pairs in blocks.
 
-    Terms accumulate elementwise into an array as wide as the longest block, so
-    the working set stays linear in the site count.  An even G is evaluated once
-    per unordered pair and doubled.
+    Column c adds the terms of every block wider than c, in block order, into
+    zeros laid out like x; the site sum asks for a few columns at a time, so
+    the working set is a few rows of x.  An even G is evaluated once per
+    unordered pair and doubled.
     """
+    def columns(lo, hi):
+        acc = np.zeros_like(x[..., lo:hi])
+        for a, b in blocks:
+            width = min(hi, a.stop - a.start) - lo
+            if width > 0:
+                diff = x[..., a][..., lo:lo + width] - x[..., b][..., lo:lo + width]
+                head = acc[..., :width]
+                head += pair.value(diff)
+                if not pair.even:
+                    head += pair.value(-diff)
+        return acc
+
     width = max((b.stop - b.start for _, b in blocks), default=0)
-    acc = np.zeros(x.shape[:-1] + (width,))
-    for a, b in blocks:
-        diff = x[..., a] - x[..., b]
-        head = acc[..., : diff.shape[-1]]
-        head += pair.value(diff)
-        if not pair.even:
-            head += pair.value(-diff)
-    total = acc.sum(axis=-1)
+    total = _site_sum(columns, width, x.shape[:-1])
     return 2.0 * total if pair.even else total
 
 
@@ -405,7 +436,8 @@ class PairPotential(PotentialSpec):
         x = self._as_points(x)
         total = _pair_sum(self.pair, x, self._blocks) + self._constant
         if self.on_site is not None:
-            total += self.on_site.value(x).sum(axis=-1)
+            total += _site_sum(lambda lo, hi: self.on_site.value(x[..., lo:hi]),
+                               self.n_sites, x.shape[:-1])
         return total / self._divisor
 
     def _partial(self, alpha, x):

@@ -14,9 +14,11 @@ potential, so they carry no finite-difference step.
 
 Sampling is split into fixed-size chunks with seeds derived from
 (master seed, chunk index), and partial sums are reduced in chunk order, so
-results are bit-identical for any worker count.  The weight exp(-action)
-does not depend on xi, so a batch of frequencies shares one path set, each
-value bit-identical to its lone call.
+results are bit-identical for any worker count.  A chunk samples and weights
+its paths in site-major sub-batches of SUB_BATCH_POINTS path points that
+continue one stream, bit-identical to weighting the whole chunk at once.  The
+weight exp(-action) does not depend on xi, so a batch of frequencies shares
+one path set, each value bit-identical to its lone call.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .faadibruno import derivative_of_exponential
 from .multiindex import MultiIndex, ZERO_INDEX, sub_multiindices
 
 DEFAULT_CHUNK_SIZE = 4096  # antithetic pairs per chunk
+SUB_BATCH_POINTS = 1 << 13  # path points (paths x time points) weighted at once
 
 
 @dataclass(frozen=True)
@@ -126,15 +129,23 @@ def estimate_mixed_derivative(V, point: PhasePoint, t, n_paths, n_steps, seed, *
     def run_chunk(args):
         index, pairs = args
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-        w = sample_path_batch(rng, pairs, t, n_steps, n_sites, variance)
-        endpoint = w[:, -1, :]
+        endpoint = np.empty((pairs, n_sites))
+        weight_forward, weight_backward = np.empty(pairs), np.empty(pairs)
+        step = max(1, SUB_BATCH_POINTS // (n_steps + 1))
+        for lo in range(0, pairs, step):
+            hi = min(lo + step, pairs)
+            w = sample_path_batch(rng, hi - lo, t, n_steps, n_sites, variance)
+            endpoint[lo:hi] = w[:, -1, :]
+            half = endpoint[lo:hi, None, :] / 2.0
+            path = np.empty_like(w)  # site-major, like w
+            weight_forward[lo:hi] = weight(np.add(x0 - half, w, out=path))
+            weight_backward[lo:hi] = weight(np.subtract(x0 + half, w, out=path))
+            del w, path  # free this sub-batch before the next is sampled
         if beta_total:
             moment = np.prod((-1j * endpoint) ** beta_vec, axis=-1)
             moment_reflected = moment * (-1.0) ** beta_total
         else:
             moment = moment_reflected = np.ones(pairs, dtype=complex)
-        weight_forward = weight((x0 - endpoint / 2.0)[:, None, :] + w)
-        weight_backward = weight((x0 + endpoint / 2.0)[:, None, :] - w)
         # one reduction per frequency over the same paths; the phase of each
         # is its own matrix-vector product, so its bits match a lone call
         sums = []

@@ -541,6 +541,12 @@ _WORKER_INVARIANCE_CONFIGS = {
         "family": {"family": "mean_field", "G": {"name": "lorentzian"}},
         "m": 1, "t": 0.5, "alpha": "0:1", "beta": "1:1",
         "lambda_sizes": [2, 3], "n_paths": 8200, "n_steps": 4}),
+    # one chunk per probe at the default 4096 paths: only the probe pool splits it
+    "mixed-deriv-one-chunk": ("verify", {
+        "suite": "mixed-deriv", "seed": 4,
+        "family": {"family": "mean_field", "G": {"name": "lorentzian"}},
+        "m": 1, "t": 0.5, "alpha": "0:1", "beta": "1:1",
+        "lambda_sizes": [2, 3], "n_steps": 4}),
     "class": ("verify", {
         "suite": "class", "seed": 3,
         "family": {"family": "mean_field", "G": {"name": "gaussian_bump"}},

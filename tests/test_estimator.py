@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -407,3 +408,52 @@ class TestFrequencyBatch:
     def test_bad_batch_rejected(self, xi):
         with pytest.raises(ValueError):
             PhasePoint([0.0, 0.0], xi)
+
+
+_SUB_BATCH_CASES = {
+    "mean_field_16": (lambda: MeanFieldPotential(range(16), lorentzian_function()),
+                      "0:1,1:1", 3),
+    "harmonic_lorentzian_chain_8": (
+        lambda: NearestNeighborPotential(1, [(i,) for i in range(8)], harmonic_function(),
+                                         lorentzian_function()),
+        "0:1", 1),
+}
+
+
+class TestSubBatches:
+    @pytest.mark.parametrize("case", sorted(_SUB_BATCH_CASES))
+    def test_estimate_independent_of_sub_batch_size(self, case, monkeypatch):
+        make, alpha, n_xi = _SUB_BATCH_CASES[case]
+        V = make()
+        rng = np.random.default_rng(8)
+        point = PhasePoint(rng.uniform(-1, 1, V.n_sites),
+                           rng.uniform(-1, 1, (n_xi, V.n_sites)))
+        digests = []
+        # one path per sub-batch at 32 steps, the default, one sub-batch per chunk;
+        # 400 pairs in chunks of 300 and 100
+        for points in (33, symbol_estimator.SUB_BATCH_POINTS, 1 << 30):
+            monkeypatch.setattr(symbol_estimator, "SUB_BATCH_POINTS", points)
+            est = estimate_mixed_derivative(V, point, 0.5, 800, 32, seed=13,
+                                            alpha=V.at_slots(from_text(alpha)),
+                                            chunk_size=300, n_workers=2)
+            digests.append(hashlib.sha256(
+                repr((est.value.tolist(), est.stderr.tolist())).encode()).hexdigest())
+        assert digests[1] == digests[0]
+        assert digests[2] == digests[0]
+
+    def test_chain_256_memory_bounded(self):
+        # 2048 pairs in one chunk: weighting the whole chunk at once peaked at
+        # 180 MB; sub-batches of SUB_BATCH_POINTS path points peak at 40 MB
+        n = 256
+        V = NearestNeighborPotential(1, [(i,) for i in range(n)], harmonic_function(),
+                                     lorentzian_function())
+        rng = np.random.default_rng(2)
+        point = PhasePoint(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
+        tracemalloc.start()
+        try:
+            est = estimate_mixed_derivative(V, point, 0.5, 4096, 8, seed=3, n_workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(est.stderr)
+        assert peak < 48 * 2**20  # the measured peak plus 20%

@@ -24,8 +24,14 @@ from weylfk.potentials import (
     scalar_from_json,
     zero_function,
 )
+from weylfk.potentials import _site_sum
 
 mi = MultiIndex.of
+
+
+def site_major(x):
+    """The same values as x, stored with the last (site) axis outermost."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1)
 
 
 def finite_difference(fn, x, alpha, h=1e-4):
@@ -281,6 +287,31 @@ class TestPairEvaluation:
 
         # linear growth gives about 31/7 from n=8 to n=32; an n^2 tensor gives 16
         assert peak(32) / peak(8) < 8.0
+
+
+class TestSiteSum:
+    def test_bitwise_equal_to_numpy_sum(self):
+        # pins the reduction to numpy's pairwise order, so a numpy that changes
+        # it fails here instead of moving estimator bits silently
+        rng = np.random.default_rng(12)
+        for n in range(301):
+            x = rng.standard_normal((3, 5, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (3, 5, n))
+            ref = x.sum(axis=-1)
+            for a in (x, site_major(x)):
+                total = _site_sum(lambda lo, hi: a[..., lo:hi], n, a.shape[:-1])
+                assert np.array_equal(total, ref), n
+                assert np.array_equal(a, x), n
+
+    @pytest.mark.parametrize("V", [
+        MeanFieldPotential(range(40), lorentzian_function()),
+        NearestNeighborPotential(1, [(i,) for i in range(300)], harmonic_function(),
+                                 lorentzian_function()),
+        NearestNeighborPotential(2, [(i, j) for i in range(12) for j in range(12)],
+                                 gaussian_bump_function(), cosine_function()),
+    ], ids=["mean_field_40", "chain_300", "lattice_144"])
+    def test_eval_bitwise_equal_for_any_layout(self, V):
+        x = np.random.default_rng(V.n_sites).normal(size=(6, 9, V.n_sites))
+        assert np.array_equal(V.eval(site_major(x)), V.eval(x))
 
 
 def partial_indices(sites, ordered_pairs):
