@@ -38,6 +38,7 @@ class VariancePreset(enum.Enum):
 
 
 DEFAULT_PRESET = VariancePreset.GENERATOR_LAPLACIAN
+ENDPOINT_CHUNK = 1 << 16  # paths per chunk of absolute_moment_samples
 
 
 def resolve_variance(variance) -> tuple:
@@ -75,6 +76,24 @@ def sample_path_batch(rng, n_paths, t, n_steps, n_sites, variance_scale=DEFAULT_
     paths[:, 0, :] = 0.0
     np.cumsum(increments, axis=1, out=paths[:, 1:, :])
     return paths
+
+
+def absolute_moment_samples(rng, beta: MultiIndex, n_paths, t, variance_scale=DEFAULT_PRESET):
+    """prod_j |x_j(t)|^(beta_j) at n_paths sampled endpoints (1 where beta is zero).
+
+    The endpoints are those of one-step paths, sampled in chunks so memory
+    stays bounded; consecutive chunks continue one stream.  Each chunk holds
+    at least ENDPOINT_CHUNK paths (the remainder joins the last one): numpy
+    rounds an array power differently on a few thousand elements than on many,
+    and chunks this large keep the samples bitwise equal to one batch.
+    """
+    orders = np.array([order for _, order in beta.entries], dtype=int)
+    samples = np.empty(n_paths)
+    cuts = list(range(ENDPOINT_CHUNK, n_paths - ENDPOINT_CHUNK + 1, ENDPOINT_CHUNK))
+    for lo, hi in zip([0] + cuts, cuts + [n_paths]):
+        paths = sample_path_batch(rng, hi - lo, t, 1, max(len(orders), 1), variance_scale)
+        np.prod(np.abs(paths[:, -1, : len(orders)]) ** orders, axis=1, out=samples[lo:hi])
+    return samples
 
 
 def abs_moment_constant(k: int) -> float:

@@ -39,7 +39,7 @@ from .brownian import (
     VariancePreset,
     abs_moment_constant,
     absolute_moment_product,
-    sample_path_batch,
+    absolute_moment_samples,
 )
 from .commutator import (
     AliasingError,
@@ -450,13 +450,9 @@ def cmd_moments(config, n_workers):
     preset = _preset(config)
     t = config["t"]
     exact = absolute_moment_product(beta, t, preset)
-    sites = beta.support
     rng = np.random.default_rng(np.random.SeedSequence(config["seed"]))
     n = config["n_paths"]
-    paths = sample_path_batch(rng, n, t, 1, max(len(sites), 1), preset)
-    endpoint = paths[:, -1, :]
-    orders = np.array([beta.get(s) for s in sites], dtype=int)
-    samples = np.prod(np.abs(endpoint[:, : len(sites)]) ** orders, axis=1)  # 1 if none
+    samples = absolute_moment_samples(rng, beta, n, t, preset)
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
     results = {
@@ -466,7 +462,8 @@ def cmd_moments(config, n_workers):
         "sample_stderr": stderr,
         "deviation_in_stderr": abs(mean - exact) / stderr if stderr else 0.0,
         "per_order_constants": {
-            str(order): abs_moment_constant(order) for order in sorted(set(orders))
+            str(order): abs_moment_constant(order)
+            for order in sorted({order for _, order in beta.entries})
         },
         "preset": preset.tag,
     }

@@ -26,6 +26,9 @@ from .oracle import (
 )
 
 
+ROW_BAND = 64  # rows per pass over an n^2 array, bounding its temporaries
+
+
 class AliasingError(RuntimeError):
     """The state's symbol does not decay within the frequency grid."""
 
@@ -174,27 +177,35 @@ def commutator_trace(oracle: GridOracle, p: WeylObservable, poly_coeffs,
         raise ValueError("observable polynomial degree is limited to four")
     if not 0 <= site_axis < grid.dim:
         raise ValueError("site_axis out of range")
-    # transposed once, so each time's product reads it in memory order
-    op_transposed = np.ascontiguousarray(op_weyl_matrix(p).T)
+    # transposed once, so each time's trace reads it in memory order; the float
+    # view pairs the real and imaginary parts, so one dot product gives both
+    op_pairs = np.ascontiguousarray(op_weyl_matrix(p).T).view(float).reshape(-1, 2)
     a_vals = np.polynomial.polynomial.polyval(grid.points()[:, site_axis], poly_coeffs)
     dxi = math.pi / (grid.n_grid * grid.spacing)
+    cell = (grid.spacing * dxi / (2.0 * math.pi)) ** grid.dim
+    table = p.table.ravel()
     state_trace = p.trace_quadrature()
 
     def trace_at(t):  # its n^2 arrays are freed before the next time starts
-        S = oracle.semigroup(t).matrix
-        C = a_vals[:, None] * S - S * a_vals[None, :]
-        tr_matrix = complex((C * op_transposed).sum())
+        # C = [A, S] with C_ij = (a_i - a_j) S_ij, formed in the fresh semigroup's
+        # buffer a band of rows at a time
+        C = oracle.semigroup(t).matrix
+        for lo in range(0, len(a_vals), ROW_BAND):
+            band = slice(lo, lo + ROW_BAND)
+            C[band] *= np.subtract.outer(a_vals[band], a_vals)
+        tr_matrix = complex(*(C.ravel() @ op_pairs))
         F = matrix_weyl_symbol(C, grid)
-        tr_symbol = complex(
-            (F.values * p.table).sum()
-            * (grid.spacing * dxi / (2.0 * math.pi)) ** grid.dim
-        )
-        window = np.ix_(*(decay_window(C, grid, t),) * grid.dim)
+        tr_symbol = complex(*(table @ F.values.view(float).reshape(-1, 2))) * cell
+        centers = decay_window(C, grid, t)
+        run = slice(centers[0], centers[-1] + 1)  # the kept centers are contiguous
+        window = F.values[(run,) * grid.dim]
+        sup = max(np.abs(window[lo:lo + ROW_BAND]).max()
+                  for lo in range(0, len(window), ROW_BAND))
         return CommutatorTraceResult(
             t=float(t),
             trace_matrix=tr_matrix.imag,
             trace_symbol=tr_symbol.imag,
-            symbol_sup=float(np.abs(F.values[window]).max()),
+            symbol_sup=float(sup),
             axis_residual=max(abs(tr_matrix.real), abs(tr_symbol.real)),
             state_trace=state_trace,
         )

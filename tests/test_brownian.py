@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from weylfk import brownian
 from weylfk.brownian import (
     VariancePreset,
     abs_moment_constant,
     abs_moment_max,
     absolute_moment_product,
+    absolute_moment_samples,
     resolve_variance,
     sample_path_batch,
 )
@@ -121,6 +123,34 @@ class TestSampledMoments:
                     assert abs(samples.mean() - exact) <= 4.0 * stderr, beta
                     checked += 1
         assert checked == 83
+
+
+class TestChunkedMomentSamples:
+    @pytest.mark.parametrize("n", [10_007, 2 * (1 << 16) + 5, 3 * (1 << 16) - 1])
+    @pytest.mark.parametrize("entries", [{}, {0: 2}, {0: 1, 1: 2, 2: 1}, {1: 3, 4: 1}])
+    def test_bitwise_equal_to_one_batch(self, entries, n):
+        # the one-shot reference: every path from one sample_path_batch call,
+        # reduced at once in its site-major layout
+        beta, t = MultiIndex.of(entries), 0.7
+        assert brownian.ENDPOINT_CHUNK == 1 << 16
+        orders = np.array([order for _, order in beta.entries], dtype=int)
+        paths = sample_path_batch(np.random.default_rng(5), n, t, 1, max(len(orders), 1))
+        reference = np.prod(np.abs(paths[:, -1, : len(orders)]) ** orders, axis=1)
+        samples = absolute_moment_samples(np.random.default_rng(5), beta, n, t)
+        assert samples.tobytes() == reference.tobytes()
+
+    def test_chunks_hold_at_least_the_chunk_size(self, monkeypatch):
+        sizes = []
+        sample = brownian.sample_path_batch
+
+        def recorded(rng, n_paths, *args):
+            sizes.append(n_paths)
+            return sample(rng, n_paths, *args)
+
+        monkeypatch.setattr(brownian, "sample_path_batch", recorded)
+        absolute_moment_samples(np.random.default_rng(5), MultiIndex.of({0: 1}),
+                                3 * (1 << 16) - 1, 0.7)
+        assert sizes == [1 << 16, 2 * (1 << 16) - 1]
 
 
 class TestPresets:

@@ -410,7 +410,8 @@ class TestSinglePass:
         })
         assert code == 0
         assert doc["results"]["n_centers"] > 0
-        assert calls == {"eigh": 1, "semigroup": 1, "transform": 1}
+        # one eigh per symmetry block: inversion and site exchange give four
+        assert calls == {"eigh": 4, "semigroup": 1, "transform": 1}
 
     def test_separable_oracle_2d_decomposes_one_axis(self, calls, monkeypatch):
         from weylfk import commutator, oracle
@@ -474,8 +475,10 @@ class TestSinglePass:
         assert calls == {"eigh": 1, "semigroup": len(t_list), "transform": len(t_list)}
 
     def test_commutator_memory_bounded(self):
-        # the 1-d op of the benchmark over the default times; 168 MB with a dense
-        # phase matrix and a (2n-1)^2 quantization table
+        # the 1-d op of the benchmark over the default times, with cold table
+        # caches: 97.9 MiB measured (113.8 with the window's symbol copied out
+        # whole and the transform's complex copy; 168 MB with a dense phase
+        # matrix and a (2n-1)^2 quantization table); the bound is that + 20%
         tracemalloc.start()
         try:
             code, doc = run("commutator", {
@@ -489,7 +492,7 @@ class TestSinglePass:
             tracemalloc.stop()
         assert code == 0
         assert len(doc["results"]["points"]) == 7
-        assert peak < 128 * 2**20
+        assert peak < 118 * 2**20
 
     def test_antidiagonal_tables_built_once_per_grid(self):
         from weylfk import oracle

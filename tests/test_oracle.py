@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from itertools import product
 
@@ -26,6 +27,7 @@ from weylfk.potentials import (
     PairPotential,
     ScalarFunction,
     ZeroPotential,
+    cosine_function,
     gaussian_bump_function,
     harmonic_function,
     lorentzian_function,
@@ -109,16 +111,16 @@ class TestSemigroup:
         assert eigs.min() > 0.0
         assert eigs.max() <= 1.0 + 1e-8
 
-    @pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("t", [0.2, 0.5, 1.0])
     def test_subnormal_terms_flushed_bitwise(self, t):
-        # dropping the subnormal entries of Q exp(-t w) leaves every bit of M
+        # dropping the subnormal entries of B = Q exp(-t w / 2), and the columns
+        # left all zero, leaves every bit of M = B B^T (B has none at t = 0.1)
         oracle = GridOracle(harmonic_potential(), Grid(10.0, 1024, 1))
         w, Q = np.linalg.eigh(build_hamiltonian(harmonic_potential(), oracle.grid))
-        QW = Q * np.exp(-t * w)
+        B = Q * np.exp(-0.5 * t * w)
         tiny = np.finfo(float).tiny
-        assert np.count_nonzero((QW != 0.0) & (np.abs(QW) < tiny)) > 0
-        M = QW @ Q.T
-        assert np.array_equal(oracle.semigroup(t).factor, 0.5 * (M + M.T))
+        assert np.count_nonzero((B != 0.0) & (np.abs(B) < tiny)) > 0
+        assert np.array_equal(oracle.semigroup(t).factor, B @ B.T)
 
     def test_nonpositive_time_rejected(self):
         oracle = GridOracle(ZeroPotential([(0,)]), Grid(8.0, 16, 1))
@@ -469,8 +471,8 @@ SEPARABLE = {
 def dense_semigroup(V, grid, t):
     """exp(-tH) from one eigendecomposition of the full n^2 x n^2 Hamiltonian."""
     w, Q = np.linalg.eigh(build_hamiltonian(V, grid))
-    M = (Q * np.exp(-t * w)) @ Q.T
-    return 0.5 * (M + M.T)
+    B = Q * np.exp(-0.5 * t * w)
+    return B @ B.T
 
 
 @pytest.fixture
@@ -534,14 +536,13 @@ class TestSeparable:
                 assert tab.max_imag == pytest.approx(np.abs(ref.imag).max(), abs=1e-13)
         assert outcomes == {True, False}
 
-    @pytest.mark.parametrize("case", ["coupled", "custom"])
+    @pytest.mark.parametrize("case", ["custom"])
     def test_coupled_and_custom_stay_dense(self, case, eigh_shapes):
+        # a coupled custom potential with neither inversion nor exchange symmetry;
+        # symmetric coupled potentials are covered by TestSymmetryBlocks
         n = 16
-        if case == "coupled":
-            oracle = coupled_oracle(n)
-        else:
-            V = CustomPotential([0, 1], lambda x: x[..., 0] ** 2 + x[..., 1] ** 2)
-            oracle = GridOracle(V, Grid(4.5, n, 2))
+        V = CustomPotential([0, 1], lambda x: (x[..., 0] + 2.0 * x[..., 1] + 1.0) ** 2)
+        oracle = GridOracle(V, Grid(4.5, n, 2))
         assert eigh_shapes == [(n * n, n * n)]
         S = oracle.semigroup(0.25)
         assert np.array_equal(S.matrix, dense_semigroup(oracle.potential, oracle.grid, 0.25))
@@ -559,3 +560,90 @@ class TestSeparable:
             GridOracle(ZeroPotential([(0,), (1,)]), Grid(6.0, 16, 1))
         with pytest.raises(ValueError, match="sites"):
             GridOracle(ZeroPotential([(0,)]), Grid(6.0, 16, 2))
+
+
+# Coupled 2-site potentials invariant under inversion (x1, x2) -> (-x1, -x2)
+# and site exchange: the oracle decomposes H on the orbit basis of those
+# symmetries, one eigh per character, against one dense n^2 x n^2 eigh.
+
+SYMMETRIC = {
+    "nn-harmonic-lorentzian": lambda: NearestNeighborPotential(
+        1, [(0,), (1,)], harmonic_function(), lorentzian_function()),
+    "nn-bump-lorentzian": lambda: NearestNeighborPotential(
+        1, [(0,), (1,)], gaussian_bump_function(), lorentzian_function(2.0, 2.0)),
+    "nn-cosine-bump": lambda: NearestNeighborPotential(
+        1, [(0,), (1,)], cosine_function(), gaussian_bump_function()),
+    "mean-field-lorentzian": lambda: MeanFieldPotential([0, 1], lorentzian_function()),
+}
+
+ONE_SYMMETRY = {  # (potential, block sizes at n = 16)
+    "inversion-only": (lambda: CustomPotential(
+        [0, 1], lambda x: x[..., 0] ** 2 + 2.0 * x[..., 1] ** 2), [128, 128]),
+    "exchange-only": (lambda: CustomPotential(
+        [0, 1], lambda x: (x[..., 0] + x[..., 1] + 1.0) ** 2), [136, 120]),
+}
+
+
+def _decay_report(err):
+    """(kernel mass, named center) of a DecayError message, or (message, ()) if
+    it names no center."""
+    found = re.search(r"kernel mass (\S+) .* center x=\((.*)\) exceeds", str(err))
+    if found is None:
+        return str(err), ()
+    mass, center = found.groups()
+    return mass, tuple(float(x) for x in center.split(", "))
+
+
+class TestSymmetryBlocks:
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("case", sorted(SYMMETRIC))
+    def test_blocks_match_dense(self, case, n, eigh_shapes):
+        V, grid = SYMMETRIC[case](), Grid(6.0, n, 2)
+        oracle = GridOracle(V, grid)
+        # (n^2 - 2n)/4 orbits of 4 points, n/2 on the diagonal and n/2 on the
+        # antidiagonal of 2 points each; the characters (inversion, exchange) =
+        # (+, +), (-, +), (+, -), (-, -) keep all, the diagonal ones, none, and
+        # the antidiagonal ones of the latter: 272, 256, 240, 256 at n = 32
+        generic = (n * n - 2 * n) // 4
+        sizes = [generic + n, generic + n // 2, generic, generic + n // 2]
+        assert eigh_shapes == [(m, m) for m in sizes]
+        assert sum(sizes) == n * n
+        outcomes = set()
+        for t in (0.05, 0.25, 2.0):
+            S = oracle.semigroup(t)
+            assert not S.separable
+            dense = GridSemigroup(grid, t, dense_semigroup(V, grid, t))
+            assert np.abs(S.matrix - dense.matrix).max() <= 1e-13
+            assert np.array_equal(S.matrix, S.matrix.T)
+            for region in ("auto", 1.5, 3.0, 6.0):
+                try:
+                    centers = decay_window(dense.matrix, grid, t, region)
+                except DecayError as err:
+                    outcomes.add(True)
+                    with pytest.raises(DecayError) as raised:
+                        oracle.symbol(t, region=region, semigroup=S)
+                    # M is exactly symmetric, so a tie between mirror-image
+                    # centers may break the other way than in the dense matrix
+                    mass, center = _decay_report(err)
+                    got_mass, got = _decay_report(raised.value)
+                    assert got_mass == mass
+                    assert got in {center, center[::-1], tuple(-x for x in center),
+                                   tuple(-x for x in center[::-1])}
+                    continue
+                outcomes.add(False)
+                tab = oracle.symbol(t, region=region, semigroup=S)
+                assert all(np.array_equal(c, centers) for c in tab.center_indices)
+                ref = dense.full_table.values[np.ix_(centers, centers)]
+                assert np.abs(tab.values - ref.real).max() <= 1e-13
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("case", sorted(ONE_SYMMETRY))
+    def test_one_symmetry_gives_two_blocks(self, case, eigh_shapes):
+        make, sizes = ONE_SYMMETRY[case]
+        V, grid = make(), Grid(4.5, 16, 2)
+        oracle = GridOracle(V, grid)
+        assert eigh_shapes == [(m, m) for m in sizes]
+        for t in (0.05, 0.25):
+            S = oracle.semigroup(t)
+            assert np.abs(S.matrix - dense_semigroup(V, grid, t)).max() <= 1e-13
+            assert np.array_equal(S.matrix, S.matrix.T)
