@@ -2,7 +2,8 @@
 
 Paths vanish at time zero and accumulate independent Gaussian increments on a
 uniform time grid.  The per-unit-time coordinate variance is an explicit
-parameter with two named presets; see :class:`VariancePreset`.
+parameter with two named presets; see :class:`VariancePreset`.  Loops over
+batches hand the sampler two buffers as ``out`` and reuse them, bit for bit.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ def resolve_variance(variance) -> tuple:
     return scale, f"sigma2={scale:g}"
 
 
-def sample_path_batch(rng, n_paths, t, n_steps, n_sites, variance_scale=DEFAULT_PRESET):
+def sample_path_batch(rng, n_paths, t, n_steps, n_sites, variance_scale=DEFAULT_PRESET,
+                      out=None):
     """Sample a batch of paths; returns shape (n_paths, n_steps + 1, n_sites).
 
     This is the sampler the Monte Carlo estimator is built on.  Every path
@@ -63,6 +65,10 @@ def sample_path_batch(rng, n_paths, t, n_steps, n_sites, variance_scale=DEFAULT_
     place in the batch, and consecutive calls continue one stream.  The
     result is a view of site-major storage (each x[..., j] is a contiguous
     (n_paths, n_steps + 1) block), so callers must not assume C-contiguity.
+    out, a pair of flat float buffers of at least n_paths * (n_steps + 1) *
+    n_sites elements, takes the paths in a prefix of the first (the result
+    views it) and the normals in the second, scratch afterwards; the paths
+    are bitwise equal to the allocating call's.
     """
     if not t > 0.0:
         raise ValueError("t must be positive")
@@ -70,9 +76,12 @@ def sample_path_batch(rng, n_paths, t, n_steps, n_sites, variance_scale=DEFAULT_
         raise ValueError("n_steps must be >= 1")
     sigma2, _ = resolve_variance(variance_scale)
     dt = t / n_steps
-    increments = rng.standard_normal((n_paths, n_steps, n_sites))
+    size = n_paths * (n_steps + 1) * n_sites
+    storage, scratch = np.empty((2, size)) if out is None else out
+    increments = scratch[: n_paths * n_steps * n_sites].reshape(n_paths, n_steps, n_sites)
+    rng.standard_normal(out=increments)
     increments *= math.sqrt(sigma2 * dt)
-    paths = np.moveaxis(np.empty((n_sites, n_paths, n_steps + 1)), 0, -1)
+    paths = np.moveaxis(storage[:size].reshape(n_sites, n_paths, n_steps + 1), 0, -1)
     paths[:, 0, :] = 0.0
     np.cumsum(increments, axis=1, out=paths[:, 1:, :])
     return paths
@@ -81,19 +90,30 @@ def sample_path_batch(rng, n_paths, t, n_steps, n_sites, variance_scale=DEFAULT_
 def absolute_moment_samples(rng, beta: MultiIndex, n_paths, t, variance_scale=DEFAULT_PRESET):
     """prod_j |x_j(t)|^(beta_j) at n_paths sampled endpoints (1 where beta is zero).
 
-    The endpoints are those of one-step paths, sampled in chunks so memory
-    stays bounded; consecutive chunks continue one stream.  Each chunk holds
-    at least ENDPOINT_CHUNK paths (the remainder joins the last one): numpy
-    rounds an array power differently on a few thousand elements than on many,
-    and chunks this large keep the samples bitwise equal to one batch.
+    The endpoints are those of one-step paths, sampled in chunks into one
+    pair of buffers so memory stays bounded; consecutive chunks continue one
+    stream.  Each chunk holds at least ENDPOINT_CHUNK paths (the remainder
+    joins the last one): numpy rounds an array power differently on a few
+    thousand elements than on many, and chunks this large keep the samples
+    bitwise equal to one batch.
     """
     orders = np.array([order for _, order in beta.entries], dtype=int)
+    n_sites = max(len(orders), 1)
     samples = np.empty(n_paths)
     cuts = list(range(ENDPOINT_CHUNK, n_paths - ENDPOINT_CHUNK + 1, ENDPOINT_CHUNK))
-    for lo, hi in zip([0] + cuts, cuts + [n_paths]):
-        paths = sample_path_batch(rng, hi - lo, t, 1, max(len(orders), 1), variance_scale)
+    chunks = list(zip([0] + cuts, cuts + [n_paths]))
+    buffers = np.empty((2, 2 * n_sites * (chunks[-1][1] - chunks[-1][0])))  # the largest
+    for lo, hi in chunks:
+        paths = sample_path_batch(rng, hi - lo, t, 1, n_sites, variance_scale, buffers)
         np.prod(np.abs(paths[:, -1, : len(orders)]) ** orders, axis=1, out=samples[lo:hi])
     return samples
+
+
+def absolute_moment_estimate(rng, beta: MultiIndex, n_paths, t, variance_scale=DEFAULT_PRESET):
+    """Mean of absolute_moment_samples and its standard error (inf for one path)."""
+    samples = absolute_moment_samples(rng, beta, n_paths, t, variance_scale)
+    stderr = float(samples.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else math.inf
+    return float(samples.mean()), stderr
 
 
 def abs_moment_constant(k: int) -> float:

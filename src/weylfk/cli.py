@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import copy
 import datetime
+import functools
 import json
 import math
 import os
@@ -38,8 +39,8 @@ from .bounds import (
 from .brownian import (
     VariancePreset,
     abs_moment_constant,
+    absolute_moment_estimate,
     absolute_moment_product,
-    absolute_moment_samples,
 )
 from .commutator import (
     AliasingError,
@@ -369,12 +370,18 @@ def load_config(text_or_path: str) -> dict:
     return config
 
 
-def validate_config(subcommand: str, config: dict) -> dict:
+@functools.cache
+def _validator(subcommand: str):
+    """The subcommand's schema validator, built on first use; the schemas
+    themselves are checked against the metaschema by the test suite."""
     schema = SCHEMAS[subcommand]
-    resolved = apply_defaults(schema, config)
-    try:
-        jsonschema.validate(resolved, schema)
-    except jsonschema.ValidationError as err:
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+def validate_config(subcommand: str, config: dict) -> dict:
+    resolved = apply_defaults(SCHEMAS[subcommand], config)
+    err = jsonschema.exceptions.best_match(_validator(subcommand).iter_errors(resolved))
+    if err is not None:
         field = err.json_path if err.json_path != "$" else "$ (top level)"
         raise ConfigError(f"invalid config at {field}: {err.message}") from err
     return resolved
@@ -451,10 +458,7 @@ def cmd_moments(config, n_workers):
     t = config["t"]
     exact = absolute_moment_product(beta, t, preset)
     rng = np.random.default_rng(np.random.SeedSequence(config["seed"]))
-    n = config["n_paths"]
-    samples = absolute_moment_samples(rng, beta, n, t, preset)
-    mean = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
+    mean, stderr = absolute_moment_estimate(rng, beta, config["n_paths"], t, preset)
     results = {
         "beta": beta.to_text(),
         "exact": exact,

@@ -35,17 +35,26 @@ class ScalarFunction:
     sup_fn(k) returns a valid upper bound for sup |f^(k)|, or None when no
     finite certified bound is available at that order.  even declares
     f(-y) == f(y), which lets pair potentials evaluate each unordered pair once.
+    in_place declares that deriv_fn takes a third argument out, None or an
+    array (possibly y), and may write the derivative there instead of anew.
     """
 
     name: str
     deriv_fn: Callable
     sup_fn: Callable
     even: bool = False
+    in_place: bool = False
 
-    def derivative(self, k: int, y):
+    def derivative(self, k: int, y, out=None):
+        """f^(k)(y); with out, written into out (which may be y) and bitwise equal."""
         if k < 0:
             raise ValueError("derivative order must be >= 0")
-        return self.deriv_fn(k, np.asarray(y, dtype=float))
+        y = np.asarray(y, dtype=float)
+        value = self.deriv_fn(k, y, out) if self.in_place else self.deriv_fn(k, y)
+        if out is None or value is out:
+            return value
+        np.copyto(out, value)
+        return out
 
     def value(self, y):
         return self.derivative(0, y)
@@ -151,11 +160,12 @@ def lorentzian_function(amplitude=1.0, width=1.0) -> ScalarFunction:
     """a/(1+(y/w)^2); derivatives from the partial-fraction form over y +- i*w."""
     a, w = _validate_amp_width(amplitude, width)
 
-    def deriv(k, y):
+    def deriv(k, y, out=None):
         if k == 0:
-            # real closed form, in place on one fresh array
-            v = np.divide(y, w, out=np.empty_like(y))
-            v *= v
+            # real closed form, in place on one array; y / 1.0 is y exactly
+            v = np.empty_like(y) if out is None else out
+            u = y if w == 1.0 else np.divide(y, w, out=v)
+            np.multiply(u, u, out=v)
             v += 1.0
             return np.divide(a, v, out=v)
         # d^k/du^k 1/(1+u^2) = (-1)^(k+1) k! Im((u-i)^(k+1)) / (1+u^2)^(k+1), whose
@@ -179,7 +189,7 @@ def lorentzian_function(amplitude=1.0, width=1.0) -> ScalarFunction:
         # |(u+i)^(-k-1)| <= 1 on the real line
         return a * w ** (-k) * math.factorial(k)
 
-    return ScalarFunction("lorentzian", deriv, sup, even=True)
+    return ScalarFunction("lorentzian", deriv, sup, even=True, in_place=True)
 
 
 def cosine_function(amplitude=1.0, width=1.0) -> ScalarFunction:
@@ -266,23 +276,27 @@ def _pair_sum(pair: ScalarFunction, x, blocks):
     """Sum of G(x_j - x_k) + G(x_k - x_j) over the unordered pairs in blocks.
 
     Column c adds the terms of every block wider than c, in block order, into
-    zeros laid out like x; the site sum asks for a few columns at a time, so
-    the working set is a few rows of x.  An even G is evaluated once per
-    unordered pair and doubled.
+    zeros; the site sum asks for at most 8 columns at a time, so one site-major
+    8-column accumulator and one difference buffer, in which G is evaluated,
+    serve the call.  An even G is evaluated once per unordered pair and doubled.
     """
-    def columns(lo, hi):
-        acc = np.zeros_like(x[..., lo:hi])
-        for a, b in blocks:
-            width = min(hi, a.stop - a.start) - lo
-            if width > 0:
-                diff = x[..., a][..., lo:lo + width] - x[..., b][..., lo:lo + width]
-                head = acc[..., :width]
-                head += pair.value(diff)
-                if not pair.even:
-                    head += pair.value(-diff)
-        return acc
-
     width = max((b.stop - b.start for _, b in blocks), default=0)
+    acc, diff = np.moveaxis(np.empty((2, min(width, 8)) + x.shape[:-1]), 1, -1)
+
+    def columns(lo, hi):
+        out = acc[..., :hi - lo]
+        out.fill(0.0)
+        for a, b in blocks:
+            n = min(hi, a.stop - a.start) - lo
+            if n > 0:
+                xa, xb, d = x[..., a][..., lo:lo + n], x[..., b][..., lo:lo + n], diff[..., :n]
+                head = out[..., :n]
+                head += pair.derivative(0, np.subtract(xa, xb, out=d), out=d)
+                if not pair.even:
+                    np.negative(np.subtract(xa, xb, out=d), out=d)
+                    head += pair.derivative(0, d, out=d)
+        return out
+
     total = _site_sum(columns, width, x.shape[:-1])
     return 2.0 * total if pair.even else total
 

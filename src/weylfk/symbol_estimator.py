@@ -16,7 +16,8 @@ Sampling is split into fixed-size chunks with seeds derived from
 (master seed, chunk index), and partial sums are reduced in chunk order, so
 results are bit-identical for any worker count.  A chunk samples and weights
 its paths in site-major sub-batches of SUB_BATCH_POINTS path points that
-continue one stream, bit-identical to weighting the whole chunk at once.  The
+continue one stream, bit-identical to weighting the whole chunk at once, in
+two path buffers the chunk owns (a ragged last one in their prefixes).  The
 weight exp(-action) does not depend on xi, so a batch of frequencies shares
 one path set, each value bit-identical to its lone call.
 """
@@ -132,15 +133,16 @@ def estimate_mixed_derivative(V, point: PhasePoint, t, n_paths, n_steps, seed, *
         endpoint = np.empty((pairs, n_sites))
         weight_forward, weight_backward = np.empty(pairs), np.empty(pairs)
         step = max(1, SUB_BATCH_POINTS // (n_steps + 1))
+        # w in the first, the shifted paths in the second (the normals before them)
+        buffers = np.empty((2, min(step, pairs) * (n_steps + 1) * n_sites))
         for lo in range(0, pairs, step):
             hi = min(lo + step, pairs)
-            w = sample_path_batch(rng, hi - lo, t, n_steps, n_sites, variance)
+            w = sample_path_batch(rng, hi - lo, t, n_steps, n_sites, variance, buffers)
             endpoint[lo:hi] = w[:, -1, :]
             half = endpoint[lo:hi, None, :] / 2.0
-            path = np.empty_like(w)  # site-major, like w
+            path = np.ndarray(w.shape, buffer=buffers[1], strides=w.strides)  # like w
             weight_forward[lo:hi] = weight(np.add(x0 - half, w, out=path))
             weight_backward[lo:hi] = weight(np.subtract(x0 + half, w, out=path))
-            del w, path  # free this sub-batch before the next is sampled
         if beta_total:
             moment = np.prod((-1j * endpoint) ** beta_vec, axis=-1)
             moment_reflected = moment * (-1.0) ** beta_total

@@ -8,6 +8,7 @@ from weylfk.brownian import (
     VariancePreset,
     abs_moment_constant,
     abs_moment_max,
+    absolute_moment_estimate,
     absolute_moment_product,
     absolute_moment_samples,
     resolve_variance,
@@ -98,6 +99,22 @@ class TestSampling:
         assert var == pytest.approx(t, rel=0.05)
 
 
+class TestSamplerBuffers:
+    def test_out_bitwise_equal_to_allocating_call(self):
+        n_paths, n_steps, n_sites, t = 5, 7, 3, 0.6
+        rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+        # buffers larger than one batch needs, as a chunk's are for its ragged
+        # last sub-batch; two calls on one generator continue one stream
+        buffers = np.full((2, 2 * n_paths * (n_steps + 1) * n_sites), np.nan)
+        for _ in range(2):
+            ref = sample_path_batch(rng_a, n_paths, t, n_steps, n_sites)
+            got = sample_path_batch(rng_b, n_paths, t, n_steps, n_sites, out=buffers)
+            assert np.shares_memory(got, buffers[0])
+            assert not np.shares_memory(got, buffers[1])
+            assert got.shape == ref.shape and got.strides == ref.strides
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
 class TestSampledMoments:
     def test_moment_products_match_sampled_means(self):
         # every multi-order up to total order six on at most three sites
@@ -152,6 +169,36 @@ class TestChunkedMomentSamples:
                                 3 * (1 << 16) - 1, 0.7)
         assert sizes == [1 << 16, 2 * (1 << 16) - 1]
 
+
+    def test_chunks_share_one_pair_of_buffers(self, monkeypatch):
+        buffers = []
+        sample = brownian.sample_path_batch
+
+        def recorded(rng, n_paths, *args):
+            buffers.append(args[-1])
+            return sample(rng, n_paths, *args)
+
+        monkeypatch.setattr(brownian, "sample_path_batch", recorded)
+        absolute_moment_samples(np.random.default_rng(5), MultiIndex.of({0: 1, 1: 2}),
+                                3 * (1 << 16) - 1, 0.7)
+        assert len(buffers) == 2 and buffers[0] is buffers[1]
+        # sized for the last (largest) chunk of one-step paths over two sites
+        assert buffers[0].shape == (2, (2 * (1 << 16) - 1) * 2 * 2)
+
+
+class TestMomentEstimate:
+    @pytest.mark.parametrize("n", [2, 10_007, 2 * (1 << 16) + 5])
+    def test_mean_and_stderr_of_the_samples(self, n):
+        beta, t = MultiIndex.of({0: 2, 1: 1}), 0.5
+        samples = absolute_moment_samples(np.random.default_rng(9), beta, n, t)
+        mean, stderr = absolute_moment_estimate(np.random.default_rng(9), beta, n, t)
+        assert mean == float(samples.mean())
+        assert stderr == float(samples.std(ddof=1) / math.sqrt(n))
+
+    def test_single_path_has_infinite_stderr(self):
+        _, stderr = absolute_moment_estimate(np.random.default_rng(1),
+                                             MultiIndex.of({0: 1}), 1, 0.5)
+        assert stderr == math.inf
 
 class TestPresets:
     def test_tags(self):

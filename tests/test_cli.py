@@ -76,17 +76,42 @@ class TestConfigHandling:
         ("moments", {"beta": "0:2", "t": 1.0, "seed": 3, "n_paths": 2000}),
     ])
     def test_validated_once_per_run(self, subcommand, config, monkeypatch):
+        # every validation through the cached validator's class is recorded,
+        # so a metaschema check per run would show up as a second schema
         schemas = []
-        validate = jsonschema.validate
+        validator = type(cli._validator(subcommand))
+        iter_errors = validator.iter_errors
 
-        def recorded(instance, schema, *args, **kwargs):
-            schemas.append(schema)
-            return validate(instance, schema, *args, **kwargs)
+        def recorded(self, instance, *args, **kwargs):
+            schemas.append(self.schema)
+            return iter_errors(self, instance, *args, **kwargs)
 
-        monkeypatch.setattr(jsonschema, "validate", recorded)
+        monkeypatch.setattr(validator, "iter_errors", recorded)
         code, _ = run(subcommand, config)
         assert code == 0
         assert schemas == [cli.SCHEMAS[subcommand]]
+
+    @pytest.mark.parametrize("subcommand,config", [
+        ("moments", {"beta": "0:2", "t": 1.0, "seed": 0, "bogus": 1}),
+        ("moments", {"beta": "0:2", "t": -1.0, "seed": 0, "n_paths": 1}),
+        ("estimate", {"potential": {"variant": "zero", "sites": [0]}, "x": [0.0]}),
+        ("oracle", {"potential": {"variant": "nope", "sites": [0]}, "t": "0.5",
+                    "grid": {"n_grid": 8}}),
+    ])
+    def test_error_message_as_from_jsonschema_validate(self, subcommand, config):
+        resolved = cli.apply_defaults(cli.SCHEMAS[subcommand], config)
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(resolved, cli.SCHEMAS[subcommand])
+        err = expected.value
+        field = err.json_path if err.json_path != "$" else "$ (top level)"
+        with pytest.raises(cli.ConfigError) as got:
+            cli.validate_config(subcommand, config)
+        assert str(got.value) == f"invalid config at {field}: {err.message}"
+
+    @pytest.mark.parametrize("subcommand", sorted(cli.SCHEMAS))
+    def test_schema_is_valid_under_its_metaschema(self, subcommand):
+        schema = cli.SCHEMAS[subcommand]
+        type(cli._validator(subcommand)).check_schema(schema)
 
     @pytest.mark.parametrize("subcommand", sorted(cli.SCHEMAS))
     def test_schema_defaults_validate(self, subcommand):

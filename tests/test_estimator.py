@@ -154,8 +154,9 @@ class TestEstimateProperties:
             estimate_mixed_derivative(V, p, 1.0, 4, 0, seed=0)
 
 
-def reference_sampler(rng, n_paths, t, n_steps, n_sites, variance_scale):
-    """Paths written out directly: scaled normals in (path, step, site) order, summed."""
+def reference_sampler(rng, n_paths, t, n_steps, n_sites, variance_scale, out=None):
+    """Paths written out directly: scaled normals in (path, step, site) order, summed;
+    out is ignored, so the estimator must use the returned paths."""
     sigma2, _ = resolve_variance(variance_scale)
     increments = rng.standard_normal((n_paths, n_steps, n_sites)) * math.sqrt(
         sigma2 * (t / n_steps))
@@ -429,17 +430,36 @@ class TestSubBatches:
         point = PhasePoint(rng.uniform(-1, 1, V.n_sites),
                            rng.uniform(-1, 1, (n_xi, V.n_sites)))
         digests = []
-        # one path per sub-batch at 32 steps, the default, one sub-batch per chunk;
-        # 400 pairs in chunks of 300 and 100
-        for points in (33, symbol_estimator.SUB_BATCH_POINTS, 1 << 30):
+        # 400 pairs in chunks of 300 and 100, at 32 steps: one pair per sub-batch;
+        # 7, so both chunks end on a ragged sub-batch (6 and 2 pairs) held in a
+        # prefix of the chunk's buffers; the default; one sub-batch per chunk
+        for points in (33, 7 * 33, symbol_estimator.SUB_BATCH_POINTS, 1 << 30):
             monkeypatch.setattr(symbol_estimator, "SUB_BATCH_POINTS", points)
             est = estimate_mixed_derivative(V, point, 0.5, 800, 32, seed=13,
                                             alpha=V.at_slots(from_text(alpha)),
                                             chunk_size=300, n_workers=2)
             digests.append(hashlib.sha256(
                 repr((est.value.tolist(), est.stderr.tolist())).encode()).hexdigest())
-        assert digests[1] == digests[0]
-        assert digests[2] == digests[0]
+        assert len(set(digests)) == 1
+
+    def test_sub_batches_reuse_the_chunk_buffers(self, monkeypatch):
+        buffers = []
+        sample = symbol_estimator.sample_path_batch
+
+        def recorded(*args):
+            buffers.append(args[-1])
+            return sample(*args)
+
+        monkeypatch.setattr(symbol_estimator, "sample_path_batch", recorded)
+        monkeypatch.setattr(symbol_estimator, "SUB_BATCH_POINTS", 7 * 9)
+        V = MeanFieldPotential(range(3), lorentzian_function())
+        estimate_mixed_derivative(V, PhasePoint(np.zeros(3), np.ones(3)), 0.5, 200, 8,
+                                  seed=1, chunk_size=50, n_workers=1)
+        # two chunks of 50 pairs, each in sub-batches of 7 pairs (the last of 1)
+        assert len(buffers) == 16
+        for chunk in (buffers[:8], buffers[8:]):
+            assert all(b is chunk[0] for b in chunk)
+            assert chunk[0].shape == (2, 7 * 9 * 3)
 
     def test_chain_256_memory_bounded(self):
         # 2048 pairs in one chunk: weighting the whole chunk at once peaked at

@@ -24,7 +24,7 @@ from weylfk.potentials import (
     scalar_from_json,
     zero_function,
 )
-from weylfk.potentials import _site_sum
+from weylfk.potentials import _pair_blocks, _pair_sum, _site_sum
 
 mi = MultiIndex.of
 
@@ -312,6 +312,59 @@ class TestSiteSum:
     def test_eval_bitwise_equal_for_any_layout(self, V):
         x = np.random.default_rng(V.n_sites).normal(size=(6, 9, V.n_sites))
         assert np.array_equal(V.eval(site_major(x)), V.eval(x))
+
+
+
+def signed_function():
+    """Not even, and tells -0.0 from +0.0, so G(x_k - x_j) and its negation
+    must be evaluated at the exact bits of both differences."""
+    return ScalarFunction(
+        "signed", lambda k, y: np.exp(0.3 * y) + np.copysign(0.25, y), lambda k: None
+    )
+
+
+def per_pair_reference(G, x, pairs):
+    """G(x_k - x_j) and G at its negation, pair by pair in order of k - j, added
+    into column j; numpy then sums the columns that hold a pair.  For chains
+    and mean fields in site order this is the order _pair_sum adds in."""
+    cols = np.zeros(x.shape)
+    for j, k in sorted(pairs, key=lambda p: p[1] - p[0]):
+        diff = x[..., k] - x[..., j]
+        cols[..., j] += G.value(diff)
+        cols[..., j] += G.value(-diff)
+    return cols[..., :max(j for j, _ in pairs) + 1].sum(axis=-1)
+
+
+class TestInPlaceEvaluation:
+    @pytest.mark.parametrize("f", BUILTIN_SCALARS + [lorentzian_function(1.3),
+                                                     exp_like_function()],
+                             ids=lambda f: f"{f.name}-{f.in_place}")
+    @pytest.mark.parametrize("k", range(5))
+    def test_derivative_into_out_bitwise_equal(self, f, k):
+        y = np.random.default_rng(k).normal(scale=3.0, size=(4, 3, 6))
+        ref = f.derivative(k, y)
+        for layout in (np.copy, site_major):
+            out = layout(np.full_like(y, np.nan))
+            same = layout(y)
+            assert f.derivative(k, layout(y), out=out) is out
+            assert f.derivative(k, same, out=same) is same
+            for got in (out, same):
+                assert np.ascontiguousarray(got).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("pairs", [
+        [(j, j + 1) for j in range(31)],
+        [(j, j + 1) for j in range(139)],
+        list(itertools.combinations(range(16), 2)),
+    ], ids=["chain_32", "chain_140", "mean_field_16"])
+    def test_pair_sum_bitwise_equal_to_per_pair_reference(self, pairs):
+        n = pairs[-1][1] + 1
+        x = np.random.default_rng(n).normal(size=(6, 9, n))
+        x[..., 3] = x[..., 4]  # zero differences, where the sign of zero matters
+        G = signed_function()
+        ref = per_pair_reference(G, x, pairs)
+        for layout in (np.copy, site_major):
+            total = _pair_sum(G, layout(x), _pair_blocks(pairs))
+            assert total.tobytes() == ref.tobytes()
 
 
 def partial_indices(sites, ordered_pairs):
