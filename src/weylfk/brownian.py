@@ -83,7 +83,10 @@ def sample_path_batch(rng, n_paths, t, n_steps, n_sites, variance_scale=DEFAULT_
     increments *= math.sqrt(sigma2 * dt)
     paths = np.moveaxis(storage[:size].reshape(n_sites, n_paths, n_steps + 1), 0, -1)
     paths[:, 0, :] = 0.0
-    np.cumsum(increments, axis=1, out=paths[:, 1:, :])
+    if n_steps == 1:  # a cumsum over one step is a copy, at a tenth of its cost
+        np.copyto(paths[:, 1:, :], increments)
+    else:
+        np.cumsum(increments, axis=1, out=paths[:, 1:, :])
     return paths
 
 

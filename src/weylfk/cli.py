@@ -55,6 +55,7 @@ from .oracle import (
     Grid,
     GridOracle,
     SupportError,
+    gaussian_test_functions,
     pairing_check,
 )
 from .potentials import family_from_json, potential_from_json
@@ -481,9 +482,7 @@ def cmd_oracle(config, n_workers):
     t = config["t"]
     S = oracle.semigroup(t)
     table = oracle.symbol(t, region=config["region"], semigroup=S)
-    # normalized Gaussian test functions for the pairing identity, one factor per axis
-    f, g = (np.exp(-0.5 * (grid.axis() - center) ** 2) for center in (0.0, 0.3))
-    f, g = (h / math.sqrt((h**2).sum() * grid.spacing) for h in (f, g))
+    f, g = gaussian_test_functions(grid)
     residual = pairing_check(S, (f,) * grid.dim, (g,) * grid.dim)
     results = {
         "t": t,

@@ -13,20 +13,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .oracle import (
+    ROW_BAND,
     Grid,
     GridOracle,
     SupportError,
     decay_window,
-    matrix_weyl_symbol,
+    matrix_symbol_bands,
 )
-
-
-ROW_BAND = 64  # rows per pass over an n^2 array, bounding its temporaries
 
 
 class AliasingError(RuntimeError):
@@ -115,13 +114,22 @@ def op_weyl_matrix(p: WeylObservable, aliasing_tol=1e-10) -> np.ndarray:
     symbol to decay within the table band; for admissible symbols the matrix
     trace then equals the quadrature of p, which is one by construction.
     """
+    return _quantize(p, aliasing_tol)
+
+
+def _quantize(p: WeylObservable, aliasing_tol=1e-10, transposed=False) -> np.ndarray:
+    """:func:`op_weyl_matrix`, or its transpose, bitwise equal to transposing it.
+
+    Per axis the kernel is dx p_x((x_i + x_j) / 2) times the frequency
+    quadrature at i - j: a Hankel times a Toeplitz matrix, read as strided
+    views of their 1-d profiles, so the transpose only reverses a view.
+    """
     grid = p.grid
     n = grid.n_grid
     dx = grid.spacing
     dxi = math.pi / (n * dx)
     xi_table = grid.xi_axis()
     xi_band = (np.arange(2 * n) - n) * dxi  # covers +-pi/spacing
-    a = np.arange(n)
     blocks = []
     for factor in p.axes:
         pxi_table = factor.xi_profile(xi_table)
@@ -135,11 +143,14 @@ def op_weyl_matrix(p: WeylObservable, aliasing_tol=1e-10) -> np.ndarray:
         # index difference is one length-2n inverse DFT, read at (i - j) mod 2n
         pxi = np.fft.ifftshift(factor.xi_profile(xi_band))
         quad = np.fft.ifft(pxi, norm="forward") * (dxi / (2.0 * math.pi))
-        blocks.append(dx * px[a[:, None] + a] * quad[a[:, None] - a])
-    out = blocks[0]
-    for block in blocks[1:]:
-        out = np.kron(out, block)
-    return p.norm_const * out
+        diffs = np.concatenate((quad[n + 1:], quad[:n]))  # at i - j = 1 - n, ..., n - 1
+        toeplitz = sliding_window_view(diffs, n)[::-1]  # [i, j] at j - i
+        block = np.multiply(dx, sliding_window_view(px, n), out=np.empty((n, n), complex))
+        block *= toeplitz if transposed else toeplitz.T
+        blocks.append(block)
+    out = reduce(np.kron, blocks)
+    out *= p.norm_const
+    return out
 
 
 @dataclass(frozen=True)
@@ -165,7 +176,11 @@ def commutator_trace(oracle: GridOracle, p: WeylObservable, poly_coeffs,
     A is the multiplication operator by a polynomial (degree at most four) of
     the coordinate along ``site_axis``.  The state is quantized once and the
     oracle's spectral factors serve every time; returns one
-    :class:`CommutatorTraceResult` per entry of ``times``.
+    :class:`CommutatorTraceResult` per entry of ``times``.  Each time's
+    commutator is transformed once, and its symbol is reduced as it streams
+    in bands of centers (:func:`matrix_symbol_bands`): each band adds its share
+    of the symbol-route trace and of the sup over the checked window, so no
+    symbol table is formed.
     """
     grid = oracle.grid
     if p.grid != grid:
@@ -177,13 +192,13 @@ def commutator_trace(oracle: GridOracle, p: WeylObservable, poly_coeffs,
         raise ValueError("observable polynomial degree is limited to four")
     if not 0 <= site_axis < grid.dim:
         raise ValueError("site_axis out of range")
-    # transposed once, so each time's trace reads it in memory order; the float
+    # transposed, so each time's trace reads it in memory order; the float
     # view pairs the real and imaginary parts, so one dot product gives both
-    op_pairs = np.ascontiguousarray(op_weyl_matrix(p).T).view(float).reshape(-1, 2)
+    op_pairs = _quantize(p, transposed=True).view(float).reshape(-1, 2)
     a_vals = np.polynomial.polynomial.polyval(grid.points()[:, site_axis], poly_coeffs)
     dxi = math.pi / (grid.n_grid * grid.spacing)
     cell = (grid.spacing * dxi / (2.0 * math.pi)) ** grid.dim
-    table = p.table.ravel()
+    table = p.table
     state_trace = p.trace_quadrature()
 
     def trace_at(t):  # its n^2 arrays are freed before the next time starts
@@ -194,13 +209,16 @@ def commutator_trace(oracle: GridOracle, p: WeylObservable, poly_coeffs,
             band = slice(lo, lo + ROW_BAND)
             C[band] *= np.subtract.outer(a_vals[band], a_vals)
         tr_matrix = complex(*(C.ravel() @ op_pairs))
-        F = matrix_weyl_symbol(C, grid)
-        tr_symbol = complex(*(table @ F.values.view(float).reshape(-1, 2))) * cell
         centers = decay_window(C, grid, t)
-        run = slice(centers[0], centers[-1] + 1)  # the kept centers are contiguous
-        window = F.values[(run,) * grid.dim]
-        sup = max(np.abs(window[lo:lo + ROW_BAND]).max()
-                  for lo in range(0, len(window), ROW_BAND))
+        first, stop = centers[0], centers[-1] + 1  # the kept centers are contiguous
+        symbol, sup = np.zeros(2), 0.0
+        for lo, values in matrix_symbol_bands(C, grid):
+            symbol += table[lo:lo + len(values)].ravel() @ values.view(float).reshape(-1, 2)
+            rows = slice(max(first - lo, 0), max(stop - lo, 0))
+            window = values[(rows,) + (slice(first, stop),) * (grid.dim - 1)]
+            if window.size:
+                sup = max(sup, np.abs(window).max())
+        tr_symbol = complex(*symbol) * cell
         return CommutatorTraceResult(
             t=float(t),
             trace_matrix=tr_matrix.imag,

@@ -24,7 +24,11 @@ falling outside the matrix are zero-padded.  Each transform covers the full
 window of centers, which trace and pairing identities use as it is, because
 the padding cancels between their two sides; where symbol accuracy is
 claimed, a window of centers is cut from it and a decay check converts the
-truncation into a hard error.
+truncation into a hard error.  The transform streams bands of centers
+(ROW_BAND centers in 1-d, one first-axis center in 2-d), bitwise equal to
+transforming every center at once: a table is filled from the bands, and a
+consumer that only reduces the symbol, as the commutator traces do, reads
+the bands and never holds the table.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import numpy as np
 from .potentials import PotentialSpec
 
 ORACLE_VARIANCE = 2.0  # the grid realizes the full-Laplacian convention
+ROW_BAND = 64  # centers per 1-d transform band, and rows per pass over an n^2 array
 DECAY_TOL = 1e-12  # kernel mass, relative to its peak, allowed at a truncation edge
 SUPPORT_TOL = 1e-10  # grid-function mass, relative to its peak, allowed on the boundary
 
@@ -99,27 +104,38 @@ class Grid:
 
 
 def build_hamiltonian(V: PotentialSpec, grid: Grid) -> np.ndarray:
-    """Second-order central-difference Laplacian (Dirichlet) plus diagonal potential."""
+    """Second-order central-difference Laplacian (Dirichlet) plus diagonal potential.
+
+    In 2-d the five-point stencil is written onto the diagonals of one zeroed
+    array, equal in value to the Kronecker sum of two 1-d Laplacians.
+    """
     if V.n_sites != grid.dim:
         raise ValueError(
             f"potential has {V.n_sites} sites but the grid dimension is {grid.dim}"
         )
     n = grid.n_grid
     dx2 = grid.spacing**2
-    lap = (
-        np.diag(np.full(n, 2.0))
-        - np.diag(np.ones(n - 1), 1)
-        - np.diag(np.ones(n - 1), -1)
-    ) / dx2
     values = V.eval(grid.points())
     if np.any(values < -1e-12):
         raise ValueError("potential takes negative values on the grid")
     if grid.dim == 1:
+        lap = (
+            np.diag(np.full(n, 2.0))
+            - np.diag(np.ones(n - 1), 1)
+            - np.diag(np.ones(n - 1), -1)
+        ) / dx2
         return lap + np.diag(values)
-    eye = np.eye(n)
-    H = np.kron(lap, eye)
-    H += np.kron(eye, lap)
-    H[np.diag_indices_from(H)] += values
+    N = n * n
+    on, off = 2.0 / dx2, -1.0 / dx2  # the 1-d Laplacian's entries
+    H = np.zeros((N, N))
+    flat = H.reshape(-1)
+    flat[:: N + 1] = (on + on) + values
+    flat[n : (N - n) * N : N + 1] = off  # first-axis neighbors, flat offsets +-n
+    flat[n * N :: N + 1] = off
+    for start in (1, N):  # second-axis neighbors, offsets +-1 within a first-axis row
+        along = flat[start : start + (N - 1) * (N + 1) : N + 1]
+        along[:] = off
+        along[n - 1 :: n] = 0.0
     return H
 
 
@@ -190,9 +206,11 @@ def _antidiagonals(n):
 
     Returns the pairs clipped onto the grid, the mask of pairs really on it,
     and the offsets, built once per grid size as read-only arrays; row c
-    belongs to center c, so a window of centers is a row slice.
+    belongs to center c, so a window of centers is a row slice.  The 2-d
+    transform and the 2-d and separable decay checks read them; 1-d reads
+    none of them.
     """
-    m = np.fft.ifftshift(np.arange(n) - n // 2)  # 0, 1, ..., n/2 - 1, -n/2, ..., -1
+    m = _offsets(n)
     centers = np.arange(n)[:, None]
     plus = centers + m
     minus = centers - m
@@ -203,10 +221,17 @@ def _antidiagonals(n):
     return tables
 
 
+def _offsets(n):
+    return np.fft.ifftshift(np.arange(n) - n // 2)  # 0, 1, ..., n/2 - 1, -n/2, ..., -1
+
+
 @lru_cache(maxsize=4)
 def _antidiagonal_weight(n, scale):
-    """_antidiagonal_fft's mask, sign (-1)^m and scale, read-only, once per (n, scale)."""
-    _, _, valid, m = _antidiagonals(n)
+    """Per (center, offset m): the mask of pairs on the grid (|m| at most the
+    center's distance to the edge), sign (-1)^m and scale; read-only, once per (n, scale)."""
+    m = _offsets(n)
+    centers = np.arange(n)[:, None]
+    valid = np.abs(m) <= np.minimum(centers, n - 1 - centers)
     weight = np.where(valid, scale * (-1.0) ** m, 0.0)
     weight.flags.writeable = False
     return weight
@@ -214,50 +239,83 @@ def _antidiagonal_weight(n, scale):
 
 @lru_cache(maxsize=4)
 def _antidiagonal_flat(n):
-    """Flat indices plus * n + minus of the pairs of :func:`_antidiagonals`, read-only."""
-    plus, minus, _, _ = _antidiagonals(n)
-    flat = plus * n + minus
+    """1-d flat indices plus * n + minus of the pairs (center + m, center - m),
+    each clipped onto the grid, read-only, once per n."""
+    m = _offsets(n)
+    centers = np.arange(n)[:, None]
+    flat, minus = centers + m, centers - m
+    for index in (flat, minus):
+        np.clip(index, 0, n - 1, out=index)
+    flat *= n
+    flat += minus
     flat.flags.writeable = False
     return flat
 
 
-def _antidiagonal_fft(entries, grid: Grid, scale: float, inverse=False) -> np.ndarray:
-    """Fourier transform along the antidiagonals through every grid center.
+def _antidiagonal_bands(gather, grid: Grid, scale: float, inverse=False):
+    """Fourier transform along the antidiagonals through the grid centers, a band at a time.
 
-    ``entries(plus, minus)`` returns the kernel at the flat grid indices
-    center + m and center - m.  One weight per axis folds in the mask that
-    zero-pads pairs off the grid, the sign (-1)^m that centers the frequency
-    axis, and the scale, so no shifted copies are made.  The forward
-    transform is unnormalized; ``inverse`` conjugates the phases, also
-    unnormalized.  Returns shape (*centers, *frequencies).  In 2-d one
-    first-axis center is done at a time, which bounds the working set.
+    ``gather(flat)`` returns the kernel at the flat indices plus * N + minus
+    of the point pairs center + m, center - m, clipped onto the grid.  One
+    weight per axis folds in the mask that zero-pads pairs off the grid, the
+    sign (-1)^m that centers the frequency axis, and the scale, so no shifted
+    copies are made.  The forward transform is unnormalized; ``inverse``
+    conjugates the phases, also unnormalized.
+
+    Yields (first center, values) per band, values of shape (centers in the
+    band, *other center axes, *frequencies).  In 1-d a band is ROW_BAND
+    centers, weighted and transformed in place in one reused buffer, which
+    the next band overwrites; in 2-d it is one first-axis center.
     """
-    n = grid.n_grid
-    plus, minus, _, _ = _antidiagonals(n)
+    n, N = grid.n_grid, grid.n_points
     weight = _antidiagonal_weight(n, scale)
     fftn, norm = (np.fft.ifftn, "forward") if inverse else (np.fft.fftn, "backward")
-
-    def transform(a):
-        return fftn(a, axes=tuple(range(-grid.dim, 0)), norm=norm)
-
     if grid.dim == 1:
-        # the weighted gather is written into one complex buffer, transformed in place
-        values = np.multiply(entries(plus, minus), weight, out=np.empty((n, n), dtype=complex))
-        return fftn(values, axes=(-1,), norm=norm, out=values)
-    values = np.empty((n,) * 4, dtype=complex)
+        flat = _antidiagonal_flat(n)
+        buffer = np.empty((min(ROW_BAND, n), n), dtype=complex)
+        for lo in range(0, n, ROW_BAND):
+            rows = slice(lo, min(lo + ROW_BAND, n))
+            values = buffer[: rows.stop - lo]
+            np.multiply(gather(flat[rows]), weight[rows], out=values)
+            yield lo, fftn(values, axes=(-1,), norm=norm, out=values)
+        return
+    plus, minus, _, _ = _antidiagonals(n)
     for p in range(n):
         # block axes: (second-axis center, first-axis offset, second-axis offset)
-        block = entries(plus[p][:, None] * n + plus[:, None, :],
-                        minus[p][:, None] * n + minus[:, None, :])
+        block = gather((plus[p][:, None] * n + plus[:, None, :]) * N
+                       + minus[p][:, None] * n + minus[:, None, :])
         block *= weight[p][:, None] * weight[:, None, :]
-        values[p] = transform(block)
-    return values
+        yield p, fftn(block, axes=(-2, -1), norm=norm)[None]
 
 
-def _full_window_table(grid: Grid, values: np.ndarray) -> PhaseSpaceTable:
+def _antidiagonal_table(bands, grid: Grid) -> PhaseSpaceTable:
+    """The full-window table of a stream of transformed bands."""
+    values = np.empty((grid.n_grid,) * 2 * grid.dim, dtype=complex)
+    for lo, band in bands:
+        values[lo:lo + len(band)] = band
     dim = grid.dim
     return PhaseSpaceTable(grid, None, (np.arange(grid.n_grid),) * dim,
                            (grid.axis(),) * dim, (grid.xi_axis(),) * dim, values)
+
+
+def matrix_symbol_bands(matrix: np.ndarray, grid: Grid):
+    """The complex symbol of a kernel matrix, streamed in bands of centers.
+
+    Yields what :func:`_antidiagonal_bands` yields: in 1-d the values of
+    ROW_BAND centers in a buffer that the next band reuses, in 2-d those of
+    one first-axis center.  The kernel is gathered with a ``take`` at flat
+    indices into one reused buffer, faster than matrix[plus, minus] (1.3x at
+    n = 1024 in 1-d, 2x in 2-d).
+    """
+    if matrix.shape != (grid.n_points, grid.n_points):
+        raise ValueError("matrix does not match the grid")
+    n = grid.n_grid
+    buffer = np.empty(min(ROW_BAND, n) * n if grid.dim == 1 else n**3, dtype=matrix.dtype)
+
+    def gather(flat):
+        return matrix.take(flat, out=buffer[: flat.size].reshape(flat.shape), mode="clip")
+
+    return _antidiagonal_bands(gather, grid, 2.0)
 
 
 def matrix_weyl_symbol(matrix: np.ndarray, grid: Grid) -> PhaseSpaceTable:
@@ -266,17 +324,7 @@ def matrix_weyl_symbol(matrix: np.ndarray, grid: Grid) -> PhaseSpaceTable:
     Values are complex; :meth:`GridOracle.symbol` takes the real part on a
     decay-checked window.
     """
-    if matrix.shape != (grid.n_points, grid.n_points):
-        raise ValueError("matrix does not match the grid")
-    # a take at flat indices gathers faster than matrix[plus, minus] (1.3x at
-    # n = 1024 in 1-d, 2x in 2-d); in 1-d the flat index is cached with the pairs
-    N = grid.n_points
-    if grid.dim == 1:
-        flat = _antidiagonal_flat(N)
-        values = _antidiagonal_fft(lambda plus, minus: matrix.take(flat), grid, 2.0)
-    else:
-        values = _antidiagonal_fft(lambda plus, minus: matrix.take(plus * N + minus), grid, 2.0)
-    return _full_window_table(grid, values)
+    return _antidiagonal_table(matrix_symbol_bands(matrix, grid), grid)
 
 
 def default_margin(t: float, spacing: float) -> float:
@@ -419,9 +467,21 @@ def wigner(f, g, grid: Grid) -> PhaseSpaceTable:
     _check_support(f, grid)
     _check_support(g, grid)
     g_conj = np.conj(g)
-    values = _antidiagonal_fft(lambda plus, minus: f[minus] * g_conj[plus], grid,
-                               grid.spacing / math.pi, inverse=True)
-    return _full_window_table(grid, values)
+
+    def gather(flat):
+        plus, minus = np.divmod(flat, grid.n_points)
+        return f[minus] * g_conj[plus]
+
+    bands = _antidiagonal_bands(gather, grid, grid.spacing / math.pi, inverse=True)
+    return _antidiagonal_table(bands, grid)
+
+
+def gaussian_test_functions(grid: Grid):
+    """The pair f, g of unit-norm Gaussians exp(-(x - c)^2 / 2), c = 0 and 0.3,
+    on the grid axis, against which the ``oracle`` command checks the pairing
+    identity (one factor per axis)."""
+    f, g = (np.exp(-0.5 * (grid.axis() - center) ** 2) for center in (0.0, 0.3))
+    return tuple(h / math.sqrt((h**2).sum() * grid.spacing) for h in (f, g))
 
 
 def pairing_check(S: GridSemigroup, f, g) -> float:
@@ -506,19 +566,35 @@ def _symmetry_blocks(H, generators):
     return blocks, chi, element * reps.size + orbit
 
 
-def _gram(w, Q, t):
+def _spectrum(w, Q):
+    """eigh factors, with each column's largest and smallest |Q| for :func:`_gram`."""
+    magnitude = np.abs(Q)
+    return w, Q, (magnitude.max(axis=0), magnitude.min(axis=0))
+
+
+def _gram(w, Q, extent, t):
     """Q exp(-tw) Q^T as B B^T with B = Q exp(-tw/2).
 
     numpy runs B @ B.T as a symmetric rank-k update, half the flops of a
     general product, and the result is exactly symmetric.  Subnormal entries
-    of B (each below 2.3e-308) slow the product several-fold and are flushed;
-    the eigenvalues ascend, so the columns that vanish entirely trail and are
-    dropped.
+    of B (each below 2.3e-308) slow the product several-fold and are flushed.
+    Rounding is monotone, so a column's largest (smallest) |B| is its largest
+    (smallest) |Q|, from ``extent``, times its scale: the columns that vanish
+    entirely and those with nothing to flush are known before B is formed.
+    The eigenvalues ascend, so the vanished columns trail and B is formed
+    without them; the flush scans only the columns from the first that has
+    an entry to flush.
     """
-    B = Q * np.exp(-0.5 * t * w)
-    B[np.abs(B) < np.finfo(float).tiny] = 0.0
-    live = np.flatnonzero(B.any(axis=0))
-    B = B[:, : live[-1] + 1 if live.size else 0]
+    tiny = np.finfo(float).tiny
+    largest, smallest = extent
+    scale = np.exp(-0.5 * t * w)
+    live = np.flatnonzero(largest * scale >= tiny)
+    k = live[-1] + 1 if live.size else 0
+    B = Q[:, :k] * scale[:k]
+    flushed = np.flatnonzero(smallest[:k] * scale[:k] < tiny)
+    if flushed.size:
+        tail = B[:, flushed[0]:]
+        tail[np.abs(tail) < tiny] = 0.0
     return B @ B.T
 
 
@@ -543,7 +619,7 @@ class GridOracle:
         generators = (_symmetries(H.diagonal(), grid.n_grid)
                       if grid.dim == 2 and not self._separable else [])
         if not generators:
-            self._spectra, self._slots = [np.linalg.eigh(H)], None
+            self._spectra, self._slots = [_spectrum(*np.linalg.eigh(H))], None
             return
         blocks, self._characters, self._slots = _symmetry_blocks(H, generators)
         del H  # n^4 entries, not needed by the block eighs
@@ -551,7 +627,7 @@ class GridOracle:
         for block, kept, weight in blocks:
             w, U = np.linalg.eigh(block)
             U *= weight[:, None]  # so that each block's B B^T carries the orbit weights
-            self._spectra.append((w, U))
+            self._spectra.append(_spectrum(w, U))
             self._kept.append(kept)
 
     def semigroup(self, t: float) -> GridSemigroup:
@@ -566,13 +642,13 @@ class GridOracle:
         if not t > 0.0:
             raise ValueError("t must be positive")
         if self._slots is None:
-            (w, Q), = self._spectra
-            return GridSemigroup(self.grid, float(t), _gram(w, Q, t), self._separable)
+            (spectrum,) = self._spectra
+            return GridSemigroup(self.grid, float(t), _gram(*spectrum, t), self._separable)
         n_orbits = self._kept[0].size  # the trivial character keeps every orbit
         products = []
-        for (w, U), kept in zip(self._spectra, self._kept):
+        for (w, U, extent), kept in zip(self._spectra, self._kept):
             K = np.zeros((n_orbits, n_orbits))
-            K[np.ix_(kept, kept)] = _gram(w, U, t)
+            K[np.ix_(kept, kept)] = _gram(w, U, extent, t)
             products.append(K)
         sums = [sum(x * K for x, K in zip(signs, products)) for signs in self._characters.T]
         tiles = np.block([[sums[g ^ h] for h in range(len(sums))] for g in range(len(sums))])

@@ -31,7 +31,8 @@ class MissingSupBoundError(ValueError):
 class ScalarFunction:
     """Smooth scalar function with vectorized derivatives and certified sup-norms.
 
-    deriv_fn(k, y) returns the k-th derivative at y (any array shape);
+    deriv_fn(k, y) returns the k-th derivative at y (any array shape) as a new
+    array, which its caller may overwrite;
     sup_fn(k) returns a valid upper bound for sup |f^(k)|, or None when no
     finite certified bound is available at that order.  even declares
     f(-y) == f(y), which lets pair potentials evaluate each unordered pair once.
@@ -247,21 +248,23 @@ def _pair_blocks(pairs) -> list:
     return [(slice(lo + d, hi + d), slice(lo, hi)) for d, lo, hi in runs]
 
 
-def _site_sum(columns, n, shape, lo=0):
+def _site_sum(columns, start, n, shape, lo=0):
     """Sum of the site columns lo..lo+n-1 in numpy's pairwise order, so bitwise
     equal to x.sum(axis=-1) for columns(lo, hi) = x[..., lo:hi]: zeros plus,
     up to 128 terms, 8 strided accumulators as a tree and the rest in turn;
     above that two halves split at n//2 - (n//2) % 8.  At most 8 columns are
-    asked for at once, as whole rows on site-major paths.
+    asked for at once, as whole rows on site-major paths.  The accumulators
+    start as start(lo, lo + 8), the same columns in an array that the sum
+    may overwrite.
     """
     if n > 128:
         half = n // 2 - (n // 2) % 8
-        return (_site_sum(columns, half, shape, lo)
-                + _site_sum(columns, n - half, shape, lo + half))
+        return (_site_sum(columns, start, half, shape, lo)
+                + _site_sum(columns, start, n - half, shape, lo + half))
     total = np.zeros(shape)
     stop = lo + n - n % 8
     if n >= 8:
-        acc = np.copy(columns(lo, lo + 8), order="K")
+        acc = start(lo, lo + 8)
         for i in range(lo + 8, stop, 8):
             acc += columns(i, i + 8)
         r = [acc[..., k] for k in range(8)]
@@ -277,14 +280,16 @@ def _pair_sum(pair: ScalarFunction, x, blocks):
 
     Column c adds the terms of every block wider than c, in block order, into
     zeros; the site sum asks for at most 8 columns at a time, so one site-major
-    8-column accumulator and one difference buffer, in which G is evaluated,
-    serve the call.  An even G is evaluated once per unordered pair and doubled.
+    array of three 8-column rows serves the call: the site sum's accumulators,
+    which take its first columns directly, the columns asked for next, and the
+    difference buffer in which G is evaluated.  An even G is evaluated once
+    per unordered pair and doubled.
     """
     width = max((b.stop - b.start for _, b in blocks), default=0)
-    acc, diff = np.moveaxis(np.empty((2, min(width, 8)) + x.shape[:-1]), 1, -1)
+    first, acc, diff = np.moveaxis(np.empty((3, min(width, 8)) + x.shape[:-1]), 1, -1)
 
-    def columns(lo, hi):
-        out = acc[..., :hi - lo]
+    def columns(lo, hi, out=None):
+        out = acc[..., :hi - lo] if out is None else out
         out.fill(0.0)
         for a, b in blocks:
             n = min(hi, a.stop - a.start) - lo
@@ -297,7 +302,7 @@ def _pair_sum(pair: ScalarFunction, x, blocks):
                     head += pair.derivative(0, d, out=d)
         return out
 
-    total = _site_sum(columns, width, x.shape[:-1])
+    total = _site_sum(columns, lambda lo, hi: columns(lo, hi, first), width, x.shape[:-1])
     return 2.0 * total if pair.even else total
 
 
@@ -450,8 +455,8 @@ class PairPotential(PotentialSpec):
         x = self._as_points(x)
         total = _pair_sum(self.pair, x, self._blocks) + self._constant
         if self.on_site is not None:
-            total += _site_sum(lambda lo, hi: self.on_site.value(x[..., lo:hi]),
-                               self.n_sites, x.shape[:-1])
+            values = lambda lo, hi: self.on_site.value(x[..., lo:hi])  # new arrays
+            total += _site_sum(values, values, self.n_sites, x.shape[:-1])
         return total / self._divisor
 
     def _partial(self, alpha, x):

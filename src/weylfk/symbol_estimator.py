@@ -141,8 +141,13 @@ def estimate_mixed_derivative(V, point: PhasePoint, t, n_paths, n_steps, seed, *
             endpoint[lo:hi] = w[:, -1, :]
             half = endpoint[lo:hi, None, :] / 2.0
             path = np.ndarray(w.shape, buffer=buffers[1], strides=w.strides)  # like w
-            weight_forward[lo:hi] = weight(np.add(x0 - half, w, out=path))
-            weight_backward[lo:hi] = weight(np.subtract(x0 + half, w, out=path))
+            # the shifts are formed on site-major views, so that each inner
+            # loop runs along one path's time points
+            sites = [np.moveaxis(a, -1, 0) for a in (w, path)]
+            np.add(np.moveaxis(x0 - half, -1, 0), sites[0], out=sites[1])
+            weight_forward[lo:hi] = weight(path)
+            np.subtract(np.moveaxis(x0 + half, -1, 0), sites[0], out=sites[1])
+            weight_backward[lo:hi] = weight(path)
         if beta_total:
             moment = np.prod((-1j * endpoint) ** beta_vec, axis=-1)
             moment_reflected = moment * (-1.0) ** beta_total

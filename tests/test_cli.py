@@ -420,10 +420,12 @@ class TestSinglePass:
         monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
         monkeypatch.setattr(oracle.GridOracle, "semigroup",
                             counted("semigroup", oracle.GridOracle.semigroup))
-        transform = counted("transform", oracle.matrix_weyl_symbol)
+        # one call of the band transform is one pass over a kernel's antidiagonals,
+        # whether a table is filled from it or the commutator reduces it
+        transform = counted("transform", oracle.matrix_symbol_bands)
         for module in (oracle, commutator, cli):  # every module binding of the name
-            if hasattr(module, "matrix_weyl_symbol"):
-                monkeypatch.setattr(module, "matrix_weyl_symbol", transform)
+            if hasattr(module, "matrix_symbol_bands"):
+                monkeypatch.setattr(module, "matrix_symbol_bands", transform)
         return calls
 
     def test_oracle_2d(self, calls):
@@ -501,9 +503,10 @@ class TestSinglePass:
 
     def test_commutator_memory_bounded(self):
         # the 1-d op of the benchmark over the default times, with cold table
-        # caches: 97.9 MiB measured (113.8 with the window's symbol copied out
-        # whole and the transform's complex copy; 168 MB with a dense phase
-        # matrix and a (2n-1)^2 quantization table); the bound is that + 20%
+        # caches: 65.5 MiB measured with the symbol reduced band by band (97.9
+        # with a full complex table, the cached 2-d index tables and a transposed
+        # copy of the state; 168 MB with a dense phase matrix and a (2n-1)^2
+        # quantization table); the bound is that + 20%
         tracemalloc.start()
         try:
             code, doc = run("commutator", {
@@ -517,7 +520,7 @@ class TestSinglePass:
             tracemalloc.stop()
         assert code == 0
         assert len(doc["results"]["points"]) == 7
-        assert peak < 118 * 2**20
+        assert peak < 79 * 2**20
 
     def test_antidiagonal_tables_built_once_per_grid(self):
         from weylfk import oracle

@@ -10,11 +10,20 @@ from weylfk.commutator import (
     op_weyl_matrix,
     scaling_fit,
 )
-from weylfk.oracle import Grid, GridOracle, GridSemigroup, SupportError, build_hamiltonian
+from weylfk.oracle import (
+    Grid,
+    GridOracle,
+    GridSemigroup,
+    SupportError,
+    build_hamiltonian,
+    decay_window,
+    matrix_weyl_symbol,
+)
 from weylfk.potentials import (
     NearestNeighborPotential,
     ZeroPotential,
     harmonic_function,
+    lorentzian_function,
     zero_function,
 )
 
@@ -188,6 +197,58 @@ class TestTrace:
             assert got.trace_matrix == pytest.approx(ref.trace_matrix, abs=1e-12)
             assert got.trace_symbol == pytest.approx(ref.trace_symbol, abs=1e-12)
             assert got.symbol_sup == pytest.approx(ref.symbol_sup, abs=1e-12)
+
+
+def full_table_traces(oracle, state, poly, site_axis, t):
+    """Both traces and the window sup from the commutator's whole symbol table."""
+    grid = oracle.grid
+    a = np.polynomial.polynomial.polyval(grid.points()[:, site_axis], poly)
+    C = oracle.semigroup(t).matrix * np.subtract.outer(a, a)
+    F = matrix_weyl_symbol(C, grid).values
+    cell = grid.cell_volume * grid.xi_cell_volume / (2.0 * math.pi) ** grid.dim
+    centers = decay_window(C, grid, t)
+    window = F[np.ix_(*(centers,) * grid.dim)]
+    return ((C * op_weyl_matrix(state).T).sum().imag, ((state.table * F).sum() * cell).imag,
+            np.abs(window).max())
+
+
+class TestStreamedReduction:
+    @pytest.mark.parametrize("poly", [[0.0, 1.0], [0.5, -1.0, 0.25, 0.1]])
+    def test_1d_matches_full_table(self, harmonic_setup, poly):
+        grid, V, oracle, state, op = harmonic_setup
+        times = [0.01, 0.1, 1.0]
+        for r, t in zip(commutator_trace(oracle, state, poly, 0, times), times):
+            tr_matrix, tr_symbol, sup = full_table_traces(oracle, state, poly, 0, t)
+            assert r.trace_matrix == pytest.approx(tr_matrix, rel=1e-14)
+            assert r.trace_symbol == pytest.approx(tr_symbol, rel=1e-14)
+            assert r.symbol_sup == sup
+
+    @pytest.mark.parametrize("site_axis", [0, 1])
+    def test_2d_matches_full_table(self, site_axis):
+        grid = Grid(4.0, 32, 2)
+        V = NearestNeighborPotential(1, [(0,), (1,)], harmonic_function(), lorentzian_function())
+        oracle = GridOracle(V, grid)
+        state = gaussian_state_symbol(grid, [0.2, -0.1], [0.3, 0.1], [0.4, 0.4], [0.5, 0.5])
+        poly = [0.0, 1.0, 0.5]
+        times = [0.05, 0.2]
+        for r, t in zip(commutator_trace(oracle, state, poly, site_axis, times), times):
+            tr_matrix, tr_symbol, sup = full_table_traces(oracle, state, poly, site_axis, t)
+            assert r.trace_matrix == pytest.approx(tr_matrix, rel=1e-14)
+            assert r.trace_symbol == pytest.approx(tr_symbol, rel=1e-14)
+            assert r.symbol_sup == sup
+
+    def test_transposed_state_bitwise(self, harmonic_setup):
+        # the transposed quantization the commutator reads, against transposing
+        grid, V, oracle, state, op = harmonic_setup
+        from weylfk.commutator import _quantize
+
+        two_d = gaussian_state_symbol(Grid(4.0, 32, 2), [0.2, -0.1], [0.3, 0.1],
+                                      [0.4, 0.4], [0.5, 0.5])
+        for p in (state, two_d):
+            expected = np.ascontiguousarray(op_weyl_matrix(p).T)
+            transposed = _quantize(p, transposed=True)
+            assert transposed.flags.c_contiguous
+            assert np.array_equal(transposed.view(np.uint64), expected.view(np.uint64))
 
 
 class TestScalingFit:

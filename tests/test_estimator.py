@@ -167,17 +167,18 @@ def reference_sampler(rng, n_paths, t, n_steps, n_sites, variance_scale, out=Non
 
 class TestSampler:
     def test_estimate_byte_identical_to_reference_sampler(self, monkeypatch):
+        # 8 steps, and one step, where the sampler copies instead of summing
         V = CustomPotential(range(3), lambda x: 0.3 * (x**2).sum(axis=-1))
         point = PhasePoint(np.array([0.2, -0.1, 0.4]), np.array([0.5, 0.0, -0.3]))
 
-        def digest():
-            est = estimate_mixed_derivative(V, point, 0.5, 6000, 8, seed=7,
+        def digest(n_steps):
+            est = estimate_mixed_derivative(V, point, 0.5, 6000, n_steps, seed=7,
                                             chunk_size=1000, n_workers=2)
             return hashlib.sha256(repr((est.value, est.stderr)).encode()).hexdigest()
 
-        shared = digest()
+        shared = [digest(n_steps) for n_steps in (8, 1)]
         monkeypatch.setattr(symbol_estimator, "sample_path_batch", reference_sampler)
-        assert digest() == shared
+        assert [digest(n_steps) for n_steps in (8, 1)] == shared
 
 
 class TestFrequencyDerivative:

@@ -15,11 +15,14 @@ from weylfk.oracle import (
     build_hamiltonian,
     decay_window,
     grid_edge_max,
+    matrix_symbol_bands,
     matrix_weyl_symbol,
     pairing_check,
     semigroup_symbol_at,
     wigner,
 )
+from weylfk import oracle as oracle_module
+from weylfk.oracle import _gram, _spectrum
 from weylfk.potentials import (
     CustomPotential,
     MeanFieldPotential,
@@ -90,6 +93,22 @@ class TestHamiltonian:
         with pytest.raises(ValueError):
             build_hamiltonian(ZeroPotential([0, 1]), Grid(8.0, 64, 1))
 
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("V", [
+        NearestNeighborPotential(1, [(0,), (1,)], harmonic_function(), lorentzian_function()),
+        ZeroPotential([0, 1]),
+        CustomPotential([0, 1], lambda x: (x[..., 0] + 2.0 * x[..., 1] + 1.0) ** 2),
+    ], ids=["coupled", "zero", "custom"])
+    def test_2d_stencil_equals_kronecker_sum(self, V, n):
+        # the five-point stencil against the Kronecker sum of two 1-d Laplacians;
+        # only the signs of zero entries may differ
+        grid = Grid(6.0, n, 2)
+        lap = (np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1)
+               - np.diag(np.ones(n - 1), -1)) / grid.spacing**2
+        reference = np.kron(lap, np.eye(n)) + np.kron(np.eye(n), lap)
+        reference[np.diag_indices_from(reference)] += V.eval(grid.points())
+        assert np.array_equal(build_hamiltonian(V, grid), reference)
+
 
 class TestSemigroup:
     def test_near_identity_at_small_time(self):
@@ -121,6 +140,33 @@ class TestSemigroup:
         tiny = np.finfo(float).tiny
         assert np.count_nonzero((B != 0.0) & (np.abs(B) < tiny)) > 0
         assert np.array_equal(oracle.semigroup(t).factor, B @ B.T)
+
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 1.0, 2.0, 1e4])
+    def test_gram_equals_mask_and_trim_bitwise(self, t):
+        # the flush and the trim decided from each column's |Q| extent against
+        # flushing |B| < tiny entry by entry and trimming the trailing zero
+        # columns, sign bits included, on factors built to hit every case
+        rng = np.random.default_rng(5)
+        n = 48
+        w = np.sort(rng.uniform(0.0, 1400.0, n))
+        Q = rng.standard_normal((n, n)) * 10.0 ** -rng.uniform(0.0, 12.0, (n, n))
+        Q[:, 10] *= 1e-300  # a dead column amid live ones
+        Q[:, -3] *= 1e-300
+        # row 0 near 1e-300 and subnormal in columns 15-29, so that a subnormal
+        # left unflushed there moves the bits of M's row 0
+        Q[0] = 1e-300 * rng.standard_normal(n)
+        Q[0, 15:30] *= 1e-10
+        for column in (4, 20, n - 1):  # exact zeros of both signs
+            Q[::3, column] = 0.0
+            Q[1::3, column] = -0.0
+        tiny = np.finfo(float).tiny
+        B = Q * np.exp(-0.5 * t * w)
+        B[np.abs(B) < tiny] = 0.0
+        live = np.flatnonzero(B.any(axis=0))
+        B = B[:, : live[-1] + 1 if live.size else 0]
+        expected = B @ B.T
+        got = _gram(*_spectrum(w, Q), t)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_nonpositive_time_rejected(self):
         oracle = GridOracle(ZeroPotential([(0,)]), Grid(8.0, 16, 1))
@@ -365,6 +411,68 @@ def coupled_oracle(n):
         1, [(0,), (1,)], gaussian_bump_function(), lorentzian_function(2.0, 2.0)
     )
     return GridOracle(V, Grid(4.5, n, 2))
+
+
+def whole_array_transform(matrix, grid):
+    """The antidiagonal transform of every center at once: gather, weight, FFT."""
+    n = grid.n_grid
+    m = np.fft.ifftshift(np.arange(n) - n // 2)
+    centers = np.arange(n)[:, None]
+    plus, minus = centers + m, centers - m
+    valid = (plus >= 0) & (plus < n) & (minus >= 0) & (minus < n)
+    plus, minus = plus.clip(0, n - 1), minus.clip(0, n - 1)
+    weight = np.where(valid, 2.0 * (-1.0) ** m, 0.0)
+    if grid.dim == 1:
+        values = np.multiply(matrix[plus, minus], weight, out=np.empty((n, n), complex))
+        return np.fft.fftn(values, axes=(-1,))
+    # axes (first center, second center, first offset, second offset)
+    rows = plus[:, None, :, None] * n + plus[None, :, None, :]
+    cols = minus[:, None, :, None] * n + minus[None, :, None, :]
+    values = matrix[rows, cols]
+    values *= weight[:, None, :, None] * weight[None, :, None, :]
+    return np.fft.fftn(values, axes=(-2, -1))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestTransformBands:
+    @pytest.mark.parametrize("band", [1, 7, 16, 64, 100])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_1d_bands_equal_whole_array_bitwise(self, band, kind, monkeypatch):
+        monkeypatch.setattr(oracle_module, "ROW_BAND", band)
+        grid = Grid(8.0, 64, 1)
+        rng = np.random.default_rng(band)
+        matrix = rng.standard_normal((64, 64))
+        if kind == "complex":
+            matrix = matrix + 1j * rng.standard_normal((64, 64))
+        whole = whole_array_transform(matrix, grid)
+        starts, bands = [], []
+        for lo, values in matrix_symbol_bands(matrix, grid):
+            starts.append(lo)
+            bands.append(values.copy())  # the next band reuses the buffer
+        assert starts == list(range(0, 64, band))
+        assert all(len(b) == min(band, 64 - lo) for lo, b in zip(starts, bands))
+        assert same_bits(np.concatenate(bands), whole)
+        assert same_bits(matrix_weyl_symbol(matrix, grid).values, whole)
+
+    def test_2d_bands_equal_whole_array_bitwise(self, monkeypatch):
+        monkeypatch.setattr(oracle_module, "ROW_BAND", 5)  # 2-d bands are one center
+        grid = Grid(6.0, 16, 2)
+        matrix = np.random.default_rng(2).standard_normal((256, 256))
+        whole = whole_array_transform(matrix, grid)
+        starts, bands = [], []
+        for lo, values in matrix_symbol_bands(matrix, grid):
+            starts.append(lo)
+            bands.append(values.copy())
+        assert starts == list(range(16))
+        assert same_bits(np.concatenate(bands), whole)
+        assert same_bits(matrix_weyl_symbol(matrix, grid).values, whole)
+
+    def test_rejects_mismatched_matrix(self):
+        with pytest.raises(ValueError, match="does not match"):
+            matrix_symbol_bands(np.eye(32), Grid(8.0, 16, 1))
 
 
 class TestTransformReference:

@@ -298,7 +298,8 @@ class TestSiteSum:
             x = rng.standard_normal((3, 5, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (3, 5, n))
             ref = x.sum(axis=-1)
             for a in (x, site_major(x)):
-                total = _site_sum(lambda lo, hi: a[..., lo:hi], n, a.shape[:-1])
+                total = _site_sum(lambda lo, hi: a[..., lo:hi],
+                                  lambda lo, hi: np.copy(a[..., lo:hi]), n, a.shape[:-1])
                 assert np.array_equal(total, ref), n
                 assert np.array_equal(a, x), n
 
