@@ -12,8 +12,9 @@ axis is tracked as a consistency check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, reduce
+import operator
+from dataclasses import dataclass, replace
+from functools import cache, cached_property, partial, reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -57,22 +58,14 @@ class WeylObservable:
     @cached_property
     def table(self) -> np.ndarray:
         """p sampled on the (centers x frequencies) grid, matching symbol tables."""
-        ax = self.grid.axis()
-        xi = self.grid.xi_axis()
-        profiles = [(f.x_profile(ax), f.xi_profile(xi)) for f in self.axes]
-        if self.grid.dim == 1:
-            (px, pxi), = profiles
-            return self.norm_const * np.outer(px, pxi)
-        (px0, pxi0), (px1, pxi1) = profiles
-        return self.norm_const * np.einsum("a,b,c,d->abcd", px0, px1, pxi0, pxi1)
+        ax, xi = self.grid.axis(), self.grid.xi_axis()
+        tables = [np.outer(f.x_profile(ax), f.xi_profile(xi)) for f in self.axes]
+        return self.norm_const * reduce(partial(np.einsum, "ak,bl->abkl"), tables)
 
     def trace_quadrature(self) -> float:
-        table = self.table
         dxi = math.pi / (self.grid.n_grid * self.grid.spacing)
-        return float(
-            table.sum()
-            * (self.grid.spacing * dxi / (2.0 * math.pi)) ** self.grid.dim
-        )
+        cell = self.grid.spacing * dxi / (2.0 * math.pi)
+        return float(self.table.sum() * cell**self.grid.dim)
 
 
 def gaussian_state_symbol(grid: Grid, center_x, center_xi, width_x, width_xi,
@@ -90,8 +83,7 @@ def gaussian_state_symbol(grid: Grid, center_x, center_xi, width_x, width_xi,
         GaussianAxisFactor(float(cx), float(ck), float(wx), float(wk))
         for cx, ck, wx, wk in zip(center_x, center_xi, width_x, width_xi)
     )
-    ax = grid.axis()
-    xi = grid.xi_axis()
+    ax, xi = grid.axis(), grid.xi_axis()
     raw_integral = 1.0
     dxi = math.pi / (grid.n_grid * grid.spacing)
     for factor in axes:
@@ -174,13 +166,13 @@ def commutator_trace(oracle: GridOracle, p: WeylObservable, poly_coeffs,
     """Trace of [A, exp(-tH)] composed with the quantized state, both routes.
 
     A is the multiplication operator by a polynomial (degree at most four) of
-    the coordinate along ``site_axis``.  The state is quantized once and the
-    oracle's spectral factors serve every time; returns one
-    :class:`CommutatorTraceResult` per entry of ``times``.  Each time's
-    commutator is transformed once, and its symbol is reduced as it streams
-    in bands of centers (:func:`matrix_symbol_bands`): each band adds its share
-    of the symbol-route trace and of the sup over the checked window, so no
-    symbol table is formed.
+    the coordinate along ``site_axis``.  The semigroup is a Kronecker product
+    of factors (:class:`GridSemigroup`), and the state, a product over axes,
+    is split into matching factors, each quantized once; the oracle's
+    spectral factors serve every time.  The commutator replaces only the
+    factor that holds ``site_axis``, and the traces and the symbol sup are
+    products of per-factor results (:func:`_reduce`).  Returns one
+    :class:`CommutatorTraceResult` per entry of ``times``.
     """
     grid = oracle.grid
     if p.grid != grid:
@@ -192,43 +184,58 @@ def commutator_trace(oracle: GridOracle, p: WeylObservable, poly_coeffs,
         raise ValueError("observable polynomial degree is limited to four")
     if not 0 <= site_axis < grid.dim:
         raise ValueError("site_axis out of range")
-    # transposed, so each time's trace reads it in memory order; the float
-    # view pairs the real and imaginary parts, so one dot product gives both
-    op_pairs = _quantize(p, transposed=True).view(float).reshape(-1, 2)
-    a_vals = np.polynomial.polynomial.polyval(grid.points()[:, site_axis], poly_coeffs)
-    dxi = math.pi / (grid.n_grid * grid.spacing)
-    cell = (grid.spacing * dxi / (2.0 * math.pi)) ** grid.dim
-    table = p.table
-    state_trace = p.trace_quadrature()
+
+    @cache
+    def state(dim):  # the state's factors on blocks of dim axes, each quantized once
+        axes = replace(grid, dim=dim)
+        factors = [WeylObservable(axes, p.axes[lo:lo + dim], p.norm_const if lo == 0 else 1.0)
+                   for lo in range(0, grid.dim, dim)]  # the first carries the normalization
+        # transposed, so each trace reads it in memory order; the float view
+        # pairs the real and imaginary parts, so one dot product gives both
+        return [(q, _quantize(q, transposed=True).view(float).reshape(-1, 2)) for q in factors]
 
     def trace_at(t):  # its n^2 arrays are freed before the next time starts
-        # C = [A, S] with C_ij = (a_i - a_j) S_ij, formed in the fresh semigroup's
-        # buffer a band of rows at a time
-        C = oracle.semigroup(t).matrix
-        for lo in range(0, len(a_vals), ROW_BAND):
+        matrices = list(oracle.semigroup(t).factors)
+        dim = grid.dim // len(matrices)  # axes per factor
+        factors, (k, axis) = state(dim), divmod(site_axis, dim)
+        a = np.polynomial.polynomial.polyval(factors[k][0].grid.points()[:, axis], poly_coeffs)
+        C = matrices[k]  # [A, M]: C_ij = (a_i - a_j) M_ij, in M's fresh buffer by bands of rows
+        if sum(M is C for M in matrices) > 1:  # M serves another axis too
+            C = matrices[k] = C.copy()
+        for lo in range(0, len(a), ROW_BAND):
             band = slice(lo, lo + ROW_BAND)
-            C[band] *= np.subtract.outer(a_vals[band], a_vals)
-        tr_matrix = complex(*(C.ravel() @ op_pairs))
-        centers = decay_window(C, grid, t)
-        first, stop = centers[0], centers[-1] + 1  # the kept centers are contiguous
-        symbol, sup = np.zeros(2), 0.0
-        for lo, values in matrix_symbol_bands(C, grid):
-            symbol += table[lo:lo + len(values)].ravel() @ values.view(float).reshape(-1, 2)
-            rows = slice(max(first - lo, 0), max(stop - lo, 0))
-            window = values[(rows,) + (slice(first, stop),) * (grid.dim - 1)]
-            if window.size:
-                sup = max(sup, np.abs(window).max())
-        tr_symbol = complex(*symbol) * cell
+            C[band] *= np.subtract.outer(a[band], a)
+        centers = decay_window(matrices, grid, t)
+        tr_matrix, tr_symbol, sup = (reduce(operator.mul, r) for r in zip(*(
+            _reduce(X, q, op_pairs, centers) for X, (q, op_pairs) in zip(matrices, factors))))
         return CommutatorTraceResult(
             t=float(t),
             trace_matrix=tr_matrix.imag,
             trace_symbol=tr_symbol.imag,
             symbol_sup=float(sup),
             axis_residual=max(abs(tr_matrix.real), abs(tr_symbol.real)),
-            state_trace=state_trace,
+            state_trace=reduce(operator.mul, (q.trace_quadrature() for q, _ in factors)),
         )
 
     return [trace_at(t) for t in times]
+
+
+def _reduce(C, q: WeylObservable, op_pairs, centers):
+    """Both traces of a kernel factor C against the state factor q (quantized and
+    transposed in ``op_pairs``), and the sup of |symbol of C| on ``centers``; the
+    symbol is reduced as it streams in bands (:func:`matrix_symbol_bands`)."""
+    grid, table = q.grid, q.table
+    tr_matrix = complex(*(C.ravel() @ op_pairs))
+    first, stop = centers[0], centers[-1] + 1  # the kept centers are contiguous
+    symbol, sup = np.zeros(2), 0.0
+    for lo, values in matrix_symbol_bands(C, grid):
+        symbol += table[lo:lo + len(values)].ravel() @ values.view(float).reshape(-1, 2)
+        rows = slice(max(first - lo, 0), max(stop - lo, 0))
+        window = values[(rows,) + (slice(first, stop),) * (grid.dim - 1)]
+        if window.size:
+            sup = max(sup, np.abs(window).max())
+    dxi = math.pi / (grid.n_grid * grid.spacing)
+    return tr_matrix, complex(*symbol) * (grid.spacing * dxi / (2.0 * math.pi)) ** grid.dim, sup
 
 
 @dataclass(frozen=True)

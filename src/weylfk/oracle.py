@@ -6,16 +6,16 @@ sampler preset is GENERATOR_LAPLACIAN.  A matrix M represents the kernel
 K(y, z) times the cell volume, which makes matrix products compose like
 operators and the matrix trace equal the operator trace.  exp(-tH) is formed
 from an eigendecomposition H = Q diag(w) Q^T as B B^T with B = Q exp(-tw/2),
-a symmetric rank-k product that is exactly symmetric.  A 2-site potential
-without a pair term separates, H = H_1 x I + I x H_1, and is handled end to
-end from its axis factor: exp(-tH) = M_1 x M_1, and trace, symbol, decay check
-and pairing come from M_1 by product identities.  A coupled 2-site H whose
-diagonal is exactly invariant under inversion or site exchange commutes with
-those permutations, and is diagonalized on one block per symmetry character
-(about n^2/4 rows each); others are diagonalized densely.  1-d oracles stay
-dense: a parity split leaves rounding noise of about 1e-15 on far
-off-diagonal kernel entries, against 2e-16 dense, which is enough to fail
-the decay check at small t.
+a symmetric rank-k product that is exactly symmetric.  A semigroup is a
+Kronecker product of factors: one dense factor, or, if a 2-site H separates
+as H_1 x I + I x H_1, its axis factor M_1 on each axis, so that trace, symbol,
+decay check and pairing are products over factors and no n^2 x n^2 matrix is
+formed.  A coupled 2-site H whose diagonal is exactly invariant under
+inversion or site exchange commutes with those permutations, and is
+diagonalized on one block per symmetry character (about n^2/4 rows each);
+others are diagonalized densely.  1-d oracles stay dense: a parity split
+leaves rounding noise of about 1e-15 on far off-diagonal kernel entries,
+against 2e-16 dense, which is enough to fail the decay check at small t.
 
 The phase-space symbol of a kernel is its Fourier transform along the
 antidiagonal.  On the grid, the antidiagonal through a center x_i carries a
@@ -34,8 +34,9 @@ the bands and never holds the table.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from typing import Optional
 
 import numpy as np
@@ -139,40 +140,37 @@ def build_hamiltonian(V: PotentialSpec, grid: Grid) -> np.ndarray:
     return H
 
 
-@dataclass(frozen=True)
 class GridSemigroup:
-    """exp(-t H) on the grid, built by :meth:`GridOracle.semigroup`; a separable one
-    keeps its axis factor M_1 and forms the Kronecker ``matrix`` only when read."""
+    """exp(-t H) on the grid, built by :meth:`GridOracle.semigroup`, as the
+    Kronecker product of its factors in axis order: one dense matrix, or the
+    axis factor M_1 on each axis if V separates."""
 
-    grid: Grid
-    t: float
-    factor: np.ndarray  # exp(-tH) itself, or its axis factor M_1 if separable
-    separable: bool = False
+    def __init__(self, grid: Grid, t: float, *factors: np.ndarray):
+        self.grid, self.t, self.factors = grid, t, factors
+        self.factor_grid = replace(grid, dim=grid.dim // len(factors))  # one factor's axes
 
-    @cached_property
+    @property
     def matrix(self) -> np.ndarray:
-        return np.kron(self.factor, self.factor) if self.separable else self.factor
+        """The kernel matrix of a one-factor semigroup."""
+        (matrix,) = self.factors
+        return matrix
 
     @cached_property
-    def full_table(self) -> "PhaseSpaceTable":
-        """Complex symbol on the full window of centers, transformed once."""
-        return matrix_weyl_symbol(self.matrix, self.grid)
-
-    @cached_property
-    def axis_table(self) -> np.ndarray:
-        """Full-window table T_1 of the axis factor; the 2-d table is T_1[a,k] T_1[b,l]."""
-        return matrix_weyl_symbol(self.factor, replace(self.grid, dim=1)).values
+    def tables(self) -> list:
+        """Each factor's full-window complex symbol, transformed once per distinct matrix."""
+        distinct = {id(M): M for M in self.factors}
+        tables = {key: matrix_weyl_symbol(M, self.factor_grid).values
+                  for key, M in distinct.items()}
+        return [tables[id(M)] for M in self.factors]
 
     @property
     def trace(self) -> float:
-        trace = float(np.trace(self.factor))
-        return trace * trace if self.separable else trace
+        return math.prod(float(np.trace(M)) for M in self.factors)
 
     @property
     def symbol_integral(self) -> float:
         """Phase-space integral of the full-window symbol, which equals the trace."""
-        total = ((self.axis_table.sum() ** 2).real if self.separable
-                 else self.full_table.values.real.sum())
+        total = reduce(operator.mul, (T.sum() for T in self.tables)).real
         grid = self.grid
         return float(total * grid.cell_volume * grid.xi_cell_volume / (2 * math.pi) ** grid.dim)
 
@@ -207,7 +205,7 @@ def _antidiagonals(n):
     Returns the pairs clipped onto the grid, the mask of pairs really on it,
     and the offsets, built once per grid size as read-only arrays; row c
     belongs to center c, so a window of centers is a row slice.  The 2-d
-    transform and the 2-d and separable decay checks read them; 1-d reads
+    transform and the 2-d decay checks, dense or factored, read them; 1-d reads
     none of them.
     """
     m = _offsets(n)
@@ -348,20 +346,20 @@ def default_margin(t: float, spacing: float) -> float:
     return max(continuum, lattice)
 
 
-def decay_window(matrix: np.ndarray, grid: Grid, t: float, region="auto",
-                 separable=False) -> np.ndarray:
+def decay_window(factors, grid: Grid, t: float, region="auto") -> np.ndarray:
     """Grid indices (per axis) of the centers whose symbol is claimed accurate.
 
-    ``"full"`` keeps every center unchecked, for identities in which the
-    zero padding cancels.  ``"auto"`` keeps the centers that
-    :func:`default_margin` puts far enough from the boundary for time t, and a
-    number keeps |x| <= region.  Both are checked: kernel mass above
-    ``DECAY_TOL`` times the matrix maximum at the last on-grid offset of any
-    antidiagonal through a kept center raises :class:`DecayError`.
-    If ``separable``, ``matrix`` is the axis factor M_1 of the 2-d kernel and an
-    edge is |M_1| at the last offset on one axis times its masked maximum on the
-    other; rounding is monotone, so this equals the dense check bitwise.
+    ``factors`` is a kernel matrix or its Kronecker factors in axis order.
+    ``"full"`` keeps every center unchecked, for identities in which the zero
+    padding cancels.  ``"auto"`` keeps the centers that :func:`default_margin`
+    puts far enough from the boundary for time t, and a number keeps |x| <=
+    region.  Both are checked: kernel mass above ``DECAY_TOL`` times the
+    kernel's maximum at the last on-grid offset of any antidiagonal through a
+    kept center raises :class:`DecayError`.  For X kron Y an edge is |X| at
+    the last offset on one axis times the masked maximum of |Y| on the other,
+    or the mirror; rounding is monotone, so this equals the dense check bitwise.
     """
+    factors = (factors,) if isinstance(factors, np.ndarray) else factors
     n = grid.n_grid
     if region == "full":
         return np.arange(n)
@@ -374,20 +372,21 @@ def decay_window(matrix: np.ndarray, grid: Grid, t: float, region="auto",
         raise DecayError(
             "no usable centers: the grid is too small for this time horizon"
         )
-    if separable or grid.dim == 2:
+    if grid.dim == 2:
         plus, minus, valid = (table[centers] for table in _antidiagonals(n)[:3])
+    if len(factors) == 2:  # each factor's largest |entry| on each kept antidiagonal
+        along = [np.where(valid, np.abs(M[plus, minus]), 0.0).max(axis=-1) for M in factors]
     reach = np.minimum(centers, n - 1 - centers)  # last offset on the grid
     edge = np.zeros((centers.size,) * grid.dim)
-    if separable:
-        along = np.where(valid, np.abs(matrix[plus, minus]), 0.0).max(axis=-1)
     for sign in (1, -1):
         lo, hi = centers + sign * reach, centers - sign * reach
-        if separable:
-            end = np.abs(matrix[lo, hi])
-            faces = [np.multiply.outer(end, along), np.multiply.outer(along, end)]
+        if len(factors) == 2:
+            ends = [np.abs(M[lo, hi]) for M in factors]
+            faces = [np.multiply.outer(ends[0], along[1]), np.multiply.outer(along[0], ends[1])]
         elif grid.dim == 1:
-            faces = [np.abs(matrix[lo, hi])]
+            faces = [np.abs(factors[0][lo, hi])]
         else:
+            (matrix,) = factors
             # (first-axis center, second-axis center, offset along the other axis)
             faces = [
                 np.where(valid, np.abs(matrix[lo[:, None, None] * n + plus,
@@ -399,9 +398,8 @@ def decay_window(matrix: np.ndarray, grid: Grid, t: float, region="auto",
             faces = [face.max(axis=-1) for face in faces]
         for face in faces:
             np.maximum(edge, face, out=edge)
-    max_abs = max(matrix.max(), -matrix.min())  # |matrix|.max() without an n^2 copy
-    if separable:
-        max_abs = np.square(max_abs)
+    # |M|.max() of each factor without an n^2 copy, and so of their Kronecker product
+    max_abs = reduce(operator.mul, (max(M.max(), -M.min()) for M in factors))
     worst = np.unravel_index(np.argmax(edge), edge.shape)
     if edge[worst] > DECAY_TOL * max_abs:
         where = ", ".join(f"{grid.axis()[centers[k]]:.4g}" for k in worst)
@@ -422,8 +420,7 @@ def semigroup_symbol_at(S: GridSemigroup, x: float, xi) -> np.ndarray:
     grid = S.grid
     if grid.dim != 1:
         raise ValueError("pointwise symbol evaluation is 1-d only")
-    n = grid.n_grid
-    dx = grid.spacing
+    n, dx = grid.n_grid, grid.spacing
     j = round((x + grid.half_width) / (dx / 2.0))
     if not 1 <= j <= 2 * n - 1 or abs(-grid.half_width + j * dx / 2.0 - x) > 1e-9:
         raise ValueError(f"x={x!r} is not on the half-grid of centers")
@@ -492,26 +489,24 @@ def pairing_check(S: GridSemigroup, f, g) -> float:
     of the 1-d transforms.  Left side: the grid inner product of exp(-tH) f
     against g.  Right side: the semigroup's full-window symbol table
     integrated against the transform of (f, g) on the same window, where
-    zero-padding cancels identically.  A separable semigroup pairs axis by axis.
+    zero-padding cancels identically.  Both sides are products over the
+    semigroup's factors, each paired with the test functions on its axes.
     """
-    grid, axis = S.grid, replace(S.grid, dim=1)
-    if len(f) != grid.dim or len(g) != grid.dim:
-        raise ValueError(f"test functions need one factor per grid axis, {grid.dim}")
+    if len(f) != S.grid.dim or len(g) != S.grid.dim:
+        raise ValueError(f"test functions need one factor per grid axis, {S.grid.dim}")
     f, g = ([np.asarray(h, dtype=complex) for h in hs] for hs in (f, g))
-    W = [wigner(fa, ga, axis).values for fa, ga in zip(f, g)]
-    cell = axis.cell_volume * axis.xi_cell_volume
-    if S.separable:  # vdot conjugates g
-        lhs = math.prod(axis.spacing * np.vdot(ga, S.factor @ fa) for fa, ga in zip(f, g))
-        rhs = math.prod((S.axis_table * Wa).sum() * cell for Wa in W)
-        return float(abs(lhs - rhs))
-    f, g = (reduce(np.multiply.outer, h).ravel() for h in (f, g))
-    lhs = grid.cell_volume * np.vdot(g, S.matrix @ f)
-    W = W[0] if grid.dim == 1 else np.einsum("ak,bl->abkl", *W)
-    # the product overwrites this local Wigner table, so no third table is made;
-    # numpy's pairwise sum keeps the rounding of a residual far above roundoff
-    product = np.multiply(S.full_table.values, W, out=W)
-    rhs = product.sum() * grid.cell_volume * grid.xi_cell_volume
-    return float(abs(lhs - rhs))
+    W = [wigner(fa, ga, replace(S.grid, dim=1)).values for fa, ga in zip(f, g)]
+    grid, lhs, rhs = S.factor_grid, [], []
+    for i, (M, T) in enumerate(zip(S.factors, S.tables)):
+        axes = slice(i * grid.dim, (i + 1) * grid.dim)
+        fM, gM = (reduce(np.multiply.outer, h[axes]).ravel() for h in (f, g))
+        lhs.append(grid.cell_volume * np.vdot(gM, M @ fM))  # vdot conjugates g
+        # the product overwrites this local Wigner table, so no third table is made;
+        # numpy's pairwise sum keeps the rounding of a residual far above roundoff
+        table = reduce(partial(np.einsum, "ak,bl->abkl"), W[axes])
+        product = np.multiply(T, table, out=table)
+        rhs.append(product.sum() * grid.cell_volume * grid.xi_cell_volume)
+    return float(abs(reduce(operator.mul, lhs) - reduce(operator.mul, rhs)))
 
 
 def _symmetries(diagonal, n):
@@ -613,11 +608,10 @@ class GridOracle:
         self.grid = grid
         self.potential = V
         axis = V.separable_axis() if grid.dim == 2 and V.n_sites == 2 else None
-        self._separable = axis is not None
-        H = (build_hamiltonian(axis, replace(grid, dim=1)) if self._separable
-             else build_hamiltonian(V, grid))
-        generators = (_symmetries(H.diagonal(), grid.n_grid)
-                      if grid.dim == 2 and not self._separable else [])
+        self._n_factors = 1 if axis is None else grid.dim  # Kronecker factors of exp(-tH)
+        axes = replace(grid, dim=grid.dim // self._n_factors)  # the grid of one factor
+        H = build_hamiltonian(V if axis is None else axis, axes)
+        generators = _symmetries(H.diagonal(), grid.n_grid) if axes.dim == 2 else []
         if not generators:
             self._spectra, self._slots = [_spectrum(*np.linalg.eigh(H))], None
             return
@@ -631,7 +625,7 @@ class GridOracle:
             self._kept.append(kept)
 
     def semigroup(self, t: float) -> GridSemigroup:
-        """exp(-tH) from the cached spectral factors, kept as its axis factor if V separates.
+        """exp(-tH) from the cached spectral factors, its axis factor per axis if V separates.
 
         Each factor set gives B B^T (see :func:`_gram`).  With symmetry blocks,
         whose products K_c carry the orbit weights, the entry between points
@@ -643,7 +637,7 @@ class GridOracle:
             raise ValueError("t must be positive")
         if self._slots is None:
             (spectrum,) = self._spectra
-            return GridSemigroup(self.grid, float(t), _gram(*spectrum, t), self._separable)
+            return GridSemigroup(self.grid, float(t), *[_gram(*spectrum, t)] * self._n_factors)
         n_orbits = self._kept[0].size  # the trivial character keeps every orbit
         products = []
         for (w, U, extent), kept in zip(self._spectra, self._kept):
@@ -669,13 +663,10 @@ class GridOracle:
             raise ValueError(f"semigroup was built on {S.grid}, not {self.grid}")
         if S.t != t:
             raise ValueError(f"semigroup is at t={S.t!r}, not {t!r}")
-        centers = decay_window(S.factor, self.grid, S.t, region, S.separable)
+        centers = decay_window(S.factors, self.grid, S.t, region)
         dim = self.grid.dim
-        if S.separable:
-            rows = S.axis_table[centers]
-            values = np.einsum("ak,bl->abkl", rows, rows)
-        else:
-            values = S.full_table.values[np.ix_(*(centers,) * dim)]
+        windows = [T[np.ix_(*(centers,) * S.factor_grid.dim)] for T in S.tables]
+        values = reduce(partial(np.einsum, "ak,bl->abkl"), windows)  # one per axis if several
         ax = self.grid.axis()[centers]
         return PhaseSpaceTable(
             self.grid, S.t, (centers,) * dim, (ax,) * dim, (self.grid.xi_axis(),) * dim,

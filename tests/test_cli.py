@@ -457,10 +457,11 @@ class TestSinglePass:
         for module in (oracle, commutator, cli):
             if hasattr(module, "matrix_weyl_symbol"):
                 monkeypatch.setattr(module, "matrix_weyl_symbol", transform)
+        # the n^2 x n^2 matrix of a one-factor semigroup; an n^4 table would be
+        # the transform of such a matrix
         dense_reads = []
-        for name in ("matrix", "full_table"):  # the n^2 x n^2 matrix and its n^4 table
-            monkeypatch.setattr(oracle.GridSemigroup, name,
-                                property(lambda S, name=name: dense_reads.append(name)))
+        monkeypatch.setattr(oracle.GridSemigroup, "matrix",
+                            property(lambda S: dense_reads.append("matrix")))
         code, doc = run("oracle", {
             "potential": {"variant": "nearest_neighbor", "d": 1, "sites": [[0], [1]],
                           "F": {"name": "harmonic"}, "G": {"name": "zero"}},
@@ -488,6 +489,62 @@ class TestSinglePass:
             tracemalloc.stop()
         assert code == 0
         assert peak < 64 * 2**20
+
+    SEPARABLE_COMMUTATOR = {
+        "potential": {"variant": "nearest_neighbor", "d": 1, "sites": [[0], [1]],
+                      "F": {"name": "harmonic"}, "G": {"name": "zero"}},
+        "state": {"center_x": [0.2, -0.1], "center_xi": [0.3, 0.1],
+                  "width_x": [0.4, 0.4], "width_xi": [0.5, 0.5]},
+        "poly": [0.0, 1.0, 0.5], "site_axis": 1,
+    }
+
+    def test_separable_commutator_2d_stays_on_axis_factors(self, calls, monkeypatch):
+        from weylfk import commutator, oracle
+
+        shapes = {"eigh": [], "transform": [], "quantize": [], "kron": []}
+
+        def recorded(key, fn, result=False):
+            def wrapper(a, *args, **kwargs):
+                out = fn(a, *args, **kwargs)
+                shapes[key].append(np.shape(out if result else a))
+                return out
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded("eigh", np.linalg.eigh))
+        monkeypatch.setattr(np, "kron", recorded("kron", np.kron))
+        monkeypatch.setattr(commutator, "matrix_symbol_bands",
+                            recorded("transform", commutator.matrix_symbol_bands))
+        monkeypatch.setattr(commutator, "_quantize",
+                            recorded("quantize", commutator._quantize, result=True))
+        dense_reads = []
+        monkeypatch.setattr(oracle.GridSemigroup, "matrix",
+                            property(lambda S: dense_reads.append("matrix")))
+        t_list = [0.05, 0.1, 0.2]
+        code, doc = run("commutator", self.SEPARABLE_COMMUTATOR | {
+            "grid": {"half_width": 4.0, "n_grid": 32, "dim": 2}, "t_list": t_list})
+        assert code == 0
+        assert len(doc["results"]["points"]) == len(t_list)
+        n = (32, 32)
+        # one transform per factor and time: [A, M_1] on axis 1, M_1 on axis 0
+        assert shapes == {"eigh": [n], "transform": [n] * 2 * len(t_list),
+                          "quantize": [n, n], "kron": []}
+        assert dense_reads == []
+        assert calls == {"eigh": 1, "semigroup": len(t_list), "transform": 2 * len(t_list)}
+
+    def test_separable_commutator_memory_bounded(self):
+        # n = 64 on both axes, with cold table caches: a route through the
+        # Kronecker matrix holds a 4096^2 complex state alone, 256 MiB; from the
+        # axis factors 1.33 MiB was measured, and the bound is that + 20%
+        tracemalloc.start()
+        try:
+            code, doc = run("commutator", self.SEPARABLE_COMMUTATOR | {
+                "grid": {"half_width": 4.0, "n_grid": 64, "dim": 2}, "t_list": [0.1, 0.2]})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(doc["results"]["points"]) == 2
+        assert peak < 1.6 * 2**20
 
     def test_commutator_one_transform_per_time(self, calls):
         t_list = [0.01, 0.05, 0.2]

@@ -172,7 +172,7 @@ class TestTrace:
             commutator_trace(oracle, other, [0.0, 1.0], 0, [0.1])
 
     def test_separable_two_sites_match_dense(self, monkeypatch):
-        # the semigroup's lazily formed Kronecker matrix against one dense eigh.
+        # the products of per-axis-factor traces against one dense eigh.
         # At this spacing the route gap is grid bias (3e-5 down to 2e-8); it
         # drops below 1e-12 only from n = 64, a 4096^2 dense commutator, so
         # here both semigroups must give the same gap

@@ -139,7 +139,7 @@ class TestSemigroup:
         B = Q * np.exp(-0.5 * t * w)
         tiny = np.finfo(float).tiny
         assert np.count_nonzero((B != 0.0) & (np.abs(B) < tiny)) > 0
-        assert np.array_equal(oracle.semigroup(t).factor, B @ B.T)
+        assert np.array_equal(oracle.semigroup(t).matrix, B @ B.T)
 
     @pytest.mark.parametrize("t", [1e-3, 0.5, 1.0, 2.0, 1e4])
     def test_gram_equals_mask_and_trim_bitwise(self, t):
@@ -560,7 +560,7 @@ class TestTransformReference:
 
 
 # Separable 2-site potentials: the oracle decomposes one n x n axis Hamiltonian
-# and takes the Kronecker square of its semigroup.
+# and keeps its semigroup M_1 as the Kronecker factor of each axis.
 
 SEPARABLE = {
     "harmonic-zero-G": lambda: NearestNeighborPotential(
@@ -604,10 +604,11 @@ class TestSeparable:
         S = GridOracle(V, grid).semigroup(t)
         assert eigh_shapes == [(n, n)]
         reference = dense_semigroup(V, grid, t)
-        assert np.abs(S.matrix - reference).max() <= 1e-13
-        assert np.array_equal(S.matrix, S.matrix.T)
+        kron = np.kron(*S.factors)
+        assert np.abs(kron - reference).max() <= 1e-13
+        assert np.array_equal(kron, kron.T)
         full = matrix_weyl_symbol(reference, grid).values
-        assert np.abs(S.full_table.values - full).max() <= 1e-13
+        assert np.abs(matrix_weyl_symbol(kron, grid).values - full).max() <= 1e-13
 
     @pytest.mark.parametrize("n", [16, 32])
     @pytest.mark.parametrize("case", sorted(SEPARABLE))
@@ -622,8 +623,8 @@ class TestSeparable:
         outcomes = set()
         for t in (0.05, 0.25, 2.0):
             S = oracle.semigroup(t)
-            assert S.separable
-            dense = GridSemigroup(grid, t, np.kron(S.factor, S.factor))
+            assert len(S.factors) == 2
+            dense = GridSemigroup(grid, t, np.kron(*S.factors))
             assert S.trace == pytest.approx(dense.trace, abs=1e-13)
             assert S.symbol_integral == pytest.approx(dense.symbol_integral, abs=1e-13)
             assert pairing_check(S, f, g) == pytest.approx(pairing_check(dense, f, g), abs=1e-13)
@@ -639,9 +640,36 @@ class TestSeparable:
                 outcomes.add(False)
                 tab = oracle.symbol(t, region=region, semigroup=S)
                 assert all(np.array_equal(c, centers) for c in tab.center_indices)
-                ref = dense.full_table.values[np.ix_(centers, centers)]
+                ref = dense.tables[0][np.ix_(centers, centers)]
                 assert np.abs(tab.values - ref.real).max() <= 1e-13
                 assert tab.max_imag == pytest.approx(np.abs(ref.imag).max(), abs=1e-13)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("case", sorted(SEPARABLE))
+    def test_unequal_factors_decay_like_kronecker(self, case, n):
+        # X kron Y with X = [A, M_1], A = x + x^2/2, and Y = M_1, in both orders:
+        # the factored check against the dense check of np.kron(X, Y), message
+        # and centers bitwise
+        grid = Grid(6.0, n, 2)
+        oracle = GridOracle(SEPARABLE[case](), grid)
+        a = np.polynomial.polynomial.polyval(replace(grid, dim=1).axis(), [0.0, 1.0, 0.5])
+        outcomes = set()
+        for t in (0.05, 0.25, 2.0):
+            M = oracle.semigroup(t).factors[0]
+            C = np.subtract.outer(a, a) * M
+            for X, Y in ((C, M), (M, C)):
+                for region in ("auto", 1.5, 3.0, 6.0):
+                    try:
+                        centers = decay_window(np.kron(X, Y), grid, t, region)
+                    except DecayError as err:
+                        outcomes.add(True)
+                        with pytest.raises(DecayError) as raised:
+                            decay_window([X, Y], grid, t, region)
+                        assert str(raised.value) == str(err)
+                        continue
+                    outcomes.add(False)
+                    assert np.array_equal(decay_window([X, Y], grid, t, region), centers)
         assert outcomes == {True, False}
 
     @pytest.mark.parametrize("case", ["custom"])
@@ -719,7 +747,7 @@ class TestSymmetryBlocks:
         outcomes = set()
         for t in (0.05, 0.25, 2.0):
             S = oracle.semigroup(t)
-            assert not S.separable
+            assert len(S.factors) == 1
             dense = GridSemigroup(grid, t, dense_semigroup(V, grid, t))
             assert np.abs(S.matrix - dense.matrix).max() <= 1e-13
             assert np.array_equal(S.matrix, S.matrix.T)
@@ -741,7 +769,7 @@ class TestSymmetryBlocks:
                 outcomes.add(False)
                 tab = oracle.symbol(t, region=region, semigroup=S)
                 assert all(np.array_equal(c, centers) for c in tab.center_indices)
-                ref = dense.full_table.values[np.ix_(centers, centers)]
+                ref = dense.tables[0][np.ix_(centers, centers)]
                 assert np.abs(tab.values - ref.real).max() <= 1e-13
         assert outcomes == {True, False}
 
