@@ -113,10 +113,15 @@ def absolute_moment_samples(rng, beta: MultiIndex, n_paths, t, variance_scale=DE
 
 
 def absolute_moment_estimate(rng, beta: MultiIndex, n_paths, t, variance_scale=DEFAULT_PRESET):
-    """Mean of absolute_moment_samples and its standard error (inf for one path)."""
+    """Mean of absolute_moment_samples and its standard error (inf for one path); the
+    variance is samples.std(ddof=1)'s operations, bitwise, in place on the samples."""
     samples = absolute_moment_samples(rng, beta, n_paths, t, variance_scale)
-    stderr = float(samples.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else math.inf
-    return float(samples.mean()), stderr
+    mean = samples.mean()
+    if n_paths < 2:
+        return float(mean), math.inf
+    samples -= mean
+    np.multiply(samples, samples, out=samples)
+    return float(mean), float(np.sqrt(samples.sum() / (n_paths - 1)) / math.sqrt(n_paths))
 
 
 def abs_moment_constant(k: int) -> float:

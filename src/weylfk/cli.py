@@ -56,7 +56,6 @@ from .oracle import (
     GridOracle,
     SupportError,
     gaussian_test_functions,
-    pairing_check,
 )
 from .potentials import family_from_json, potential_from_json
 from .symbol_estimator import PhasePoint, estimate_mixed_derivative
@@ -399,6 +398,15 @@ def _parse_index(text: str, what: str) -> MultiIndex:
         raise ConfigError(f"invalid {what} multi-index {text!r}: {err}") from err
 
 
+def _site_index(V, text: str, what: str) -> MultiIndex:
+    """A multi-index by site position, as ``xi_sweep.site_index``; tuple keys name sites."""
+    index = _parse_index(text, what)
+    try:
+        return index if all(isinstance(s, tuple) for s in index.support) else V.at_slots(index)
+    except ValueError as err:
+        raise ConfigError(f"invalid {what} multi-index {text!r}: {err}") from err
+
+
 def _build_potential(obj) -> "PotentialSpec":
     try:
         return potential_from_json(obj)
@@ -419,8 +427,7 @@ def _grid(config) -> Grid:
 
 def cmd_estimate(config, n_workers):
     V = _build_potential(config["potential"])
-    alpha = _parse_index(config["alpha"], "alpha")
-    beta = _parse_index(config["beta"], "beta")
+    alpha, beta = (_site_index(V, config[key], key) for key in ("alpha", "beta"))
     # row 0 is the configured frequency, rows 1.. the sweep; one path set serves all
     xi = np.array([config["xi"]], dtype=float)
     sweep = config["xi_sweep"]
@@ -481,17 +488,19 @@ def cmd_oracle(config, n_workers):
     oracle = GridOracle(V, grid)
     t = config["t"]
     S = oracle.semigroup(t)
-    table = oracle.symbol(t, region=config["region"], semigroup=S)
     f, g = gaussian_test_functions(grid)
-    residual = pairing_check(S, (f,) * grid.dim, (g,) * grid.dim)
+    # one pass over the symbol gives the window, its integral and the pairing
+    table = oracle.symbol(t, region=config["region"], semigroup=S,
+                          pairing=((f,) * grid.dim, (g,) * grid.dim))
+    values = table.values
     results = {
         "t": t,
         "trace": S.trace,
-        "symbol_integral": S.symbol_integral,
-        "max_abs_symbol": float(np.abs(table.values).max()),
+        "symbol_integral": table.symbol_integral,
+        "max_abs_symbol": float(max(values.max(), -values.min())),
         "max_imag_symbol": table.max_imag,
-        "pairing_residual": residual,
-        "n_centers": int(table.values.shape[0]),
+        "pairing_residual": table.pairing_residual,
+        "n_centers": int(values.shape[0]),
     }
     csv = None
     if grid.dim == 1:

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
-from functools import cache, cached_property, partial, reduce
+from dataclasses import dataclass
+from functools import partial, reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -24,6 +24,7 @@ from .oracle import (
     Grid,
     GridOracle,
     SupportError,
+    band_window,
     decay_window,
     matrix_symbol_bands,
 )
@@ -55,12 +56,14 @@ class WeylObservable:
     axes: tuple  # one GaussianAxisFactor per dimension
     norm_const: float
 
-    @cached_property
+    @property
     def table(self) -> np.ndarray:
-        """p sampled on the (centers x frequencies) grid, matching symbol tables."""
+        """p sampled on the (centers x frequencies) grid, built on each call."""
         ax, xi = self.grid.axis(), self.grid.xi_axis()
         tables = [np.outer(f.x_profile(ax), f.xi_profile(xi)) for f in self.axes]
-        return self.norm_const * reduce(partial(np.einsum, "ak,bl->abkl"), tables)
+        table = reduce(partial(np.einsum, "ak,bl->abkl"), tables)
+        table *= self.norm_const
+        return table
 
     def trace_quadrature(self) -> float:
         dxi = math.pi / (self.grid.n_grid * self.grid.spacing)
@@ -169,7 +172,8 @@ def commutator_trace(oracle: GridOracle, p: WeylObservable, poly_coeffs,
     the coordinate along ``site_axis``.  The semigroup is a Kronecker product
     of factors (:class:`GridSemigroup`), and the state, a product over axes,
     is split into matching factors, each quantized once; the oracle's
-    spectral factors serve every time.  The commutator replaces only the
+    spectral factors serve every time, and every time writes its semigroup
+    into the same two buffers (B and M).  The commutator replaces only the
     factor that holds ``site_axis``, and the traces and the symbol sup are
     products of per-factor results (:func:`_reduce`).  Returns one
     :class:`CommutatorTraceResult` per entry of ``times``.
@@ -185,21 +189,22 @@ def commutator_trace(oracle: GridOracle, p: WeylObservable, poly_coeffs,
     if not 0 <= site_axis < grid.dim:
         raise ValueError("site_axis out of range")
 
-    @cache
-    def state(dim):  # the state's factors on blocks of dim axes, each quantized once
-        axes = replace(grid, dim=dim)
-        factors = [WeylObservable(axes, p.axes[lo:lo + dim], p.norm_const if lo == 0 else 1.0)
-                   for lo in range(0, grid.dim, dim)]  # the first carries the normalization
-        # transposed, so each trace reads it in memory order; the float view
-        # pairs the real and imaginary parts, so one dot product gives both
-        return [(q, _quantize(q, transposed=True).view(float).reshape(-1, 2)) for q in factors]
+    # the state's factors on the axes of the semigroup's factors, each quantized
+    # once, before B and M are written; the first carries the normalization
+    axes = oracle.factor_grid
+    dim, (k, axis) = axes.dim, divmod(site_axis, axes.dim)  # k: the factor holding site_axis
+    factors = [WeylObservable(axes, p.axes[lo:lo + dim], p.norm_const if lo == 0 else 1.0)
+               for lo in range(0, grid.dim, dim)]
+    # transposed, so each trace reads it in memory order; the float view pairs
+    # the real and imaginary parts, so one dot product gives both
+    states = [_quantize(q, transposed=True).view(float).reshape(-1, 2) for q in factors]
+    state_trace = reduce(operator.mul, (q.trace_quadrature() for q in factors))
+    a = np.polynomial.polynomial.polyval(axes.points()[:, axis], poly_coeffs)
+    buffers = [np.empty(axes.n_points**2) for _ in "BM"]  # reused by every time
 
-    def trace_at(t):  # its n^2 arrays are freed before the next time starts
-        matrices = list(oracle.semigroup(t).factors)
-        dim = grid.dim // len(matrices)  # axes per factor
-        factors, (k, axis) = state(dim), divmod(site_axis, dim)
-        a = np.polynomial.polynomial.polyval(factors[k][0].grid.points()[:, axis], poly_coeffs)
-        C = matrices[k]  # [A, M]: C_ij = (a_i - a_j) M_ij, in M's fresh buffer by bands of rows
+    def trace_at(t):
+        matrices = list(oracle.semigroup(t, out=buffers).factors)
+        C = matrices[k]  # [A, M]: C_ij = (a_i - a_j) M_ij, in M's buffer by bands of rows
         if sum(M is C for M in matrices) > 1:  # M serves another axis too
             C = matrices[k] = C.copy()
         for lo in range(0, len(a), ROW_BAND):
@@ -207,14 +212,14 @@ def commutator_trace(oracle: GridOracle, p: WeylObservable, poly_coeffs,
             C[band] *= np.subtract.outer(a[band], a)
         centers = decay_window(matrices, grid, t)
         tr_matrix, tr_symbol, sup = (reduce(operator.mul, r) for r in zip(*(
-            _reduce(X, q, op_pairs, centers) for X, (q, op_pairs) in zip(matrices, factors))))
+            _reduce(X, q, state, centers) for X, q, state in zip(matrices, factors, states))))
         return CommutatorTraceResult(
             t=float(t),
             trace_matrix=tr_matrix.imag,
             trace_symbol=tr_symbol.imag,
             symbol_sup=float(sup),
             axis_residual=max(abs(tr_matrix.real), abs(tr_symbol.real)),
-            state_trace=reduce(operator.mul, (q.trace_quadrature() for q, _ in factors)),
+            state_trace=state_trace,
         )
 
     return [trace_at(t) for t in times]
@@ -222,20 +227,25 @@ def commutator_trace(oracle: GridOracle, p: WeylObservable, poly_coeffs,
 
 def _reduce(C, q: WeylObservable, op_pairs, centers):
     """Both traces of a kernel factor C against the state factor q (quantized and
-    transposed in ``op_pairs``), and the sup of |symbol of C| on ``centers``; the
-    symbol is reduced as it streams in bands (:func:`matrix_symbol_bands`)."""
-    grid, table = q.grid, q.table
+    transposed in ``op_pairs``), and the sup of |symbol of C| on ``centers``.
+
+    The symbol is reduced as it streams in bands (:func:`matrix_symbol_bands`).
+    q's table is norm * prod over axes of p_x(x) p_xi(xi), so a band is paired
+    with it by contracting its axes, last first, with those profiles.
+    """
+    grid = q.grid
+    x_profiles = [f.x_profile(grid.axis()) for f in q.axes]
+    profiles = [f.xi_profile(grid.xi_axis()) for f in q.axes][::-1] + x_profiles[:0:-1]
     tr_matrix = complex(*(C.ravel() @ op_pairs))
-    first, stop = centers[0], centers[-1] + 1  # the kept centers are contiguous
-    symbol, sup = np.zeros(2), 0.0
+    symbol, sup = 0j, 0.0
     for lo, values in matrix_symbol_bands(C, grid):
-        symbol += table[lo:lo + len(values)].ravel() @ values.view(float).reshape(-1, 2)
-        rows = slice(max(first - lo, 0), max(stop - lo, 0))
-        window = values[(rows,) + (slice(first, stop),) * (grid.dim - 1)]
+        symbol += x_profiles[0][lo:lo + len(values)] @ reduce(operator.matmul, profiles, values)
+        _, window = band_window(lo, values, centers)
         if window.size:
             sup = max(sup, np.abs(window).max())
     dxi = math.pi / (grid.n_grid * grid.spacing)
-    return tr_matrix, complex(*symbol) * (grid.spacing * dxi / (2.0 * math.pi)) ** grid.dim, sup
+    cell = (grid.spacing * dxi / (2.0 * math.pi)) ** grid.dim
+    return tr_matrix, q.norm_const * symbol * cell, sup
 
 
 @dataclass(frozen=True)

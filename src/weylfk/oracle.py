@@ -26,9 +26,10 @@ the padding cancels between their two sides; where symbol accuracy is
 claimed, a window of centers is cut from it and a decay check converts the
 truncation into a hard error.  The transform streams bands of centers
 (ROW_BAND centers in 1-d, one first-axis center in 2-d), bitwise equal to
-transforming every center at once: a table is filled from the bands, and a
-consumer that only reduces the symbol, as the commutator traces do, reads
-the bands and never holds the table.
+transforming every center at once.  No semigroup's full-window table is
+formed: one pass over the bands of each factor feeds the symbol integral, the
+pairing (each band against the matching rows of 1-d Wigner tables) and the
+real window, and the commutator traces reduce the bands likewise.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .potentials import PotentialSpec
 
@@ -107,36 +109,29 @@ class Grid:
 def build_hamiltonian(V: PotentialSpec, grid: Grid) -> np.ndarray:
     """Second-order central-difference Laplacian (Dirichlet) plus diagonal potential.
 
-    In 2-d the five-point stencil is written onto the diagonals of one zeroed
-    array, equal in value to the Kronecker sum of two 1-d Laplacians.
+    The stencil (three-point in 1-d, five-point in 2-d) is written onto the
+    diagonals of one zeroed array, equal in value to the Kronecker sum of 1-d
+    Laplacians.
     """
     if V.n_sites != grid.dim:
         raise ValueError(
             f"potential has {V.n_sites} sites but the grid dimension is {grid.dim}"
         )
-    n = grid.n_grid
+    n, N = grid.n_grid, grid.n_points
     dx2 = grid.spacing**2
     values = V.eval(grid.points())
     if np.any(values < -1e-12):
         raise ValueError("potential takes negative values on the grid")
-    if grid.dim == 1:
-        lap = (
-            np.diag(np.full(n, 2.0))
-            - np.diag(np.ones(n - 1), 1)
-            - np.diag(np.ones(n - 1), -1)
-        ) / dx2
-        return lap + np.diag(values)
-    N = n * n
     on, off = 2.0 / dx2, -1.0 / dx2  # the 1-d Laplacian's entries
     H = np.zeros((N, N))
     flat = H.reshape(-1)
-    flat[:: N + 1] = (on + on) + values
-    flat[n : (N - n) * N : N + 1] = off  # first-axis neighbors, flat offsets +-n
-    flat[n * N :: N + 1] = off
-    for start in (1, N):  # second-axis neighbors, offsets +-1 within a first-axis row
-        along = flat[start : start + (N - 1) * (N + 1) : N + 1]
-        along[:] = off
-        along[n - 1 :: n] = 0.0
+    flat[:: N + 1] = on * grid.dim + values
+    for stride in (n**axis for axis in range(grid.dim)):  # each axis's flat offset
+        crosses = np.arange(N - stride) // stride % n == n - 1  # no neighbor past the edge
+        for start in (stride, stride * N):  # above and below the diagonal
+            along = flat[start : start + (N - stride) * (N + 1) : N + 1]
+            along[:] = off
+            along[crosses] = 0.0
     return H
 
 
@@ -155,14 +150,6 @@ class GridSemigroup:
         (matrix,) = self.factors
         return matrix
 
-    @cached_property
-    def tables(self) -> list:
-        """Each factor's full-window complex symbol, transformed once per distinct matrix."""
-        distinct = {id(M): M for M in self.factors}
-        tables = {key: matrix_weyl_symbol(M, self.factor_grid).values
-                  for key, M in distinct.items()}
-        return [tables[id(M)] for M in self.factors]
-
     @property
     def trace(self) -> float:
         return math.prod(float(np.trace(M)) for M in self.factors)
@@ -170,9 +157,7 @@ class GridSemigroup:
     @property
     def symbol_integral(self) -> float:
         """Phase-space integral of the full-window symbol, which equals the trace."""
-        total = reduce(operator.mul, (T.sum() for T in self.tables)).real
-        grid = self.grid
-        return float(total * grid.cell_volume * grid.xi_cell_volume / (2 * math.pi) ** grid.dim)
+        return _symbol_pass(self)[0]
 
 
 @dataclass(frozen=True)
@@ -186,6 +171,9 @@ class PhaseSpaceTable:
     xi_axes: tuple         # per-axis frequency coordinates
     values: np.ndarray     # shape (*n_centers, *n_frequencies)
     max_imag: float = 0.0
+    # from the pass that made a semigroup's window (:meth:`GridOracle.symbol`):
+    symbol_integral: Optional[float] = None   # of the full-window symbol
+    pairing_residual: Optional[float] = None  # if it was given test functions
 
     @property
     def x(self) -> np.ndarray:
@@ -205,8 +193,8 @@ def _antidiagonals(n):
     Returns the pairs clipped onto the grid, the mask of pairs really on it,
     and the offsets, built once per grid size as read-only arrays; row c
     belongs to center c, so a window of centers is a row slice.  The 2-d
-    transform and the 2-d decay checks, dense or factored, read them; 1-d reads
-    none of them.
+    transform and the 2-d decay checks, dense or factored, read them; the 1-d
+    transform builds the rows of one band at a time.
     """
     m = _offsets(n)
     centers = np.arange(n)[:, None]
@@ -223,61 +211,56 @@ def _offsets(n):
     return np.fft.ifftshift(np.arange(n) - n // 2)  # 0, 1, ..., n/2 - 1, -n/2, ..., -1
 
 
-@lru_cache(maxsize=4)
-def _antidiagonal_weight(n, scale):
-    """Per (center, offset m): the mask of pairs on the grid (|m| at most the
-    center's distance to the edge), sign (-1)^m and scale; read-only, once per (n, scale)."""
-    m = _offsets(n)
-    centers = np.arange(n)[:, None]
-    valid = np.abs(m) <= np.minimum(centers, n - 1 - centers)
-    weight = np.where(valid, scale * (-1.0) ** m, 0.0)
-    weight.flags.writeable = False
-    return weight
-
-
-@lru_cache(maxsize=4)
-def _antidiagonal_flat(n):
-    """1-d flat indices plus * n + minus of the pairs (center + m, center - m),
-    each clipped onto the grid, read-only, once per n."""
-    m = _offsets(n)
-    centers = np.arange(n)[:, None]
-    flat, minus = centers + m, centers - m
-    for index in (flat, minus):
-        np.clip(index, 0, n - 1, out=index)
-    flat *= n
-    flat += minus
-    flat.flags.writeable = False
-    return flat
-
-
 def _antidiagonal_bands(gather, grid: Grid, scale: float, inverse=False):
     """Fourier transform along the antidiagonals through the grid centers, a band at a time.
 
     ``gather(flat)`` returns the kernel at the flat indices plus * N + minus
     of the point pairs center + m, center - m, clipped onto the grid.  One
-    weight per axis folds in the mask that zero-pads pairs off the grid, the
-    sign (-1)^m that centers the frequency axis, and the scale, so no shifted
-    copies are made.  The forward transform is unnormalized; ``inverse``
-    conjugates the phases, also unnormalized.
+    weight per axis folds in the mask that zero-pads pairs off the grid (|m|
+    at most the center's distance to the edge), the sign (-1)^m that centers
+    the frequency axis, and the scale, so no shifted copies are made.  The
+    forward transform is unnormalized; ``inverse`` conjugates the phases,
+    also unnormalized.
 
     Yields (first center, values) per band, values of shape (centers in the
     band, *other center axes, *frequencies).  In 1-d a band is ROW_BAND
-    centers, weighted and transformed in place in one reused buffer, which
-    the next band overwrites; in 2-d it is one first-axis center.
+    centers: their flat indices are summed from windows of a clipped 1-d
+    range and their weights masked from one signed row, into reused buffers,
+    then the kernel is gathered, weighted and transformed in place in one
+    reused buffer, which the next band overwrites; no n x n index or weight
+    is held.  In 2-d a band is one first-axis center.
     """
     n, N = grid.n_grid, grid.n_points
-    weight = _antidiagonal_weight(n, scale)
+    m = _offsets(n)
+    signed = scale * (-1.0) ** m
     fftn, norm = (np.fft.ifftn, "forward") if inverse else (np.fft.fftn, "backward")
     if grid.dim == 1:
-        flat = _antidiagonal_flat(n)
-        buffer = np.empty((min(ROW_BAND, n), n), dtype=complex)
+        size, half = min(ROW_BAND, n), n // 2
+        # in FFT order m = k - shift, k < n/2, with shift 0 and then n/2: along k,
+        # row c of the clipped plus (minus) index climbs (descends) a clipped
+        # range, so each half of a band is a stack of windows of one 1-d lookup
+        clipped = np.arange(-n, 2 * n).clip(0, n - 1)  # [s + n]: s clipped onto the grid
+        plus = sliding_window_view(clipped * n, half)  # [c + n + j][k] = clip(c + j + k) * n
+        # [c + n - half + 1 + j][k] = clip(c + j - k)
+        minus = sliding_window_view(clipped, half)[:, ::-1]
+        reach, base = np.abs(m), np.arange(size)[:, None]
+        flat = np.empty((size, n), dtype=np.intp)
+        weight = np.empty((size, n))
+        buffer = np.empty((size, n), dtype=complex)
         for lo in range(0, n, ROW_BAND):
-            rows = slice(lo, min(lo + ROW_BAND, n))
-            values = buffer[: rows.stop - lo]
-            np.multiply(gather(flat[rows]), weight[rows], out=values)
+            rows = min(ROW_BAND, n - lo)
+            index, w, values = flat[:rows], weight[:rows], buffer[:rows]
+            for cols, shift in ((slice(None, half), 0), (slice(half, None), half)):
+                np.add(plus[lo + n - shift:][:rows], minus[lo + n + shift - half + 1:][:rows],
+                       out=index[:, cols])
+            centers = base[:rows] + lo
+            w.fill(0.0)
+            np.copyto(w, signed, where=reach <= np.minimum(centers, n - 1 - centers))
+            np.multiply(gather(index), w, out=values)
             yield lo, fftn(values, axes=(-1,), norm=norm, out=values)
         return
-    plus, minus, _, _ = _antidiagonals(n)
+    plus, minus, valid, _ = _antidiagonals(n)
+    weight = np.where(valid, signed, 0.0)
     for p in range(n):
         # block axes: (second-axis center, first-axis offset, second-axis offset)
         block = gather((plus[p][:, None] * n + plus[:, None, :]) * N
@@ -487,26 +470,93 @@ def pairing_check(S: GridSemigroup, f, g) -> float:
     ``f`` and ``g`` hold one 1-d factor per grid axis; the grid functions are
     their outer products, and the transform of the pair is the outer product
     of the 1-d transforms.  Left side: the grid inner product of exp(-tH) f
-    against g.  Right side: the semigroup's full-window symbol table
-    integrated against the transform of (f, g) on the same window, where
-    zero-padding cancels identically.  Both sides are products over the
-    semigroup's factors, each paired with the test functions on its axes.
+    against g.  Right side: the semigroup's full-window symbol integrated
+    against the transform of (f, g) on the same window, where zero-padding
+    cancels identically.  Both sides are products over the semigroup's
+    factors, each paired with the test functions on its axes.
     """
-    if len(f) != S.grid.dim or len(g) != S.grid.dim:
-        raise ValueError(f"test functions need one factor per grid axis, {S.grid.dim}")
-    f, g = ([np.asarray(h, dtype=complex) for h in hs] for hs in (f, g))
-    W = [wigner(fa, ga, replace(S.grid, dim=1)).values for fa, ga in zip(f, g)]
-    grid, lhs, rhs = S.factor_grid, [], []
-    for i, (M, T) in enumerate(zip(S.factors, S.tables)):
-        axes = slice(i * grid.dim, (i + 1) * grid.dim)
-        fM, gM = (reduce(np.multiply.outer, h[axes]).ravel() for h in (f, g))
-        lhs.append(grid.cell_volume * np.vdot(gM, M @ fM))  # vdot conjugates g
-        # the product overwrites this local Wigner table, so no third table is made;
-        # numpy's pairwise sum keeps the rounding of a residual far above roundoff
-        table = reduce(partial(np.einsum, "ak,bl->abkl"), W[axes])
-        product = np.multiply(T, table, out=table)
-        rhs.append(product.sum() * grid.cell_volume * grid.xi_cell_volume)
-    return float(abs(reduce(operator.mul, lhs) - reduce(operator.mul, rhs)))
+    return _symbol_pass(S, f=f, g=g)[1]
+
+
+def _symbol_pass(S: GridSemigroup, centers=None, f=None, g=None):
+    """The symbol integral of S, the pairing residual of test functions f, g
+    (None without them), and the real symbol on the window of ``centers`` with
+    its largest |imaginary part| (None, 0 without them), from one pass over
+    the symbol bands of each distinct factor (:func:`_factor_pass`).
+
+    Each is a product over the factors; the window of two factors is their
+    outer product, formed a first-axis center at a time.
+    """
+    grid = S.factor_grid
+    tests = []
+    if f is not None:
+        if len(f) != S.grid.dim or len(g) != S.grid.dim:
+            raise ValueError(f"test functions need one factor per grid axis, {S.grid.dim}")
+        f, g = ([np.asarray(h, dtype=complex) for h in hs] for hs in (f, g))
+        W = [wigner(fa, ga, replace(S.grid, dim=1)).values for fa, ga in zip(f, g)]
+        tests = [W[lo:lo + grid.dim] for lo in range(0, S.grid.dim, grid.dim)]
+    distinct = {id(M): M for M in S.factors}
+    passes = {key: _factor_pass(M, grid, centers, tests, len(S.factors) == 1)
+              for key, M in distinct.items()}
+    totals, pairings, windows, imags = zip(*(passes[id(M)] for M in S.factors))
+    total = reduce(operator.mul, totals).real
+    full = S.grid
+    integral = float(total * full.cell_volume * full.xi_cell_volume / (2 * math.pi) ** full.dim)
+    residual = None
+    if tests:
+        lhs, rhs = 1.0, 1.0
+        for i, (M, paired) in enumerate(zip(S.factors, pairings)):
+            fM, gM = (reduce(np.multiply.outer, h[i * grid.dim:(i + 1) * grid.dim]).ravel()
+                      for h in (f, g))
+            Mf = M @ fM.real + 1j * (M @ fM.imag)  # M @ fM would cast a real M to complex
+            lhs *= grid.cell_volume * np.vdot(gM, Mf)  # vdot conjugates g
+            rhs *= paired[i] * grid.cell_volume * grid.xi_cell_volume
+        residual = float(abs(lhs - rhs))
+    if centers is None or len(windows) == 1:
+        return integral, residual, windows[0], imags[0]
+    X, Y = windows
+    values, max_imag = np.empty((len(X), len(Y)) + X.shape[1:] + Y.shape[1:]), 0.0
+    for a, row in enumerate(X):  # axes (second-axis center, first and second frequency)
+        block = np.multiply(row[:, None], Y[:, None, :])
+        values[a] = block.real
+        max_imag = max(max_imag, block.imag.max(), -block.imag.min())
+    return integral, residual, values, float(max_imag)
+
+
+def _factor_pass(M, grid: Grid, centers, tests, real):
+    """One pass over the symbol bands of the factor M: the sum of its
+    full-window symbol; one pairing per entry of ``tests`` (the 1-d Wigner
+    tables of the test functions on M's axes), each band against the
+    matching rows of those tables, never their n^4 outer product; and its
+    window on ``centers`` along every axis, if given, real with its largest
+    |imaginary part| if ``real``, complex otherwise."""
+    n, dim = grid.n_grid, grid.dim
+    total, paired, window, max_imag = 0j, [0j] * len(tests), None, 0.0
+    if centers is not None:
+        window = np.empty((len(centers),) * dim + (n,) * dim, dtype=float if real else complex)
+    for lo, values in matrix_symbol_bands(M, grid):
+        total += values.sum()
+        for k, W in enumerate(tests):
+            if dim == 1:
+                paired[k] += values.ravel() @ W[0][lo:lo + len(values)].ravel()
+            else:  # one first-axis center: axes (second-axis center, frequencies)
+                paired[k] += ((values[0] @ W[1][:, :, None])[..., 0] @ W[0][lo]).sum()
+        if window is not None:
+            at, part = band_window(lo, values, centers)
+            if part.size:
+                window[at:at + len(part)] = part.real if real else part
+                max_imag = max(max_imag, part.imag.max(), -part.imag.min())
+    return total, paired, window, float(max_imag)
+
+
+def band_window(lo, values, centers):
+    """The part of a symbol band (first center ``lo``, as :func:`matrix_symbol_bands`
+    yields it) on the window of ``centers`` along every axis, and the window row
+    at which it starts."""
+    first, stop = centers[0], centers[-1] + 1  # the kept centers are contiguous
+    rows = slice(max(first - lo, 0), max(stop - lo, 0))
+    part = values[(rows,) + (slice(first, stop),) * (values.ndim // 2 - 1)]
+    return lo + rows.start - first, part
 
 
 def _symmetries(diagonal, n):
@@ -567,7 +617,7 @@ def _spectrum(w, Q):
     return w, Q, (magnitude.max(axis=0), magnitude.min(axis=0))
 
 
-def _gram(w, Q, extent, t):
+def _gram(w, Q, extent, t, out=None):
     """Q exp(-tw) Q^T as B B^T with B = Q exp(-tw/2).
 
     numpy runs B @ B.T as a symmetric rank-k update, half the flops of a
@@ -578,19 +628,22 @@ def _gram(w, Q, extent, t):
     entirely and those with nothing to flush are known before B is formed.
     The eigenvalues ascend, so the vanished columns trail and B is formed
     without them; the flush scans only the columns from the first that has
-    an entry to flush.
+    an entry to flush.  ``out``, two flat buffers of at least Q.size entries,
+    receives B and the product, which is then a view of the second.
     """
     tiny = np.finfo(float).tiny
     largest, smallest = extent
     scale = np.exp(-0.5 * t * w)
     live = np.flatnonzero(largest * scale >= tiny)
     k = live[-1] + 1 if live.size else 0
-    B = Q[:, :k] * scale[:k]
+    n = len(Q)
+    B = np.multiply(Q[:, :k], scale[:k],
+                    out=None if out is None else out[0][: n * k].reshape(n, k))
     flushed = np.flatnonzero(smallest[:k] * scale[:k] < tiny)
     if flushed.size:
         tail = B[:, flushed[0]:]
         tail[np.abs(tail) < tiny] = 0.0
-    return B @ B.T
+    return np.matmul(B, B.T, out=None if out is None else out[1][: n * n].reshape(n, n))
 
 
 class GridOracle:
@@ -608,10 +661,10 @@ class GridOracle:
         self.grid = grid
         self.potential = V
         axis = V.separable_axis() if grid.dim == 2 and V.n_sites == 2 else None
-        self._n_factors = 1 if axis is None else grid.dim  # Kronecker factors of exp(-tH)
-        axes = replace(grid, dim=grid.dim // self._n_factors)  # the grid of one factor
-        H = build_hamiltonian(V if axis is None else axis, axes)
-        generators = _symmetries(H.diagonal(), grid.n_grid) if axes.dim == 2 else []
+        # the axes of one Kronecker factor of exp(-tH): all of them, or one if V separates
+        self.factor_grid = grid if axis is None else replace(grid, dim=1)
+        H = build_hamiltonian(V if axis is None else axis, self.factor_grid)
+        generators = _symmetries(H.diagonal(), grid.n_grid) if self.factor_grid.dim == 2 else []
         if not generators:
             self._spectra, self._slots = [_spectrum(*np.linalg.eigh(H))], None
             return
@@ -624,39 +677,53 @@ class GridOracle:
             self._spectra.append(_spectrum(w, U))
             self._kept.append(kept)
 
-    def semigroup(self, t: float) -> GridSemigroup:
+    def semigroup(self, t: float, out=None) -> GridSemigroup:
         """exp(-tH) from the cached spectral factors, its axis factor per axis if V separates.
 
         Each factor set gives B B^T (see :func:`_gram`).  With symmetry blocks,
         whose products K_c carry the orbit weights, the entry between points
-        g(r_a) and h(r_b) is L_{gh}[a, b] with L_e = sum_c chi_c(e) K_c: the
-        L_{gh} are tiled by group element and gathered at the points' slots,
-        which keeps M exactly symmetric.
+        g(r_a) and h(r_b) is L_{gh}[a, b] with L_e = sum_c chi_c(e) K_c: each
+        (g, h) block of M is gathered from L_{gh} at the orbits of its points
+        and written at their slots, which keeps M exactly symmetric.
+
+        ``out``, two flat float buffers of ``factor_grid.n_points**2`` entries
+        each, receives B and M, so that a sequence of times reuses them; the
+        semigroup returned then views the second, which the next call
+        overwrites.
         """
         if not t > 0.0:
             raise ValueError("t must be positive")
         if self._slots is None:
             (spectrum,) = self._spectra
-            return GridSemigroup(self.grid, float(t), *[_gram(*spectrum, t)] * self._n_factors)
+            M = _gram(*spectrum, t, out)
+            n_factors = self.grid.dim // self.factor_grid.dim
+            return GridSemigroup(self.grid, float(t), *[M] * n_factors)
         n_orbits = self._kept[0].size  # the trivial character keeps every orbit
-        products = []
-        for (w, U, extent), kept in zip(self._spectra, self._kept):
-            K = np.zeros((n_orbits, n_orbits))
-            K[np.ix_(kept, kept)] = _gram(w, U, extent, t)
-            products.append(K)
-        sums = [sum(x * K for x, K in zip(signs, products)) for signs in self._characters.T]
-        tiles = np.block([[sums[g ^ h] for h in range(len(sums))] for g in range(len(sums))])
-        M = tiles.take(self._slots, axis=0).take(self._slots, axis=1)
+        sums = np.zeros((len(self._spectra), n_orbits, n_orbits))  # L_e, by group element
+        for signs, spectrum, kept in zip(self._characters, self._spectra, self._kept):
+            K = _gram(*spectrum, t, out)
+            for L, x in zip(sums, signs):
+                L[np.ix_(kept, kept)] += x * K
+        N = self.grid.n_points
+        M = np.empty((N, N)) if out is None else out[1][: N * N].reshape(N, N)
+        element, orbit = np.divmod(self._slots, n_orbits)
+        points = [np.flatnonzero(element == e) for e in range(len(sums))]
+        for g, rows in enumerate(points):
+            for h, cols in enumerate(points):
+                M[np.ix_(rows, cols)] = sums[g ^ h][np.ix_(orbit[rows], orbit[cols])]
         return GridSemigroup(self.grid, float(t), M)
 
-    def symbol(self, t: float, region="auto",
-               semigroup: Optional[GridSemigroup] = None) -> PhaseSpaceTable:
+    def symbol(self, t: float, region="auto", semigroup: Optional[GridSemigroup] = None,
+               pairing=None) -> PhaseSpaceTable:
         """Real symbol of exp(-tH) on the window of centers that :func:`decay_window` keeps.
 
         Nonnegative potentials only shrink the kernel, so the free envelope
-        behind the default window is conservative.  The window is cut from the
-        semigroup's full-window table; pass ``semigroup``, this oracle's
-        :meth:`semigroup` at the same t, to exponentiate and transform once.
+        behind the default window is conservative.  The window is formed band
+        by band in one pass over the symbol (:func:`_symbol_pass`), which also
+        gives the table its ``symbol_integral`` and, if ``pairing`` holds test
+        functions (f, g) as :func:`pairing_check` takes them, its
+        ``pairing_residual``.  Pass ``semigroup``, this oracle's
+        :meth:`semigroup` at the same t, to exponentiate once.
         """
         S = self.semigroup(t) if semigroup is None else semigroup
         if S.grid != self.grid:
@@ -664,11 +731,10 @@ class GridOracle:
         if S.t != t:
             raise ValueError(f"semigroup is at t={S.t!r}, not {t!r}")
         centers = decay_window(S.factors, self.grid, S.t, region)
+        f, g = pairing or (None, None)
+        integral, residual, values, max_imag = _symbol_pass(S, centers, f, g)
         dim = self.grid.dim
-        windows = [T[np.ix_(*(centers,) * S.factor_grid.dim)] for T in S.tables]
-        values = reduce(partial(np.einsum, "ak,bl->abkl"), windows)  # one per axis if several
         ax = self.grid.axis()[centers]
-        return PhaseSpaceTable(
-            self.grid, S.t, (centers,) * dim, (ax,) * dim, (self.grid.xi_axis(),) * dim,
-            values.real.copy(), max_imag=float(np.abs(values.imag).max()),
-        )
+        return PhaseSpaceTable(self.grid, S.t, (centers,) * dim, (ax,) * dim,
+                               (self.grid.xi_axis(),) * dim, values, max_imag,
+                               integral, residual)

@@ -350,6 +350,23 @@ class TestSubcommands:
         assert code == 0
         assert math.isfinite(doc["results"]["value_re"])
 
+    def test_estimate_chain_indices_are_site_positions(self, capsys):
+        # lattice sites are coordinate tuples; alpha and beta address them by
+        # position 0..n_sites-1, as xi_sweep.site_index does
+        config = {
+            "potential": {"variant": "nearest_neighbor", "d": 1, "sites": [[0], [1], [2]],
+                          "F": {"name": "harmonic"}, "G": {"name": "lorentzian"}},
+            "x": [0.1, -0.2, 0.3], "xi": [0.4, 0.0, -0.5], "t": 0.25, "seed": 5,
+            "n_paths": 2000, "n_steps": 8,
+        }
+        code, doc = run("estimate", config | {"alpha": "0:1", "beta": "1:1"})
+        assert code == 0
+        assert math.isfinite(doc["results"]["value_re"])
+        _, by_site = run("estimate", config | {"alpha": "(0):1", "beta": "(1):1"})
+        assert by_site["results"] == doc["results"]
+        assert cli.main(["estimate", json.dumps(config | {"alpha": "3:1"})]) == 1
+        assert "is not a site position" in capsys.readouterr().err
+
     def test_oracle_summary_and_csv(self, tmp_path):
         out = tmp_path / "oracle.json"
         csv = tmp_path / "oracle.csv"
@@ -453,10 +470,10 @@ class TestSinglePass:
 
         monkeypatch.setattr(np.linalg, "eigh", recorded("eigh", np.linalg.eigh))
         monkeypatch.setattr(np, "kron", recorded("kron", np.kron))
-        transform = recorded("transform", oracle.matrix_weyl_symbol)
+        transform = recorded("transform", oracle.matrix_symbol_bands)
         for module in (oracle, commutator, cli):
-            if hasattr(module, "matrix_weyl_symbol"):
-                monkeypatch.setattr(module, "matrix_weyl_symbol", transform)
+            if hasattr(module, "matrix_symbol_bands"):
+                monkeypatch.setattr(module, "matrix_symbol_bands", transform)
         # the n^2 x n^2 matrix of a one-factor semigroup; an n^4 table would be
         # the transform of such a matrix
         dense_reads = []
@@ -474,21 +491,27 @@ class TestSinglePass:
         assert dense_reads == []
         assert calls == {"eigh": 1, "semigroup": 1, "transform": 1}
 
-    def test_separable_oracle_memory_bounded(self):
-        # the n = 64 op of the benchmark: a dense route peaks near 670 MB here
+    @pytest.mark.parametrize("G, bound", [("zero", 16), ("lorentzian", 18.5)],
+                             ids=["separable", "coupled"])
+    def test_oracle_memory_bounded(self, G, bound):
+        # the 2-d ops of the benchmark.  Separable, n = 64: a dense route peaks
+        # near 670 MB; from the axis factors 13.1 MiB was measured in one pass
+        # over the symbol (40.9 with cached full-window tables).  Coupled, n =
+        # 32: 15.2 MiB (42.6 with a full-window table, an n^4 Wigner table and
+        # tiled block products).  Each bound is that + 20%
         tracemalloc.start()
         try:
             code, _ = run("oracle", {
                 "potential": {"variant": "nearest_neighbor", "d": 1, "sites": [[0], [1]],
-                              "F": {"name": "harmonic"}, "G": {"name": "zero"}},
-                "grid": {"half_width": 8.0, "n_grid": 64, "dim": 2},
+                              "F": {"name": "harmonic"}, "G": {"name": G}},
+                "grid": {"half_width": 8.0, "n_grid": 64 if G == "zero" else 32, "dim": 2},
                 "t": 0.5,
             })
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < 64 * 2**20
+        assert peak < bound * 2**20
 
     SEPARABLE_COMMUTATOR = {
         "potential": {"variant": "nearest_neighbor", "d": 1, "sites": [[0], [1]],
@@ -559,9 +582,10 @@ class TestSinglePass:
         assert calls == {"eigh": 1, "semigroup": len(t_list), "transform": len(t_list)}
 
     def test_commutator_memory_bounded(self):
-        # the 1-d op of the benchmark over the default times, with cold table
-        # caches: 65.5 MiB measured with the symbol reduced band by band (97.9
-        # with a full complex table, the cached 2-d index tables and a transposed
+        # the 1-d op of the benchmark over the default times: 44.0 MiB measured
+        # with B and M reused across times and each band reduced through the
+        # state's profiles, with no n^2 index, weight or state table cached
+        # (65.5 MiB with them; 97.9 with a full complex table and a transposed
         # copy of the state; 168 MB with a dense phase matrix and a (2n-1)^2
         # quantization table); the bound is that + 20%
         tracemalloc.start()
@@ -577,7 +601,7 @@ class TestSinglePass:
             tracemalloc.stop()
         assert code == 0
         assert len(doc["results"]["points"]) == 7
-        assert peak < 79 * 2**20
+        assert peak < 53 * 2**20
 
     def test_antidiagonal_tables_built_once_per_grid(self):
         from weylfk import oracle

@@ -184,11 +184,12 @@ class TestTrace:
         factorized = commutator_trace(oracle, state, [0.0, 1.0, 0.5], 1, times)
         w, Q = np.linalg.eigh(build_hamiltonian(V, grid))
 
-        def dense(t):
+        def dense(t, out=None):  # one dense factor; the buffers are not used
             M = (Q * np.exp(-t * w)) @ Q.T
             return GridSemigroup(grid, t, 0.5 * (M + M.T))
 
         monkeypatch.setattr(oracle, "semigroup", dense)
+        monkeypatch.setattr(oracle, "factor_grid", grid)  # one factor on both axes
         reference = commutator_trace(oracle, state, [0.0, 1.0, 0.5], 1, times)
         assert factorized[-1].route_gap <= 1e-7
         for got, ref in zip(factorized, reference):

@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import replace
+from functools import partial, reduce
 from itertools import product
 
 import numpy as np
@@ -110,6 +111,18 @@ class TestHamiltonian:
         assert np.array_equal(build_hamiltonian(V, grid), reference)
 
 
+    @pytest.mark.parametrize("n", [16, 1024])
+    def test_1d_stencil_bitwise_equals_diagonal_sum(self, n):
+        # the three-point stencil written onto one zeroed array, against the sum
+        # of np.diag matrices that built it before: every bit, zero signs too
+        V = NearestNeighborPotential(1, [(0,)], gaussian_bump_function(), zero_function())
+        grid = Grid(6.0, n, 1)
+        lap = (np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1)
+               - np.diag(np.ones(n - 1), -1)) / grid.spacing**2
+        reference = lap + np.diag(V.eval(grid.points()))
+        assert same_bits(build_hamiltonian(V, grid), reference)
+
+
 class TestSemigroup:
     def test_near_identity_at_small_time(self):
         oracle = GridOracle(harmonic_potential(), Grid(8.0, 16, 1))
@@ -165,8 +178,10 @@ class TestSemigroup:
         live = np.flatnonzero(B.any(axis=0))
         B = B[:, : live[-1] + 1 if live.size else 0]
         expected = B @ B.T
-        got = _gram(*_spectrum(w, Q), t)
-        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        buffers = [np.full(n * n, np.nan) for _ in "BM"]  # B and the product, reused
+        for out in (None, buffers, buffers):
+            got = _gram(*_spectrum(w, Q), t, out)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_nonpositive_time_rejected(self):
         oracle = GridOracle(ZeroPotential([(0,)]), Grid(8.0, 16, 1))
@@ -326,6 +341,37 @@ class TestPairing:
         f = normalized_gaussian(replace(grid, dim=1), center=0.2, width=0.55)
         g = normalized_gaussian(replace(grid, dim=1), center=-0.1, width=0.55)
         assert pairing_check(oracle.semigroup(0.5), (f, f), (g, g)) <= 1e-6
+
+    @pytest.mark.parametrize("case", ["1-d", "separable", "coupled"])
+    def test_one_pass_matches_full_tables(self, case):
+        # the window, the symbol integral and the pairing of one pass over the
+        # bands, against the full-window tables and the n^4 Wigner table
+        n = 64 if case == "1-d" else 16
+        grid = Grid(4.5, n, 1 if case == "1-d" else 2)
+        sites = [(0,)] if case == "1-d" else [(0,), (1,)]
+        G = lorentzian_function(2.0, 2.0) if case == "coupled" else zero_function()
+        oracle = GridOracle(NearestNeighborPotential(1, sites, gaussian_bump_function(), G), grid)
+        axis = replace(grid, dim=1)
+        f = [normalized_gaussian(axis, center=c, width=0.55) for c in (0.2, -0.1)][: grid.dim]
+        g = [normalized_gaussian(axis, center=c, width=0.5) for c in (-0.1, 0.1)][: grid.dim]
+        S = oracle.semigroup(0.05)
+        tab = oracle.symbol(0.05, semigroup=S, pairing=(f, g))
+        tables = [matrix_weyl_symbol(M, S.factor_grid).values for M in S.factors]
+        full = reduce(partial(np.einsum, "ak,bl->abkl"), tables)
+        W = reduce(partial(np.einsum, "ak,bl->abkl"),
+                   [wigner(fa, ga, axis).values for fa, ga in zip(f, g)])
+        cell = grid.cell_volume * grid.xi_cell_volume
+        integral = full.sum().real * cell / (2 * math.pi) ** grid.dim
+        fM, gM = (reduce(np.multiply.outer, h).ravel() for h in (f, g))
+        lhs = grid.cell_volume * np.vdot(gM, reduce(np.kron, S.factors) @ fM)
+        residual = abs(lhs - (full * W).sum() * cell)
+        window = full[np.ix_(*tab.center_indices)]
+        assert tab.symbol_integral == pytest.approx(integral, abs=1e-13)
+        assert tab.symbol_integral == S.symbol_integral
+        assert tab.pairing_residual == pytest.approx(residual, abs=1e-13)
+        assert tab.pairing_residual == pairing_check(S, f, g)
+        assert np.abs(tab.values - window.real).max() <= 1e-15
+        assert tab.max_imag == pytest.approx(np.abs(window.imag).max(), abs=1e-15)
 
     def test_factor_count_checked(self):
         grid = Grid(4.5, 16, 2)
@@ -640,7 +686,7 @@ class TestSeparable:
                 outcomes.add(False)
                 tab = oracle.symbol(t, region=region, semigroup=S)
                 assert all(np.array_equal(c, centers) for c in tab.center_indices)
-                ref = dense.tables[0][np.ix_(centers, centers)]
+                ref = matrix_weyl_symbol(dense.matrix, grid).values[np.ix_(centers, centers)]
                 assert np.abs(tab.values - ref.real).max() <= 1e-13
                 assert tab.max_imag == pytest.approx(np.abs(ref.imag).max(), abs=1e-13)
         assert outcomes == {True, False}
@@ -769,9 +815,30 @@ class TestSymmetryBlocks:
                 outcomes.add(False)
                 tab = oracle.symbol(t, region=region, semigroup=S)
                 assert all(np.array_equal(c, centers) for c in tab.center_indices)
-                ref = dense.tables[0][np.ix_(centers, centers)]
+                ref = matrix_weyl_symbol(dense.matrix, grid).values[np.ix_(centers, centers)]
                 assert np.abs(tab.values - ref.real).max() <= 1e-13
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("make", [SYMMETRIC["nn-harmonic-lorentzian"],
+                                      ONE_SYMMETRY["exchange-only"][0]], ids=["both", "exchange"])
+    def test_assembled_at_slots_equals_tiles_bitwise(self, make):
+        # M written block by block at the points' slots, into a fresh array or
+        # reused buffers, against tiling the products L_e by group element and
+        # gathering the rows and columns at the slots
+        oracle = GridOracle(make(), Grid(4.5, 16, 2))
+        n_orbits = oracle._kept[0].size
+        buffers = [np.empty(256**2) for _ in "BM"]
+        for t in (0.05, 0.5):
+            products = []
+            for spectrum, kept in zip(oracle._spectra, oracle._kept):
+                K = np.zeros((n_orbits, n_orbits))
+                K[np.ix_(kept, kept)] = _gram(*spectrum, t)
+                products.append(K)
+            sums = [sum(x * K for x, K in zip(signs, products)) for signs in oracle._characters.T]
+            tiles = np.block([[sums[g ^ h] for h in range(len(sums))] for g in range(len(sums))])
+            expected = tiles.take(oracle._slots, axis=0).take(oracle._slots, axis=1)
+            for out in (None, buffers):
+                assert same_bits(oracle.semigroup(t, out).matrix, expected)
 
     @pytest.mark.parametrize("case", sorted(ONE_SYMMETRY))
     def test_one_symmetry_gives_two_blocks(self, case, eigh_shapes):
