@@ -58,7 +58,6 @@ from .oracle import (
     PhaseSpaceTable,
     SupportError,
     build_hamiltonian,
-    pairing_check,
     semigroup_symbol_at,
     wigner,
 )

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from functools import partial, reduce
+from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -56,19 +56,18 @@ class WeylObservable:
     axes: tuple  # one GaussianAxisFactor per dimension
     norm_const: float
 
-    @property
-    def table(self) -> np.ndarray:
-        """p sampled on the (centers x frequencies) grid, built on each call."""
-        ax, xi = self.grid.axis(), self.grid.xi_axis()
-        tables = [np.outer(f.x_profile(ax), f.xi_profile(xi)) for f in self.axes]
-        table = reduce(partial(np.einsum, "ak,bl->abkl"), tables)
-        table *= self.norm_const
-        return table
-
     def trace_quadrature(self) -> float:
-        dxi = math.pi / (self.grid.n_grid * self.grid.spacing)
-        cell = self.grid.spacing * dxi / (2.0 * math.pi)
-        return float(self.table.sum() * cell**self.grid.dim)
+        """Grid quadrature of p over phase space: p is a product over axes of
+        p_x(x) p_xi(xi), so it is norm_const times a product of profile sums,
+        and no (centers x frequencies) table is formed."""
+        grid = self.grid
+        ax, xi = grid.axis(), grid.xi_axis()
+        dxi = math.pi / (grid.n_grid * grid.spacing)
+        integral = self.norm_const
+        for f in self.axes:
+            px, pxi = f.x_profile(ax), f.xi_profile(xi)
+            integral *= px.sum() * grid.spacing * pxi.sum() * dxi / (2.0 * math.pi)
+        return float(integral)
 
 
 def gaussian_state_symbol(grid: Grid, center_x, center_xi, width_x, width_xi,
@@ -87,8 +86,6 @@ def gaussian_state_symbol(grid: Grid, center_x, center_xi, width_x, width_xi,
         for cx, ck, wx, wk in zip(center_x, center_xi, width_x, width_xi)
     )
     ax, xi = grid.axis(), grid.xi_axis()
-    raw_integral = 1.0
-    dxi = math.pi / (grid.n_grid * grid.spacing)
     for factor in axes:
         px = factor.x_profile(ax)
         pxi = factor.xi_profile(xi)
@@ -96,28 +93,22 @@ def gaussian_state_symbol(grid: Grid, center_x, center_xi, width_x, width_xi,
             raise SupportError("state leaks outside the position grid")
         if max(pxi[0], pxi[-1]) > support_tol * pxi.max():
             raise SupportError("state leaks outside the frequency grid")
-        raw_integral *= px.sum() * grid.spacing * pxi.sum() * dxi / (2.0 * math.pi)
-    return WeylObservable(grid, axes, 1.0 / raw_integral)
+    raw = WeylObservable(grid, axes, 1.0)
+    return replace(raw, norm_const=1.0 / raw.trace_quadrature())
 
 
-def op_weyl_matrix(p: WeylObservable, aliasing_tol=1e-10) -> np.ndarray:
-    """Quantize the symbol into a Hermitian kernel matrix by discrete Fourier transform.
+def op_weyl_matrix(p: WeylObservable, aliasing_tol=1e-10, transposed=False) -> np.ndarray:
+    """Quantize the symbol into a Hermitian kernel matrix by discrete Fourier
+    transform, or into its transpose, bitwise equal to transposing it.
 
     The frequency quadrature spans the full band conjugate to the grid
-    spacing (twice the symbol table's band), so a symbol flat in frequency
+    spacing (twice the frequency grid's band), so a symbol flat in frequency
     quantizes to a multiple of the identity.  The aliasing check requires the
-    symbol to decay within the table band; for admissible symbols the matrix
-    trace then equals the quadrature of p, which is one by construction.
-    """
-    return _quantize(p, aliasing_tol)
-
-
-def _quantize(p: WeylObservable, aliasing_tol=1e-10, transposed=False) -> np.ndarray:
-    """:func:`op_weyl_matrix`, or its transpose, bitwise equal to transposing it.
-
-    Per axis the kernel is dx p_x((x_i + x_j) / 2) times the frequency
-    quadrature at i - j: a Hankel times a Toeplitz matrix, read as strided
-    views of their 1-d profiles, so the transpose only reverses a view.
+    symbol to decay within the frequency grid; for admissible symbols the
+    matrix trace then equals the quadrature of p, which is one by
+    construction.  Per axis the kernel is dx p_x((x_i + x_j) / 2) times the
+    frequency quadrature at i - j: a Hankel times a Toeplitz matrix, read as
+    strided views of their 1-d profiles, so the transpose only reverses a view.
     """
     grid = p.grid
     n = grid.n_grid
@@ -197,7 +188,7 @@ def commutator_trace(oracle: GridOracle, p: WeylObservable, poly_coeffs,
                for lo in range(0, grid.dim, dim)]
     # transposed, so each trace reads it in memory order; the float view pairs
     # the real and imaginary parts, so one dot product gives both
-    states = [_quantize(q, transposed=True).view(float).reshape(-1, 2) for q in factors]
+    states = [op_weyl_matrix(q, transposed=True).view(float).reshape(-1, 2) for q in factors]
     state_trace = reduce(operator.mul, (q.trace_quadrature() for q in factors))
     a = np.polynomial.polynomial.polyval(axes.points()[:, axis], poly_coeffs)
     buffers = [np.empty(axes.n_points**2) for _ in "BM"]  # reused by every time

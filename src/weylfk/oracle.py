@@ -26,10 +26,12 @@ the padding cancels between their two sides; where symbol accuracy is
 claimed, a window of centers is cut from it and a decay check converts the
 truncation into a hard error.  The transform streams bands of centers
 (ROW_BAND centers in 1-d, one first-axis center in 2-d), bitwise equal to
-transforming every center at once.  No semigroup's full-window table is
-formed: one pass over the bands of each factor feeds the symbol integral, the
-pairing (each band against the matching rows of 1-d Wigner tables) and the
-real window, and the commutator traces reduce the bands likewise.
+transforming every center at once; one helper gives the antidiagonals of any
+range of centers, to the bands and to the decay check.  No full-window symbol
+table is formed: one pass over the bands of each factor feeds the symbol
+integral, the pairing (each band against the matching rows of 1-d Wigner
+tables) and the real window, and the commutator traces reduce the bands
+likewise.
 """
 
 from __future__ import annotations
@@ -37,11 +39,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .potentials import PotentialSpec
 
@@ -154,26 +155,20 @@ class GridSemigroup:
     def trace(self) -> float:
         return math.prod(float(np.trace(M)) for M in self.factors)
 
-    @property
-    def symbol_integral(self) -> float:
-        """Phase-space integral of the full-window symbol, which equals the trace."""
-        return _symbol_pass(self)[0]
-
 
 @dataclass(frozen=True)
 class PhaseSpaceTable:
     """Values on a (centers x frequencies) product grid, one axis pair per dimension."""
 
     grid: Grid
-    t: Optional[float]
+    t: float
     center_indices: tuple  # per-axis integer indices into the grid
     x_axes: tuple          # per-axis center coordinates
     xi_axes: tuple         # per-axis frequency coordinates
     values: np.ndarray     # shape (*n_centers, *n_frequencies)
-    max_imag: float = 0.0
-    # from the pass that made a semigroup's window (:meth:`GridOracle.symbol`):
-    symbol_integral: Optional[float] = None   # of the full-window symbol
-    pairing_residual: Optional[float] = None  # if it was given test functions
+    max_imag: float
+    symbol_integral: float                # of the full-window symbol
+    pairing_residual: Optional[float]     # if it was given test functions
 
     @property
     def x(self) -> np.ndarray:
@@ -186,25 +181,25 @@ class PhaseSpaceTable:
         return ax
 
 
-@lru_cache(maxsize=4)
-def _antidiagonals(n):
-    """Index pairs (center + m, center - m) for every center, offsets m in FFT order.
+def _antidiagonals(centers, n, out=None):
+    """Index pairs (center + m, center - m) through each of ``centers``, offsets
+    m in FFT order, clipped onto the grid, and the mask of the pairs really on
+    it (|m| at most the center's distance to the edge).
 
-    Returns the pairs clipped onto the grid, the mask of pairs really on it,
-    and the offsets, built once per grid size as read-only arrays; row c
-    belongs to center c, so a window of centers is a row slice.  The 2-d
-    transform and the 2-d decay checks, dense or factored, read them; the 1-d
-    transform builds the rows of one band at a time.
+    Row k belongs to ``centers[k]``.  ``out``, three (len(centers), n) arrays
+    (two of intp, one of bool), receives them, so that a stream of bands
+    reuses them: allocating them per band made an n = 1024 pass 11% slower.
     """
     m = _offsets(n)
-    centers = np.arange(n)[:, None]
-    plus = centers + m
-    minus = centers - m
-    valid = (plus >= 0) & (plus < n) & (minus >= 0) & (minus < n)
-    tables = plus.clip(0, n - 1), minus.clip(0, n - 1), valid, m
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    centers = np.asarray(centers)[:, None]
+    if out is None:
+        shape = (len(centers), n)
+        out = np.empty(shape, np.intp), np.empty(shape, np.intp), np.empty(shape, bool)
+    plus, minus, valid = out
+    np.clip(np.add(centers, m, out=plus), 0, n - 1, out=plus)
+    np.clip(np.subtract(centers, m, out=minus), 0, n - 1, out=minus)
+    np.less_equal(np.abs(m), np.minimum(centers, n - 1 - centers), out=valid)
+    return plus, minus, valid
 
 
 def _offsets(n):
@@ -215,51 +210,40 @@ def _antidiagonal_bands(gather, grid: Grid, scale: float, inverse=False):
     """Fourier transform along the antidiagonals through the grid centers, a band at a time.
 
     ``gather(flat)`` returns the kernel at the flat indices plus * N + minus
-    of the point pairs center + m, center - m, clipped onto the grid.  One
-    weight per axis folds in the mask that zero-pads pairs off the grid (|m|
-    at most the center's distance to the edge), the sign (-1)^m that centers
-    the frequency axis, and the scale, so no shifted copies are made.  The
-    forward transform is unnormalized; ``inverse`` conjugates the phases,
-    also unnormalized.
+    of the point pairs center + m, center - m, clipped onto the grid
+    (:func:`_antidiagonals`).  One weight per axis folds in the mask that
+    zero-pads pairs off the grid, the sign (-1)^m that centers the frequency
+    axis, and the scale, so no shifted copies are made.  The forward
+    transform is unnormalized; ``inverse`` conjugates the phases, also
+    unnormalized.
 
     Yields (first center, values) per band, values of shape (centers in the
     band, *other center axes, *frequencies).  In 1-d a band is ROW_BAND
-    centers: their flat indices are summed from windows of a clipped 1-d
-    range and their weights masked from one signed row, into reused buffers,
-    then the kernel is gathered, weighted and transformed in place in one
-    reused buffer, which the next band overwrites; no n x n index or weight
-    is held.  In 2-d a band is one first-axis center.
+    centers, whose pairs, flat indices and weights are built into reused
+    buffers; the kernel is gathered, weighted and transformed in place in one
+    reused buffer, which the next band overwrites, so no n x n index or
+    weight is held.  In 2-d a band is one first-axis center.
     """
     n, N = grid.n_grid, grid.n_points
-    m = _offsets(n)
-    signed = scale * (-1.0) ** m
+    signed = scale * (-1.0) ** _offsets(n)
     fftn, norm = (np.fft.ifftn, "forward") if inverse else (np.fft.fftn, "backward")
     if grid.dim == 1:
-        size, half = min(ROW_BAND, n), n // 2
-        # in FFT order m = k - shift, k < n/2, with shift 0 and then n/2: along k,
-        # row c of the clipped plus (minus) index climbs (descends) a clipped
-        # range, so each half of a band is a stack of windows of one 1-d lookup
-        clipped = np.arange(-n, 2 * n).clip(0, n - 1)  # [s + n]: s clipped onto the grid
-        plus = sliding_window_view(clipped * n, half)  # [c + n + j][k] = clip(c + j + k) * n
-        # [c + n - half + 1 + j][k] = clip(c + j - k)
-        minus = sliding_window_view(clipped, half)[:, ::-1]
-        reach, base = np.abs(m), np.arange(size)[:, None]
-        flat = np.empty((size, n), dtype=np.intp)
-        weight = np.empty((size, n))
-        buffer = np.empty((size, n), dtype=complex)
+        shape = (min(ROW_BAND, n), n)
+        pairs = np.empty(shape, np.intp), np.empty(shape, np.intp), np.empty(shape, bool)
+        weight, buffer = np.empty(shape), np.empty(shape, dtype=complex)
         for lo in range(0, n, ROW_BAND):
             rows = min(ROW_BAND, n - lo)
-            index, w, values = flat[:rows], weight[:rows], buffer[:rows]
-            for cols, shift in ((slice(None, half), 0), (slice(half, None), half)):
-                np.add(plus[lo + n - shift:][:rows], minus[lo + n + shift - half + 1:][:rows],
-                       out=index[:, cols])
-            centers = base[:rows] + lo
+            plus, minus, valid = _antidiagonals(np.arange(lo, lo + rows), n,
+                                                [a[:rows] for a in pairs])
+            index = np.multiply(plus, n, out=plus)
+            index += minus
+            w, values = weight[:rows], buffer[:rows]
             w.fill(0.0)
-            np.copyto(w, signed, where=reach <= np.minimum(centers, n - 1 - centers))
+            np.copyto(w, signed, where=valid)
             np.multiply(gather(index), w, out=values)
             yield lo, fftn(values, axes=(-1,), norm=norm, out=values)
         return
-    plus, minus, valid, _ = _antidiagonals(n)
+    plus, minus, valid = _antidiagonals(np.arange(n), n)
     weight = np.where(valid, signed, 0.0)
     for p in range(n):
         # block axes: (second-axis center, first-axis offset, second-axis offset)
@@ -267,16 +251,6 @@ def _antidiagonal_bands(gather, grid: Grid, scale: float, inverse=False):
                        + minus[p][:, None] * n + minus[:, None, :])
         block *= weight[p][:, None] * weight[:, None, :]
         yield p, fftn(block, axes=(-2, -1), norm=norm)[None]
-
-
-def _antidiagonal_table(bands, grid: Grid) -> PhaseSpaceTable:
-    """The full-window table of a stream of transformed bands."""
-    values = np.empty((grid.n_grid,) * 2 * grid.dim, dtype=complex)
-    for lo, band in bands:
-        values[lo:lo + len(band)] = band
-    dim = grid.dim
-    return PhaseSpaceTable(grid, None, (np.arange(grid.n_grid),) * dim,
-                           (grid.axis(),) * dim, (grid.xi_axis(),) * dim, values)
 
 
 def matrix_symbol_bands(matrix: np.ndarray, grid: Grid):
@@ -297,15 +271,6 @@ def matrix_symbol_bands(matrix: np.ndarray, grid: Grid):
         return matrix.take(flat, out=buffer[: flat.size].reshape(flat.shape), mode="clip")
 
     return _antidiagonal_bands(gather, grid, 2.0)
-
-
-def matrix_weyl_symbol(matrix: np.ndarray, grid: Grid) -> PhaseSpaceTable:
-    """Phase-space symbol of a kernel matrix on the full window of centers.
-
-    Values are complex; :meth:`GridOracle.symbol` takes the real part on a
-    decay-checked window.
-    """
-    return _antidiagonal_table(matrix_symbol_bands(matrix, grid), grid)
 
 
 def default_margin(t: float, spacing: float) -> float:
@@ -356,7 +321,7 @@ def decay_window(factors, grid: Grid, t: float, region="auto") -> np.ndarray:
             "no usable centers: the grid is too small for this time horizon"
         )
     if grid.dim == 2:
-        plus, minus, valid = (table[centers] for table in _antidiagonals(n)[:3])
+        plus, minus, valid = _antidiagonals(centers, n)
     if len(factors) == 2:  # each factor's largest |entry| on each kept antidiagonal
         along = [np.where(valid, np.abs(M[plus, minus]), 0.0).max(axis=-1) for M in factors]
     reach = np.minimum(centers, n - 1 - centers)  # last offset on the grid
@@ -440,8 +405,9 @@ def _check_support(values, grid):
         )
 
 
-def wigner(f, g, grid: Grid) -> PhaseSpaceTable:
-    """Phase-space transform of a pair of grid functions, on the full window."""
+def wigner(f, g, grid: Grid) -> np.ndarray:
+    """Phase-space transform of a pair of grid functions, complex, on the full
+    window: shape (*centers, *frequencies)."""
     f = np.asarray(f, dtype=complex).reshape(grid.n_points)
     g = np.asarray(g, dtype=complex).reshape(grid.n_points)
     _check_support(f, grid)
@@ -452,8 +418,10 @@ def wigner(f, g, grid: Grid) -> PhaseSpaceTable:
         plus, minus = np.divmod(flat, grid.n_points)
         return f[minus] * g_conj[plus]
 
-    bands = _antidiagonal_bands(gather, grid, grid.spacing / math.pi, inverse=True)
-    return _antidiagonal_table(bands, grid)
+    values = np.empty((grid.n_grid,) * 2 * grid.dim, dtype=complex)
+    for lo, band in _antidiagonal_bands(gather, grid, grid.spacing / math.pi, inverse=True):
+        values[lo:lo + len(band)] = band
+    return values
 
 
 def gaussian_test_functions(grid: Grid):
@@ -464,28 +432,18 @@ def gaussian_test_functions(grid: Grid):
     return tuple(h / math.sqrt((h**2).sum() * grid.spacing) for h in (f, g))
 
 
-def pairing_check(S: GridSemigroup, f, g) -> float:
-    """Residual of the quadratic-form identity between operator and symbol sides.
-
-    ``f`` and ``g`` hold one 1-d factor per grid axis; the grid functions are
-    their outer products, and the transform of the pair is the outer product
-    of the 1-d transforms.  Left side: the grid inner product of exp(-tH) f
-    against g.  Right side: the semigroup's full-window symbol integrated
-    against the transform of (f, g) on the same window, where zero-padding
-    cancels identically.  Both sides are products over the semigroup's
-    factors, each paired with the test functions on its axes.
-    """
-    return _symbol_pass(S, f=f, g=g)[1]
-
-
-def _symbol_pass(S: GridSemigroup, centers=None, f=None, g=None):
+def _symbol_pass(S: GridSemigroup, centers, f=None, g=None):
     """The symbol integral of S, the pairing residual of test functions f, g
     (None without them), and the real symbol on the window of ``centers`` with
-    its largest |imaginary part| (None, 0 without them), from one pass over
-    the symbol bands of each distinct factor (:func:`_factor_pass`).
+    its largest |imaginary part|, from one pass over the symbol bands of each
+    distinct factor (:func:`_factor_pass`).
 
-    Each is a product over the factors; the window of two factors is their
-    outer product, formed a first-axis center at a time.
+    ``f`` and ``g`` hold one 1-d factor per grid axis.  The pairing compares
+    the grid inner product of exp(-tH) f against g with the full-window
+    symbol integrated against the transform of (f, g), the outer product of
+    1-d transforms, where the zero padding cancels.  Each result is a product
+    over the factors; the window of two factors is their outer product,
+    formed a first-axis center at a time.
     """
     grid = S.factor_grid
     tests = []
@@ -493,7 +451,7 @@ def _symbol_pass(S: GridSemigroup, centers=None, f=None, g=None):
         if len(f) != S.grid.dim or len(g) != S.grid.dim:
             raise ValueError(f"test functions need one factor per grid axis, {S.grid.dim}")
         f, g = ([np.asarray(h, dtype=complex) for h in hs] for hs in (f, g))
-        W = [wigner(fa, ga, replace(S.grid, dim=1)).values for fa, ga in zip(f, g)]
+        W = [wigner(fa, ga, replace(S.grid, dim=1)) for fa, ga in zip(f, g)]
         tests = [W[lo:lo + grid.dim] for lo in range(0, S.grid.dim, grid.dim)]
     distinct = {id(M): M for M in S.factors}
     passes = {key: _factor_pass(M, grid, centers, tests, len(S.factors) == 1)
@@ -512,7 +470,7 @@ def _symbol_pass(S: GridSemigroup, centers=None, f=None, g=None):
             lhs *= grid.cell_volume * np.vdot(gM, Mf)  # vdot conjugates g
             rhs *= paired[i] * grid.cell_volume * grid.xi_cell_volume
         residual = float(abs(lhs - rhs))
-    if centers is None or len(windows) == 1:
+    if len(windows) == 1:
         return integral, residual, windows[0], imags[0]
     X, Y = windows
     values, max_imag = np.empty((len(X), len(Y)) + X.shape[1:] + Y.shape[1:]), 0.0
@@ -528,12 +486,11 @@ def _factor_pass(M, grid: Grid, centers, tests, real):
     full-window symbol; one pairing per entry of ``tests`` (the 1-d Wigner
     tables of the test functions on M's axes), each band against the
     matching rows of those tables, never their n^4 outer product; and its
-    window on ``centers`` along every axis, if given, real with its largest
-    |imaginary part| if ``real``, complex otherwise."""
+    window on ``centers`` along every axis, real with its largest |imaginary
+    part| if ``real``, complex otherwise."""
     n, dim = grid.n_grid, grid.dim
-    total, paired, window, max_imag = 0j, [0j] * len(tests), None, 0.0
-    if centers is not None:
-        window = np.empty((len(centers),) * dim + (n,) * dim, dtype=float if real else complex)
+    total, paired, max_imag = 0j, [0j] * len(tests), 0.0
+    window = np.empty((len(centers),) * dim + (n,) * dim, dtype=float if real else complex)
     for lo, values in matrix_symbol_bands(M, grid):
         total += values.sum()
         for k, W in enumerate(tests):
@@ -541,11 +498,10 @@ def _factor_pass(M, grid: Grid, centers, tests, real):
                 paired[k] += values.ravel() @ W[0][lo:lo + len(values)].ravel()
             else:  # one first-axis center: axes (second-axis center, frequencies)
                 paired[k] += ((values[0] @ W[1][:, :, None])[..., 0] @ W[0][lo]).sum()
-        if window is not None:
-            at, part = band_window(lo, values, centers)
-            if part.size:
-                window[at:at + len(part)] = part.real if real else part
-                max_imag = max(max_imag, part.imag.max(), -part.imag.min())
+        at, part = band_window(lo, values, centers)
+        if part.size:
+            window[at:at + len(part)] = part.real if real else part
+            max_imag = max(max_imag, part.imag.max(), -part.imag.min())
     return total, paired, window, float(max_imag)
 
 
@@ -721,7 +677,7 @@ class GridOracle:
         behind the default window is conservative.  The window is formed band
         by band in one pass over the symbol (:func:`_symbol_pass`), which also
         gives the table its ``symbol_integral`` and, if ``pairing`` holds test
-        functions (f, g) as :func:`pairing_check` takes them, its
+        functions (f, g), one 1-d factor per grid axis each, its
         ``pairing_residual``.  Pass ``semigroup``, this oracle's
         :meth:`semigroup` at the same t, to exponentiate once.
         """

@@ -537,8 +537,8 @@ class TestSinglePass:
         monkeypatch.setattr(np, "kron", recorded("kron", np.kron))
         monkeypatch.setattr(commutator, "matrix_symbol_bands",
                             recorded("transform", commutator.matrix_symbol_bands))
-        monkeypatch.setattr(commutator, "_quantize",
-                            recorded("quantize", commutator._quantize, result=True))
+        monkeypatch.setattr(commutator, "op_weyl_matrix",
+                            recorded("quantize", commutator.op_weyl_matrix, result=True))
         dense_reads = []
         monkeypatch.setattr(oracle.GridSemigroup, "matrix",
                             property(lambda S: dense_reads.append("matrix")))
@@ -555,9 +555,9 @@ class TestSinglePass:
         assert calls == {"eigh": 1, "semigroup": len(t_list), "transform": 2 * len(t_list)}
 
     def test_separable_commutator_memory_bounded(self):
-        # n = 64 on both axes, with cold table caches: a route through the
-        # Kronecker matrix holds a 4096^2 complex state alone, 256 MiB; from the
-        # axis factors 1.33 MiB was measured, and the bound is that + 20%
+        # n = 64 on both axes: a route through the Kronecker matrix holds a
+        # 4096^2 complex state alone, 256 MiB; from the axis factors 1.33 MiB
+        # was measured, and the bound is that + 20%
         tracemalloc.start()
         try:
             code, doc = run("commutator", self.SEPARABLE_COMMUTATOR | {
@@ -602,17 +602,6 @@ class TestSinglePass:
         assert code == 0
         assert len(doc["results"]["points"]) == 7
         assert peak < 53 * 2**20
-
-    def test_antidiagonal_tables_built_once_per_grid(self):
-        from weylfk import oracle
-
-        first = oracle._antidiagonals(64)
-        second = oracle._antidiagonals(64)
-        assert len(first) == 4
-        for table, again in zip(first, second):
-            assert again is table
-            with pytest.raises(ValueError, match="read-only"):
-                table[0] = 0
 
     def test_estimate_sweep_samples_one_path_set_per_chunk(self, monkeypatch):
         from weylfk import potentials, symbol_estimator

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from weylfk.oracle import (
     SupportError,
     build_hamiltonian,
     decay_window,
-    matrix_weyl_symbol,
+    matrix_symbol_bands,
 )
 from weylfk.potentials import (
     NearestNeighborPotential,
@@ -47,7 +49,26 @@ class TestState:
 
     def test_nonnegative(self, harmonic_setup):
         grid, V, oracle, state, op = harmonic_setup
-        assert state.table.min() >= 0.0
+        for f in state.axes:
+            assert f.x_profile(grid.axis()).min() >= 0.0
+            assert f.xi_profile(grid.xi_axis()).min() >= 0.0
+        assert state.norm_const > 0.0
+
+    def test_trace_quadrature_forms_no_table(self):
+        # a 2-d state read as one factor, as for a coupled oracle: its (centers x
+        # frequencies) table at n = 64 is 64^4 floats, 128 MiB, while the
+        # quadrature needs only per-axis profiles of n entries (a few KiB
+        # measured); 1 MiB lies far from both
+        state = gaussian_state_symbol(Grid(4.0, 64, 2), [0.2, -0.1], [0.3, 0.1],
+                                      [0.4, 0.4], [0.5, 0.5])
+        tracemalloc.start()
+        try:
+            trace = state.trace_quadrature()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace == pytest.approx(1.0, abs=1e-12)
+        assert peak < 2**20
 
     def test_peak_scales_with_width(self):
         grid = Grid(10.0, 256, 1)
@@ -201,15 +222,19 @@ class TestTrace:
 
 
 def full_table_traces(oracle, state, poly, site_axis, t):
-    """Both traces and the window sup from the commutator's whole symbol table."""
+    """Both traces and the window sup from the commutator's whole symbol table,
+    paired with the state's whole table, built from its per-axis profiles."""
     grid = oracle.grid
     a = np.polynomial.polynomial.polyval(grid.points()[:, site_axis], poly)
     C = oracle.semigroup(t).matrix * np.subtract.outer(a, a)
-    F = matrix_weyl_symbol(C, grid).values
+    F = np.concatenate([band.copy() for _, band in matrix_symbol_bands(C, grid)])
+    ax, xi = grid.axis(), grid.xi_axis()
+    profiles = [np.outer(f.x_profile(ax), f.xi_profile(xi)) for f in state.axes]
+    table = state.norm_const * reduce(partial(np.einsum, "ak,bl->abkl"), profiles)
     cell = grid.cell_volume * grid.xi_cell_volume / (2.0 * math.pi) ** grid.dim
     centers = decay_window(C, grid, t)
     window = F[np.ix_(*(centers,) * grid.dim)]
-    return ((C * op_weyl_matrix(state).T).sum().imag, ((state.table * F).sum() * cell).imag,
+    return ((C * op_weyl_matrix(state).T).sum().imag, ((table * F).sum() * cell).imag,
             np.abs(window).max())
 
 
@@ -241,13 +266,11 @@ class TestStreamedReduction:
     def test_transposed_state_bitwise(self, harmonic_setup):
         # the transposed quantization the commutator reads, against transposing
         grid, V, oracle, state, op = harmonic_setup
-        from weylfk.commutator import _quantize
-
         two_d = gaussian_state_symbol(Grid(4.0, 32, 2), [0.2, -0.1], [0.3, 0.1],
                                       [0.4, 0.4], [0.5, 0.5])
         for p in (state, two_d):
             expected = np.ascontiguousarray(op_weyl_matrix(p).T)
-            transposed = _quantize(p, transposed=True)
+            transposed = op_weyl_matrix(p, transposed=True)
             assert transposed.flags.c_contiguous
             assert np.array_equal(transposed.view(np.uint64), expected.view(np.uint64))
 

@@ -17,13 +17,11 @@ from weylfk.oracle import (
     decay_window,
     grid_edge_max,
     matrix_symbol_bands,
-    matrix_weyl_symbol,
-    pairing_check,
     semigroup_symbol_at,
     wigner,
 )
 from weylfk import oracle as oracle_module
-from weylfk.oracle import _gram, _spectrum
+from weylfk.oracle import _gram, _spectrum, _symbol_pass
 from weylfk.potentials import (
     CustomPotential,
     MeanFieldPotential,
@@ -48,6 +46,12 @@ def normalized_gaussian(grid, center=0.0, width=1.0):
     f = np.exp(-0.5 * (((pts - center) / width) ** 2).sum(axis=1))
     f /= math.sqrt((np.abs(f) ** 2).sum() * grid.spacing**grid.dim)
     return f
+
+
+def symbol_table(matrix, grid):
+    """The complex symbol of a kernel matrix on the full window of centers,
+    from its streamed bands (each copied: the next 1-d band reuses the buffer)."""
+    return np.concatenate([band.copy() for _, band in matrix_symbol_bands(matrix, grid)])
 
 
 class TestGrid:
@@ -209,9 +213,9 @@ class TestSymbolExtraction:
         grid = Grid(10.0, 256, 1)
         oracle = GridOracle(harmonic_potential(), grid)
         S = oracle.semigroup(1.0)
-        full = matrix_weyl_symbol(S.matrix, grid)
+        full = symbol_table(S.matrix, grid)
         integral = (
-            full.values.real.sum()
+            full.real.sum()
             * grid.cell_volume
             * grid.xi_cell_volume
             / (2 * math.pi) ** grid.dim
@@ -280,16 +284,16 @@ class TestWigner:
         grid = Grid(8.0, 256, 1)
         f = normalized_gaussian(grid)
         W = wigner(f, f, grid)
-        assert W.values.real.min() >= -1e-12
-        assert np.abs(W.values.imag).max() <= 1e-12
-        total = W.values.real.sum() * grid.cell_volume * grid.xi_cell_volume
+        assert W.real.min() >= -1e-12
+        assert np.abs(W.imag).max() <= 1e-12
+        total = W.real.sum() * grid.cell_volume * grid.xi_cell_volume
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_function(self):
         grid = Grid(8.0, 64, 1)
         f = normalized_gaussian(grid)
         W = wigner(f, np.zeros(grid.n_points), grid)
-        assert np.all(W.values == 0.0)
+        assert np.all(W == 0.0)
 
     def test_swap_conjugate_symmetry(self):
         grid = Grid(8.0, 64, 1)
@@ -297,7 +301,7 @@ class TestWigner:
         g = normalized_gaussian(grid, center=-0.2, width=0.9)
         W_fg = wigner(f, g, grid)
         W_gf = wigner(g, f, grid)
-        assert np.abs(W_fg.values - np.conj(W_gf.values)).max() <= 1e-12
+        assert np.abs(W_fg - np.conj(W_gf)).max() <= 1e-12
 
     def test_support_violation(self):
         grid = Grid(4.0, 64, 1)
@@ -313,14 +317,14 @@ class TestPairing:
         oracle = GridOracle(ZeroPotential([(0,)]), grid)
         f = normalized_gaussian(grid, center=0.3)
         g = normalized_gaussian(grid, center=-0.5, width=0.8)
-        assert pairing_check(oracle.semigroup(t), (f,), (g,)) <= 1e-6
+        assert oracle.symbol(t, "full", pairing=((f,), (g,))).pairing_residual <= 1e-6
 
     def test_harmonic_pairing(self):
         grid = Grid(8.0, 256, 1)
         oracle = GridOracle(harmonic_potential(), grid)
         f = normalized_gaussian(grid, center=0.4)
         g = normalized_gaussian(grid, center=0.1, width=0.9)
-        assert pairing_check(oracle.semigroup(0.5), (f,), (g,)) <= 1e-6
+        assert oracle.symbol(0.5, "full", pairing=((f,), (g,))).pairing_residual <= 1e-6
 
     def test_small_time_limit(self):
         grid = Grid(8.0, 128, 1)
@@ -340,7 +344,7 @@ class TestPairing:
         # per-axis factors of the Gaussians centred at (0.2, 0.2) and (-0.1, -0.1)
         f = normalized_gaussian(replace(grid, dim=1), center=0.2, width=0.55)
         g = normalized_gaussian(replace(grid, dim=1), center=-0.1, width=0.55)
-        assert pairing_check(oracle.semigroup(0.5), (f, f), (g, g)) <= 1e-6
+        assert oracle.symbol(0.5, "full", pairing=((f, f), (g, g))).pairing_residual <= 1e-6
 
     @pytest.mark.parametrize("case", ["1-d", "separable", "coupled"])
     def test_one_pass_matches_full_tables(self, case):
@@ -356,10 +360,10 @@ class TestPairing:
         g = [normalized_gaussian(axis, center=c, width=0.5) for c in (-0.1, 0.1)][: grid.dim]
         S = oracle.semigroup(0.05)
         tab = oracle.symbol(0.05, semigroup=S, pairing=(f, g))
-        tables = [matrix_weyl_symbol(M, S.factor_grid).values for M in S.factors]
+        tables = [symbol_table(M, S.factor_grid) for M in S.factors]
         full = reduce(partial(np.einsum, "ak,bl->abkl"), tables)
         W = reduce(partial(np.einsum, "ak,bl->abkl"),
-                   [wigner(fa, ga, axis).values for fa, ga in zip(f, g)])
+                   [wigner(fa, ga, axis) for fa, ga in zip(f, g)])
         cell = grid.cell_volume * grid.xi_cell_volume
         integral = full.sum().real * cell / (2 * math.pi) ** grid.dim
         fM, gM = (reduce(np.multiply.outer, h).ravel() for h in (f, g))
@@ -367,18 +371,16 @@ class TestPairing:
         residual = abs(lhs - (full * W).sum() * cell)
         window = full[np.ix_(*tab.center_indices)]
         assert tab.symbol_integral == pytest.approx(integral, abs=1e-13)
-        assert tab.symbol_integral == S.symbol_integral
         assert tab.pairing_residual == pytest.approx(residual, abs=1e-13)
-        assert tab.pairing_residual == pairing_check(S, f, g)
         assert np.abs(tab.values - window.real).max() <= 1e-15
         assert tab.max_imag == pytest.approx(np.abs(window.imag).max(), abs=1e-15)
 
     def test_factor_count_checked(self):
         grid = Grid(4.5, 16, 2)
         f = normalized_gaussian(replace(grid, dim=1))
-        S = GridOracle(ZeroPotential([(0,), (1,)]), grid).semigroup(0.5)
+        oracle = GridOracle(ZeroPotential([(0,), (1,)]), grid)
         with pytest.raises(ValueError, match="one factor per grid axis"):
-            pairing_check(S, (f,), (f, f))
+            oracle.symbol(0.5, "full", pairing=((f,), (f, f)))
 
 
 # Reference transforms: one center at a time, with shifted copies, as the
@@ -501,7 +503,7 @@ class TestTransformBands:
         assert starts == list(range(0, 64, band))
         assert all(len(b) == min(band, 64 - lo) for lo, b in zip(starts, bands))
         assert same_bits(np.concatenate(bands), whole)
-        assert same_bits(matrix_weyl_symbol(matrix, grid).values, whole)
+        assert same_bits(symbol_table(matrix, grid), whole)
 
     def test_2d_bands_equal_whole_array_bitwise(self, monkeypatch):
         monkeypatch.setattr(oracle_module, "ROW_BAND", 5)  # 2-d bands are one center
@@ -514,7 +516,7 @@ class TestTransformBands:
             bands.append(values.copy())
         assert starts == list(range(16))
         assert same_bits(np.concatenate(bands), whole)
-        assert same_bits(matrix_weyl_symbol(matrix, grid).values, whole)
+        assert same_bits(symbol_table(matrix, grid), whole)
 
     def test_rejects_mismatched_matrix(self):
         with pytest.raises(ValueError, match="does not match"):
@@ -527,8 +529,8 @@ class TestTransformReference:
         oracle = coupled_oracle(n)
         t = 0.05
         S = oracle.semigroup(t)
-        full = matrix_weyl_symbol(S.matrix, oracle.grid)
-        assert np.abs(full.values - reference_symbol(S.matrix, oracle.grid, range(n))).max() <= 1e-13
+        full = symbol_table(S.matrix, oracle.grid)
+        assert np.abs(full - reference_symbol(S.matrix, oracle.grid, range(n))).max() <= 1e-13
         tab = oracle.symbol(t, semigroup=S)
         (centers, _) = tab.center_indices
         assert 0 < len(centers) < n
@@ -542,16 +544,16 @@ class TestTransformReference:
         f = normalized_gaussian(grid, center=0.2, width=0.55)
         g = normalized_gaussian(grid, center=-0.1, width=0.55) * np.exp(1j * grid.points()[:, 0])
         W = wigner(f, g, grid)
-        assert np.abs(W.values - reference_wigner(f, g, grid)).max() <= 1e-13
+        assert np.abs(W - reference_wigner(f, g, grid)).max() <= 1e-13
 
     def test_1d_symbol_and_wigner(self):
         grid = Grid(8.0, 64, 1)
         S = GridOracle(harmonic_potential(), grid).semigroup(0.3)
-        full = matrix_weyl_symbol(S.matrix, grid)
-        assert np.abs(full.values - reference_symbol(S.matrix, grid, range(64))).max() <= 1e-13
+        full = symbol_table(S.matrix, grid)
+        assert np.abs(full - reference_symbol(S.matrix, grid, range(64))).max() <= 1e-13
         f = normalized_gaussian(grid, center=0.4)
         g = normalized_gaussian(grid, center=-0.2, width=0.9)
-        assert np.abs(wigner(f, g, grid).values - reference_wigner(f, g, grid)).max() <= 1e-13
+        assert np.abs(wigner(f, g, grid) - reference_wigner(f, g, grid)).max() <= 1e-13
 
     @pytest.mark.parametrize("case", ["1-d", "coupled-16", "coupled-32", "one-axis"])
     def test_decay_error_in_the_reference_cases(self, case):
@@ -653,8 +655,8 @@ class TestSeparable:
         kron = np.kron(*S.factors)
         assert np.abs(kron - reference).max() <= 1e-13
         assert np.array_equal(kron, kron.T)
-        full = matrix_weyl_symbol(reference, grid).values
-        assert np.abs(matrix_weyl_symbol(kron, grid).values - full).max() <= 1e-13
+        full = symbol_table(reference, grid)
+        assert np.abs(symbol_table(kron, grid) - full).max() <= 1e-13
 
     @pytest.mark.parametrize("n", [16, 32])
     @pytest.mark.parametrize("case", sorted(SEPARABLE))
@@ -672,8 +674,11 @@ class TestSeparable:
             assert len(S.factors) == 2
             dense = GridSemigroup(grid, t, np.kron(*S.factors))
             assert S.trace == pytest.approx(dense.trace, abs=1e-13)
-            assert S.symbol_integral == pytest.approx(dense.symbol_integral, abs=1e-13)
-            assert pairing_check(S, f, g) == pytest.approx(pairing_check(dense, f, g), abs=1e-13)
+            # the integral and pairing of one pass over the full window of each
+            integral, residual = _symbol_pass(S, np.arange(n), f, g)[:2]
+            dense_integral, dense_residual = _symbol_pass(dense, np.arange(n), f, g)[:2]
+            assert integral == pytest.approx(dense_integral, abs=1e-13)
+            assert residual == pytest.approx(dense_residual, abs=1e-13)
             for region in ("auto", 1.5, 3.0, 6.0):
                 try:
                     centers = decay_window(dense.matrix, grid, t, region)
@@ -686,7 +691,7 @@ class TestSeparable:
                 outcomes.add(False)
                 tab = oracle.symbol(t, region=region, semigroup=S)
                 assert all(np.array_equal(c, centers) for c in tab.center_indices)
-                ref = matrix_weyl_symbol(dense.matrix, grid).values[np.ix_(centers, centers)]
+                ref = symbol_table(dense.matrix, grid)[np.ix_(centers, centers)]
                 assert np.abs(tab.values - ref.real).max() <= 1e-13
                 assert tab.max_imag == pytest.approx(np.abs(ref.imag).max(), abs=1e-13)
         assert outcomes == {True, False}
@@ -815,7 +820,7 @@ class TestSymmetryBlocks:
                 outcomes.add(False)
                 tab = oracle.symbol(t, region=region, semigroup=S)
                 assert all(np.array_equal(c, centers) for c in tab.center_indices)
-                ref = matrix_weyl_symbol(dense.matrix, grid).values[np.ix_(centers, centers)]
+                ref = symbol_table(dense.matrix, grid)[np.ix_(centers, centers)]
                 assert np.abs(tab.values - ref.real).max() <= 1e-13
         assert outcomes == {True, False}
 
