@@ -6,9 +6,10 @@ output is serialized with 17 significant digits, files are written atomically,
 and reruns of the same config are byte-identical at any worker count;
 timestamps live in an optional metadata block.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure (decay,
-divergence, aliasing, support, NaN results), 3 bound violation from the verify
-suites.
+Exit codes: 0 success, 1 configuration error (an unreadable config or an
+unwritable output path too), 2 numerical failure (decay, divergence, aliasing,
+support, NaN results, an eigensolver that does not converge), 3 bound
+violation from the verify suites.
 """
 
 from __future__ import annotations
@@ -117,9 +118,14 @@ def dumps(obj, indent=0) -> str:
 
 def write_atomic(path: str, text: str):
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as err:
+        if os.path.exists(tmp):  # written, but not moved onto the path
+            os.remove(tmp)
+        raise ConfigError(f"cannot write {path}: {err.strerror}") from err
 
 
 def write_csv(path: str, header, rows):
@@ -357,10 +363,11 @@ def apply_defaults(schema: dict, config):
 def load_config(text_or_path: str) -> dict:
     text = text_or_path.strip()
     if not text.startswith("{"):
-        if not os.path.exists(text):
-            raise ConfigError(f"config file not found: {text}")
-        with open(text) as fh:
-            text = fh.read()
+        try:
+            with open(text) as fh:
+                text = fh.read()
+        except OSError as err:
+            raise ConfigError(f"cannot read config file {text}: {err.strerror}") from err
     try:
         config = json.loads(text)
     except json.JSONDecodeError as err:
@@ -490,8 +497,7 @@ def cmd_oracle(config, n_workers):
     S = oracle.semigroup(t)
     f, g = gaussian_test_functions(grid)
     # one pass over the symbol gives the window, its integral and the pairing
-    table = oracle.symbol(t, region=config["region"], semigroup=S,
-                          pairing=((f,) * grid.dim, (g,) * grid.dim))
+    table = oracle.symbol(S, config["region"], pairing=((f,) * grid.dim, (g,) * grid.dim))
     values = table.values
     results = {
         "t": t,
@@ -691,7 +697,7 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 1
     except (DecayError, DivergentIntegralError, AliasingError, SupportError,
-            NonFiniteOutputError) as err:
+            NonFiniteOutputError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
     except ValueError as err:

@@ -146,25 +146,18 @@ class GridSemigroup:
         self.factor_grid = replace(grid, dim=grid.dim // len(factors))  # one factor's axes
 
     @property
-    def matrix(self) -> np.ndarray:
-        """The kernel matrix of a one-factor semigroup."""
-        (matrix,) = self.factors
-        return matrix
-
-    @property
     def trace(self) -> float:
         return math.prod(float(np.trace(M)) for M in self.factors)
 
 
 @dataclass(frozen=True)
 class PhaseSpaceTable:
-    """Values on a (centers x frequencies) product grid, one axis pair per dimension."""
+    """Values on a (centers x frequencies) product grid, with the centers ``x`` and
+    the frequencies ``xi`` on every axis."""
 
     grid: Grid
     t: float
     center_indices: tuple  # per-axis integer indices into the grid
-    x_axes: tuple          # per-axis center coordinates
-    xi_axes: tuple         # per-axis frequency coordinates
     values: np.ndarray     # shape (*n_centers, *n_frequencies)
     max_imag: float
     symbol_integral: float                # of the full-window symbol
@@ -172,13 +165,11 @@ class PhaseSpaceTable:
 
     @property
     def x(self) -> np.ndarray:
-        (ax,) = self.x_axes
-        return ax
+        return self.grid.axis()[self.center_indices[0]]
 
     @property
     def xi(self) -> np.ndarray:
-        (ax,) = self.xi_axes
-        return ax
+        return self.grid.xi_axis()
 
 
 def _antidiagonals(centers, n, out=None):
@@ -297,7 +288,7 @@ def default_margin(t: float, spacing: float) -> float:
 def decay_window(factors, grid: Grid, t: float, region="auto") -> np.ndarray:
     """Grid indices (per axis) of the centers whose symbol is claimed accurate.
 
-    ``factors`` is a kernel matrix or its Kronecker factors in axis order.
+    ``factors`` are the Kronecker factors of a kernel matrix in axis order.
     ``"full"`` keeps every center unchecked, for identities in which the zero
     padding cancels.  ``"auto"`` keeps the centers that :func:`default_margin`
     puts far enough from the boundary for time t, and a number keeps |x| <=
@@ -307,7 +298,6 @@ def decay_window(factors, grid: Grid, t: float, region="auto") -> np.ndarray:
     the last offset on one axis times the masked maximum of |Y| on the other,
     or the mirror; rounding is monotone, so this equals the dense check bitwise.
     """
-    factors = (factors,) if isinstance(factors, np.ndarray) else factors
     n = grid.n_grid
     if region == "full":
         return np.arange(n)
@@ -358,32 +348,44 @@ def decay_window(factors, grid: Grid, t: float, region="auto") -> np.ndarray:
     return centers
 
 
-def semigroup_symbol_at(S: GridSemigroup, x: float, xi) -> np.ndarray:
-    """Symbol of a 1-d semigroup at one half-grid-aligned center, any frequencies.
+def semigroup_symbol_at(S: GridSemigroup, x, *xi) -> np.ndarray:
+    """Symbol of a semigroup at one half-grid-aligned center, any frequencies.
 
-    Centers midway between grid points use the odd antidiagonals of the
-    kernel, so the usable x set has half the grid spacing and nests across
-    grid refinement.
+    ``x`` holds one center per grid axis (a number in 1-d) and ``xi`` one
+    frequency array per axis, broadcast together.  Centers midway between grid
+    points use the odd antidiagonals of the kernel, so the usable x set has
+    half the grid spacing and nests across grid refinement.  Each Kronecker
+    factor is gathered at the index products of its axes' antidiagonal pairs
+    and contracted with each axis's phases; the symbol is the product of the
+    factors' values.
     """
     grid = S.grid
-    if grid.dim != 1:
-        raise ValueError("pointwise symbol evaluation is 1-d only")
+    x = [float(c) for c in np.atleast_1d(x)]
+    if len(x) != grid.dim or len(xi) != grid.dim:
+        raise ValueError(f"need one center and one frequency array per grid axis, {grid.dim}")
     n, dx = grid.n_grid, grid.spacing
-    j = round((x + grid.half_width) / (dx / 2.0))
-    if not 1 <= j <= 2 * n - 1 or abs(-grid.half_width + j * dx / 2.0 - x) > 1e-9:
-        raise ValueError(f"x={x!r} is not on the half-grid of centers")
-    index_sum = j - 1  # a + b for contributing kernel entries
-    parity = index_sum % 2
-    d = np.arange(-(n - 1), n)
-    d = d[(np.abs(d) % 2) == parity]
-    a = (index_sum + d) // 2
-    b = (index_sum - d) // 2
-    keep = (a >= 0) & (a < n) & (b >= 0) & (b < n)
-    a, b, d = a[keep], b[keep], d[keep]
-    xi = np.asarray(xi, dtype=float)
-    phases = np.exp(-1j * dx * np.multiply.outer(d.astype(float), xi))
-    values = 2.0 * np.tensordot(S.matrix[a, b], phases, axes=(0, 0))
-    return np.real(values)
+    pairs = []  # per axis: the kernel's index pairs through the center, and their phases
+    for c, freq in zip(x, np.broadcast_arrays(*(np.asarray(f, dtype=float) for f in xi))):
+        j = round((c + grid.half_width) / (dx / 2.0))
+        if not 1 <= j <= 2 * n - 1 or abs(-grid.half_width + j * dx / 2.0 - c) > 1e-9:
+            raise ValueError(f"x={c!r} is not on the half-grid of centers")
+        index_sum = j - 1  # a + b for contributing kernel entries
+        d = np.arange(-(n - 1), n)
+        d = d[(np.abs(d) % 2) == index_sum % 2]
+        a, b = (index_sum + d) // 2, (index_sum - d) // 2
+        keep = (a >= 0) & (a < n) & (b >= 0) & (b < n)
+        pairs.append((a[keep], b[keep],
+                      np.exp(-1j * dx * np.multiply.outer(d[keep].astype(float), freq))))
+    step, values = S.factor_grid.dim, []
+    for lo, M in zip(range(0, grid.dim, step), S.factors):
+        (a, b, phases), *rest = pairs[lo:lo + step]
+        for a_next, b_next, _ in rest:  # flat indices of the index products
+            a, b = np.add.outer(a * n, a_next), np.add.outer(b * n, b_next)
+        value = 2.0**step * np.tensordot(M[a, b], phases, axes=(0, 0))
+        for _, _, phases in rest:
+            value = (value * phases).sum(axis=0)
+        values.append(value)
+    return np.real(reduce(operator.mul, values))
 
 
 def grid_edge_max(values, grid: Grid) -> float:
@@ -669,28 +671,21 @@ class GridOracle:
                 M[np.ix_(rows, cols)] = sums[g ^ h][np.ix_(orbit[rows], orbit[cols])]
         return GridSemigroup(self.grid, float(t), M)
 
-    def symbol(self, t: float, region="auto", semigroup: Optional[GridSemigroup] = None,
-               pairing=None) -> PhaseSpaceTable:
-        """Real symbol of exp(-tH) on the window of centers that :func:`decay_window` keeps.
+    def symbol(self, S: GridSemigroup, region="auto", pairing=None) -> PhaseSpaceTable:
+        """Real symbol of the semigroup S, this oracle's :meth:`semigroup`, on the
+        window of centers that :func:`decay_window` keeps.
 
         Nonnegative potentials only shrink the kernel, so the free envelope
         behind the default window is conservative.  The window is formed band
         by band in one pass over the symbol (:func:`_symbol_pass`), which also
         gives the table its ``symbol_integral`` and, if ``pairing`` holds test
         functions (f, g), one 1-d factor per grid axis each, its
-        ``pairing_residual``.  Pass ``semigroup``, this oracle's
-        :meth:`semigroup` at the same t, to exponentiate once.
+        ``pairing_residual``.
         """
-        S = self.semigroup(t) if semigroup is None else semigroup
         if S.grid != self.grid:
             raise ValueError(f"semigroup was built on {S.grid}, not {self.grid}")
-        if S.t != t:
-            raise ValueError(f"semigroup is at t={S.t!r}, not {t!r}")
         centers = decay_window(S.factors, self.grid, S.t, region)
         f, g = pairing or (None, None)
         integral, residual, values, max_imag = _symbol_pass(S, centers, f, g)
-        dim = self.grid.dim
-        ax = self.grid.axis()[centers]
-        return PhaseSpaceTable(self.grid, S.t, (centers,) * dim, (ax,) * dim,
-                               (self.grid.xi_axis(),) * dim, values, max_imag,
+        return PhaseSpaceTable(self.grid, S.t, (centers,) * self.grid.dim, values, max_imag,
                                integral, residual)

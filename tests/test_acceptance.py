@@ -123,9 +123,11 @@ def test_criterion_3_sup_bound_sweep():
     grid1 = w.Grid(10.0, 512, 1)
     sup_values = []
     for V in (harmonic_1d(), lorentzian_1d()):
-        tab = w.GridOracle(V, grid1).symbol(0.5)
+        oracle = w.GridOracle(V, grid1)
+        tab = oracle.symbol(oracle.semigroup(0.5))
         sup_values.append(float(np.abs(tab.values).max()))
-    tab2 = w.GridOracle(chain_2sites(), w.Grid(6.0, 32, 2)).symbol(0.25)
+    oracle2 = w.GridOracle(chain_2sites(), w.Grid(6.0, 32, 2))
+    tab2 = oracle2.symbol(oracle2.semigroup(0.25))
     sup_values.append(float(np.abs(tab2.values).max()))
     assert all(s <= 1.0 + 1e-8 for s in sup_values)
     ok(3, "unit sup bound",
@@ -146,7 +148,7 @@ def test_criterion_4_oracle_cross_validation():
         g /= math.sqrt((g**2).sum() * grid.spacing)
         for t in (0.1, 0.5, 1.0):
             S = oracle.semigroup(t)
-            tab = oracle.symbol(t, semigroup=S, pairing=((f,), (g,)) if t == 0.5 else None)
+            tab = oracle.symbol(S, pairing=((f,), (g,)) if t == 0.5 else None)
             if t == 0.5:
                 worst_pairing = max(worst_pairing, tab.pairing_residual)
             n_steps = max(16, int(96 * t))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from weylfk.bounds import (
 )
 from weylfk.brownian import VariancePreset, abs_moment_max
 from weylfk.multiindex import MultiIndex
-from weylfk.oracle import Grid, GridOracle, GridSemigroup
+from weylfk.oracle import Grid, GridOracle, GridSemigroup, decay_window, semigroup_symbol_at
 from weylfk.potentials import (
     NearestNeighborPotential,
     ZeroPotential,
@@ -164,6 +165,23 @@ class TestL1Bound:
         monkeypatch.setattr(GridOracle, "semigroup", dense)
         reference = [check_l1_bound(V, 1.0, [xi], grid).worst_margin for xi in xis]
         assert np.abs(np.subtract(factorized, reference)).max() <= 1e-13
+
+    def test_two_site_off_grid_frequency_is_product_of_axis_sums(self):
+        # a separable symbol is the product of its axis symbols, so the 2-d left
+        # side at a frequency off the grid is the product of 1-d sums over the
+        # same centers (reading the nearest grid frequency gave 11.3215)
+        V = NearestNeighborPotential(1, [(0,), (1,)], harmonic_function(), zero_function())
+        grid, t = Grid(10.0, 32, 2), 0.25
+        report = check_l1_bound(V, t, [[1.0, -0.5]], grid)
+        left = report.extra["right_side"] - report.worst_margin
+        axis = replace(grid, dim=1)
+        S = GridOracle(NearestNeighborPotential(1, [(0,)], harmonic_function(), zero_function()),
+                       axis).semigroup(t)
+        xs = axis.axis()[decay_window(GridOracle(V, grid).semigroup(t).factors, grid, t)]
+        sums = [np.abs([semigroup_symbol_at(S, x, xi) for x in xs]).sum() * grid.spacing
+                for xi in (1.0, -0.5)]
+        assert left == pytest.approx(sums[0] * sums[1], rel=1e-13)
+        assert left == pytest.approx(11.040697252621598, rel=1e-12)
 
     def test_frequency_needs_one_coordinate_per_axis(self):
         one_site = NearestNeighborPotential(1, [(0,)], harmonic_function(), zero_function())

@@ -2,7 +2,9 @@ import copy
 import json
 import math
 import os
+import re
 import tracemalloc
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -169,6 +171,36 @@ class TestExitCodes:
         code = cli.main(["estimate", json.dumps(config)])
         assert code == 2
         assert "numerical failure: NaN in output" in capsys.readouterr().err
+
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "taken").mkdir()
+        # a missing directory, and a directory where the file should go: the
+        # second fails after the temporary file is written, which is removed
+        for path in (tmp_path / "missing_dir" / "out.json", tmp_path / "taken"):
+            config = {"alpha": "0:1", "beta": "1:1", "m": 1, "t": 0.5, "c_m": 16.0,
+                      "output": str(path)}
+            assert cli.main(["bound", json.dumps(config)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error:")
+            assert str(path) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+    def test_unreadable_config_path_is_config_error(self, tmp_path, capsys):
+        assert cli.main(["bound", str(tmp_path)]) == 1  # a directory, not a file
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert str(tmp_path) in err
+
+    def test_unconverged_eigh_is_numerical_failure(self, monkeypatch, capsys):
+        def unconverged(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", unconverged)
+        config = {"potential": harmonic_potential_json(), "t": 0.5,
+                  "grid": {"half_width": 8.0, "n_grid": 16}}
+        assert cli.main(["oracle", json.dumps(config)]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure: Eigenvalues did not converge" in err
 
     def test_sweep_site_out_of_range_fails_before_estimating(self, monkeypatch, capsys):
         calls = []
@@ -474,11 +506,6 @@ class TestSinglePass:
         for module in (oracle, commutator, cli):
             if hasattr(module, "matrix_symbol_bands"):
                 monkeypatch.setattr(module, "matrix_symbol_bands", transform)
-        # the n^2 x n^2 matrix of a one-factor semigroup; an n^4 table would be
-        # the transform of such a matrix
-        dense_reads = []
-        monkeypatch.setattr(oracle.GridSemigroup, "matrix",
-                            property(lambda S: dense_reads.append("matrix")))
         code, doc = run("oracle", {
             "potential": {"variant": "nearest_neighbor", "d": 1, "sites": [[0], [1]],
                           "F": {"name": "harmonic"}, "G": {"name": "zero"}},
@@ -488,7 +515,6 @@ class TestSinglePass:
         assert code == 0
         assert doc["results"]["n_centers"] > 0
         assert shapes == {"eigh": [(16, 16)], "transform": [(16, 16)], "kron": []}
-        assert dense_reads == []
         assert calls == {"eigh": 1, "semigroup": 1, "transform": 1}
 
     @pytest.mark.parametrize("G, bound", [("zero", 16), ("lorentzian", 18.5)],
@@ -522,7 +548,7 @@ class TestSinglePass:
     }
 
     def test_separable_commutator_2d_stays_on_axis_factors(self, calls, monkeypatch):
-        from weylfk import commutator, oracle
+        from weylfk import commutator
 
         shapes = {"eigh": [], "transform": [], "quantize": [], "kron": []}
 
@@ -539,9 +565,6 @@ class TestSinglePass:
                             recorded("transform", commutator.matrix_symbol_bands))
         monkeypatch.setattr(commutator, "op_weyl_matrix",
                             recorded("quantize", commutator.op_weyl_matrix, result=True))
-        dense_reads = []
-        monkeypatch.setattr(oracle.GridSemigroup, "matrix",
-                            property(lambda S: dense_reads.append("matrix")))
         t_list = [0.05, 0.1, 0.2]
         code, doc = run("commutator", self.SEPARABLE_COMMUTATOR | {
             "grid": {"half_width": 4.0, "n_grid": 32, "dim": 2}, "t_list": t_list})
@@ -551,7 +574,6 @@ class TestSinglePass:
         # one transform per factor and time: [A, M_1] on axis 1, M_1 on axis 0
         assert shapes == {"eigh": [n], "transform": [n] * 2 * len(t_list),
                           "quantize": [n, n], "kron": []}
-        assert dense_reads == []
         assert calls == {"eigh": 1, "semigroup": len(t_list), "transform": 2 * len(t_list)}
 
     def test_separable_commutator_memory_bounded(self):
@@ -713,3 +735,20 @@ class TestDeterminism:
         doc1.pop("metadata")
         doc2.pop("metadata")
         assert cli.dumps(doc1) == cli.dumps(doc2)
+
+
+# every `weylfk <subcommand> '<json>'` example of the README, in order
+README_EXAMPLES = re.findall(r"^weylfk (\w+) '(.*?)'$",
+                             (Path(__file__).parents[1] / "README.md").read_text(),
+                             re.MULTILINE | re.DOTALL)
+
+
+@pytest.mark.parametrize("subcommand, config", README_EXAMPLES,
+                         ids=[f"{k}-{sub}" for k, (sub, _) in enumerate(README_EXAMPLES)])
+def test_readme_example_runs(subcommand, config, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # examples may write CSV files
+    assert cli.main([subcommand, config]) == 0, capsys.readouterr().err
+
+
+def test_readme_has_examples():
+    assert len(README_EXAMPLES) >= 7

@@ -226,13 +226,14 @@ def full_table_traces(oracle, state, poly, site_axis, t):
     paired with the state's whole table, built from its per-axis profiles."""
     grid = oracle.grid
     a = np.polynomial.polynomial.polyval(grid.points()[:, site_axis], poly)
-    C = oracle.semigroup(t).matrix * np.subtract.outer(a, a)
+    (M,) = oracle.semigroup(t).factors
+    C = M * np.subtract.outer(a, a)
     F = np.concatenate([band.copy() for _, band in matrix_symbol_bands(C, grid)])
     ax, xi = grid.axis(), grid.xi_axis()
     profiles = [np.outer(f.x_profile(ax), f.xi_profile(xi)) for f in state.axes]
     table = state.norm_const * reduce(partial(np.einsum, "ak,bl->abkl"), profiles)
     cell = grid.cell_volume * grid.xi_cell_volume / (2.0 * math.pi) ** grid.dim
-    centers = decay_window(C, grid, t)
+    centers = decay_window((C,), grid, t)
     window = F[np.ix_(*(centers,) * grid.dim)]
     return ((C * op_weyl_matrix(state).T).sum().imag, ((table * F).sum() * cell).imag,
             np.abs(window).max())

@@ -256,7 +256,7 @@ class TestPositionDerivative:
             grid,
         )
         S = oracle.semigroup(t)
-        tab = oracle.symbol(t, semigroup=S)
+        tab = oracle.symbol(S)
         ix = int(np.argmin(np.abs(tab.x - 0.75)))
         x, xi = float(tab.x[ix]), 0.6
         du_oracle = (

@@ -131,19 +131,19 @@ class TestSemigroup:
     def test_near_identity_at_small_time(self):
         oracle = GridOracle(harmonic_potential(), Grid(8.0, 16, 1))
         S = oracle.semigroup(1e-6)
-        assert np.abs(S.matrix - np.eye(16)).max() <= 1e-3
+        assert np.abs(S.factors[0] - np.eye(16)).max() <= 1e-3
 
     def test_semigroup_law(self):
         oracle = GridOracle(harmonic_potential(), Grid(8.0, 64, 1))
         S1 = oracle.semigroup(0.3)
         S2 = oracle.semigroup(0.45)
         S3 = oracle.semigroup(0.75)
-        assert np.abs(S1.matrix @ S2.matrix - S3.matrix).max() <= 1e-10
+        assert np.abs(S1.factors[0] @ S2.factors[0] - S3.factors[0]).max() <= 1e-10
 
     def test_spectrum_in_unit_interval(self):
         oracle = GridOracle(ZeroPotential([(0,)]), Grid(8.0, 64, 1))
         S = oracle.semigroup(0.5)
-        eigs = np.linalg.eigvalsh(S.matrix)
+        eigs = np.linalg.eigvalsh(S.factors[0])
         assert eigs.min() > 0.0
         assert eigs.max() <= 1.0 + 1e-8
 
@@ -156,7 +156,7 @@ class TestSemigroup:
         B = Q * np.exp(-0.5 * t * w)
         tiny = np.finfo(float).tiny
         assert np.count_nonzero((B != 0.0) & (np.abs(B) < tiny)) > 0
-        assert np.array_equal(oracle.semigroup(t).matrix, B @ B.T)
+        assert np.array_equal(oracle.semigroup(t).factors[0], B @ B.T)
 
     @pytest.mark.parametrize("t", [1e-3, 0.5, 1.0, 2.0, 1e4])
     def test_gram_equals_mask_and_trim_bitwise(self, t):
@@ -198,7 +198,7 @@ class TestSymbolExtraction:
         grid = Grid(8.0, 1024, 1)
         oracle = GridOracle(ZeroPotential([(0,)]), grid)
         t = 0.5
-        tab = oracle.symbol(t)
+        tab = oracle.symbol(oracle.semigroup(t))
         mask = np.abs(tab.xi) <= 2.0
         exact = np.exp(-t * tab.xi[mask] ** 2)
         assert np.abs(tab.values[:, mask] - exact[None, :]).max() <= 1e-4
@@ -206,27 +206,28 @@ class TestSymbolExtraction:
     def test_symbol_real(self):
         grid = Grid(10.0, 256, 1)
         oracle = GridOracle(harmonic_potential(), grid)
-        tab = oracle.symbol(0.5)
+        tab = oracle.symbol(oracle.semigroup(0.5))
         assert tab.max_imag <= 1e-10
 
     def test_trace_identity(self):
         grid = Grid(10.0, 256, 1)
         oracle = GridOracle(harmonic_potential(), grid)
         S = oracle.semigroup(1.0)
-        full = symbol_table(S.matrix, grid)
+        (M,) = S.factors
+        full = symbol_table(M, grid)
         integral = (
             full.real.sum()
             * grid.cell_volume
             * grid.xi_cell_volume
             / (2 * math.pi) ** grid.dim
         )
-        assert integral == pytest.approx(float(np.trace(S.matrix)), abs=1e-6)
+        assert integral == pytest.approx(float(np.trace(M)), abs=1e-6)
 
     def test_unit_sup_bound(self):
         grid = Grid(10.0, 256, 1)
         oracle = GridOracle(harmonic_potential(), grid)
         for t in (0.1, 0.5, 1.0):
-            tab = oracle.symbol(t)
+            tab = oracle.symbol(oracle.semigroup(t))
             assert np.abs(tab.values).max() <= 1.0 + 1e-8
 
     def test_decay_error_when_grid_too_small(self):
@@ -234,7 +235,7 @@ class TestSymbolExtraction:
             grid = Grid(2.0, n, dim)  # time horizon too long for this box
             oracle = GridOracle(ZeroPotential([(k,) for k in range(dim)]), grid)
             with pytest.raises(DecayError):
-                oracle.symbol(1.0)
+                oracle.symbol(oracle.semigroup(1.0))
 
     def test_refinement_convergence(self):
         # matched half-grid centers nest across refinement
@@ -253,10 +254,10 @@ class TestSymbolExtraction:
         grid = Grid(6.0, 32, 2)
         oracle = GridOracle(ZeroPotential([(0,), (1,)]), grid)
         t = 0.25
-        tab = oracle.symbol(t)
+        tab = oracle.symbol(oracle.semigroup(t))
         # coarse grid: second-order dispersion dominates the comparison
-        k = np.nonzero(np.abs(tab.xi_axes[0]) <= 1.5)[0]
-        xi = tab.xi_axes[0][k]
+        k = np.nonzero(np.abs(tab.xi) <= 1.5)[0]
+        xi = tab.xi[k]
         exact = np.exp(-t * (xi[:, None] ** 2 + xi[None, :] ** 2))
         sub = tab.values[:, :, k[:, None], k[None, :]]
         assert np.abs(sub - exact[None, None]).max() <= 2e-2
@@ -317,21 +318,23 @@ class TestPairing:
         oracle = GridOracle(ZeroPotential([(0,)]), grid)
         f = normalized_gaussian(grid, center=0.3)
         g = normalized_gaussian(grid, center=-0.5, width=0.8)
-        assert oracle.symbol(t, "full", pairing=((f,), (g,))).pairing_residual <= 1e-6
+        tab = oracle.symbol(oracle.semigroup(t), "full", pairing=((f,), (g,)))
+        assert tab.pairing_residual <= 1e-6
 
     def test_harmonic_pairing(self):
         grid = Grid(8.0, 256, 1)
         oracle = GridOracle(harmonic_potential(), grid)
         f = normalized_gaussian(grid, center=0.4)
         g = normalized_gaussian(grid, center=0.1, width=0.9)
-        assert oracle.symbol(0.5, "full", pairing=((f,), (g,))).pairing_residual <= 1e-6
+        tab = oracle.symbol(oracle.semigroup(0.5), "full", pairing=((f,), (g,)))
+        assert tab.pairing_residual <= 1e-6
 
     def test_small_time_limit(self):
         grid = Grid(8.0, 128, 1)
         oracle = GridOracle(harmonic_potential(), grid)
         f = normalized_gaussian(grid)
         S = oracle.semigroup(1e-8)
-        lhs = grid.spacing * np.vdot(f, S.matrix @ f)
+        lhs = grid.spacing * np.vdot(f, S.factors[0] @ f)
         assert lhs == pytest.approx(1.0, abs=1e-5)
 
     def test_2d_pairing(self):
@@ -344,7 +347,8 @@ class TestPairing:
         # per-axis factors of the Gaussians centred at (0.2, 0.2) and (-0.1, -0.1)
         f = normalized_gaussian(replace(grid, dim=1), center=0.2, width=0.55)
         g = normalized_gaussian(replace(grid, dim=1), center=-0.1, width=0.55)
-        assert oracle.symbol(0.5, "full", pairing=((f, f), (g, g))).pairing_residual <= 1e-6
+        S = oracle.semigroup(0.5)
+        assert oracle.symbol(S, "full", pairing=((f, f), (g, g))).pairing_residual <= 1e-6
 
     @pytest.mark.parametrize("case", ["1-d", "separable", "coupled"])
     def test_one_pass_matches_full_tables(self, case):
@@ -359,7 +363,7 @@ class TestPairing:
         f = [normalized_gaussian(axis, center=c, width=0.55) for c in (0.2, -0.1)][: grid.dim]
         g = [normalized_gaussian(axis, center=c, width=0.5) for c in (-0.1, 0.1)][: grid.dim]
         S = oracle.semigroup(0.05)
-        tab = oracle.symbol(0.05, semigroup=S, pairing=(f, g))
+        tab = oracle.symbol(S, pairing=(f, g))
         tables = [symbol_table(M, S.factor_grid) for M in S.factors]
         full = reduce(partial(np.einsum, "ak,bl->abkl"), tables)
         W = reduce(partial(np.einsum, "ak,bl->abkl"),
@@ -380,7 +384,7 @@ class TestPairing:
         f = normalized_gaussian(replace(grid, dim=1))
         oracle = GridOracle(ZeroPotential([(0,), (1,)]), grid)
         with pytest.raises(ValueError, match="one factor per grid axis"):
-            oracle.symbol(0.5, "full", pairing=((f,), (f, f)))
+            oracle.symbol(oracle.semigroup(0.5), "full", pairing=((f,), (f, f)))
 
 
 # Reference transforms: one center at a time, with shifted copies, as the
@@ -452,6 +456,27 @@ def reference_wigner(f, g, grid):
             )
             values[i0, i1] = scale**2 * np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(block)))
     return values
+
+
+def reference_symbol_at(matrix, grid, j, xi):
+    """The symbol at the center -L + j * dx / 2 per axis and one frequency, as
+    a sum over every kernel entry (a, b) with a + b = j - 1 on each axis."""
+    n, dx = grid.n_grid, grid.spacing
+    total = 0j
+    for a in product(range(n), repeat=grid.dim):
+        b = [k - 1 - ak for k, ak in zip(j, a)]
+        if all(0 <= bk < n for bk in b):
+            phase = sum((ak - bk) * x for ak, bk, x in zip(a, b, xi))
+            total += (matrix[np.ravel_multi_index(a, (n,) * grid.dim),
+                             np.ravel_multi_index(b, (n,) * grid.dim)]
+                      * np.exp(-1j * dx * phase))
+    return 2.0**grid.dim * total.real
+
+
+def two_site_harmonic(case):
+    """Harmonic wells on two sites, with no pair term or a Lorentzian one."""
+    G = zero_function() if case == "separable" else lorentzian_function()
+    return NearestNeighborPotential(1, [(0,), (1,)], harmonic_function(), G)
 
 
 def coupled_oracle(n):
@@ -529,12 +554,13 @@ class TestTransformReference:
         oracle = coupled_oracle(n)
         t = 0.05
         S = oracle.semigroup(t)
-        full = symbol_table(S.matrix, oracle.grid)
-        assert np.abs(full - reference_symbol(S.matrix, oracle.grid, range(n))).max() <= 1e-13
-        tab = oracle.symbol(t, semigroup=S)
+        (M,) = S.factors
+        full = symbol_table(M, oracle.grid)
+        assert np.abs(full - reference_symbol(M, oracle.grid, range(n))).max() <= 1e-13
+        tab = oracle.symbol(S)
         (centers, _) = tab.center_indices
         assert 0 < len(centers) < n
-        ref = reference_symbol(S.matrix, oracle.grid, centers)
+        ref = reference_symbol(M, oracle.grid, centers)
         assert np.abs(tab.values - ref.real).max() <= 1e-13
         assert tab.max_imag == pytest.approx(np.abs(ref.imag).max(), abs=1e-13)
 
@@ -549,8 +575,9 @@ class TestTransformReference:
     def test_1d_symbol_and_wigner(self):
         grid = Grid(8.0, 64, 1)
         S = GridOracle(harmonic_potential(), grid).semigroup(0.3)
-        full = symbol_table(S.matrix, grid)
-        assert np.abs(full - reference_symbol(S.matrix, grid, range(64))).max() <= 1e-13
+        (M,) = S.factors
+        full = symbol_table(M, grid)
+        assert np.abs(full - reference_symbol(M, grid, range(64))).max() <= 1e-13
         f = normalized_gaussian(grid, center=0.4)
         g = normalized_gaussian(grid, center=-0.2, width=0.9)
         assert np.abs(wigner(f, g, grid) - reference_wigner(f, g, grid)).max() <= 1e-13
@@ -570,31 +597,57 @@ class TestTransformReference:
         outcomes = set()
         for t in (0.02, 0.05, 0.2):
             S = oracle.semigroup(t)
-            max_abs = np.abs(S.matrix).max()
+            (M,) = S.factors
+            max_abs = np.abs(M).max()
             for region in (1.0, 2.0, 3.0, 4.5):
                 centers = np.nonzero(np.abs(grid.axis()) <= region)[0]
-                fails = reference_decay_edge(S.matrix, grid, centers) > 1e-12 * max_abs
+                fails = reference_decay_edge(M, grid, centers) > 1e-12 * max_abs
                 outcomes.add(fails)
                 if fails:
                     with pytest.raises(DecayError):
-                        oracle.symbol(t, region=region, semigroup=S)
+                        oracle.symbol(S, region=region)
                 else:
-                    tab = oracle.symbol(t, region=region, semigroup=S)
+                    tab = oracle.symbol(S, region=region)
                     assert np.array_equal(tab.center_indices[0], centers)
         assert outcomes == {True, False}
 
     def test_grid_centers_match_pointwise_values(self):
-        grid = Grid(8.0, 128, 1)
-        oracle = GridOracle(harmonic_potential(), grid)
-        S = oracle.semigroup(0.4)
-        tab = oracle.symbol(0.4, semigroup=S)
-        pointwise = np.stack([semigroup_symbol_at(S, x, tab.xi) for x in tab.x])
-        assert np.abs(tab.values - pointwise).max() <= 1e-13
+        # the pointwise symbol at every window center, with one frequency array
+        # per axis broadcast over the grid frequencies, against the window: in
+        # 1-d, and in 2-d on two factors and on one coupled factor
+        for case in ("1-d", "separable", "coupled"):
+            if case == "1-d":
+                oracle, t = GridOracle(harmonic_potential(), Grid(8.0, 128, 1)), 0.4
+            else:
+                oracle, t = GridOracle(two_site_harmonic(case), Grid(10.0, 32, 2)), 0.5
+            S = oracle.semigroup(t)
+            assert len(S.factors) == (2 if case == "separable" else 1)
+            tab = oracle.symbol(S)
+            dim = oracle.grid.dim
+            xi = np.ix_(*(tab.xi,) * dim)
+            for at in product(range(len(tab.x)), repeat=dim):
+                pointwise = semigroup_symbol_at(S, tab.x[list(at)], *xi)
+                assert np.abs(tab.values[at] - pointwise).max() <= 1e-13
 
-    def test_semigroup_at_another_time_rejected(self):
-        oracle = GridOracle(harmonic_potential(), Grid(8.0, 64, 1))
-        with pytest.raises(ValueError):
-            oracle.symbol(0.5, semigroup=oracle.semigroup(0.4))
+    @pytest.mark.parametrize("case", ["separable", "coupled"])
+    def test_2d_half_grid_center(self, case):
+        # a center midway between grid points on both axes, against the sum over
+        # every kernel entry whose two points average to it; off the half-grid
+        # a center is rejected
+        grid = Grid(10.0, 32, 2)
+        S = GridOracle(two_site_harmonic(case), grid).semigroup(0.5)
+        j = (28, 36)  # even: midway between grid points, the center -L + j * dx / 2
+        center = [-grid.half_width + k * grid.spacing / 2.0 for k in j]
+        xi = np.array([[0.0, 1.0], [-0.5, 2.3]])
+        got = semigroup_symbol_at(S, center, xi, xi.T)
+        dense = reduce(np.kron, S.factors)
+        for k in np.ndindex(xi.shape):
+            expected = reference_symbol_at(dense, grid, j, (xi[k], xi.T[k]))
+            assert got[k] == pytest.approx(expected, abs=1e-13)
+        with pytest.raises(ValueError, match="half-grid"):
+            semigroup_symbol_at(S, (center[0], center[1] + grid.spacing / 4.0), xi, xi)
+        with pytest.raises(ValueError, match="one center and one frequency array"):
+            semigroup_symbol_at(S, center[0], xi)
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("region", ["auto", "full"])
@@ -604,7 +657,7 @@ class TestTransformReference:
         other = GridOracle(ZeroPotential(sites), Grid(4.0, 64, dim)).semigroup(0.5)
         oracle = GridOracle(ZeroPotential(sites), Grid(8.0, 64, dim))
         with pytest.raises(ValueError, match="built on"):
-            oracle.symbol(0.5, region=region, semigroup=other)
+            oracle.symbol(other, region=region)
 
 
 # Separable 2-site potentials: the oracle decomposes one n x n axis Hamiltonian
@@ -681,17 +734,17 @@ class TestSeparable:
             assert residual == pytest.approx(dense_residual, abs=1e-13)
             for region in ("auto", 1.5, 3.0, 6.0):
                 try:
-                    centers = decay_window(dense.matrix, grid, t, region)
+                    centers = decay_window(dense.factors, grid, t, region)
                 except DecayError as err:
                     outcomes.add(True)
                     with pytest.raises(DecayError) as raised:
-                        oracle.symbol(t, region=region, semigroup=S)
+                        oracle.symbol(S, region=region)
                     assert str(raised.value) == str(err)
                     continue
                 outcomes.add(False)
-                tab = oracle.symbol(t, region=region, semigroup=S)
+                tab = oracle.symbol(S, region=region)
                 assert all(np.array_equal(c, centers) for c in tab.center_indices)
-                ref = symbol_table(dense.matrix, grid)[np.ix_(centers, centers)]
+                ref = symbol_table(*dense.factors, grid)[np.ix_(centers, centers)]
                 assert np.abs(tab.values - ref.real).max() <= 1e-13
                 assert tab.max_imag == pytest.approx(np.abs(ref.imag).max(), abs=1e-13)
         assert outcomes == {True, False}
@@ -712,7 +765,7 @@ class TestSeparable:
             for X, Y in ((C, M), (M, C)):
                 for region in ("auto", 1.5, 3.0, 6.0):
                     try:
-                        centers = decay_window(np.kron(X, Y), grid, t, region)
+                        centers = decay_window((np.kron(X, Y),), grid, t, region)
                     except DecayError as err:
                         outcomes.add(True)
                         with pytest.raises(DecayError) as raised:
@@ -732,7 +785,7 @@ class TestSeparable:
         oracle = GridOracle(V, Grid(4.5, n, 2))
         assert eigh_shapes == [(n * n, n * n)]
         S = oracle.semigroup(0.25)
-        assert np.array_equal(S.matrix, dense_semigroup(oracle.potential, oracle.grid, 0.25))
+        assert np.array_equal(*S.factors, dense_semigroup(oracle.potential, oracle.grid, 0.25))
 
     def test_negative_on_site_rejected(self):
         negative = ScalarFunction("negative", lambda k, y: np.full_like(y, -1.0 if k == 0 else 0.0),
@@ -800,15 +853,16 @@ class TestSymmetryBlocks:
             S = oracle.semigroup(t)
             assert len(S.factors) == 1
             dense = GridSemigroup(grid, t, dense_semigroup(V, grid, t))
-            assert np.abs(S.matrix - dense.matrix).max() <= 1e-13
-            assert np.array_equal(S.matrix, S.matrix.T)
+            (M,), (dense_M,) = S.factors, dense.factors
+            assert np.abs(M - dense_M).max() <= 1e-13
+            assert np.array_equal(M, M.T)
             for region in ("auto", 1.5, 3.0, 6.0):
                 try:
-                    centers = decay_window(dense.matrix, grid, t, region)
+                    centers = decay_window(dense.factors, grid, t, region)
                 except DecayError as err:
                     outcomes.add(True)
                     with pytest.raises(DecayError) as raised:
-                        oracle.symbol(t, region=region, semigroup=S)
+                        oracle.symbol(S, region=region)
                     # M is exactly symmetric, so a tie between mirror-image
                     # centers may break the other way than in the dense matrix
                     mass, center = _decay_report(err)
@@ -818,9 +872,9 @@ class TestSymmetryBlocks:
                                    tuple(-x for x in center[::-1])}
                     continue
                 outcomes.add(False)
-                tab = oracle.symbol(t, region=region, semigroup=S)
+                tab = oracle.symbol(S, region=region)
                 assert all(np.array_equal(c, centers) for c in tab.center_indices)
-                ref = symbol_table(dense.matrix, grid)[np.ix_(centers, centers)]
+                ref = symbol_table(*dense.factors, grid)[np.ix_(centers, centers)]
                 assert np.abs(tab.values - ref.real).max() <= 1e-13
         assert outcomes == {True, False}
 
@@ -843,7 +897,7 @@ class TestSymmetryBlocks:
             tiles = np.block([[sums[g ^ h] for h in range(len(sums))] for g in range(len(sums))])
             expected = tiles.take(oracle._slots, axis=0).take(oracle._slots, axis=1)
             for out in (None, buffers):
-                assert same_bits(oracle.semigroup(t, out).matrix, expected)
+                assert same_bits(*oracle.semigroup(t, out).factors, expected)
 
     @pytest.mark.parametrize("case", sorted(ONE_SYMMETRY))
     def test_one_symmetry_gives_two_blocks(self, case, eigh_shapes):
@@ -853,5 +907,6 @@ class TestSymmetryBlocks:
         assert eigh_shapes == [(m, m) for m in sizes]
         for t in (0.05, 0.25):
             S = oracle.semigroup(t)
-            assert np.abs(S.matrix - dense_semigroup(V, grid, t)).max() <= 1e-13
-            assert np.array_equal(S.matrix, S.matrix.T)
+            (M,) = S.factors
+            assert np.abs(M - dense_semigroup(V, grid, t)).max() <= 1e-13
+            assert np.array_equal(M, M.T)
