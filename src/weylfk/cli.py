@@ -8,8 +8,8 @@ timestamps live in an optional metadata block.
 
 Exit codes: 0 success, 1 configuration error (an unreadable config or an
 unwritable output path too), 2 numerical failure (decay, divergence, aliasing,
-support, NaN results, an eigensolver that does not converge), 3 bound
-violation from the verify suites.
+support, NaN results, an eigensolver that does not converge, arithmetic
+overflow or division by zero), 3 bound violation from the verify suites.
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ SCHEMAS = {
             "grid": _GRID_SCHEMA,
             "t": {"type": "number", "exclusiveMinimum": 0},
             "region": {
-                "type": ["string", "number"],
+                "anyOf": [{"enum": ["auto", "full"]}, {"type": "number", "exclusiveMinimum": 0}],
                 "default": "auto",
             },
             **_OUTPUT_PROPS,
@@ -697,7 +697,7 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 1
     except (DecayError, DivergentIntegralError, AliasingError, SupportError,
-            NonFiniteOutputError, np.linalg.LinAlgError) as err:
+            NonFiniteOutputError, np.linalg.LinAlgError, ArithmeticError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
     except ValueError as err:

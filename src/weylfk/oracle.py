@@ -24,14 +24,17 @@ falling outside the matrix are zero-padded.  Each transform covers the full
 window of centers, which trace and pairing identities use as it is, because
 the padding cancels between their two sides; where symbol accuracy is
 claimed, a window of centers is cut from it and a decay check converts the
-truncation into a hard error.  The transform streams bands of centers
-(ROW_BAND centers in 1-d, one first-axis center in 2-d), bitwise equal to
-transforming every center at once; one helper gives the antidiagonals of any
-range of centers, to the bands and to the decay check.  No full-window symbol
-table is formed: one pass over the bands of each factor feeds the symbol
-integral, the pairing (each band against the matching rows of 1-d Wigner
-tables) and the real window, and the commutator traces reduce the bands
-likewise.
+truncation into a hard error.  In any dimension the kernel entry (C + O,
+C - O) of a flat center C and flat signed offset O has the flat index
+C (N + 1) + O (N - 1), N = n^dim, and a half-grid center the half of
+S (N + 1) + D (N - 1), S and D the flat sum and difference of the pair: the
+transform, the decay check, the pointwise symbol and the Wigner transform all
+read the kernel there.  The transform streams bands of centers (ROW_BAND
+centers in 1-d, one first-axis center in 2-d), bitwise equal to transforming
+every center at once.  No full-window symbol table is formed: one pass over
+the bands of each factor feeds the symbol integral, the pairing (each band
+against the matching rows of 1-d Wigner tables) and the real window, and the
+commutator traces reduce the bands likewise.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from functools import reduce
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -172,96 +176,72 @@ class PhaseSpaceTable:
         return self.grid.xi_axis()
 
 
-def _antidiagonals(centers, n, out=None):
-    """Index pairs (center + m, center - m) through each of ``centers``, offsets
-    m in FFT order, clipped onto the grid, and the mask of the pairs really on
-    it (|m| at most the center's distance to the edge).
-
-    Row k belongs to ``centers[k]``.  ``out``, three (len(centers), n) arrays
-    (two of intp, one of bool), receives them, so that a stream of bands
-    reuses them: allocating them per band made an n = 1024 pass 11% slower.
-    """
-    m = _offsets(n)
-    centers = np.asarray(centers)[:, None]
-    if out is None:
-        shape = (len(centers), n)
-        out = np.empty(shape, np.intp), np.empty(shape, np.intp), np.empty(shape, bool)
-    plus, minus, valid = out
-    np.clip(np.add(centers, m, out=plus), 0, n - 1, out=plus)
-    np.clip(np.subtract(centers, m, out=minus), 0, n - 1, out=minus)
-    np.less_equal(np.abs(m), np.minimum(centers, n - 1 - centers), out=valid)
-    return plus, minus, valid
-
-
 def _offsets(n):
     return np.fft.ifftshift(np.arange(n) - n // 2)  # 0, 1, ..., n/2 - 1, -n/2, ..., -1
+
+
+def _on_grid(centers, n, offsets):
+    """Mask of the ``offsets`` m (one row per center, or one row for all) whose
+    pair (c + m, c - m) lies on the grid, per center c of ``centers``:
+    |m| <= min(c, n - 1 - c)."""
+    return np.abs(offsets) <= np.minimum(centers, n - 1 - centers)[:, None]
+
+
+def _flat(per_axis, n):
+    """The outer sum sum_k a_k n^(dim - 1 - k) of per-axis arrays a_k: the flat
+    grid index of per-axis indices, with the axes of a_0, a_1, ... in order."""
+    return reduce(lambda total, a: np.add.outer(total * n, a), per_axis)
 
 
 def _antidiagonal_bands(gather, grid: Grid, scale: float, inverse=False):
     """Fourier transform along the antidiagonals through the grid centers, a band at a time.
 
-    ``gather(flat)`` returns the kernel at the flat indices plus * N + minus
-    of the point pairs center + m, center - m, clipped onto the grid
-    (:func:`_antidiagonals`).  One weight per axis folds in the mask that
-    zero-pads pairs off the grid, the sign (-1)^m that centers the frequency
-    axis, and the scale, so no shifted copies are made.  The forward
-    transform is unnormalized; ``inverse`` conjugates the phases, also
-    unnormalized.
+    The kernel entry (C + O, C - O) of a flat center C and a flat signed
+    offset O has the flat index C (N + 1) + O (N - 1), N = n^dim;
+    ``gather(flat)`` returns the kernel at such indices, which fall off the
+    kernel, or on another entry, where a pair leaves the grid.  The weight,
+    the outer product of one weight per axis, zero-pads those pairs (mask
+    :func:`_on_grid`) and folds in the sign (-1)^m that centers the frequency
+    axis and the scale, so no shifted copies are made.  The forward transform
+    is unnormalized; ``inverse`` conjugates the phases, also unnormalized.
 
-    Yields (first center, values) per band, values of shape (centers in the
-    band, *other center axes, *frequencies).  In 1-d a band is ROW_BAND
-    centers, whose pairs, flat indices and weights are built into reused
-    buffers; the kernel is gathered, weighted and transformed in place in one
-    reused buffer, which the next band overwrites, so no n x n index or
-    weight is held.  In 2-d a band is one first-axis center.
+    Yields (first center, values) per band, values of shape (first-axis
+    centers in the band, *other center axes, *frequencies).  A band is
+    ROW_BAND first-axis centers in 1-d and one in 2-d, the only difference
+    between dimensions.  Each band's index is the first band's shifted by a
+    constant, added in place; its kernel is gathered, weighted and transformed
+    in place in one reused complex buffer, which the next band overwrites.
     """
-    n, N = grid.n_grid, grid.n_points
-    signed = scale * (-1.0) ** _offsets(n)
+    n, N, dim = grid.n_grid, grid.n_points, grid.dim
+    m = _offsets(n)
+    signed = scale * (-1.0) ** m
     fftn, norm = (np.fft.ifftn, "forward") if inverse else (np.fft.fftn, "backward")
-    if grid.dim == 1:
-        shape = (min(ROW_BAND, n), n)
-        pairs = np.empty(shape, np.intp), np.empty(shape, np.intp), np.empty(shape, bool)
-        weight, buffer = np.empty(shape), np.empty(shape, dtype=complex)
-        for lo in range(0, n, ROW_BAND):
-            rows = min(ROW_BAND, n - lo)
-            plus, minus, valid = _antidiagonals(np.arange(lo, lo + rows), n,
-                                                [a[:rows] for a in pairs])
-            index = np.multiply(plus, n, out=plus)
-            index += minus
-            w, values = weight[:rows], buffer[:rows]
-            w.fill(0.0)
-            np.copyto(w, signed, where=valid)
-            np.multiply(gather(index), w, out=values)
-            yield lo, fftn(values, axes=(-1,), norm=norm, out=values)
-        return
-    plus, minus, valid = _antidiagonals(np.arange(n), n)
-    weight = np.where(valid, signed, 0.0)
-    for p in range(n):
-        # block axes: (second-axis center, first-axis offset, second-axis offset)
-        block = gather((plus[p][:, None] * n + plus[:, None, :]) * N
-                       + minus[p][:, None] * n + minus[:, None, :])
-        block *= weight[p][:, None] * weight[:, None, :]
-        yield p, fftn(block, axes=(-2, -1), norm=norm)[None]
+    width = min(ROW_BAND, n) if dim == 1 else 1
+    centers = _flat([np.arange(width)] + [np.arange(n)] * (dim - 1), n)
+    index = np.add.outer(centers * (N + 1), _flat([m] * dim, n) * (N - 1))  # the first band's
+    order = (*range(0, 2 * dim, 2), *range(1, 2 * dim, 2))  # (*centers, *offsets)
+    buffer = np.empty(index.shape, dtype=complex)
+    for lo in range(0, n, width):
+        rows = min(width, n - lo)
+        band = [np.arange(lo, lo + rows)] + [np.arange(n)] * (dim - 1)  # centers per axis
+        weights = [np.where(_on_grid(c, n, m), signed, 0.0) for c in band]
+        weight = reduce(np.multiply.outer, weights).transpose(order)
+        values = np.multiply(gather(index[:rows]), weight, out=buffer[:rows])
+        yield lo, fftn(values, axes=tuple(range(-dim, 0)), norm=norm, out=values)
+        index += width * n ** (dim - 1) * (N + 1)  # the next band's centers
 
 
 def matrix_symbol_bands(matrix: np.ndarray, grid: Grid):
     """The complex symbol of a kernel matrix, streamed in bands of centers.
 
-    Yields what :func:`_antidiagonal_bands` yields: in 1-d the values of
-    ROW_BAND centers in a buffer that the next band reuses, in 2-d those of
-    one first-axis center.  The kernel is gathered with a ``take`` at flat
-    indices into one reused buffer, faster than matrix[plus, minus] (1.3x at
-    n = 1024 in 1-d, 2x in 2-d).
+    Yields what :func:`_antidiagonal_bands` yields, the values of each band in
+    a buffer that the next band reuses.  The kernel is gathered with a
+    ``take`` at the flat indices, clipped onto the matrix: the pairs off the
+    grid, the only ones that can fall off it, are weighted out.
     """
     if matrix.shape != (grid.n_points, grid.n_points):
         raise ValueError("matrix does not match the grid")
-    n = grid.n_grid
-    buffer = np.empty(min(ROW_BAND, n) * n if grid.dim == 1 else n**3, dtype=matrix.dtype)
-
-    def gather(flat):
-        return matrix.take(flat, out=buffer[: flat.size].reshape(flat.shape), mode="clip")
-
-    return _antidiagonal_bands(gather, grid, 2.0)
+    return _antidiagonal_bands(lambda flat: matrix.take(flat, mode="clip"), grid, 2.0)
 
 
 def default_margin(t: float, spacing: float) -> float:
@@ -310,32 +290,25 @@ def decay_window(factors, grid: Grid, t: float, region="auto") -> np.ndarray:
         raise DecayError(
             "no usable centers: the grid is too small for this time horizon"
         )
-    if grid.dim == 2:
-        plus, minus, valid = _antidiagonals(centers, n)
-    if len(factors) == 2:  # each factor's largest |entry| on each kept antidiagonal
-        along = [np.where(valid, np.abs(M[plus, minus]), 0.0).max(axis=-1) for M in factors]
+    step = grid.dim // len(factors)  # the axes of one factor
+    N, m = n**step, _offsets(n)
     reach = np.minimum(centers, n - 1 - centers)  # last offset on the grid
+
+    def face(M, end, sign):
+        """Largest |M| at C (N + 1) + O (N - 1) on the antidiagonals through each
+        kept center of M's axes: axis ``end`` at its last offset (``sign``),
+        every other axis over its on-grid offsets."""
+        offsets = [sign * reach[:, None] if k == end else m for k in range(step)]
+        flat = _flat([(centers * (N + 1))[:, None] + o * (N - 1) for o in offsets], n)
+        on_grid = reduce(np.logical_and.outer, [_on_grid(centers, n, o) for o in offsets])
+        values = np.where(on_grid, np.abs(M.take(flat, mode="clip")), 0.0)
+        return values.max(axis=tuple(range(1, 2 * step, 2)))
+
     edge = np.zeros((centers.size,) * grid.dim)
-    for sign in (1, -1):
-        lo, hi = centers + sign * reach, centers - sign * reach
-        if len(factors) == 2:
-            ends = [np.abs(M[lo, hi]) for M in factors]
-            faces = [np.multiply.outer(ends[0], along[1]), np.multiply.outer(along[0], ends[1])]
-        elif grid.dim == 1:
-            faces = [np.abs(factors[0][lo, hi])]
-        else:
-            (matrix,) = factors
-            # (first-axis center, second-axis center, offset along the other axis)
-            faces = [
-                np.where(valid, np.abs(matrix[lo[:, None, None] * n + plus,
-                                              hi[:, None, None] * n + minus]), 0.0),
-                np.where(valid[:, None, :],
-                         np.abs(matrix[plus[:, None, :] * n + lo[:, None],
-                                       minus[:, None, :] * n + hi[:, None]]), 0.0),
-            ]
-            faces = [face.max(axis=-1) for face in faces]
-        for face in faces:
-            np.maximum(edge, face, out=edge)
+    for axis, sign in product(range(grid.dim), (1, -1)):
+        # for X kron Y: the edge factor's face times the other's masked maximum
+        faces = [face(M, axis - lo, sign) for lo, M in zip(range(0, grid.dim, step), factors)]
+        np.maximum(edge, reduce(np.multiply.outer, faces), out=edge)
     # |M|.max() of each factor without an n^2 copy, and so of their Kronecker product
     max_abs = reduce(operator.mul, (max(M.max(), -M.min()) for M in factors))
     worst = np.unravel_index(np.argmax(edge), edge.shape)
@@ -354,36 +327,35 @@ def semigroup_symbol_at(S: GridSemigroup, x, *xi) -> np.ndarray:
     ``x`` holds one center per grid axis (a number in 1-d) and ``xi`` one
     frequency array per axis, broadcast together.  Centers midway between grid
     points use the odd antidiagonals of the kernel, so the usable x set has
-    half the grid spacing and nests across grid refinement.  Each Kronecker
-    factor is gathered at the index products of its axes' antidiagonal pairs
-    and contracted with each axis's phases; the symbol is the product of the
-    factors' values.
+    half the grid spacing and nests across grid refinement.  On an axis with
+    half-grid index j the entries (a, b) with a + b = j - 1 lie on the grid
+    for a - b in -r, -r + 2, ..., r, r = min(j - 1, 2n - 1 - j); a factor of
+    N points reads them with one ``take`` at (S (N + 1) + D (N - 1)) / 2, S
+    and D the flat sum and difference, and contracts them with each axis's
+    phases.  The symbol is the product of the factors' values.
     """
     grid = S.grid
     x = [float(c) for c in np.atleast_1d(x)]
     if len(x) != grid.dim or len(xi) != grid.dim:
         raise ValueError(f"need one center and one frequency array per grid axis, {grid.dim}")
     n, dx = grid.n_grid, grid.spacing
-    pairs = []  # per axis: the kernel's index pairs through the center, and their phases
+    step = S.factor_grid.dim
+    N = n**step
+    axes = []  # per axis: the flat components of the kernel entries through the center, phases
     for c, freq in zip(x, np.broadcast_arrays(*(np.asarray(f, dtype=float) for f in xi))):
         j = round((c + grid.half_width) / (dx / 2.0))
         if not 1 <= j <= 2 * n - 1 or abs(-grid.half_width + j * dx / 2.0 - c) > 1e-9:
             raise ValueError(f"x={c!r} is not on the half-grid of centers")
-        index_sum = j - 1  # a + b for contributing kernel entries
-        d = np.arange(-(n - 1), n)
-        d = d[(np.abs(d) % 2) == index_sum % 2]
-        a, b = (index_sum + d) // 2, (index_sum - d) // 2
-        keep = (a >= 0) & (a < n) & (b >= 0) & (b < n)
-        pairs.append((a[keep], b[keep],
-                      np.exp(-1j * dx * np.multiply.outer(d[keep].astype(float), freq))))
-    step, values = S.factor_grid.dim, []
+        reach = min(j - 1, 2 * n - 1 - j)  # the index sum a + b is j - 1
+        d = np.arange(-reach, reach + 1, 2)  # the index differences a - b on the grid
+        axes.append((((j - 1) * (N + 1) + d * (N - 1)) // 2,
+                     np.exp(-1j * dx * np.multiply.outer(d.astype(float), freq))))
+    values = []
     for lo, M in zip(range(0, grid.dim, step), S.factors):
-        (a, b, phases), *rest = pairs[lo:lo + step]
-        for a_next, b_next, _ in rest:  # flat indices of the index products
-            a, b = np.add.outer(a * n, a_next), np.add.outer(b * n, b_next)
-        value = 2.0**step * np.tensordot(M[a, b], phases, axes=(0, 0))
-        for _, _, phases in rest:
-            value = (value * phases).sum(axis=0)
+        flat, phases = zip(*axes[lo:lo + step])
+        value = 2.0**step * np.tensordot(M.take(_flat(flat, n)), phases[0], axes=(0, 0))
+        for p in phases[1:]:
+            value = (value * p).sum(axis=0)
         values.append(value)
     return np.real(reduce(operator.mul, values))
 
@@ -417,7 +389,7 @@ def wigner(f, g, grid: Grid) -> np.ndarray:
     g_conj = np.conj(g)
 
     def gather(flat):
-        plus, minus = np.divmod(flat, grid.n_points)
+        plus, minus = np.divmod(np.clip(flat, 0, grid.n_points**2 - 1), grid.n_points)
         return f[minus] * g_conj[plus]
 
     values = np.empty((grid.n_grid,) * 2 * grid.dim, dtype=complex)

@@ -232,6 +232,32 @@ class TestExitCodes:
         assert err.startswith("config error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("subcommand, config", [
+        ("moments", {"beta": "0:400", "t": 0.5, "seed": 1}),
+        ("bound", {"beta": "0:400", "m": 400, "t": 0.5, "c_m": 16.0}),
+        ("verify", {"suite": "xi-deriv", "betas": ["0:400"], "seed": 1,
+                    "n_points": 1, "n_paths": 64, "n_steps": 2}),
+        ("verify", {"suite": "class", "m": 400, "seed": 1,
+                    "family": {"family": "mean_field", "G": {"name": "lorentzian"}}}),
+        ("oracle", {"potential": harmonic_potential_json(), "t": 0.5,
+                    "grid": {"half_width": 1e300, "n_grid": 16}}),
+        ("oracle", {"potential": harmonic_potential_json(), "t": 0.5,
+                    "grid": {"half_width": 1e-300, "n_grid": 16}}),
+    ], ids=["moments-gamma", "bound-gamma", "xi-deriv-gamma", "class-m", "oracle-huge-grid",
+            "oracle-tiny-grid"])
+    def test_arithmetic_overflow_is_numerical_failure(self, subcommand, config, capsys):
+        # overflow or division by zero in the arithmetic exits 2, without a traceback
+        assert cli.main([subcommand, json.dumps(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:")
+        assert "Traceback" not in err
+
+    def test_nonpositive_oracle_region_is_config_error(self, capsys):
+        config = {"potential": harmonic_potential_json(), "t": 0.5, "region": -1,
+                  "grid": {"half_width": 8.0, "n_grid": 16}}
+        assert cli.main(["oracle", json.dumps(config)]) == 1
+        assert capsys.readouterr().err.startswith("config error: invalid config at $.region")
+
     def test_verify_zero_potential_l1_is_two(self, capsys):
         config = {
             "suite": "l1", "seed": 1,

@@ -649,6 +649,26 @@ class TestTransformReference:
         with pytest.raises(ValueError, match="one center and one frequency array"):
             semigroup_symbol_at(S, center[0], xi)
 
+    @pytest.mark.parametrize("case", ["1-d", "coupled", "separable"])
+    def test_half_grid_ends_match_reference(self, case):
+        # the pointwise symbol at the first and last half-grid indices on every
+        # axis, where only a few kernel entries average to the center, against
+        # the sum over every such entry: a wrong offset range misses or adds one
+        n, rng = 16, np.random.default_rng(3)
+        dim = 1 if case == "1-d" else 2
+        grid = Grid(4.0, n, dim)
+        shapes = [(n, n)] * 2 if case == "separable" else [(n**dim, n**dim)]
+        S = GridSemigroup(grid, 0.5, *(rng.standard_normal(shape) for shape in shapes))
+        dense = reduce(np.kron, S.factors)
+        scale = 2.0**dim * np.abs(dense).max()  # the size of one entry's term
+        ends = (1, 2, 3, n, 2 * n - 3, 2 * n - 2, 2 * n - 1)
+        for j in product(ends, repeat=dim):
+            center = [-grid.half_width + k * grid.spacing / 2.0 for k in j]
+            for xi in ((0.0, 0.0), (0.7, -1.3), (-2.1, 0.4)):
+                got = semigroup_symbol_at(S, center, *xi[:dim])
+                expected = reference_symbol_at(dense, grid, j, xi[:dim])
+                assert abs(got - expected) <= 1e-13 * scale
+
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("region", ["auto", "full"])
     def test_semigroup_on_another_grid_rejected(self, dim, region):
