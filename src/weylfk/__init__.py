@@ -37,17 +37,11 @@ from .commutator import (
     op_weyl_matrix,
     scaling_fit,
 )
-from .faadibruno import (
-    FaaDiBrunoTerm,
-    derivative_of_exponential,
-    mixed_derivative_bound,
-    multiindex_partitions,
-)
+from .faadibruno import derivative_of_exponential, mixed_derivative_bound
 from .multiindex import (
     MultiIndex,
     ZERO_INDEX,
     from_text,
-    has_max_order,
     sub_multiindices,
 )
 from .oracle import (

@@ -184,14 +184,20 @@ def check_linf(estimates) -> BoundReport:
     return _report("symbol-sup-unit", 1.0, estimates)
 
 
+def _xi_derivative_bounds(beta: MultiIndex, t, variance) -> tuple:
+    """The exact moment product bound and its max-order coarsening; an order
+    whose constants leave double range raises OverflowError."""
+    sigma2, _ = resolve_variance(variance)
+    m = beta.max_order
+    coarse = abs_moment_max(m) ** beta.order * (sigma2 * t) ** (beta.order / 2.0)
+    return absolute_moment_product(beta, t, sigma2), coarse
+
+
 def check_xi_derivative_bounds(estimates, beta: MultiIndex, t,
                                variance=DEFAULT_PRESET):
     """Frequency-derivative bounds: the exact moment product and its max-order coarsening."""
     estimates = list(estimates)
-    sigma2, _ = resolve_variance(variance)
-    product_bound = absolute_moment_product(beta, t, sigma2)
-    m = beta.max_order
-    coarse_bound = abs_moment_max(m) ** beta.order * (sigma2 * t) ** (beta.order / 2.0)
+    product_bound, coarse_bound = _xi_derivative_bounds(beta, t, variance)
     return (
         _report("xi-derivative-moment-product", product_bound, estimates,
                 {"bound": product_bound}),
@@ -223,11 +229,15 @@ def xi_derivative_sweep(V: PotentialSpec, betas, t, n_points, n_paths, n_steps,
 
     One stream seeded by seed draws the points and keeps running across
     betas; probe k of every beta samples its paths from the seed seed + 31 k.
+    Every bound is computed before any path is sampled, so an order whose
+    bound overflows fails at once.
     """
+    betas = [V.at_slots(beta) for beta in betas]
+    for beta in betas:
+        _xi_derivative_bounds(beta, t, variance)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     reports = []
     for beta in betas:
-        beta = V.at_slots(beta)
         probes = [(V, _uniform_point(rng, V.n_sites, SWEEP_HALFWIDTH), t, seed + 31 * k)
                   for k in range(n_points)]
         estimates = _estimate_probes(probes, n_paths, n_steps, variance, n_workers,

@@ -1,67 +1,20 @@
-"""Multivariate chain-rule combinatorics for derivatives of exp(W).
+"""Multivariate chain rule for derivatives of exp(W), and the mixed-derivative bound.
 
-A derivative of exp(W) of multi-index order alpha expands over all ways of
-writing alpha as a multiset of nonzero sub-indices with multiplicities;
-each term carries an exact integer coefficient.  The closed-form sup bound
-for mixed phase-space derivatives of the semigroup symbol lives here too,
-since its combinatorial content is the same expansion.
+Differentiating exp(W) once at a site and the rest by the Leibniz rule gives
+each derivative of exp(W) from lower ones (the complete-Bell recurrence),
+with positive integer coefficients.  The closed-form sup bound for mixed
+phase-space derivatives of the semigroup symbol lives here too, since its
+combinatorial content is the same expansion.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 from .brownian import DEFAULT_PRESET, abs_moment_max, resolve_variance
-from .multiindex import MultiIndex, has_max_order, sub_multiindices, subtract
-
-
-@dataclass(frozen=True)
-class FaaDiBrunoTerm:
-    """Multiplicities phi over nonzero sub-indices, with sum phi(beta)*beta = alpha."""
-
-    counts: tuple  # ((MultiIndex, multiplicity >= 1), ...) in canonical order
-
-
-def multiindex_partitions(alpha: MultiIndex) -> list:
-    """Enumerate every multiplicity assignment once, in canonical order.
-
-    Recursive descent over the canonical sub-index order, memoized on the
-    (position, residual) pair.  For a single site of order k the count equals
-    the number of integer partitions of k.
-    """
-    if alpha.is_zero():
-        raise ValueError("the zero multi-index has no partitions")
-    subs = sub_multiindices(alpha)
-    memo = {}
-
-    def descend(i: int, residual: MultiIndex):
-        if residual.is_zero():
-            return ((),)
-        if i == len(subs):
-            return ()
-        key = (i, residual)
-        if key in memo:
-            return memo[key]
-        beta = subs[i]
-        out = []
-        multiplicity = 0
-        rest = residual
-        while True:
-            head = ((beta, multiplicity),) if multiplicity else ()
-            for tail in descend(i + 1, rest):
-                out.append(head + tail)
-            if beta <= rest:
-                rest = subtract(rest, beta)
-                multiplicity += 1
-            else:
-                break
-        memo[key] = tuple(out)
-        return memo[key]
-
-    return [FaaDiBrunoTerm(counts) for counts in descend(0, alpha)]
+from .multiindex import MultiIndex, sub_multiindices
 
 
 def derivative_of_exponential(w_derivs: Mapping, alpha: MultiIndex):
@@ -69,22 +22,33 @@ def derivative_of_exponential(w_derivs: Mapping, alpha: MultiIndex):
 
     w_derivs must supply the derivative of W for every nonzero beta <= alpha,
     as scalars or as arrays of one common shape (the result then has that
-    shape).  All combinatorial factors are computed in exact integer
-    arithmetic before any floating-point multiplication.
+    shape).  The value is B_alpha of the recurrence B_0 = 1,
+    B_delta = sum over gamma <= delta - e_j of
+    C(delta - e_j, gamma) W_(gamma + e_j) B_(delta - e_j - gamma), with j the
+    first site of delta and C a product of per-site binomials, so every
+    coefficient is a positive integer.
     """
-    for beta in sub_multiindices(alpha):
+    subs = sub_multiindices(alpha)
+    for beta in subs:
         if beta not in w_derivs:
             raise ValueError(f"missing derivative entry for {beta.to_text()!r}")
-    alpha_factorial = alpha.factorial
-    total = 0.0
-    for term in multiindex_partitions(alpha):
-        coeff = Fraction(alpha_factorial)
-        value = 1.0
-        for beta, k in term.counts:
-            coeff /= math.factorial(k) * beta.factorial**k
-            value = value * w_derivs[beta] ** k
-        total += float(coeff) * value
-    return total
+    # the canonical order lists sub-index k at mixed-radix code k, so the
+    # difference of two sub-indices is the difference of their codes
+    radii = [order + 1 for _, order in alpha.entries]
+    strides = [math.prod(radii[:i]) for i in range(len(radii))]
+    w = [None] + [w_derivs[beta] for beta in subs]
+    b = [1.0]
+    for code, delta in enumerate(subs, start=1):
+        lower = [delta.get(site) for site in alpha.support]
+        j = next(i for i, order in enumerate(lower) if order)
+        lower[j] -= 1
+        total = 0.0
+        for gamma in itertools.product(*(range(order + 1) for order in lower)):
+            g = sum(d * stride for d, stride in zip(gamma, strides))
+            coeff = math.prod(math.comb(n, d) for n, d in zip(lower, gamma))
+            total = total + coeff * w[g + strides[j]] * b[code - strides[j] - g]
+        b.append(total)
+    return b[-1]
 
 
 def mixed_derivative_bound(alpha: MultiIndex, beta: MultiIndex, m: int, t,
@@ -100,9 +64,9 @@ def mixed_derivative_bound(alpha: MultiIndex, beta: MultiIndex, m: int, t,
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    if not has_max_order(alpha, m) or not has_max_order(beta, m):
+    if alpha.max_order > m or beta.max_order > m:
         raise ValueError("alpha and beta must have per-site orders at most m")
-    if not has_max_order(alpha, 2):
+    if alpha.max_order > 2:
         raise ValueError(
             "the bound is certified only for per-site position orders at most 2"
         )

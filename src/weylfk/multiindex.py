@@ -1,4 +1,4 @@
-"""Sparse multi-indices over finite site sets, with the componentwise partial order.
+"""Sparse multi-indices over finite site sets, and their sub-index enumeration.
 
 Sites are opaque identifiers: plain integers, or tuples of integers when a
 site carries lattice coordinates.  A multi-index stores only its nonzero
@@ -82,11 +82,6 @@ class MultiIndex:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def __le__(self, other) -> bool:
-        if not isinstance(other, MultiIndex):
-            return NotImplemented
-        return all(other.get(site) >= order for site, order in self.entries)
-
     def to_text(self) -> str:
         """Render as "site:order,site:order" with sites sorted."""
         return ",".join(f"{_site_text(site)}:{order}" for site, order in self.entries)
@@ -143,20 +138,6 @@ def _parse_site(token: str):
             raise ValueError(f"empty coordinate tuple in {token!r}")
         return tuple(int(c) for c in inner.split(","))
     return int(token)
-
-
-def has_max_order(a: MultiIndex, m: int) -> bool:
-    """True iff every stored order is at most m (the bounded-order class)."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return a.max_order <= m
-
-
-def subtract(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    """Componentwise difference a - b; requires b <= a."""
-    if not b <= a:
-        raise ValueError("subtrahend is not componentwise smaller")
-    return MultiIndex.of({site: order - b.get(site) for site, order in a.entries})
 
 
 def sub_multiindices(a: MultiIndex) -> list:

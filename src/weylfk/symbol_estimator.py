@@ -91,9 +91,10 @@ def estimate_mixed_derivative(V, point: PhasePoint, t, n_paths, n_steps, seed, *
     frequency derivative inserts prod_j (-i w_j(t))^(beta_j), so its modulus
     is bounded by the exact absolute-moment product of the endpoint law, up
     to statistical noise.  Each path's weight exp(-A) is differentiated
-    exactly (Faa di Bruno over the actions of the partials of V along the
-    same path), so the estimate has no step-size bias.  V.partial must supply
-    every nonzero sub-index of alpha.
+    exactly (the multivariate chain rule, by its binomial recurrence over the
+    actions of the partials of V along the same path), so the estimate has no
+    step-size bias.  V.partial must supply every nonzero sub-index of alpha.
+    A second moment that overflows gives a NaN standard error, not zero.
     """
     if not t > 0.0:
         raise ValueError("t must be positive")
@@ -187,9 +188,12 @@ def estimate_mixed_derivative(V, point: PhasePoint, t, n_paths, n_steps, seed, *
             sum_im2 += sim2
         means.append(complex(total / count))
         if count > 1:
-            var_re = max(0.0, (sum_re2 - sum_re**2 / count) / (count - 1))
-            var_im = max(0.0, (sum_im2 - sum_im**2 / count) / (count - 1))
-            stderrs.append(math.sqrt((var_re + var_im) / count))
+            var_re = (sum_re2 - sum_re**2 / count) / (count - 1)
+            var_im = (sum_im2 - sum_im**2 / count) / (count - 1)
+            # a small negative variance is roundoff; an overflowed one is unknown
+            var = (max(0.0, var_re) + max(0.0, var_im)
+                   if math.isfinite(var_re + var_im) else math.nan)
+            stderrs.append(math.sqrt(var / count))
         else:
             stderrs.append(math.inf)
     if point.xi.ndim == 2:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from weylfk import cli
+from weylfk import bounds, cli
 from weylfk.bounds import BoundReport
 
 
@@ -243,14 +244,43 @@ class TestExitCodes:
                     "grid": {"half_width": 1e300, "n_grid": 16}}),
         ("oracle", {"potential": harmonic_potential_json(), "t": 0.5,
                     "grid": {"half_width": 1e-300, "n_grid": 16}}),
+        # the squares of the pair values overflow: the variance is inf - inf
+        ("estimate", {"potential": {"variant": "zero", "sites": [0]}, "beta": "0:300",
+                      "x": [0.0], "xi": [0.5], "t": 0.5, "seed": 1, "n_paths": 1000,
+                      "n_steps": 1}),
     ], ids=["moments-gamma", "bound-gamma", "xi-deriv-gamma", "class-m", "oracle-huge-grid",
-            "oracle-tiny-grid"])
+            "oracle-tiny-grid", "estimate-variance"])
     def test_arithmetic_overflow_is_numerical_failure(self, subcommand, config, capsys):
         # overflow or division by zero in the arithmetic exits 2, without a traceback
         assert cli.main([subcommand, json.dumps(config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("F", ["lorentzian", "harmonic"])
+    def test_order_200_position_derivative_fails_quickly(self, F, capsys):
+        # the Lorentzian's partials overflow; the harmonic well's estimate has
+        # an overflowing second moment
+        config = {
+            "potential": {"variant": "nearest_neighbor", "d": 1, "sites": [[0]],
+                          "F": {"name": F}, "G": {"name": "zero"}},
+            "alpha": "0:200", "x": [0.0], "xi": [0.5], "t": 0.5, "seed": 1,
+            "n_paths": 64, "n_steps": 4,
+        }
+        start = time.perf_counter()
+        assert cli.main(["estimate", json.dumps(config)]) == 2
+        assert time.perf_counter() - start < 10.0
+        assert capsys.readouterr().err.startswith("numerical failure:")
+
+    def test_xi_deriv_bound_overflow_fails_before_sampling(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(bounds, "estimate_mixed_derivative",
+                            lambda *args, **kwargs: calls.append(args))
+        config = {"suite": "xi-deriv", "betas": ["0:1", "0:400"], "seed": 1,
+                  "n_points": 1, "n_paths": 64, "n_steps": 2}
+        assert cli.main(["verify", json.dumps(config)]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure:")
+        assert calls == []
 
     def test_nonpositive_oracle_region_is_config_error(self, capsys):
         config = {"potential": harmonic_potential_json(), "t": 0.5, "region": -1,
@@ -330,7 +360,6 @@ class TestExitCodes:
         assert "is not a site position" in err
 
     def test_verify_violation_is_three(self, monkeypatch):
-        from weylfk import bounds
         from weylfk.symbol_estimator import SymbolEstimate
 
         def fake_estimate(*args, **kwargs):

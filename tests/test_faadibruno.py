@@ -7,13 +7,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from weylfk.brownian import abs_moment_max
-from weylfk.faadibruno import (
-    FaaDiBrunoTerm,
-    derivative_of_exponential,
-    mixed_derivative_bound,
-    multiindex_partitions,
-)
-from weylfk.multiindex import MultiIndex, sub_multiindices
+from weylfk.faadibruno import derivative_of_exponential, mixed_derivative_bound
+from weylfk.multiindex import MultiIndex, ZERO_INDEX, sub_multiindices
 
 mi = MultiIndex.of
 
@@ -34,52 +29,84 @@ def brute_force_partitions(alpha):
     return found
 
 
-def reconstructs(term, alpha):
+def reconstructs(counts, alpha):
     """Re-verify the defining constraint: sum of multiplicity * sub-index is alpha."""
     acc = {}
-    for beta, k in term.counts:
+    for beta, k in counts:
         for site, order in beta.entries:
             acc[site] = acc.get(site, 0) + k * order
     return MultiIndex.of(acc) == alpha
 
 
+def partition_sum(derivs, alpha):
+    """The Faa di Bruno sum: over every partition, alpha! / prod(k! beta!^k)
+    times prod(W_beta^k), the reference the recurrence is checked against."""
+    total = 0.0
+    for counts in brute_force_partitions(alpha):
+        coeff = alpha.factorial // math.prod(
+            math.factorial(k) * beta.factorial**k for beta, k in counts
+        )
+        total = total + coeff * math.prod(derivs[beta] ** k for beta, k in counts)
+    return total
+
+
+def assert_matches_partition_sum(alpha, derivs):
+    # relative to the sum of the terms' moduli, so that a value near
+    # cancellation is held to the roundoff of its terms
+    ours = derivative_of_exponential(derivs, alpha)
+    scale = partition_sum({beta: np.abs(d) for beta, d in derivs.items()}, alpha)
+    assert np.all(np.abs(ours - partition_sum(derivs, alpha)) <= 1e-13 * scale)
+
+
+def random_derivs(alpha, seed, low=-2.0, high=2.0):
+    rng = np.random.default_rng(seed)
+    return {beta: rng.uniform(low, high, 64) for beta in sub_multiindices(alpha)}
+
+
 class TestEnumeration:
+    """The recurrence against the partition sum over an independent enumeration."""
+
     def test_single_order_one(self):
-        terms = multiindex_partitions(mi({1: 1}))
-        assert len(terms) == 1
-        assert terms[0].counts == ((mi({1: 1}), 1),)
+        alpha = mi({1: 1})
+        derivs = random_derivs(alpha, 1)
+        assert np.array_equal(derivative_of_exponential(derivs, alpha), derivs[alpha])
+        assert_matches_partition_sum(alpha, derivs)
 
     def test_single_order_two(self):
-        terms = multiindex_partitions(mi({1: 2}))
-        assert {tuple(t.counts) for t in terms} == {
+        alpha = mi({1: 2})
+        assert {tuple(c) for c in brute_force_partitions(alpha)} == {
             ((mi({1: 1}), 2),),
             ((mi({1: 2}), 1),),
         }
+        assert_matches_partition_sum(alpha, random_derivs(alpha, 2))
 
     @pytest.mark.parametrize("k,expected", [(1, 1), (2, 2), (3, 3), (4, 5), (5, 7), (6, 11)])
     def test_single_site_counts_are_integer_partitions(self, k, expected):
-        assert len(multiindex_partitions(mi({1: k}))) == expected
+        # the reference enumerates the integer partitions of k
+        assert len(brute_force_partitions(mi({1: k}))) == expected
+        assert_matches_partition_sum(mi({1: k}), random_derivs(mi({1: k}), k))
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            multiindex_partitions(mi({}))
+            derivative_of_exponential({}, ZERO_INDEX)
 
     @pytest.mark.parametrize("alpha", [
         mi({1: 3}), mi({1: 1, 2: 1}), mi({1: 2, 2: 1}), mi({1: 2, 2: 2}),
         mi({1: 1, 2: 1, 3: 1}), mi({1: 4}),
     ])
     def test_matches_brute_force(self, alpha):
-        terms = multiindex_partitions(alpha)
-        as_sets = {tuple(t.counts) for t in terms}
-        assert len(as_sets) == len(terms)  # no duplicates
-        assert as_sets == brute_force_partitions(alpha)
+        assert_matches_partition_sum(alpha, random_derivs(alpha, alpha.order))
 
     @pytest.mark.parametrize("alpha", [
         mi({1: 4}), mi({1: 2, 2: 2}), mi({1: 3, 2: 1}),
     ])
     def test_constraint_reverified(self, alpha):
-        for term in multiindex_partitions(alpha):
-            assert reconstructs(term, alpha)
+        for counts in brute_force_partitions(alpha):
+            assert reconstructs(counts, alpha)
+        # nonnegative entries: every term adds, so the sums agree to roundoff
+        derivs = random_derivs(alpha, 7, low=0.0)
+        np.testing.assert_allclose(derivative_of_exponential(derivs, alpha),
+                                   partition_sum(derivs, alpha), rtol=1e-13)
 
 
 class TestDerivativeOfExponential:
@@ -155,16 +182,27 @@ class TestDerivativeOfExponential:
         alpha = mi({1: 2, 2: 1})
         subs = sub_multiindices(alpha)
         derivs = dict(zip(subs, itertools.cycle(values)))
-        lhs = 0.0
-        for term in multiindex_partitions(alpha):
-            prod = 1.0
-            coeff = 1.0
-            for beta, k in term.counts:
-                coeff /= math.factorial(k)
-                prod *= (derivs[beta] / beta.factorial) ** k
-            lhs += coeff * prod
+        lhs = derivative_of_exponential(derivs, alpha) / alpha.factorial
         rhs = math.exp(sum(derivs[b] / b.factorial for b in subs))
         assert lhs <= rhs * (1 + 1e-12)
+
+    def test_order_200_of_a_linear_exponent(self):
+        # W linear: d^k exp(W) / exp(W) = (W')^k, far beyond any partition count
+        alpha = mi({0: 200})
+        derivs = {beta: 1.01 if beta.order == 1 else 0.0 for beta in sub_multiindices(alpha)}
+        assert derivative_of_exponential(derivs, alpha) == pytest.approx(1.01**200, rel=1e-12)
+
+    def test_first_derivatives_only_factorize(self):
+        # W linear in two sites: the derivative is prod_j w_j^alpha_j
+        alpha = mi({0: 3, 1: 4})
+        rng = np.random.default_rng(5)
+        slopes = {0: rng.normal(size=16), 1: rng.normal(size=16)}
+        derivs = {
+            beta: slopes[beta.support[0]] if beta.order == 1 else np.zeros(16)
+            for beta in sub_multiindices(alpha)
+        }
+        np.testing.assert_allclose(derivative_of_exponential(derivs, alpha),
+                                   slopes[0] ** 3 * slopes[1] ** 4, rtol=1e-13)
 
 
 class TestMixedDerivativeBound:

@@ -8,9 +8,7 @@ from weylfk.multiindex import (
     MultiIndex,
     ZERO_INDEX,
     from_text,
-    has_max_order,
     sub_multiindices,
-    subtract,
 )
 
 
@@ -52,38 +50,31 @@ class TestBasics:
 
 
 class TestLeq:
+    """The componentwise order, as membership in the sub-index list."""
+
     def test_zero_is_minimal(self):
-        assert mi({}) <= mi({1: 2})
+        subs = sub_multiindices(mi({1: 2}))
+        assert ZERO_INDEX not in subs  # nonzero sub-indices only
+        assert mi({1: 1}) in subs
 
     def test_exceeding_site(self):
-        assert not mi({1: 1, 2: 1}) <= mi({1: 2})
-
-    def test_reflexive(self):
-        assert mi({1: 2}) <= mi({1: 2})
-
-    @given(multiindices, multiindices, multiindices)
-    def test_partial_order(self, a, b, c):
-        assert a <= a
-        if a <= b and b <= a:
-            assert a == b
-        if a <= b and b <= c:
-            assert a <= c
+        assert mi({1: 1, 2: 1}) not in sub_multiindices(mi({1: 2}))
 
 
 class TestClassMembership:
     def test_examples(self):
-        assert has_max_order(mi({1: 2, 5: 1}), 2)
-        assert not has_max_order(mi({1: 3}), 2)
-        assert has_max_order(mi({}), 0)
+        assert mi({1: 2, 5: 1}).max_order <= 2
+        assert not mi({1: 3}).max_order <= 2
+        assert mi({}).max_order <= 0
 
-    @given(multiindices, st.integers(min_value=0, max_value=5))
-    def test_matches_max_order(self, a, m):
-        assert has_max_order(a, m) == (a.max_order <= m)
+    @given(multiindices)
+    def test_matches_max_order(self, a):
+        assert a.max_order == max((a.get(site) for site in a.support), default=0)
 
     @given(multiindices, st.integers(min_value=1, max_value=5))
     def test_factorial_bound(self, a, m):
         # per-site orders <= m give factorial <= (m!)^(number of active sites)
-        if has_max_order(a, m):
+        if a.max_order <= m:
             assert a.factorial <= math.factorial(m) ** len(a.support)
 
     def test_loose_factorial_bound_only_up_to_order_two(self):
@@ -133,18 +124,6 @@ class TestSubMultiindices:
         assert len(subs) == expected
         assert len(set(subs)) == expected
         assert set(subs) == brute_force_subs(a)
-
-
-class TestSubtract:
-    @given(multiindices, multiindices)
-    def test_subtract_roundtrip(self, a, b):
-        if b <= a:
-            d = subtract(a, b)
-            total = {s: d.get(s) + b.get(s) for s in set(a.support) | set(b.support)}
-            assert MultiIndex.of(total) == a
-        else:
-            with pytest.raises(ValueError):
-                subtract(a, b)
 
 
 class TestText:
