@@ -59,17 +59,15 @@ from .potentials import (
     CustomPotential,
     MeanFieldPotential,
     NearestNeighborPotential,
-    PotentialFamily,
     PotentialSpec,
     ScalarFunction,
     ZeroPotential,
     cosine_function,
     constant_function,
+    family_from_json,
     gaussian_bump_function,
     harmonic_function,
     lorentzian_function,
-    mean_field_family,
-    nearest_neighbor_chain_family,
     potential_from_json,
     scalar_from_json,
     zero_function,

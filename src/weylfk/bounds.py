@@ -19,18 +19,12 @@ from itertools import product
 
 import numpy as np
 
-from .brownian import (
-    DEFAULT_PRESET,
-    abs_moment_max,
-    absolute_moment_product,
-    resolve_variance,
-)
+from .brownian import DEFAULT_PRESET, abs_moment_max, absolute_moment_product
 from .faadibruno import mixed_derivative_bound
 from .multiindex import MultiIndex, ZERO_INDEX
 from .oracle import Grid, GridOracle, decay_window, grid_edge_max, semigroup_symbol_at
 from .potentials import (
     NearestNeighborPotential,
-    PotentialFamily,
     PotentialSpec,
     gaussian_bump_function,
     harmonic_function,
@@ -187,10 +181,9 @@ def check_linf(estimates) -> BoundReport:
 def _xi_derivative_bounds(beta: MultiIndex, t, variance) -> tuple:
     """The exact moment product bound and its max-order coarsening; an order
     whose constants leave double range raises OverflowError."""
-    sigma2, _ = resolve_variance(variance)
     m = beta.max_order
-    coarse = abs_moment_max(m) ** beta.order * (sigma2 * t) ** (beta.order / 2.0)
-    return absolute_moment_product(beta, t, sigma2), coarse
+    coarse = abs_moment_max(m) ** beta.order * (variance.sigma2 * t) ** (beta.order / 2.0)
+    return absolute_moment_product(beta, t, variance), coarse
 
 
 def check_xi_derivative_bounds(estimates, beta: MultiIndex, t,
@@ -288,21 +281,22 @@ def check_l1_bound(V: PotentialSpec, t, xi_list, grid: Grid) -> BoundReport:
     )
 
 
-def check_mixed_derivative_bound(family: PotentialFamily, m, t, alpha, beta,
+def check_mixed_derivative_bound(family, m, t, alpha, beta,
                                  lambda_sizes, n_paths, n_steps, seed,
                                  variance=DEFAULT_PRESET, n_workers=1):
     """Mixed-derivative estimates against the closed-form bound, across site counts.
 
-    alpha and beta address sites by their position in the built potential's
-    site list, so the same derivative pattern is applied at every size.  The
-    bound itself carries no size dependence; reports record it per size so the
-    caller can assert it literally does not move.  Each size gets
-    SPAWNED_PROBES probes, spawned under the key size.
+    family maps a site count to a potential.  alpha and beta address sites by
+    their position in its site list, so the same derivative pattern is applied
+    at every size.  Each size's bound takes the budget c_m that its own
+    potential certifies; reports record both per size, so the caller can check
+    that they do not move.  Each size gets SPAWNED_PROBES probes, spawned
+    under the key size.
     """
     reports = []
-    c_m = family.certified_cm(m)
     for size in lambda_sizes:
-        V = family.build(size)
+        V = family(size)
+        c_m = V.certified_cm(m)
         alpha_sites, beta_sites = V.at_slots(alpha), V.at_slots(beta)
         bound = mixed_derivative_bound(alpha_sites, beta_sites, m, t, c_m, variance)
         estimates = _estimate_probes(
@@ -316,19 +310,20 @@ def check_mixed_derivative_bound(family: PotentialFamily, m, t, alpha, beta,
     return reports
 
 
-def class_membership(family: PotentialFamily, m, t, n_paths, n_steps, seed,
+def class_membership(family, m, t, n_paths, n_steps, seed,
                      variance=DEFAULT_PRESET, lambda_size=4, n_workers=1):
     """Certified symbol-class parameters plus sampled verification reports.
 
-    The growth factors are uniform across sites: m * exp(t * c_m) per position
-    order and B_m * sqrt(sigma2 * t) per frequency order.  Each pair of
-    CLASS_INDEX_PAIRS gets SPAWNED_PROBES probes, spawned under its position.
+    family maps a site count to a potential; c_m is certified by the one it
+    builds at lambda_size.  The growth factors are uniform across sites:
+    m * exp(t * c_m) per position order and B_m * sqrt(sigma2 * t) per
+    frequency order.  Each pair of CLASS_INDEX_PAIRS gets SPAWNED_PROBES
+    probes, spawned under its position.
     """
-    sigma2, _ = resolve_variance(variance)
-    c_m = family.certified_cm(m)
-    V = family.build(lambda_size)
+    V = family(lambda_size)
+    c_m = V.certified_cm(m)
     rho = np.full(lambda_size, m * math.exp(t * c_m))
-    delta = np.full(lambda_size, abs_moment_max(m) * math.sqrt(sigma2 * t))
+    delta = np.full(lambda_size, abs_moment_max(m) * math.sqrt(variance.sigma2 * t))
     params = SymbolClassParams(1.0, rho, delta, m)
     reports = []
     for pair_index, (alpha, beta) in enumerate(CLASS_INDEX_PAIRS):

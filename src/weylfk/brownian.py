@@ -2,7 +2,7 @@
 
 Paths vanish at time zero and accumulate independent Gaussian increments on a
 uniform time grid.  The per-unit-time coordinate variance is an explicit
-parameter with two named presets; see :class:`VariancePreset`.  Loops over
+parameter, variance, one of the two :class:`VariancePreset` values.  Loops over
 batches hand the sampler two buffers as ``out`` and reuse them, bit for bit.
 """
 
@@ -42,21 +42,7 @@ DEFAULT_PRESET = VariancePreset.GENERATOR_LAPLACIAN
 ENDPOINT_CHUNK = 1 << 16  # paths per chunk of absolute_moment_samples
 
 
-def resolve_variance(variance) -> tuple:
-    """Normalize a preset or raw positive float to (sigma2, tag)."""
-    if isinstance(variance, VariancePreset):
-        return variance.sigma2, variance.tag
-    scale = float(variance)
-    if not scale > 0.0:
-        raise ValueError("variance scale must be positive")
-    for preset in VariancePreset:
-        if preset.sigma2 == scale:
-            return scale, preset.tag
-    return scale, f"sigma2={scale:g}"
-
-
-def sample_path_batch(rng, n_paths, t, n_steps, n_sites, variance_scale=DEFAULT_PRESET,
-                      out=None):
+def sample_path_batch(rng, n_paths, t, n_steps, n_sites, variance=DEFAULT_PRESET, out=None):
     """Sample a batch of paths; returns shape (n_paths, n_steps + 1, n_sites).
 
     This is the sampler the Monte Carlo estimator is built on.  Every path
@@ -74,13 +60,12 @@ def sample_path_batch(rng, n_paths, t, n_steps, n_sites, variance_scale=DEFAULT_
         raise ValueError("t must be positive")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    sigma2, _ = resolve_variance(variance_scale)
     dt = t / n_steps
     size = n_paths * (n_steps + 1) * n_sites
     storage, scratch = np.empty((2, size)) if out is None else out
     increments = scratch[: n_paths * n_steps * n_sites].reshape(n_paths, n_steps, n_sites)
     rng.standard_normal(out=increments)
-    increments *= math.sqrt(sigma2 * dt)
+    increments *= math.sqrt(variance.sigma2 * dt)
     paths = np.moveaxis(storage[:size].reshape(n_sites, n_paths, n_steps + 1), 0, -1)
     paths[:, 0, :] = 0.0
     if n_steps == 1:  # a cumsum over one step is a copy, at a tenth of its cost
@@ -90,7 +75,7 @@ def sample_path_batch(rng, n_paths, t, n_steps, n_sites, variance_scale=DEFAULT_
     return paths
 
 
-def absolute_moment_samples(rng, beta: MultiIndex, n_paths, t, variance_scale=DEFAULT_PRESET):
+def absolute_moment_samples(rng, beta: MultiIndex, n_paths, t, variance=DEFAULT_PRESET):
     """prod_j |x_j(t)|^(beta_j) at n_paths sampled endpoints (1 where beta is zero).
 
     The endpoints are those of one-step paths, sampled in chunks into one
@@ -107,15 +92,15 @@ def absolute_moment_samples(rng, beta: MultiIndex, n_paths, t, variance_scale=DE
     chunks = list(zip([0] + cuts, cuts + [n_paths]))
     buffers = np.empty((2, 2 * n_sites * (chunks[-1][1] - chunks[-1][0])))  # the largest
     for lo, hi in chunks:
-        paths = sample_path_batch(rng, hi - lo, t, 1, n_sites, variance_scale, buffers)
+        paths = sample_path_batch(rng, hi - lo, t, 1, n_sites, variance, buffers)
         np.prod(np.abs(paths[:, -1, : len(orders)]) ** orders, axis=1, out=samples[lo:hi])
     return samples
 
 
-def absolute_moment_estimate(rng, beta: MultiIndex, n_paths, t, variance_scale=DEFAULT_PRESET):
+def absolute_moment_estimate(rng, beta: MultiIndex, n_paths, t, variance=DEFAULT_PRESET):
     """Mean of absolute_moment_samples and its standard error (inf for one path); the
     variance is samples.std(ddof=1)'s operations, bitwise, in place on the samples."""
-    samples = absolute_moment_samples(rng, beta, n_paths, t, variance_scale)
+    samples = absolute_moment_samples(rng, beta, n_paths, t, variance)
     mean = samples.mean()
     if n_paths < 2:
         return float(mean), math.inf
@@ -138,7 +123,7 @@ def abs_moment_max(m: int) -> float:
     return max(abs_moment_constant(k) for k in range(m + 1))
 
 
-def absolute_moment_product(beta: MultiIndex, t, variance_scale=DEFAULT_PRESET) -> float:
+def absolute_moment_product(beta: MultiIndex, t, variance=DEFAULT_PRESET) -> float:
     """Exact expectation of prod_j |path_j(t)|^(beta_j).
 
     The path endpoint is Gaussian with per-coordinate variance sigma2 * t, so
@@ -147,8 +132,7 @@ def absolute_moment_product(beta: MultiIndex, t, variance_scale=DEFAULT_PRESET) 
     """
     if not t > 0.0:
         raise ValueError("t must be positive")
-    sigma2, _ = resolve_variance(variance_scale)
-    out = (sigma2 * t) ** (beta.order / 2.0)
+    out = (variance.sigma2 * t) ** (beta.order / 2.0)
     for _, order in beta.entries:
         out *= abs_moment_constant(order)
     return out

@@ -679,8 +679,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--workers", type=int,
-        help=f"worker threads for chunked estimation, default ${WORKERS_ENV} or 1 "
-             "(results do not depend on this)",
+        help=f"worker threads for chunked estimation, default ${WORKERS_ENV} or 1, "
+             "at most the CPU count (results do not depend on this)",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in COMMANDS:
@@ -689,8 +689,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         workers = args.workers if args.workers is not None else _env_workers()
+        workers = max(1, min(workers, os.cpu_count() or 1))  # results do not depend on it
         config = load_config(args.config)
-        code, doc = run_config(args.subcommand, config, max(1, workers))
+        code, doc = run_config(args.subcommand, config, workers)
         print(dumps(doc))
         return code
     except ConfigError as err:

@@ -13,7 +13,7 @@ import itertools
 import math
 from typing import Mapping
 
-from .brownian import DEFAULT_PRESET, abs_moment_max, resolve_variance
+from .brownian import DEFAULT_PRESET, abs_moment_max
 from .multiindex import MultiIndex, sub_multiindices
 
 
@@ -52,7 +52,7 @@ def derivative_of_exponential(w_derivs: Mapping, alpha: MultiIndex):
 
 
 def mixed_derivative_bound(alpha: MultiIndex, beta: MultiIndex, m: int, t,
-                           c_m, variance_scale=DEFAULT_PRESET) -> float:
+                           c_m, variance=DEFAULT_PRESET) -> float:
     """Closed-form sup bound for mixed phase-space derivatives of the symbol.
 
     Requires per-site orders of alpha and beta at most m and a site-uniform
@@ -74,7 +74,6 @@ def mixed_derivative_bound(alpha: MultiIndex, beta: MultiIndex, m: int, t,
         raise ValueError("t must be positive")
     if c_m < 0.0:
         raise ValueError("c_m must be >= 0")
-    sigma2, _ = resolve_variance(variance_scale)
     n_alpha = len(alpha.support)
     n_beta = len(beta.support)
     moment_max = abs_moment_max(m) if m else 1.0
@@ -82,7 +81,7 @@ def mixed_derivative_bound(alpha: MultiIndex, beta: MultiIndex, m: int, t,
         (n_alpha * math.log(m) if n_alpha else 0.0)
         + t * c_m * n_alpha
         + n_beta * math.log(moment_max)
-        + 0.5 * beta.order * math.log(sigma2 * t)
+        + 0.5 * beta.order * math.log(variance.sigma2 * t)
     )
     # certified budgets can push the exponent past double range; the bound
     # is then unrepresentable and reported as infinite

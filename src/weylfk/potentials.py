@@ -542,80 +542,47 @@ class MeanFieldPotential(PairPotential):
         return 2.0 * 4.0**m * self.pair.max_sup(1, 2 * m)
 
 
+# the keys each variant and each family reads, besides the one that names it
+_VARIANT_KEYS = {"zero": {"sites"}, "nearest_neighbor": {"sites", "d", "F", "G"},
+                 "mean_field": {"sites", "G", "include_diagonal"}}
+_FAMILY_KEYS = {"nearest_neighbor_chain": {"F", "G"}, "mean_field": {"G", "include_diagonal"}}
+
+
+def _kind(obj: dict, key, known: dict, what) -> str:
+    """obj[key], after checking that it is known and that it reads every other key."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{what} description must be an object with {key!r}")
+    kind = obj[key]
+    if kind not in known:
+        raise ValueError(f"unknown {what} {kind!r}")
+    unused = sorted(set(obj) - known[kind] - {key})
+    if unused:
+        raise ValueError(f"{what} {kind!r} does not use {', '.join(unused)}")
+    return kind
+
+
 def potential_from_json(obj: dict) -> PotentialSpec:
-    """Build a potential from its JSON description."""
-    if not isinstance(obj, dict) or "variant" not in obj:
-        raise ValueError("potential description must be an object with 'variant'")
-    variant = obj["variant"]
+    """Build a potential from its JSON description; a key its variant ignores is an error."""
+    variant = _kind(obj, "variant", _VARIANT_KEYS, "potential")
+    sites = [tuple(s) if isinstance(s, list) else s for s in obj["sites"]]
     if variant == "zero":
-        return ZeroPotential([_site_from_json(s) for s in obj["sites"]])
+        return ZeroPotential(sites)
     if variant == "nearest_neighbor":
         return NearestNeighborPotential(
-            obj["d"],
-            [tuple(s) for s in obj["sites"]],
-            scalar_from_json(obj["F"]),
-            scalar_from_json(obj["G"]),
+            obj["d"], sites, scalar_from_json(obj["F"]), scalar_from_json(obj["G"])
         )
-    if variant == "mean_field":
-        return MeanFieldPotential(
-            [_site_from_json(s) for s in obj["sites"]],
-            scalar_from_json(obj["G"]),
-            include_diagonal=obj.get("include_diagonal", True),
-        )
-    raise ValueError(f"unknown potential variant {variant!r}")
+    return MeanFieldPotential(
+        sites, scalar_from_json(obj["G"]), include_diagonal=obj.get("include_diagonal", True)
+    )
 
 
-def _site_from_json(s):
-    return tuple(s) if isinstance(s, list) else s
-
-
-@dataclass(frozen=True)
-class PotentialFamily:
-    """A potential for every site count, sharing the same interaction functions."""
-
-    name: str
-    build: Callable  # site count -> PotentialSpec
-
-    def certified_cm(self, m: int) -> float:
-        # the budget depends only on the interaction functions, not the size
-        return self.build(2).certified_cm(m)
-
-
-def nearest_neighbor_chain_family(on_site, pair, name="nearest_neighbor_chain"):
-    """One-dimensional chains 0..n-1 with the given on-site and pair functions."""
-
-    def build(n_sites: int) -> NearestNeighborPotential:
-        if n_sites < 1:
-            raise ValueError("need at least one site")
-        return NearestNeighborPotential(
-            1, [(i,) for i in range(n_sites)], on_site, pair
-        )
-
-    return PotentialFamily(name, build)
-
-
-def mean_field_family(pair, include_diagonal=True, name="mean_field"):
-    def build(n_sites: int) -> MeanFieldPotential:
-        if n_sites < 1:
-            raise ValueError("need at least one site")
-        return MeanFieldPotential(range(n_sites), pair, include_diagonal)
-
-    return PotentialFamily(name, build)
-
-
-def family_from_json(obj: dict) -> PotentialFamily:
-    """Families for the size sweeps: same description as potentials, minus sites."""
-    if not isinstance(obj, dict) or "family" not in obj:
-        raise ValueError("family description must be an object with 'family'")
-    kind = obj["family"]
+def family_from_json(obj: dict) -> Callable[[int], PotentialSpec]:
+    """The size sweeps' potentials, a function from the site count n to a chain
+    0..n-1 or a mean field over n sites; described as a potential minus its sites."""
+    kind = _kind(obj, "family", _FAMILY_KEYS, "family")
+    G = scalar_from_json(obj["G"])
     if kind == "nearest_neighbor_chain":
-        return nearest_neighbor_chain_family(
-            scalar_from_json(obj.get("F", {"name": "zero"})),
-            scalar_from_json(obj["G"]),
-        )
-    if kind == "mean_field":
-        return mean_field_family(
-            scalar_from_json(obj["G"]),
-            include_diagonal=obj.get("include_diagonal", True),
-        )
-    raise ValueError(f"unknown potential family {kind!r}")
+        F = scalar_from_json(obj.get("F", {"name": "zero"}))
+        return lambda n: NearestNeighborPotential(1, [(i,) for i in range(n)], F, G)
+    include_diagonal = obj.get("include_diagonal", True)
+    return lambda n: MeanFieldPotential(range(n), G, include_diagonal)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brownian import DEFAULT_PRESET, resolve_variance, sample_path_batch
+from .brownian import DEFAULT_PRESET, sample_path_batch
 from .faadibruno import derivative_of_exponential
 from .multiindex import MultiIndex, ZERO_INDEX, sub_multiindices
 
@@ -110,7 +110,6 @@ def estimate_mixed_derivative(V, point: PhasePoint, t, n_paths, n_steps, seed, *
         if site not in V.sites:
             raise ValueError(f"multi-index site {site!r} is not a potential site")
 
-    _, tag = resolve_variance(variance)
     n_sites = V.n_sites
     n_pairs = n_paths // 2
     dt = t / n_steps
@@ -198,5 +197,5 @@ def estimate_mixed_derivative(V, point: PhasePoint, t, n_paths, n_steps, seed, *
             stderrs.append(math.inf)
     if point.xi.ndim == 2:
         return SymbolEstimate(np.array(means), np.array(stderrs), n_paths, n_steps,
-                              tag, float(t))
-    return SymbolEstimate(means[0], stderrs[0], n_paths, n_steps, tag, float(t))
+                              variance.tag, float(t))
+    return SymbolEstimate(means[0], stderrs[0], n_paths, n_steps, variance.tag, float(t))

@@ -78,7 +78,7 @@ def test_criterion_2_gaussian_moments():
     rng = np.random.default_rng(424242)
     t = 0.8
     n = 100_000
-    endpoints = np.abs(w.sample_path_batch(rng, n, t, 1, 3, 1.0)[:, -1, :])
+    endpoints = np.abs(w.sample_path_batch(rng, n, t, 1, 3, WIENER)[:, -1, :])
     checked = 0
     worst = 0.0
     for b0 in range(7):
@@ -92,7 +92,7 @@ def test_criterion_2_gaussian_moments():
                     * endpoints[:, 1] ** b1
                     * endpoints[:, 2] ** b2
                 )
-                exact = w.absolute_moment_product(beta, t, 1.0)
+                exact = w.absolute_moment_product(beta, t, WIENER)
                 stderr = samples.std(ddof=1) / math.sqrt(n)
                 deviation = abs(samples.mean() - exact)
                 assert deviation <= 4.0 * stderr, beta
@@ -138,6 +138,7 @@ def test_criterion_4_oracle_cross_validation():
     grid = w.Grid(10.0, 1024, 1)
     worst_ratio = 0.0
     worst_pairing = 0.0
+    probes = 0
     seed = 500
     for V in (w.ZeroPotential([(0,)]), harmonic_1d(), lorentzian_1d()):
         oracle = w.GridOracle(V, grid)
@@ -154,20 +155,23 @@ def test_criterion_4_oracle_cross_validation():
             n_steps = max(16, int(96 * t))
             xs = [tab.x[int(np.argmin(np.abs(tab.x - v)))]
                   for v in (-1.5, -0.75, 0.0, 0.75, 1.5)]
+            xi_probes = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
             for x in xs:
-                xi_probes = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+                # one path set serves the five frequencies at this position
+                est = w.estimate_mixed_derivative(
+                    V, w.PhasePoint([x], xi_probes[:, None]), t, 80_000, n_steps, seed=seed
+                )
+                seed += 1
                 u_ref = w.semigroup_symbol_at(S, x, xi_probes)
-                for xi, ref in zip(xi_probes, u_ref):
-                    est = w.estimate_mixed_derivative(
-                        V, w.PhasePoint([x], [xi]), t, 80_000, n_steps, seed=seed
-                    )
-                    seed += 1
-                    tolerance = max(3.0 * est.stderr, 5e-3)
-                    assert abs(est.value - ref) <= tolerance, (V.variant, t, x, xi)
-                    worst_ratio = max(worst_ratio, abs(est.value - ref) / tolerance)
+                for xi, value, stderr, ref in zip(xi_probes, est.value, est.stderr, u_ref):
+                    tolerance = max(3.0 * stderr, 5e-3)
+                    assert abs(value - ref) <= tolerance, (V.variant, t, x, xi)
+                    worst_ratio = max(worst_ratio, abs(value - ref) / tolerance)
+                    probes += 1
+    assert probes == 225
     assert worst_pairing <= 1e-6
     ok(4, "estimator vs grid oracle",
-       f"[225 probes, worst {worst_ratio:.2f} of tolerance, "
+       f"[{probes} probes, worst {worst_ratio:.2f} of tolerance, "
        f"pairing residual {worst_pairing:.1e}]")
 
 
@@ -227,12 +231,12 @@ def test_criterion_6_exponential_derivatives():
 
 def test_criterion_7_mixed_derivative_bounds():
     start = time.perf_counter()
-    families = [
-        w.nearest_neighbor_chain_family(
-            w.gaussian_bump_function(), w.gaussian_bump_function(), name="chain"
-        ),
-        w.mean_field_family(w.lorentzian_function(), name="mean_field"),
-    ]
+    families = {
+        "chain": w.family_from_json({"family": "nearest_neighbor_chain",
+                                     "F": {"name": "gaussian_bump"},
+                                     "G": {"name": "gaussian_bump"}}),
+        "mean_field": w.family_from_json({"family": "mean_field", "G": {"name": "lorentzian"}}),
+    }
     cases = {
         1: [(mi({0: 1}), mi({})), (mi({}), mi({0: 1})), (mi({0: 1}), mi({1: 1}))],
         2: [(mi({0: 2}), mi({})), (mi({0: 1}), mi({0: 2}))],
@@ -240,7 +244,7 @@ def test_criterion_7_mixed_derivative_bounds():
     t = 0.5
     sizes = [2, 4, 8]
     total = 0
-    for family in families:
+    for name, family in families.items():
         for m, pairs in cases.items():
             for alpha, beta in pairs:
                 reports = w.check_mixed_derivative_bound(
@@ -250,7 +254,7 @@ def test_criterion_7_mixed_derivative_bounds():
                 bounds = [r.extra["bound"] for r in reports]
                 assert all(math.isfinite(b) for b in bounds)
                 assert max(bounds) == min(bounds)  # literally size-independent
-                assert not any(r.violation for r in reports), (family.name, m, alpha, beta)
+                assert not any(r.violation for r in reports), (name, m, alpha, beta)
                 total += len(reports)
     elapsed = time.perf_counter() - start
     assert elapsed <= 600.0

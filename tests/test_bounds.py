@@ -21,17 +21,18 @@ from weylfk.brownian import VariancePreset, abs_moment_max
 from weylfk.multiindex import MultiIndex
 from weylfk.oracle import Grid, GridOracle, GridSemigroup, decay_window, semigroup_symbol_at
 from weylfk.potentials import (
+    MeanFieldPotential,
     NearestNeighborPotential,
     ZeroPotential,
+    family_from_json,
     harmonic_function,
     lorentzian_function,
-    mean_field_family,
-    nearest_neighbor_chain_family,
     zero_function,
 )
 from weylfk.symbol_estimator import PhasePoint, SymbolEstimate, estimate_mixed_derivative
 
 mi = MultiIndex.of
+WIENER = VariancePreset.STANDARD_WIENER
 
 
 def fake_estimate(value, stderr=0.01, t=1.0):
@@ -91,7 +92,7 @@ class TestSweeps:
 class TestXiDerivativeBounds:
     def test_empty_index_reduces_to_unit_bound(self):
         product, coarse = check_xi_derivative_bounds(
-            [fake_estimate(0.7)], mi({}), 1.0, 1.0
+            [fake_estimate(0.7)], mi({}), 1.0, WIENER
         )
         assert product.extra["bound"] == 1.0
         assert coarse.extra["bound"] == 1.0
@@ -99,13 +100,13 @@ class TestXiDerivativeBounds:
 
     def test_second_order_unit_time(self):
         product, _ = check_xi_derivative_bounds(
-            [fake_estimate(0.2)], mi({1: 2}), 1.0, 1.0
+            [fake_estimate(0.2)], mi({1: 2}), 1.0, WIENER
         )
         assert product.extra["bound"] == pytest.approx(1.0, rel=1e-14)
 
     def test_cross_order_quarter_time(self):
         product, _ = check_xi_derivative_bounds(
-            [fake_estimate(0.01)], mi({1: 1, 2: 1}), 0.25, 1.0
+            [fake_estimate(0.01)], mi({1: 1, 2: 1}), 0.25, WIENER
         )
         assert product.extra["bound"] == pytest.approx(0.25 * 2 / math.pi, rel=1e-14)
 
@@ -113,13 +114,13 @@ class TestXiDerivativeBounds:
         for beta in (mi({1: 1}), mi({1: 2}), mi({1: 2, 2: 1}), mi({1: 3, 2: 3})):
             for t in (0.25, 1.0, 2.0):
                 product, coarse = check_xi_derivative_bounds(
-                    [fake_estimate(0.0)], beta, t, 1.0
+                    [fake_estimate(0.0)], beta, t, WIENER
                 )
                 assert coarse.extra["bound"] >= product.extra["bound"] * (1 - 1e-12)
 
     def test_violation_flagged(self):
         product, _ = check_xi_derivative_bounds(
-            [fake_estimate(5.0, stderr=0.001)], mi({1: 1}), 1.0, 1.0
+            [fake_estimate(5.0, stderr=0.001)], mi({1: 1}), 1.0, WIENER
         )
         assert product.violation
 
@@ -197,7 +198,7 @@ class TestL1Bound:
 
 class TestMixedDerivativeBoundCheck:
     def test_mean_field_sweep(self):
-        family = mean_field_family(lorentzian_function())
+        family = family_from_json({"family": "mean_field", "G": {"name": "lorentzian"}})
         reports = check_mixed_derivative_bound(
             family, 1, 0.5, mi({0: 1}), mi({}), [2, 4], 2000, 8, seed=5
         )
@@ -207,14 +208,31 @@ class TestMixedDerivativeBoundCheck:
         assert len(bounds) == 1  # literally size-independent
 
     def test_nearest_neighbor_sweep(self):
-        family = nearest_neighbor_chain_family(zero_function(), lorentzian_function())
+        family = family_from_json(
+            {"family": "nearest_neighbor_chain", "G": {"name": "lorentzian"}}
+        )
         reports = check_mixed_derivative_bound(
             family, 1, 0.5, mi({0: 1}), mi({1: 1}), [2, 4], 2000, 8, seed=6
         )
         assert not any(r.violation for r in reports)
 
+    def test_size_dependent_budget_moves_the_bound(self):
+        # a builder whose certified budget grows with the site count: each size
+        # takes its own potential's budget, so the bounds differ across sizes
+        class Growing(MeanFieldPotential):
+            def certified_cm(self, m):
+                return float(self.n_sites)
+
+        reports = check_mixed_derivative_bound(
+            lambda n: Growing(range(n), lorentzian_function()),
+            1, 0.5, mi({0: 1}), mi({}), [2, 4], 200, 2, seed=5,
+        )
+        assert [r.extra["c_m"] for r in reports] == [2.0, 4.0]
+        bounds = [r.extra["bound"] for r in reports]
+        assert bounds == [math.exp(0.5 * 2.0), math.exp(0.5 * 4.0)]
+
     def test_margins_do_not_degrade_with_size(self):
-        family = mean_field_family(lorentzian_function())
+        family = family_from_json({"family": "mean_field", "G": {"name": "lorentzian"}})
         reports = check_mixed_derivative_bound(
             family, 1, 0.5, mi({0: 1}), mi({}), [2, 4, 8], 2000, 8, seed=7
         )
@@ -226,11 +244,11 @@ class TestMixedDerivativeBoundCheck:
 
 class TestClassMembership:
     def test_parameters_formula(self):
-        family = mean_field_family(lorentzian_function())
-        c1 = family.certified_cm(1)
+        family = family_from_json({"family": "mean_field", "G": {"name": "lorentzian"}})
+        c1 = family(3).certified_cm(1)
         params, reports = class_membership(
             family, 1, 0.5, 2000, 8, seed=3, lambda_size=3,
-            variance=VariancePreset.STANDARD_WIENER,
+            variance=WIENER,
         )
         assert params.max_norm == 1.0
         assert np.allclose(params.rho, 1.0 * math.exp(0.5 * c1))
@@ -246,12 +264,12 @@ class TestClassMembership:
     def test_zero_budget_params(self):
         # a constant interaction has a zero derivative budget: unit position
         # growth factors, frequency factors B_m * sqrt(sigma2 * t)
-        from weylfk.potentials import constant_function
-
-        family = mean_field_family(constant_function(0.7))
+        family = family_from_json(
+            {"family": "mean_field", "G": {"name": "constant", "amplitude": 0.7}}
+        )
         params, reports = class_membership(
             family, 1, 1.0, 1000, 4, seed=1, lambda_size=2,
-            variance=VariancePreset.STANDARD_WIENER,
+            variance=WIENER,
         )
         assert np.allclose(params.rho, 1.0)
         assert np.allclose(params.delta, abs_moment_max(1) * 1.0)

@@ -11,10 +11,12 @@ from weylfk.brownian import (
     absolute_moment_estimate,
     absolute_moment_product,
     absolute_moment_samples,
-    resolve_variance,
     sample_path_batch,
 )
 from weylfk.multiindex import MultiIndex
+
+WIENER = VariancePreset.STANDARD_WIENER
+GEN = VariancePreset.GENERATOR_LAPLACIAN
 
 
 class TestMomentConstants:
@@ -52,28 +54,28 @@ class TestMomentConstants:
 
 class TestMomentProduct:
     def test_empty_product(self):
-        assert absolute_moment_product(MultiIndex.of({}), 2.0, 1.0) == 1.0
+        assert absolute_moment_product(MultiIndex.of({}), 2.0, WIENER) == 1.0
 
     def test_second_moment_unit(self):
         assert absolute_moment_product(
-            MultiIndex.of({1: 2}), 1.0, 1.0
+            MultiIndex.of({1: 2}), 1.0, WIENER
         ) == pytest.approx(1.0, rel=1e-14)
 
     def test_cross_first_moments(self):
-        value = absolute_moment_product(MultiIndex.of({1: 1, 2: 1}), 4.0, 1.0)
+        value = absolute_moment_product(MultiIndex.of({1: 1, 2: 1}), 4.0, WIENER)
         assert value == pytest.approx(4.0 * 2.0 / math.pi, rel=1e-14)
 
     def test_variance_scaling(self):
         beta = MultiIndex.of({1: 2})
-        assert absolute_moment_product(beta, 1.0, 2.0) == pytest.approx(
-            2.0 * absolute_moment_product(beta, 1.0, 1.0), rel=1e-14
+        assert absolute_moment_product(beta, 1.0, GEN) == pytest.approx(
+            2.0 * absolute_moment_product(beta, 1.0, WIENER), rel=1e-14
         )
 
 
 class TestSampling:
     def test_same_seed_same_path(self):
-        a = sample_path_batch(np.random.default_rng(7), 3, 1.0, 16, 2, 1.0)
-        b = sample_path_batch(np.random.default_rng(7), 3, 1.0, 16, 2, 1.0)
+        a = sample_path_batch(np.random.default_rng(7), 3, 1.0, 16, 2, WIENER)
+        b = sample_path_batch(np.random.default_rng(7), 3, 1.0, 16, 2, WIENER)
         assert np.array_equal(a, b)
 
     def test_starts_at_zero(self):
@@ -94,7 +96,7 @@ class TestSampling:
     def test_batch_endpoint_variance(self):
         rng = np.random.default_rng(123)
         t = 0.7
-        paths = sample_path_batch(rng, 100_000, t, 1, 1, 1.0)
+        paths = sample_path_batch(rng, 100_000, t, 1, 1, WIENER)
         var = paths[:, -1, 0].var()
         assert var == pytest.approx(t, rel=0.05)
 
@@ -119,9 +121,9 @@ class TestSampledMoments:
     def test_moment_products_match_sampled_means(self):
         # every multi-order up to total order six on at most three sites
         rng = np.random.default_rng(2024)
-        t, sigma2 = 0.8, 1.0
+        t = 0.8
         n = 100_000
-        endpoints = sample_path_batch(rng, n, t, 1, 3, sigma2)[:, -1, :]
+        endpoints = sample_path_batch(rng, n, t, 1, 3, WIENER)[:, -1, :]
         abs_endpoints = np.abs(endpoints)
         checked = 0
         for b0 in range(7):
@@ -135,7 +137,7 @@ class TestSampledMoments:
                         * abs_endpoints[:, 1] ** b1
                         * abs_endpoints[:, 2] ** b2
                     )
-                    exact = absolute_moment_product(beta, t, sigma2)
+                    exact = absolute_moment_product(beta, t, WIENER)
                     stderr = samples.std(ddof=1) / math.sqrt(n)
                     assert abs(samples.mean() - exact) <= 4.0 * stderr, beta
                     checked += 1
@@ -202,16 +204,5 @@ class TestMomentEstimate:
 
 class TestPresets:
     def test_tags(self):
-        assert resolve_variance(VariancePreset.STANDARD_WIENER) == (1.0, "standard_wiener")
-        assert resolve_variance(VariancePreset.GENERATOR_LAPLACIAN) == (
-            2.0,
-            "generator_laplacian",
-        )
-
-    def test_raw_scale(self):
-        scale, tag = resolve_variance(0.5)
-        assert scale == 0.5 and "0.5" in tag
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_variance(0.0)
+        assert (WIENER.sigma2, WIENER.tag) == (1.0, "standard_wiener")
+        assert (GEN.sigma2, GEN.tag) == (2.0, "generator_laplacian")

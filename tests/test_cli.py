@@ -410,6 +410,50 @@ class TestExitCodes:
         with pytest.raises(cli.ConfigError, match="family"):
             run("verify", {"suite": "class", "seed": 1})
 
+    @pytest.mark.parametrize("subcommand, description, unused", [
+        ("estimate", {"variant": "zero", "sites": [0], "F": {"name": "harmonic"},
+                      "include_diagonal": True}, "F, include_diagonal"),
+        ("estimate", {"variant": "nearest_neighbor", "d": 1, "sites": [[0]],
+                      "F": {"name": "harmonic"}, "G": {"name": "zero"},
+                      "include_diagonal": False}, "include_diagonal"),
+        ("estimate", {"variant": "mean_field", "sites": [0], "d": 1, "G": {"name": "lorentzian"},
+                      "F": {"name": "harmonic", "amplitude": 100}}, "F, d"),
+        ("verify", {"family": "mean_field", "G": {"name": "lorentzian"},
+                    "F": {"name": "harmonic", "amplitude": 100}}, "F"),
+        ("verify", {"family": "nearest_neighbor_chain", "G": {"name": "lorentzian"},
+                    "include_diagonal": False}, "include_diagonal"),
+    ], ids=["zero", "nearest_neighbor", "mean_field", "mean_field-family", "chain-family"])
+    def test_key_the_variant_ignores_is_config_error(self, subcommand, description, unused,
+                                                     capsys):
+        # a key that changes nothing would still be echoed as if it had been used
+        if subcommand == "estimate":
+            config = {"potential": description, "x": [0.0], "xi": [0.0], "t": 0.5, "seed": 1,
+                      "n_paths": 64, "n_steps": 2}
+        else:
+            config = {"suite": "mixed-deriv", "seed": 1, "family": description,
+                      "lambda_sizes": [2], "n_paths": 64, "n_steps": 2}
+        assert cli.main([subcommand, json.dumps(config)]) == 1
+        assert f"does not use {unused}" in capsys.readouterr().err
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        # run_config only records the count it is given, so no pool is started
+        seen = []
+
+        def record(subcommand, config, n_workers):
+            seen.append(n_workers)
+            return 0, {}
+
+        monkeypatch.setattr(cli, "run_config", record)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for argv in (["--workers", "1000000"], ["--workers", "2"], ["--workers", "1"],
+                     ["--workers", "-3"]):
+            assert cli.main(argv + ["moments", "{}"]) == 0
+        monkeypatch.setenv(cli.WORKERS_ENV, "4096")
+        assert cli.main(["moments", "{}"]) == 0
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert cli.main(["--workers", "8", "moments", "{}"]) == 0
+        assert seen == [2, 2, 1, 1, 2, 1]
+
 
 class TestSubcommands:
     def test_moments(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from weylfk import symbol_estimator
-from weylfk.brownian import VariancePreset, resolve_variance, sample_path_batch
+from weylfk.brownian import VariancePreset, sample_path_batch
 from weylfk.multiindex import MultiIndex, from_text
 from weylfk.potentials import (
     CustomPotential,
@@ -154,12 +154,11 @@ class TestEstimateProperties:
             estimate_mixed_derivative(V, p, 1.0, 4, 0, seed=0)
 
 
-def reference_sampler(rng, n_paths, t, n_steps, n_sites, variance_scale, out=None):
+def reference_sampler(rng, n_paths, t, n_steps, n_sites, variance, out=None):
     """Paths written out directly: scaled normals in (path, step, site) order, summed;
     out is ignored, so the estimator must use the returned paths."""
-    sigma2, _ = resolve_variance(variance_scale)
     increments = rng.standard_normal((n_paths, n_steps, n_sites)) * math.sqrt(
-        sigma2 * (t / n_steps))
+        variance.sigma2 * (t / n_steps))
     paths = np.zeros((n_paths, n_steps + 1, n_sites))
     paths[:, 1:, :] = np.cumsum(increments, axis=1)
     return paths
@@ -295,8 +294,7 @@ def stencil_reference(V, point, t, alpha, n_paths, n_steps, seed):
     Per-site orders 1 and 2, step 0.01 * sqrt(sigma2 t); every stencil corner
     reuses the estimator's first-chunk paths (common random numbers).
     """
-    sigma2, _ = resolve_variance(GEN)
-    h = 0.01 * math.sqrt(sigma2 * t)
+    h = 0.01 * math.sqrt(GEN.sigma2 * t)
     pos = {site: i for i, site in enumerate(V.sites)}
     axes = []
     for site, order in alpha.entries:

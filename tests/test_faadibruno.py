@@ -6,11 +6,13 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from weylfk.brownian import abs_moment_max
+from weylfk.brownian import VariancePreset, abs_moment_max
 from weylfk.faadibruno import derivative_of_exponential, mixed_derivative_bound
 from weylfk.multiindex import MultiIndex, ZERO_INDEX, sub_multiindices
 
 mi = MultiIndex.of
+WIENER = VariancePreset.STANDARD_WIENER
+GEN = VariancePreset.GENERATOR_LAPLACIAN
 
 
 def brute_force_partitions(alpha):
@@ -207,36 +209,36 @@ class TestDerivativeOfExponential:
 
 class TestMixedDerivativeBound:
     def test_trivial_pair_is_one(self):
-        assert mixed_derivative_bound(mi({}), mi({}), 1, 1.0, 2.0, 1.0) == 1.0
+        assert mixed_derivative_bound(mi({}), mi({}), 1, 1.0, 2.0, WIENER) == 1.0
 
     def test_frequency_only(self):
         # two frequency orders at one site, unit time, unit variance:
         # the coarse moment constant at order two is one
-        value = mixed_derivative_bound(mi({}), mi({1: 2}), 2, 1.0, 4.0, 1.0)
+        value = mixed_derivative_bound(mi({}), mi({1: 2}), 2, 1.0, 4.0, WIENER)
         assert value == pytest.approx(abs_moment_max(2) ** 1 * 1.0, rel=1e-14)
         assert value == pytest.approx(1.0, rel=1e-14)
 
     def test_position_only(self):
-        value = mixed_derivative_bound(mi({1: 1}), mi({}), 1, 1.0, 2.0, 1.0)
+        value = mixed_derivative_bound(mi({1: 1}), mi({}), 1, 1.0, 2.0, WIENER)
         assert value == pytest.approx(math.exp(2.0), rel=1e-14)
 
     def test_variance_scaling(self):
         beta = mi({1: 2})
-        v1 = mixed_derivative_bound(mi({}), beta, 2, 1.0, 0.0, 1.0)
-        v2 = mixed_derivative_bound(mi({}), beta, 2, 1.0, 0.0, 2.0)
+        v1 = mixed_derivative_bound(mi({}), beta, 2, 1.0, 0.0, WIENER)
+        v2 = mixed_derivative_bound(mi({}), beta, 2, 1.0, 0.0, GEN)
         assert v2 == pytest.approx(2.0 * v1, rel=1e-14)
 
     def test_class_violations_rejected(self):
         with pytest.raises(ValueError):
-            mixed_derivative_bound(mi({1: 3}), mi({}), 2, 1.0, 1.0, 1.0)
+            mixed_derivative_bound(mi({1: 3}), mi({}), 2, 1.0, 1.0, WIENER)
         with pytest.raises(ValueError):
-            mixed_derivative_bound(mi({}), mi({1: 3}), 2, 1.0, 1.0, 1.0)
+            mixed_derivative_bound(mi({}), mi({1: 3}), 2, 1.0, 1.0, WIENER)
         # order three is inside the class at m = 3 but beyond the certified form
         with pytest.raises(ValueError, match="at most 2"):
-            mixed_derivative_bound(mi({1: 3}), mi({}), 3, 1.0, 1.0, 1.0)
+            mixed_derivative_bound(mi({1: 3}), mi({}), 3, 1.0, 1.0, WIENER)
 
     def test_size_never_enters(self):
         # same per-site pattern, different ambient site sets: same bound
-        a = mixed_derivative_bound(mi({1: 1}), mi({2: 1}), 1, 0.5, 3.0, 2.0)
-        b = mixed_derivative_bound(mi({901: 1}), mi({77: 1}), 1, 0.5, 3.0, 2.0)
+        a = mixed_derivative_bound(mi({1: 1}), mi({2: 1}), 1, 0.5, 3.0, GEN)
+        b = mixed_derivative_bound(mi({901: 1}), mi({77: 1}), 1, 0.5, 3.0, GEN)
         assert a == b

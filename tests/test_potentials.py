@@ -17,9 +17,8 @@ from weylfk.potentials import (
     cosine_function,
     gaussian_bump_function,
     harmonic_function,
+    family_from_json,
     lorentzian_function,
-    mean_field_family,
-    nearest_neighbor_chain_family,
     potential_from_json,
     scalar_from_json,
     zero_function,
@@ -27,6 +26,8 @@ from weylfk.potentials import (
 from weylfk.potentials import _pair_blocks, _pair_sum, _site_sum
 
 mi = MultiIndex.of
+LORENTZIAN = {"name": "lorentzian"}
+BUMP = {"name": "gaussian_bump"}
 
 
 def site_major(x):
@@ -489,17 +490,17 @@ class TestCertifiedBudget:
             V.certified_cm(1)
 
     @pytest.mark.parametrize("family,m", [
-        (nearest_neighbor_chain_family(zero_function(), lorentzian_function()), 1),
-        (nearest_neighbor_chain_family(
-            gaussian_bump_function(), lorentzian_function()), 2),
-        (mean_field_family(lorentzian_function()), 1),
-        (mean_field_family(gaussian_bump_function(0.8, 1.3)), 2),
+        ({"family": "nearest_neighbor_chain", "G": LORENTZIAN}, 1),
+        ({"family": "nearest_neighbor_chain", "F": BUMP, "G": LORENTZIAN}, 2),
+        ({"family": "mean_field", "G": LORENTZIAN}, 1),
+        ({"family": "mean_field",
+          "G": {"name": "gaussian_bump", "amplitude": 0.8, "width": 1.3}}, 2),
     ])
     def test_budget_inequality_random_sweep(self, family, m):
         rng = np.random.default_rng(99)
-        c_m = family.certified_cm(m)
         for n_sites in (3, 8):
-            V = family.build(n_sites)
+            V = family_from_json(family)(n_sites)
+            c_m = V.certified_cm(m)
             sites = V.sites
             for _ in range(125):
                 x = rng.uniform(-4, 4, n_sites)
@@ -510,8 +511,8 @@ class TestCertifiedBudget:
                 assert lhs <= c_m * len(alpha.support) * (1 + 1e-12), (alpha, x)
 
     @pytest.mark.parametrize("family", [
-        nearest_neighbor_chain_family(gaussian_bump_function(), lorentzian_function()),
-        mean_field_family(lorentzian_function()),
+        {"family": "nearest_neighbor_chain", "F": BUMP, "G": LORENTZIAN},
+        {"family": "mean_field", "G": LORENTZIAN},
     ])
     def test_budget_independent_of_size(self, family):
         # the substance of the hypothesis: enlarging the site set cannot grow
@@ -519,7 +520,7 @@ class TestCertifiedBudget:
         sups = {}
         for n_sites in (4, 16):
             rng = np.random.default_rng(17)
-            V = family.build(n_sites)
+            V = family_from_json(family)(n_sites)
             alpha = mi({V.sites[0]: 1, V.sites[1]: 1})
             worst = 0.0
             for _ in range(1000):
@@ -529,8 +530,8 @@ class TestCertifiedBudget:
         assert sups[16] <= sups[4] * 1.01
 
     def test_family_budget_same_at_all_sizes(self):
-        family = mean_field_family(lorentzian_function())
-        assert family.build(2).certified_cm(2) == family.build(8).certified_cm(2)
+        family = family_from_json({"family": "mean_field", "G": LORENTZIAN})
+        assert family(2).certified_cm(2) == family(8).certified_cm(2)
 
 
 class TestJson:
