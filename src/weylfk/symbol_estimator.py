@@ -12,14 +12,15 @@ derivatives differentiate exp(-action) along each path by the chain rule
 (the pathwise derivative estimator), using the exact partials of the
 potential, so they carry no finite-difference step.
 
-Sampling is split into fixed-size chunks with seeds derived from
-(master seed, chunk index), and partial sums are reduced in chunk order, so
-results are bit-identical for any worker count.  A chunk samples and weights
-its paths in site-major sub-batches of SUB_BATCH_POINTS path points that
-continue one stream, bit-identical to weighting the whole chunk at once, in
-two path buffers the chunk owns (a ragged last one in their prefixes).  The
-weight exp(-action) does not depend on xi, so a batch of frequencies shares
-one path set, each value bit-identical to its lone call.
+A chunk of pairs runs three steps.  _shifted_paths samples w with a seed
+derived from (master seed, chunk index), in site-major sub-batches of
+SUB_BATCH_POINTS path points held in two buffers the chunk owns, and shifts
+it about x forward, then backward; _weight gives exp(-action), or its alpha
+derivative, on each; _pair_sums forms the beta moment, one phase per xi and
+the pair averages, and returns six sums per frequency.  _reduce adds the
+chunks in order and forms every mean and standard error at once, so results
+are bit-identical for any worker count or sub-batch size, and each of a batch
+of frequencies (sharing one path set) is bit-identical to its lone call.
 """
 
 from __future__ import annotations
@@ -79,6 +80,68 @@ def _chunk_sizes(n_pairs, chunk_size):
     return [chunk_size] * full + ([rest] if rest else [])
 
 
+def _shifted_paths(rng, pairs, t, n_steps, x0, variance):
+    """Yield (lo, hi, endpoints, path) twice per sub-batch of a chunk's pairs:
+    the path x - w(t)/2 + w(s), then x + w(t)/2 - w(s), in the same buffer."""
+    n_sites = len(x0)
+    step = max(1, SUB_BATCH_POINTS // (n_steps + 1))
+    # w in the first, the shifted paths in the second (the normals before them)
+    buffers = np.empty((2, min(step, pairs) * (n_steps + 1) * n_sites))
+    for lo in range(0, pairs, step):
+        hi = min(lo + step, pairs)
+        w = sample_path_batch(rng, hi - lo, t, n_steps, n_sites, variance, buffers)
+        half = w[:, -1:, :] / 2.0
+        path = np.ndarray(w.shape, buffer=buffers[1], strides=w.strides)  # like w
+        # shifts on site-major views, so each inner loop runs along one path's time points
+        sites = [np.moveaxis(a, -1, 0) for a in (w, path)]
+        np.add(np.moveaxis(x0 - half, -1, 0), sites[0], out=sites[1])
+        yield lo, hi, w[:, -1, :], path
+        np.subtract(np.moveaxis(x0 + half, -1, 0), sites[0], out=sites[1])
+        yield lo, hi, w[:, -1, :], path
+
+
+def _weight(V, path, dt, alpha, alpha_subs):
+    # exp(-A) times (d^alpha exp(-A)) / exp(-A): x enters the path only as a
+    # uniform shift, so d^gamma A is the action of d^gamma V on the same path
+    value = np.exp(-_trapezoid(V.eval(path), dt))
+    if alpha_subs:
+        w_derivs = {g: -_trapezoid(V.partial(g, path), dt) for g in alpha_subs}
+        value = value * derivative_of_exponential(w_derivs, alpha)
+    return value
+
+
+def _pair_sums(endpoint, weights, beta_vec, xis):
+    """Per xi: the pair averages' sum (re, im), sums of re and im, and of their squares."""
+    forward, backward = weights
+    if beta_vec.any():
+        moment = np.prod((-1j * endpoint) ** beta_vec, axis=-1)
+        reflected = moment * (-1.0) ** int(beta_vec.sum())
+    else:
+        moment = reflected = np.ones(len(endpoint), dtype=complex)
+    sums = np.empty((len(xis), 6))
+    for row, xi in zip(sums, xis):
+        # each phase is its own matrix-vector product, so its bits match a lone call
+        phase = np.exp(-1j * (endpoint @ xi))
+        combined = 0.5 * (moment * phase * forward + reflected * np.conj(phase) * backward)
+        re, im, total = combined.real, combined.imag, combined.sum()
+        row[:] = total.real, total.imag, re.sum(), im.sum(), (re**2).sum(), (im**2).sum()
+    return sums
+
+
+def _reduce(chunk_sums, count):
+    """Per-xi means and standard errors of (chunks, k, 6) pair sums, added in chunk order."""
+    total_re, total_im, re, im, re2, im2 = np.sum(chunk_sums, axis=0).T
+    mean = (total_re + 1j * total_im) / count
+    if count == 1:
+        return mean, np.full(len(mean), math.inf)
+    var_re = (re2 - re**2 / count) / (count - 1)
+    var_im = (im2 - im**2 / count) / (count - 1)
+    # a small negative variance is roundoff; an overflowed one is unknown
+    var = np.where(np.isfinite(var_re + var_im),
+                   np.maximum(var_re, 0.0) + np.maximum(var_im, 0.0), np.nan)
+    return mean, np.sqrt(var / count)
+
+
 def estimate_mixed_derivative(V, point: PhasePoint, t, n_paths, n_steps, seed, *,
                               alpha: MultiIndex = ZERO_INDEX,
                               beta: MultiIndex = ZERO_INDEX,
@@ -102,6 +165,8 @@ def estimate_mixed_derivative(V, point: PhasePoint, t, n_paths, n_steps, seed, *
         raise ValueError("n_steps must be >= 1")
     if n_paths < 2 or n_paths % 2:
         raise ValueError("n_paths must be an even number >= 2 (antithetic pairs)")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
     if point.x.shape != (V.n_sites,):
         raise ValueError(
             f"phase point has {point.x.shape[0]} coordinates, potential has {V.n_sites}"
@@ -110,92 +175,27 @@ def estimate_mixed_derivative(V, point: PhasePoint, t, n_paths, n_steps, seed, *
         if site not in V.sites:
             raise ValueError(f"multi-index site {site!r} is not a potential site")
 
-    n_sites = V.n_sites
-    n_pairs = n_paths // 2
     dt = t / n_steps
     beta_vec = np.array([beta.get(s) for s in V.sites], dtype=int)
-    beta_total = beta.order
-    x0, xis = point.x, np.atleast_2d(point.xi)
     alpha_subs = () if alpha.is_zero() else sub_multiindices(alpha)
-
-    def weight(path):
-        # exp(-A) times (d^alpha exp(-A)) / exp(-A): x enters the path only as a
-        # uniform shift, so d^gamma A is the action of d^gamma V on the same path
-        value = np.exp(-_trapezoid(V.eval(path), dt))
-        if alpha_subs:
-            w_derivs = {g: -_trapezoid(V.partial(g, path), dt) for g in alpha_subs}
-            value = value * derivative_of_exponential(w_derivs, alpha)
-        return value
 
     def run_chunk(args):
         index, pairs = args
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-        endpoint = np.empty((pairs, n_sites))
-        weight_forward, weight_backward = np.empty(pairs), np.empty(pairs)
-        step = max(1, SUB_BATCH_POINTS // (n_steps + 1))
-        # w in the first, the shifted paths in the second (the normals before them)
-        buffers = np.empty((2, min(step, pairs) * (n_steps + 1) * n_sites))
-        for lo in range(0, pairs, step):
-            hi = min(lo + step, pairs)
-            w = sample_path_batch(rng, hi - lo, t, n_steps, n_sites, variance, buffers)
-            endpoint[lo:hi] = w[:, -1, :]
-            half = endpoint[lo:hi, None, :] / 2.0
-            path = np.ndarray(w.shape, buffer=buffers[1], strides=w.strides)  # like w
-            # the shifts are formed on site-major views, so that each inner
-            # loop runs along one path's time points
-            sites = [np.moveaxis(a, -1, 0) for a in (w, path)]
-            np.add(np.moveaxis(x0 - half, -1, 0), sites[0], out=sites[1])
-            weight_forward[lo:hi] = weight(path)
-            np.subtract(np.moveaxis(x0 + half, -1, 0), sites[0], out=sites[1])
-            weight_backward[lo:hi] = weight(path)
-        if beta_total:
-            moment = np.prod((-1j * endpoint) ** beta_vec, axis=-1)
-            moment_reflected = moment * (-1.0) ** beta_total
-        else:
-            moment = moment_reflected = np.ones(pairs, dtype=complex)
-        # one reduction per frequency over the same paths; the phase of each
-        # is its own matrix-vector product, so its bits match a lone call
-        sums = []
-        for xi in xis:
-            phase = np.exp(-1j * (endpoint @ xi))
-            combined = 0.5 * (
-                moment * phase * weight_forward
-                + moment_reflected * np.conj(phase) * weight_backward
-            )
-            re, im = combined.real, combined.imag
-            sums.append((combined.sum(), re.sum(), im.sum(), (re**2).sum(), (im**2).sum()))
-        return pairs, sums
+        endpoint, weights = np.empty((pairs, V.n_sites)), np.empty((2, pairs))
+        paths = _shifted_paths(rng, pairs, t, n_steps, point.x, variance)
+        for i, (lo, hi, ends, path) in enumerate(paths):  # forward, backward in turn
+            endpoint[lo:hi] = ends
+            weights[i % 2, lo:hi] = _weight(V, path, dt, alpha, alpha_subs)
+        return _pair_sums(endpoint, weights, beta_vec, np.atleast_2d(point.xi))
 
-    tasks = list(enumerate(_chunk_sizes(n_pairs, chunk_size)))
+    tasks = list(enumerate(_chunk_sizes(n_paths // 2, chunk_size)))
     if n_workers > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run_chunk, tasks))
+            chunk_sums = list(pool.map(run_chunk, tasks))
     else:
-        results = [run_chunk(task) for task in tasks]
-
-    # fixed-order reduction per frequency: results arrive indexed by chunk
-    count = sum(pairs for pairs, _ in results)
-    means, stderrs = [], []
-    for by_chunk in zip(*(sums for _, sums in results)):
-        total = 0.0 + 0.0j
-        sum_re = sum_im = sum_re2 = sum_im2 = 0.0
-        for s, sre, sim, sre2, sim2 in by_chunk:
-            total += s
-            sum_re += sre
-            sum_im += sim
-            sum_re2 += sre2
-            sum_im2 += sim2
-        means.append(complex(total / count))
-        if count > 1:
-            var_re = (sum_re2 - sum_re**2 / count) / (count - 1)
-            var_im = (sum_im2 - sum_im**2 / count) / (count - 1)
-            # a small negative variance is roundoff; an overflowed one is unknown
-            var = (max(0.0, var_re) + max(0.0, var_im)
-                   if math.isfinite(var_re + var_im) else math.nan)
-            stderrs.append(math.sqrt(var / count))
-        else:
-            stderrs.append(math.inf)
-    if point.xi.ndim == 2:
-        return SymbolEstimate(np.array(means), np.array(stderrs), n_paths, n_steps,
-                              variance.tag, float(t))
-    return SymbolEstimate(means[0], stderrs[0], n_paths, n_steps, variance.tag, float(t))
+        chunk_sums = [run_chunk(task) for task in tasks]
+    means, stderrs = _reduce(chunk_sums, n_paths // 2)  # in chunk order
+    if point.xi.ndim == 1:
+        means, stderrs = complex(means[0]), float(stderrs[0])
+    return SymbolEstimate(means, stderrs, n_paths, n_steps, variance.tag, float(t))

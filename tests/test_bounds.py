@@ -167,6 +167,20 @@ class TestL1Bound:
         reference = [check_l1_bound(V, 1.0, [xi], grid).worst_margin for xi in xis]
         assert np.abs(np.subtract(factorized, reference)).max() <= 1e-13
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_frequencies_at_once_match_one_call_each(self, dim):
+        # every frequency is read in one pointwise call per center
+        F, G = harmonic_function(), lorentzian_function()
+        V = NearestNeighborPotential(1, [(i,) for i in range(dim)], F, G)
+        grid = Grid(10.0, 512, 1) if dim == 1 else Grid(8.0, 32, 2)
+        xis = np.random.default_rng(dim).uniform(-2.0, 2.0, (5, dim)).tolist()
+        report = check_l1_bound(V, 0.5, xis, grid)
+        singles = [check_l1_bound(V, 0.5, [xi], grid) for xi in xis]
+        assert report.n_samples == len(xis)
+        assert report.extra == singles[0].extra
+        assert report.worst_margin == pytest.approx(
+            min(s.worst_margin for s in singles), rel=1e-13)
+
     def test_two_site_off_grid_frequency_is_product_of_axis_sums(self):
         # a separable symbol is the product of its axis symbols, so the 2-d left
         # side at a frequency off the grid is the product of 1-d sums over the

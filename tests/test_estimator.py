@@ -152,6 +152,9 @@ class TestEstimateProperties:
             estimate_mixed_derivative(V, p, 0.0, 4, 4, seed=0)
         with pytest.raises(ValueError):
             estimate_mixed_derivative(V, p, 1.0, 4, 0, seed=0)
+        for chunk_size in (0, -5):  # once a ZeroDivisionError and an IndexError
+            with pytest.raises(ValueError, match="chunk_size"):
+                estimate_mixed_derivative(V, p, 1.0, 4, 4, seed=0, chunk_size=chunk_size)
 
 
 def reference_sampler(rng, n_paths, t, n_steps, n_sites, variance, out=None):
@@ -476,3 +479,73 @@ class TestSubBatches:
             tracemalloc.stop()
         assert math.isfinite(est.stderr)
         assert peak < 48 * 2**20  # the measured peak plus 20%
+
+
+def scalar_reduce(chunk_sums, count):
+    """The estimator's former reduction: one Python loop per frequency over
+    the chunks' (k, 6) pair sums, in chunk order."""
+    means, stderrs = [], []
+    for by_chunk in zip(*chunk_sums):
+        total = 0.0 + 0.0j
+        sum_re = sum_im = sum_re2 = sum_im2 = 0.0
+        for s_re, s_im, sre, sim, sre2, sim2 in by_chunk:
+            total += np.complex128(complex(s_re, s_im))
+            sum_re += sre
+            sum_im += sim
+            sum_re2 += sre2
+            sum_im2 += sim2
+        means.append(complex(total / count))
+        if count > 1:
+            var_re = (sum_re2 - sum_re**2 / count) / (count - 1)
+            var_im = (sum_im2 - sum_im**2 / count) / (count - 1)
+            var = (max(0.0, var_re) + max(0.0, var_im)
+                   if math.isfinite(var_re + var_im) else math.nan)
+            stderrs.append(math.sqrt(var / count))
+        else:
+            stderrs.append(math.inf)
+    return np.array(means), np.array(stderrs)
+
+
+class TestReducer:
+    @staticmethod
+    def assert_bitwise(chunk_sums, count):
+        mean, stderr = symbol_estimator._reduce(chunk_sums, count)
+        ref_mean, ref_stderr = scalar_reduce(chunk_sums, count)
+        assert mean.tobytes() == ref_mean.tobytes()
+        assert stderr.tobytes() == ref_stderr.tobytes()
+        return stderr
+
+    @pytest.mark.parametrize("n_chunks", [1, 3, 17])
+    def test_bitwise_equal_to_scalar_loop(self, n_chunks):
+        rng = np.random.default_rng(n_chunks)
+        count = 1000 * n_chunks
+        chunk_sums = []
+        for _ in range(n_chunks):
+            sums = rng.uniform(-300.0, 300.0, (5, 6))
+            sums[:, 4:] = rng.uniform(0.0, 400.0, (5, 2))  # sums of squares
+            sums[0, :4] = -0.0  # signed zeros start from zero, as the loop did
+            chunk_sums.append(sums)
+        self.assert_bitwise(chunk_sums, count)
+
+    def test_single_pair_has_infinite_stderr(self):
+        stderr = self.assert_bitwise([np.full((2, 6), 0.5)], 1)
+        assert np.all(np.isinf(stderr))
+        est = estimate_mixed_derivative(ZeroPotential([0]), PhasePoint([0.0], [0.5]),
+                                        0.5, 2, 4, seed=3)
+        assert est.stderr == math.inf
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowed_second_moment_is_nan(self):
+        sums = np.array([[1.0, 0.0, 1.0, 0.0, 1e308, 0.0]] * 3)
+        stderr = self.assert_bitwise([sums, sums], 4)
+        assert np.all(np.isnan(stderr))
+
+    def test_small_negative_variance_clamped(self):
+        # n equal values: the second moment falls one ulp below sum^2 / n
+        count, value = 3, 0.1
+        sum_re = value * count
+        sum_re2 = np.nextafter(sum_re**2 / count, 0.0)
+        sums = np.array([[sum_re, 0.0, sum_re, 0.0, sum_re2, 0.0]])
+        stderr = self.assert_bitwise([sums], count)
+        assert (sum_re2 - sum_re**2 / count) < 0.0
+        assert stderr.tolist() == [0.0]
