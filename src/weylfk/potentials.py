@@ -158,7 +158,9 @@ def gaussian_bump_function(amplitude=1.0, width=1.0) -> ScalarFunction:
 
 
 def lorentzian_function(amplitude=1.0, width=1.0) -> ScalarFunction:
-    """a/(1+(y/w)^2); derivatives from the partial-fraction form over y +- i*w."""
+    """a/(1+(y/w)^2): a real closed form at order 0, a Horner polynomial in u^2
+    (u = y/w) above it, which overflows: inf at order 140 and NaN at 160 (ROADMAP
+    smaller item "Lorentzian derivatives by partial fractions")."""
     a, w = _validate_amp_width(amplitude, width)
 
     def deriv(k, y, out=None):
@@ -248,61 +250,36 @@ def _pair_blocks(pairs) -> list:
     return [(slice(lo + d, hi + d), slice(lo, hi)) for d, lo, hi in runs]
 
 
-def _site_sum(columns, start, n, shape, lo=0):
-    """Sum of the site columns lo..lo+n-1 in numpy's pairwise order, so bitwise
-    equal to x.sum(axis=-1) for columns(lo, hi) = x[..., lo:hi]: zeros plus,
-    up to 128 terms, 8 strided accumulators as a tree and the rest in turn;
-    above that two halves split at n//2 - (n//2) % 8.  At most 8 columns are
-    asked for at once, as whole rows on site-major paths.  The accumulators
-    start as start(lo, lo + 8), the same columns in an array that the sum
-    may overwrite.
-    """
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return (_site_sum(columns, start, half, shape, lo)
-                + _site_sum(columns, start, n - half, shape, lo + half))
-    total = np.zeros(shape)
-    stop = lo + n - n % 8
-    if n >= 8:
-        acc = start(lo, lo + 8)
-        for i in range(lo + 8, stop, 8):
-            acc += columns(i, i + 8)
-        r = [acc[..., k] for k in range(8)]
-        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    rest = columns(stop, lo + n)
-    for j in range(n % 8):
-        total += rest[..., j]
+def _column_total(acc):
+    """The columns of acc added in turn into zeros."""
+    total = np.zeros(acc.shape[:-1])
+    for c in range(acc.shape[-1]):
+        total += acc[..., c]
     return total
 
 
 def _pair_sum(pair: ScalarFunction, x, blocks):
     """Sum of G(x_j - x_k) + G(x_k - x_j) over the unordered pairs in blocks.
 
-    Column c adds the terms of every block wider than c, in block order, into
-    zeros; the site sum asks for at most 8 columns at a time, so one site-major
-    array of three 8-column rows serves the call: the site sum's accumulators,
-    which take its first columns directly, the columns asked for next, and the
-    difference buffer in which G is evaluated.  An even G is evaluated once
-    per unordered pair and doubled.
+    In one fixed order: block by block, column c of a block adds G at its
+    differences, then (for a non-even G) at their negations, into accumulator
+    c mod 8; the 8 accumulators, which share one site-major array with the
+    difference buffer G is evaluated in, are then added in turn into zeros.
+    Only elementwise adds touch the sum, so no layout of x changes it.  An
+    even G is evaluated once per unordered pair and doubled.
     """
-    width = max((b.stop - b.start for _, b in blocks), default=0)
-    first, acc, diff = np.moveaxis(np.empty((3, min(width, 8)) + x.shape[:-1]), 1, -1)
-
-    def columns(lo, hi, out=None):
-        out = acc[..., :hi - lo] if out is None else out
-        out.fill(0.0)
-        for a, b in blocks:
-            n = min(hi, a.stop - a.start) - lo
-            if n > 0:
-                xa, xb, d = x[..., a][..., lo:lo + n], x[..., b][..., lo:lo + n], diff[..., :n]
-                head = out[..., :n]
-                head += pair.derivative(0, np.subtract(xa, xb, out=d), out=d)
-                if not pair.even:
-                    np.negative(np.subtract(xa, xb, out=d), out=d)
-                    head += pair.derivative(0, d, out=d)
-        return out
-
-    total = _site_sum(columns, lambda lo, hi: columns(lo, hi, first), width, x.shape[:-1])
+    width = min(8, max((b.stop - b.start for _, b in blocks), default=0))
+    acc, diff = np.moveaxis(np.empty((2, width) + x.shape[:-1]), 1, -1)
+    acc.fill(0.0)
+    for a, b in blocks:
+        for lo in range(0, a.stop - a.start, 8):
+            xa, xb = x[..., a][..., lo:lo + 8], x[..., b][..., lo:lo + 8]
+            d, head = diff[..., :xa.shape[-1]], acc[..., :xa.shape[-1]]
+            head += pair.derivative(0, np.subtract(xa, xb, out=d), out=d)
+            if not pair.even:
+                np.negative(np.subtract(xa, xb, out=d), out=d)
+                head += pair.derivative(0, d, out=d)
+    total = _column_total(acc)
     return 2.0 * total if pair.even else total
 
 
@@ -455,8 +432,10 @@ class PairPotential(PotentialSpec):
         x = self._as_points(x)
         total = _pair_sum(self.pair, x, self._blocks) + self._constant
         if self.on_site is not None:
-            values = lambda lo, hi: self.on_site.value(x[..., lo:hi])  # new arrays
-            total += _site_sum(values, values, self.n_sites, x.shape[:-1])
+            acc = self.on_site.value(x[..., :8])  # a new array; site j adds to column j % 8
+            for lo in range(8, self.n_sites, 8):
+                acc[..., :min(8, self.n_sites - lo)] += self.on_site.value(x[..., lo:lo + 8])
+            total += _column_total(acc)
         return total / self._divisor
 
     def _partial(self, alpha, x):

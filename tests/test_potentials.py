@@ -23,7 +23,7 @@ from weylfk.potentials import (
     scalar_from_json,
     zero_function,
 )
-from weylfk.potentials import _pair_blocks, _pair_sum, _site_sum
+from weylfk.potentials import _pair_blocks, _pair_sum
 
 mi = MultiIndex.of
 LORENTZIAN = {"name": "lorentzian"}
@@ -290,30 +290,38 @@ class TestPairEvaluation:
         assert peak(32) / peak(8) < 8.0
 
 
-class TestSiteSum:
-    def test_bitwise_equal_to_numpy_sum(self):
-        # pins the reduction to numpy's pairwise order, so a numpy that changes
-        # it fails here instead of moving estimator bits silently
-        rng = np.random.default_rng(12)
-        for n in range(301):
-            x = rng.standard_normal((3, 5, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (3, 5, n))
-            ref = x.sum(axis=-1)
-            for a in (x, site_major(x)):
-                total = _site_sum(lambda lo, hi: a[..., lo:hi],
-                                  lambda lo, hi: np.copy(a[..., lo:hi]), n, a.shape[:-1])
-                assert np.array_equal(total, ref), n
-                assert np.array_equal(a, x), n
+MANY_SITES = [
+    MeanFieldPotential(range(40), lorentzian_function()),
+    NearestNeighborPotential(1, [(i,) for i in range(300)], harmonic_function(),
+                             lorentzian_function()),
+    NearestNeighborPotential(2, [(i, j) for i in range(12) for j in range(12)],
+                             gaussian_bump_function(), cosine_function()),
+]
+MANY_SITE_IDS = ["mean_field_40", "chain_300", "lattice_144"]
 
-    @pytest.mark.parametrize("V", [
-        MeanFieldPotential(range(40), lorentzian_function()),
-        NearestNeighborPotential(1, [(i,) for i in range(300)], harmonic_function(),
-                                 lorentzian_function()),
-        NearestNeighborPotential(2, [(i, j) for i in range(12) for j in range(12)],
-                                 gaussian_bump_function(), cosine_function()),
-    ], ids=["mean_field_40", "chain_300", "lattice_144"])
+
+class TestSiteSum:
+    @pytest.mark.parametrize("V", MANY_SITES, ids=MANY_SITE_IDS)
     def test_eval_bitwise_equal_for_any_layout(self, V):
         x = np.random.default_rng(V.n_sites).normal(size=(6, 9, V.n_sites))
         assert np.array_equal(V.eval(site_major(x)), V.eval(x))
+
+    @pytest.mark.parametrize("V", MANY_SITES, ids=MANY_SITE_IDS)
+    def test_eval_within_running_sum_bound_of_exact_sum(self, V):
+        # m terms added in turn into 8 accumulators, which are then added in
+        # turn: about m/8 + 8 roundings of at most 2^-53 of the sum of |terms|
+        x = np.random.default_rng(V.n_sites).normal(size=(6, 9, V.n_sites))
+        j, k = np.transpose([(j, k) for j in range(V.n_sites) for k in V._partners[j] if j < k])
+        diff = x[..., k] - x[..., j]
+        terms = [V.pair.value(diff), V.pair.value(-diff), np.full(x.shape[:-1] + (1,), V._constant)]
+        if V.on_site is not None:
+            terms.append(V.on_site.value(x))
+        terms = np.concatenate(terms, axis=-1)
+        m = terms.shape[-1]
+        terms = terms.reshape(-1, m)
+        exact = np.array([math.fsum(t) for t in terms]) / V._divisor
+        scale = np.array([math.fsum(np.abs(t)) for t in terms]) / V._divisor
+        assert np.all(np.abs(V.eval(x).ravel() - exact) <= (m / 8 + 10) * 2.0**-53 * scale)
 
 
 
@@ -326,15 +334,26 @@ def signed_function():
 
 
 def per_pair_reference(G, x, pairs):
-    """G(x_k - x_j) and G at its negation, pair by pair in order of k - j, added
-    into column j; numpy then sums the columns that hold a pair.  For chains
-    and mean fields in site order this is the order _pair_sum adds in."""
-    cols = np.zeros(x.shape)
-    for j, k in sorted(pairs, key=lambda p: p[1] - p[0]):
+    """The order _pair_sum documents, pair by pair: in blocks of one offset k - j
+    with consecutive j, in order of offset, column c of a block adds
+    G(x_k - x_j) and then G at its negation into accumulator c mod 8; the 8
+    accumulators are then added in turn into zeros."""
+    acc = np.zeros(x.shape[:-1] + (8,))
+    c, prev = 0, None
+    for j, k in sorted(pairs, key=lambda p: (p[1] - p[0], p[0])):
+        c = c + 1 if prev == (j - 1, k - 1) else 0
+        prev = (j, k)
         diff = x[..., k] - x[..., j]
-        cols[..., j] += G.value(diff)
-        cols[..., j] += G.value(-diff)
-    return cols[..., :max(j for j, _ in pairs) + 1].sum(axis=-1)
+        acc[..., c % 8] += G.value(diff)
+        acc[..., c % 8] += G.value(-diff)
+    total = np.zeros(x.shape[:-1])
+    for c in range(8):
+        total += acc[..., c]
+    return total
+
+
+# widest blocks just below, at and above one and two 8-column groups
+BLOCK_WIDTHS = (7, 8, 9, 16, 17)
 
 
 class TestInPlaceEvaluation:
@@ -357,7 +376,8 @@ class TestInPlaceEvaluation:
         [(j, j + 1) for j in range(31)],
         [(j, j + 1) for j in range(139)],
         list(itertools.combinations(range(16), 2)),
-    ], ids=["chain_32", "chain_140", "mean_field_16"])
+    ] + [[(j, j + 1) for j in range(w)] for w in BLOCK_WIDTHS],
+        ids=["chain_32", "chain_140", "mean_field_16"] + [f"block_{w}" for w in BLOCK_WIDTHS])
     def test_pair_sum_bitwise_equal_to_per_pair_reference(self, pairs):
         n = pairs[-1][1] + 1
         x = np.random.default_rng(n).normal(size=(6, 9, n))

@@ -8,7 +8,7 @@ through ``weylfk.cli.run_config`` from this checkout's ``src``, with
 op: workload, label, exit code, the sha256 of ``cli.dumps`` of its
 ``results`` block and the sha256 of its CSV (of no bytes when it writes
 none).  Equal lines from two checkouts, or two worker counts, mean
-byte-identical results.
+byte-identical results.  Exits 1 when any op's exit code is not 0.
 """
 
 from __future__ import annotations
@@ -67,8 +67,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--tiny", action="store_true", help="the workloads' smoke-test sizes")
     args = parser.parse_args(argv)
-    print("\n".join(hash_lines(args.seed, args.workers, args.tiny)))
-    return 0
+    lines = hash_lines(args.seed, args.workers, args.tiny)
+    print("\n".join(lines))
+    # any op that did not exit 0 fails the run, so scripted comparisons see it
+    return 0 if all(line.split()[2] == "0" for line in lines) else 1
 
 
 if __name__ == "__main__":
