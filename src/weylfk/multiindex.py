@@ -110,6 +110,8 @@ def from_text(text: str) -> MultiIndex:
         if not sep:
             raise ValueError(f"malformed multi-index token {token!r}")
         pairs.append((_parse_site(site_part.strip()), int(order_part)))
+    if len({type(site) for site, _ in pairs}) > 1:
+        raise ValueError(f"sites in {text!r} are not all integers or all coordinate tuples")
     return MultiIndex.of(pairs)
 
 

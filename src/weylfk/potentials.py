@@ -10,6 +10,7 @@ not grow with the number of sites.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -219,18 +220,13 @@ _BUILTIN_SCALARS = {
     "lorentzian": lorentzian_function,
     "cosine": cosine_function,
 }
+_SCALAR_KEYS = {name: set(inspect.signature(fn).parameters)
+                for name, fn in _BUILTIN_SCALARS.items()}
 
 
 def scalar_from_json(obj: dict) -> ScalarFunction:
-    if not isinstance(obj, dict) or "name" not in obj:
-        raise ValueError("scalar function description must be an object with 'name'")
-    name = obj["name"]
-    if name not in _BUILTIN_SCALARS:
-        raise ValueError(
-            f"unknown scalar function {name!r}; known: {sorted(_BUILTIN_SCALARS)}"
-        )
-    kwargs = {k: v for k, v in obj.items() if k != "name"}
-    return _BUILTIN_SCALARS[name](**kwargs)
+    name = _kind(obj, "name", _SCALAR_KEYS, "scalar function")
+    return _BUILTIN_SCALARS[name](**{k: v for k, v in obj.items() if k != "name"})
 
 
 def _pair_blocks(pairs) -> list:
@@ -468,9 +464,9 @@ class NearestNeighborPotential(PairPotential):
     variant = "nearest_neighbor"
 
     def __init__(self, dim, sites, on_site: ScalarFunction, pair: ScalarFunction):
-        sites = tuple(tuple(s) for s in sites)
+        sites = tuple(sites)
         for s in sites:
-            if len(s) != dim:
+            if not isinstance(s, tuple) or len(s) != dim:
                 raise ValueError(f"site {s!r} does not have {dim} coordinates")
         self.dim = int(dim)
         adjacent = [
@@ -521,29 +517,61 @@ class MeanFieldPotential(PairPotential):
         return 2.0 * 4.0**m * self.pair.max_sup(1, 2 * m)
 
 
-# the keys each variant and each family reads, besides the one that names it
+# the keys each variant and each family reads, besides the one that names it;
+# the keys in _OPTIONAL have defaults, and the type of each key in _CHECKS is checked
 _VARIANT_KEYS = {"zero": {"sites"}, "nearest_neighbor": {"sites", "d", "F", "G"},
                  "mean_field": {"sites", "G", "include_diagonal"}}
 _FAMILY_KEYS = {"nearest_neighbor_chain": {"F", "G"}, "mean_field": {"G", "include_diagonal"}}
+_OPTIONAL = {"include_diagonal", "amplitude", "width"}
 
 
-def _kind(obj: dict, key, known: dict, what) -> str:
-    """obj[key], after checking that it is known and that it reads every other key."""
+def _is(v, types) -> bool:
+    """isinstance(v, types), false for a bool: JSON true is not the number 1."""
+    return isinstance(v, types) and not isinstance(v, bool)
+
+
+_CHECKS = {
+    "sites": (lambda v: isinstance(v, list), "a list"),
+    "d": (lambda v: _is(v, int) and v >= 1, "an integer >= 1"),
+    "include_diagonal": (lambda v: isinstance(v, bool), "true or false"),
+    "amplitude": (lambda v: _is(v, (int, float)), "a number"),
+    "width": (lambda v: _is(v, (int, float)), "a number"),
+}
+
+
+def _kind(obj: dict, key, known: dict, what, optional=_OPTIONAL) -> str:
+    """obj[key], after checking that it is known, that it reads every other key,
+    that every key it reads without a default is there, and the type of each."""
     if not isinstance(obj, dict) or key not in obj:
         raise ValueError(f"{what} description must be an object with {key!r}")
     kind = obj[key]
-    if kind not in known:
-        raise ValueError(f"unknown {what} {kind!r}")
+    if not isinstance(kind, str) or kind not in known:
+        raise ValueError(f"unknown {what} {kind!r}; known: {sorted(known)}")
     unused = sorted(set(obj) - known[kind] - {key})
     if unused:
         raise ValueError(f"{what} {kind!r} does not use {', '.join(unused)}")
+    missing = sorted(known[kind] - optional - set(obj))
+    if missing:
+        raise ValueError(f"{what} {kind!r} requires {', '.join(missing)}")
+    for k, v in obj.items():
+        if k in _CHECKS and not _CHECKS[k][0](v):
+            raise ValueError(f"{what} {kind!r}: {k!r} must be {_CHECKS[k][1]}, not {v!r}")
     return kind
 
 
+def _site(s):
+    """A site from its JSON form: an integer, or a nonempty list of integers as a tuple."""
+    if _is(s, int) or isinstance(s, list) and s and all(_is(c, int) for c in s):
+        return tuple(s) if isinstance(s, list) else s
+    raise ValueError(f"site {s!r} is not an integer or a list of integers")
+
+
 def potential_from_json(obj: dict) -> PotentialSpec:
-    """Build a potential from its JSON description; a key its variant ignores is an error."""
+    """Build a potential from its JSON description; a malformed one is a ValueError."""
     variant = _kind(obj, "variant", _VARIANT_KEYS, "potential")
-    sites = [tuple(s) if isinstance(s, list) else s for s in obj["sites"]]
+    sites = [_site(s) for s in obj["sites"]]
+    if len({type(s) for s in sites}) > 1:
+        raise ValueError("sites must be all integers or all lists of integers")
     if variant == "zero":
         return ZeroPotential(sites)
     if variant == "nearest_neighbor":
@@ -558,7 +586,7 @@ def potential_from_json(obj: dict) -> PotentialSpec:
 def family_from_json(obj: dict) -> Callable[[int], PotentialSpec]:
     """The size sweeps' potentials, a function from the site count n to a chain
     0..n-1 or a mean field over n sites; described as a potential minus its sites."""
-    kind = _kind(obj, "family", _FAMILY_KEYS, "family")
+    kind = _kind(obj, "family", _FAMILY_KEYS, "family", _OPTIONAL | {"F"})
     G = scalar_from_json(obj["G"])
     if kind == "nearest_neighbor_chain":
         F = scalar_from_json(obj.get("F", {"name": "zero"}))

@@ -435,6 +435,60 @@ class TestExitCodes:
         assert cli.main([subcommand, json.dumps(config)]) == 1
         assert f"does not use {unused}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand, description, index", [
+        ("estimate", {"variant": "mean_field", "sites": ["a", "b"], "G": {"name": "lorentzian"}},
+         "alpha"),
+        ("estimate", {"variant": "nearest_neighbor", "d": 1, "sites": [[0.5], [1.5]],
+                      "F": {"name": "zero"}, "G": {"name": "lorentzian"}}, "beta"),
+        ("estimate", {"variant": "mean_field", "sites": [True, False],
+                      "G": {"name": "lorentzian"}}, "alpha"),
+        ("estimate", {"variant": "mean_field", "sites": [0, 1], "G": {"name": "lorentzian"},
+                      "include_diagonal": "no"}, None),
+        ("estimate", {"variant": "nearest_neighbor", "d": 1, "sites": [[0], [1]],
+                      "G": {"name": "lorentzian"}}, None),
+        ("estimate", {"variant": "mean_field", "sites": [0, 1],
+                      "G": {"name": "harmonic", "width": 2.0}}, None),
+        ("estimate", {"variant": "nearest_neighbor", "d": 1.5, "sites": [[0], [1]],
+                      "F": {"name": "zero"}, "G": {"name": "lorentzian"}}, None),
+        ("verify", {"family": "mean_field", "G": {"name": "lorentzian"},
+                    "include_diagonal": "no"}, None),
+        ("verify", {"family": "nearest_neighbor_chain", "G": {"name": "harmonic", "width": 2.0}},
+         None),
+        ("verify", {"family": "nearest_neighbor_chain"}, None),
+    ], ids=["string-sites", "fractional-sites", "bool-sites", "include-diagonal-string",
+            "missing-F", "harmonic-width", "fractional-d", "family-include-diagonal-string",
+            "family-harmonic-width", "family-missing-G"])
+    def test_malformed_description_is_config_error(self, subcommand, description, index,
+                                                  capsys):
+        # the builders check the descriptions the schema passes through as objects
+        if subcommand == "estimate":
+            config = {"potential": description, "x": [0.0, 0.0], "xi": [0.0, 0.0], "t": 0.5,
+                      "seed": 1, "n_paths": 64, "n_steps": 2}
+            if index:
+                config[index] = "0:1"
+        else:
+            config = {"suite": "mixed-deriv", "seed": 1, "family": description,
+                      "lambda_sizes": [2], "n_paths": 64, "n_steps": 2}
+        assert cli.main([subcommand, json.dumps(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+
+    def test_mixed_site_kinds_in_index_is_config_error(self, capsys):
+        config = {"alpha": "0:1,(1):1", "m": 1, "t": 0.5, "c_m": 1.0}
+        assert cli.main(["bound", json.dumps(config)]) == 1
+        assert capsys.readouterr().err.startswith("config error: invalid alpha multi-index")
+
+    @pytest.mark.parametrize("subcommand, config", [
+        ("estimate", {"potential": {"variant": "zero", "sites": [0]}, "x": [0.0], "xi": [0.0],
+                      "t": 0.5, "seed": -1}),
+        ("moments", {"beta": "0:2", "t": 1.0, "seed": -1}),
+        ("verify", {"suite": "linf", "seed": -1}),
+    ])
+    def test_negative_seed_is_named(self, subcommand, config, capsys):
+        assert cli.main([subcommand, json.dumps(config)]) == 1
+        assert capsys.readouterr().err.startswith("config error: invalid config at $.seed")
+
     def test_workers_capped_at_cpu_count(self, monkeypatch):
         # run_config only records the count it is given, so no pool is started
         seen = []

@@ -146,6 +146,10 @@ class TestText:
         with pytest.raises(ValueError):
             from_text("1;2")
 
+    def test_mixed_site_kinds_malformed(self):
+        with pytest.raises(ValueError):
+            from_text("0:1,(1):1")
+
     @given(multiindices)
     def test_roundtrip(self, a):
         assert from_text(a.to_text()) == a

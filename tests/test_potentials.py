@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -590,3 +591,59 @@ class TestJson:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             potential_from_json({"variant": "magic", "sites": []})
+
+    NN = {"variant": "nearest_neighbor", "d": 1, "sites": [[0], [1]],
+          "F": {"name": "zero"}, "G": LORENTZIAN}
+    MF = {"variant": "mean_field", "sites": [0, 1], "G": LORENTZIAN}
+    CHAIN = {"family": "nearest_neighbor_chain", "G": LORENTZIAN}
+
+    @pytest.mark.parametrize("build, base, change, named", [
+        # a required key is missing
+        (potential_from_json, MF, {"sites": None}, "requires sites"),
+        (potential_from_json, NN, {"d": None}, "requires d"),
+        (potential_from_json, NN, {"F": None}, "requires F"),
+        (potential_from_json, MF, {"G": None}, "requires G"),
+        (family_from_json, CHAIN, {"G": None}, "requires G"),
+        (scalar_from_json, {"name": "lorentzian"}, {"name": None}, "'name'"),
+        # sites is not a list
+        (potential_from_json, MF, {"sites": 2}, "'sites'"),
+        (potential_from_json, MF, {"sites": "ab"}, "'sites'"),
+        # a site is not an integer or a nonempty list of integers
+        (potential_from_json, MF, {"sites": ["a", "b"]}, "site 'a'"),
+        (potential_from_json, MF, {"sites": [True, False]}, "site True"),
+        (potential_from_json, NN, {"sites": [[0.5], [1.5]]}, "site [0.5]"),
+        (potential_from_json, NN, {"sites": [[True], [1]]}, "site [True]"),
+        (potential_from_json, MF, {"sites": [[], [1]]}, "site []"),
+        (potential_from_json, MF, {"sites": [[[0]], [1]]}, "site [[0]]"),
+        (potential_from_json, MF, {"sites": [0, [1]]}, "all integers"),
+        (potential_from_json, NN, {"sites": [0, 1]}, "site 0"),
+        # d is not an integer >= 1
+        (potential_from_json, NN, {"d": 1.5}, "'d'"),
+        (potential_from_json, NN, {"d": 0}, "'d'"),
+        (potential_from_json, NN, {"d": True}, "'d'"),
+        (potential_from_json, NN, {"d": "1"}, "'d'"),
+        # include_diagonal is not a bool
+        (potential_from_json, MF, {"include_diagonal": "no"}, "'include_diagonal'"),
+        (potential_from_json, MF, {"include_diagonal": 0}, "'include_diagonal'"),
+        (family_from_json, {"family": "mean_field", "G": LORENTZIAN},
+         {"include_diagonal": "yes"}, "'include_diagonal'"),
+        # an amplitude or width is not a number
+        (scalar_from_json, {"name": "lorentzian"}, {"amplitude": True}, "'amplitude'"),
+        (scalar_from_json, {"name": "lorentzian"}, {"amplitude": "1"}, "'amplitude'"),
+        (scalar_from_json, {"name": "cosine"}, {"width": [1.0]}, "'width'"),
+        (potential_from_json, MF, {"G": {"name": "lorentzian", "width": False}}, "'width'"),
+        (family_from_json, CHAIN, {"F": {"name": "harmonic", "amplitude": "2"}}, "'amplitude'"),
+        # the named function does not take the parameter
+        (scalar_from_json, {"name": "harmonic"}, {"width": 1.0}, "does not use width"),
+        (scalar_from_json, {"name": "zero"}, {"amplitude": 1.0}, "does not use amplitude"),
+        (family_from_json, CHAIN, {"G": {"name": "harmonic", "width": 2.0}},
+         "does not use width"),
+        # the name that picks the kind is not a known string
+        (potential_from_json, MF, {"variant": ["mean_field"]}, "unknown potential"),
+        (scalar_from_json, {"name": "zero"}, {"name": 3}, "unknown scalar function"),
+    ])
+    def test_malformed_description_is_value_error(self, build, base, change, named):
+        # a missing key is written as None here; the error names the key
+        obj = {k: v for k, v in {**base, **change}.items() if v is not None}
+        with pytest.raises(ValueError, match=re.escape(named)):
+            build(obj)

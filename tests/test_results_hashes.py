@@ -23,12 +23,13 @@ def test_every_op_hashes_the_same_at_one_and_two_workers():
     assert [line.split()[0] for line in one] == (
         ["mc_interacting"] * 4 + ["mc_free"] * 2 + ["oracle_grid"] * 3)
     assert all(line.split()[2] == "0" for line in one)  # exit codes
+    assert all(len(line.split()) == 6 for line in one)  # results, CSV and config hashes
 
 
 def test_exits_1_when_an_op_exits_nonzero(monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("results_hashes", SCRIPT)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    monkeypatch.setattr(cli, "run_config", lambda *args: (2, {"results": {}}))
+    monkeypatch.setattr(cli, "run_config", lambda *args: (2, {"results": {}, "config": {}}))
     assert tool.main(["--seed", "5", "--tiny"]) == 1
     assert all(line.split()[2] == "2" for line in capsys.readouterr().out.splitlines())

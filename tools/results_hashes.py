@@ -6,9 +6,11 @@ Builds the ops of each workload in perfbench/workloads.py and runs each
 through ``weylfk.cli.run_config`` from this checkout's ``src``, with
 ``emit_metadata`` false and a temporary ``csv_output``.  Prints one line per
 op: workload, label, exit code, the sha256 of ``cli.dumps`` of its
-``results`` block and the sha256 of its CSV (of no bytes when it writes
-none).  Equal lines from two checkouts, or two worker counts, mean
-byte-identical results.  Exits 1 when any op's exit code is not 0.
+``results`` block, the sha256 of its CSV (of no bytes when it writes none)
+and the sha256 of ``cli.dumps`` of its echoed ``config`` without the
+temporary ``csv_output``.  Equal lines from two checkouts, or two worker
+counts, mean byte-identical results and config echoes.  Exits 1 when any
+op's exit code is not 0.
 """
 
 from __future__ import annotations
@@ -57,7 +59,9 @@ def hash_lines(seed, workers, tiny) -> list:
                         raw = fh.read()
                     os.remove(csv_path)
                 results = _sha256(cli.dumps(doc["results"]).encode())
-                lines.append(f"{name} {op.label} {code} {results} {_sha256(raw)}")
+                echo = {k: v for k, v in doc["config"].items() if k != "csv_output"}
+                echo = _sha256(cli.dumps(echo).encode())
+                lines.append(f"{name} {op.label} {code} {results} {_sha256(raw)} {echo}")
     return lines
 
 
