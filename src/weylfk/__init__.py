@@ -28,7 +28,6 @@ from .bounds import (
     xi_derivative_sweep,
 )
 from .commutator import (
-    AliasingError,
     CommutatorTraceResult,
     ScalingFit,
     WeylObservable,
@@ -56,7 +55,6 @@ from .oracle import (
     wigner,
 )
 from .potentials import (
-    CustomPotential,
     MeanFieldPotential,
     NearestNeighborPotential,
     PotentialSpec,

@@ -7,10 +7,11 @@ and reruns of the same config are byte-identical at any worker count;
 timestamps live in an optional metadata block.  The schemas check the config's
 own keys; each potential or family description is checked by its builder.
 
-Exit codes: 0 success, 1 configuration error (an unreadable config or an
-unwritable output path too), 2 numerical failure (decay, divergence, aliasing,
-support, NaN results, an eigensolver that does not converge, arithmetic
-overflow or division by zero), 3 bound violation from the verify suites.
+Exit codes: 0 success, 1 configuration error (a NaN or infinite number, an
+unreadable config, an unwritable output path or an array too large to allocate
+too), 2 numerical failure (decay, divergence, support, NaN results, an
+eigensolver that does not converge, arithmetic overflow or division by zero),
+3 bound violation from the verify suites.
 """
 
 from __future__ import annotations
@@ -44,12 +45,7 @@ from .brownian import (
     absolute_moment_estimate,
     absolute_moment_product,
 )
-from .commutator import (
-    AliasingError,
-    commutator_trace,
-    gaussian_state_symbol,
-    scaling_fit,
-)
+from .commutator import commutator_trace, gaussian_state_symbol, scaling_fit
 from .faadibruno import mixed_derivative_bound
 from .multiindex import MultiIndex, from_text
 from .oracle import (
@@ -343,10 +339,15 @@ def load_config(text_or_path: str) -> dict:
 
 @functools.cache
 def _validator(subcommand: str):
-    """The subcommand's schema validator, built on first use; the schemas
-    themselves are checked against the metaschema by the test suite."""
+    """The subcommand's schema validator, built on first use, to which a NaN or
+    infinite float is not a number; the schemas themselves are checked against
+    the metaschema by the test suite."""
     schema = SCHEMAS[subcommand]
-    return jsonschema.validators.validator_for(schema)(schema)
+    cls = jsonschema.validators.validator_for(schema)
+    is_type = cls.TYPE_CHECKER.is_type
+    types = cls.TYPE_CHECKER.redefine("number", lambda checker, v: is_type(v, "number") and (
+        not isinstance(v, float) or math.isfinite(v)))
+    return jsonschema.validators.extend(cls, type_checker=types)(schema)
 
 
 def validate_config(subcommand: str, config: dict) -> dict:
@@ -640,14 +641,11 @@ def main(argv=None) -> int:
         code, doc = run_config(args.subcommand, config, workers)
         print(dumps(doc))
         return code
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 1
-    except (DecayError, DivergentIntegralError, AliasingError, SupportError,
-            NonFiniteOutputError, np.linalg.LinAlgError, ArithmeticError) as err:
+    except (DecayError, DivergentIntegralError, SupportError, NonFiniteOutputError,
+            np.linalg.LinAlgError, ArithmeticError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
-    except ValueError as err:
+    except (ValueError, MemoryError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
 

@@ -21,6 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .oracle import (
     ROW_BAND,
+    SUPPORT_TOL,
     Grid,
     GridOracle,
     SupportError,
@@ -28,10 +29,6 @@ from .oracle import (
     decay_window,
     matrix_symbol_bands,
 )
-
-
-class AliasingError(RuntimeError):
-    """The state's symbol does not decay within the frequency grid."""
 
 
 @dataclass(frozen=True)
@@ -50,7 +47,8 @@ class GaussianAxisFactor:
 
 @dataclass(frozen=True)
 class WeylObservable:
-    """Separable Gaussian symbol p >= 0 on the oracle grid, normalized to trace one."""
+    """Separable Gaussian symbol p >= 0 on the oracle grid, normalized to trace one;
+    its decay within the grid is checked once, where gaussian_state_symbol builds it."""
 
     grid: Grid
     axes: tuple  # one GaussianAxisFactor per dimension
@@ -70,8 +68,7 @@ class WeylObservable:
         return float(integral)
 
 
-def gaussian_state_symbol(grid: Grid, center_x, center_xi, width_x, width_xi,
-                          support_tol=1e-10) -> WeylObservable:
+def gaussian_state_symbol(grid: Grid, center_x, center_xi, width_x, width_xi) -> WeylObservable:
     """Gaussian phase-space state, normalized to trace one by grid quadrature."""
     center_x = np.atleast_1d(np.asarray(center_x, dtype=float))
     center_xi = np.atleast_1d(np.asarray(center_xi, dtype=float))
@@ -89,40 +86,34 @@ def gaussian_state_symbol(grid: Grid, center_x, center_xi, width_x, width_xi,
     for factor in axes:
         px = factor.x_profile(ax)
         pxi = factor.xi_profile(xi)
-        if max(px[0], px[-1]) > support_tol * px.max():
+        if max(px[0], px[-1]) > SUPPORT_TOL * px.max():
             raise SupportError("state leaks outside the position grid")
-        if max(pxi[0], pxi[-1]) > support_tol * pxi.max():
+        if max(pxi[0], pxi[-1]) > SUPPORT_TOL * pxi.max():
             raise SupportError("state leaks outside the frequency grid")
     raw = WeylObservable(grid, axes, 1.0)
     return replace(raw, norm_const=1.0 / raw.trace_quadrature())
 
 
-def op_weyl_matrix(p: WeylObservable, aliasing_tol=1e-10, transposed=False) -> np.ndarray:
+def op_weyl_matrix(p: WeylObservable, transposed=False) -> np.ndarray:
     """Quantize the symbol into a Hermitian kernel matrix by discrete Fourier
     transform, or into its transpose, bitwise equal to transposing it.
 
     The frequency quadrature spans the full band conjugate to the grid
     spacing (twice the frequency grid's band), so a symbol flat in frequency
-    quantizes to a multiple of the identity.  The aliasing check requires the
-    symbol to decay within the frequency grid; for admissible symbols the
-    matrix trace then equals the quadrature of p, which is one by
-    construction.  Per axis the kernel is dx p_x((x_i + x_j) / 2) times the
-    frequency quadrature at i - j: a Hankel times a Toeplitz matrix, read as
-    strided views of their 1-d profiles, so the transpose only reverses a view.
+    quantizes to a multiple of the identity.  The state's decay within the
+    frequency grid is checked where it is built, by gaussian_state_symbol, so
+    the matrix trace equals the quadrature of p, which is one by construction.
+    Per axis the kernel is dx p_x((x_i + x_j) / 2) times the frequency
+    quadrature at i - j: a Hankel times a Toeplitz matrix, read as strided
+    views of their 1-d profiles, so the transpose only reverses a view.
     """
     grid = p.grid
     n = grid.n_grid
     dx = grid.spacing
     dxi = math.pi / (n * dx)
-    xi_table = grid.xi_axis()
     xi_band = (np.arange(2 * n) - n) * dxi  # covers +-pi/spacing
     blocks = []
     for factor in p.axes:
-        pxi_table = factor.xi_profile(xi_table)
-        if max(pxi_table[0], pxi_table[-1]) > aliasing_tol * pxi_table.max():
-            raise AliasingError(
-                "insufficient frequency decay for quantization on this grid"
-            )
         half_centers = (np.arange(2 * n - 1) + 1.0) * dx / 2.0 - grid.half_width
         px = factor.x_profile(half_centers)  # over index sums i + j
         # xi_k (x_i - x_j) = pi k (i - j) / n: the frequency quadrature at every

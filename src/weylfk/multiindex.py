@@ -72,13 +72,6 @@ class MultiIndex:
     def max_order(self) -> int:
         return max((order for _, order in self.entries), default=0)
 
-    @property
-    def factorial(self) -> int:
-        out = 1
-        for _, order in self.entries:
-            out *= math.factorial(order)
-        return out
-
     def is_zero(self) -> bool:
         return not self.entries
 

@@ -48,9 +48,10 @@ from typing import Optional
 
 import numpy as np
 
+from .brownian import VariancePreset
 from .potentials import PotentialSpec
 
-ORACLE_VARIANCE = 2.0  # the grid realizes the full-Laplacian convention
+ORACLE_VARIANCE = VariancePreset.GENERATOR_LAPLACIAN.sigma2  # the full-Laplacian convention
 ROW_BAND = 64  # centers per 1-d transform band, and rows per pass over an n^2 array
 DECAY_TOL = 1e-12  # kernel mass, relative to its peak, allowed at a truncation edge
 SUPPORT_TOL = 1e-10  # grid-function mass, relative to its peak, allowed on the boundary

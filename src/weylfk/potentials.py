@@ -1,11 +1,11 @@
 """Nonnegative interaction potentials on finite site sets.
 
-Four variants: identically zero, user-supplied callables, nearest-neighbor
-pair interactions on a lattice, and all-pairs mean-field interactions.  The
-last two are pair potentials: one class evaluates them and their exact
-partial derivatives from the chain rule on their defining sums, and each
-certifies a site-uniform budget for summed derivative magnitudes that does
-not grow with the number of sites.
+Three variants: identically zero, nearest-neighbor pair interactions on a
+lattice, and all-pairs mean-field interactions.  The last two are pair
+potentials: one class evaluates them and their exact partial derivatives from
+the chain rule on their defining sums, and each certifies a site-uniform
+budget for summed derivative magnitudes that does not grow with the number of
+sites.
 """
 
 from __future__ import annotations
@@ -79,12 +79,18 @@ class ScalarFunction:
         return worst
 
 
+def _amplitude(amplitude) -> float:
+    a = float(amplitude)
+    if not 0 <= a < math.inf:
+        raise ValueError(f"amplitude must be finite and >= 0, not {amplitude!r}")
+    return a
+
+
 def _validate_amp_width(amplitude, width):
-    if amplitude < 0:
-        raise ValueError("amplitude must be >= 0")
-    if not width > 0:
-        raise ValueError("width must be positive")
-    return float(amplitude), float(width)
+    a, w = _amplitude(amplitude), float(width)
+    if not 0 < w < math.inf:
+        raise ValueError(f"width must be finite and positive, not {width!r}")
+    return a, w
 
 
 def zero_function() -> ScalarFunction:
@@ -97,9 +103,7 @@ def zero_function() -> ScalarFunction:
 
 
 def constant_function(amplitude=1.0) -> ScalarFunction:
-    a = float(amplitude)
-    if a < 0:
-        raise ValueError("amplitude must be >= 0")
+    a = _amplitude(amplitude)
 
     def deriv(k, y):
         return np.full_like(y, a) if k == 0 else np.zeros_like(y)
@@ -109,9 +113,7 @@ def constant_function(amplitude=1.0) -> ScalarFunction:
 
 def harmonic_function(amplitude=1.0) -> ScalarFunction:
     """a*y^2; unbounded, so only orders >= 2 carry certified sup bounds."""
-    a = float(amplitude)
-    if a < 0:
-        raise ValueError("amplitude must be >= 0")
+    a = _amplitude(amplitude)
 
     def deriv(k, y):
         if k == 0:
@@ -353,34 +355,6 @@ class ZeroPotential(PotentialSpec):
 
     def _partial(self, alpha, x):
         return np.zeros(x.shape[:-1])
-
-
-class CustomPotential(PotentialSpec):
-    """Caller-supplied potential; derivatives only up to the declared order.
-
-    eval_fn takes an array of shape (..., n_sites) and returns (...);
-    partial_fn, when given, takes (alpha, x) and must honor the same shapes.
-    """
-
-    variant = "custom"
-
-    def __init__(self, sites, eval_fn, partial_fn=None, smoothness_order=0, name="custom"):
-        super().__init__(sites)
-        self.eval_fn = eval_fn
-        self.partial_fn = partial_fn
-        self.smoothness_order = int(smoothness_order)
-        self.name = name
-
-    def eval(self, x):
-        return np.asarray(self.eval_fn(self._as_points(x)), dtype=float)
-
-    def _partial(self, alpha, x):
-        if self.partial_fn is None or alpha.order > self.smoothness_order:
-            raise ValueError(
-                f"custom potential {self.name!r} provides derivatives only up to "
-                f"order {self.smoothness_order if self.partial_fn else 0}"
-            )
-        return np.asarray(self.partial_fn(alpha, x), dtype=float)
 
 
 def _pair_term(pair: ScalarFunction, m, diff, forward, backward):

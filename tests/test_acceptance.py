@@ -23,6 +23,11 @@ GEN = w.VariancePreset.GENERATOR_LAPLACIAN
 WIENER = w.VariancePreset.STANDARD_WIENER
 
 
+def index_factorial(index):
+    """The product of the factorials of an index's per-site orders."""
+    return math.prod(math.factorial(o) for _, o in index.entries)
+
+
 def ok(number, name, detail=""):
     print(f"ACCEPTANCE {number} ({name}): PASS {detail}")
 
@@ -219,8 +224,8 @@ def test_criterion_6_exponential_derivatives():
                 for site, order in b.entries:
                     acc[site] = acc.get(site, 0) + c * order
             if acc == dict(alpha.entries):
-                coeff = alpha.factorial // math.prod(
-                    math.factorial(c) * b.factorial**c for b, c in zip(subs, combo)
+                coeff = index_factorial(alpha) // math.prod(
+                    math.factorial(c) * index_factorial(b)**c for b, c in zip(subs, combo)
                 )
                 term = coeff * math.prod(derivs[b] ** c for b, c in zip(subs, combo))
                 reference, scale = reference + term, scale + np.abs(term)

@@ -5,6 +5,7 @@ import os
 import re
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -13,6 +14,8 @@ import pytest
 
 from weylfk import bounds, cli
 from weylfk.bounds import BoundReport
+
+from potential_helpers import CustomPotential
 
 
 def run(subcommand, config, workers=1):
@@ -156,8 +159,6 @@ class TestExitCodes:
         assert f"{cli.WORKERS_ENV} must be an integer" in capsys.readouterr().err
 
     def test_nan_result_is_numerical_failure(self, monkeypatch, capsys):
-        from weylfk.potentials import CustomPotential
-
         def nan_potential(obj):
             return CustomPotential(obj["sites"], lambda x: np.full(x.shape[:-1], np.nan))
 
@@ -231,6 +232,52 @@ class TestExitCodes:
         assert cli.main(["commutator", json.dumps(config)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("subcommand, text, key", [
+        ("oracle", '{"potential": {"variant": "mean_field", "sites": [0, 1], "G": '
+                   '{"name": "lorentzian", "amplitude": 1e999}}, "t": 0.5}', "amplitude"),
+        ("estimate", '{"potential": {"variant": "nearest_neighbor", "d": 1, "sites": [[0]], '
+                     '"F": {"name": "harmonic", "amplitude": NaN}, "G": {"name": "zero"}}, '
+                     '"x": [0.0], "xi": [1.0], "t": 0.5, "seed": 1}', "amplitude"),
+        ("estimate", '{"potential": {"variant": "zero", "sites": [0]}, '
+                     '"x": [0.0], "xi": [Infinity], "t": 0.5, "seed": 1}', "$.xi[0]"),
+        ("estimate", '{"potential": {"variant": "zero", "sites": [0]}, '
+                     '"x": [0.0], "xi": [1.0], "t": NaN, "seed": 1}', "$.t"),
+        ("oracle", '{"potential": {"variant": "zero", "sites": [0]}, "t": 0.5, '
+                   '"grid": {"half_width": 1e999}}', "$.grid.half_width"),
+        ("bound", '{"m": 1, "t": 0.5, "c_m": 1e999}', "$.c_m"),
+        ("commutator", '{"potential": {"variant": "zero", "sites": [0]}, "poly": [0, NaN], '
+                       '"state": {"center_x": [0.0], "center_xi": [0.0], '
+                       '"width_x": [1.0], "width_xi": [1.0]}}', "$.poly[1]"),
+    ], ids=["oracle-amplitude", "estimate-amplitude", "estimate-xi", "estimate-t",
+            "oracle-half-width", "bound-c-m", "commutator-poly"])
+    def test_non_finite_number_is_config_error(self, subcommand, text, key, capsys):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert cli.main([subcommand, text]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert key in err
+        assert "RuntimeWarning" not in err
+        assert [w.category for w in seen] == []
+
+    def test_huge_integer_is_a_number(self):
+        # the finiteness check tests floats only: an integer too large for a
+        # float is still a number to the schema, and checking it raises nothing
+        config = {"m": 1, "t": 0.5, "c_m": 10**400}
+        assert cli.validate_config("bound", config)["c_m"] == 10**400
+
+    def test_unallocatable_array_is_config_error(self, monkeypatch, capsys):
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+        monkeypatch.setattr(cli, "GridOracle", too_large)
+        config = {"potential": harmonic_potential_json(), "t": 0.5,
+                  "grid": {"half_width": 8.0, "n_grid": 1048576}}
+        assert cli.main(["oracle", json.dumps(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: Unable to allocate")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("subcommand, config", [

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from weylfk.commutator import (
-    AliasingError,
+    GaussianAxisFactor,
+    WeylObservable,
     commutator_trace,
     gaussian_state_symbol,
     op_weyl_matrix,
@@ -94,10 +95,9 @@ class TestQuantization:
     def test_constant_symbol_is_identity(self):
         # a symbol flat across phase space quantizes to a multiple of the identity
         grid = Grid(10.0, 128, 1)
-        state = gaussian_state_symbol(grid, [0.0], [0.0], [1e6], [1e6],
-                                      support_tol=1.0)
-        op = op_weyl_matrix(state, aliasing_tol=1.0)
-        c = state.norm_const  # the (tiny) constant symbol value
+        state = WeylObservable(grid, (GaussianAxisFactor(0.0, 0.0, 1e6, 1e6),), 1.0)
+        op = op_weyl_matrix(state)
+        c = state.norm_const  # the constant symbol value
         assert np.abs(op - c * np.eye(grid.n_grid)).max() <= 1e-9 * c
 
     @pytest.mark.parametrize("grid, state", [
@@ -126,13 +126,6 @@ class TestQuantization:
         op = op_weyl_matrix(p)
         assert op.shape == reference.shape
         assert np.abs(op - reference).max() <= 1e-15 * np.abs(reference).max()
-
-    def test_aliasing_detected(self):
-        grid = Grid(10.0, 64, 1)
-        with pytest.raises(AliasingError):
-            state = gaussian_state_symbol(grid, [0.0], [0.0], [1.0], [40.0],
-                                          support_tol=1.0)
-            op_weyl_matrix(state)
 
 
 class TestTrace:

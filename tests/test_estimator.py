@@ -10,7 +10,6 @@ from weylfk import symbol_estimator
 from weylfk.brownian import VariancePreset, sample_path_batch
 from weylfk.multiindex import MultiIndex, from_text
 from weylfk.potentials import (
-    CustomPotential,
     MeanFieldPotential,
     NearestNeighborPotential,
     ZeroPotential,
@@ -23,6 +22,8 @@ from weylfk.symbol_estimator import (
     PhasePoint,
     estimate_mixed_derivative,
 )
+
+from potential_helpers import CustomPotential
 
 mi = MultiIndex.of
 GEN = VariancePreset.GENERATOR_LAPLACIAN

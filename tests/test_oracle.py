@@ -23,7 +23,6 @@ from weylfk.oracle import (
 from weylfk import oracle as oracle_module
 from weylfk.oracle import _gram, _spectrum, _symbol_pass
 from weylfk.potentials import (
-    CustomPotential,
     MeanFieldPotential,
     NearestNeighborPotential,
     PairPotential,
@@ -35,6 +34,8 @@ from weylfk.potentials import (
     lorentzian_function,
     zero_function,
 )
+
+from potential_helpers import CustomPotential
 
 
 def harmonic_potential():

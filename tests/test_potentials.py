@@ -8,7 +8,6 @@ import pytest
 
 from weylfk.multiindex import MultiIndex, sub_multiindices
 from weylfk.potentials import (
-    CustomPotential,
     MeanFieldPotential,
     MissingSupBoundError,
     NearestNeighborPotential,
@@ -25,6 +24,8 @@ from weylfk.potentials import (
     zero_function,
 )
 from weylfk.potentials import _pair_blocks, _pair_sum
+
+from potential_helpers import CustomPotential
 
 mi = MultiIndex.of
 LORENTZIAN = {"name": "lorentzian"}
@@ -113,6 +114,17 @@ class TestScalarFunctions:
                 assert parsed.sup_bound(k) == direct.sup_bound(k)
         with pytest.raises(ValueError):
             scalar_from_json({"name": "nope"})
+
+    @pytest.mark.parametrize("builder, key", [
+        (constant_function, "amplitude"), (harmonic_function, "amplitude"),
+        (gaussian_bump_function, "amplitude"), (gaussian_bump_function, "width"),
+        (lorentzian_function, "amplitude"), (lorentzian_function, "width"),
+        (cosine_function, "amplitude"), (cosine_function, "width"),
+    ])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_parameter_is_value_error(self, builder, key, value):
+        with pytest.raises(ValueError, match=key):
+            builder(**{key: value})
 
 
 class TestEval:
