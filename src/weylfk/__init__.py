@@ -59,7 +59,6 @@ from .potentials import (
     NearestNeighborPotential,
     PotentialSpec,
     ScalarFunction,
-    ZeroPotential,
     cosine_function,
     constant_function,
     family_from_json,

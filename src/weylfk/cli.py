@@ -8,10 +8,11 @@ timestamps live in an optional metadata block.  The schemas check the config's
 own keys; each potential or family description is checked by its builder.
 
 Exit codes: 0 success, 1 configuration error (a NaN or infinite number, an
-unreadable config, an unwritable output path or an array too large to allocate
-too), 2 numerical failure (decay, divergence, support, NaN results, an
-eigensolver that does not converge, arithmetic overflow or division by zero),
-3 bound violation from the verify suites.
+integer too large for a float, an unreadable config, an unwritable output
+path or an array too large to allocate too), 2 numerical failure (decay,
+divergence, support, NaN results, an eigensolver that does not converge,
+arithmetic overflow or division by zero), 3 bound violation from the verify
+suites.
 """
 
 from __future__ import annotations
@@ -359,6 +360,18 @@ def validate_config(subcommand: str, config: dict) -> dict:
     return resolved
 
 
+def _check_integer_sizes(obj, path):
+    """Raise ConfigError naming the JSON path of the first integer in obj too large for a float."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            _check_integer_sizes(value, f"{path}.{key}")
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            _check_integer_sizes(value, f"{path}[{i}]")
+    elif isinstance(obj, int) and abs(obj) > sys.float_info.max:
+        raise ConfigError(f"invalid config at {path}: integer too large for a float")
+
+
 def _preset(config) -> VariancePreset:
     return VariancePreset[config["preset"].upper()]
 
@@ -595,6 +608,7 @@ COMMANDS = {
 def run_config(subcommand: str, config: dict, n_workers: int = 1):
     """Validate, dispatch, and write artifacts; returns (exit code, output doc)."""
     resolved = validate_config(subcommand, config)
+    _check_integer_sizes(resolved, "$")
     results, csv, code = COMMANDS[subcommand](resolved, n_workers)
     doc = {"subcommand": subcommand, "config": resolved, "results": results}
     if resolved.get("emit_metadata", True):

@@ -94,9 +94,9 @@ def gaussian_state_symbol(grid: Grid, center_x, center_xi, width_x, width_xi) ->
     return replace(raw, norm_const=1.0 / raw.trace_quadrature())
 
 
-def op_weyl_matrix(p: WeylObservable, transposed=False) -> np.ndarray:
-    """Quantize the symbol into a Hermitian kernel matrix by discrete Fourier
-    transform, or into its transpose, bitwise equal to transposing it.
+def op_weyl_matrix(p: WeylObservable) -> np.ndarray:
+    """Quantize the symbol by discrete Fourier transform into the transpose of
+    its Hermitian kernel matrix, in the order the traces read; ``.T`` is the kernel.
 
     The frequency quadrature spans the full band conjugate to the grid
     spacing (twice the frequency grid's band), so a symbol flat in frequency
@@ -123,7 +123,7 @@ def op_weyl_matrix(p: WeylObservable, transposed=False) -> np.ndarray:
         diffs = np.concatenate((quad[n + 1:], quad[:n]))  # at i - j = 1 - n, ..., n - 1
         toeplitz = sliding_window_view(diffs, n)[::-1]  # [i, j] at j - i
         block = np.multiply(dx, sliding_window_view(px, n), out=np.empty((n, n), complex))
-        block *= toeplitz if transposed else toeplitz.T
+        block *= toeplitz
         blocks.append(block)
     out = reduce(np.kron, blocks)
     out *= p.norm_const
@@ -179,7 +179,7 @@ def commutator_trace(oracle: GridOracle, p: WeylObservable, poly_coeffs,
                for lo in range(0, grid.dim, dim)]
     # transposed, so each trace reads it in memory order; the float view pairs
     # the real and imaginary parts, so one dot product gives both
-    states = [op_weyl_matrix(q, transposed=True).view(float).reshape(-1, 2) for q in factors]
+    states = [op_weyl_matrix(q).view(float).reshape(-1, 2) for q in factors]
     state_trace = reduce(operator.mul, (q.trace_quadrature() for q in factors))
     a = np.polynomial.polynomial.polyval(axes.points()[:, axis], poly_coeffs)
     buffers = [np.empty(axes.n_points**2) for _ in "BM"]  # reused by every time

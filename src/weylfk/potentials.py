@@ -1,11 +1,12 @@
 """Nonnegative interaction potentials on finite site sets.
 
-Three variants: identically zero, nearest-neighbor pair interactions on a
-lattice, and all-pairs mean-field interactions.  The last two are pair
-potentials: one class evaluates them and their exact partial derivatives from
-the chain rule on their defining sums, and each certifies a site-uniform
-budget for summed derivative magnitudes that does not grow with the number of
-sites.
+Every potential built here is a pair potential
+(sum_j F(x_j) + 2 sum_{j<k} G(x_j - x_k) + c) / divisor with an even pair
+function G: identically zero (no terms), nearest-neighbor pairs on a lattice,
+or all pairs averaged (mean field).  One class evaluates them and their exact
+partial derivatives from the chain rule on that sum; the last two each certify
+a site-uniform budget for summed derivative magnitudes that does not grow with
+the number of sites.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ class ScalarFunction:
     deriv_fn(k, y) returns the k-th derivative at y (any array shape) as a new
     array, which its caller may overwrite;
     sup_fn(k) returns a valid upper bound for sup |f^(k)|, or None when no
-    finite certified bound is available at that order.  even declares
-    f(-y) == f(y), which lets pair potentials evaluate each unordered pair once.
+    finite certified bound is available at that order.  f must be even,
+    f(-y) == f(y) bit for bit: pair potentials evaluate each unordered pair
+    once, and so the oracle finds a 2-site pair potential exchange-symmetric.
     in_place declares that deriv_fn takes a third argument out, None or an
     array (possibly y), and may write the derivative there instead of anew.
     """
@@ -44,7 +46,6 @@ class ScalarFunction:
     name: str
     deriv_fn: Callable
     sup_fn: Callable
-    even: bool = False
     in_place: bool = False
 
     def derivative(self, k: int, y, out=None):
@@ -60,11 +61,6 @@ class ScalarFunction:
 
     def value(self, y):
         return self.derivative(0, y)
-
-    def sup_bound(self, k: int):
-        if k < 0:
-            raise ValueError("derivative order must be >= 0")
-        return self.sup_fn(k)
 
     def max_sup(self, k_min: int, k_max: int) -> float:
         """Largest certified sup-norm over derivative orders k_min..k_max."""
@@ -98,7 +94,6 @@ def zero_function() -> ScalarFunction:
         "zero",
         lambda k, y: np.zeros_like(y),
         lambda k: 0.0,
-        even=True,
     )
 
 
@@ -108,7 +103,7 @@ def constant_function(amplitude=1.0) -> ScalarFunction:
     def deriv(k, y):
         return np.full_like(y, a) if k == 0 else np.zeros_like(y)
 
-    return ScalarFunction("constant", deriv, lambda k: a if k == 0 else 0.0, even=True)
+    return ScalarFunction("constant", deriv, lambda k: a if k == 0 else 0.0)
 
 
 def harmonic_function(amplitude=1.0) -> ScalarFunction:
@@ -129,7 +124,7 @@ def harmonic_function(amplitude=1.0) -> ScalarFunction:
             return None
         return 2.0 * a if k == 2 else 0.0
 
-    return ScalarFunction("harmonic", deriv, sup, even=True)
+    return ScalarFunction("harmonic", deriv, sup)
 
 
 def _hermite_e(k, u):
@@ -157,7 +152,7 @@ def gaussian_bump_function(amplitude=1.0, width=1.0) -> ScalarFunction:
             return a
         return a * w ** (-k) * CRAMER_CONSTANT * math.sqrt(math.factorial(k))
 
-    return ScalarFunction("gaussian_bump", deriv, sup, even=True)
+    return ScalarFunction("gaussian_bump", deriv, sup)
 
 
 def lorentzian_function(amplitude=1.0, width=1.0) -> ScalarFunction:
@@ -195,7 +190,7 @@ def lorentzian_function(amplitude=1.0, width=1.0) -> ScalarFunction:
         # |(u+i)^(-k-1)| <= 1 on the real line
         return a * w ** (-k) * math.factorial(k)
 
-    return ScalarFunction("lorentzian", deriv, sup, even=True, in_place=True)
+    return ScalarFunction("lorentzian", deriv, sup, in_place=True)
 
 
 def cosine_function(amplitude=1.0, width=1.0) -> ScalarFunction:
@@ -211,7 +206,7 @@ def cosine_function(amplitude=1.0, width=1.0) -> ScalarFunction:
     def sup(k):
         return a if k == 0 else a * 0.5 * w ** (-k)
 
-    return ScalarFunction("cosine", deriv, sup, even=True)
+    return ScalarFunction("cosine", deriv, sup)
 
 
 _BUILTIN_SCALARS = {
@@ -257,16 +252,17 @@ def _column_total(acc):
 
 
 def _pair_sum(pair: ScalarFunction, x, blocks):
-    """Sum of G(x_j - x_k) + G(x_k - x_j) over the unordered pairs in blocks.
+    """Sum of G(x_j - x_k) + G(x_k - x_j) = 2 G(x_j - x_k) over the unordered pairs in blocks.
 
     In one fixed order: block by block, column c of a block adds G at its
-    differences, then (for a non-even G) at their negations, into accumulator
-    c mod 8; the 8 accumulators, which share one site-major array with the
-    difference buffer G is evaluated in, are then added in turn into zeros.
-    Only elementwise adds touch the sum, so no layout of x changes it.  An
-    even G is evaluated once per unordered pair and doubled.
+    differences into accumulator c mod 8; the 8 accumulators, which share one
+    site-major array with the difference buffer G is evaluated in, are then
+    added in turn into zeros, and the total is doubled.  Only elementwise adds
+    touch the sum, so no layout of x changes it.
     """
-    width = min(8, max((b.stop - b.start for _, b in blocks), default=0))
+    if not blocks:
+        return np.zeros(x.shape[:-1])
+    width = min(8, max(b.stop - b.start for _, b in blocks))
     acc, diff = np.moveaxis(np.empty((2, width) + x.shape[:-1]), 1, -1)
     acc.fill(0.0)
     for a, b in blocks:
@@ -274,17 +270,11 @@ def _pair_sum(pair: ScalarFunction, x, blocks):
             xa, xb = x[..., a][..., lo:lo + 8], x[..., b][..., lo:lo + 8]
             d, head = diff[..., :xa.shape[-1]], acc[..., :xa.shape[-1]]
             head += pair.derivative(0, np.subtract(xa, xb, out=d), out=d)
-            if not pair.even:
-                np.negative(np.subtract(xa, xb, out=d), out=d)
-                head += pair.derivative(0, d, out=d)
-    total = _column_total(acc)
-    return 2.0 * total if pair.even else total
+    return 2.0 * _column_total(acc)
 
 
 class PotentialSpec:
     """Base class for a nonnegative potential over an ordered finite site list."""
-
-    variant = "abstract"
 
     def __init__(self, sites):
         self.sites = tuple(sites)
@@ -334,46 +324,19 @@ class PotentialSpec:
         """partial() for a nonzero alpha on checked points."""
         raise NotImplementedError
 
-    def certified_cm(self, m: int) -> float:
-        raise ValueError(
-            f"no certified derivative budget for the {self.variant!r} variant"
-        )
-
     def separable_axis(self) -> Optional["PotentialSpec"]:
         """A one-site potential W with V(x) = sum_j W(x_j), or None if V couples sites."""
         return None
 
 
-class ZeroPotential(PotentialSpec):
-    variant = "zero"
-
-    def separable_axis(self):
-        return ZeroPotential(self.sites[:1])
-
-    def eval(self, x):
-        return np.zeros(self._as_points(x).shape[:-1])
-
-    def _partial(self, alpha, x):
-        return np.zeros(x.shape[:-1])
-
-
-def _pair_term(pair: ScalarFunction, m, diff, forward, backward):
-    """forward * G^(m)(diff) + backward * G^(m)(-diff).
-
-    An even G has G^(m)(-y) = (-1)^m G^(m)(y), so it takes one derivative call.
-    """
-    if pair.even:
-        return (forward + backward * (-1.0) ** m) * pair.derivative(m, diff)
-    return forward * pair.derivative(m, diff) + backward * pair.derivative(m, -diff)
-
-
 class PairPotential(PotentialSpec):
-    """(sum_j F(x_j) + sum_{j<k} [G(x_j - x_k) + G(x_k - x_j)] + constant) / divisor.
+    """(sum_j F(x_j) + 2 sum_{j<k} G(x_j - x_k) + constant) / divisor, G even.
 
     pairs lists the interacting unordered pairs (j, k), j < k, by site
-    position; on_site may be None for no on-site term.  Partial derivatives
-    follow from the chain rule term by term: a pair term depends on two
-    sites, so indices over three or more sites give zero.
+    position; on_site may be None for no on-site term, and with no pairs
+    either this is the zero potential.  Partial derivatives follow from the
+    chain rule term by term: G^(m)(-y) = (-1)^m G^(m)(y), and a pair term
+    depends on two sites, so indices over three or more sites give zero.
     """
 
     def __init__(self, sites, on_site: Optional[ScalarFunction], pair: ScalarFunction,
@@ -393,20 +356,22 @@ class PairPotential(PotentialSpec):
     def separable_axis(self):
         """The on-site term and an even share of the constant, when no pair term
         remains: no interacting pairs, or a pair function certified zero."""
-        if self._blocks and self.pair.sup_bound(0) != 0:
+        if self._blocks and self.pair.sup_fn(0) != 0:
             return None
         return PairPotential(self.sites[:1], self.on_site, self.pair, [], self._divisor,
                              self._constant / self.n_sites)
 
     def eval(self, x):
         x = self._as_points(x)
-        total = _pair_sum(self.pair, x, self._blocks) + self._constant
+        total = _pair_sum(self.pair, x, self._blocks)
+        total += self._constant
         if self.on_site is not None:
             acc = self.on_site.value(x[..., :8])  # a new array; site j adds to column j % 8
             for lo in range(8, self.n_sites, 8):
                 acc[..., :min(8, self.n_sites - lo)] += self.on_site.value(x[..., lo:lo + 8])
             total += _column_total(acc)
-        return total / self._divisor
+        total /= self._divisor
+        return total
 
     def _partial(self, alpha, x):
         m = alpha.order
@@ -417,13 +382,11 @@ class PairPotential(PotentialSpec):
             if self.on_site is not None:
                 total += self.on_site.derivative(m, x[..., j])
             for k in self._partners[j]:
-                total += _pair_term(self.pair, m, x[..., j] - x[..., k], 1.0, (-1.0) ** m)
+                total += 2.0 * self.pair.derivative(m, x[..., j] - x[..., k])
         elif len(support) == 2 and support[1] in self._partners[support[0]]:
             j, k = support
-            total += _pair_term(
-                self.pair, m, x[..., j] - x[..., k],
-                (-1.0) ** alpha.get(self.sites[k]), (-1.0) ** alpha.get(self.sites[j]),
-            )
+            sign = (-1.0) ** alpha.get(self.sites[k])
+            total += 2.0 * sign * self.pair.derivative(m, x[..., j] - x[..., k])
         return total / self._divisor
 
 
@@ -434,8 +397,6 @@ class NearestNeighborPotential(PairPotential):
     sup-norm of their coordinate difference is one, and both ordered pairs of
     an adjacent couple contribute.
     """
-
-    variant = "nearest_neighbor"
 
     def __init__(self, dim, sites, on_site: ScalarFunction, pair: ScalarFunction):
         sites = tuple(sites)
@@ -471,17 +432,11 @@ class MeanFieldPotential(PairPotential):
     by default; excluding them only shifts the potential by that constant.
     """
 
-    variant = "mean_field"
-
     def __init__(self, sites, pair: ScalarFunction, include_diagonal=True):
         sites = tuple(sites)
         n = len(sites)
-        self.include_diagonal = bool(include_diagonal)
-        constant = n * float(pair.value(0.0)) if self.include_diagonal else 0.0
-        super().__init__(
-            sites, None, pair, itertools.combinations(range(n), 2), divisor=n,
-            constant=constant,
-        )
+        constant = n * float(pair.value(0.0)) if include_diagonal else 0.0
+        super().__init__(sites, None, pair, itertools.combinations(range(n), 2), n, constant)
 
     def certified_cm(self, m: int) -> float:
         """Site-uniform budget for summed derivative magnitudes; the 1/n averaging
@@ -547,7 +502,7 @@ def potential_from_json(obj: dict) -> PotentialSpec:
     if len({type(s) for s in sites}) > 1:
         raise ValueError("sites must be all integers or all lists of integers")
     if variant == "zero":
-        return ZeroPotential(sites)
+        return PairPotential(sites, None, zero_function(), [])
     if variant == "nearest_neighbor":
         return NearestNeighborPotential(
             obj["d"], sites, scalar_from_json(obj["F"]), scalar_from_json(obj["G"])

@@ -1,10 +1,16 @@
-"""A potential given by callables, for tests: the reference input for the dense
-2-d ``eigh`` route, which no JSON description reaches, since every built-in
-2-site potential is bitwise exchange-symmetric."""
+"""Potentials for tests: the zero potential over any sites, and a potential
+given by callables, the reference input for the dense 2-d ``eigh`` route,
+which no JSON description reaches, since every built-in 2-site potential is
+bitwise exchange-symmetric."""
 
 import numpy as np
 
-from weylfk.potentials import PotentialSpec
+from weylfk.potentials import PairPotential, PotentialSpec, zero_function
+
+
+def zero_potential(sites):
+    """The zero potential over sites, as the JSON "zero" variant builds it."""
+    return PairPotential(sites, None, zero_function(), [])
 
 
 class CustomPotential(PotentialSpec):
@@ -13,8 +19,6 @@ class CustomPotential(PotentialSpec):
     eval_fn takes an array of shape (..., n_sites) and returns (...);
     partial_fn, when given, takes (alpha, x) and must honor the same shapes.
     """
-
-    variant = "custom"
 
     def __init__(self, sites, eval_fn, partial_fn=None, smoothness_order=0, name="custom"):
         super().__init__(sites)

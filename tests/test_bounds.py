@@ -23,13 +23,14 @@ from weylfk.oracle import Grid, GridOracle, GridSemigroup, decay_window, semigro
 from weylfk.potentials import (
     MeanFieldPotential,
     NearestNeighborPotential,
-    ZeroPotential,
     family_from_json,
     harmonic_function,
     lorentzian_function,
     zero_function,
 )
 from weylfk.symbol_estimator import PhasePoint, SymbolEstimate, estimate_mixed_derivative
+
+from potential_helpers import zero_potential
 
 mi = MultiIndex.of
 WIENER = VariancePreset.STANDARD_WIENER
@@ -41,7 +42,7 @@ def fake_estimate(value, stderr=0.01, t=1.0):
 
 class TestLinf:
     def test_free_sweep_clean(self):
-        V = ZeroPotential([0])
+        V = zero_potential([0])
         rng = np.random.default_rng(1)
         estimates = [
             estimate_mixed_derivative(
@@ -134,7 +135,7 @@ class TestL1Bound:
         assert report.worst_margin >= 0.0
 
     def test_zero_potential_divergent(self):
-        V = ZeroPotential([(0,)])
+        V = zero_potential([(0,)])
         with pytest.raises(DivergentIntegralError):
             check_l1_bound(V, 1.0, [0.0], Grid(8.0, 256, 1))
 

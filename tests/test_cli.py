@@ -268,6 +268,25 @@ class TestExitCodes:
         config = {"m": 1, "t": 0.5, "c_m": 10**400}
         assert cli.validate_config("bound", config)["c_m"] == 10**400
 
+    HUGE = "1" * 401  # an integer beyond the largest float
+
+    @pytest.mark.parametrize("subcommand, text, key", [
+        ("bound", f'{{"m": 1, "t": {HUGE}, "c_m": 1.0}}', "$.t"),
+        ("oracle", f'{{"potential": {{"variant": "zero", "sites": [0]}}, "t": 0.5, '
+                   f'"grid": {{"half_width": {HUGE}, "n_grid": 16}}}}', "$.grid.half_width"),
+        ("estimate", f'{{"potential": {{"variant": "mean_field", "sites": [0, 1], "G": '
+                     f'{{"name": "lorentzian", "amplitude": {HUGE}}}}}, '
+                     f'"x": [0.0, 0.0], "xi": [1.0, 1.0], "t": 0.5, "seed": 1}}',
+         "$.potential.G.amplitude"),
+    ], ids=["bound-t", "oracle-half-width", "estimate-amplitude"])
+    def test_integer_too_large_for_a_float_is_config_error(self, subcommand, text, key,
+                                                           capsys):
+        assert cli.main([subcommand, text]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert key in err
+        assert "Traceback" not in err
+
     def test_unallocatable_array_is_config_error(self, monkeypatch, capsys):
         def too_large(*args, **kwargs):
             raise MemoryError("Unable to allocate 8.00 TiB for an array")
@@ -838,8 +857,8 @@ class TestSinglePass:
 
         monkeypatch.setattr(symbol_estimator, "sample_path_batch",
                             counted("sample", symbol_estimator.sample_path_batch))
-        monkeypatch.setattr(potentials.ZeroPotential, "eval",
-                            counted("eval", potentials.ZeroPotential.eval))
+        monkeypatch.setattr(potentials.PairPotential, "eval",
+                            counted("eval", potentials.PairPotential.eval))
         code, doc = run("estimate", {
             "potential": {"variant": "zero", "sites": [0]},
             "x": [0.0], "xi": [0.5], "t": 0.5, "seed": 4,

@@ -24,11 +24,12 @@ from weylfk.oracle import (
 )
 from weylfk.potentials import (
     NearestNeighborPotential,
-    ZeroPotential,
     harmonic_function,
     lorentzian_function,
     zero_function,
 )
+
+from potential_helpers import zero_potential
 
 
 @pytest.fixture(scope="module")
@@ -123,9 +124,10 @@ class TestQuantization:
             M = factor.x_profile(half_centers)[:, None] * (factor.xi_profile(xi_band) @ phases)
             reference = np.kron(reference, dx * M[a[:, None] + a, a[:, None] - a + (n - 1)])
         reference *= p.norm_const
-        op = op_weyl_matrix(p)
+        op = op_weyl_matrix(p)  # the kernel's transpose, in the order the traces read
+        assert op.flags.c_contiguous
         assert op.shape == reference.shape
-        assert np.abs(op - reference).max() <= 1e-15 * np.abs(reference).max()
+        assert np.abs(op.T - reference).max() <= 1e-15 * np.abs(reference).max()
 
 
 class TestTrace:
@@ -136,7 +138,7 @@ class TestTrace:
 
     def test_parity_zero_for_free_centered_state(self):
         grid = Grid(8.0, 256, 1)
-        oracle = GridOracle(ZeroPotential([(0,)]), grid)
+        oracle = GridOracle(zero_potential([(0,)]), grid)
         state = gaussian_state_symbol(grid, [0.0], [0.0], [1.0], [1.0])
         (r,) = commutator_trace(oracle, state, [0.0, 1.0], 0, [0.5])
         assert abs(r.trace_matrix) <= 1e-8
@@ -228,7 +230,7 @@ def full_table_traces(oracle, state, poly, site_axis, t):
     cell = grid.cell_volume * grid.xi_cell_volume / (2.0 * math.pi) ** grid.dim
     centers = decay_window((C,), grid, t)
     window = F[np.ix_(*(centers,) * grid.dim)]
-    return ((C * op_weyl_matrix(state).T).sum().imag, ((table * F).sum() * cell).imag,
+    return ((C * op_weyl_matrix(state)).sum().imag, ((table * F).sum() * cell).imag,
             np.abs(window).max())
 
 
@@ -256,17 +258,6 @@ class TestStreamedReduction:
             assert r.trace_matrix == pytest.approx(tr_matrix, rel=1e-14)
             assert r.trace_symbol == pytest.approx(tr_symbol, rel=1e-14)
             assert r.symbol_sup == sup
-
-    def test_transposed_state_bitwise(self, harmonic_setup):
-        # the transposed quantization the commutator reads, against transposing
-        grid, V, oracle, state, op = harmonic_setup
-        two_d = gaussian_state_symbol(Grid(4.0, 32, 2), [0.2, -0.1], [0.3, 0.1],
-                                      [0.4, 0.4], [0.5, 0.5])
-        for p in (state, two_d):
-            expected = np.ascontiguousarray(op_weyl_matrix(p).T)
-            transposed = op_weyl_matrix(p, transposed=True)
-            assert transposed.flags.c_contiguous
-            assert np.array_equal(transposed.view(np.uint64), expected.view(np.uint64))
 
 
 class TestScalingFit:

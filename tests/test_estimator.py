@@ -12,7 +12,6 @@ from weylfk.multiindex import MultiIndex, from_text
 from weylfk.potentials import (
     MeanFieldPotential,
     NearestNeighborPotential,
-    ZeroPotential,
     constant_function,
     harmonic_function,
     lorentzian_function,
@@ -23,7 +22,7 @@ from weylfk.symbol_estimator import (
     estimate_mixed_derivative,
 )
 
-from potential_helpers import CustomPotential
+from potential_helpers import CustomPotential, zero_potential
 
 mi = MultiIndex.of
 GEN = VariancePreset.GENERATOR_LAPLACIAN
@@ -49,7 +48,7 @@ class TestPathAction:
     def test_zero_potential(self):
         # a potential that is zero everywhere adds nothing to the action
         p = PhasePoint([0.7], [0.9])
-        free = estimate_mixed_derivative(ZeroPotential([0]), p, 1.0, 2000, 32, seed=3)
+        free = estimate_mixed_derivative(zero_potential([0]), p, 1.0, 2000, 32, seed=3)
         zero = estimate_mixed_derivative(MeanFieldPotential([0], constant_function(0.0)),
                                          p, 1.0, 2000, 32, seed=3)
         assert zero == free
@@ -59,7 +58,7 @@ class TestPathAction:
         V = MeanFieldPotential([0], constant_function(c))  # V == c everywhere
         p = PhasePoint([0.0], [0.8])
         est = estimate_mixed_derivative(V, p, t, 2000, 17, seed=5)
-        free = estimate_mixed_derivative(ZeroPotential([0]), p, t, 2000, 17, seed=5)
+        free = estimate_mixed_derivative(zero_potential([0]), p, t, 2000, 17, seed=5)
         assert est.value == pytest.approx(math.exp(-c * t) * free.value, rel=1e-12)
         assert est.stderr == pytest.approx(math.exp(-c * t) * free.stderr, rel=1e-12)
 
@@ -73,20 +72,20 @@ class TestPathAction:
         assert action == pytest.approx(1.0 / 12.0, abs=1e-3)
 
     def test_site_mismatch(self):
-        V = ZeroPotential([0, 1])
+        V = zero_potential([0, 1])
         with pytest.raises(ValueError):
             estimate_mixed_derivative(V, PhasePoint([0.0], [0.0]), 1.0, 2, 4, seed=1)
 
 
 class TestFreeCase:
     def test_generator_preset_closed_form(self):
-        V = ZeroPotential([0])
+        V = zero_potential([0])
         p = PhasePoint([0.3], [1.0])
         est = estimate_mixed_derivative(V, p, 0.5, 100_000, 1, seed=11, variance=GEN)
         assert abs(est.value - math.exp(-0.5)) <= 3 * est.stderr
 
     def test_wiener_preset_closed_form(self):
-        V = ZeroPotential([0])
+        V = zero_potential([0])
         p = PhasePoint([0.3], [1.0])
         est = estimate_mixed_derivative(V, p, 0.5, 100_000, 1, seed=11, variance=WIENER)
         assert abs(est.value - math.exp(-0.25)) <= 3 * est.stderr
@@ -118,7 +117,7 @@ class TestEstimateProperties:
         assert abs(est.value.imag) <= 3 * est.stderr
 
     def test_stderr_scales_with_paths(self):
-        V = ZeroPotential([0])
+        V = zero_potential([0])
         p = PhasePoint([0.0], [1.2])
         prev = estimate_mixed_derivative(V, p, 0.5, 10_000, 1, seed=3).stderr
         for n in (20_000, 40_000):
@@ -145,7 +144,7 @@ class TestEstimateProperties:
             assert out.stderr == ref.stderr
 
     def test_invalid_sizes(self):
-        V = ZeroPotential([0])
+        V = zero_potential([0])
         p = PhasePoint([0.0], [0.0])
         with pytest.raises(ValueError):
             estimate_mixed_derivative(V, p, 1.0, 3, 4, seed=0)  # odd path count
@@ -194,7 +193,7 @@ class TestFrequencyDerivative:
 
     def test_free_first_derivative_closed_form(self):
         # with unit-variance paths the free symbol is exp(-t xi^2 / 2)
-        V = ZeroPotential([0])
+        V = zero_potential([0])
         t, xi = 1.0, 1.0
         p = PhasePoint([0.0], [xi])
         est = estimate_mixed_derivative(
@@ -242,7 +241,7 @@ class TestPositionDerivative:
         assert a.value == b.value and a.stderr == b.stderr
 
     def test_free_symbol_position_independent(self):
-        V = ZeroPotential([0])
+        V = zero_potential([0])
         p = PhasePoint([0.7], [0.8])
         est = estimate_position_derivative(V, p, 0.5, mi({0: 1}), 20_000, 1, seed=5)
         assert abs(est.value) <= max(3 * est.stderr, 1e-12)
@@ -360,7 +359,7 @@ class TestMixedDerivative:
 
     def test_free_mixed_derivative(self):
         # d/dx of the free symbol vanishes, whatever beta multiplies it
-        V = ZeroPotential([0, 1])
+        V = zero_potential([0, 1])
         p = PhasePoint([0.1, 0.2], [0.5, 0.9])
         est = estimate_mixed_derivative(
             V, p, 0.5, 20_000, 1, seed=8, alpha=mi({0: 1}), beta=mi({1: 1})
@@ -369,7 +368,7 @@ class TestMixedDerivative:
 
 
 _BATCH_CASES = {
-    "zero_1site": (lambda: ZeroPotential([0]), [0.3], "", ""),
+    "zero_1site": (lambda: zero_potential([0]), [0.3], "", ""),
     # the case where one (k, pairs) matmul phase moves the last bits
     "mean_field_lorentzian_3": (
         lambda: MeanFieldPotential([0, 1, 2], lorentzian_function()),
@@ -398,7 +397,7 @@ class TestFrequencyBatch:
     def test_batch_keeps_one_estimate_with_integer_provenance(self):
         # per-call counters (perfbench/tracing.py) read n_paths and n_steps off
         # whatever the estimator returns, batch or not
-        V = ZeroPotential([0])
+        V = zero_potential([0])
         batch = estimate_mixed_derivative(V, PhasePoint([0.0], [[0.0], [0.5], [1.0]]),
                                           0.5, 200, 4, seed=1)
         assert isinstance(batch, symbol_estimator.SymbolEstimate)
@@ -531,7 +530,7 @@ class TestReducer:
     def test_single_pair_has_infinite_stderr(self):
         stderr = self.assert_bitwise([np.full((2, 6), 0.5)], 1)
         assert np.all(np.isinf(stderr))
-        est = estimate_mixed_derivative(ZeroPotential([0]), PhasePoint([0.0], [0.5]),
+        est = estimate_mixed_derivative(zero_potential([0]), PhasePoint([0.0], [0.5]),
                                         0.5, 2, 4, seed=3)
         assert est.stderr == math.inf
 

@@ -27,7 +27,6 @@ from weylfk.potentials import (
     NearestNeighborPotential,
     PairPotential,
     ScalarFunction,
-    ZeroPotential,
     cosine_function,
     gaussian_bump_function,
     harmonic_function,
@@ -35,7 +34,7 @@ from weylfk.potentials import (
     zero_function,
 )
 
-from potential_helpers import CustomPotential
+from potential_helpers import CustomPotential, zero_potential
 
 
 def harmonic_potential():
@@ -74,7 +73,7 @@ class TestGrid:
 class TestHamiltonian:
     def test_free_spectrum(self):
         grid = Grid(8.0, 512, 1)
-        H = build_hamiltonian(ZeroPotential([(0,)]), grid)
+        H = build_hamiltonian(zero_potential([(0,)]), grid)
         w = np.linalg.eigvalsh(H)
         L_eff = grid.half_width  # Dirichlet box [-L, L]
         for k in range(1, 5):
@@ -97,12 +96,12 @@ class TestHamiltonian:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            build_hamiltonian(ZeroPotential([0, 1]), Grid(8.0, 64, 1))
+            build_hamiltonian(zero_potential([0, 1]), Grid(8.0, 64, 1))
 
     @pytest.mark.parametrize("n", [16, 32])
     @pytest.mark.parametrize("V", [
         NearestNeighborPotential(1, [(0,), (1,)], harmonic_function(), lorentzian_function()),
-        ZeroPotential([0, 1]),
+        zero_potential([0, 1]),
         CustomPotential([0, 1], lambda x: (x[..., 0] + 2.0 * x[..., 1] + 1.0) ** 2),
     ], ids=["coupled", "zero", "custom"])
     def test_2d_stencil_equals_kronecker_sum(self, V, n):
@@ -142,7 +141,7 @@ class TestSemigroup:
         assert np.abs(S1.factors[0] @ S2.factors[0] - S3.factors[0]).max() <= 1e-10
 
     def test_spectrum_in_unit_interval(self):
-        oracle = GridOracle(ZeroPotential([(0,)]), Grid(8.0, 64, 1))
+        oracle = GridOracle(zero_potential([(0,)]), Grid(8.0, 64, 1))
         S = oracle.semigroup(0.5)
         eigs = np.linalg.eigvalsh(S.factors[0])
         assert eigs.min() > 0.0
@@ -189,7 +188,7 @@ class TestSemigroup:
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_nonpositive_time_rejected(self):
-        oracle = GridOracle(ZeroPotential([(0,)]), Grid(8.0, 16, 1))
+        oracle = GridOracle(zero_potential([(0,)]), Grid(8.0, 16, 1))
         with pytest.raises(ValueError):
             oracle.semigroup(0.0)
 
@@ -197,7 +196,7 @@ class TestSemigroup:
 class TestSymbolExtraction:
     def test_free_symbol_uniform(self):
         grid = Grid(8.0, 1024, 1)
-        oracle = GridOracle(ZeroPotential([(0,)]), grid)
+        oracle = GridOracle(zero_potential([(0,)]), grid)
         t = 0.5
         tab = oracle.symbol(oracle.semigroup(t))
         mask = np.abs(tab.xi) <= 2.0
@@ -234,7 +233,7 @@ class TestSymbolExtraction:
     def test_decay_error_when_grid_too_small(self):
         for dim, n in ((1, 64), (2, 16)):
             grid = Grid(2.0, n, dim)  # time horizon too long for this box
-            oracle = GridOracle(ZeroPotential([(k,) for k in range(dim)]), grid)
+            oracle = GridOracle(zero_potential([(k,) for k in range(dim)]), grid)
             with pytest.raises(DecayError):
                 oracle.symbol(oracle.semigroup(1.0))
 
@@ -253,7 +252,7 @@ class TestSymbolExtraction:
 
     def test_2d_free_symbol(self):
         grid = Grid(6.0, 32, 2)
-        oracle = GridOracle(ZeroPotential([(0,), (1,)]), grid)
+        oracle = GridOracle(zero_potential([(0,), (1,)]), grid)
         t = 0.25
         tab = oracle.symbol(oracle.semigroup(t))
         # coarse grid: second-order dispersion dominates the comparison
@@ -316,7 +315,7 @@ class TestPairing:
     @pytest.mark.parametrize("t", [0.1, 0.5])
     def test_free_pairing(self, t):
         grid = Grid(8.0, 256, 1)
-        oracle = GridOracle(ZeroPotential([(0,)]), grid)
+        oracle = GridOracle(zero_potential([(0,)]), grid)
         f = normalized_gaussian(grid, center=0.3)
         g = normalized_gaussian(grid, center=-0.5, width=0.8)
         tab = oracle.symbol(oracle.semigroup(t), "full", pairing=((f,), (g,)))
@@ -383,7 +382,7 @@ class TestPairing:
     def test_factor_count_checked(self):
         grid = Grid(4.5, 16, 2)
         f = normalized_gaussian(replace(grid, dim=1))
-        oracle = GridOracle(ZeroPotential([(0,), (1,)]), grid)
+        oracle = GridOracle(zero_potential([(0,), (1,)]), grid)
         with pytest.raises(ValueError, match="one factor per grid axis"):
             oracle.symbol(oracle.semigroup(0.5), "full", pairing=((f,), (f, f)))
 
@@ -675,8 +674,8 @@ class TestTransformReference:
     def test_semigroup_on_another_grid_rejected(self, dim, region):
         # same size, other half-width: the table would be read on the wrong axes
         sites = [(k,) for k in range(dim)]
-        other = GridOracle(ZeroPotential(sites), Grid(4.0, 64, dim)).semigroup(0.5)
-        oracle = GridOracle(ZeroPotential(sites), Grid(8.0, 64, dim))
+        other = GridOracle(zero_potential(sites), Grid(4.0, 64, dim)).semigroup(0.5)
+        oracle = GridOracle(zero_potential(sites), Grid(8.0, 64, dim))
         with pytest.raises(ValueError, match="built on"):
             oracle.symbol(other, region=region)
 
@@ -687,7 +686,7 @@ class TestTransformReference:
 SEPARABLE = {
     "harmonic-zero-G": lambda: NearestNeighborPotential(
         1, [(0,), (1,)], harmonic_function(), zero_function()),
-    "zero": lambda: ZeroPotential([(0,), (1,)]),
+    "zero": lambda: zero_potential([(0,), (1,)]),
     "mean-field-zero-G": lambda: MeanFieldPotential([0, 1], zero_function()),
     "non-adjacent": lambda: NearestNeighborPotential(
         1, [(0,), (2,)], harmonic_function(), lorentzian_function()),
@@ -810,7 +809,7 @@ class TestSeparable:
 
     def test_negative_on_site_rejected(self):
         negative = ScalarFunction("negative", lambda k, y: np.full_like(y, -1.0 if k == 0 else 0.0),
-                                  lambda k: 1.0 if k == 0 else 0.0, even=True)
+                                  lambda k: 1.0 if k == 0 else 0.0)
         V = NearestNeighborPotential(1, [(0,), (1,)], negative, zero_function())
         assert V.separable_axis() is not None
         with pytest.raises(ValueError, match="negative"):
@@ -818,9 +817,9 @@ class TestSeparable:
 
     def test_site_count_checked(self):
         with pytest.raises(ValueError, match="sites"):
-            GridOracle(ZeroPotential([(0,), (1,)]), Grid(6.0, 16, 1))
+            GridOracle(zero_potential([(0,), (1,)]), Grid(6.0, 16, 1))
         with pytest.raises(ValueError, match="sites"):
-            GridOracle(ZeroPotential([(0,)]), Grid(6.0, 16, 2))
+            GridOracle(zero_potential([(0,)]), Grid(6.0, 16, 2))
 
 
 # Coupled 2-site potentials invariant under inversion (x1, x2) -> (-x1, -x2)

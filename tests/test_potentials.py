@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import re
@@ -5,14 +6,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylfk.multiindex import MultiIndex, sub_multiindices
 from weylfk.potentials import (
     MeanFieldPotential,
     MissingSupBoundError,
     NearestNeighborPotential,
-    ScalarFunction,
-    ZeroPotential,
     constant_function,
     cosine_function,
     gaussian_bump_function,
@@ -25,7 +25,7 @@ from weylfk.potentials import (
 )
 from weylfk.potentials import _pair_blocks, _pair_sum
 
-from potential_helpers import CustomPotential
+from potential_helpers import CustomPotential, zero_potential
 
 mi = MultiIndex.of
 LORENTZIAN = {"name": "lorentzian"}
@@ -81,7 +81,7 @@ class TestScalarFunctions:
         f = builder(2.0, 1.5)
         ys = np.linspace(-20, 20, 4001)
         for k in range(7):
-            assert np.abs(f.derivative(k, ys)).max() <= f.sup_bound(k) * (1 + 1e-12)
+            assert np.abs(f.derivative(k, ys)).max() <= f.sup_fn(k) * (1 + 1e-12)
 
     def test_nonnegative_values(self):
         ys = np.linspace(-10, 10, 201)
@@ -90,7 +90,7 @@ class TestScalarFunctions:
 
     def test_harmonic_missing_sup(self):
         f = harmonic_function()
-        assert f.sup_bound(1) is None
+        assert f.sup_fn(1) is None
         with pytest.raises(MissingSupBoundError):
             f.max_sup(1, 2)
 
@@ -108,10 +108,10 @@ class TestScalarFunctions:
         y = np.random.default_rng(2).normal(scale=3.0, size=50)
         for obj, direct in cases:
             parsed = scalar_from_json(obj)
-            assert parsed.name == direct.name and parsed.even == direct.even
+            assert parsed.name == direct.name
             for k in range(4):
                 assert np.array_equal(parsed.derivative(k, y), direct.derivative(k, y))
-                assert parsed.sup_bound(k) == direct.sup_bound(k)
+                assert parsed.sup_fn(k) == direct.sup_fn(k)
         with pytest.raises(ValueError):
             scalar_from_json({"name": "nope"})
 
@@ -127,10 +127,25 @@ class TestScalarFunctions:
             builder(**{key: value})
 
 
+ZERO = {"variant": "zero", "sites": [0, 1, 2]}
+
+
+def positive_zeros(values) -> bool:
+    """Whether every value is +0.0: zero, and without the sign bit."""
+    return not np.any(values) and not np.any(np.signbit(values))
+
+
 class TestEval:
     def test_zero(self):
-        V = ZeroPotential([0, 1])
-        assert V.eval([1.0, -2.0]) == 0.0
+        V = potential_from_json(ZERO)
+        x = np.random.default_rng(1).normal(size=(4, 5, 3))
+        assert V.eval(x).shape == (4, 5)
+        assert positive_zeros(V.eval(x)) and positive_zeros(V.eval(x[0, 0]))
+
+    def test_zero_separates_to_one_site(self):
+        axis = potential_from_json(ZERO).separable_axis()
+        assert axis.sites == (0,)
+        assert positive_zeros(axis.eval(np.linspace(-3.0, 3.0, 7)[:, None]))
 
     def test_mean_field_constant(self):
         # all-pairs average of a constant c over n sites gives c*n
@@ -145,7 +160,7 @@ class TestEval:
         assert chain.eval([0.0, 1.0]) == pytest.approx(2.0, rel=1e-14)
 
     def test_dimension_mismatch(self):
-        V = ZeroPotential([0, 1])
+        V = zero_potential([0, 1])
         with pytest.raises(ValueError):
             V.eval([1.0])
 
@@ -175,18 +190,13 @@ class TestEval:
         assert out[2, 3] == pytest.approx(float(V.eval(xs[2, 3])), rel=1e-14)
 
 
+BUILTIN_BUILDERS = [zero_function, constant_function, harmonic_function,
+                    gaussian_bump_function, lorentzian_function, cosine_function]
 BUILTIN_SCALARS = [
     zero_function(), constant_function(0.7), harmonic_function(1.2),
     gaussian_bump_function(1.3, 0.9), lorentzian_function(1.3, 0.9),
     cosine_function(1.3, 0.9),
 ]
-
-
-def exp_like_function():
-    """A pair function that is not even, so both orders of a pair are evaluated."""
-    return ScalarFunction(
-        "exp_like", lambda k, y: 0.3**k * np.exp(0.3 * y), lambda k: None
-    )
 
 
 def dense_mean_field(G, x, include_diagonal):
@@ -233,8 +243,7 @@ def ordered_pair_partial(sites, ordered_pairs, F, G, divisor, alpha, x):
     return total / divisor
 
 
-PAIR_FUNCTIONS = [lorentzian_function(1.3, 0.8), cosine_function(0.9, 0.7),
-                  exp_like_function()]
+PAIR_FUNCTIONS = [lorentzian_function(1.3, 0.8), cosine_function(0.9, 0.7)]
 
 
 NN_LAYOUTS = [
@@ -255,7 +264,7 @@ class TestPairEvaluation:
         ref = dense_mean_field(G, x, include_diagonal)
         np.testing.assert_allclose(V.eval(x), ref, rtol=1e-13, atol=0.0)
 
-    @pytest.mark.parametrize("G", [lorentzian_function(1.3, 0.8), exp_like_function()])
+    @pytest.mark.parametrize("G", PAIR_FUNCTIONS, ids=lambda G: G.name)
     @pytest.mark.parametrize("sites", NN_LAYOUTS)
     def test_nearest_neighbor_matches_pair_loop(self, G, sites):
         F = gaussian_bump_function(0.8, 1.1)
@@ -264,11 +273,17 @@ class TestPairEvaluation:
         ref = ordered_pair_loop(sites, F, G, x)
         np.testing.assert_allclose(V.eval(x), ref, rtol=1e-13, atol=0.0)
 
-    @pytest.mark.parametrize("f", BUILTIN_SCALARS, ids=lambda f: f.name)
-    def test_builtins_flagged_even_are_even(self, f):
-        assert f.even
-        y = np.random.default_rng(3).normal(scale=3.0, size=1000)
-        assert np.array_equal(f.value(-y), f.value(y))
+    @pytest.mark.parametrize("builder", BUILTIN_BUILDERS, ids=lambda b: b.__name__)
+    @given(amplitude=st.floats(0.0, 1e3), width=st.floats(1e-3, 1e3),
+           y=st.floats(-1e3, 1e3))
+    @settings(max_examples=40, deadline=None)
+    def test_builtins_are_even_bit_for_bit(self, builder, amplitude, width, y):
+        # the pair sum evaluates G once per unordered pair on this contract
+        params = inspect.signature(builder).parameters
+        f = builder(**{k: v for k, v in {"amplitude": amplitude, "width": width}.items()
+                       if k in params})
+        ys = np.append(np.random.default_rng(3).normal(scale=3.0, size=1000), y)
+        assert f.value(-ys).tobytes() == f.value(ys).tobytes()
 
     def test_lorentzian_value_matches_partial_fraction_form(self):
         a, w = 1.3, 0.9
@@ -286,7 +301,7 @@ class TestPairEvaluation:
                             np.random.default_rng(6).normal(scale=3.0, size=2000)])
         complex_form = a * w ** (-k) * (-1.0) ** (k + 1) * math.factorial(k) * np.imag(
             (y / w + 1j) ** (-(k + 1)))
-        assert np.abs(f.derivative(k, y) - complex_form).max() <= 1e-15 * f.sup_bound(k)
+        assert np.abs(f.derivative(k, y) - complex_form).max() <= 1e-15 * f.sup_fn(k)
 
     def test_mean_field_working_set_linear_in_sites(self):
         def peak(n):
@@ -337,20 +352,11 @@ class TestSiteSum:
         assert np.all(np.abs(V.eval(x).ravel() - exact) <= (m / 8 + 10) * 2.0**-53 * scale)
 
 
-
-def signed_function():
-    """Not even, and tells -0.0 from +0.0, so G(x_k - x_j) and its negation
-    must be evaluated at the exact bits of both differences."""
-    return ScalarFunction(
-        "signed", lambda k, y: np.exp(0.3 * y) + np.copysign(0.25, y), lambda k: None
-    )
-
-
 def per_pair_reference(G, x, pairs):
     """The order _pair_sum documents, pair by pair: in blocks of one offset k - j
     with consecutive j, in order of offset, column c of a block adds
-    G(x_k - x_j) and then G at its negation into accumulator c mod 8; the 8
-    accumulators are then added in turn into zeros."""
+    G(x_k - x_j) into accumulator c mod 8; the 8 accumulators are then added
+    in turn into zeros, and the total is doubled."""
     acc = np.zeros(x.shape[:-1] + (8,))
     c, prev = 0, None
     for j, k in sorted(pairs, key=lambda p: (p[1] - p[0], p[0])):
@@ -358,11 +364,10 @@ def per_pair_reference(G, x, pairs):
         prev = (j, k)
         diff = x[..., k] - x[..., j]
         acc[..., c % 8] += G.value(diff)
-        acc[..., c % 8] += G.value(-diff)
     total = np.zeros(x.shape[:-1])
     for c in range(8):
         total += acc[..., c]
-    return total
+    return 2.0 * total
 
 
 # widest blocks just below, at and above one and two 8-column groups
@@ -370,8 +375,7 @@ BLOCK_WIDTHS = (7, 8, 9, 16, 17)
 
 
 class TestInPlaceEvaluation:
-    @pytest.mark.parametrize("f", BUILTIN_SCALARS + [lorentzian_function(1.3),
-                                                     exp_like_function()],
+    @pytest.mark.parametrize("f", BUILTIN_SCALARS + [lorentzian_function(1.3)],
                              ids=lambda f: f"{f.name}-{f.in_place}")
     @pytest.mark.parametrize("k", range(5))
     def test_derivative_into_out_bitwise_equal(self, f, k):
@@ -391,11 +395,10 @@ class TestInPlaceEvaluation:
         list(itertools.combinations(range(16), 2)),
     ] + [[(j, j + 1) for j in range(w)] for w in BLOCK_WIDTHS],
         ids=["chain_32", "chain_140", "mean_field_16"] + [f"block_{w}" for w in BLOCK_WIDTHS])
-    def test_pair_sum_bitwise_equal_to_per_pair_reference(self, pairs):
+    @pytest.mark.parametrize("G", PAIR_FUNCTIONS, ids=lambda G: G.name)
+    def test_pair_sum_bitwise_equal_to_per_pair_reference(self, pairs, G):
         n = pairs[-1][1] + 1
         x = np.random.default_rng(n).normal(size=(6, 9, n))
-        x[..., 3] = x[..., 4]  # zero differences, where the sign of zero matters
-        G = signed_function()
         ref = per_pair_reference(G, x, pairs)
         for layout in (np.copy, site_major):
             total = _pair_sum(G, layout(x), _pair_blocks(pairs))
@@ -419,8 +422,9 @@ def partial_indices(sites, ordered_pairs):
 
 
 class TestPairPartial:
-    """Partials against the term-by-term loop over ordered pairs, for even and
-    non-even G on every TestPairEvaluation layout."""
+    """Partials against the term-by-term chain rule over ordered pairs, which
+    takes G^(m) at both x_j - x_k and x_k - x_j, on every TestPairEvaluation
+    layout."""
 
     @staticmethod
     def assert_matches(V, ordered_pairs, F, G, divisor, x):
@@ -455,8 +459,10 @@ class TestPartial:
         assert V.partial(mi({}), x) == pytest.approx(float(V.eval(x)))
 
     def test_zero_potential_derivatives_vanish(self):
-        V = ZeroPotential([0, 1])
-        assert V.partial(mi({0: 1}), [0.5, 0.5]) == 0.0
+        V = potential_from_json(ZERO)
+        x = np.random.default_rng(2).normal(size=(4, 5, 3))
+        for alpha in (mi({0: 1}), mi({2: 2}), mi({0: 1, 1: 1})):
+            assert positive_zeros(V.partial(alpha, x)), alpha
 
     def test_nearest_neighbor_hand_value(self):
         # d/dx0 of (x0-x1)^2 + (x1-x0)^2 = 4 (x0 - x1); at (0, 1) this is -4
@@ -570,7 +576,7 @@ class TestCertifiedBudget:
 class TestJson:
     def test_parse_matches_direct_construction(self):
         cases = [
-            ({"variant": "zero", "sites": [0, 1]}, ZeroPotential([0, 1])),
+            ({"variant": "zero", "sites": [0, 1]}, zero_potential([0, 1])),
             (
                 {
                     "variant": "nearest_neighbor",
@@ -596,7 +602,7 @@ class TestJson:
         rng = np.random.default_rng(8)
         for spec, direct in cases:
             V = potential_from_json(spec)
-            assert V.variant == direct.variant and V.sites == direct.sites
+            assert type(V) is type(direct) and V.sites == direct.sites
             x = rng.normal(size=(6, V.n_sites))
             assert np.array_equal(V.eval(x), direct.eval(x))
 

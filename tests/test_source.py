@@ -1,5 +1,6 @@
 """Code under src serves src: every definition, member and defaulted parameter
-there has a use in src itself, not only in the tests.
+there has a use in src itself, not only in the tests, and no defaulted
+parameter is one constant that every src call passes.
 
 The checks read only the syntax tree, so docstrings and comments do not count,
 and __init__ is left out, as its re-exports are not uses.  A use is found by
@@ -73,9 +74,22 @@ def test_every_member_is_named_outside_its_body():
     )) == []
 
 
-def test_every_defaulted_parameter_is_set_by_src():
-    # a call sets a parameter by keyword or by position; one that unpacks
-    # *args or **kwargs, or a use of the function as a value, sets them all
+def _argument(call, param, position):
+    """The node a call passes for param by keyword or by position, the call
+    itself if it unpacks *args or **kwargs (which may set anything), or None."""
+    if any(k.arg is None for k in call.keywords) or any(
+            isinstance(a, ast.Starred) for a in call.args):
+        return call
+    for k in call.keywords:
+        if k.arg == param:
+            return k.value
+    return call.args[position] if position is not None and position < len(call.args) else None
+
+
+def _defaulted_parameters():
+    """(file:line and label, the nodes the src calls pass for it) of each
+    defaulted parameter in src, save __init__'s, those of UNSET_DEFAULTS and
+    those of a function used as a value, whose callers cannot be known."""
     modules = _modules()
     calls, as_value = {}, set()
     for _, tree, imported in modules:
@@ -90,12 +104,7 @@ def test_every_defaulted_parameter_is_set_by_src():
                      and isinstance(node.ctx, ast.Load)
                      and id(node) not in callees and _of_src(node, imported)}
 
-    def sets(call, param, position):
-        return (any(k.arg in (None, param) for k in call.keywords)
-                or any(isinstance(a, ast.Starred) for a in call.args)
-                or position is not None and position < len(call.args))
-
-    unset = []
+    out = []
     for file, tree, _ in modules:
         methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
         for f in ast.walk(tree):
@@ -109,7 +118,19 @@ def test_every_defaulted_parameter_is_set_by_src():
             defaulted = [(p.arg, k - passed) for k, p in enumerate(positional) if k >= first]
             defaulted += [(p.arg, None) for p, d in zip(f.args.kwonlyargs, f.args.kw_defaults)
                           if d is not None]
-            unset += [f"{file}:{f.lineno} {f.name}({param})" for param, position in defaulted
-                      if (f.name, param) not in UNSET_DEFAULTS
-                      and not any(sets(c, param, position) for c in calls.get(f.name, []))]
-    assert unset == []
+            out += [(f"{file}:{f.lineno} {f.name}({param})",
+                     [_argument(c, param, position) for c in calls.get(f.name, [])])
+                    for param, position in defaulted if (f.name, param) not in UNSET_DEFAULTS]
+    return out
+
+
+def test_every_defaulted_parameter_is_set_by_src():
+    assert [label for label, args in _defaulted_parameters()
+            if all(a is None for a in args)] == []
+
+
+def test_no_defaulted_parameter_is_a_constant():
+    # every src call setting it to one and the same literal makes it a constant
+    assert [label for label, args in _defaulted_parameters()
+            if args and all(isinstance(a, ast.Constant) for a in args)
+            and len({ast.dump(a) for a in args}) == 1] == []
