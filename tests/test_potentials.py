@@ -13,6 +13,7 @@ from weylfk.potentials import (
     MeanFieldPotential,
     MissingSupBoundError,
     NearestNeighborPotential,
+    ScalarFunction,
     constant_function,
     cosine_function,
     gaussian_bump_function,
@@ -243,7 +244,17 @@ def ordered_pair_partial(sites, ordered_pairs, F, G, divisor, alpha, x):
     return total / divisor
 
 
-PAIR_FUNCTIONS = [lorentzian_function(1.3, 0.8), cosine_function(0.9, 0.7)]
+def cosh_like_function():
+    """An even pair function that is not built in, given by its own derivative
+    callable: the pair machinery takes any G on the even contract."""
+    return ScalarFunction(
+        "cosh_like", lambda k, y: 0.3**k * (np.sinh if k % 2 else np.cosh)(0.3 * y),
+        lambda k: None
+    )
+
+
+PAIR_FUNCTIONS = [lorentzian_function(1.3, 0.8), cosine_function(0.9, 0.7),
+                  cosh_like_function()]
 
 
 NN_LAYOUTS = [
@@ -375,7 +386,8 @@ BLOCK_WIDTHS = (7, 8, 9, 16, 17)
 
 
 class TestInPlaceEvaluation:
-    @pytest.mark.parametrize("f", BUILTIN_SCALARS + [lorentzian_function(1.3)],
+    @pytest.mark.parametrize("f", BUILTIN_SCALARS + [lorentzian_function(1.3),
+                                                     cosh_like_function()],
                              ids=lambda f: f"{f.name}-{f.in_place}")
     @pytest.mark.parametrize("k", range(5))
     def test_derivative_into_out_bitwise_equal(self, f, k):
