@@ -39,7 +39,7 @@ DIVERGENCE_TOL = 1e-8  # largest exp(-tV) the L1 check accepts on the grid bound
 SWEEP_HALFWIDTH = 2.0  # linf and xi-deriv points lie in [-2, 2] per coordinate
 SPAWNED_PROBES = 2  # probes per report in the mixed-derivative and class suites
 SPAWNED_HALFWIDTH = 1.5  # their points lie in [-1.5, 1.5] per coordinate
-# slot-indexed (alpha, beta) pairs that the class suite samples
+# the (alpha, beta) pairs that the class suite samples
 CLASS_INDEX_PAIRS = (
     (ZERO_INDEX, ZERO_INDEX),
     (MultiIndex.of({0: 1}), ZERO_INDEX),
@@ -69,13 +69,12 @@ class SymbolClassParams:
         if self.max_norm < 0 or np.any(rho < 0) or np.any(delta < 0):
             raise ValueError("class parameters must be nonnegative")
 
-    def bound_for(self, alpha: MultiIndex, beta: MultiIndex, sites) -> float:
-        pos = {site: i for i, site in enumerate(sites)}
+    def bound_for(self, alpha: MultiIndex, beta: MultiIndex) -> float:
         out = self.max_norm
-        for site, order in alpha.entries:
-            out *= self.rho[pos[site]] ** order
-        for site, order in beta.entries:
-            out *= self.delta[pos[site]] ** order
+        for j, order in alpha.entries:
+            out *= self.rho[j] ** order
+        for j, order in beta.entries:
+            out *= self.delta[j] ** order
         return out
 
 
@@ -218,14 +217,14 @@ def linf_sweep(n_points, n_paths, n_steps, seed, variance=DEFAULT_PRESET,
 
 def xi_derivative_sweep(V: PotentialSpec, betas, t, n_points, n_paths, n_steps,
                         seed, variance=DEFAULT_PRESET, n_workers=1) -> list:
-    """Both frequency-derivative bounds for each slot-indexed beta, at n_points probes.
+    """Both frequency-derivative bounds for each beta, at n_points probes.
 
-    One stream seeded by seed draws the points and keeps running across
-    betas; probe k of every beta samples its paths from the seed seed + 31 k.
-    Every bound is computed before any path is sampled, so an order whose
-    bound overflows fails at once.
+    Each beta addresses coordinates by site position.  One stream seeded by
+    seed draws the points and keeps running across betas; probe k of every
+    beta samples its paths from the seed seed + 31 k.  Every bound is computed
+    before any path is sampled, so an order whose bound overflows fails at
+    once; a position beyond the site count fails at that beta's first estimate.
     """
-    betas = [V.at_slots(beta) for beta in betas]
     for beta in betas:
         _xi_derivative_bounds(beta, t, variance)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -297,11 +296,10 @@ def check_mixed_derivative_bound(family, m, t, alpha, beta,
     for size in lambda_sizes:
         V = family(size)
         c_m = V.certified_cm(m)
-        alpha_sites, beta_sites = V.at_slots(alpha), V.at_slots(beta)
-        bound = mixed_derivative_bound(alpha_sites, beta_sites, m, t, c_m, variance)
+        bound = mixed_derivative_bound(alpha, beta, m, t, c_m, variance)
         estimates = _estimate_probes(
             _spawned_probes(V, t, seed, key=size, seed_stride=7919),
-            n_paths, n_steps, variance, n_workers, alpha_sites, beta_sites,
+            n_paths, n_steps, variance, n_workers, alpha, beta,
         )
         reports.append(_report(
             f"mixed-derivative-bound[size={size}]", bound, estimates,
@@ -327,11 +325,10 @@ def class_membership(family, m, t, n_paths, n_steps, seed,
     params = SymbolClassParams(1.0, rho, delta, m)
     reports = []
     for pair_index, (alpha, beta) in enumerate(CLASS_INDEX_PAIRS):
-        alpha_sites, beta_sites = V.at_slots(alpha), V.at_slots(beta)
-        bound = params.bound_for(alpha_sites, beta_sites, V.sites)
+        bound = params.bound_for(alpha, beta)
         estimates = _estimate_probes(
             _spawned_probes(V, t, seed, key=pair_index, seed_stride=104729),
-            n_paths, n_steps, variance, n_workers, alpha_sites, beta_sites,
+            n_paths, n_steps, variance, n_workers, alpha, beta,
         )
         label = f"class-bound[alpha={alpha.to_text() or '0'};beta={beta.to_text() or '0'}]"
         reports.append(_report(label, bound, estimates, {"bound": bound}))

@@ -383,21 +383,12 @@ def _parse_index(text: str, what: str) -> MultiIndex:
         raise ConfigError(f"invalid {what} multi-index {text!r}: {err}") from err
 
 
-def _site_index(V, text: str, what: str) -> MultiIndex:
-    """A multi-index by site position, as ``xi_sweep.site_index``; tuple keys name sites."""
-    index = _parse_index(text, what)
-    try:
-        return index if all(isinstance(s, tuple) for s in index.support) else V.at_slots(index)
-    except ValueError as err:
-        raise ConfigError(f"invalid {what} multi-index {text!r}: {err}") from err
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_estimate(config, n_workers):
     V = potential_from_json(config["potential"])
-    alpha, beta = (_site_index(V, config[key], key) for key in ("alpha", "beta"))
+    alpha, beta = (_parse_index(config[key], key) for key in ("alpha", "beta"))
     # row 0 is the configured frequency, rows 1.. the sweep; one path set serves all
     xi = np.array([config["xi"]], dtype=float)
     sweep = config["xi_sweep"]

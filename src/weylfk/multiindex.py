@@ -1,34 +1,28 @@
-"""Sparse multi-indices over finite site sets, and their sub-index enumeration.
+"""Sparse multi-indices over coordinate positions, and their sub-index enumeration.
 
-Sites are opaque identifiers: plain integers, or tuples of integers when a
-site carries lattice coordinates.  A multi-index stores only its nonzero
-orders, so the empty index is the zero index.
+A multi-index assigns derivative orders to the coordinates of R^n, one per
+site, each addressed by its position 0..n-1 in the site list.  It stores only
+its nonzero orders, so the empty index is the zero index.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
-
-Site = Union[int, tuple]
+from typing import Iterable, Mapping
 
 
-def _check_site(site) -> Site:
-    if isinstance(site, bool):
-        raise TypeError(f"invalid site {site!r}")
-    if isinstance(site, int):
-        return site
-    if isinstance(site, tuple) and site and all(
-        isinstance(c, int) and not isinstance(c, bool) for c in site
-    ):
-        return site
-    raise TypeError(f"invalid site {site!r}: expected an int or a tuple of ints")
+def _check_site(site) -> int:
+    if isinstance(site, bool) or not isinstance(site, int):
+        raise TypeError(f"invalid site {site!r}: expected a position, an int >= 0")
+    if site < 0:
+        raise ValueError(f"invalid site {site!r}: a position is >= 0")
+    return site
 
 
 @dataclass(frozen=True)
 class MultiIndex:
-    """Assignment of positive derivative orders to finitely many sites."""
+    """Assignment of positive derivative orders to finitely many site positions."""
 
     entries: tuple = ()
 
@@ -44,9 +38,6 @@ class MultiIndex:
                 raise ValueError(f"order for site {site!r} is negative")
             if order:
                 kept.append((_check_site(site), order))
-        kinds = {type(site) for site, _ in kept}
-        if len(kinds) > 1:
-            raise TypeError("sites must be all integers or all coordinate tuples")
         kept.sort(key=lambda kv: kv[0])
         for (a, _), (b, _) in zip(kept, kept[1:]):
             if a == b:
@@ -77,7 +68,7 @@ class MultiIndex:
 
     def to_text(self) -> str:
         """Render as "site:order,site:order" with sites sorted."""
-        return ",".join(f"{_site_text(site)}:{order}" for site, order in self.entries)
+        return ",".join(f"{site}:{order}" for site, order in self.entries)
 
     def __str__(self) -> str:
         return self.to_text()
@@ -86,53 +77,18 @@ class MultiIndex:
 ZERO_INDEX = MultiIndex()
 
 
-def _site_text(site) -> str:
-    if isinstance(site, tuple):
-        return "(" + ",".join(str(c) for c in site) + ")"
-    return str(site)
-
-
 def from_text(text: str) -> MultiIndex:
     """Parse the textual form produced by :meth:`MultiIndex.to_text`."""
     text = text.strip()
     if not text:
         return ZERO_INDEX
     pairs = []
-    for token in _split_top_level(text):
+    for token in text.split(","):
         site_part, sep, order_part = token.rpartition(":")
         if not sep:
             raise ValueError(f"malformed multi-index token {token!r}")
-        pairs.append((_parse_site(site_part.strip()), int(order_part)))
-    if len({type(site) for site, _ in pairs}) > 1:
-        raise ValueError(f"sites in {text!r} are not all integers or all coordinate tuples")
+        pairs.append((int(site_part), int(order_part)))
     return MultiIndex.of(pairs)
-
-
-def _split_top_level(text: str) -> list:
-    tokens, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced parentheses in {text!r}")
-        elif ch == "," and depth == 0:
-            tokens.append(text[start:i])
-            start = i + 1
-    if depth:
-        raise ValueError(f"unbalanced parentheses in {text!r}")
-    tokens.append(text[start:])
-    return tokens
-
-
-def _parse_site(token: str):
-    if token.startswith("(") and token.endswith(")"):
-        inner = token[1:-1].strip()
-        if not inner:
-            raise ValueError(f"empty coordinate tuple in {token!r}")
-        return tuple(int(c) for c in inner.split(","))
-    return int(token)
 
 
 def sub_multiindices(a: MultiIndex) -> list:

@@ -75,15 +75,23 @@ class ScalarFunction:
         return worst
 
 
+def _float(v) -> float:
+    """float(v), or inf for an integer beyond float range, which the checks reject."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf
+
+
 def _amplitude(amplitude) -> float:
-    a = float(amplitude)
+    a = _float(amplitude)
     if not 0 <= a < math.inf:
         raise ValueError(f"amplitude must be finite and >= 0, not {amplitude!r}")
     return a
 
 
 def _validate_amp_width(amplitude, width):
-    a, w = _amplitude(amplitude), float(width)
+    a, w = _amplitude(amplitude), _float(width)
     if not 0 < w < math.inf:
         raise ValueError(f"width must be finite and positive, not {width!r}")
     return a, w
@@ -278,8 +286,7 @@ class PotentialSpec:
 
     def __init__(self, sites):
         self.sites = tuple(sites)
-        self._site_pos = {site: i for i, site in enumerate(self.sites)}
-        if len(self._site_pos) != len(self.sites):
+        if len(set(self.sites)) != len(self.sites):
             raise ValueError("duplicate sites")
 
     @property
@@ -295,26 +302,21 @@ class PotentialSpec:
             )
         return x
 
-    def at_slots(self, index: MultiIndex) -> MultiIndex:
-        """Map a multi-index over site positions 0..n_sites-1 onto the sites."""
-        entries = {}
-        for slot, order in index.entries:
-            if not isinstance(slot, int) or not 0 <= slot < self.n_sites:
-                raise ValueError(
-                    f"multi-index slot {slot!r} is not a site position: "
-                    f"the site count is {self.n_sites}"
-                )
-            entries[self.sites[slot]] = order
-        return MultiIndex.of(entries)
-
     def eval(self, x):
         raise NotImplementedError
 
+    def check_positions(self, *indices: MultiIndex):
+        """Raise ValueError unless every index addresses positions 0..n_sites-1."""
+        for index in indices:
+            for pos in index.support:
+                if pos >= self.n_sites:
+                    raise ValueError(f"multi-index site {pos!r} is not a site position: "
+                                     f"the site count is {self.n_sites}")
+
     def partial(self, alpha: MultiIndex, x):
-        """The partial derivative of order alpha (keyed by site) at the points x."""
-        for site in alpha.support:
-            if site not in self._site_pos:
-                raise ValueError(f"multi-index site {site!r} is not in the site list")
+        """The partial derivative of order alpha at the points x; alpha addresses
+        each coordinate by its position 0..n_sites-1 in the site list."""
+        self.check_positions(alpha)
         x = self._as_points(x)
         if alpha.is_zero():
             return self.eval(x)
@@ -375,7 +377,7 @@ class PairPotential(PotentialSpec):
 
     def _partial(self, alpha, x):
         m = alpha.order
-        support = [self._site_pos[s] for s in alpha.support]
+        support = alpha.support
         total = np.zeros(x.shape[:-1])
         if len(support) == 1:
             (j,) = support
@@ -385,7 +387,7 @@ class PairPotential(PotentialSpec):
                 total += 2.0 * self.pair.derivative(m, x[..., j] - x[..., k])
         elif len(support) == 2 and support[1] in self._partners[support[0]]:
             j, k = support
-            sign = (-1.0) ** alpha.get(self.sites[k])
+            sign = (-1.0) ** alpha.get(k)
             total += 2.0 * sign * self.pair.derivative(m, x[..., j] - x[..., k])
         return total / self._divisor
 

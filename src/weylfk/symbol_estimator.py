@@ -171,12 +171,10 @@ def estimate_mixed_derivative(V, point: PhasePoint, t, n_paths, n_steps, seed, *
         raise ValueError(
             f"phase point has {point.x.shape[0]} coordinates, potential has {V.n_sites}"
         )
-    for site in alpha.support + beta.support:
-        if site not in V.sites:
-            raise ValueError(f"multi-index site {site!r} is not a potential site")
+    V.check_positions(alpha, beta)
 
     dt = t / n_steps
-    beta_vec = np.array([beta.get(s) for s in V.sites], dtype=int)
+    beta_vec = np.array([beta.get(j) for j in range(V.n_sites)], dtype=int)
     alpha_subs = () if alpha.is_zero() else sub_multiindices(alpha)
 
     def run_chunk(args):

@@ -308,7 +308,7 @@ def test_criterion_9_cli_determinism(tmp_path):
             "G": {"name": "lorentzian"},
         },
         "x": [0.3, -0.1], "xi": [0.8, -0.4], "t": 0.6, "seed": 2718,
-        "alpha": "", "beta": "(0):1",
+        "alpha": "", "beta": "0:1",
         "n_paths": 20_000, "n_steps": 12, "chunk_size": 1024,
         "xi_sweep": {"site_index": 0, "start": -1.5, "stop": 1.5, "count": 4},
         "output": str(out), "csv_output": str(csv),

@@ -273,7 +273,7 @@ class TestClassMembership:
 
     def test_bound_for_expansion(self):
         params = SymbolClassParams(1.0, [2.0, 2.0], [0.5, 0.5], 1)
-        value = params.bound_for(mi({0: 1}), mi({1: 1}), (0, 1))
+        value = params.bound_for(mi({0: 1}), mi({1: 1}))
         assert value == pytest.approx(2.0 * 0.5)
 
     def test_zero_budget_params(self):

@@ -6,6 +6,7 @@ import re
 import time
 import tracemalloc
 import warnings
+from contextlib import nullcontext
 from pathlib import Path
 
 import jsonschema
@@ -317,8 +318,11 @@ class TestExitCodes:
     ], ids=["moments-gamma", "bound-gamma", "xi-deriv-gamma", "class-m", "oracle-huge-grid",
             "oracle-tiny-grid", "estimate-variance"])
     def test_arithmetic_overflow_is_numerical_failure(self, subcommand, config, capsys):
-        # overflow or division by zero in the arithmetic exits 2, without a traceback
-        assert cli.main([subcommand, json.dumps(config)]) == 2
+        # overflow or division by zero in the arithmetic exits 2, without a traceback;
+        # numpy warns of the overflow in the estimate's variance
+        warns = pytest.warns(RuntimeWarning) if subcommand == "estimate" else nullcontext()
+        with warns:
+            assert cli.main([subcommand, json.dumps(config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:")
         assert "Traceback" not in err
@@ -334,7 +338,8 @@ class TestExitCodes:
             "n_paths": 64, "n_steps": 4,
         }
         start = time.perf_counter()
-        assert cli.main(["estimate", json.dumps(config)]) == 2
+        with pytest.warns(RuntimeWarning):
+            assert cli.main(["estimate", json.dumps(config)]) == 2
         assert time.perf_counter() - start < 10.0
         assert capsys.readouterr().err.startswith("numerical failure:")
 
@@ -406,24 +411,34 @@ class TestExitCodes:
             assert cli.main([subcommand, json.dumps(config)]) == 1
             assert "per-site position orders at most 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("config", [
-        {"suite": "xi-deriv", "seed": 1, "betas": ["5:1"], "n_points": 1,
-         "n_paths": 64},
-        {"suite": "mixed-deriv", "seed": 2,
-         "family": {"family": "mean_field", "G": {"name": "lorentzian"}},
-         "m": 1, "t": 0.5, "alpha": "3:1", "beta": "",
-         "lambda_sizes": [2], "n_paths": 64, "n_steps": 2},
-        {"suite": "mixed-deriv", "seed": 2,
-         "family": {"family": "mean_field", "G": {"name": "lorentzian"}},
-         "m": 1, "t": 0.5, "alpha": "(0):1", "beta": "",
-         "lambda_sizes": [2], "n_paths": 64, "n_steps": 2},
+    @pytest.mark.parametrize("config, message", [
+        ({"suite": "xi-deriv", "seed": 1, "betas": ["5:1"], "n_points": 1,
+          "n_paths": 64}, "is not a site position"),
+        ({"suite": "mixed-deriv", "seed": 2,
+          "family": {"family": "mean_field", "G": {"name": "lorentzian"}},
+          "m": 1, "t": 0.5, "alpha": "3:1", "beta": "",
+          "lambda_sizes": [2], "n_paths": 64, "n_steps": 2}, "is not a site position"),
+        # a lattice coordinate tuple is not a position: the index is malformed
+        ({"suite": "mixed-deriv", "seed": 2,
+          "family": {"family": "mean_field", "G": {"name": "lorentzian"}},
+          "m": 1, "t": 0.5, "alpha": "(0):1", "beta": "",
+          "lambda_sizes": [2], "n_paths": 64, "n_steps": 2},
+         "invalid alpha multi-index '(0):1'"),
     ], ids=["xi-deriv-slot-5", "mixed-deriv-slot-3", "mixed-deriv-tuple-slot"])
-    def test_slot_outside_site_list_is_config_error(self, config, capsys):
-        # slot-indexed multi-indices address site positions 0..n_sites-1
+    def test_slot_outside_site_list_is_config_error(self, config, message, capsys):
+        # multi-indices address site positions 0..n_sites-1
         assert cli.main(["verify", json.dumps(config)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:")
-        assert "is not a site position" in err
+        assert message in err
+
+    def test_estimate_lattice_site_key_is_config_error(self, capsys):
+        config = {"potential": harmonic_potential_json(), "alpha": "(0):1",
+                  "x": [0.0], "xi": [0.5], "t": 0.5, "seed": 1, "n_paths": 64}
+        assert cli.main(["estimate", json.dumps(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid alpha multi-index '(0):1'")
+        assert "Traceback" not in err
 
     def test_verify_violation_is_three(self, monkeypatch):
         from weylfk.symbol_estimator import SymbolEstimate
@@ -595,7 +610,7 @@ class TestSubcommands:
     def test_estimate_third_order_position_derivative(self):
         code, doc = run("estimate", {
             "potential": harmonic_potential_json(),
-            "x": [0.6], "xi": [0.5], "t": 0.25, "seed": 3, "alpha": "(0):3",
+            "x": [0.6], "xi": [0.5], "t": 0.25, "seed": 3, "alpha": "0:3",
             "n_paths": 2000, "n_steps": 8,
         })
         assert code == 0
@@ -613,8 +628,6 @@ class TestSubcommands:
         code, doc = run("estimate", config | {"alpha": "0:1", "beta": "1:1"})
         assert code == 0
         assert math.isfinite(doc["results"]["value_re"])
-        _, by_site = run("estimate", config | {"alpha": "(0):1", "beta": "(1):1"})
-        assert by_site["results"] == doc["results"]
         assert cli.main(["estimate", json.dumps(config | {"alpha": "3:1"})]) == 1
         assert "is not a site position" in capsys.readouterr().err
 

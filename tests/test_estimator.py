@@ -286,7 +286,7 @@ class TestPositionDerivative:
 
     def test_unknown_site_rejected(self):
         V = harmonic_1site()
-        with pytest.raises(ValueError, match="not a potential site"):
+        with pytest.raises(ValueError, match="is not a site position"):
             estimate_position_derivative(V, PhasePoint([0.0], [0.0]), 0.5,
                                          mi({7: 1}), 100, 4, seed=0)
 
@@ -298,10 +298,8 @@ def stencil_reference(V, point, t, alpha, n_paths, n_steps, seed):
     reuses the estimator's first-chunk paths (common random numbers).
     """
     h = 0.01 * math.sqrt(GEN.sigma2 * t)
-    pos = {site: i for i, site in enumerate(V.sites)}
     axes = []
-    for site, order in alpha.entries:
-        i = pos[site]
+    for i, order in alpha.entries:
         if order == 1:
             axes.append([(i, h, 0.5 / h), (i, -h, -0.5 / h)])
         else:
@@ -339,12 +337,29 @@ class TestStencilReference:
     def test_common_random_numbers_agree(self, V, alpha):
         # on the same paths the two estimators differ only by the stencil's
         # O(h^2) bias, far below the statistical error
-        alpha = V.at_slots(from_text(alpha))
+        alpha = from_text(alpha)
         rng = np.random.default_rng(5)
         point = PhasePoint(rng.uniform(-1, 1, 8), rng.uniform(-1, 1, 8))
         est = estimate_position_derivative(V, point, 0.5, alpha, 4000, 16, seed=19)
         reference = stencil_reference(V, point, 0.5, alpha, 4000, 16, seed=19)
         assert abs(est.value - reference) <= 0.05 * est.stderr
+
+
+class TestSiteLabels:
+    def test_labels_do_not_change_positional_derivatives(self):
+        # a mean field's site labels only name its sites: indices address
+        # positions, so relabelling changes no bit of a partial or an estimate
+        G = lorentzian_function(1.3, 0.8)
+        labelled, plain = (MeanFieldPotential(sites, G) for sites in ([5, 3, 9], range(3)))
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(4, 3))
+        point = PhasePoint(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
+        for alpha, beta in [(mi({0: 1}), mi({2: 1})), (mi({1: 1, 2: 1}), mi({0: 2}))]:
+            assert labelled.partial(alpha, x).tobytes() == plain.partial(alpha, x).tobytes()
+            a, b = (estimate_mixed_derivative(V, point, 0.5, 200, 8, seed=4,
+                                              alpha=alpha, beta=beta)
+                    for V in (labelled, plain))
+            assert (a.value, a.stderr) == (b.value, b.stderr)
 
 
 class TestMixedDerivative:
@@ -438,7 +453,7 @@ class TestSubBatches:
         for points in (33, 7 * 33, symbol_estimator.SUB_BATCH_POINTS, 1 << 30):
             monkeypatch.setattr(symbol_estimator, "SUB_BATCH_POINTS", points)
             est = estimate_mixed_derivative(V, point, 0.5, 800, 32, seed=13,
-                                            alpha=V.at_slots(from_text(alpha)),
+                                            alpha=from_text(alpha),
                                             chunk_size=300, n_workers=2)
             digests.append(hashlib.sha256(
                 repr((est.value.tolist(), est.stderr.tolist())).encode()).hexdigest())

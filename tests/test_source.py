@@ -134,3 +134,11 @@ def test_no_defaulted_parameter_is_a_constant():
     assert [label for label, args in _defaulted_parameters()
             if args and all(isinstance(a, ast.Constant) for a in args)
             and len({ast.dump(a) for a in args}) == 1] == []
+
+
+def test_only_potentials_reads_site_labels():
+    # multi-indices address coordinates by position; a site's label only
+    # places it on the lattice, which potentials alone needs
+    assert [f"{file}:{node.lineno}" for file, tree, _ in _modules()
+            if file != "potentials.py" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "sites"] == []
