@@ -1,4 +1,4 @@
-"""Discretized Brownian path sampling and exact Gaussian absolute moments.
+"""Brownian path sampling, exact Gaussian absolute moments, and chunked sample statistics.
 
 Paths vanish at time zero and accumulate independent Gaussian increments on a
 uniform time grid.  The per-unit-time coordinate variance is an explicit
@@ -39,7 +39,7 @@ class VariancePreset(enum.Enum):
 
 
 DEFAULT_PRESET = VariancePreset.GENERATOR_LAPLACIAN
-ENDPOINT_CHUNK = 1 << 16  # paths per chunk of absolute_moment_samples
+ENDPOINT_CHUNK = 1 << 16  # paths per chunk of absolute_moment_estimate
 
 
 def sample_path_batch(rng, n_paths, t, n_steps, n_sites, variance=DEFAULT_PRESET, out=None):
@@ -75,38 +75,52 @@ def sample_path_batch(rng, n_paths, t, n_steps, n_sites, variance=DEFAULT_PRESET
     return paths
 
 
-def absolute_moment_samples(rng, beta: MultiIndex, n_paths, t, variance=DEFAULT_PRESET):
-    """prod_j |x_j(t)|^(beta_j) at n_paths sampled endpoints (1 where beta is zero).
+def _moment_chunks(rng, beta: MultiIndex, n_paths, t, variance):
+    """Yield prod_j |x_j(t)|^(beta_j) (1 where beta is zero) at n_paths endpoints of
+    one-step paths, chunk by chunk, into one array and one pair of buffers.
 
-    The endpoints are those of one-step paths, sampled in chunks into one
-    pair of buffers so memory stays bounded; consecutive chunks continue one
-    stream.  Each chunk holds at least ENDPOINT_CHUNK paths (the remainder
-    joins the last one): numpy rounds an array power differently on a few
-    thousand elements than on many, and chunks this large keep the samples
-    bitwise equal to one batch.
+    Consecutive chunks continue one stream.  Each holds at least ENDPOINT_CHUNK
+    paths (the remainder joins the last one): numpy rounds an array power
+    differently on a few thousand elements than on many, and chunks this large
+    keep the samples bitwise equal to one batch.
     """
     orders = np.array([order for _, order in beta.entries], dtype=int)
     n_sites = max(len(orders), 1)
-    samples = np.empty(n_paths)
-    cuts = list(range(ENDPOINT_CHUNK, n_paths - ENDPOINT_CHUNK + 1, ENDPOINT_CHUNK))
-    chunks = list(zip([0] + cuts, cuts + [n_paths]))
-    buffers = np.empty((2, 2 * n_sites * (chunks[-1][1] - chunks[-1][0])))  # the largest
-    for lo, hi in chunks:
-        paths = sample_path_batch(rng, hi - lo, t, 1, n_sites, variance, buffers)
-        np.prod(np.abs(paths[:, -1, : len(orders)]) ** orders, axis=1, out=samples[lo:hi])
-    return samples
+    sizes = [ENDPOINT_CHUNK] * max(n_paths // ENDPOINT_CHUNK - 1, 0)
+    sizes.append(n_paths - sum(sizes))  # the largest
+    buffers, samples = np.empty((2, 2 * n_sites * sizes[-1])), np.empty(sizes[-1])
+    for n in sizes:
+        paths = sample_path_batch(rng, n, t, 1, n_sites, variance, buffers)
+        yield np.prod(np.abs(paths[:, -1, : len(orders)]) ** orders, axis=1, out=samples[:n])
+
+
+def mean_and_stderr(chunks):
+    """Mean and standard error (inf for one sample, NaN for an overflowed second
+    moment) of chunks given in order as (count, total, sum of squared moduli about
+    the chunk mean), merged by Chan, Golub & LeVeque's (1983) cancellation-free update."""
+    count, total, m2 = 0, 0.0, 0.0
+    for n, chunk_total, chunk_m2 in chunks:
+        if count:
+            delta = chunk_total / n - total / count
+            m2 = m2 + abs(delta) ** 2 * (count * n / (count + n))
+        count, total, m2 = count + n, total + chunk_total, m2 + chunk_m2
+    mean = total / count
+    if count == 1:
+        return mean, np.full_like(m2, math.inf)
+    var = m2 / (count - 1)
+    return mean, np.sqrt(np.where(np.isfinite(var), var, np.nan) / count)
 
 
 def absolute_moment_estimate(rng, beta: MultiIndex, n_paths, t, variance=DEFAULT_PRESET):
-    """Mean of absolute_moment_samples and its standard error (inf for one path); the
-    variance is samples.std(ddof=1)'s operations, bitwise, in place on the samples."""
-    samples = absolute_moment_samples(rng, beta, n_paths, t, variance)
-    mean = samples.mean()
-    if n_paths < 2:
-        return float(mean), math.inf
-    samples -= mean
-    np.multiply(samples, samples, out=samples)
-    return float(mean), float(np.sqrt(samples.sum() / (n_paths - 1)) / math.sqrt(n_paths))
+    """Mean of prod_j |x_j(t)|^(beta_j) over n_paths sampled endpoints and its
+    standard error, in the memory of one chunk."""
+    def centred(samples):  # in place, and no BLAS: np.dot would run its threads
+        n, total = len(samples), samples.sum()
+        samples -= total / n
+        return n, total, np.multiply(samples, samples, out=samples).sum()
+
+    mean, stderr = mean_and_stderr(map(centred, _moment_chunks(rng, beta, n_paths, t, variance)))
+    return float(mean), float(stderr)
 
 
 def abs_moment_constant(k: int) -> float:

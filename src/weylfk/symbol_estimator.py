@@ -17,21 +17,20 @@ derived from (master seed, chunk index), in site-major sub-batches of
 SUB_BATCH_POINTS path points held in two buffers the chunk owns, and shifts
 it about x forward, then backward; _weight gives exp(-action), or its alpha
 derivative, on each; _pair_sums forms the beta moment, one phase per xi and
-the pair averages, and returns six sums per frequency.  _reduce adds the
-chunks in order and forms every mean and standard error at once, so results
-are bit-identical for any worker count or sub-batch size, and each of a batch
-of frequencies (sharing one path set) is bit-identical to its lone call.
+the pair averages, and returns per-xi totals and centred sums of squares.
+brownian.mean_and_stderr merges chunks in order, so results are bit-identical
+for any worker count or sub-batch size, and each of a batch of frequencies
+(sharing one path set) is bit-identical to its lone call.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .brownian import DEFAULT_PRESET, sample_path_batch
+from .brownian import DEFAULT_PRESET, mean_and_stderr, sample_path_batch
 from .faadibruno import derivative_of_exponential
 from .multiindex import MultiIndex, ZERO_INDEX, sub_multiindices
 
@@ -111,35 +110,22 @@ def _weight(V, path, dt, alpha, alpha_subs):
 
 
 def _pair_sums(endpoint, weights, beta_vec, xis):
-    """Per xi: the pair averages' sum (re, im), sums of re and im, and of their squares."""
+    """The chunk's entry for mean_and_stderr: pair count, per-xi totals and centred m2."""
     forward, backward = weights
     if beta_vec.any():
         moment = np.prod((-1j * endpoint) ** beta_vec, axis=-1)
         reflected = moment * (-1.0) ** int(beta_vec.sum())
     else:
         moment = reflected = np.ones(len(endpoint), dtype=complex)
-    sums = np.empty((len(xis), 6))
-    for row, xi in zip(sums, xis):
+    totals, m2 = np.empty(len(xis), dtype=complex), np.empty(len(xis))
+    for k, xi in enumerate(xis):
         # each phase is its own matrix-vector product, so its bits match a lone call
         phase = np.exp(-1j * (endpoint @ xi))
         combined = 0.5 * (moment * phase * forward + reflected * np.conj(phase) * backward)
-        re, im, total = combined.real, combined.imag, combined.sum()
-        row[:] = total.real, total.imag, re.sum(), im.sum(), (re**2).sum(), (im**2).sum()
-    return sums
-
-
-def _reduce(chunk_sums, count):
-    """Per-xi means and standard errors of (chunks, k, 6) pair sums, added in chunk order."""
-    total_re, total_im, re, im, re2, im2 = np.sum(chunk_sums, axis=0).T
-    mean = (total_re + 1j * total_im) / count
-    if count == 1:
-        return mean, np.full(len(mean), math.inf)
-    var_re = (re2 - re**2 / count) / (count - 1)
-    var_im = (im2 - im**2 / count) / (count - 1)
-    # a small negative variance is roundoff; an overflowed one is unknown
-    var = np.where(np.isfinite(var_re + var_im),
-                   np.maximum(var_re, 0.0) + np.maximum(var_im, 0.0), np.nan)
-    return mean, np.sqrt(var / count)
+        totals[k] = combined.sum()
+        dev = combined - totals[k] / len(combined)
+        m2[k] = (dev.real**2).sum() + (dev.imag**2).sum()
+    return len(endpoint), totals, m2
 
 
 def estimate_mixed_derivative(V, point: PhasePoint, t, n_paths, n_steps, seed, *,
@@ -190,10 +176,10 @@ def estimate_mixed_derivative(V, point: PhasePoint, t, n_paths, n_steps, seed, *
     tasks = list(enumerate(_chunk_sizes(n_paths // 2, chunk_size)))
     if n_workers > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            chunk_sums = list(pool.map(run_chunk, tasks))
+            chunk_stats = list(pool.map(run_chunk, tasks))
     else:
-        chunk_sums = [run_chunk(task) for task in tasks]
-    means, stderrs = _reduce(chunk_sums, n_paths // 2)  # in chunk order
+        chunk_stats = [run_chunk(task) for task in tasks]
+    means, stderrs = mean_and_stderr(chunk_stats)  # in chunk order
     if point.xi.ndim == 1:
         means, stderrs = complex(means[0]), float(stderrs[0])
     return SymbolEstimate(means, stderrs, n_paths, n_steps, variance.tag, float(t))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from weylfk.brownian import (
     abs_moment_max,
     absolute_moment_estimate,
     absolute_moment_product,
-    absolute_moment_samples,
     sample_path_batch,
 )
 from weylfk.multiindex import MultiIndex
@@ -144,19 +144,31 @@ class TestSampledMoments:
         assert checked == 83
 
 
+def moment_chunks(rng, beta, n, t):
+    """Every sample of brownian._moment_chunks, copied out of its reused array."""
+    return np.concatenate([chunk.copy() for chunk in
+                           brownian._moment_chunks(rng, beta, n, t, GEN)])
+
+
+def one_batch_samples(seed, beta, n, t):
+    """The one-shot reference: every path from one sample_path_batch call,
+    reduced at once in its site-major layout."""
+    orders = np.array([order for _, order in beta.entries], dtype=int)
+    paths = sample_path_batch(np.random.default_rng(seed), n, t, 1, max(len(orders), 1))
+    return np.prod(np.abs(paths[:, -1, : len(orders)]) ** orders, axis=1)
+
+
+CHUNK_ENTRIES = [{}, {0: 2}, {0: 1, 1: 2, 2: 1}, {1: 3, 4: 1}]
+
+
 class TestChunkedMomentSamples:
     @pytest.mark.parametrize("n", [10_007, 2 * (1 << 16) + 5, 3 * (1 << 16) - 1])
-    @pytest.mark.parametrize("entries", [{}, {0: 2}, {0: 1, 1: 2, 2: 1}, {1: 3, 4: 1}])
+    @pytest.mark.parametrize("entries", CHUNK_ENTRIES)
     def test_bitwise_equal_to_one_batch(self, entries, n):
-        # the one-shot reference: every path from one sample_path_batch call,
-        # reduced at once in its site-major layout
         beta, t = MultiIndex.of(entries), 0.7
         assert brownian.ENDPOINT_CHUNK == 1 << 16
-        orders = np.array([order for _, order in beta.entries], dtype=int)
-        paths = sample_path_batch(np.random.default_rng(5), n, t, 1, max(len(orders), 1))
-        reference = np.prod(np.abs(paths[:, -1, : len(orders)]) ** orders, axis=1)
-        samples = absolute_moment_samples(np.random.default_rng(5), beta, n, t)
-        assert samples.tobytes() == reference.tobytes()
+        samples = moment_chunks(np.random.default_rng(5), beta, n, t)
+        assert samples.tobytes() == one_batch_samples(5, beta, n, t).tobytes()
 
     def test_chunks_hold_at_least_the_chunk_size(self, monkeypatch):
         sizes = []
@@ -167,10 +179,10 @@ class TestChunkedMomentSamples:
             return sample(rng, n_paths, *args)
 
         monkeypatch.setattr(brownian, "sample_path_batch", recorded)
-        absolute_moment_samples(np.random.default_rng(5), MultiIndex.of({0: 1}),
-                                3 * (1 << 16) - 1, 0.7)
+        chunks = brownian._moment_chunks(np.random.default_rng(5), MultiIndex.of({0: 1}),
+                                         3 * (1 << 16) - 1, 0.7, GEN)
+        assert [len(chunk) for chunk in chunks] == [1 << 16, 2 * (1 << 16) - 1]
         assert sizes == [1 << 16, 2 * (1 << 16) - 1]
-
 
     def test_chunks_share_one_pair_of_buffers(self, monkeypatch):
         buffers = []
@@ -181,26 +193,49 @@ class TestChunkedMomentSamples:
             return sample(rng, n_paths, *args)
 
         monkeypatch.setattr(brownian, "sample_path_batch", recorded)
-        absolute_moment_samples(np.random.default_rng(5), MultiIndex.of({0: 1, 1: 2}),
-                                3 * (1 << 16) - 1, 0.7)
+        chunks = list(brownian._moment_chunks(np.random.default_rng(5),
+                                              MultiIndex.of({0: 1, 1: 2}),
+                                              3 * (1 << 16) - 1, 0.7, GEN))
         assert len(buffers) == 2 and buffers[0] is buffers[1]
         # sized for the last (largest) chunk of one-step paths over two sites
         assert buffers[0].shape == (2, (2 * (1 << 16) - 1) * 2 * 2)
+        # and the samples of every chunk land in one array
+        assert chunks[0].base is chunks[1].base is not None
 
 
 class TestMomentEstimate:
-    @pytest.mark.parametrize("n", [2, 10_007, 2 * (1 << 16) + 5])
-    def test_mean_and_stderr_of_the_samples(self, n):
-        beta, t = MultiIndex.of({0: 2, 1: 1}), 0.5
-        samples = absolute_moment_samples(np.random.default_rng(9), beta, n, t)
+    @pytest.mark.parametrize("n", [2, 10_007, 2 * (1 << 16) + 5, 3 * (1 << 16) - 1])
+    @pytest.mark.parametrize("entries", CHUNK_ENTRIES)
+    def test_matches_an_exactly_rounded_reference(self, entries, n):
+        beta, t = MultiIndex.of(entries), 0.5
+        samples = one_batch_samples(9, beta, n, t)
+        ref_mean = math.fsum(samples) / n
+        ref_stderr = math.sqrt(math.fsum((samples - ref_mean) ** 2) / (n - 1) / n)
         mean, stderr = absolute_moment_estimate(np.random.default_rng(9), beta, n, t)
-        assert mean == float(samples.mean())
-        assert stderr == float(samples.std(ddof=1) / math.sqrt(n))
+        assert abs(mean - ref_mean) <= 1e-14 * abs(ref_mean)
+        assert abs(stderr - ref_stderr) <= 1e-14 * ref_stderr
 
     def test_single_path_has_infinite_stderr(self):
         _, stderr = absolute_moment_estimate(np.random.default_rng(1),
                                              MultiIndex.of({0: 1}), 1, 0.5)
         assert stderr == math.inf
+
+    def test_memory_bounded_in_paths(self):
+        # every sample held at once peaked at 8.7 and 14.0 MB on these sizes;
+        # a first call also counts 0.7 MB of numpy's lazy set-up, so warm it
+        beta, peaks = MultiIndex.of({0: 2, 1: 1}), []
+        absolute_moment_estimate(np.random.default_rng(4), beta, 2, 0.5)
+        for n in ((1 << 18) + 5, (1 << 20) + 5):
+            tracemalloc.start()
+            try:
+                absolute_moment_estimate(np.random.default_rng(4), beta, n, 0.5)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert max(peaks) < 8 * 2**20
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+
 
 class TestPresets:
     def test_tags(self):

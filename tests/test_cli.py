@@ -327,6 +327,16 @@ class TestExitCodes:
         assert err.startswith("numerical failure:")
         assert "Traceback" not in err
 
+    def test_moments_overflowed_second_moment_is_numerical_failure(self, capsys):
+        # the squared samples overflow while their mean does not: an infinite
+        # stderr would report a deviation of 0 stderr from the exact moment
+        config = {"beta": "0:300", "t": 0.5, "seed": 1, "n_paths": 20000}
+        with pytest.warns(RuntimeWarning):
+            assert cli.main(["moments", json.dumps(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("F", ["lorentzian", "harmonic"])
     def test_order_200_position_derivative_fails_quickly(self, F, capsys):
         # the Lorentzian's partials overflow; the harmonic well's estimate has

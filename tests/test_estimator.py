@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from weylfk import symbol_estimator
-from weylfk.brownian import VariancePreset, sample_path_batch
+from weylfk.brownian import VariancePreset, mean_and_stderr, sample_path_batch
 from weylfk.multiindex import MultiIndex, from_text
 from weylfk.potentials import (
     MeanFieldPotential,
@@ -496,54 +496,52 @@ class TestSubBatches:
         assert peak < 48 * 2**20  # the measured peak plus 20%
 
 
-def scalar_reduce(chunk_sums, count):
-    """The estimator's former reduction: one Python loop per frequency over
-    the chunks' (k, 6) pair sums, in chunk order."""
-    means, stderrs = [], []
-    for by_chunk in zip(*chunk_sums):
-        total = 0.0 + 0.0j
-        sum_re = sum_im = sum_re2 = sum_im2 = 0.0
-        for s_re, s_im, sre, sim, sre2, sim2 in by_chunk:
-            total += np.complex128(complex(s_re, s_im))
-            sum_re += sre
-            sum_im += sim
-            sum_re2 += sre2
-            sum_im2 += sim2
-        means.append(complex(total / count))
-        if count > 1:
-            var_re = (sum_re2 - sum_re**2 / count) / (count - 1)
-            var_im = (sum_im2 - sum_im**2 / count) / (count - 1)
-            var = (max(0.0, var_re) + max(0.0, var_im)
-                   if math.isfinite(var_re + var_im) else math.nan)
-            stderrs.append(math.sqrt(var / count))
-        else:
-            stderrs.append(math.inf)
-    return np.array(means), np.array(stderrs)
+def chunk_stats(values):
+    """A chunk's entry for mean_and_stderr, as _pair_sums forms it from its pair values."""
+    total = values.sum()
+    dev = values - total / len(values)
+    return len(values), np.array([total]), np.array([(dev.real**2).sum() + (dev.imag**2).sum()])
+
+
+def exact_reduce(chunks):
+    """Mean and standard error of every chunk's pair values together: the
+    mean of the totals added in chunk order, the spread exactly rounded."""
+    values = np.concatenate(chunks)
+    total = 0.0 + 0.0j
+    for chunk in chunks:
+        total += np.complex128(chunk.sum())
+    mean = total / len(values)
+    ref_re, ref_im = math.fsum(values.real) / len(values), math.fsum(values.imag) / len(values)
+    var = math.fsum(np.concatenate([(values.real - ref_re) ** 2, (values.imag - ref_im) ** 2]))
+    return mean, math.sqrt(var / (len(values) - 1) / len(values))
 
 
 class TestReducer:
-    @staticmethod
-    def assert_bitwise(chunk_sums, count):
-        mean, stderr = symbol_estimator._reduce(chunk_sums, count)
-        ref_mean, ref_stderr = scalar_reduce(chunk_sums, count)
-        assert mean.tobytes() == ref_mean.tobytes()
-        assert stderr.tobytes() == ref_stderr.tobytes()
-        return stderr
-
+    # at a spread of 1e-9 about 0.3 the raw second moment minus the squared
+    # mean cancels to nothing; the centred merge keeps the spread, to the
+    # roundoff of the chunk means, eps * 0.36 / 1e-9 = 8e-8 of it at most
+    @pytest.mark.parametrize("spread, rel", [(1.0, 1e-14), (1e-9, 1e-8)])
     @pytest.mark.parametrize("n_chunks", [1, 3, 17])
-    def test_bitwise_equal_to_scalar_loop(self, n_chunks):
+    def test_matches_an_exact_reference(self, n_chunks, spread, rel):
         rng = np.random.default_rng(n_chunks)
-        count = 1000 * n_chunks
-        chunk_sums = []
-        for _ in range(n_chunks):
-            sums = rng.uniform(-300.0, 300.0, (5, 6))
-            sums[:, 4:] = rng.uniform(0.0, 400.0, (5, 2))  # sums of squares
-            sums[0, :4] = -0.0  # signed zeros start from zero, as the loop did
-            chunk_sums.append(sums)
-        self.assert_bitwise(chunk_sums, count)
+        chunks = [0.3 - 0.2j + spread * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                  for n in rng.integers(1, 2000, n_chunks)]
+        mean, stderr = mean_and_stderr([chunk_stats(c) for c in chunks])
+        ref_mean, ref_stderr = exact_reduce(chunks)
+        assert mean.tobytes() == np.array([ref_mean]).tobytes()
+        assert abs(stderr[0] - ref_stderr) <= rel * ref_stderr
+
+    def test_near_deterministic_pair_values_keep_their_stderr(self):
+        # the raw-moment reduction reported 0 here; the pair value's variance is
+        # expm1(-xi^2)^2 / 2 for the free symbol at small xi
+        xi, n_paths = 1e-4, 200_000
+        est = estimate_mixed_derivative(zero_potential([0]), PhasePoint([0.3], [xi]),
+                                        0.5, n_paths, 4, seed=5)
+        analytic = math.sqrt(math.expm1(-xi * xi) ** 2 / 2 / (n_paths // 2))
+        assert est.stderr == pytest.approx(analytic, rel=0.05)
 
     def test_single_pair_has_infinite_stderr(self):
-        stderr = self.assert_bitwise([np.full((2, 6), 0.5)], 1)
+        _, stderr = mean_and_stderr([(1, np.full(2, 0.5 + 0.5j), np.zeros(2))])
         assert np.all(np.isinf(stderr))
         est = estimate_mixed_derivative(zero_potential([0]), PhasePoint([0.0], [0.5]),
                                         0.5, 2, 4, seed=3)
@@ -551,16 +549,7 @@ class TestReducer:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowed_second_moment_is_nan(self):
-        sums = np.array([[1.0, 0.0, 1.0, 0.0, 1e308, 0.0]] * 3)
-        stderr = self.assert_bitwise([sums, sums], 4)
+        chunk = (2, np.ones(3, dtype=complex), np.full(3, 1e308))
+        _, stderr = mean_and_stderr([chunk, chunk])
         assert np.all(np.isnan(stderr))
 
-    def test_small_negative_variance_clamped(self):
-        # n equal values: the second moment falls one ulp below sum^2 / n
-        count, value = 3, 0.1
-        sum_re = value * count
-        sum_re2 = np.nextafter(sum_re**2 / count, 0.0)
-        sums = np.array([[sum_re, 0.0, sum_re, 0.0, sum_re2, 0.0]])
-        stderr = self.assert_bitwise([sums], count)
-        assert (sum_re2 - sum_re**2 / count) < 0.0
-        assert stderr.tolist() == [0.0]
