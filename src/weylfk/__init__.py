@@ -52,7 +52,6 @@ from .oracle import (
     SupportError,
     build_hamiltonian,
     semigroup_symbol_at,
-    wigner,
 )
 from .potentials import (
     MeanFieldPotential,

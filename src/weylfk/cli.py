@@ -308,6 +308,17 @@ SCHEMAS = {
 }
 
 
+# the keys each verify suite reads, besides "suite", "seed" and the output keys
+_MC_KEYS = {"preset", "n_paths", "n_steps"}
+SUITE_KEYS = {
+    "linf": {"n_points", *_MC_KEYS},
+    "xi-deriv": {"potential", "betas", "t", "n_points", *_MC_KEYS},
+    "l1": {"potential", "t", "xi", "grid"},
+    "mixed-deriv": {"family", "m", "t", "alpha", "beta", "lambda_sizes", *_MC_KEYS},
+    "class": {"family", "m", "t", "lambda_size", *_MC_KEYS},
+}
+
+
 def apply_defaults(schema: dict, config):
     """Materialize schema defaults into a copy of the config."""
     if schema.get("type") == "object" and isinstance(config, dict):
@@ -357,6 +368,11 @@ def validate_config(subcommand: str, config: dict) -> dict:
     if err is not None:
         field = err.json_path if err.json_path != "$" else "$ (top level)"
         raise ConfigError(f"invalid config at {field}: {err.message}") from err
+    if subcommand == "verify":  # an unread key would be echoed as if it had been used
+        suite = resolved["suite"]
+        unread = sorted(config.keys() - SUITE_KEYS[suite] - {"suite", "seed", *_OUTPUT_PROPS})
+        if unread:
+            raise ConfigError(f"suite {suite!r} does not read {', '.join(unread)}")
     return resolved
 
 

@@ -28,13 +28,15 @@ truncation into a hard error.  In any dimension the kernel entry (C + O,
 C - O) of a flat center C and flat signed offset O has the flat index
 C (N + 1) + O (N - 1), N = n^dim, and a half-grid center the half of
 S (N + 1) + D (N - 1), S and D the flat sum and difference of the pair: the
-transform, the decay check, the pointwise symbol and the Wigner transform all
-read the kernel there.  The transform streams bands of centers (ROW_BAND
-centers in 1-d, one first-axis center in 2-d), bitwise equal to transforming
-every center at once.  No full-window symbol table is formed: one pass over
-the bands of each factor feeds the symbol integral, the pairing (each band
-against the matching rows of 1-d Wigner tables) and the real window, and the
-commutator traces reduce the bands likewise.
+transform, the decay check and the pointwise symbol all read the kernel
+there.  One transform, :func:`matrix_symbol_bands`, serves every kernel, the
+rank-one f g^* of the pairing's test functions too (dx/(2 pi) times its
+symbol is their cross-Wigner function), in bands of centers (ROW_BAND in
+1-d, one first-axis center in 2-d), bitwise equal to transforming every
+center at once.  No full-window symbol table of the semigroup is formed: one
+pass over the bands of each factor feeds the symbol integral, the pairing
+(each band against the matching rows of the axes' pairing tables) and the
+real window, and the commutator traces reduce the bands likewise.
 """
 
 from __future__ import annotations
@@ -194,17 +196,17 @@ def _flat(per_axis, n):
     return reduce(lambda total, a: np.add.outer(total * n, a), per_axis)
 
 
-def _antidiagonal_bands(gather, grid: Grid, scale: float, inverse=False):
-    """Fourier transform along the antidiagonals through the grid centers, a band at a time.
+def matrix_symbol_bands(matrix: np.ndarray, grid: Grid):
+    """The complex symbol of a kernel matrix: its Fourier transform along the
+    antidiagonals through the grid centers, a band of centers at a time.
 
     The kernel entry (C + O, C - O) of a flat center C and a flat signed
-    offset O has the flat index C (N + 1) + O (N - 1), N = n^dim;
-    ``gather(flat)`` returns the kernel at such indices, which fall off the
-    kernel, or on another entry, where a pair leaves the grid.  The weight,
-    the outer product of one weight per axis, zero-pads those pairs (mask
-    :func:`_on_grid`) and folds in the sign (-1)^m that centers the frequency
-    axis and the scale, so no shifted copies are made.  The forward transform
-    is unnormalized; ``inverse`` conjugates the phases, also unnormalized.
+    offset O has the flat index C (N + 1) + O (N - 1), N = n^dim; it is
+    gathered with a ``take`` there, clipped onto the matrix.  The weight, the
+    outer product of one weight 2 (-1)^m per axis, zero-pads the pairs off the
+    grid (mask :func:`_on_grid`), the only ones that can fall off the matrix,
+    and folds in the sign that centers the frequency axis, so no shifted
+    copies are made.
 
     Yields (first center, values) per band, values of shape (first-axis
     centers in the band, *other center axes, *frequencies).  A band is
@@ -214,9 +216,10 @@ def _antidiagonal_bands(gather, grid: Grid, scale: float, inverse=False):
     in place in one reused complex buffer, which the next band overwrites.
     """
     n, N, dim = grid.n_grid, grid.n_points, grid.dim
+    if matrix.shape != (N, N):
+        raise ValueError("matrix does not match the grid")
     m = _offsets(n)
-    signed = scale * (-1.0) ** m
-    fftn, norm = (np.fft.ifftn, "forward") if inverse else (np.fft.fftn, "backward")
+    signed = 2.0 * (-1.0) ** m
     width = min(ROW_BAND, n) if dim == 1 else 1
     centers = _flat([np.arange(width)] + [np.arange(n)] * (dim - 1), n)
     index = np.add.outer(centers * (N + 1), _flat([m] * dim, n) * (N - 1))  # the first band's
@@ -227,22 +230,9 @@ def _antidiagonal_bands(gather, grid: Grid, scale: float, inverse=False):
         band = [np.arange(lo, lo + rows)] + [np.arange(n)] * (dim - 1)  # centers per axis
         weights = [np.where(_on_grid(c, n, m), signed, 0.0) for c in band]
         weight = reduce(np.multiply.outer, weights).transpose(order)
-        values = np.multiply(gather(index[:rows]), weight, out=buffer[:rows])
-        yield lo, fftn(values, axes=tuple(range(-dim, 0)), norm=norm, out=values)
+        values = np.multiply(matrix.take(index[:rows], mode="clip"), weight, out=buffer[:rows])
+        yield lo, np.fft.fftn(values, axes=tuple(range(-dim, 0)), out=values)
         index += width * n ** (dim - 1) * (N + 1)  # the next band's centers
-
-
-def matrix_symbol_bands(matrix: np.ndarray, grid: Grid):
-    """The complex symbol of a kernel matrix, streamed in bands of centers.
-
-    Yields what :func:`_antidiagonal_bands` yields, the values of each band in
-    a buffer that the next band reuses.  The kernel is gathered with a
-    ``take`` at the flat indices, clipped onto the matrix: the pairs off the
-    grid, the only ones that can fall off it, are weighted out.
-    """
-    if matrix.shape != (grid.n_points, grid.n_points):
-        raise ValueError("matrix does not match the grid")
-    return _antidiagonal_bands(lambda flat: matrix.take(flat, mode="clip"), grid, 2.0)
 
 
 def default_margin(t: float, spacing: float) -> float:
@@ -380,31 +370,25 @@ def _check_support(values, grid):
         )
 
 
-def wigner(f, g, grid: Grid) -> np.ndarray:
-    """Phase-space transform of a pair of grid functions, complex, on the full
-    window: shape (*centers, *frequencies)."""
-    f = np.asarray(f, dtype=complex).reshape(grid.n_points)
-    g = np.asarray(g, dtype=complex).reshape(grid.n_points)
-    _check_support(f, grid)
-    _check_support(g, grid)
-    g_conj = np.conj(g)
-
-    def gather(flat):
-        plus, minus = np.divmod(np.clip(flat, 0, grid.n_points**2 - 1), grid.n_points)
-        return f[minus] * g_conj[plus]
-
-    values = np.empty((grid.n_grid,) * 2 * grid.dim, dtype=complex)
-    for lo, band in _antidiagonal_bands(gather, grid, grid.spacing / math.pi, inverse=True):
-        values[lo:lo + len(band)] = band
-    return values
-
-
 def gaussian_test_functions(grid: Grid):
     """The pair f, g of unit-norm Gaussians exp(-(x - c)^2 / 2), c = 0 and 0.3,
     on the grid axis, against which the ``oracle`` command checks the pairing
     identity (one factor per axis)."""
     f, g = (np.exp(-0.5 * (grid.axis() - center) ** 2) for center in (0.0, 0.3))
     return tuple(h / math.sqrt((h**2).sum() * grid.spacing) for h in (f, g))
+
+
+def _pairing_table(f, g, grid: Grid) -> np.ndarray:
+    """The cross-Wigner function of grid functions f, g on one axis, against which
+    the pairing integrates the symbol: dx / (2 pi) times the full-window symbol
+    of the rank-one kernel f conj(g)^T, complex, of shape (centers, frequencies)."""
+    _check_support(f, grid)
+    _check_support(g, grid)
+    table = np.empty((grid.n_grid,) * 2, dtype=complex)
+    for lo, band in matrix_symbol_bands(np.outer(f, np.conj(g)), grid):
+        table[lo:lo + len(band)] = band
+    table *= grid.spacing / (2 * math.pi)
+    return table
 
 
 def _symbol_pass(S: GridSemigroup, centers, f=None, g=None):
@@ -415,10 +399,11 @@ def _symbol_pass(S: GridSemigroup, centers, f=None, g=None):
 
     ``f`` and ``g`` hold one 1-d factor per grid axis.  The pairing compares
     the grid inner product of exp(-tH) f against g with the full-window
-    symbol integrated against the transform of (f, g), the outer product of
-    1-d transforms, where the zero padding cancels.  Each result is a product
-    over the factors; the window of two factors is their outer product,
-    formed a first-axis center at a time.
+    symbol integrated against the cross-Wigner function of (f, g), the outer
+    product of the axes' tables (:func:`_pairing_table`), where the zero
+    padding cancels.  Each result is a product over the factors; the window
+    of two factors is their outer product, formed a first-axis center at a
+    time.
     """
     grid = S.factor_grid
     tests = []
@@ -426,7 +411,7 @@ def _symbol_pass(S: GridSemigroup, centers, f=None, g=None):
         if len(f) != S.grid.dim or len(g) != S.grid.dim:
             raise ValueError(f"test functions need one factor per grid axis, {S.grid.dim}")
         f, g = ([np.asarray(h, dtype=complex) for h in hs] for hs in (f, g))
-        W = [wigner(fa, ga, replace(S.grid, dim=1)) for fa, ga in zip(f, g)]
+        W = [_pairing_table(fa, ga, replace(S.grid, dim=1)) for fa, ga in zip(f, g)]
         tests = [W[lo:lo + grid.dim] for lo in range(0, S.grid.dim, grid.dim)]
     distinct = {id(M): M for M in S.factors}
     passes = {key: _factor_pass(M, grid, centers, tests, len(S.factors) == 1)
@@ -458,7 +443,7 @@ def _symbol_pass(S: GridSemigroup, centers, f=None, g=None):
 
 def _factor_pass(M, grid: Grid, centers, tests, real):
     """One pass over the symbol bands of the factor M: the sum of its
-    full-window symbol; one pairing per entry of ``tests`` (the 1-d Wigner
+    full-window symbol; one pairing per entry of ``tests`` (the 1-d pairing
     tables of the test functions on M's axes), each band against the
     matching rows of those tables, never their n^4 outer product; and its
     window on ``centers`` along every axis, real with its largest |imaginary
@@ -590,7 +575,6 @@ class GridOracle:
 
     def __init__(self, V: PotentialSpec, grid: Grid):
         self.grid = grid
-        self.potential = V
         axis = V.separable_axis() if grid.dim == 2 and V.n_sites == 2 else None
         # the axes of one Kronecker factor of exp(-tH): all of them, or one if V separates
         self.factor_grid = grid if axis is None else replace(grid, dim=1)

@@ -458,11 +458,10 @@ class TestExitCodes:
 
         # the verify suites estimate through bounds, not through the CLI
         monkeypatch.setattr(bounds, "estimate_mixed_derivative", fake_estimate)
-        for suite, n_reports in (("linf", 1), ("xi-deriv", 2)):
+        for suite, extra, n_reports in (("linf", {}, 1), ("xi-deriv", {"betas": ["0:1"]}, 2)):
             code, doc = run("verify", {
-                "suite": suite, "seed": 1, "n_points": 3, "betas": ["0:1"],
-                "n_paths": 100, "n_steps": 1,
-            })
+                "suite": suite, "seed": 1, "n_points": 3, "n_paths": 100, "n_steps": 1,
+            } | extra)
             assert code == 3, suite
             assert doc["results"]["violations"] == n_reports, suite
 
@@ -495,6 +494,28 @@ class TestExitCodes:
         params = doc["results"]["class_params"]
         assert params["max_norm"] == 1.0
         assert len(params["rho"]) == 2
+
+    @pytest.mark.parametrize("config, unread", [
+        ({"suite": "linf", "n_points": 2, "n_paths": 64, "n_steps": 2,
+          "potential": {"variant": "zero", "sites": [0]},
+          "family": {"family": "mean_field", "G": {"name": "lorentzian"}},
+          "lambda_sizes": [3], "t": 0.5}, "family, lambda_sizes, potential, t"),
+        ({"suite": "xi-deriv", "n_points": 1, "n_paths": 64, "grid": {"n_grid": 32},
+          "m": 2}, "grid, m"),
+        ({"suite": "l1", "t": 1.0, "grid": {"half_width": 12.0, "n_grid": 64},
+          "preset": "generator_laplacian", "n_paths": 64, "n_steps": 2},
+         "n_paths, n_steps, preset"),
+        ({"suite": "mixed-deriv", "family": {"family": "mean_field", "G": {"name": "lorentzian"}},
+          "lambda_sizes": [2], "lambda_size": 3, "betas": ["0:1"], "n_points": 2},
+         "betas, lambda_size, n_points"),
+        ({"suite": "class", "family": {"family": "mean_field", "G": {"name": "lorentzian"}},
+          "alpha": "0:1", "xi": [0.0]}, "alpha, xi"),
+    ], ids=["linf", "xi-deriv", "l1", "mixed-deriv", "class"])
+    def test_key_the_suite_ignores_is_config_error(self, config, unread, capsys):
+        # a key the suite never reads would still be echoed as if it had been used
+        assert cli.main(["verify", json.dumps(config | {"seed": 1})]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: suite {config['suite']!r} does not read {unread}\n"
 
     def test_verify_family_required(self):
         code, doc = None, None
@@ -728,8 +749,10 @@ class TestSinglePass:
         })
         assert code == 0
         assert doc["results"]["n_centers"] > 0
-        # one eigh per symmetry block: inversion and site exchange give four
-        assert calls == {"eigh": 4, "semigroup": 1, "transform": 1}
+        # one eigh per symmetry block: inversion and site exchange give four;
+        # one band pass over the semigroup factor, and one per axis over the
+        # pairing kernel f conj(g)^T of that axis's test functions
+        assert calls == {"eigh": 4, "semigroup": 1, "transform": 1 + 2}
 
     def test_separable_oracle_2d_decomposes_one_axis(self, calls, monkeypatch):
         from weylfk import commutator, oracle
@@ -756,8 +779,10 @@ class TestSinglePass:
         })
         assert code == 0
         assert doc["results"]["n_centers"] > 0
-        assert shapes == {"eigh": [(16, 16)], "transform": [(16, 16)], "kron": []}
-        assert calls == {"eigh": 1, "semigroup": 1, "transform": 1}
+        # one band pass per axis over its pairing kernel f conj(g)^T, then one
+        # over the axis factor M_1, which both axes share
+        assert shapes == {"eigh": [(16, 16)], "transform": [(16, 16)] * (2 + 1), "kron": []}
+        assert calls == {"eigh": 1, "semigroup": 1, "transform": 2 + 1}
 
     @pytest.mark.parametrize("G, bound", [("zero", 16), ("lorentzian", 18.5)],
                              ids=["separable", "coupled"])

@@ -18,10 +18,9 @@ from weylfk.oracle import (
     grid_edge_max,
     matrix_symbol_bands,
     semigroup_symbol_at,
-    wigner,
 )
 from weylfk import oracle as oracle_module
-from weylfk.oracle import _gram, _spectrum, _symbol_pass
+from weylfk.oracle import _gram, _pairing_table, _spectrum, _symbol_pass
 from weylfk.potentials import (
     MeanFieldPotential,
     NearestNeighborPotential,
@@ -280,11 +279,18 @@ class TestGridEdge:
             assert grid_edge_max(square.ravel(), grid) == 3.0
 
 
+def modulated_gaussian(grid, center=0.0, width=1.0, frequency=0.5):
+    """A normalized Gaussian times exp(i frequency x_0): complex, unlike its modulus."""
+    return normalized_gaussian(grid, center, width) * np.exp(1j * frequency * grid.points()[:, 0])
+
+
 class TestWigner:
+    """The pairing's cross-Wigner table: dx/(2 pi) times the symbol of f conj(g)^T."""
+
     def test_gaussian_nonnegative_and_normalized(self):
         grid = Grid(8.0, 256, 1)
         f = normalized_gaussian(grid)
-        W = wigner(f, f, grid)
+        W = _pairing_table(f, f, grid)
         assert W.real.min() >= -1e-12
         assert np.abs(W.imag).max() <= 1e-12
         total = W.real.sum() * grid.cell_volume * grid.xi_cell_volume
@@ -293,22 +299,22 @@ class TestWigner:
     def test_zero_function(self):
         grid = Grid(8.0, 64, 1)
         f = normalized_gaussian(grid)
-        W = wigner(f, np.zeros(grid.n_points), grid)
+        W = _pairing_table(f, np.zeros(grid.n_points), grid)
         assert np.all(W == 0.0)
 
     def test_swap_conjugate_symmetry(self):
         grid = Grid(8.0, 64, 1)
         f = normalized_gaussian(grid, center=0.4)
-        g = normalized_gaussian(grid, center=-0.2, width=0.9)
-        W_fg = wigner(f, g, grid)
-        W_gf = wigner(g, f, grid)
+        g = modulated_gaussian(grid, center=-0.2, width=0.9)
+        W_fg = _pairing_table(f, g, grid)
+        W_gf = _pairing_table(g, f, grid)
         assert np.abs(W_fg - np.conj(W_gf)).max() <= 1e-12
 
     def test_support_violation(self):
         grid = Grid(4.0, 64, 1)
         f = np.ones(grid.n_points)
         with pytest.raises(SupportError):
-            wigner(f, f, grid)
+            _pairing_table(f, f, grid)
 
 
 class TestPairing:
@@ -367,7 +373,7 @@ class TestPairing:
         tables = [symbol_table(M, S.factor_grid) for M in S.factors]
         full = reduce(partial(np.einsum, "ak,bl->abkl"), tables)
         W = reduce(partial(np.einsum, "ak,bl->abkl"),
-                   [wigner(fa, ga, axis) for fa, ga in zip(f, g)])
+                   [reference_wigner(fa, ga, axis) for fa, ga in zip(f, g)])
         cell = grid.cell_volume * grid.xi_cell_volume
         integral = full.sum().real * cell / (2 * math.pi) ** grid.dim
         fM, gM = (reduce(np.multiply.outer, h).ravel() for h in (f, g))
@@ -378,6 +384,21 @@ class TestPairing:
         assert tab.pairing_residual == pytest.approx(residual, abs=1e-13)
         assert np.abs(tab.values - window.real).max() <= 1e-15
         assert tab.max_imag == pytest.approx(np.abs(window.imag).max(), abs=1e-15)
+
+    @pytest.mark.parametrize("case", ["1-d", "separable", "coupled"])
+    def test_complex_pairing(self, case):
+        # modulated test functions: a table that dropped the conjugate of g
+        # would fail here, while real Gaussians cannot tell
+        grid = Grid(8.0, 256, 1) if case == "1-d" else Grid(4.5, 32, 2)
+        axis = replace(grid, dim=1)
+        G = lorentzian_function(2.0, 2.0) if case == "coupled" else zero_function()
+        sites = [(0,), (1,)][: grid.dim]
+        oracle = GridOracle(NearestNeighborPotential(1, sites, gaussian_bump_function(), G), grid)
+        f = [modulated_gaussian(axis, center=c, width=0.55) for c in (0.2, -0.1)]
+        g = [modulated_gaussian(axis, center=c, width=0.55, frequency=-0.3) for c in (-0.1, 0.1)]
+        S = oracle.semigroup(0.5)
+        tab = oracle.symbol(S, "full", pairing=(f[: grid.dim], g[: grid.dim]))
+        assert tab.pairing_residual <= 1e-6
 
     def test_factor_count_checked(self):
         grid = Grid(4.5, 16, 2)
@@ -545,7 +566,7 @@ class TestTransformBands:
 
     def test_rejects_mismatched_matrix(self):
         with pytest.raises(ValueError, match="does not match"):
-            matrix_symbol_bands(np.eye(32), Grid(8.0, 16, 1))
+            next(matrix_symbol_bands(np.eye(32), Grid(8.0, 16, 1)))
 
 
 class TestTransformReference:
@@ -566,10 +587,11 @@ class TestTransformReference:
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_2d_wigner(self, n):
+        # dx^2 / (2 pi)^2 times the symbol of f conj(g)^T is the 2-d cross-Wigner function
         grid = Grid(4.5, n, 2)
         f = normalized_gaussian(grid, center=0.2, width=0.55)
         g = normalized_gaussian(grid, center=-0.1, width=0.55) * np.exp(1j * grid.points()[:, 0])
-        W = wigner(f, g, grid)
+        W = symbol_table(np.outer(f, np.conj(g)), grid) * (grid.spacing / (2 * math.pi)) ** 2
         assert np.abs(W - reference_wigner(f, g, grid)).max() <= 1e-13
 
     def test_1d_symbol_and_wigner(self):
@@ -578,9 +600,10 @@ class TestTransformReference:
         (M,) = S.factors
         full = symbol_table(M, grid)
         assert np.abs(full - reference_symbol(M, grid, range(64))).max() <= 1e-13
-        f = normalized_gaussian(grid, center=0.4)
-        g = normalized_gaussian(grid, center=-0.2, width=0.9)
-        assert np.abs(wigner(f, g, grid) - reference_wigner(f, g, grid)).max() <= 1e-13
+        f = modulated_gaussian(grid, center=0.4)
+        g = modulated_gaussian(grid, center=-0.2, width=0.9, frequency=-0.3)
+        for a, b in ((f, g), (f.real, g), (f, g.real)):
+            assert np.abs(_pairing_table(a, b, grid) - reference_wigner(a, b, grid)).max() <= 1e-13
 
     @pytest.mark.parametrize("case", ["1-d", "coupled-16", "coupled-32", "one-axis"])
     def test_decay_error_in_the_reference_cases(self, case):
@@ -805,7 +828,7 @@ class TestSeparable:
         oracle = GridOracle(V, Grid(4.5, n, 2))
         assert eigh_shapes == [(n * n, n * n)]
         S = oracle.semigroup(0.25)
-        assert np.array_equal(*S.factors, dense_semigroup(oracle.potential, oracle.grid, 0.25))
+        assert np.array_equal(*S.factors, dense_semigroup(V, oracle.grid, 0.25))
 
     def test_negative_on_site_rejected(self):
         negative = ScalarFunction("negative", lambda k, y: np.full_like(y, -1.0 if k == 0 else 0.0),

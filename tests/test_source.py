@@ -1,6 +1,6 @@
-"""Code under src serves src: every definition, member and defaulted parameter
-there has a use in src itself, not only in the tests, and no defaulted
-parameter is one constant that every src call passes.
+"""Code under src serves src: every definition, member, attribute set on self
+and defaulted parameter there has a use in src itself, not only in the tests,
+and no defaulted parameter is one constant that every src call passes.
 
 The checks read only the syntax tree, so docstrings and comments do not count,
 and __init__ is left out, as its re-exports are not uses.  A use is found by
@@ -142,3 +142,16 @@ def test_only_potentials_reads_site_labels():
     assert [f"{file}:{node.lineno}" for file, tree, _ in _modules()
             if file != "potentials.py" for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr == "sites"] == []
+
+
+def test_every_attribute_written_is_read():
+    # an attribute set on self and read nowhere in src only serves the tests
+    modules = _modules()
+    read = {node.attr for _, tree, imported in modules for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and _of_src(node, imported)}
+    written = [(file, node) for file, tree, _ in modules for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+               and isinstance(node.value, ast.Name) and node.value.id == "self"]
+    assert [f"{file}:{node.lineno} self.{node.attr}" for file, node in written
+            if node.attr not in read] == []
