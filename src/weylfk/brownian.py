@@ -1,7 +1,8 @@
 """Brownian path sampling, exact Gaussian absolute moments, and chunked sample statistics.
 
 Paths vanish at time zero and accumulate independent Gaussian increments on a
-uniform time grid.  The per-unit-time coordinate variance is an explicit
+uniform time grid, summed in np.cumsum's order a time point at a time over
+the whole batch.  The per-unit-time coordinate variance is an explicit
 parameter, variance, one of the two :class:`VariancePreset` values.  Loops over
 batches hand the sampler two buffers as ``out`` and reuse them, bit for bit.
 """
@@ -50,7 +51,8 @@ def sample_path_batch(rng, n_paths, t, n_steps, n_sites, variance=DEFAULT_PRESET
     contiguously, so each path depends only on the generator state and its
     place in the batch, and consecutive calls continue one stream.  The
     result is a view of site-major storage (each x[..., j] is a contiguous
-    (n_paths, n_steps + 1) block), so callers must not assume C-contiguity.
+    (n_paths, n_steps + 1) block), so callers must not assume C-contiguity;
+    it is bitwise the np.cumsum of the increments along time.
     out, a pair of flat float buffers of at least n_paths * (n_steps + 1) *
     n_sites elements, takes the paths in a prefix of the first (the result
     views it) and the normals in the second, scratch afterwards; the paths
@@ -68,10 +70,12 @@ def sample_path_batch(rng, n_paths, t, n_steps, n_sites, variance=DEFAULT_PRESET
     increments *= math.sqrt(variance.sigma2 * dt)
     paths = np.moveaxis(storage[:size].reshape(n_sites, n_paths, n_steps + 1), 0, -1)
     paths[:, 0, :] = 0.0
-    if n_steps == 1:  # a cumsum over one step is a copy, at a tenth of its cost
-        np.copyto(paths[:, 1:, :], increments)
-    else:
-        np.cumsum(increments, axis=1, out=paths[:, 1:, :])
+    # cumsum's additions, a time point at a time, on the increments copied into
+    # the paths' layout: each call's inner loop runs across paths, where
+    # cumsum's runs along the few time points of one path
+    np.copyto(paths[:, 1:, :], increments)
+    for s in range(1, n_steps):
+        np.add(paths[:, s, :], paths[:, s + 1, :], out=paths[:, s + 1, :])
     return paths
 
 

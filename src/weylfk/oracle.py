@@ -382,6 +382,7 @@ def _pairing_table(f, g, grid: Grid) -> np.ndarray:
     """The cross-Wigner function of grid functions f, g on one axis, against which
     the pairing integrates the symbol: dx / (2 pi) times the full-window symbol
     of the rank-one kernel f conj(g)^T, complex, of shape (centers, frequencies)."""
+    f, g = (np.asarray(h, dtype=complex) for h in (f, g))
     _check_support(f, grid)
     _check_support(g, grid)
     table = np.empty((grid.n_grid,) * 2, dtype=complex)
@@ -410,8 +411,12 @@ def _symbol_pass(S: GridSemigroup, centers, f=None, g=None):
     if f is not None:
         if len(f) != S.grid.dim or len(g) != S.grid.dim:
             raise ValueError(f"test functions need one factor per grid axis, {S.grid.dim}")
+        # one table per distinct pair of the caller's arrays, keyed before the cast
+        # to complex makes new ones: the oracle command passes one pair for every axis
+        pairs = {(id(fa), id(ga)): (fa, ga) for fa, ga in zip(f, g)}
+        tables = {key: _pairing_table(*pair, replace(S.grid, dim=1)) for key, pair in pairs.items()}
+        W = [tables[id(fa), id(ga)] for fa, ga in zip(f, g)]
         f, g = ([np.asarray(h, dtype=complex) for h in hs] for hs in (f, g))
-        W = [_pairing_table(fa, ga, replace(S.grid, dim=1)) for fa, ga in zip(f, g)]
         tests = [W[lo:lo + grid.dim] for lo in range(0, S.grid.dim, grid.dim)]
     distinct = {id(M): M for M in S.factors}
     passes = {key: _factor_pass(M, grid, centers, tests, len(S.factors) == 1)

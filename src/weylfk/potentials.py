@@ -118,9 +118,11 @@ def harmonic_function(amplitude=1.0) -> ScalarFunction:
     """a*y^2; unbounded, so only orders >= 2 carry certified sup bounds."""
     a = _amplitude(amplitude)
 
-    def deriv(k, y):
-        if k == 0:
-            return a * y * y
+    def deriv(k, y, out=None):
+        if k == 0:  # (a*y)*y, in out unless out overlaps y, which the second product reads
+            v = np.empty_like(y) if out is None or np.may_share_memory(out, y) else out
+            np.multiply(a, y, out=v)
+            return np.multiply(v, y, out=v)
         if k == 1:
             return 2.0 * a * y
         if k == 2:
@@ -132,7 +134,7 @@ def harmonic_function(amplitude=1.0) -> ScalarFunction:
             return None
         return 2.0 * a if k == 2 else 0.0
 
-    return ScalarFunction("harmonic", deriv, sup)
+    return ScalarFunction("harmonic", deriv, sup, in_place=True)
 
 
 def _hermite_e(k, u):
@@ -251,34 +253,38 @@ def _pair_blocks(pairs) -> list:
     return [(slice(lo + d, hi + d), slice(lo, hi)) for d, lo, hi in runs]
 
 
-def _column_total(acc):
-    """The columns of acc added in turn into zeros."""
-    total = np.zeros(acc.shape[:-1])
-    for c in range(acc.shape[-1]):
-        total += acc[..., c]
-    return total
+def _block_sum(f: ScalarFunction, x, blocks):
+    """Sum of f over the columns of blocks: x[..., a] - x[..., b] for a block (a, b),
+    x[..., a] for (a, None).
 
-
-def _pair_sum(pair: ScalarFunction, x, blocks):
-    """Sum of G(x_j - x_k) + G(x_k - x_j) = 2 G(x_j - x_k) over the unordered pairs in blocks.
-
-    In one fixed order: block by block, column c of a block adds G at its
-    differences into accumulator c mod 8; the 8 accumulators, which share one
-    site-major array with the difference buffer G is evaluated in, are then
-    added in turn into zeros, and the total is doubled.  Only elementwise adds
-    touch the sum, so no layout of x changes it.
+    In one fixed order: block by block, column c of a block adds f at it into
+    accumulator c mod 8; the 8 accumulators are then added in turn into zeros.
+    f is evaluated on up to 64 columns per call, in a site-major buffer that
+    shares one array with the accumulators, and each group of 8 is added in
+    turn.  Only elementwise operations touch the sum, so neither the layout of
+    x nor the number of columns per call changes it.
     """
-    if not blocks:
+    widest = max((a.stop - a.start for a, _ in blocks), default=0)
+    if not widest:
         return np.zeros(x.shape[:-1])
-    width = min(8, max(b.stop - b.start for _, b in blocks))
-    acc, diff = np.moveaxis(np.empty((2, width) + x.shape[:-1]), 1, -1)
+    width = min(8, widest)
+    store = np.moveaxis(np.empty((width + min(64, widest),) + x.shape[:-1]), 0, -1)
+    acc, buf = store[..., :width], store[..., width:]
     acc.fill(0.0)
     for a, b in blocks:
-        for lo in range(0, a.stop - a.start, 8):
-            xa, xb = x[..., a][..., lo:lo + 8], x[..., b][..., lo:lo + 8]
-            d, head = diff[..., :xa.shape[-1]], acc[..., :xa.shape[-1]]
-            head += pair.derivative(0, np.subtract(xa, xb, out=d), out=d)
-    return 2.0 * _column_total(acc)
+        for lo in range(0, a.stop - a.start, 64):
+            y = x[..., a][..., lo:lo + 64]
+            out = buf[..., :y.shape[-1]]
+            if b is not None:
+                y = np.subtract(y, x[..., b][..., lo:lo + 64], out=out)
+            f.derivative(0, y, out=out)
+            for c in range(0, out.shape[-1], 8):
+                group = out[..., c:c + 8]
+                acc[..., :group.shape[-1]] += group
+    total = np.zeros(x.shape[:-1])
+    for c in range(width):
+        total += acc[..., c]
+    return total
 
 
 class PotentialSpec:
@@ -365,13 +371,11 @@ class PairPotential(PotentialSpec):
 
     def eval(self, x):
         x = self._as_points(x)
-        total = _pair_sum(self.pair, x, self._blocks)
+        total = _block_sum(self.pair, x, self._blocks)
+        total *= 2.0  # each unordered pair stands for both of its ordered pairs
         total += self._constant
         if self.on_site is not None:
-            acc = self.on_site.value(x[..., :8])  # a new array; site j adds to column j % 8
-            for lo in range(8, self.n_sites, 8):
-                acc[..., :min(8, self.n_sites - lo)] += self.on_site.value(x[..., lo:lo + 8])
-            total += _column_total(acc)
+            total += _block_sum(self.on_site, x, [(slice(0, self.n_sites), None)])
         total /= self._divisor
         return total
 

@@ -14,8 +14,10 @@ potential, so they carry no finite-difference step.
 
 A chunk of pairs runs three steps.  _shifted_paths samples w with a seed
 derived from (master seed, chunk index), in site-major sub-batches of
-SUB_BATCH_POINTS path points held in two buffers the chunk owns, and shifts
-it about x forward, then backward; _weight gives exp(-action), or its alpha
+SUB_BATCH_ELEMENTS path coordinates (paths x time points x sites, so the
+buffers keep one size at any site count and few sites get many paths per
+numpy call) held in two buffers the chunk owns, and shifts it about x
+forward, then backward; _weight gives exp(-action), or its alpha
 derivative, on each; _pair_sums forms the beta moment, one phase per xi and
 the pair averages, and returns per-xi totals and centred sums of squares.
 brownian.mean_and_stderr merges chunks in order, so results are bit-identical
@@ -35,7 +37,7 @@ from .faadibruno import derivative_of_exponential
 from .multiindex import MultiIndex, ZERO_INDEX, sub_multiindices
 
 DEFAULT_CHUNK_SIZE = 4096  # antithetic pairs per chunk
-SUB_BATCH_POINTS = 1 << 13  # path points (paths x time points) weighted at once
+SUB_BATCH_ELEMENTS = 1 << 18  # path coordinates (paths x time points x sites) at once
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,7 @@ def _shifted_paths(rng, pairs, t, n_steps, x0, variance):
     """Yield (lo, hi, endpoints, path) twice per sub-batch of a chunk's pairs:
     the path x - w(t)/2 + w(s), then x + w(t)/2 - w(s), in the same buffer."""
     n_sites = len(x0)
-    step = max(1, SUB_BATCH_POINTS // (n_steps + 1))
+    step = max(1, SUB_BATCH_ELEMENTS // ((n_steps + 1) * n_sites))
     # w in the first, the shifted paths in the second (the normals before them)
     buffers = np.empty((2, min(step, pairs) * (n_steps + 1) * n_sites))
     for lo in range(0, pairs, step):

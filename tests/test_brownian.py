@@ -116,6 +116,21 @@ class TestSamplerBuffers:
             assert got.shape == ref.shape and got.strides == ref.strides
             assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(ref).tobytes()
 
+    @pytest.mark.parametrize("n_steps", [1, 2, 32])
+    @pytest.mark.parametrize("use_out", [False, True], ids=["allocating", "out"])
+    def test_paths_bitwise_equal_to_cumsum_of_increments(self, n_steps, use_out):
+        # the running sums are np.cumsum's sequential additions, taken a time
+        # point at a time; the increments are the scaled normals in draw order
+        n_paths, n_sites, t = 6, 3, 0.7
+        increments = np.random.default_rng(9).standard_normal((n_paths, n_steps, n_sites))
+        increments *= math.sqrt(GEN.sigma2 * t / n_steps)
+        ref = np.zeros((n_paths, n_steps + 1, n_sites))
+        np.cumsum(increments, axis=1, out=ref[:, 1:])
+        out = np.full((2, n_paths * (n_steps + 1) * n_sites), np.nan) if use_out else None
+        got = sample_path_batch(np.random.default_rng(9), n_paths, t, n_steps, n_sites,
+                                GEN, out)
+        assert np.ascontiguousarray(got).tobytes() == ref.tobytes()
+
 
 class TestSampledMoments:
     def test_moment_products_match_sampled_means(self):

@@ -750,9 +750,9 @@ class TestSinglePass:
         assert code == 0
         assert doc["results"]["n_centers"] > 0
         # one eigh per symmetry block: inversion and site exchange give four;
-        # one band pass over the semigroup factor, and one per axis over the
-        # pairing kernel f conj(g)^T of that axis's test functions
-        assert calls == {"eigh": 4, "semigroup": 1, "transform": 1 + 2}
+        # one band pass over the semigroup factor, and one over the pairing
+        # kernel f conj(g)^T of the test functions, which both axes share
+        assert calls == {"eigh": 4, "semigroup": 1, "transform": 1 + 1}
 
     def test_separable_oracle_2d_decomposes_one_axis(self, calls, monkeypatch):
         from weylfk import commutator, oracle
@@ -779,10 +779,10 @@ class TestSinglePass:
         })
         assert code == 0
         assert doc["results"]["n_centers"] > 0
-        # one band pass per axis over its pairing kernel f conj(g)^T, then one
-        # over the axis factor M_1, which both axes share
-        assert shapes == {"eigh": [(16, 16)], "transform": [(16, 16)] * (2 + 1), "kron": []}
-        assert calls == {"eigh": 1, "semigroup": 1, "transform": 2 + 1}
+        # one band pass over the pairing kernel f conj(g)^T, then one over the
+        # axis factor M_1; both axes share each
+        assert shapes == {"eigh": [(16, 16)], "transform": [(16, 16)] * (1 + 1), "kron": []}
+        assert calls == {"eigh": 1, "semigroup": 1, "transform": 1 + 1}
 
     @pytest.mark.parametrize("G, bound", [("zero", 16), ("lorentzian", 18.5)],
                              ids=["separable", "coupled"])

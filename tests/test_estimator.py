@@ -435,6 +435,11 @@ _SUB_BATCH_CASES = {
         lambda: NearestNeighborPotential(1, [(i,) for i in range(8)], harmonic_function(),
                                          lorentzian_function()),
         "0:1", 1),
+    # more sites than one 64-column call of the pair and on-site sums takes
+    "harmonic_lorentzian_chain_70": (
+        lambda: NearestNeighborPotential(1, [(i,) for i in range(70)], harmonic_function(),
+                                         lorentzian_function()),
+        "0:1", 1),
 }
 
 
@@ -450,8 +455,9 @@ class TestSubBatches:
         # 400 pairs in chunks of 300 and 100, at 32 steps: one pair per sub-batch;
         # 7, so both chunks end on a ragged sub-batch (6 and 2 pairs) held in a
         # prefix of the chunk's buffers; the default; one sub-batch per chunk
-        for points in (33, 7 * 33, symbol_estimator.SUB_BATCH_POINTS, 1 << 30):
-            monkeypatch.setattr(symbol_estimator, "SUB_BATCH_POINTS", points)
+        pair = 33 * V.n_sites  # the coordinates of one path
+        for elements in (pair, 7 * pair, symbol_estimator.SUB_BATCH_ELEMENTS, 1 << 30):
+            monkeypatch.setattr(symbol_estimator, "SUB_BATCH_ELEMENTS", elements)
             est = estimate_mixed_derivative(V, point, 0.5, 800, 32, seed=13,
                                             alpha=from_text(alpha),
                                             chunk_size=300, n_workers=2)
@@ -468,7 +474,7 @@ class TestSubBatches:
             return sample(*args)
 
         monkeypatch.setattr(symbol_estimator, "sample_path_batch", recorded)
-        monkeypatch.setattr(symbol_estimator, "SUB_BATCH_POINTS", 7 * 9)
+        monkeypatch.setattr(symbol_estimator, "SUB_BATCH_ELEMENTS", 7 * 9 * 3)
         V = MeanFieldPotential(range(3), lorentzian_function())
         estimate_mixed_derivative(V, PhasePoint(np.zeros(3), np.ones(3)), 0.5, 200, 8,
                                   seed=1, chunk_size=50, n_workers=1)
@@ -478,10 +484,11 @@ class TestSubBatches:
             assert all(b is chunk[0] for b in chunk)
             assert chunk[0].shape == (2, 7 * 9 * 3)
 
-    def test_chain_256_memory_bounded(self):
-        # 2048 pairs in one chunk: weighting the whole chunk at once peaked at
-        # 180 MB; sub-batches of SUB_BATCH_POINTS path points peak at 40 MB
-        n = 256
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_chain_memory_bounded_in_sites(self, n):
+        # 2048 pairs in one chunk.  Sub-batches of a fixed number of path points
+        # peaked at 3.5, 10.6 and 39.6 MiB at 16, 64 and 256 sites; of
+        # SUB_BATCH_ELEMENTS path coordinates at 7.8, 7.6 and 8.8 MiB
         V = NearestNeighborPotential(1, [(i,) for i in range(n)], harmonic_function(),
                                      lorentzian_function())
         rng = np.random.default_rng(2)
@@ -493,7 +500,7 @@ class TestSubBatches:
         finally:
             tracemalloc.stop()
         assert math.isfinite(est.stderr)
-        assert peak < 48 * 2**20  # the measured peak plus 20%
+        assert peak < 10.6 * 2**20  # the largest measured peak plus 20%
 
 
 def chunk_stats(values):

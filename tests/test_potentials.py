@@ -24,7 +24,7 @@ from weylfk.potentials import (
     scalar_from_json,
     zero_function,
 )
-from weylfk.potentials import _pair_blocks, _pair_sum
+from weylfk.potentials import PairPotential, _block_sum, _pair_blocks
 
 from potential_helpers import CustomPotential, zero_potential
 
@@ -367,7 +367,7 @@ class TestSiteSum:
 
 
 def per_pair_reference(G, x, pairs):
-    """The order _pair_sum documents, pair by pair: in blocks of one offset k - j
+    """The order _block_sum documents, pair by pair: in blocks of one offset k - j
     with consecutive j, in order of offset, column c of a block adds
     G(x_k - x_j) into accumulator c mod 8; the 8 accumulators are then added
     in turn into zeros, and the total is doubled."""
@@ -384,8 +384,23 @@ def per_pair_reference(G, x, pairs):
     return 2.0 * total
 
 
-# widest blocks just below, at and above one and two 8-column groups
-BLOCK_WIDTHS = (7, 8, 9, 16, 17)
+def per_site_reference(F, x):
+    """The order _block_sum documents, site by site: F(x_j) is added into
+    accumulator j mod 8, and the 8 accumulators are then added in turn into zeros."""
+    acc = np.zeros(x.shape[:-1] + (8,))
+    for j in range(x.shape[-1]):
+        acc[..., j % 8] += F.value(x[..., j])
+    total = np.zeros(x.shape[:-1])
+    for c in range(8):
+        total += acc[..., c]
+    return total
+
+
+# widest blocks just below, at and above one and two 8-column groups, and one
+# and two 64-column calls
+BLOCK_WIDTHS = (7, 8, 9, 16, 17, 63, 64, 65, 129)
+ON_SITE_FUNCTIONS = [harmonic_function(1.2), gaussian_bump_function(1.3, 0.9),
+                     lorentzian_function(1.3, 0.9), cosine_function(1.3, 0.9)]
 
 
 class TestInPlaceEvaluation:
@@ -404,6 +419,13 @@ class TestInPlaceEvaluation:
             for got in (out, same):
                 assert np.ascontiguousarray(got).tobytes() == ref.tobytes()
 
+    def test_harmonic_value_keeps_its_product_order(self):
+        # (a*y)*y, written into out or anew; a*(y*y) differs in the last bit
+        f, y = harmonic_function(1.2), np.random.default_rng(5).normal(scale=3.0, size=1000)
+        ref = (1.2 * y) * y
+        assert f.value(y).tobytes() == ref.tobytes()
+        assert f.derivative(0, y, out=np.empty_like(y)).tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("pairs", [
         [(j, j + 1) for j in range(31)],
         [(j, j + 1) for j in range(139)],
@@ -416,8 +438,27 @@ class TestInPlaceEvaluation:
         x = np.random.default_rng(n).normal(size=(6, 9, n))
         ref = per_pair_reference(G, x, pairs)
         for layout in (np.copy, site_major):
-            total = _pair_sum(G, layout(x), _pair_blocks(pairs))
+            total = 2.0 * _block_sum(G, layout(x), _pair_blocks(pairs))
             assert total.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", (1,) + BLOCK_WIDTHS)
+    @pytest.mark.parametrize("F", ON_SITE_FUNCTIONS, ids=lambda F: F.name)
+    def test_on_site_sum_bitwise_equal_to_per_site_reference(self, n, F):
+        x = np.random.default_rng(n).normal(size=(6, 9, n))
+        V = PairPotential(range(n), F, zero_function(), [])
+        ref = per_site_reference(F, x)
+        for layout in (np.copy, site_major):
+            assert V.eval(layout(x)).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("V, constant", [
+        (PairPotential([], None, lorentzian_function(), [], 2, 3.0), 1.5),
+        (PairPotential([], harmonic_function(), lorentzian_function(), [], 2, 3.0), 1.5),
+        (potential_from_json({"variant": "nearest_neighbor", "d": 1, "sites": [],
+                              "F": {"name": "harmonic"}, "G": LORENTZIAN}), 0.0),
+    ], ids=["no_F", "harmonic_F", "nearest_neighbor_json"])
+    def test_no_sites_evaluates_to_its_constant(self, V, constant):
+        value = V.eval(np.empty((4, 3, 0)))
+        assert value.tobytes() == np.full((4, 3), constant).tobytes()
 
 
 def partial_indices(n_sites, ordered_pairs):
