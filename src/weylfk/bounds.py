@@ -6,8 +6,8 @@ errors of statistical slack on Monte Carlo inputs.  Exact oracle quantities
 get a small fixed numerical slack instead.
 
 The four Monte Carlo suites differ only in how they draw their probes, each
-a (potential, phase point, time, seed); one loop estimates every probe and
-one report builder turns the estimates into margins.
+a (potential, phase point, time, seed, alpha, beta); one pool estimates every
+probe of a suite and one report builder turns the estimates into margins.
 """
 
 from __future__ import annotations
@@ -140,12 +140,12 @@ def _report(inequality, bound, estimates, extra=None) -> BoundReport:
     )
 
 
-def _estimate_probes(probes, n_paths, n_steps, variance, n_workers,
-                     alpha=ZERO_INDEX, beta=ZERO_INDEX) -> list:
-    """One mixed-derivative estimate per probe (V, point, t, seed), in order; the
-    probes run concurrently, one worker each, and each depends only on its probe."""
+def _estimate_probes(probes, n_paths, n_steps, variance, n_workers) -> list:
+    """One mixed-derivative estimate per probe (V, point, t, seed, alpha, beta), in
+    order; the probes run concurrently, one worker each, and each depends only on
+    its probe."""
     def estimate(probe):
-        V, point, t, seed = probe
+        V, point, t, seed, alpha, beta = probe
         return estimate_mixed_derivative(V, point, t, n_paths, n_steps, seed,
                                          alpha=alpha, beta=beta, variance=variance)
 
@@ -160,16 +160,21 @@ def _uniform_point(rng, n_sites, halfwidth) -> PhasePoint:
     )
 
 
-def _spawned_probes(V, t, seed, key, seed_stride) -> list:
+def _spawned_probes(V, t, seed, key, seed_stride, alpha, beta) -> list:
     """Probe i draws its point with the spawn key (key, i), its paths from
     the seed seed + seed_stride * i."""
     return [
         (V, _uniform_point(
             np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key, i))),
             V.n_sites, SPAWNED_HALFWIDTH,
-        ), t, seed + seed_stride * i)
+        ), t, seed + seed_stride * i, alpha, beta)
         for i in range(SPAWNED_PROBES)
     ]
+
+
+def _per_report(estimates, n) -> list:
+    """A suite's estimates cut into consecutive groups of n, one group per report."""
+    return [estimates[i:i + n] for i in range(0, len(estimates), n)]
 
 
 def check_linf(estimates) -> BoundReport:
@@ -211,7 +216,7 @@ def linf_sweep(n_points, n_paths, n_steps, seed, variance=DEFAULT_PRESET,
     for k in range(n_points):
         V = potentials[k % len(potentials)]
         point = _uniform_point(rng, V.n_sites, SWEEP_HALFWIDTH)
-        probes.append((V, point, float(rng.uniform(0.1, 1.0)), seed + k))
+        probes.append((V, point, float(rng.uniform(0.1, 1.0)), seed + k, ZERO_INDEX, ZERO_INDEX))
     return check_linf(_estimate_probes(probes, n_paths, n_steps, variance, n_workers))
 
 
@@ -223,19 +228,18 @@ def xi_derivative_sweep(V: PotentialSpec, betas, t, n_points, n_paths, n_steps,
     seed draws the points and keeps running across betas; probe k of every
     beta samples its paths from the seed seed + 31 k.  Every bound is computed
     before any path is sampled, so an order whose bound overflows fails at
-    once; a position beyond the site count fails at that beta's first estimate.
+    once; a position beyond the site count fails at its first estimate.  All
+    probes of all betas share one pool.
     """
     for beta in betas:
         _xi_derivative_bounds(beta, t, variance)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    reports = []
-    for beta in betas:
-        probes = [(V, _uniform_point(rng, V.n_sites, SWEEP_HALFWIDTH), t, seed + 31 * k)
-                  for k in range(n_points)]
-        estimates = _estimate_probes(probes, n_paths, n_steps, variance, n_workers,
-                                     beta=beta)
-        reports.extend(check_xi_derivative_bounds(estimates, beta, t, variance))
-    return reports
+    probes = [(V, _uniform_point(rng, V.n_sites, SWEEP_HALFWIDTH), t, seed + 31 * k,
+               ZERO_INDEX, beta)
+              for beta in betas for k in range(n_points)]
+    estimates = _estimate_probes(probes, n_paths, n_steps, variance, n_workers)
+    return [report for beta, group in zip(betas, _per_report(estimates, n_points))
+            for report in check_xi_derivative_bounds(group, beta, t, variance)]
 
 
 def check_l1_bound(V: PotentialSpec, t, xi_list, grid: Grid) -> BoundReport:
@@ -290,22 +294,22 @@ def check_mixed_derivative_bound(family, m, t, alpha, beta,
     at every size.  Each size's bound takes the budget c_m that its own
     potential certifies; reports record both per size, so the caller can check
     that they do not move.  Each size gets SPAWNED_PROBES probes, spawned
-    under the key size.
+    under the key size.  Every bound is computed before any path is sampled,
+    and all probes share one pool.
     """
-    reports = []
+    sizes = []
     for size in lambda_sizes:
         V = family(size)
         c_m = V.certified_cm(m)
-        bound = mixed_derivative_bound(alpha, beta, m, t, c_m, variance)
-        estimates = _estimate_probes(
-            _spawned_probes(V, t, seed, key=size, seed_stride=7919),
-            n_paths, n_steps, variance, n_workers, alpha, beta,
-        )
-        reports.append(_report(
-            f"mixed-derivative-bound[size={size}]", bound, estimates,
-            {"bound": bound, "size": int(size), "c_m": c_m},
-        ))
-    return reports
+        sizes.append((size, V, c_m, mixed_derivative_bound(alpha, beta, m, t, c_m, variance)))
+    probes = [probe for size, V, _, _ in sizes
+              for probe in _spawned_probes(V, t, seed, size, 7919, alpha, beta)]
+    estimates = _estimate_probes(probes, n_paths, n_steps, variance, n_workers)
+    return [
+        _report(f"mixed-derivative-bound[size={size}]", bound, group,
+                {"bound": bound, "size": int(size), "c_m": c_m})
+        for (size, _, c_m, bound), group in zip(sizes, _per_report(estimates, SPAWNED_PROBES))
+    ]
 
 
 def class_membership(family, m, t, n_paths, n_steps, seed,
@@ -316,20 +320,19 @@ def class_membership(family, m, t, n_paths, n_steps, seed,
     builds at lambda_size.  The growth factors are uniform across sites:
     m * exp(t * c_m) per position order and B_m * sqrt(sigma2 * t) per
     frequency order.  Each pair of CLASS_INDEX_PAIRS gets SPAWNED_PROBES
-    probes, spawned under its position.
+    probes, spawned under its position; all probes share one pool.
     """
     V = family(lambda_size)
     c_m = V.certified_cm(m)
     rho = np.full(lambda_size, m * math.exp(t * c_m))
     delta = np.full(lambda_size, abs_moment_max(m) * math.sqrt(variance.sigma2 * t))
     params = SymbolClassParams(1.0, rho, delta, m)
+    probes = [probe for pair_index, (alpha, beta) in enumerate(CLASS_INDEX_PAIRS)
+              for probe in _spawned_probes(V, t, seed, pair_index, 104729, alpha, beta)]
+    estimates = _estimate_probes(probes, n_paths, n_steps, variance, n_workers)
     reports = []
-    for pair_index, (alpha, beta) in enumerate(CLASS_INDEX_PAIRS):
+    for (alpha, beta), group in zip(CLASS_INDEX_PAIRS, _per_report(estimates, SPAWNED_PROBES)):
         bound = params.bound_for(alpha, beta)
-        estimates = _estimate_probes(
-            _spawned_probes(V, t, seed, key=pair_index, seed_stride=104729),
-            n_paths, n_steps, variance, n_workers, alpha, beta,
-        )
         label = f"class-bound[alpha={alpha.to_text() or '0'};beta={beta.to_text() or '0'}]"
-        reports.append(_report(label, bound, estimates, {"bound": bound}))
+        reports.append(_report(label, bound, group, {"bound": bound}))
     return params, reports

@@ -4,8 +4,10 @@ One JSON document (inline or a file path) configures each subcommand.  All
 defaults are materialized into the config echoed next to the results, numeric
 output is serialized with 17 significant digits, files are written atomically,
 and reruns of the same config are byte-identical at any worker count;
-timestamps live in an optional metadata block.  The schemas check the config's
-own keys; each potential or family description is checked by its builder.
+timestamps live in an optional metadata block.  The schemas (JSON Schema)
+check the config's own keys, through a checker of just the keywords they use
+that reports jsonschema's error and message, so only numpy is imported; each
+potential or family description is checked by its builder.
 
 Exit codes: 0 success, 1 configuration error (a NaN or infinite number, an
 integer too large for a float, an unreadable config, an unwritable output
@@ -20,14 +22,14 @@ from __future__ import annotations
 import argparse
 import copy
 import datetime
-import functools
 import json
 import math
+import numbers
+import operator
 import os
 import sys
 from dataclasses import asdict
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -349,25 +351,88 @@ def load_config(text_or_path: str) -> dict:
     return config
 
 
-@functools.cache
-def _validator(subcommand: str):
-    """The subcommand's schema validator, built on first use, to which a NaN or
-    infinite float is not a number; the schemas themselves are checked against
-    the metaschema by the test suite."""
-    schema = SCHEMAS[subcommand]
-    cls = jsonschema.validators.validator_for(schema)
-    is_type = cls.TYPE_CHECKER.is_type
-    types = cls.TYPE_CHECKER.redefine("number", lambda checker, v: is_type(v, "number") and (
-        not isinstance(v, float) or math.isfinite(v)))
-    return jsonschema.validators.extend(cls, type_checker=types)(schema)
+# the JSON Schema keywords in SCHEMAS: "default" and the ones _schema_errors checks
+_KEYWORDS = frozenset({"type", "enum", "minimum", "exclusiveMinimum", "minItems", "maxItems",
+                       "items", "properties", "required", "additionalProperties", "anyOf",
+                       "default"})
+_TYPES = {"array": list, "boolean": bool, "integer": int, "null": type(None),
+          "number": numbers.Number, "object": dict, "string": str}
+
+
+def _has_type(value, name) -> bool:
+    """JSON Schema's type test, except that a NaN or infinite float is not a number."""
+    if isinstance(value, bool):
+        return name == "boolean"
+    if isinstance(value, float) and name in ("integer", "number"):
+        return value.is_integer() if name == "integer" else math.isfinite(value)
+    return isinstance(value, _TYPES[name])
+
+
+def _schema_errors(schema, value, path=()):
+    """Yield (rank, message, context) per violation of schema by value, in jsonschema
+    4.26's order and words; context holds an anyOf's sub-errors."""
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    typed = any(_has_type(value, name) for name in types)
+    number = _has_type(value, "number")
+    array, obj = isinstance(value, list), isinstance(value, dict)
+    for keyword, arg in schema.items():
+        if keyword not in _KEYWORDS:
+            raise NotImplementedError(f"schema keyword {keyword!r} is not checked")
+        messages, context = [], []
+        if keyword == "type" and not typed:
+            messages = [f"{value!r} is not of type {', '.join(map(repr, types))}"]
+        elif keyword == "enum" and not any(
+                e == value and isinstance(e, bool) == isinstance(value, bool) for e in arg):
+            messages = [f"{value!r} is not one of {arg!r}"]
+        elif keyword == "minimum" and number and value < arg:
+            messages = [f"{value!r} is less than the minimum of {arg!r}"]
+        elif keyword == "exclusiveMinimum" and number and value <= arg:
+            messages = [f"{value!r} is less than or equal to the minimum of {arg!r}"]
+        elif keyword == "minItems" and array and len(value) < arg:
+            messages = [f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"]
+        elif keyword == "maxItems" and array and len(value) > arg:
+            messages = [f"{value!r} {'is expected to be empty' if arg == 0 else 'is too long'}"]
+        elif keyword == "items" and array:
+            for i, item in enumerate(value):
+                yield from _schema_errors(arg, item, (*path, i))
+        elif keyword == "properties" and obj:
+            for key, sub in arg.items():
+                if key in value:
+                    yield from _schema_errors(sub, value[key], (*path, key))
+        elif keyword == "required" and obj:
+            messages = [f"{key!r} is a required property" for key in arg if key not in value]
+        elif keyword == "additionalProperties" and obj and arg is False:
+            extras = sorted(value.keys() - schema.get("properties", {}).keys(), key=str)
+            if extras:
+                messages = [f"Additional properties are not allowed ({', '.join(map(repr, extras))}"
+                            f" {'was' if len(extras) == 1 else 'were'} unexpected)"]
+        elif keyword == "anyOf":
+            errors = [list(_schema_errors(sub, value, path)) for sub in arg]
+            if all(errors):
+                messages = [f"{value!r} is not valid under any of the given schemas"]
+                context = [error for sub_errors in errors for error in sub_errors]
+        # jsonschema's relevance: shallow path, later sibling, not anyOf, value not of its type
+        rank = (-len(path), path, keyword != "anyOf", not typed)
+        yield from ((rank, message, context) for message in messages)
 
 
 def validate_config(subcommand: str, config: dict) -> dict:
     resolved = apply_defaults(SCHEMAS[subcommand], config)
-    err = jsonschema.exceptions.best_match(_validator(subcommand).iter_errors(resolved))
-    if err is not None:
-        field = err.json_path if err.json_path != "$" else "$ (top level)"
-        raise ConfigError(f"invalid config at {field}: {err.message}") from err
+    # jsonschema's best_match: the first most relevant error, and inside an anyOf the
+    # least relevant sub-error, unless the two least relevant tie
+    rank = operator.itemgetter(0)
+    error = max(_schema_errors(SCHEMAS[subcommand], resolved), key=rank, default=None)
+    while error is not None and error[2]:
+        least = sorted(error[2], key=rank)[:2]
+        if len(least) == 2 and rank(least[0]) == rank(least[1]):
+            break
+        error = least[0]
+    if error is not None:
+        (_, path, _, _), message, _ = error
+        field = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
+        raise ConfigError(f"invalid config at {'$' + field if path else '$ (top level)'}: "
+                          f"{message}")
     if subcommand == "verify":  # an unread key would be echoed as if it had been used
         suite = resolved["suite"]
         unread = sorted(config.keys() - SUITE_KEYS[suite] - {"suite", "seed", *_OUTPUT_PROPS})

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import random
 import re
 import time
 import tracemalloc
@@ -31,6 +32,48 @@ def harmonic_potential_json():
         "F": {"name": "harmonic"},
         "G": {"name": "zero"},
     }
+
+
+def reference_validator(schema):
+    """jsonschema's validator for schema, to which a NaN or infinite float is not
+    a number: the reference that the CLI's own checker follows."""
+    cls = jsonschema.validators.validator_for(schema)
+    is_type = cls.TYPE_CHECKER.is_type
+    types = cls.TYPE_CHECKER.redefine("number", lambda checker, v: is_type(v, "number") and (
+        not isinstance(v, float) or math.isfinite(v)))
+    return jsonschema.validators.extend(cls, type_checker=types)(schema)
+
+
+# values that probe the type rules: null, bools, integral and non-integral floats,
+# NaN and the infinities, an integer too large for a float, near-miss strings,
+# arrays and objects
+PROBE_VALUES = [None, True, False, 0, 1, 2, -1, 10**400, -10**400, 0.0, 0.5, -1.0, 2.0,
+                1e300, math.nan, math.inf, -math.inf, "", "x", "auto", "full", "0:1", "0.5",
+                [], [0.0], [1, 2, 3, 4, 5, 6], [math.nan], [True], ["a"], {}, {"bogus": 1}]
+
+
+def random_instance(rng, schema, probe=0.12):
+    """A random value for schema: with probability probe one of PROBE_VALUES,
+    otherwise one built from the schema, whose own parts may be probes."""
+    if rng.random() < probe:
+        return copy.deepcopy(rng.choice(PROBE_VALUES))
+    if "anyOf" in schema:
+        return random_instance(rng, rng.choice(schema["anyOf"]))
+    if "enum" in schema:
+        return rng.choice(schema["enum"])
+    kind = schema.get("type", "object")
+    kind = rng.choice(kind) if isinstance(kind, list) else kind
+    if kind == "object":
+        required = schema.get("required", [])
+        out = {key: random_instance(rng, sub) for key, sub in schema.get("properties", {}).items()
+               if rng.random() < (0.95 if key in required else 0.4)}
+        if rng.random() < 0.05:
+            out[rng.choice(["bogus", "a"])] = 1
+        return out
+    if kind == "array":
+        return [random_instance(rng, schema.get("items", {})) for _ in range(rng.randrange(7))]
+    return {"number": rng.uniform(-0.5, 3.0), "integer": rng.randrange(-1, 40),
+            "string": "0:1", "boolean": True, "null": None}[kind]
 
 
 class TestSerialization:
@@ -83,17 +126,17 @@ class TestConfigHandling:
         ("moments", {"beta": "0:2", "t": 1.0, "seed": 3, "n_paths": 2000}),
     ])
     def test_validated_once_per_run(self, subcommand, config, monkeypatch):
-        # every validation through the cached validator's class is recorded,
-        # so a metaschema check per run would show up as a second schema
+        # every top-level call of the checker is recorded (its own recursive calls
+        # pass a path), so a second validation per run would show up
         schemas = []
-        validator = type(cli._validator(subcommand))
-        iter_errors = validator.iter_errors
+        schema_errors = cli._schema_errors
 
-        def recorded(self, instance, *args, **kwargs):
-            schemas.append(self.schema)
-            return iter_errors(self, instance, *args, **kwargs)
+        def recorded(schema, value, *path):
+            if not path:
+                schemas.append(schema)
+            return schema_errors(schema, value, *path)
 
-        monkeypatch.setattr(validator, "iter_errors", recorded)
+        monkeypatch.setattr(cli, "_schema_errors", recorded)
         code, _ = run(subcommand, config)
         assert code == 0
         assert schemas == [cli.SCHEMAS[subcommand]]
@@ -118,7 +161,107 @@ class TestConfigHandling:
     @pytest.mark.parametrize("subcommand", sorted(cli.SCHEMAS))
     def test_schema_is_valid_under_its_metaschema(self, subcommand):
         schema = cli.SCHEMAS[subcommand]
-        type(cli._validator(subcommand)).check_schema(schema)
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    @pytest.mark.parametrize("subcommand, config, message", [
+        ("estimate", {"potential": {}, "x": [0.0], "xi": [1.0], "t": 0.5},
+         "$ (top level): 'seed' is a required property"),
+        ("moments", {"beta": "0:2", "t": 1.0, "seed": 0, "bogus": 1},
+         "$ (top level): Additional properties are not allowed ('bogus' was unexpected)"),
+        ("moments", {"beta": "0:2", "t": -1.0, "seed": 0},
+         "$.t: -1.0 is less than or equal to the minimum of 0"),
+        ("moments", {"beta": "0:2", "t": "0.5", "seed": 0}, "$.t: '0.5' is not of type 'number'"),
+        ("moments", {"beta": "0:2", "t": math.nan, "seed": 0}, "$.t: nan is not of type 'number'"),
+        ("moments", {"beta": "0:2", "t": True, "seed": 0}, "$.t: True is not of type 'number'"),
+        ("moments", {"beta": "0:2", "t": 1.0, "seed": False},
+         "$.seed: False is not of type 'integer'"),
+        ("moments", {"beta": "0:2", "t": 1.0, "seed": 0.5}, "$.seed: 0.5 is not of type 'integer'"),
+        ("moments", {"beta": "0:2", "t": 1.0, "seed": 3.0}, None),
+        ("commutator", {"potential": {}, "t_list": []},
+         "$ (top level): 'state' is a required property"),
+        ("commutator", {"potential": {}, "t_list": [], "state": {
+            "center_x": [0.0], "center_xi": [0.0], "width_x": [1.0], "width_xi": [1.0]}},
+         "$.t_list: [] should be non-empty"),
+        ("oracle", {"potential": {}, "t": 0.5, "region": -1},
+         "$.region: -1 is less than or equal to the minimum of 0"),
+        ("oracle", {"potential": {}, "t": 0.5, "region": "x"},
+         "$.region: 'x' is not valid under any of the given schemas"),
+        ("oracle", {"potential": {}, "t": 0.5, "region": 2.5}, None),
+        ("oracle", {"potential": {}, "t": 0.5, "grid": {"dim": True}},
+         "$.grid.dim: True is not one of [1, 2]"),
+        ("oracle", {"potential": {}, "t": 0.5, "grid": {"dim": 2.0}}, None),
+    ])
+    def test_checker_messages(self, subcommand, config, message):
+        if message is None:
+            cli.validate_config(subcommand, config)
+        else:
+            with pytest.raises(cli.ConfigError) as got:
+                cli.validate_config(subcommand, config)
+            assert str(got.value) == f"invalid config at {message}"
+
+    def test_checker_matches_jsonschema_best_match(self):
+        # seeded random configs for every subcommand, mostly well formed, with
+        # probe values for the type rules: the checker must reject exactly what
+        # jsonschema rejects (to which a NaN or infinite float is not a number),
+        # at the same JSON path and with the same message
+        rng = random.Random(20131)
+        reported = set()
+        for subcommand, schema in sorted(cli.SCHEMAS.items()):
+            reference = reference_validator(schema)
+            for _ in range(1500):
+                config = random_instance(rng, schema, probe=0.0)
+                resolved = cli.apply_defaults(schema, config)
+                err = jsonschema.exceptions.best_match(reference.iter_errors(resolved))
+                try:
+                    cli.validate_config(subcommand, config)
+                    got = None
+                except cli.ConfigError as error:
+                    got = str(error)
+                if err is None:  # verify also rejects keys its suite does not read
+                    assert got is None or got.startswith("suite "), config
+                    continue
+                # the keyword that rejected, and those that descended to it
+                reported |= {err.validator} | {
+                    "items" if isinstance(key, int) else "properties" for key in err.absolute_path}
+                field = err.json_path if err.json_path != "$" else "$ (top level)"
+                assert got == f"invalid config at {field}: {err.message}", config
+        # every keyword the checker implements took part in some rejection
+        assert reported == cli._KEYWORDS - {"default"}, reported
+
+    @pytest.mark.parametrize("config", [
+        {"a": 1}, {"a": 6}, {"a": "x"}, {"a": True}, {"b": 1}, {"b": [0]}, {"b": "x"},
+        {"c": "x"}, {"c": 2}, {"a": 1, "b": 4, "c": 2}, {"b": 1, "c": 2.0},
+    ])
+    def test_checker_ranks_like_best_match(self, config, monkeypatch):
+        # ties that SCHEMAS alone cannot show: an anyOf error beside a sibling error
+        # at the same path, an anyOf inside an anyOf, and two errors of one schema
+        schema = {"type": "object", "properties": {
+            "a": {"anyOf": [{"type": "string"}, {"enum": [7, 8]}], "minimum": 5},
+            "b": {"anyOf": [{"anyOf": [{"type": "null"}, {"minimum": 3}]},
+                            {"type": "array", "minItems": 2}]},
+            "c": {"enum": [1], "type": "integer"},
+        }}
+        monkeypatch.setitem(cli.SCHEMAS, "bound", schema)
+        err = jsonschema.exceptions.best_match(reference_validator(schema).iter_errors(config))
+        with pytest.raises(cli.ConfigError) if err else nullcontext() as got:
+            cli.validate_config("bound", config)
+        assert err is None or str(got.value) == f"invalid config at {err.json_path}: {err.message}"
+
+    def test_checker_knows_every_schema_keyword(self):
+        # a keyword that the checker does not implement, such as "pattern", must
+        # not pass unchecked: SCHEMAS uses exactly the checked keywords, and any
+        # other keyword raises
+        def keywords(schema):
+            yield from schema
+            for sub in schema.get("properties", {}).values():
+                yield from keywords(sub)
+            for sub in ([schema["items"]] if "items" in schema else []) + schema.get("anyOf", []):
+                yield from keywords(sub)
+
+        used = {key for schema in cli.SCHEMAS.values() for key in keywords(schema)}
+        assert used == cli._KEYWORDS
+        with pytest.raises(NotImplementedError, match="pattern"):
+            list(cli._schema_errors({"type": "string", "pattern": "^a"}, "b"))
 
     @pytest.mark.parametrize("subcommand", sorted(cli.SCHEMAS))
     def test_schema_defaults_validate(self, subcommand):

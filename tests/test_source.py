@@ -9,6 +9,7 @@ name, and an attribute of a module bound by ``import`` (``np.take``,
 """
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -155,3 +156,18 @@ def test_every_attribute_written_is_read():
                and isinstance(node.value, ast.Name) and node.value.id == "self"]
     assert [f"{file}:{node.lineno} self.{node.attr}" for file, node in written
             if node.attr not in read] == []
+
+
+def test_imports_only_the_standard_library_and_numpy():
+    # numpy is the one runtime dependency; the config schemas are checked by
+    # the CLI's own checker, and jsonschema serves the tests as its reference
+    allowed = set(sys.stdlib_module_names) | {"numpy", "weylfk"}
+    found = []
+    for path in sorted(Path(weylfk.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) and not node.level
+                     else [])
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.partition(".")[0] not in allowed]
+    assert found == []
