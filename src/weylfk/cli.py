@@ -247,6 +247,7 @@ SCHEMAS = {
             "betas": {
                 "type": "array",
                 "items": {"type": "string"},
+                "minItems": 1,
                 "default": ["0:1", "0:2"],
             },
             "potential": {"type": "object"},
@@ -257,6 +258,7 @@ SCHEMAS = {
             "lambda_sizes": {
                 "type": "array",
                 "items": {"type": "integer", "minimum": 1},
+                "minItems": 1,
                 "default": [2, 4, 8],
             },
             "lambda_size": {"type": "integer", "minimum": 2, "default": 4},
@@ -264,6 +266,7 @@ SCHEMAS = {
                 "type": "array",
                 # a number, or one coordinate per grid dimension
                 "items": {"type": ["number", "array"], "items": {"type": "number"}},
+                "minItems": 1,
                 "default": [-2.0, -1.0, 0.0, 1.0, 2.0],
             },
             "grid": _GRID_SCHEMA,
@@ -288,10 +291,8 @@ SCHEMAS = {
             "state": {
                 "type": "object",
                 "properties": {
-                    "center_x": {"type": "array", "items": {"type": "number"}},
-                    "center_xi": {"type": "array", "items": {"type": "number"}},
-                    "width_x": {"type": "array", "items": {"type": "number"}},
-                    "width_xi": {"type": "array", "items": {"type": "number"}},
+                    key: {"type": "array", "items": {"type": "number"}, "minItems": 1}
+                    for key in ("center_x", "center_xi", "width_x", "width_xi")
                 },
                 "required": ["center_x", "center_xi", "width_x", "width_xi"],
                 "additionalProperties": False,
@@ -435,9 +436,11 @@ def validate_config(subcommand: str, config: dict) -> dict:
                           f"{message}")
     if subcommand == "verify":  # an unread key would be echoed as if it had been used
         suite = resolved["suite"]
-        unread = sorted(config.keys() - SUITE_KEYS[suite] - {"suite", "seed", *_OUTPUT_PROPS})
+        read = SUITE_KEYS[suite] | {"suite", "seed", *_OUTPUT_PROPS}
+        unread = sorted(config.keys() - read)
         if unread:
             raise ConfigError(f"suite {suite!r} does not read {', '.join(unread)}")
+        resolved = {key: value for key, value in resolved.items() if key in read}
     return resolved
 
 
@@ -530,9 +533,8 @@ def cmd_oracle(config, n_workers):
     oracle = GridOracle(V, grid)
     t = config["t"]
     S = oracle.semigroup(t)
-    f, g = gaussian_test_functions(grid)
     # one pass over the symbol gives the window, its integral and the pairing
-    table = oracle.symbol(S, config["region"], pairing=((f,) * grid.dim, (g,) * grid.dim))
+    table = oracle.symbol(S, config["region"], pairing=gaussian_test_functions(grid))
     values = table.values
     results = {
         "t": t,
@@ -575,8 +577,10 @@ def cmd_bound(config, n_workers):
 
 def cmd_verify(config, n_workers):
     suite = config["suite"]
-    mc = dict(n_paths=config["n_paths"], n_steps=config["n_steps"],
-              seed=config["seed"], variance=_preset(config), n_workers=n_workers)
+    mc = {}  # the sampling settings, which only the Monte Carlo suites read
+    if _MC_KEYS <= SUITE_KEYS[suite]:
+        mc = dict(n_paths=config["n_paths"], n_steps=config["n_steps"],
+                  seed=config["seed"], variance=_preset(config), n_workers=n_workers)
     extra_results = {}
     if suite == "linf":
         reports = [linf_sweep(config["n_points"], **mc)]

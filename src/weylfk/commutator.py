@@ -70,12 +70,15 @@ class WeylObservable:
 
 def gaussian_state_symbol(grid: Grid, center_x, center_xi, width_x, width_xi) -> WeylObservable:
     """Gaussian phase-space state, normalized to trace one by grid quadrature."""
-    center_x = np.atleast_1d(np.asarray(center_x, dtype=float))
-    center_xi = np.atleast_1d(np.asarray(center_xi, dtype=float))
-    width_x = np.broadcast_to(np.asarray(width_x, dtype=float), center_x.shape)
-    width_xi = np.broadcast_to(np.asarray(width_xi, dtype=float), center_xi.shape)
+    center_x, center_xi, width_x, width_xi = (np.atleast_1d(np.asarray(a, dtype=float))
+                                              for a in (center_x, center_xi, width_x, width_xi))
     if center_x.shape != (grid.dim,) or center_xi.shape != (grid.dim,):
         raise ValueError(f"centers must have {grid.dim} coordinates")
+    for name, width in (("width_x", width_x), ("width_xi", width_xi)):
+        if width.shape not in ((1,), (grid.dim,)):
+            raise ValueError(f"{name} needs one entry, or one per grid axis ({grid.dim}), "
+                             f"not {width.size}")
+    width_x, width_xi = (np.broadcast_to(w, (grid.dim,)) for w in (width_x, width_xi))
     if np.any(width_x <= 0) or np.any(width_xi <= 0):
         raise ValueError("widths must be positive")
     axes = tuple(

@@ -35,8 +35,9 @@ symbol is their cross-Wigner function), in bands of centers (ROW_BAND in
 1-d, one first-axis center in 2-d), bitwise equal to transforming every
 center at once.  No full-window symbol table of the semigroup is formed: one
 pass over the bands of each factor feeds the symbol integral, the pairing
-(each band against the matching rows of the axes' pairing tables) and the
-real window, and the commutator traces reduce the bands likewise.
+(each band against the matching rows of the one pairing table, which every
+axis shares) and the real window, and the commutator traces reduce the bands
+likewise.
 """
 
 from __future__ import annotations
@@ -359,32 +360,30 @@ def grid_edge_max(values, grid: Grid) -> float:
                for axis in range(grid.dim) for end in (0, -1))
 
 
-def _check_support(values, grid):
-    peak = np.abs(np.asarray(values)).max()
-    if peak == 0.0:
-        return
-    edge = grid_edge_max(values, grid)
-    if edge > SUPPORT_TOL * peak:
-        raise SupportError(
-            f"grid function carries {edge / peak:.3e} of its peak at the boundary"
-        )
-
-
 def gaussian_test_functions(grid: Grid):
     """The pair f, g of unit-norm Gaussians exp(-(x - c)^2 / 2), c = 0 and 0.3,
     on the grid axis, against which the ``oracle`` command checks the pairing
-    identity (one factor per axis)."""
+    identity on every axis.  g vanishes at the boundary, to within
+    ``SUPPORT_TOL`` of its peak, only for a half-width above about 7.1 plus
+    half a cell; below it the pairing raises :class:`SupportError`."""
     f, g = (np.exp(-0.5 * (grid.axis() - center) ** 2) for center in (0.0, 0.3))
     return tuple(h / math.sqrt((h**2).sum() * grid.spacing) for h in (f, g))
 
 
 def _pairing_table(f, g, grid: Grid) -> np.ndarray:
-    """The cross-Wigner function of grid functions f, g on one axis, against which
-    the pairing integrates the symbol: dx / (2 pi) times the full-window symbol
-    of the rank-one kernel f conj(g)^T, complex, of shape (centers, frequencies)."""
+    """The cross-Wigner function of the test functions f, g, 1-d arrays of
+    ``n_grid`` values each on the 1-d ``grid``, against which the pairing
+    integrates the symbol on every axis: dx / (2 pi) times the full-window
+    symbol of the rank-one kernel f conj(g)^T, complex, of shape (centers,
+    frequencies).  Each must vanish at the boundary, or :class:`SupportError`."""
     f, g = (np.asarray(h, dtype=complex) for h in (f, g))
-    _check_support(f, grid)
-    _check_support(g, grid)
+    if f.shape != (grid.n_grid,) or g.shape != (grid.n_grid,):
+        raise ValueError(f"test functions must be 1-d arrays of n_grid = {grid.n_grid} values")
+    for h in (f, g):
+        peak, edge = np.abs(h).max(), grid_edge_max(h, grid)
+        if edge > SUPPORT_TOL * peak:
+            raise SupportError(f"pairing test function carries {edge / peak:.3e} of its "
+                               "peak at the boundary; widen the grid")
     table = np.empty((grid.n_grid,) * 2, dtype=complex)
     for lo, band in matrix_symbol_bands(np.outer(f, np.conj(g)), grid):
         table[lo:lo + len(band)] = band
@@ -398,42 +397,33 @@ def _symbol_pass(S: GridSemigroup, centers, f=None, g=None):
     its largest |imaginary part|, from one pass over the symbol bands of each
     distinct factor (:func:`_factor_pass`).
 
-    ``f`` and ``g`` hold one 1-d factor per grid axis.  The pairing compares
-    the grid inner product of exp(-tH) f against g with the full-window
-    symbol integrated against the cross-Wigner function of (f, g), the outer
-    product of the axes' tables (:func:`_pairing_table`), where the zero
-    padding cancels.  Each result is a product over the factors; the window
-    of two factors is their outer product, formed a first-axis center at a
-    time.
+    ``f`` and ``g`` are 1-d grid functions, used on every grid axis.  The
+    pairing compares the grid inner product of exp(-tH) (f x ... x f) against
+    g x ... x g with the full-window symbol integrated against their
+    cross-Wigner function, the outer product of one table per axis
+    (:func:`_pairing_table`), where the zero padding cancels.  Each result is
+    a product over the factors; the window of two factors is their outer
+    product, formed a first-axis center at a time.
     """
     grid = S.factor_grid
-    tests = []
-    if f is not None:
-        if len(f) != S.grid.dim or len(g) != S.grid.dim:
-            raise ValueError(f"test functions need one factor per grid axis, {S.grid.dim}")
-        # one table per distinct pair of the caller's arrays, keyed before the cast
-        # to complex makes new ones: the oracle command passes one pair for every axis
-        pairs = {(id(fa), id(ga)): (fa, ga) for fa, ga in zip(f, g)}
-        tables = {key: _pairing_table(*pair, replace(S.grid, dim=1)) for key, pair in pairs.items()}
-        W = [tables[id(fa), id(ga)] for fa, ga in zip(f, g)]
-        f, g = ([np.asarray(h, dtype=complex) for h in hs] for hs in (f, g))
-        tests = [W[lo:lo + grid.dim] for lo in range(0, S.grid.dim, grid.dim)]
+    W = None if f is None else _pairing_table(f, g, replace(S.grid, dim=1))
     distinct = {id(M): M for M in S.factors}
-    passes = {key: _factor_pass(M, grid, centers, tests, len(S.factors) == 1)
+    passes = {key: _factor_pass(M, grid, centers, W, len(S.factors) == 1)
               for key, M in distinct.items()}
     totals, pairings, windows, imags = zip(*(passes[id(M)] for M in S.factors))
     total = reduce(operator.mul, totals).real
     full = S.grid
     integral = float(total * full.cell_volume * full.xi_cell_volume / (2 * math.pi) ** full.dim)
     residual = None
-    if tests:
+    if W is not None:
+        # f x ... x f on the axes of one factor, and g likewise
+        fM, gM = (reduce(np.multiply.outer, [np.asarray(h, dtype=complex)] * grid.dim).ravel()
+                  for h in (f, g))
         lhs, rhs = 1.0, 1.0
-        for i, (M, paired) in enumerate(zip(S.factors, pairings)):
-            fM, gM = (reduce(np.multiply.outer, h[i * grid.dim:(i + 1) * grid.dim]).ravel()
-                      for h in (f, g))
+        for M, paired in zip(S.factors, pairings):
             Mf = M @ fM.real + 1j * (M @ fM.imag)  # M @ fM would cast a real M to complex
             lhs *= grid.cell_volume * np.vdot(gM, Mf)  # vdot conjugates g
-            rhs *= paired[i] * grid.cell_volume * grid.xi_cell_volume
+            rhs *= paired * grid.cell_volume * grid.xi_cell_volume
         residual = float(abs(lhs - rhs))
     if len(windows) == 1:
         return integral, residual, windows[0], imags[0]
@@ -446,23 +436,21 @@ def _symbol_pass(S: GridSemigroup, centers, f=None, g=None):
     return integral, residual, values, float(max_imag)
 
 
-def _factor_pass(M, grid: Grid, centers, tests, real):
+def _factor_pass(M, grid: Grid, centers, W, real):
     """One pass over the symbol bands of the factor M: the sum of its
-    full-window symbol; one pairing per entry of ``tests`` (the 1-d pairing
-    tables of the test functions on M's axes), each band against the
-    matching rows of those tables, never their n^4 outer product; and its
-    window on ``centers`` along every axis, real with its largest |imaginary
-    part| if ``real``, complex otherwise."""
+    full-window symbol; its pairing against the 1-d pairing table ``W`` on
+    every one of its axes (0 if ``W`` is None), each band against the
+    matching rows of W, never their n^4 outer product; and its window on
+    ``centers`` along every axis, real with its largest |imaginary part| if
+    ``real``, complex otherwise."""
     n, dim = grid.n_grid, grid.dim
-    total, paired, max_imag = 0j, [0j] * len(tests), 0.0
+    total, paired, max_imag = 0j, 0j, 0.0
     window = np.empty((len(centers),) * dim + (n,) * dim, dtype=float if real else complex)
     for lo, values in matrix_symbol_bands(M, grid):
         total += values.sum()
-        for k, W in enumerate(tests):
-            if dim == 1:
-                paired[k] += values.ravel() @ W[0][lo:lo + len(values)].ravel()
-            else:  # one first-axis center: axes (second-axis center, frequencies)
-                paired[k] += ((values[0] @ W[1][:, :, None])[..., 0] @ W[0][lo]).sum()
+        if W is not None:  # a 2-d band is one first-axis center: (center, *frequencies)
+            paired += (values.ravel() @ W[lo:lo + len(values)].ravel() if dim == 1
+                       else ((values[0] @ W[:, :, None])[..., 0] @ W[lo]).sum())
         at, part = band_window(lo, values, centers)
         if part.size:
             window[at:at + len(part)] = part.real if real else part
@@ -640,8 +628,8 @@ class GridOracle:
         Nonnegative potentials only shrink the kernel, so the free envelope
         behind the default window is conservative.  The window is formed band
         by band in one pass over the symbol (:func:`_symbol_pass`), which also
-        gives the table its ``symbol_integral`` and, if ``pairing`` holds test
-        functions (f, g), one 1-d factor per grid axis each, its
+        gives the table its ``symbol_integral`` and, if ``pairing`` is a pair
+        (f, g) of 1-d grid functions, which every axis uses, its
         ``pairing_residual``.
         """
         if S.grid != self.grid:

@@ -157,7 +157,7 @@ def test_criterion_4_oracle_cross_validation():
         g /= math.sqrt((g**2).sum() * grid.spacing)
         for t in (0.1, 0.5, 1.0):
             S = oracle.semigroup(t)
-            tab = oracle.symbol(S, pairing=((f,), (g,)) if t == 0.5 else None)
+            tab = oracle.symbol(S, pairing=(f, g) if t == 0.5 else None)
             if t == 0.5:
                 worst_pairing = max(worst_pairing, tab.pairing_residual)
             n_steps = max(16, int(96 * t))

@@ -34,6 +34,9 @@ def harmonic_potential_json():
     }
 
 
+STATE = {"center_x": [0.6], "center_xi": [0.6], "width_x": [1.0], "width_xi": [1.0]}
+
+
 def reference_validator(schema):
     """jsonschema's validator for schema, to which a NaN or infinite float is not
     a number: the reference that the CLI's own checker follows."""
@@ -378,6 +381,36 @@ class TestExitCodes:
         assert err.startswith("config error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("subcommand, config, key", [
+        ("verify", {"suite": "xi-deriv", "seed": 1, "betas": [], "n_points": 1, "n_paths": 4,
+                    "n_steps": 1}, "betas"),
+        ("verify", {"suite": "mixed-deriv", "seed": 1, "lambda_sizes": [],
+                    "family": {"family": "mean_field", "G": {"name": "lorentzian"}}},
+         "lambda_sizes"),
+        ("verify", {"suite": "l1", "seed": 1, "xi": []}, "xi"),
+        *(("commutator", {"potential": harmonic_potential_json(), "state": STATE | {key: []}},
+           f"state.{key}") for key in STATE),
+    ], ids=["betas", "lambda_sizes", "xi", *STATE])
+    def test_empty_array_is_config_error(self, subcommand, config, key, capsys):
+        # an empty list would check nothing and report success, or fail deep inside
+        assert cli.main([subcommand, json.dumps(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: invalid config at $.{key}: [] should be non-empty\n"
+
+    @pytest.mark.parametrize("dim, key, widths, message", [
+        (1, "width_x", [1.0, 2.0], "width_x needs one entry, or one per grid axis (1), not 2"),
+        (2, "width_xi", [1.0, 1.0, 1.0],
+         "width_xi needs one entry, or one per grid axis (2), not 3"),
+    ], ids=["width_x-1d", "width_xi-2d"])
+    def test_mis_sized_state_width_is_config_error(self, dim, key, widths, message, capsys):
+        sites = [[0], [1]][:dim]
+        state = {"center_x": [0.6] * dim, "center_xi": [0.6] * dim,
+                 "width_x": [1.0], "width_xi": [1.0]} | {key: widths}
+        config = {"potential": harmonic_potential_json() | {"sites": sites}, "state": state,
+                  "grid": {"half_width": 10.0, "n_grid": 16, "dim": dim}}
+        assert cli.main(["commutator", json.dumps(config)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     @pytest.mark.parametrize("subcommand, text, key", [
         ("oracle", '{"potential": {"variant": "mean_field", "sites": [0, 1], "G": '
                    '{"name": "lorentzian", "amplitude": 1e999}}, "t": 0.5}', "amplitude"),
@@ -511,6 +544,14 @@ class TestExitCodes:
                   "grid": {"half_width": 8.0, "n_grid": 16}}
         assert cli.main(["oracle", json.dumps(config)]) == 1
         assert capsys.readouterr().err.startswith("config error: invalid config at $.region")
+
+    def test_pairing_off_the_grid_is_numerical_failure(self, capsys):
+        # the pairing test Gaussian centred at 0.3 needs a half-width above about 7.1
+        config = {"potential": harmonic_potential_json(), "t": 0.1,
+                  "grid": {"half_width": 6.0, "n_grid": 64}}
+        assert cli.main(["oracle", json.dumps(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: pairing test function carries 2.673e-08 ")
 
     def test_verify_zero_potential_l1_is_two(self, capsys):
         config = {
@@ -659,6 +700,32 @@ class TestExitCodes:
         assert cli.main(["verify", json.dumps(config | {"seed": 1})]) == 1
         err = capsys.readouterr().err
         assert err == f"config error: suite {config['suite']!r} does not read {unread}\n"
+
+    @pytest.mark.parametrize("suite, config", [
+        ("linf", {"n_points": 1}),
+        ("xi-deriv", {"n_points": 1, "betas": ["0:1"],
+                      "potential": {"variant": "zero", "sites": [0]}}),
+        ("l1", {"grid": {"half_width": 12.0, "n_grid": 32}, "xi": [0.0]}),
+        ("mixed-deriv", {"family": {"family": "mean_field", "G": {"name": "lorentzian"}},
+                         "lambda_sizes": [2]}),
+        ("class", {"family": {"family": "mean_field", "G": {"name": "lorentzian"}},
+                   "lambda_size": 2}),
+    ])
+    def test_echo_holds_the_keys_the_suite_reads(self, suite, config):
+        # the echoed config, defaults included, is exactly what the suite reads
+        # besides the output keys and the seed, which l1 requires but never draws
+        class Recorded(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        read = set()
+        fast = {"n_paths": 2, "n_steps": 1} if suite != "l1" else {}
+        echo = cli.validate_config("verify", {"suite": suite, "seed": 1} | fast | config)
+        cli.cmd_verify(Recorded(echo), 1)
+        unread = {"output", "csv_output", "emit_metadata"} | ({"seed"} if suite == "l1" else set())
+        assert echo.keys() - read == unread
+        assert read <= echo.keys()
 
     def test_verify_family_required(self):
         code, doc = None, None

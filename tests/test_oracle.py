@@ -324,7 +324,7 @@ class TestPairing:
         oracle = GridOracle(zero_potential([(0,)]), grid)
         f = normalized_gaussian(grid, center=0.3)
         g = normalized_gaussian(grid, center=-0.5, width=0.8)
-        tab = oracle.symbol(oracle.semigroup(t), "full", pairing=((f,), (g,)))
+        tab = oracle.symbol(oracle.semigroup(t), "full", pairing=(f, g))
         assert tab.pairing_residual <= 1e-6
 
     def test_harmonic_pairing(self):
@@ -332,7 +332,7 @@ class TestPairing:
         oracle = GridOracle(harmonic_potential(), grid)
         f = normalized_gaussian(grid, center=0.4)
         g = normalized_gaussian(grid, center=0.1, width=0.9)
-        tab = oracle.symbol(oracle.semigroup(0.5), "full", pairing=((f,), (g,)))
+        tab = oracle.symbol(oracle.semigroup(0.5), "full", pairing=(f, g))
         assert tab.pairing_residual <= 1e-6
 
     def test_small_time_limit(self):
@@ -350,11 +350,11 @@ class TestPairing:
             1, [(0,), (1,)], gaussian_bump_function(), lorentzian_function(2.0, 2.0)
         )
         oracle = GridOracle(V, grid)
-        # per-axis factors of the Gaussians centred at (0.2, 0.2) and (-0.1, -0.1)
+        # the axis factors of the Gaussians centred at (0.2, 0.2) and (-0.1, -0.1)
         f = normalized_gaussian(replace(grid, dim=1), center=0.2, width=0.55)
         g = normalized_gaussian(replace(grid, dim=1), center=-0.1, width=0.55)
         S = oracle.semigroup(0.5)
-        assert oracle.symbol(S, "full", pairing=((f, f), (g, g))).pairing_residual <= 1e-6
+        assert oracle.symbol(S, "full", pairing=(f, g)).pairing_residual <= 1e-6
 
     @pytest.mark.parametrize("case", ["1-d", "separable", "coupled"])
     def test_one_pass_matches_full_tables(self, case):
@@ -366,17 +366,16 @@ class TestPairing:
         G = lorentzian_function(2.0, 2.0) if case == "coupled" else zero_function()
         oracle = GridOracle(NearestNeighborPotential(1, sites, gaussian_bump_function(), G), grid)
         axis = replace(grid, dim=1)
-        f = [normalized_gaussian(axis, center=c, width=0.55) for c in (0.2, -0.1)][: grid.dim]
-        g = [normalized_gaussian(axis, center=c, width=0.5) for c in (-0.1, 0.1)][: grid.dim]
+        f = normalized_gaussian(axis, center=0.2, width=0.55)
+        g = normalized_gaussian(axis, center=-0.1, width=0.5)
         S = oracle.semigroup(0.05)
         tab = oracle.symbol(S, pairing=(f, g))
         tables = [symbol_table(M, S.factor_grid) for M in S.factors]
         full = reduce(partial(np.einsum, "ak,bl->abkl"), tables)
-        W = reduce(partial(np.einsum, "ak,bl->abkl"),
-                   [reference_wigner(fa, ga, axis) for fa, ga in zip(f, g)])
+        W = reduce(partial(np.einsum, "ak,bl->abkl"), [reference_wigner(f, g, axis)] * grid.dim)
         cell = grid.cell_volume * grid.xi_cell_volume
         integral = full.sum().real * cell / (2 * math.pi) ** grid.dim
-        fM, gM = (reduce(np.multiply.outer, h).ravel() for h in (f, g))
+        fM, gM = (reduce(np.multiply.outer, [h] * grid.dim).ravel() for h in (f, g))
         lhs = grid.cell_volume * np.vdot(gM, reduce(np.kron, S.factors) @ fM)
         residual = abs(lhs - (full * W).sum() * cell)
         window = full[np.ix_(*tab.center_indices)]
@@ -394,18 +393,23 @@ class TestPairing:
         G = lorentzian_function(2.0, 2.0) if case == "coupled" else zero_function()
         sites = [(0,), (1,)][: grid.dim]
         oracle = GridOracle(NearestNeighborPotential(1, sites, gaussian_bump_function(), G), grid)
-        f = [modulated_gaussian(axis, center=c, width=0.55) for c in (0.2, -0.1)]
-        g = [modulated_gaussian(axis, center=c, width=0.55, frequency=-0.3) for c in (-0.1, 0.1)]
+        f = modulated_gaussian(axis, center=0.2, width=0.55)
+        g = modulated_gaussian(axis, center=-0.1, width=0.55, frequency=-0.3)
         S = oracle.semigroup(0.5)
-        tab = oracle.symbol(S, "full", pairing=(f[: grid.dim], g[: grid.dim]))
+        tab = oracle.symbol(S, "full", pairing=(f, g))
         assert tab.pairing_residual <= 1e-6
 
-    def test_factor_count_checked(self):
+    def test_one_pair_of_axis_functions(self):
+        # the pairing takes one pair of 1-d grid functions for every axis: the
+        # old per-axis tuples, 2-d grid functions and a wrong length all raise
         grid = Grid(4.5, 16, 2)
         f = normalized_gaussian(replace(grid, dim=1))
         oracle = GridOracle(zero_potential([(0,), (1,)]), grid)
-        with pytest.raises(ValueError, match="one factor per grid axis"):
-            oracle.symbol(oracle.semigroup(0.5), "full", pairing=((f,), (f, f)))
+        S = oracle.semigroup(0.5)
+        for pairing in (((f, f), (f, f)), ((f,), (f,)), (normalized_gaussian(grid), f),
+                        (f, f[:-1])):
+            with pytest.raises(ValueError, match="1-d arrays of n_grid = 16 values"):
+                oracle.symbol(S, "full", pairing=pairing)
 
 
 # Reference transforms: one center at a time, with shifted copies, as the
@@ -762,8 +766,7 @@ class TestSeparable:
         V, grid = SEPARABLE[case](), Grid(6.0, n, 2)
         oracle = GridOracle(V, grid)
         axis = replace(grid, dim=1)
-        f = (normalized_gaussian(axis, 0.2, 0.7), normalized_gaussian(axis, -0.3, 0.6))
-        g = (normalized_gaussian(axis, 0.1, 0.75), normalized_gaussian(axis, 0.4, 0.6))
+        f, g = normalized_gaussian(axis, 0.2, 0.7), normalized_gaussian(axis, 0.1, 0.75)
         outcomes = set()
         for t in (0.05, 0.25, 2.0):
             S = oracle.semigroup(t)
