@@ -4,9 +4,9 @@ One JSON document (inline or a file path) configures each subcommand.  All
 defaults are materialized into the config echoed next to the results, numeric
 output is serialized with 17 significant digits, files are written atomically,
 and reruns of the same config are byte-identical at any worker count;
-timestamps live in an optional metadata block.  The schemas (JSON Schema)
-check the config's own keys, through a checker of just the keywords they use
-that reports jsonschema's error and message, so only numpy is imported; each
+timestamps live in an optional metadata block.  One walk over a JSON Schema,
+one per subcommand and per verify suite, fills in the defaults and reports the
+config's first violation in jsonschema's words, so only numpy is imported; each
 potential or family description is checked by its builder.
 
 Exit codes: 0 success, 1 configuration error (a NaN or infinite number, an
@@ -25,7 +25,6 @@ import datetime
 import json
 import math
 import numbers
-import operator
 import os
 import sys
 from dataclasses import asdict
@@ -160,6 +159,57 @@ _OUTPUT_PROPS = {
     "emit_metadata": {"type": "boolean", "default": True},
 }
 
+# every key a verify suite reads, each with its rule, in the order of the config echo
+_VERIFY_PROPS = {
+    "suite": {"enum": ["linf", "xi-deriv", "l1", "mixed-deriv", "class"]},
+    "seed": {"type": "integer", "minimum": 0},
+    "preset": _PRESET_SCHEMA,
+    "n_points": {"type": "integer", "minimum": 1, "default": 40},
+    "n_paths": {"type": "integer", "minimum": 2, "default": 4096},
+    "n_steps": {"type": "integer", "minimum": 1, "default": 24},
+    "t": {"type": "number", "exclusiveMinimum": 0, "default": 0.5},
+    "betas": {"type": "array", "items": {"type": "string"}, "minItems": 1,
+              "default": ["0:1", "0:2"]},
+    "potential": {"type": "object"},
+    "family": {"type": "object"},
+    "m": {"type": "integer", "minimum": 1, "default": 1},
+    "alpha": {"type": "string", "default": "0:1"},
+    "beta": {"type": "string", "default": ""},
+    "lambda_sizes": {"type": "array", "items": {"type": "integer", "minimum": 1},
+                     "minItems": 1, "default": [2, 4, 8]},
+    "lambda_size": {"type": "integer", "minimum": 2, "default": 4},
+    "xi": {
+        "type": "array",
+        # a number, or one coordinate per grid dimension
+        "items": {"type": ["number", "array"], "items": {"type": "number"}},
+        "minItems": 1,
+        "default": [-2.0, -1.0, 0.0, 1.0, 2.0],
+    },
+    "grid": _GRID_SCHEMA,
+    **_OUTPUT_PROPS,
+}
+
+
+def _suite_schema(*keys):
+    """The schema of a verify suite that reads keys, besides the suite and the output keys."""
+    read = {"suite", *keys, *_OUTPUT_PROPS}
+    return {
+        "type": "object",
+        "properties": {key: rule for key, rule in _VERIFY_PROPS.items() if key in read},
+        "required": [key for key in ("suite", "seed", "family") if key in read],
+        "additionalProperties": False,
+    }
+
+
+_MC_KEYS = ("seed", "preset", "n_paths", "n_steps")  # the Monte Carlo suites' sampling
+VERIFY_SCHEMAS = {
+    "linf": _suite_schema("n_points", *_MC_KEYS),
+    "xi-deriv": _suite_schema("potential", "betas", "t", "n_points", *_MC_KEYS),
+    "l1": _suite_schema("potential", "t", "xi", "grid"),
+    "mixed-deriv": _suite_schema("family", "m", "t", "alpha", "beta", "lambda_sizes", *_MC_KEYS),
+    "class": _suite_schema("family", "m", "t", "lambda_size", *_MC_KEYS),
+}
+
 SCHEMAS = {
     "estimate": {
         "type": "object",
@@ -234,46 +284,8 @@ SCHEMAS = {
         "required": ["m", "t", "c_m"],
         "additionalProperties": False,
     },
-    "verify": {
-        "type": "object",
-        "properties": {
-            "suite": {"enum": ["linf", "xi-deriv", "l1", "mixed-deriv", "class"]},
-            "seed": {"type": "integer", "minimum": 0},
-            "preset": _PRESET_SCHEMA,
-            "n_points": {"type": "integer", "minimum": 1, "default": 40},
-            "n_paths": {"type": "integer", "minimum": 2, "default": 4096},
-            "n_steps": {"type": "integer", "minimum": 1, "default": 24},
-            "t": {"type": "number", "exclusiveMinimum": 0, "default": 0.5},
-            "betas": {
-                "type": "array",
-                "items": {"type": "string"},
-                "minItems": 1,
-                "default": ["0:1", "0:2"],
-            },
-            "potential": {"type": "object"},
-            "family": {"type": "object"},
-            "m": {"type": "integer", "minimum": 1, "default": 1},
-            "alpha": {"type": "string", "default": "0:1"},
-            "beta": {"type": "string", "default": ""},
-            "lambda_sizes": {
-                "type": "array",
-                "items": {"type": "integer", "minimum": 1},
-                "minItems": 1,
-                "default": [2, 4, 8],
-            },
-            "lambda_size": {"type": "integer", "minimum": 2, "default": 4},
-            "xi": {
-                "type": "array",
-                # a number, or one coordinate per grid dimension
-                "items": {"type": ["number", "array"], "items": {"type": "number"}},
-                "minItems": 1,
-                "default": [-2.0, -1.0, 0.0, 1.0, 2.0],
-            },
-            "grid": _GRID_SCHEMA,
-            **_OUTPUT_PROPS,
-        },
-        "required": ["suite", "seed"],
-        "additionalProperties": False,
+    "verify": {  # names the suite, whose own schema in VERIFY_SCHEMAS checks the config
+        "type": "object", "properties": {"suite": _VERIFY_PROPS["suite"]}, "required": ["suite"],
     },
     "commutator": {
         "type": "object",
@@ -311,30 +323,6 @@ SCHEMAS = {
 }
 
 
-# the keys each verify suite reads, besides "suite", "seed" and the output keys
-_MC_KEYS = {"preset", "n_paths", "n_steps"}
-SUITE_KEYS = {
-    "linf": {"n_points", *_MC_KEYS},
-    "xi-deriv": {"potential", "betas", "t", "n_points", *_MC_KEYS},
-    "l1": {"potential", "t", "xi", "grid"},
-    "mixed-deriv": {"family", "m", "t", "alpha", "beta", "lambda_sizes", *_MC_KEYS},
-    "class": {"family", "m", "t", "lambda_size", *_MC_KEYS},
-}
-
-
-def apply_defaults(schema: dict, config):
-    """Materialize schema defaults into a copy of the config."""
-    if schema.get("type") == "object" and isinstance(config, dict):
-        out = dict(config)
-        for key, sub in schema.get("properties", {}).items():
-            if key in out:
-                out[key] = apply_defaults(sub, out[key])
-            elif "default" in sub:
-                out[key] = apply_defaults(sub, copy.deepcopy(sub["default"]))
-        return out
-    return config
-
-
 def load_config(text_or_path: str) -> dict:
     text = text_or_path.strip()
     if not text.startswith("{"):
@@ -352,10 +340,6 @@ def load_config(text_or_path: str) -> dict:
     return config
 
 
-# the JSON Schema keywords in SCHEMAS: "default" and the ones _schema_errors checks
-_KEYWORDS = frozenset({"type", "enum", "minimum", "exclusiveMinimum", "minItems", "maxItems",
-                       "items", "properties", "required", "additionalProperties", "anyOf",
-                       "default"})
 _TYPES = {"array": list, "boolean": bool, "integer": int, "null": type(None),
           "number": numbers.Number, "object": dict, "string": str}
 
@@ -369,79 +353,68 @@ def _has_type(value, name) -> bool:
     return isinstance(value, _TYPES[name])
 
 
-def _schema_errors(schema, value, path=()):
-    """Yield (rank, message, context) per violation of schema by value, in jsonschema
-    4.26's order and words; context holds an anyOf's sub-errors."""
+def _resolve(schema, value, path="$"):
+    """Return value with the schema's defaults filled in; raise ConfigError, in
+    jsonschema's words, at the first violation met.  An object's own keywords are
+    checked before its properties, and the first anyOf branch that passes wins."""
     types = schema.get("type", [])
     types = [types] if isinstance(types, str) else types
-    typed = any(_has_type(value, name) for name in types)
-    number = _has_type(value, "number")
     array, obj = isinstance(value, list), isinstance(value, dict)
     for keyword, arg in schema.items():
-        if keyword not in _KEYWORDS:
-            raise NotImplementedError(f"schema keyword {keyword!r} is not checked")
-        messages, context = [], []
-        if keyword == "type" and not typed:
-            messages = [f"{value!r} is not of type {', '.join(map(repr, types))}"]
+        message = None
+        if keyword == "type" and not any(_has_type(value, name) for name in types):
+            message = f"{value!r} is not of type {', '.join(map(repr, types))}"
         elif keyword == "enum" and not any(
                 e == value and isinstance(e, bool) == isinstance(value, bool) for e in arg):
-            messages = [f"{value!r} is not one of {arg!r}"]
-        elif keyword == "minimum" and number and value < arg:
-            messages = [f"{value!r} is less than the minimum of {arg!r}"]
-        elif keyword == "exclusiveMinimum" and number and value <= arg:
-            messages = [f"{value!r} is less than or equal to the minimum of {arg!r}"]
+            message = f"{value!r} is not one of {arg!r}"
+        elif keyword == "minimum" and _has_type(value, "number") and value < arg:
+            message = f"{value!r} is less than the minimum of {arg!r}"
+        elif keyword == "exclusiveMinimum" and _has_type(value, "number") and value <= arg:
+            message = f"{value!r} is less than or equal to the minimum of {arg!r}"
         elif keyword == "minItems" and array and len(value) < arg:
-            messages = [f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"]
+            message = f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
         elif keyword == "maxItems" and array and len(value) > arg:
-            messages = [f"{value!r} {'is expected to be empty' if arg == 0 else 'is too long'}"]
-        elif keyword == "items" and array:
-            for i, item in enumerate(value):
-                yield from _schema_errors(arg, item, (*path, i))
-        elif keyword == "properties" and obj:
-            for key, sub in arg.items():
-                if key in value:
-                    yield from _schema_errors(sub, value[key], (*path, key))
+            message = f"{value!r} {'is expected to be empty' if arg == 0 else 'is too long'}"
         elif keyword == "required" and obj:
-            messages = [f"{key!r} is a required property" for key in arg if key not in value]
+            message = next((f"{key!r} is a required property" for key in arg if key not in value),
+                           None)
         elif keyword == "additionalProperties" and obj and arg is False:
             extras = sorted(value.keys() - schema.get("properties", {}).keys(), key=str)
             if extras:
-                messages = [f"Additional properties are not allowed ({', '.join(map(repr, extras))}"
-                            f" {'was' if len(extras) == 1 else 'were'} unexpected)"]
+                message = (f"Additional properties are not allowed ({', '.join(map(repr, extras))}"
+                           f" {'was' if len(extras) == 1 else 'were'} unexpected)")
         elif keyword == "anyOf":
-            errors = [list(_schema_errors(sub, value, path)) for sub in arg]
-            if all(errors):
-                messages = [f"{value!r} is not valid under any of the given schemas"]
-                context = [error for sub_errors in errors for error in sub_errors]
-        # jsonschema's relevance: shallow path, later sibling, not anyOf, value not of its type
-        rank = (-len(path), path, keyword != "anyOf", not typed)
-        yield from ((rank, message, context) for message in messages)
+            for sub in arg:
+                try:
+                    value = _resolve(sub, value, path)
+                    break
+                except ConfigError:
+                    pass
+            else:
+                message = f"{value!r} is not valid under any of the given schemas"
+        elif keyword not in ("type", "enum", "minimum", "exclusiveMinimum", "minItems", "maxItems",
+                             "required", "additionalProperties", "items", "properties", "default"):
+            raise NotImplementedError(f"schema keyword {keyword!r} is not checked")
+        if message is not None:
+            raise ConfigError(f"invalid config at {path if path != '$' else '$ (top level)'}: "
+                              f"{message}")
+    if array and "items" in schema:
+        value = [_resolve(schema["items"], item, f"{path}[{i}]") for i, item in enumerate(value)]
+    if obj and "properties" in schema:
+        value = dict(value)
+        for key, sub in schema["properties"].items():
+            if key in value or "default" in sub:
+                given = value[key] if key in value else copy.deepcopy(sub["default"])
+                value[key] = _resolve(sub, given, f"{path}.{key}")
+    return value
 
 
 def validate_config(subcommand: str, config: dict) -> dict:
-    resolved = apply_defaults(SCHEMAS[subcommand], config)
-    # jsonschema's best_match: the first most relevant error, and inside an anyOf the
-    # least relevant sub-error, unless the two least relevant tie
-    rank = operator.itemgetter(0)
-    error = max(_schema_errors(SCHEMAS[subcommand], resolved), key=rank, default=None)
-    while error is not None and error[2]:
-        least = sorted(error[2], key=rank)[:2]
-        if len(least) == 2 and rank(least[0]) == rank(least[1]):
-            break
-        error = least[0]
-    if error is not None:
-        (_, path, _, _), message, _ = error
-        field = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
-        raise ConfigError(f"invalid config at {'$' + field if path else '$ (top level)'}: "
-                          f"{message}")
-    if subcommand == "verify":  # an unread key would be echoed as if it had been used
-        suite = resolved["suite"]
-        read = SUITE_KEYS[suite] | {"suite", "seed", *_OUTPUT_PROPS}
-        unread = sorted(config.keys() - read)
-        if unread:
-            raise ConfigError(f"suite {suite!r} does not read {', '.join(unread)}")
-        resolved = {key: value for key, value in resolved.items() if key in read}
-    return resolved
+    """Return the config with its defaults filled in; raise ConfigError at its first violation."""
+    schema = SCHEMAS[subcommand]
+    if subcommand == "verify" and isinstance(config.get("suite"), str):
+        schema = VERIFY_SCHEMAS.get(config["suite"], schema)  # else the suite is rejected
+    return _resolve(schema, config)
 
 
 def _check_integer_sizes(obj, path):
@@ -578,7 +551,7 @@ def cmd_bound(config, n_workers):
 def cmd_verify(config, n_workers):
     suite = config["suite"]
     mc = {}  # the sampling settings, which only the Monte Carlo suites read
-    if _MC_KEYS <= SUITE_KEYS[suite]:
+    if suite != "l1":
         mc = dict(n_paths=config["n_paths"], n_steps=config["n_steps"],
                   seed=config["seed"], variance=_preset(config), n_workers=n_workers)
     extra_results = {}
@@ -595,7 +568,7 @@ def cmd_verify(config, n_workers):
                                   config["xi"], Grid(**config["grid"]))]
     elif suite == "mixed-deriv":
         reports = check_mixed_derivative_bound(
-            _family(config), config["m"], config["t"],
+            family_from_json(config["family"]), config["m"], config["t"],
             _parse_index(config["alpha"], "alpha"),
             _parse_index(config["beta"], "beta"),
             config["lambda_sizes"], **mc,
@@ -607,7 +580,7 @@ def cmd_verify(config, n_workers):
         )
     else:  # class
         params, reports = class_membership(
-            _family(config), config["m"], config["t"],
+            family_from_json(config["family"]), config["m"], config["t"],
             lambda_size=config["lambda_size"], **mc,
         )
         extra_results["class_params"] = asdict(params)
@@ -625,12 +598,6 @@ def _verify_potential(config, default):
     if "potential" in config:
         return potential_from_json(config["potential"])
     return default_sweep_potentials()[default]
-
-
-def _family(config):
-    if "family" not in config:
-        raise ConfigError("this suite requires a 'family' entry")
-    return family_from_json(config["family"])
 
 
 def cmd_commutator(config, n_workers):

@@ -72,8 +72,10 @@ def gaussian_state_symbol(grid: Grid, center_x, center_xi, width_x, width_xi) ->
     """Gaussian phase-space state, normalized to trace one by grid quadrature."""
     center_x, center_xi, width_x, width_xi = (np.atleast_1d(np.asarray(a, dtype=float))
                                               for a in (center_x, center_xi, width_x, width_xi))
-    if center_x.shape != (grid.dim,) or center_xi.shape != (grid.dim,):
-        raise ValueError(f"centers must have {grid.dim} coordinates")
+    for name, center in (("center_x", center_x), ("center_xi", center_xi)):
+        if center.shape != (grid.dim,):
+            raise ValueError(f"{name} needs one entry per grid axis ({grid.dim}), "
+                             f"not {center.size}")
     for name, width in (("width_x", width_x), ("width_xi", width_xi)):
         if width.shape not in ((1,), (grid.dim,)):
             raise ValueError(f"{name} needs one entry, or one per grid axis ({grid.dim}), "

@@ -37,6 +37,20 @@ def harmonic_potential_json():
 STATE = {"center_x": [0.6], "center_xi": [0.6], "width_x": [1.0], "width_xi": [1.0]}
 
 
+# every schema the checker walks: one per subcommand, and one per verify suite
+CHECKED_SCHEMAS = {**cli.SCHEMAS,
+                   **{f"verify-{suite}": schema for suite, schema in cli.VERIFY_SCHEMAS.items()}}
+
+
+def schema_keywords(schema):
+    """Every keyword of schema and of the schemas inside it."""
+    yield from schema
+    for sub in schema.get("properties", {}).values():
+        yield from schema_keywords(sub)
+    for sub in ([schema["items"]] if "items" in schema else []) + schema.get("anyOf", []):
+        yield from schema_keywords(sub)
+
+
 def reference_validator(schema):
     """jsonschema's validator for schema, to which a NaN or infinite float is not
     a number: the reference that the CLI's own checker follows."""
@@ -45,6 +59,12 @@ def reference_validator(schema):
     types = cls.TYPE_CHECKER.redefine("number", lambda checker, v: is_type(v, "number") and (
         not isinstance(v, float) or math.isfinite(v)))
     return jsonschema.validators.extend(cls, type_checker=types)(schema)
+
+
+def as_reported(err):
+    """The checker's message for jsonschema's error err."""
+    field = err.json_path if err.json_path != "$" else "$ (top level)"
+    return f"invalid config at {field}: {err.message}"
 
 
 # values that probe the type rules: null, bools, integral and non-integral floats,
@@ -110,6 +130,9 @@ class TestConfigHandling:
         assert doc["config"]["preset"] == "generator_laplacian"
         assert doc["config"]["chunk_size"] == 4096
         cli.validate_config("estimate", doc["config"])
+        # a default is filled in too: the grid's {} gains the grid's own defaults
+        echo = cli.validate_config("oracle", {"potential": {}, "t": 0.5})
+        assert echo["grid"] == {"half_width": 10.0, "n_grid": 512, "dim": 1}
 
     def test_missing_field_named(self):
         with pytest.raises(cli.ConfigError, match="seed"):
@@ -129,41 +152,44 @@ class TestConfigHandling:
         ("moments", {"beta": "0:2", "t": 1.0, "seed": 3, "n_paths": 2000}),
     ])
     def test_validated_once_per_run(self, subcommand, config, monkeypatch):
-        # every top-level call of the checker is recorded (its own recursive calls
+        # every top-level call of the walk is recorded (its own recursive calls
         # pass a path), so a second validation per run would show up
         schemas = []
-        schema_errors = cli._schema_errors
+        resolve = cli._resolve
 
         def recorded(schema, value, *path):
             if not path:
                 schemas.append(schema)
-            return schema_errors(schema, value, *path)
+            return resolve(schema, value, *path)
 
-        monkeypatch.setattr(cli, "_schema_errors", recorded)
+        monkeypatch.setattr(cli, "_resolve", recorded)
         code, _ = run(subcommand, config)
         assert code == 0
         assert schemas == [cli.SCHEMAS[subcommand]]
 
     @pytest.mark.parametrize("subcommand,config", [
         ("moments", {"beta": "0:2", "t": 1.0, "seed": 0, "bogus": 1}),
-        ("moments", {"beta": "0:2", "t": -1.0, "seed": 0, "n_paths": 1}),
-        ("estimate", {"potential": {"variant": "zero", "sites": [0]}, "x": [0.0]}),
-        ("oracle", {"potential": {"variant": "nope", "sites": [0]}, "t": "0.5",
+        ("moments", {"beta": "0:2", "t": 1.0, "seed": 0, "n_paths": 1}),
+        ("estimate", {"potential": {"variant": "zero", "sites": [0]}, "x": [0.0], "xi": [1.0],
+                      "t": 0.5}),
+        ("oracle", {"potential": {"variant": "nope", "sites": [0]}, "t": 0.5,
                     "grid": {"n_grid": 8}}),
+        ("verify", {"suite": "linf", "seed": 1, "n_points": "2"}),
     ])
     def test_error_message_as_from_jsonschema_validate(self, subcommand, config):
-        resolved = cli.apply_defaults(cli.SCHEMAS[subcommand], config)
+        # one violation each, so jsonschema's choice among errors plays no part
+        schema = cli.SCHEMAS[subcommand]
+        if subcommand == "verify":
+            schema = cli.VERIFY_SCHEMAS[config["suite"]]
         with pytest.raises(jsonschema.ValidationError) as expected:
-            jsonschema.validate(resolved, cli.SCHEMAS[subcommand])
-        err = expected.value
-        field = err.json_path if err.json_path != "$" else "$ (top level)"
+            jsonschema.validate(config, schema)
         with pytest.raises(cli.ConfigError) as got:
             cli.validate_config(subcommand, config)
-        assert str(got.value) == f"invalid config at {field}: {err.message}"
+        assert str(got.value) == as_reported(expected.value)
 
-    @pytest.mark.parametrize("subcommand", sorted(cli.SCHEMAS))
-    def test_schema_is_valid_under_its_metaschema(self, subcommand):
-        schema = cli.SCHEMAS[subcommand]
+    @pytest.mark.parametrize("name", sorted(CHECKED_SCHEMAS))
+    def test_schema_is_valid_under_its_metaschema(self, name):
+        schema = CHECKED_SCHEMAS[name]
         jsonschema.validators.validator_for(schema).check_schema(schema)
 
     @pytest.mark.parametrize("subcommand, config, message", [
@@ -186,13 +212,18 @@ class TestConfigHandling:
             "center_x": [0.0], "center_xi": [0.0], "width_x": [1.0], "width_xi": [1.0]}},
          "$.t_list: [] should be non-empty"),
         ("oracle", {"potential": {}, "t": 0.5, "region": -1},
-         "$.region: -1 is less than or equal to the minimum of 0"),
+         "$.region: -1 is not valid under any of the given schemas"),
         ("oracle", {"potential": {}, "t": 0.5, "region": "x"},
          "$.region: 'x' is not valid under any of the given schemas"),
         ("oracle", {"potential": {}, "t": 0.5, "region": 2.5}, None),
         ("oracle", {"potential": {}, "t": 0.5, "grid": {"dim": True}},
          "$.grid.dim: True is not one of [1, 2]"),
         ("oracle", {"potential": {}, "t": 0.5, "grid": {"dim": 2.0}}, None),
+        ("verify", {"seed": 1}, "$ (top level): 'suite' is a required property"),
+        ("verify", {"suite": ["linf"], "seed": 1},
+         "$.suite: ['linf'] is not one of ['linf', 'xi-deriv', 'l1', 'mixed-deriv', 'class']"),
+        ("verify", {"suite": "class", "seed": 1},
+         "$ (top level): 'family' is a required property"),
     ])
     def test_checker_messages(self, subcommand, config, message):
         if message is None:
@@ -202,84 +233,71 @@ class TestConfigHandling:
                 cli.validate_config(subcommand, config)
             assert str(got.value) == f"invalid config at {message}"
 
-    def test_checker_matches_jsonschema_best_match(self):
-        # seeded random configs for every subcommand, mostly well formed, with
-        # probe values for the type rules: the checker must reject exactly what
-        # jsonschema rejects (to which a NaN or infinite float is not a number),
-        # at the same JSON path and with the same message
+    def test_checker_matches_jsonschema(self):
+        # seeded random configs for every schema the checker walks, mostly well
+        # formed, with probe values for the type rules, and hand-made configs for
+        # an anyOf beside a sibling error, an anyOf inside an anyOf and two errors
+        # of one schema: the checker must reject exactly what jsonschema rejects
+        # (to which a NaN or infinite float is not a number), and report one of
+        # jsonschema's errors, at its JSON path and in its words
         rng = random.Random(20131)
-        reported = set()
-        for subcommand, schema in sorted(cli.SCHEMAS.items()):
-            reference = reference_validator(schema)
-            for _ in range(1500):
-                config = random_instance(rng, schema, probe=0.0)
-                resolved = cli.apply_defaults(schema, config)
-                err = jsonschema.exceptions.best_match(reference.iter_errors(resolved))
-                try:
-                    cli.validate_config(subcommand, config)
-                    got = None
-                except cli.ConfigError as error:
-                    got = str(error)
-                if err is None:  # verify also rejects keys its suite does not read
-                    assert got is None or got.startswith("suite "), config
-                    continue
-                # the keyword that rejected, and those that descended to it
-                reported |= {err.validator} | {
-                    "items" if isinstance(key, int) else "properties" for key in err.absolute_path}
-                field = err.json_path if err.json_path != "$" else "$ (top level)"
-                assert got == f"invalid config at {field}: {err.message}", config
-        # every keyword the checker implements took part in some rejection
-        assert reported == cli._KEYWORDS - {"default"}, reported
-
-    @pytest.mark.parametrize("config", [
-        {"a": 1}, {"a": 6}, {"a": "x"}, {"a": True}, {"b": 1}, {"b": [0]}, {"b": "x"},
-        {"c": "x"}, {"c": 2}, {"a": 1, "b": 4, "c": 2}, {"b": 1, "c": 2.0},
-    ])
-    def test_checker_ranks_like_best_match(self, config, monkeypatch):
-        # ties that SCHEMAS alone cannot show: an anyOf error beside a sibling error
-        # at the same path, an anyOf inside an anyOf, and two errors of one schema
-        schema = {"type": "object", "properties": {
+        cases = [(schema, random_instance(rng, schema, probe=0.0))
+                 for _, schema in sorted(CHECKED_SCHEMAS.items()) for _ in range(1500)]
+        tangled = {"type": "object", "properties": {
             "a": {"anyOf": [{"type": "string"}, {"enum": [7, 8]}], "minimum": 5},
             "b": {"anyOf": [{"anyOf": [{"type": "null"}, {"minimum": 3}]},
                             {"type": "array", "minItems": 2}]},
             "c": {"enum": [1], "type": "integer"},
         }}
-        monkeypatch.setitem(cli.SCHEMAS, "bound", schema)
-        err = jsonschema.exceptions.best_match(reference_validator(schema).iter_errors(config))
-        with pytest.raises(cli.ConfigError) if err else nullcontext() as got:
-            cli.validate_config("bound", config)
-        assert err is None or str(got.value) == f"invalid config at {err.json_path}: {err.message}"
+        cases += [(tangled, config) for config in (
+            {"a": 1}, {"a": 6}, {"a": "x"}, {"a": True}, {"b": 1}, {"b": [0]}, {"b": "x"},
+            {"c": "x"}, {"c": 2}, {"a": 1, "b": 4, "c": 2}, {"b": 1, "c": 2.0})]
+        reported = set()
+        for schema, config in cases:
+            reference = reference_validator(schema)
+            errors = {as_reported(err): err for err in reference.iter_errors(config)}
+            try:
+                cli._resolve(schema, config)
+                got = None
+            except cli.ConfigError as error:
+                got = str(error)
+            assert (got is None) == (not errors), config
+            if got is not None:
+                assert got in errors, (config, got, list(errors))
+                # the keyword that rejected, and those that descended to it
+                reported |= {errors[got].validator} | {
+                    "items" if isinstance(key, int) else "properties"
+                    for key in errors[got].absolute_path}
+        # every keyword the checker implements took part in some rejection
+        used = {key for schema in CHECKED_SCHEMAS.values() for key in schema_keywords(schema)}
+        assert reported == used - {"default"}, reported
 
     def test_checker_knows_every_schema_keyword(self):
         # a keyword that the checker does not implement, such as "pattern", must
-        # not pass unchecked: SCHEMAS uses exactly the checked keywords, and any
-        # other keyword raises
-        def keywords(schema):
-            yield from schema
-            for sub in schema.get("properties", {}).values():
-                yield from keywords(sub)
-            for sub in ([schema["items"]] if "items" in schema else []) + schema.get("anyOf", []):
-                yield from keywords(sub)
-
-        used = {key for schema in cli.SCHEMAS.values() for key in keywords(schema)}
-        assert used == cli._KEYWORDS
+        # not pass unchecked: the schemas use exactly the checked keywords, and
+        # any other keyword raises
+        used = {key for schema in CHECKED_SCHEMAS.values() for key in schema_keywords(schema)}
+        assert used == {"type", "enum", "minimum", "exclusiveMinimum", "minItems", "maxItems",
+                        "items", "properties", "required", "additionalProperties", "anyOf",
+                        "default"}
         with pytest.raises(NotImplementedError, match="pattern"):
-            list(cli._schema_errors({"type": "string", "pattern": "^a"}, "b"))
+            cli._resolve({"type": "string", "pattern": "^a"}, "b")
 
-    @pytest.mark.parametrize("subcommand", sorted(cli.SCHEMAS))
-    def test_schema_defaults_validate(self, subcommand):
-        # run_config validates a config once, with its defaults filled in, so
-        # every default must satisfy the schema it fills
+    # the verify schema only names the suite, whose own schema holds the defaults
+    @pytest.mark.parametrize("name", sorted(CHECKED_SCHEMAS.keys() - {"verify"}))
+    def test_schema_defaults_validate(self, name):
+        # the walk fills in a default where a key is missing and checks it too,
+        # so every default, itself filled in, must satisfy the schema it fills
         def with_defaults(schema):
             for sub in schema.get("properties", {}).values():
                 if "default" in sub:
                     yield sub
                 yield from with_defaults(sub)
 
-        subs = list(with_defaults(cli.SCHEMAS[subcommand]))
+        subs = list(with_defaults(CHECKED_SCHEMAS[name]))
         assert subs
         for sub in subs:
-            jsonschema.validate(cli.apply_defaults(sub, copy.deepcopy(sub["default"])), sub)
+            jsonschema.validate(cli._resolve(sub, copy.deepcopy(sub["default"])), sub)
 
     def test_inline_and_file_configs(self, tmp_path):
         config = {"beta": "0:2", "t": 1.0, "seed": 3, "n_paths": 2000}
@@ -387,7 +405,7 @@ class TestExitCodes:
         ("verify", {"suite": "mixed-deriv", "seed": 1, "lambda_sizes": [],
                     "family": {"family": "mean_field", "G": {"name": "lorentzian"}}},
          "lambda_sizes"),
-        ("verify", {"suite": "l1", "seed": 1, "xi": []}, "xi"),
+        ("verify", {"suite": "l1", "xi": []}, "xi"),
         *(("commutator", {"potential": harmonic_potential_json(), "state": STATE | {key: []}},
            f"state.{key}") for key in STATE),
     ], ids=["betas", "lambda_sizes", "xi", *STATE])
@@ -397,15 +415,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"config error: invalid config at $.{key}: [] should be non-empty\n"
 
-    @pytest.mark.parametrize("dim, key, widths, message", [
+    @pytest.mark.parametrize("dim, key, entries, message", [
         (1, "width_x", [1.0, 2.0], "width_x needs one entry, or one per grid axis (1), not 2"),
         (2, "width_xi", [1.0, 1.0, 1.0],
          "width_xi needs one entry, or one per grid axis (2), not 3"),
-    ], ids=["width_x-1d", "width_xi-2d"])
-    def test_mis_sized_state_width_is_config_error(self, dim, key, widths, message, capsys):
+        (1, "center_x", [0.6, 0.1], "center_x needs one entry per grid axis (1), not 2"),
+        (2, "center_xi", [0.6], "center_xi needs one entry per grid axis (2), not 1"),
+    ], ids=["width_x-1d", "width_xi-2d", "center_x-1d", "center_xi-2d"])
+    def test_mis_sized_state_width_is_config_error(self, dim, key, entries, message, capsys):
         sites = [[0], [1]][:dim]
         state = {"center_x": [0.6] * dim, "center_xi": [0.6] * dim,
-                 "width_x": [1.0], "width_xi": [1.0]} | {key: widths}
+                 "width_x": [1.0], "width_xi": [1.0]} | {key: entries}
         config = {"potential": harmonic_potential_json() | {"sites": sites}, "state": state,
                   "grid": {"half_width": 10.0, "n_grid": 16, "dim": dim}}
         assert cli.main(["commutator", json.dumps(config)]) == 1
@@ -555,7 +575,7 @@ class TestExitCodes:
 
     def test_verify_zero_potential_l1_is_two(self, capsys):
         config = {
-            "suite": "l1", "seed": 1,
+            "suite": "l1",
             "potential": {"variant": "zero", "sites": [[0]]},
             "grid": {"half_width": 8.0, "n_grid": 64, "dim": 1},
         }
@@ -566,7 +586,7 @@ class TestExitCodes:
     def test_verify_l1_on_2d_grid(self, capsys):
         # frequencies carry one coordinate per grid axis
         config = {
-            "suite": "l1", "seed": 1, "t": 1.0,
+            "suite": "l1", "t": 1.0,
             "xi": [[0.0, 0.0], [1.0, -0.5]],
             "potential": {"variant": "nearest_neighbor", "d": 1, "sites": [[0], [1]],
                           "F": {"name": "harmonic"}, "G": {"name": "zero"}},
@@ -683,23 +703,25 @@ class TestExitCodes:
         ({"suite": "linf", "n_points": 2, "n_paths": 64, "n_steps": 2,
           "potential": {"variant": "zero", "sites": [0]},
           "family": {"family": "mean_field", "G": {"name": "lorentzian"}},
-          "lambda_sizes": [3], "t": 0.5}, "family, lambda_sizes, potential, t"),
+          "lambda_sizes": [3], "t": 0.5}, "'family', 'lambda_sizes', 'potential', 't' were"),
         ({"suite": "xi-deriv", "n_points": 1, "n_paths": 64, "grid": {"n_grid": 32},
-          "m": 2}, "grid, m"),
+          "m": 2}, "'grid', 'm' were"),
         ({"suite": "l1", "t": 1.0, "grid": {"half_width": 12.0, "n_grid": 64},
           "preset": "generator_laplacian", "n_paths": 64, "n_steps": 2},
-         "n_paths, n_steps, preset"),
+         "'n_paths', 'n_steps', 'preset', 'seed' were"),
+        ({"suite": "l1", "t": 1.0, "xi": [0.0]}, "'seed' was"),  # l1 draws no samples
         ({"suite": "mixed-deriv", "family": {"family": "mean_field", "G": {"name": "lorentzian"}},
           "lambda_sizes": [2], "lambda_size": 3, "betas": ["0:1"], "n_points": 2},
-         "betas, lambda_size, n_points"),
+         "'betas', 'lambda_size', 'n_points' were"),
         ({"suite": "class", "family": {"family": "mean_field", "G": {"name": "lorentzian"}},
-          "alpha": "0:1", "xi": [0.0]}, "alpha, xi"),
-    ], ids=["linf", "xi-deriv", "l1", "mixed-deriv", "class"])
+          "alpha": "0:1", "xi": [0.0]}, "'alpha', 'xi' were"),
+    ], ids=["linf", "xi-deriv", "l1", "l1-seed", "mixed-deriv", "class"])
     def test_key_the_suite_ignores_is_config_error(self, config, unread, capsys):
         # a key the suite never reads would still be echoed as if it had been used
         assert cli.main(["verify", json.dumps(config | {"seed": 1})]) == 1
         err = capsys.readouterr().err
-        assert err == f"config error: suite {config['suite']!r} does not read {unread}\n"
+        assert err == ("config error: invalid config at $ (top level): "
+                       f"Additional properties are not allowed ({unread} unexpected)\n")
 
     @pytest.mark.parametrize("suite, config", [
         ("linf", {"n_points": 1}),
@@ -713,18 +735,17 @@ class TestExitCodes:
     ])
     def test_echo_holds_the_keys_the_suite_reads(self, suite, config):
         # the echoed config, defaults included, is exactly what the suite reads
-        # besides the output keys and the seed, which l1 requires but never draws
+        # besides the output keys
         class Recorded(dict):
             def __getitem__(self, key):
                 read.add(key)
                 return super().__getitem__(key)
 
         read = set()
-        fast = {"n_paths": 2, "n_steps": 1} if suite != "l1" else {}
-        echo = cli.validate_config("verify", {"suite": suite, "seed": 1} | fast | config)
+        fast = {"seed": 1, "n_paths": 2, "n_steps": 1} if suite != "l1" else {}
+        echo = cli.validate_config("verify", {"suite": suite} | fast | config)
         cli.cmd_verify(Recorded(echo), 1)
-        unread = {"output", "csv_output", "emit_metadata"} | ({"seed"} if suite == "l1" else set())
-        assert echo.keys() - read == unread
+        assert echo.keys() - read == {"output", "csv_output", "emit_metadata"}
         assert read <= echo.keys()
 
     def test_verify_family_required(self):
@@ -1134,7 +1155,7 @@ _WORKER_INVARIANCE_CONFIGS = {
                         "n_paths": 8200, "n_steps": 4}),
     "xi-deriv": ("verify", {"suite": "xi-deriv", "seed": 9, "n_points": 2,
                             "betas": ["0:1", "0:2"], "n_paths": 8200, "n_steps": 4}),
-    "l1": ("verify", {"suite": "l1", "seed": 1, "t": 1.0,
+    "l1": ("verify", {"suite": "l1", "t": 1.0,
                       "grid": {"half_width": 12.0, "n_grid": 64, "dim": 1}}),
     "mixed-deriv": ("verify", {
         "suite": "mixed-deriv", "seed": 2,
