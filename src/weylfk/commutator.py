@@ -159,8 +159,7 @@ def commutator_trace(oracle: GridOracle, p: WeylObservable, poly_coeffs,
     the coordinate along ``site_axis``.  The semigroup is a Kronecker product
     of factors (:class:`GridSemigroup`), and the state, a product over axes,
     is split into matching factors, each quantized once; the oracle's
-    spectral factors serve every time, and every time writes its semigroup
-    into the same two buffers (B and M).  The commutator replaces only the
+    spectral factors serve every time.  The commutator replaces only the
     factor that holds ``site_axis``, and the traces and the symbol sup are
     products of per-factor results (:func:`_reduce`).  Returns one
     :class:`CommutatorTraceResult` per entry of ``times``.
@@ -177,7 +176,7 @@ def commutator_trace(oracle: GridOracle, p: WeylObservable, poly_coeffs,
         raise ValueError("site_axis out of range")
 
     # the state's factors on the axes of the semigroup's factors, each quantized
-    # once, before B and M are written; the first carries the normalization
+    # once; the first carries the normalization
     axes = oracle.factor_grid
     dim, (k, axis) = axes.dim, divmod(site_axis, axes.dim)  # k: the factor holding site_axis
     factors = [WeylObservable(axes, p.axes[lo:lo + dim], p.norm_const if lo == 0 else 1.0)
@@ -187,11 +186,10 @@ def commutator_trace(oracle: GridOracle, p: WeylObservable, poly_coeffs,
     states = [op_weyl_matrix(q).view(float).reshape(-1, 2) for q in factors]
     state_trace = reduce(operator.mul, (q.trace_quadrature() for q in factors))
     a = np.polynomial.polynomial.polyval(axes.points()[:, axis], poly_coeffs)
-    buffers = [np.empty(axes.n_points**2) for _ in "BM"]  # reused by every time
 
     def trace_at(t):
-        matrices = list(oracle.semigroup(t, out=buffers).factors)
-        C = matrices[k]  # [A, M]: C_ij = (a_i - a_j) M_ij, in M's buffer by bands of rows
+        matrices = list(oracle.semigroup(t).factors)
+        C = matrices[k]  # [A, M]: C_ij = (a_i - a_j) M_ij, in place in M by bands of rows
         if sum(M is C for M in matrices) > 1:  # M serves another axis too
             C = matrices[k] = C.copy()
         for lo in range(0, len(a), ROW_BAND):

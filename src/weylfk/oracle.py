@@ -213,8 +213,7 @@ def matrix_symbol_bands(matrix: np.ndarray, grid: Grid):
     centers in the band, *other center axes, *frequencies).  A band is
     ROW_BAND first-axis centers in 1-d and one in 2-d, the only difference
     between dimensions.  Each band's index is the first band's shifted by a
-    constant, added in place; its kernel is gathered, weighted and transformed
-    in place in one reused complex buffer, which the next band overwrites.
+    constant, added in place; each band's values are a new array.
     """
     n, N, dim = grid.n_grid, grid.n_points, grid.dim
     if matrix.shape != (N, N):
@@ -225,14 +224,13 @@ def matrix_symbol_bands(matrix: np.ndarray, grid: Grid):
     centers = _flat([np.arange(width)] + [np.arange(n)] * (dim - 1), n)
     index = np.add.outer(centers * (N + 1), _flat([m] * dim, n) * (N - 1))  # the first band's
     order = (*range(0, 2 * dim, 2), *range(1, 2 * dim, 2))  # (*centers, *offsets)
-    buffer = np.empty(index.shape, dtype=complex)
     for lo in range(0, n, width):
         rows = min(width, n - lo)
         band = [np.arange(lo, lo + rows)] + [np.arange(n)] * (dim - 1)  # centers per axis
         weights = [np.where(_on_grid(c, n, m), signed, 0.0) for c in band]
         weight = reduce(np.multiply.outer, weights).transpose(order)
-        values = np.multiply(matrix.take(index[:rows], mode="clip"), weight, out=buffer[:rows])
-        yield lo, np.fft.fftn(values, axes=tuple(range(-dim, 0)), out=values)
+        values = matrix.take(index[:rows], mode="clip") * weight
+        yield lo, np.fft.fftn(values, axes=tuple(range(-dim, 0)))
         index += width * n ** (dim - 1) * (N + 1)  # the next band's centers
 
 
@@ -526,7 +524,7 @@ def _spectrum(w, Q):
     return w, Q, (magnitude.max(axis=0), magnitude.min(axis=0))
 
 
-def _gram(w, Q, extent, t, out=None):
+def _gram(w, Q, extent, t):
     """Q exp(-tw) Q^T as B B^T with B = Q exp(-tw/2).
 
     numpy runs B @ B.T as a symmetric rank-k update, half the flops of a
@@ -537,22 +535,19 @@ def _gram(w, Q, extent, t, out=None):
     entirely and those with nothing to flush are known before B is formed.
     The eigenvalues ascend, so the vanished columns trail and B is formed
     without them; the flush scans only the columns from the first that has
-    an entry to flush.  ``out``, two flat buffers of at least Q.size entries,
-    receives B and the product, which is then a view of the second.
+    an entry to flush.
     """
     tiny = np.finfo(float).tiny
     largest, smallest = extent
     scale = np.exp(-0.5 * t * w)
     live = np.flatnonzero(largest * scale >= tiny)
     k = live[-1] + 1 if live.size else 0
-    n = len(Q)
-    B = np.multiply(Q[:, :k], scale[:k],
-                    out=None if out is None else out[0][: n * k].reshape(n, k))
+    B = Q[:, :k] * scale[:k]
     flushed = np.flatnonzero(smallest[:k] * scale[:k] < tiny)
     if flushed.size:
         tail = B[:, flushed[0]:]
         tail[np.abs(tail) < tiny] = 0.0
-    return np.matmul(B, B.T, out=None if out is None else out[1][: n * n].reshape(n, n))
+    return B @ B.T
 
 
 class GridOracle:
@@ -585,7 +580,7 @@ class GridOracle:
             self._spectra.append(_spectrum(w, U))
             self._kept.append(kept)
 
-    def semigroup(self, t: float, out=None) -> GridSemigroup:
+    def semigroup(self, t: float) -> GridSemigroup:
         """exp(-tH) from the cached spectral factors, its axis factor per axis if V separates.
 
         Each factor set gives B B^T (see :func:`_gram`).  With symmetry blocks,
@@ -593,27 +588,22 @@ class GridOracle:
         g(r_a) and h(r_b) is L_{gh}[a, b] with L_e = sum_c chi_c(e) K_c: each
         (g, h) block of M is gathered from L_{gh} at the orbits of its points
         and written at their slots, which keeps M exactly symmetric.
-
-        ``out``, two flat float buffers of ``factor_grid.n_points**2`` entries
-        each, receives B and M, so that a sequence of times reuses them; the
-        semigroup returned then views the second, which the next call
-        overwrites.
         """
         if not t > 0.0:
             raise ValueError("t must be positive")
         if self._slots is None:
             (spectrum,) = self._spectra
-            M = _gram(*spectrum, t, out)
+            M = _gram(*spectrum, t)
             n_factors = self.grid.dim // self.factor_grid.dim
             return GridSemigroup(self.grid, float(t), *[M] * n_factors)
         n_orbits = self._kept[0].size  # the trivial character keeps every orbit
         sums = np.zeros((len(self._spectra), n_orbits, n_orbits))  # L_e, by group element
         for signs, spectrum, kept in zip(self._characters, self._spectra, self._kept):
-            K = _gram(*spectrum, t, out)
+            K = _gram(*spectrum, t)
             for L, x in zip(sums, signs):
                 L[np.ix_(kept, kept)] += x * K
         N = self.grid.n_points
-        M = np.empty((N, N)) if out is None else out[1][: N * N].reshape(N, N)
+        M = np.empty((N, N))
         element, orbit = np.divmod(self._slots, n_orbits)
         points = [np.flatnonzero(element == e) for e in range(len(sums))]
         for g, rows in enumerate(points):

@@ -114,11 +114,9 @@ def _weight(V, path, dt, alpha, alpha_subs):
 def _pair_sums(endpoint, weights, beta_vec, xis):
     """The chunk's entry for mean_and_stderr: pair count, per-xi totals and centred m2."""
     forward, backward = weights
-    if beta_vec.any():
-        moment = np.prod((-1j * endpoint) ** beta_vec, axis=-1)
-        reflected = moment * (-1.0) ** int(beta_vec.sum())
-    else:
-        moment = reflected = np.ones(len(endpoint), dtype=complex)
+    support = np.flatnonzero(beta_vec)  # an empty product, beta = 0, is exactly 1
+    moment = np.prod((-1j * endpoint[:, support]) ** beta_vec[support], axis=-1)
+    reflected = moment * (-1.0) ** int(beta_vec.sum())
     totals, m2 = np.empty(len(xis), dtype=complex), np.empty(len(xis))
     for k, xi in enumerate(xis):
         # each phase is its own matrix-vector product, so its bits match a lone call

@@ -358,6 +358,12 @@ class TestExitCodes:
         assert err.startswith("config error:")
         assert str(tmp_path) in err
 
+    def test_non_object_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        assert cli.main(["bound", str(path)]) == 1
+        assert capsys.readouterr().err == "config error: config must be a JSON object\n"
+
     def test_unconverged_eigh_is_numerical_failure(self, monkeypatch, capsys):
         def unconverged(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -399,6 +405,20 @@ class TestExitCodes:
         assert err.startswith("config error:")
         assert "Traceback" not in err
 
+    def test_commutator_site_axis_out_of_range_is_config_error(self, capsys):
+        config = {"potential": harmonic_potential_json(), "site_axis": 1, "state": STATE,
+                  "grid": {"half_width": 10.0, "n_grid": 256, "dim": 1}}
+        assert cli.main(["commutator", json.dumps(config)]) == 1
+        assert capsys.readouterr().err == "config error: site_axis out of range\n"
+
+    def test_state_off_the_frequency_grid_is_numerical_failure(self, capsys):
+        # the frequency grid at n_grid 64 and half-width 10 ends near 5
+        config = {"potential": harmonic_potential_json(), "state": STATE | {"center_xi": [40.0]},
+                  "grid": {"half_width": 10.0, "n_grid": 64, "dim": 1}}
+        assert cli.main(["commutator", json.dumps(config)]) == 2
+        assert (capsys.readouterr().err
+                == "numerical failure: state leaks outside the frequency grid\n")
+
     @pytest.mark.parametrize("subcommand, config, key", [
         ("verify", {"suite": "xi-deriv", "seed": 1, "betas": [], "n_points": 1, "n_paths": 4,
                     "n_steps": 1}, "betas"),
@@ -421,7 +441,8 @@ class TestExitCodes:
          "width_xi needs one entry, or one per grid axis (2), not 3"),
         (1, "center_x", [0.6, 0.1], "center_x needs one entry per grid axis (1), not 2"),
         (2, "center_xi", [0.6], "center_xi needs one entry per grid axis (2), not 1"),
-    ], ids=["width_x-1d", "width_xi-2d", "center_x-1d", "center_xi-2d"])
+        (1, "width_x", [0.0], "widths must be positive"),
+    ], ids=["width_x-1d", "width_xi-2d", "center_x-1d", "center_xi-2d", "width_x-zero"])
     def test_mis_sized_state_width_is_config_error(self, dim, key, entries, message, capsys):
         sites = [[0], [1]][:dim]
         state = {"center_x": [0.6] * dim, "center_xi": [0.6] * dim,
@@ -798,9 +819,10 @@ class TestExitCodes:
         ("verify", {"family": "nearest_neighbor_chain", "G": {"name": "harmonic", "width": 2.0}},
          None),
         ("verify", {"family": "nearest_neighbor_chain"}, None),
+        ("estimate", {"variant": "zero", "sites": [0, 0]}, None),
     ], ids=["string-sites", "fractional-sites", "bool-sites", "include-diagonal-string",
             "missing-F", "harmonic-width", "fractional-d", "family-include-diagonal-string",
-            "family-harmonic-width", "family-missing-G"])
+            "family-harmonic-width", "family-missing-G", "duplicate-sites"])
     def test_malformed_description_is_config_error(self, subcommand, description, index,
                                                   capsys):
         # the builders check the descriptions the schema passes through as objects

@@ -200,7 +200,7 @@ class TestTrace:
         factorized = commutator_trace(oracle, state, [0.0, 1.0, 0.5], 1, times)
         w, Q = np.linalg.eigh(build_hamiltonian(V, grid))
 
-        def dense(t, out=None):  # one dense factor; the buffers are not used
+        def dense(t):  # one dense factor
             M = (Q * np.exp(-t * w)) @ Q.T
             return GridSemigroup(grid, t, 0.5 * (M + M.T))
 
@@ -223,7 +223,7 @@ def full_table_traces(oracle, state, poly, site_axis, t):
     a = np.polynomial.polynomial.polyval(grid.points()[:, site_axis], poly)
     (M,) = oracle.semigroup(t).factors
     C = M * np.subtract.outer(a, a)
-    F = np.concatenate([band.copy() for _, band in matrix_symbol_bands(C, grid)])
+    F = np.concatenate([band for _, band in matrix_symbol_bands(C, grid)])
     ax, xi = grid.axis(), grid.xi_axis()
     profiles = [np.outer(f.x_profile(ax), f.xi_profile(xi)) for f in state.axes]
     table = state.norm_const * reduce(partial(np.einsum, "ak,bl->abkl"), profiles)

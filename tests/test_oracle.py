@@ -49,8 +49,8 @@ def normalized_gaussian(grid, center=0.0, width=1.0):
 
 def symbol_table(matrix, grid):
     """The complex symbol of a kernel matrix on the full window of centers,
-    from its streamed bands (each copied: the next 1-d band reuses the buffer)."""
-    return np.concatenate([band.copy() for _, band in matrix_symbol_bands(matrix, grid)])
+    from its streamed bands."""
+    return np.concatenate([band for _, band in matrix_symbol_bands(matrix, grid)])
 
 
 class TestGrid:
@@ -181,10 +181,8 @@ class TestSemigroup:
         live = np.flatnonzero(B.any(axis=0))
         B = B[:, : live[-1] + 1 if live.size else 0]
         expected = B @ B.T
-        buffers = [np.full(n * n, np.nan) for _ in "BM"]  # B and the product, reused
-        for out in (None, buffers, buffers):
-            got = _gram(*_spectrum(w, Q), t, out)
-            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        got = _gram(*_spectrum(w, Q), t)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_nonpositive_time_rejected(self):
         oracle = GridOracle(zero_potential([(0,)]), Grid(8.0, 16, 1))
@@ -549,7 +547,7 @@ class TestTransformBands:
         starts, bands = [], []
         for lo, values in matrix_symbol_bands(matrix, grid):
             starts.append(lo)
-            bands.append(values.copy())  # the next band reuses the buffer
+            bands.append(values)
         assert starts == list(range(0, 64, band))
         assert all(len(b) == min(band, 64 - lo) for lo, b in zip(starts, bands))
         assert same_bits(np.concatenate(bands), whole)
@@ -563,10 +561,20 @@ class TestTransformBands:
         starts, bands = [], []
         for lo, values in matrix_symbol_bands(matrix, grid):
             starts.append(lo)
-            bands.append(values.copy())
+            bands.append(values)
         assert starts == list(range(16))
         assert same_bits(np.concatenate(bands), whole)
         assert same_bits(symbol_table(matrix, grid), whole)
+
+    @pytest.mark.parametrize("grid", [Grid(8.0, 256, 1), Grid(6.0, 16, 2)], ids=["1d", "2d"])
+    def test_bands_are_not_overwritten(self, grid):
+        # every band is its own array: a later band leaves the earlier ones as they were
+        matrix = np.random.default_rng(4).standard_normal((grid.n_points,) * 2)
+        copied = [(lo, values.copy()) for lo, values in matrix_symbol_bands(matrix, grid)]
+        kept = list(matrix_symbol_bands(matrix, grid))
+        assert len(kept) == len(copied) > 1
+        for (lo, values), (lo_copy, copy) in zip(kept, copied):
+            assert lo == lo_copy and same_bits(values, copy)
 
     def test_rejects_mismatched_matrix(self):
         with pytest.raises(ValueError, match="does not match"):
@@ -927,12 +935,11 @@ class TestSymmetryBlocks:
     @pytest.mark.parametrize("make", [SYMMETRIC["nn-harmonic-lorentzian"],
                                       ONE_SYMMETRY["exchange-only"][0]], ids=["both", "exchange"])
     def test_assembled_at_slots_equals_tiles_bitwise(self, make):
-        # M written block by block at the points' slots, into a fresh array or
-        # reused buffers, against tiling the products L_e by group element and
-        # gathering the rows and columns at the slots
+        # M written block by block at the points' slots, against tiling the
+        # products L_e by group element and gathering the rows and columns at
+        # the slots
         oracle = GridOracle(make(), Grid(4.5, 16, 2))
         n_orbits = oracle._kept[0].size
-        buffers = [np.empty(256**2) for _ in "BM"]
         for t in (0.05, 0.5):
             products = []
             for spectrum, kept in zip(oracle._spectra, oracle._kept):
@@ -942,8 +949,7 @@ class TestSymmetryBlocks:
             sums = [sum(x * K for x, K in zip(signs, products)) for signs in oracle._characters.T]
             tiles = np.block([[sums[g ^ h] for h in range(len(sums))] for g in range(len(sums))])
             expected = tiles.take(oracle._slots, axis=0).take(oracle._slots, axis=1)
-            for out in (None, buffers):
-                assert same_bits(*oracle.semigroup(t, out).factors, expected)
+            assert same_bits(*oracle.semigroup(t).factors, expected)
 
     @pytest.mark.parametrize("case", sorted(ONE_SYMMETRY))
     def test_one_symmetry_gives_two_blocks(self, case, eigh_shapes):
