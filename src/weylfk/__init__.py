@@ -18,14 +18,12 @@ from .brownian import (
 from .bounds import (
     BoundReport,
     DivergentIntegralError,
-    SymbolClassParams,
     check_l1_bound,
-    check_linf,
-    check_mixed_derivative_bound,
-    check_xi_derivative_bounds,
-    class_membership,
-    linf_sweep,
-    xi_derivative_sweep,
+    check_probes,
+    class_probes,
+    linf_probes,
+    mixed_derivative_probes,
+    xi_derivative_probes,
 )
 from .commutator import (
     CommutatorTraceResult,

@@ -5,21 +5,23 @@ negative means violation) and a violation flag that allows three standard
 errors of statistical slack on Monte Carlo inputs.  Exact oracle quantities
 get a small fixed numerical slack instead.
 
-The four Monte Carlo suites differ only in how they draw their probes, each
-a (potential, phase point, time, seed, alpha, beta); one pool estimates every
-probe of a suite and one report builder turns the estimates into margins.
+Each Monte Carlo suite is a probe generator: it returns groups of probes,
+each a (potential, phase point, time, seed, alpha, beta), with the bounds the
+group is checked against.  One engine, check_probes, estimates every probe of
+a suite in one pool and returns a report per group and bound, and one row per
+probe.  The class suite is the mixed-derivative generator at one site count
+over CLASS_INDEX_PAIRS.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
-from .brownian import DEFAULT_PRESET, abs_moment_max, absolute_moment_product
+from .brownian import abs_moment_max, absolute_moment_product
 from .faadibruno import mixed_derivative_bound
 from .multiindex import MultiIndex, ZERO_INDEX
 from .oracle import Grid, GridOracle, decay_window, grid_edge_max, semigroup_symbol_at
@@ -39,43 +41,20 @@ DIVERGENCE_TOL = 1e-8  # largest exp(-tV) the L1 check accepts on the grid bound
 SWEEP_HALFWIDTH = 2.0  # linf and xi-deriv points lie in [-2, 2] per coordinate
 SPAWNED_PROBES = 2  # probes per report in the mixed-derivative and class suites
 SPAWNED_HALFWIDTH = 1.5  # their points lie in [-1.5, 1.5] per coordinate
-# the (alpha, beta) pairs that the class suite samples
+# the (alpha, beta) pairs that the class suite samples; its parameters are read
+# from the bounds of the first three
 CLASS_INDEX_PAIRS = (
     (ZERO_INDEX, ZERO_INDEX),
     (MultiIndex.of({0: 1}), ZERO_INDEX),
     (ZERO_INDEX, MultiIndex.of({0: 1})),
     (MultiIndex.of({0: 1}), MultiIndex.of({1: 1})),
 )
+# the leading columns of a probe row; one bound column per check follows
+PROBE_COLUMNS = ("group", "n_sites", "t", "seed", "value_re", "value_im", "stderr")
 
 
 class DivergentIntegralError(RuntimeError):
     """The comparison integral does not converge on this potential."""
-
-
-@dataclass(frozen=True)
-class SymbolClassParams:
-    """Dimension-independent symbol-class parameters certified for a family."""
-
-    max_norm: float
-    rho: np.ndarray    # per-site position-derivative growth factors
-    delta: np.ndarray  # per-site frequency-derivative growth factors
-    m: int
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=float)
-        delta = np.asarray(self.delta, dtype=float)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "delta", delta)
-        if self.max_norm < 0 or np.any(rho < 0) or np.any(delta < 0):
-            raise ValueError("class parameters must be nonnegative")
-
-    def bound_for(self, alpha: MultiIndex, beta: MultiIndex) -> float:
-        out = self.max_norm
-        for j, order in alpha.entries:
-            out *= self.rho[j] ** order
-        for j, order in beta.entries:
-            out *= self.delta[j] ** order
-        return out
 
 
 @dataclass(frozen=True)
@@ -129,28 +108,35 @@ def default_sweep_potentials() -> dict:
     }
 
 
-def _report(inequality, bound, estimates, extra=None) -> BoundReport:
-    """Bound minus |estimate| per estimate, with STAT_SLACK standard errors of slack."""
-    estimates = list(estimates)
-    return BoundReport.from_margins(
-        inequality,
-        [bound - abs(e.value) for e in estimates],
-        [STAT_SLACK * e.stderr for e in estimates],
-        extra,
-    )
+def check_probes(groups, n_paths, n_steps, variance, n_workers):
+    """Estimate every probe of every group and check it against its group's bounds.
 
-
-def _estimate_probes(probes, n_paths, n_steps, variance, n_workers) -> list:
-    """One mixed-derivative estimate per probe (V, point, t, seed, alpha, beta), in
-    order; the probes run concurrently, one worker each, and each depends only on
-    its probe."""
+    groups is a list of (probes, checks): each probe a (V, point, t, seed,
+    alpha, beta) for estimate_mixed_derivative, and checks a dict from a bound
+    column to an (inequality, bound, extra) triple, the same columns in every
+    group.  All probes run concurrently in one pool, one worker each, and each
+    estimate depends only on its probe.  Returns the reports, one per group and
+    check in order, with margins bound - |value| and STAT_SLACK standard errors
+    of slack, and the rows as (header, rows): one row per probe, PROBE_COLUMNS
+    then the group's bounds.
+    """
     def estimate(probe):
         V, point, t, seed, alpha, beta = probe
         return estimate_mixed_derivative(V, point, t, n_paths, n_steps, seed,
                                          alpha=alpha, beta=beta, variance=variance)
 
     with ThreadPoolExecutor(max_workers=max(1, n_workers)) as pool:
-        return list(pool.map(estimate, probes))
+        estimates = iter(list(pool.map(estimate, [p for probes, _ in groups for p in probes])))
+    reports, rows = [], []
+    for index, (probes, checks) in enumerate(groups):
+        found = [next(estimates) for _ in probes]
+        bounds = [bound for _, bound, _ in checks.values()]
+        rows += [(index, V.n_sites, t, seed, e.value.real, e.value.imag, e.stderr, *bounds)
+                 for (V, _, t, seed, _, _), e in zip(probes, found)]
+        reports += [BoundReport.from_margins(inequality, [bound - abs(e.value) for e in found],
+                                             [STAT_SLACK * e.stderr for e in found], extra)
+                    for inequality, bound, extra in checks.values()]
+    return reports, (PROBE_COLUMNS + tuple(groups[0][1]), rows)
 
 
 def _uniform_point(rng, n_sites, halfwidth) -> PhasePoint:
@@ -160,51 +146,7 @@ def _uniform_point(rng, n_sites, halfwidth) -> PhasePoint:
     )
 
 
-def _spawned_probes(V, t, seed, key, seed_stride, alpha, beta) -> list:
-    """Probe i draws its point with the spawn key (key, i), its paths from
-    the seed seed + seed_stride * i."""
-    return [
-        (V, _uniform_point(
-            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key, i))),
-            V.n_sites, SPAWNED_HALFWIDTH,
-        ), t, seed + seed_stride * i, alpha, beta)
-        for i in range(SPAWNED_PROBES)
-    ]
-
-
-def _per_report(estimates, n) -> list:
-    """A suite's estimates cut into consecutive groups of n, one group per report."""
-    return [estimates[i:i + n] for i in range(0, len(estimates), n)]
-
-
-def check_linf(estimates) -> BoundReport:
-    """Unit bound on the symbol modulus, with statistical slack."""
-    return _report("symbol-sup-unit", 1.0, estimates)
-
-
-def _xi_derivative_bounds(beta: MultiIndex, t, variance) -> tuple:
-    """The exact moment product bound and its max-order coarsening; an order
-    whose constants leave double range raises OverflowError."""
-    m = beta.max_order
-    coarse = abs_moment_max(m) ** beta.order * (variance.sigma2 * t) ** (beta.order / 2.0)
-    return absolute_moment_product(beta, t, variance), coarse
-
-
-def check_xi_derivative_bounds(estimates, beta: MultiIndex, t,
-                               variance=DEFAULT_PRESET):
-    """Frequency-derivative bounds: the exact moment product and its max-order coarsening."""
-    estimates = list(estimates)
-    product_bound, coarse_bound = _xi_derivative_bounds(beta, t, variance)
-    return (
-        _report("xi-derivative-moment-product", product_bound, estimates,
-                {"bound": product_bound}),
-        _report("xi-derivative-max-order", coarse_bound, estimates,
-                {"bound": coarse_bound}),
-    )
-
-
-def linf_sweep(n_points, n_paths, n_steps, seed, variance=DEFAULT_PRESET,
-               n_workers=1) -> BoundReport:
+def linf_probes(n_points, seed) -> list:
     """The unit sup bound at n_points probes, cycling through the sweep potentials.
 
     One stream seeded by seed draws each probe's point and its time in
@@ -217,29 +159,32 @@ def linf_sweep(n_points, n_paths, n_steps, seed, variance=DEFAULT_PRESET,
         V = potentials[k % len(potentials)]
         point = _uniform_point(rng, V.n_sites, SWEEP_HALFWIDTH)
         probes.append((V, point, float(rng.uniform(0.1, 1.0)), seed + k, ZERO_INDEX, ZERO_INDEX))
-    return check_linf(_estimate_probes(probes, n_paths, n_steps, variance, n_workers))
+    return [(probes, {"bound": ("symbol-sup-unit", 1.0, {})})]
 
 
-def xi_derivative_sweep(V: PotentialSpec, betas, t, n_points, n_paths, n_steps,
-                        seed, variance=DEFAULT_PRESET, n_workers=1) -> list:
-    """Both frequency-derivative bounds for each beta, at n_points probes.
+def xi_derivative_probes(V: PotentialSpec, betas, t, n_points, seed, variance) -> list:
+    """Both frequency-derivative bounds for each beta, at n_points probes: the
+    exact moment product and its max-order coarsening.
 
     Each beta addresses coordinates by site position.  One stream seeded by
     seed draws the points and keeps running across betas; probe k of every
-    beta samples its paths from the seed seed + 31 k.  Every bound is computed
-    before any path is sampled, so an order whose bound overflows fails at
-    once; a position beyond the site count fails at its first estimate.  All
-    probes of all betas share one pool.
+    beta samples its paths from the seed seed + 31 k.  An order whose bound
+    leaves double range raises OverflowError before any path is sampled; a
+    position beyond the site count fails at its first estimate.
     """
-    for beta in betas:
-        _xi_derivative_bounds(beta, t, variance)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    probes = [(V, _uniform_point(rng, V.n_sites, SWEEP_HALFWIDTH), t, seed + 31 * k,
-               ZERO_INDEX, beta)
-              for beta in betas for k in range(n_points)]
-    estimates = _estimate_probes(probes, n_paths, n_steps, variance, n_workers)
-    return [report for beta, group in zip(betas, _per_report(estimates, n_points))
-            for report in check_xi_derivative_bounds(group, beta, t, variance)]
+    groups = []
+    for beta in betas:
+        exact = absolute_moment_product(beta, t, variance)
+        coarse = (abs_moment_max(beta.max_order) ** beta.order
+                  * (variance.sigma2 * t) ** (beta.order / 2.0))
+        probes = [(V, _uniform_point(rng, V.n_sites, SWEEP_HALFWIDTH), t, seed + 31 * k,
+                   ZERO_INDEX, beta) for k in range(n_points)]
+        groups.append((probes, {
+            "moment_product_bound": ("xi-derivative-moment-product", exact, {"bound": exact}),
+            "max_order_bound": ("xi-derivative-max-order", coarse, {"bound": coarse}),
+        }))
+    return groups
 
 
 def check_l1_bound(V: PotentialSpec, t, xi_list, grid: Grid) -> BoundReport:
@@ -284,55 +229,50 @@ def check_l1_bound(V: PotentialSpec, t, xi_list, grid: Grid) -> BoundReport:
     )
 
 
-def check_mixed_derivative_bound(family, m, t, alpha, beta,
-                                 lambda_sizes, n_paths, n_steps, seed,
-                                 variance=DEFAULT_PRESET, n_workers=1):
+def _mixed_derivative_groups(family, m, t, seed, seed_stride, variance, cases) -> list:
+    """One group per case (inequality, alpha, beta, size, key), checked against
+    mixed_derivative_bound with the budget c_m that family(size) certifies.
+
+    The extra of each report records the bound, the size and c_m, so the
+    caller can check that they do not move.  A case has SPAWNED_PROBES probes;
+    probe i draws its point with the spawn key (key, i) and its paths from the
+    seed seed + seed_stride * i.  Every bound is computed before any path is
+    sampled.
+    """
+    groups = []
+    for inequality, alpha, beta, size, key in cases:
+        V = family(size)
+        c_m = V.certified_cm(m)
+        bound = mixed_derivative_bound(alpha, beta, m, t, c_m, variance)
+        probes = [(V, _uniform_point(
+            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key, i))),
+            V.n_sites, SPAWNED_HALFWIDTH,
+        ), t, seed + seed_stride * i, alpha, beta) for i in range(SPAWNED_PROBES)]
+        groups.append((probes, {"bound": (inequality, bound,
+                                          {"bound": bound, "size": int(size), "c_m": c_m})}))
+    return groups
+
+
+def mixed_derivative_probes(family, m, t, alpha, beta, lambda_sizes, seed, variance) -> list:
     """Mixed-derivative estimates against the closed-form bound, across site counts.
 
     family maps a site count to a potential.  alpha and beta address sites by
     their position in its site list, so the same derivative pattern is applied
-    at every size.  Each size's bound takes the budget c_m that its own
-    potential certifies; reports record both per size, so the caller can check
-    that they do not move.  Each size gets SPAWNED_PROBES probes, spawned
-    under the key size.  Every bound is computed before any path is sampled,
-    and all probes share one pool.
+    at every size, and each size's bound takes its own potential's budget.
+    Size n's probes are spawned under the key n.
     """
-    sizes = []
-    for size in lambda_sizes:
-        V = family(size)
-        c_m = V.certified_cm(m)
-        sizes.append((size, V, c_m, mixed_derivative_bound(alpha, beta, m, t, c_m, variance)))
-    probes = [probe for size, V, _, _ in sizes
-              for probe in _spawned_probes(V, t, seed, size, 7919, alpha, beta)]
-    estimates = _estimate_probes(probes, n_paths, n_steps, variance, n_workers)
-    return [
-        _report(f"mixed-derivative-bound[size={size}]", bound, group,
-                {"bound": bound, "size": int(size), "c_m": c_m})
-        for (size, _, c_m, bound), group in zip(sizes, _per_report(estimates, SPAWNED_PROBES))
-    ]
+    return _mixed_derivative_groups(family, m, t, seed, 7919, variance, [
+        (f"mixed-derivative-bound[size={n}]", alpha, beta, n, n) for n in lambda_sizes])
 
 
-def class_membership(family, m, t, n_paths, n_steps, seed,
-                     variance=DEFAULT_PRESET, lambda_size=4, n_workers=1):
-    """Certified symbol-class parameters plus sampled verification reports.
+def class_probes(family, m, t, lambda_size, seed, variance) -> list:
+    """The mixed-derivative groups of each pair of CLASS_INDEX_PAIRS at lambda_size.
 
-    family maps a site count to a potential; c_m is certified by the one it
-    builds at lambda_size.  The growth factors are uniform across sites:
-    m * exp(t * c_m) per position order and B_m * sqrt(sigma2 * t) per
-    frequency order.  Each pair of CLASS_INDEX_PAIRS gets SPAWNED_PROBES
-    probes, spawned under its position; all probes share one pool.
+    Their bounds certify the symbol class: the (0, 0) bound is the sup norm,
+    and the (e_0, 0) and (0, e_0) bounds are the growth factors per position
+    and per frequency order, m exp(t c_m) and B_m sqrt(sigma2 t), uniform
+    across sites.  Pair i's probes are spawned under the key i.
     """
-    V = family(lambda_size)
-    c_m = V.certified_cm(m)
-    rho = np.full(lambda_size, m * math.exp(t * c_m))
-    delta = np.full(lambda_size, abs_moment_max(m) * math.sqrt(variance.sigma2 * t))
-    params = SymbolClassParams(1.0, rho, delta, m)
-    probes = [probe for pair_index, (alpha, beta) in enumerate(CLASS_INDEX_PAIRS)
-              for probe in _spawned_probes(V, t, seed, pair_index, 104729, alpha, beta)]
-    estimates = _estimate_probes(probes, n_paths, n_steps, variance, n_workers)
-    reports = []
-    for (alpha, beta), group in zip(CLASS_INDEX_PAIRS, _per_report(estimates, SPAWNED_PROBES)):
-        bound = params.bound_for(alpha, beta)
-        label = f"class-bound[alpha={alpha.to_text() or '0'};beta={beta.to_text() or '0'}]"
-        reports.append(_report(label, bound, group, {"bound": bound}))
-    return params, reports
+    return _mixed_derivative_groups(family, m, t, seed, 104729, variance, [
+        (f"class-bound[alpha={alpha.to_text() or '0'};beta={beta.to_text() or '0'}]",
+         alpha, beta, lambda_size, i) for i, (alpha, beta) in enumerate(CLASS_INDEX_PAIRS)])

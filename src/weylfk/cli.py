@@ -13,8 +13,9 @@ Exit codes: 0 success, 1 configuration error (a NaN or infinite number, an
 integer too large for a float, an unreadable config, an unwritable output
 path or an array too large to allocate too), 2 numerical failure (decay,
 divergence, support, NaN results, an eigensolver that does not converge,
-arithmetic overflow or division by zero), 3 bound violation from the verify
-suites.
+arithmetic overflow, division by zero or path weights that underflow), 3 bound
+violation from the verify suites, whose Monte Carlo suites write one CSV row per
+probe.
 """
 
 from __future__ import annotations
@@ -35,11 +36,12 @@ from . import __version__
 from .bounds import (
     DivergentIntegralError,
     check_l1_bound,
-    check_mixed_derivative_bound,
-    class_membership,
+    check_probes,
+    class_probes,
     default_sweep_potentials,
-    linf_sweep,
-    xi_derivative_sweep,
+    linf_probes,
+    mixed_derivative_probes,
+    xi_derivative_probes,
 )
 from .brownian import (
     VariancePreset,
@@ -549,49 +551,44 @@ def cmd_bound(config, n_workers):
 
 
 def cmd_verify(config, n_workers):
-    suite = config["suite"]
-    mc = {}  # the sampling settings, which only the Monte Carlo suites read
-    if suite != "l1":
-        mc = dict(n_paths=config["n_paths"], n_steps=config["n_steps"],
-                  seed=config["seed"], variance=_preset(config), n_workers=n_workers)
-    extra_results = {}
-    if suite == "linf":
-        reports = [linf_sweep(config["n_points"], **mc)]
-    elif suite == "xi-deriv":
-        betas = [_parse_index(text, "beta") for text in config["betas"]]
-        reports = xi_derivative_sweep(
-            _verify_potential(config, "lorentzian"), betas, config["t"],
-            config["n_points"], **mc,
-        )
-    elif suite == "l1":
+    suite, csv = config["suite"], None
+    if suite == "l1":
         reports = [check_l1_bound(_verify_potential(config, "harmonic"), config["t"],
                                   config["xi"], Grid(**config["grid"]))]
-    elif suite == "mixed-deriv":
-        reports = check_mixed_derivative_bound(
-            family_from_json(config["family"]), config["m"], config["t"],
-            _parse_index(config["alpha"], "alpha"),
-            _parse_index(config["beta"], "beta"),
-            config["lambda_sizes"], **mc,
-        )
-        bound_values = [r.extra["bound"] for r in reports]
-        extra_results["bound_values"] = bound_values
-        extra_results["bound_is_size_independent"] = bool(
-            max(bound_values) == min(bound_values)
-        )
-    else:  # class
-        params, reports = class_membership(
-            family_from_json(config["family"]), config["m"], config["t"],
-            lambda_size=config["lambda_size"], **mc,
-        )
-        extra_results["class_params"] = asdict(params)
+    else:  # the Monte Carlo suites: one row per probe
+        variance = _preset(config)
+        reports, csv = check_probes(_verify_probes(config, variance), config["n_paths"],
+                                    config["n_steps"], variance, n_workers)
     results = {
         "suite": suite,
         "reports": [r.to_json() for r in reports],
         "violations": sum(r.violation for r in reports),
-        **extra_results,
     }
-    code = 3 if any(r.violation for r in reports) else 0
-    return results, None, code
+    bounds = [r.extra.get("bound") for r in reports]
+    if suite == "mixed-deriv":
+        results["bound_values"] = bounds
+        results["bound_is_size_independent"] = max(bounds) == min(bounds)
+    elif suite == "class":  # the (0, 0), (e_0, 0) and (0, e_0) bounds, uniform across sites
+        size = config["lambda_size"]
+        results["class_params"] = {"max_norm": bounds[0], "rho": [bounds[1]] * size,
+                                   "delta": [bounds[2]] * size, "m": config["m"]}
+    return results, csv, 3 if results["violations"] else 0
+
+
+def _verify_probes(config, variance):
+    suite, seed = config["suite"], config["seed"]
+    if suite == "linf":
+        return linf_probes(config["n_points"], seed)
+    if suite == "xi-deriv":
+        betas = [_parse_index(text, "beta") for text in config["betas"]]
+        return xi_derivative_probes(_verify_potential(config, "lorentzian"), betas,
+                                    config["t"], config["n_points"], seed, variance)
+    family = family_from_json(config["family"])
+    if suite == "mixed-deriv":
+        return mixed_derivative_probes(
+            family, config["m"], config["t"], _parse_index(config["alpha"], "alpha"),
+            _parse_index(config["beta"], "beta"), config["lambda_sizes"], seed, variance)
+    return class_probes(family, config["m"], config["t"], config["lambda_size"], seed, variance)
 
 
 def _verify_potential(config, default):

@@ -38,6 +38,7 @@ from .multiindex import MultiIndex, ZERO_INDEX, sub_multiindices
 
 DEFAULT_CHUNK_SIZE = 4096  # antithetic pairs per chunk
 SUB_BATCH_ELEMENTS = 1 << 18  # path coordinates (paths x time points x sites) at once
+UNDERFLOW_FLOOR = np.sqrt(np.finfo(float).tiny)  # smallest weight whose square is normal
 
 
 @dataclass(frozen=True)
@@ -101,14 +102,16 @@ def _shifted_paths(rng, pairs, t, n_steps, x0, variance):
         yield lo, hi, w[:, -1, :], path
 
 
-def _weight(V, path, dt, alpha, alpha_subs):
-    # exp(-A) times (d^alpha exp(-A)) / exp(-A): x enters the path only as a
-    # uniform shift, so d^gamma A is the action of d^gamma V on the same path
-    value = np.exp(-_trapezoid(V.eval(path), dt))
+def _weight(V, path, dt, alpha, alpha_subs, out):
+    # exp(-A) times (d^alpha exp(-A)) / exp(-A) into out, returning the largest
+    # exp(-A): x enters the path only as a uniform shift, so d^gamma A is the
+    # action of d^gamma V on the same path
+    np.exp(-_trapezoid(V.eval(path), dt), out=out)
+    largest = out.max()
     if alpha_subs:
         w_derivs = {g: -_trapezoid(V.partial(g, path), dt) for g in alpha_subs}
-        value = value * derivative_of_exponential(w_derivs, alpha)
-    return value
+        out *= derivative_of_exponential(w_derivs, alpha)
+    return largest
 
 
 def _pair_sums(endpoint, weights, beta_vec, xis):
@@ -143,7 +146,9 @@ def estimate_mixed_derivative(V, point: PhasePoint, t, n_paths, n_steps, seed, *
     exactly (the multivariate chain rule, by its binomial recurrence over the
     actions of the partials of V along the same path), so the estimate has no
     step-size bias.  V.partial must supply every nonzero sub-index of alpha.
-    A second moment that overflows gives a NaN standard error, not zero.
+    A second moment that overflows gives a NaN standard error, not zero; one
+    that underflows, every weight exp(-A) of a chunk below UNDERFLOW_FLOOR,
+    raises FloatingPointError, as the estimate would read as exact.
     """
     if not t > 0.0:
         raise ValueError("t must be positive")
@@ -168,9 +173,15 @@ def estimate_mixed_derivative(V, point: PhasePoint, t, n_paths, n_steps, seed, *
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
         endpoint, weights = np.empty((pairs, V.n_sites)), np.empty((2, pairs))
         paths = _shifted_paths(rng, pairs, t, n_steps, point.x, variance)
+        largest = 0.0  # exp(-A), before the alpha factor and the beta moment; NaN stays
         for i, (lo, hi, ends, path) in enumerate(paths):  # forward, backward in turn
             endpoint[lo:hi] = ends
-            weights[i % 2, lo:hi] = _weight(V, path, dt, alpha, alpha_subs)
+            largest = np.maximum(largest, _weight(V, path, dt, alpha, alpha_subs,
+                                                  weights[i % 2, lo:hi]))
+        if largest < UNDERFLOW_FLOOR:
+            raise FloatingPointError(
+                f"the largest path weight exp(-A) of a chunk at {V.n_sites} sites is "
+                f"{largest:.3g}, below {UNDERFLOW_FLOOR:.3g}: its second moment underflows")
         return _pair_sums(endpoint, weights, beta_vec, np.atleast_2d(point.xi))
 
     tasks = list(enumerate(_chunk_sizes(n_paths // 2, chunk_size)))

@@ -113,17 +113,16 @@ def test_criterion_2_gaussian_moments():
 def test_criterion_3_sup_bound_sweep():
     potentials = [harmonic_1d(), lorentzian_1d(), chain_2sites()]
     rng = np.random.default_rng(33)
-    estimates = []
+    probes = []
     for k in range(100):
         V = potentials[k % 3]
         point = w.PhasePoint(
             rng.uniform(-2, 2, V.n_sites), rng.uniform(-2, 2, V.n_sites)
         )
         t = float(rng.uniform(0.1, 1.0))
-        estimates.append(
-            w.estimate_mixed_derivative(V, point, t, 4096, 16, seed=7000 + k)
-        )
-    report = w.check_linf(estimates)
+        probes.append((V, point, t, 7000 + k, mi({}), mi({})))
+    unit = {"bound": ("symbol-sup-unit", 1.0, {})}
+    (report,), _ = w.check_probes([(probes, unit)], 4096, 16, w.DEFAULT_PRESET, 1)
     assert report.n_samples == 100
     assert not report.violation
 
@@ -255,10 +254,10 @@ def test_criterion_7_mixed_derivative_bounds():
     for name, family in families.items():
         for m, pairs in cases.items():
             for alpha, beta in pairs:
-                reports = w.check_mixed_derivative_bound(
-                    family, m, t, alpha, beta, sizes,
-                    n_paths=8192, n_steps=24, seed=9100 + total,
-                )
+                groups = w.mixed_derivative_probes(family, m, t, alpha, beta, sizes,
+                                                   seed=9100 + total, variance=w.DEFAULT_PRESET)
+                reports, _ = w.check_probes(groups, n_paths=8192, n_steps=24,
+                                            variance=w.DEFAULT_PRESET, n_workers=1)
                 bounds = [r.extra["bound"] for r in reports]
                 assert all(math.isfinite(b) for b in bounds)
                 assert max(bounds) == min(bounds)  # literally size-independent

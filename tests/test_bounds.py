@@ -4,20 +4,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from weylfk import bounds, cli
 from weylfk.bounds import (
-    BoundReport,
+    PROBE_COLUMNS,
     DivergentIntegralError,
-    SymbolClassParams,
     check_l1_bound,
-    check_linf,
-    check_mixed_derivative_bound,
-    check_xi_derivative_bounds,
-    class_membership,
+    check_probes,
+    class_probes,
     default_sweep_potentials,
-    linf_sweep,
-    xi_derivative_sweep,
+    linf_probes,
+    mixed_derivative_probes,
+    xi_derivative_probes,
 )
-from weylfk.brownian import VariancePreset, abs_moment_max
+from weylfk.brownian import DEFAULT_PRESET, VariancePreset, abs_moment_max
 from weylfk.multiindex import MultiIndex
 from weylfk.oracle import Grid, GridOracle, GridSemigroup, decay_window, semigroup_symbol_at
 from weylfk.potentials import (
@@ -28,50 +27,92 @@ from weylfk.potentials import (
     lorentzian_function,
     zero_function,
 )
-from weylfk.symbol_estimator import PhasePoint, SymbolEstimate, estimate_mixed_derivative
+from weylfk.symbol_estimator import PhasePoint, SymbolEstimate
 
 from potential_helpers import zero_potential
 
 mi = MultiIndex.of
 WIENER = VariancePreset.STANDARD_WIENER
+UNIT = {"bound": ("symbol-sup-unit", 1.0, {})}  # the linf suite's one check
 
 
 def fake_estimate(value, stderr=0.01, t=1.0):
     return SymbolEstimate(complex(value), stderr, 1000, 10, "generator_laplacian", t)
 
 
+def fake_check(monkeypatch, estimates, checks):
+    """The engine's reports and rows on one group of probes that estimate, in
+    order, to the given estimates."""
+    found = iter(estimates)
+    monkeypatch.setattr(bounds, "estimate_mixed_derivative", lambda *args, **kwargs: next(found))
+    probes = [(zero_potential([0]), PhasePoint([0.0], [0.0]), 1.0, k, mi({}), mi({}))
+              for k in range(len(estimates))]
+    return check_probes([(probes, checks)], 1000, 10, WIENER, 1)
+
+
+def xi_reports(monkeypatch, estimate, beta, t):
+    """The moment-product and max-order reports of one probe at beta."""
+    [(_, checks)] = xi_derivative_probes(zero_potential([0, 1, 2]), [beta], t, 1, 0, WIENER)
+    return fake_check(monkeypatch, [estimate], checks)[0]
+
+
+def mixed_reports(family, m, t, alpha, beta, sizes, n_paths, n_steps, seed):
+    groups = mixed_derivative_probes(family, m, t, alpha, beta, sizes, seed, DEFAULT_PRESET)
+    return check_probes(groups, n_paths, n_steps, DEFAULT_PRESET, 1)[0]
+
+
 class TestLinf:
     def test_free_sweep_clean(self):
         V = zero_potential([0])
         rng = np.random.default_rng(1)
-        estimates = [
-            estimate_mixed_derivative(
-                V, PhasePoint([0.0], [float(rng.uniform(-2, 2))]),
-                0.5, 4000, 1, seed=k,
-            )
-            for k in range(20)
-        ]
-        report = check_linf(estimates)
+        probes = [(V, PhasePoint([0.0], [float(rng.uniform(-2, 2))]), 0.5, k, mi({}), mi({}))
+                  for k in range(20)]
+        (report,), _ = check_probes([(probes, UNIT)], 4000, 1, DEFAULT_PRESET, 1)
         assert not report.violation
         assert report.n_samples == 20
 
-    def test_adversarial_flagged(self):
-        report = check_linf([fake_estimate(1.5, stderr=0.01)])
+    def test_adversarial_flagged(self, monkeypatch):
+        (report,), _ = fake_check(monkeypatch, [fake_estimate(1.5, stderr=0.01)], UNIT)
         assert report.violation
         assert report.worst_margin == pytest.approx(-0.5)
 
-    def test_slack_tolerates_noise(self):
-        report = check_linf([fake_estimate(1.02, stderr=0.01)])
+    def test_slack_tolerates_noise(self, monkeypatch):
+        (report,), _ = fake_check(monkeypatch, [fake_estimate(1.02, stderr=0.01)], UNIT)
         assert not report.violation  # within three standard errors
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            check_linf([])
+            check_probes([([], UNIT)], 1000, 10, WIENER, 1)
+
+
+class TestProbeRows:
+    def test_one_row_per_probe_with_its_bounds(self, monkeypatch):
+        estimates = [fake_estimate(0.5 + 0.25j, stderr=0.125), fake_estimate(-0.75, stderr=0.5)]
+        reports, (header, rows) = fake_check(monkeypatch, estimates, {
+            "low": ("low-bound", 0.5, {}), "high": ("high-bound", 2.0, {})})
+        assert header == PROBE_COLUMNS + ("low", "high")
+        assert rows == [(0, 1, 1.0, 0, 0.5, 0.25, 0.125, 0.5, 2.0),
+                        (0, 1, 1.0, 1, -0.75, 0.0, 0.5, 0.5, 2.0)]
+        assert [r.inequality for r in reports] == ["low-bound", "high-bound"]
+        assert reports[0].worst_margin == 0.5 - abs(0.5 + 0.25j)
+        assert reports[0].worst_slack == 3 * 0.125
+
+    def test_groups_keep_their_order(self):
+        V = zero_potential([0])
+        groups = [([(V, PhasePoint([0.0], [xi]), 0.5, seed, mi({}), mi({}))
+                    for seed in seeds], {"bound": (f"group-{i}", 1.0, {})})
+                  for i, (xi, seeds) in enumerate([(0.0, [1, 2, 3]), (1.0, [4])])]
+        reports, (_, rows) = check_probes(groups, 200, 1, DEFAULT_PRESET, 2)
+        assert [r.inequality for r in reports] == ["group-0", "group-1"]
+        assert [r.n_samples for r in reports] == [3, 1]
+        assert [(row[0], row[3]) for row in rows] == [(0, 1), (0, 2), (0, 3), (1, 4)]
+        # the zero potential at frequency 0 is exactly 1
+        assert rows[0][4:7] == (1.0, 0.0, 0.0)
 
 
 class TestSweeps:
     def test_linf_sweep(self):
-        report = linf_sweep(4, 2000, 4, seed=3)
+        (report,), _ = check_probes(linf_probes(4, 3), 2000, 4, DEFAULT_PRESET, 1)
         assert report.inequality == "symbol-sup-unit"
         assert report.n_samples == 4
         assert not report.violation
@@ -79,50 +120,42 @@ class TestSweeps:
     def test_xi_derivative_sweep_reports_both_bounds_per_beta(self):
         V = default_sweep_potentials()["lorentzian"]
         betas = [mi({0: 1}), mi({0: 2})]
-        reports = xi_derivative_sweep(V, betas, 0.5, 3, 2000, 4, seed=4)
+        reports, _ = check_probes(xi_derivative_probes(V, betas, 0.5, 3, 4, DEFAULT_PRESET),
+                                  2000, 4, DEFAULT_PRESET, 1)
         assert [r.inequality for r in reports] == [
             "xi-derivative-moment-product", "xi-derivative-max-order",
         ] * 2
         assert all(r.n_samples == 3 and not r.violation for r in reports)
         # the point stream runs on across betas: the second beta alone sees
         # the first beta's points instead
-        alone = xi_derivative_sweep(V, betas[1:], 0.5, 3, 2000, 4, seed=4)
+        alone, _ = check_probes(xi_derivative_probes(V, betas[1:], 0.5, 3, 4, DEFAULT_PRESET),
+                                2000, 4, DEFAULT_PRESET, 1)
         assert alone[0].worst_margin != reports[2].worst_margin
 
 
 class TestXiDerivativeBounds:
-    def test_empty_index_reduces_to_unit_bound(self):
-        product, coarse = check_xi_derivative_bounds(
-            [fake_estimate(0.7)], mi({}), 1.0, WIENER
-        )
+    def test_empty_index_reduces_to_unit_bound(self, monkeypatch):
+        product, coarse = xi_reports(monkeypatch, fake_estimate(0.7), mi({}), 1.0)
         assert product.extra["bound"] == 1.0
         assert coarse.extra["bound"] == 1.0
         assert not product.violation
 
-    def test_second_order_unit_time(self):
-        product, _ = check_xi_derivative_bounds(
-            [fake_estimate(0.2)], mi({1: 2}), 1.0, WIENER
-        )
+    def test_second_order_unit_time(self, monkeypatch):
+        product, _ = xi_reports(monkeypatch, fake_estimate(0.2), mi({1: 2}), 1.0)
         assert product.extra["bound"] == pytest.approx(1.0, rel=1e-14)
 
-    def test_cross_order_quarter_time(self):
-        product, _ = check_xi_derivative_bounds(
-            [fake_estimate(0.01)], mi({1: 1, 2: 1}), 0.25, WIENER
-        )
+    def test_cross_order_quarter_time(self, monkeypatch):
+        product, _ = xi_reports(monkeypatch, fake_estimate(0.01), mi({1: 1, 2: 1}), 0.25)
         assert product.extra["bound"] == pytest.approx(0.25 * 2 / math.pi, rel=1e-14)
 
-    def test_coarse_never_tighter(self):
+    def test_coarse_never_tighter(self, monkeypatch):
         for beta in (mi({1: 1}), mi({1: 2}), mi({1: 2, 2: 1}), mi({1: 3, 2: 3})):
             for t in (0.25, 1.0, 2.0):
-                product, coarse = check_xi_derivative_bounds(
-                    [fake_estimate(0.0)], beta, t, WIENER
-                )
+                product, coarse = xi_reports(monkeypatch, fake_estimate(0.0), beta, t)
                 assert coarse.extra["bound"] >= product.extra["bound"] * (1 - 1e-12)
 
-    def test_violation_flagged(self):
-        product, _ = check_xi_derivative_bounds(
-            [fake_estimate(5.0, stderr=0.001)], mi({1: 1}), 1.0, WIENER
-        )
+    def test_violation_flagged(self, monkeypatch):
+        product, _ = xi_reports(monkeypatch, fake_estimate(5.0, stderr=0.001), mi({1: 1}), 1.0)
         assert product.violation
 
 
@@ -214,9 +247,7 @@ class TestL1Bound:
 class TestMixedDerivativeBoundCheck:
     def test_mean_field_sweep(self):
         family = family_from_json({"family": "mean_field", "G": {"name": "lorentzian"}})
-        reports = check_mixed_derivative_bound(
-            family, 1, 0.5, mi({0: 1}), mi({}), [2, 4], 2000, 8, seed=5
-        )
+        reports = mixed_reports(family, 1, 0.5, mi({0: 1}), mi({}), [2, 4], 2000, 8, seed=5)
         assert len(reports) == 2
         assert not any(r.violation for r in reports)
         bounds = {r.extra["bound"] for r in reports}
@@ -226,9 +257,7 @@ class TestMixedDerivativeBoundCheck:
         family = family_from_json(
             {"family": "nearest_neighbor_chain", "G": {"name": "lorentzian"}}
         )
-        reports = check_mixed_derivative_bound(
-            family, 1, 0.5, mi({0: 1}), mi({1: 1}), [2, 4], 2000, 8, seed=6
-        )
+        reports = mixed_reports(family, 1, 0.5, mi({0: 1}), mi({1: 1}), [2, 4], 2000, 8, seed=6)
         assert not any(r.violation for r in reports)
 
     def test_size_dependent_budget_moves_the_bound(self):
@@ -238,7 +267,7 @@ class TestMixedDerivativeBoundCheck:
             def certified_cm(self, m):
                 return float(self.n_sites)
 
-        reports = check_mixed_derivative_bound(
+        reports = mixed_reports(
             lambda n: Growing(range(n), lorentzian_function()),
             1, 0.5, mi({0: 1}), mi({}), [2, 4], 200, 2, seed=5,
         )
@@ -248,48 +277,57 @@ class TestMixedDerivativeBoundCheck:
 
     def test_margins_do_not_degrade_with_size(self):
         family = family_from_json({"family": "mean_field", "G": {"name": "lorentzian"}})
-        reports = check_mixed_derivative_bound(
-            family, 1, 0.5, mi({0: 1}), mi({}), [2, 4, 8], 2000, 8, seed=7
-        )
+        reports = mixed_reports(family, 1, 0.5, mi({0: 1}), mi({}), [2, 4, 8], 2000, 8, seed=7)
         margins = [r.worst_margin for r in reports]
         slack = max(r.worst_slack for r in reports)
         assert margins[1] >= margins[0] - 2 * slack
         assert margins[2] >= margins[0] - 2 * slack
 
 
-class TestClassMembership:
-    def test_parameters_formula(self):
-        family = family_from_json({"family": "mean_field", "G": {"name": "lorentzian"}})
-        c1 = family(3).certified_cm(1)
-        params, reports = class_membership(
-            family, 1, 0.5, 2000, 8, seed=3, lambda_size=3,
-            variance=WIENER,
-        )
-        assert params.max_norm == 1.0
-        assert np.allclose(params.rho, 1.0 * math.exp(0.5 * c1))
-        assert np.allclose(params.delta, abs_moment_max(1) * math.sqrt(0.5))
-        assert len(set(params.rho)) == 1 and len(set(params.delta)) == 1
-        assert not any(r.violation for r in reports)
+def class_run(family, m, t, n_paths, n_steps, seed, lambda_size):
+    """The class suite's parameters and reports, under the standard Wiener preset."""
+    code, doc = cli.run_config("verify", {
+        "suite": "class", "family": family, "m": m, "t": t, "n_paths": n_paths,
+        "n_steps": n_steps, "seed": seed, "lambda_size": lambda_size,
+        "preset": "standard_wiener", "emit_metadata": False})
+    return doc["results"]["class_params"], doc["results"]["reports"]
 
-    def test_bound_for_expansion(self):
-        params = SymbolClassParams(1.0, [2.0, 2.0], [0.5, 0.5], 1)
-        value = params.bound_for(mi({0: 1}), mi({1: 1}))
-        assert value == pytest.approx(2.0 * 0.5)
+
+class TestClassMembership:
+    # the class suite is the mixed-derivative generator over CLASS_INDEX_PAIRS;
+    # its parameters are the (0, 0), (e_0, 0) and (0, e_0) bounds
+    def test_parameters_formula(self):
+        description = {"family": "mean_field", "G": {"name": "lorentzian"}}
+        c1 = family_from_json(description)(3).certified_cm(1)
+        params, reports = class_run(description, 1, 0.5, 2000, 8, seed=3, lambda_size=3)
+        assert params["max_norm"] == 1.0
+        assert np.allclose(params["rho"], 1.0 * math.exp(0.5 * c1))
+        assert np.allclose(params["delta"], abs_moment_max(1) * math.sqrt(0.5))
+        assert len(set(params["rho"])) == 1 and len(set(params["delta"])) == 1
+        assert len(params["rho"]) == 3
+        assert not any(r["violation"] for r in reports)
+
+    def test_cross_bound_is_the_product_of_growth_factors(self):
+        family = family_from_json({"family": "mean_field", "G": {"name": "lorentzian"}})
+        groups = class_probes(family, 1, 0.5, 2, 1, WIENER)
+        bound = [checks["bound"][1] for _, checks in groups]
+        assert bound[3] == pytest.approx(bound[1] * bound[2], rel=1e-14)
 
     def test_zero_budget_params(self):
         # a constant interaction has a zero derivative budget: unit position
         # growth factors, frequency factors B_m * sqrt(sigma2 * t)
-        family = family_from_json(
-            {"family": "mean_field", "G": {"name": "constant", "amplitude": 0.7}}
+        params, reports = class_run(
+            {"family": "mean_field", "G": {"name": "constant", "amplitude": 0.7}},
+            1, 1.0, 1000, 4, seed=1, lambda_size=2,
         )
-        params, reports = class_membership(
-            family, 1, 1.0, 1000, 4, seed=1, lambda_size=2,
-            variance=WIENER,
-        )
-        assert np.allclose(params.rho, 1.0)
-        assert np.allclose(params.delta, abs_moment_max(1) * 1.0)
-        assert not any(r.violation for r in reports)
+        assert np.allclose(params["rho"], 1.0)
+        assert np.allclose(params["delta"], abs_moment_max(1) * 1.0)
+        assert not any(r["violation"] for r in reports)
 
-    def test_negative_params_rejected(self):
-        with pytest.raises(ValueError):
-            SymbolClassParams(-1.0, [1.0], [1.0], 1)
+    def test_negative_budget_rejected(self):
+        class Negative(MeanFieldPotential):
+            def certified_cm(self, m):
+                return -1.0
+
+        with pytest.raises(ValueError, match="c_m must be >= 0"):
+            class_probes(lambda n: Negative(range(n), lorentzian_function()), 1, 0.5, 2, 1, WIENER)

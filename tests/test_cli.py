@@ -253,8 +253,11 @@ class TestConfigHandling:
             {"a": 1}, {"a": 6}, {"a": "x"}, {"a": True}, {"b": 1}, {"b": [0]}, {"b": "x"},
             {"c": "x"}, {"c": 2}, {"a": 1, "b": 4, "c": 2}, {"b": 1, "c": 2.0})]
         reported = set()
+        references = {}  # one validator per schema: building one costs more than a case
         for schema, config in cases:
-            reference = reference_validator(schema)
+            if id(schema) not in references:
+                references[id(schema)] = reference_validator(schema)
+            reference = references[id(schema)]
             errors = {as_reported(err): err for err in reference.iter_errors(config)}
             try:
                 cli._resolve(schema, config)
@@ -554,6 +557,35 @@ class TestExitCodes:
         assert err.startswith("numerical failure:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("n_sites", [256, 512])
+    def test_underflowed_second_moment_is_numerical_failure(self, n_sites, capsys):
+        # at amplitude 1 the weights exp(-A) of a 512-site chain all lie below
+        # 1.5e-154, so their squares underflow and the stderr would read 0; at
+        # 256 sites the estimate is still returned
+        config = {"potential": {"variant": "nearest_neighbor", "d": 1,
+                                "sites": [[i] for i in range(n_sites)],
+                                "F": {"name": "harmonic"}, "G": {"name": "lorentzian"}},
+                  "x": [0.1] * n_sites, "xi": [0.0] * n_sites, "t": 0.5, "n_steps": 8,
+                  "n_paths": 64, "seed": 1}
+        code = cli.main(["estimate", json.dumps(config)])
+        out, err = capsys.readouterr()
+        if n_sites == 512:
+            assert code == 2
+            assert err.startswith("numerical failure: the largest path weight exp(-A) of a "
+                                  "chunk at 512 sites is 6.51e-196, below 1.49e-154")
+        else:
+            assert code == 0
+            results = json.loads(out)["results"]
+            assert 1e-99 < results["value_re"] < 1e-97 and 0 < results["stderr"] < 1e-98
+
+    def test_zero_estimate_from_unit_weights_is_exact(self):
+        # the weights exp(-A) are 1 and the alpha factor 0: 0 +- 0 is the exact answer
+        code, doc = run("estimate", {"potential": {"variant": "zero", "sites": [0]},
+                                     "alpha": "0:1", "x": [0.0], "xi": [0.5], "t": 0.5,
+                                     "seed": 1, "n_paths": 64, "n_steps": 2})
+        assert code == 0
+        assert [doc["results"][k] for k in ("value_re", "value_im", "stderr")] == [0, 0, 0]
+
     @pytest.mark.parametrize("F", ["lorentzian", "harmonic"])
     def test_order_200_position_derivative_fails_quickly(self, F, capsys):
         # the Lorentzian's partials overflow; the harmonic well's estimate has
@@ -719,6 +751,54 @@ class TestExitCodes:
         params = doc["results"]["class_params"]
         assert params["max_norm"] == 1.0
         assert len(params["rho"]) == 2
+
+    def test_verify_class_bound_beyond_double_range_is_infinite(self, capsys):
+        # exp(t c_m) leaves double range here: the class bounds are infinite, as
+        # an overflowing mixed-deriv bound is, so nothing can violate them
+        family = {"family": "mean_field", "G": {"name": "lorentzian"}}
+        config = {"seed": 1, "family": family, "m": 2, "t": 1.0, "n_paths": 64, "n_steps": 2,
+                  "emit_metadata": False}
+        assert cli.main(["verify", json.dumps(config | {"suite": "class",
+                                                        "lambda_size": 4})]) == 0
+        out = capsys.readouterr().out
+        results = json.loads(out)["results"]
+        assert results["class_params"]["rho"] == [math.inf] * 4
+        assert [r["extra"]["bound"] for r in results["reports"]][1::2] == [math.inf] * 2
+        assert re.search(r'"rho": \[\s+1e999,', out)  # serialized as 1e999
+        assert cli.main(["verify", json.dumps(config | {
+            "suite": "mixed-deriv", "alpha": "0:1", "lambda_sizes": [4]})]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["bound_values"] == [math.inf]
+
+    @pytest.mark.parametrize("config, columns, n_rows", [
+        ({"suite": "linf", "n_points": 5}, ["bound"], 5),
+        ({"suite": "xi-deriv", "n_points": 2, "betas": ["0:1", "0:2", "0:3"]},
+         ["moment_product_bound", "max_order_bound"], 6),
+        ({"suite": "mixed-deriv", "lambda_sizes": [2, 3, 5],
+          "family": {"family": "mean_field", "G": {"name": "lorentzian"}}}, ["bound"], 6),
+        ({"suite": "class", "lambda_size": 3,
+          "family": {"family": "mean_field", "G": {"name": "lorentzian"}}}, ["bound"], 8),
+    ], ids=["linf", "xi-deriv", "mixed-deriv", "class"])
+    def test_verify_csv_has_one_row_per_probe(self, config, columns, n_rows, tmp_path):
+        # each row carries its probe's estimate and its group's bounds; each
+        # report's worst margin is one of its group's rows
+        csv = tmp_path / "rows.csv"
+        code, doc = run("verify", config | {"seed": 3, "n_paths": 64, "n_steps": 2,
+                                            "csv_output": str(csv)})
+        assert code == 0
+        header, *lines = csv.read_text().splitlines()
+        assert header.split(",") == ["group", "n_sites", "t", "seed", "value_re", "value_im",
+                                     "stderr", *columns]
+        rows = [[float(v) for v in line.split(",")] for line in lines]
+        assert len(rows) == n_rows
+        reports = doc["results"]["reports"]
+        groups = sorted({int(row[0]) for row in rows})
+        assert groups == list(range(len(reports) // len(columns)))
+        for k, report in enumerate(reports):
+            group, column = divmod(k, len(columns))
+            margins = [row[7 + column] - abs(complex(row[4], row[5]))
+                       for row in rows if row[0] == group]
+            assert report["n_samples"] == len(margins)
+            assert report["worst_margin"] in margins
 
     @pytest.mark.parametrize("config, unread", [
         ({"suite": "linf", "n_points": 2, "n_paths": 64, "n_steps": 2,
@@ -1218,6 +1298,7 @@ class TestDeterminism:
             assert code == 0
             outputs.append(out.read_bytes() + (csv.read_bytes() if csv.exists() else b""))
         assert outputs[1] == outputs[0]
+        assert csv.exists() != (name == "l1")  # l1 writes no rows, every other config does
 
 
     def test_rerun_and_worker_count_byte_identical(self, tmp_path):
