@@ -1,21 +1,24 @@
 """Command-line entry point: estimation, oracle, verification, experiments.
 
-One JSON document (inline or a file path) configures each subcommand.  All
-defaults are materialized into the config echoed next to the results, numeric
-output is serialized with 17 significant digits, files are written atomically,
-and reruns of the same config are byte-identical at any worker count;
-timestamps live in an optional metadata block.  One walk over a JSON Schema,
-one per subcommand and per verify suite, fills in the defaults and reports the
-config's first violation in jsonschema's words, so only numpy is imported; each
-potential or family description is checked by its builder.
+One JSON document (inline or a file path) configures each subcommand.  One
+walk over a JSON Schema, one per subcommand and per verify suite, fills in the
+defaults and reports the config's first violation in jsonschema's words, so
+only numpy is imported.  A potential, family or scalar-function description is
+checked by its builder and echoed as given, without the defaults the builder
+applies (amplitude, width, include_diagonal, a chain's F); every other default
+is written into the config echoed next to the results.  Numeric output is
+serialized with 17 significant digits, files are written atomically, and reruns
+of the same config are byte-identical at any worker count; timestamps live in
+an optional metadata block.
 
-Exit codes: 0 success, 1 configuration error (a NaN or infinite number, an
-integer too large for a float, an unreadable config, an unwritable output
-path or an array too large to allocate too), 2 numerical failure (decay,
-divergence, support, NaN results, an eigensolver that does not converge,
-arithmetic overflow, division by zero or path weights that underflow), 3 bound
-violation from the verify suites, whose Monte Carlo suites write one CSV row per
-probe.
+Exit codes: 0 success; 1 configuration error, any ValueError or MemoryError
+(a bad or non-finite config value, an unreadable config, an unwritable output
+path or stdout, an array too large to allocate); 2 numerical failure, any
+ArithmeticError or numpy LinAlgError (decay, divergence, support, NaN results,
+overflow, underflowed path weights, an unconverged eigensolver); 3 a bound
+violation from the verify suites, whose Monte Carlo suites write one CSV row
+per probe.  Each failure class in weylfk derives from one of ArithmeticError
+and ValueError, so its base decides its code.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
-    DivergentIntegralError,
     check_l1_bound,
     check_probes,
     class_probes,
@@ -52,13 +54,7 @@ from .brownian import (
 from .commutator import commutator_trace, gaussian_state_symbol, scaling_fit
 from .faadibruno import mixed_derivative_bound
 from .multiindex import MultiIndex, from_text
-from .oracle import (
-    DecayError,
-    Grid,
-    GridOracle,
-    SupportError,
-    gaussian_test_functions,
-)
+from .oracle import Grid, GridOracle, gaussian_test_functions
 from .potentials import family_from_json, potential_from_json
 from .symbol_estimator import PhasePoint, estimate_mixed_derivative
 
@@ -67,10 +63,6 @@ WORKERS_ENV = "WEYLFK_WORKERS"
 
 class ConfigError(ValueError):
     pass
-
-
-class NonFiniteOutputError(ValueError):
-    """A result that must be serialized is NaN: a numerical failure, not bad config."""
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +75,7 @@ def format_number(x) -> str:
         return str(int(x))
     x = float(x)
     if math.isnan(x):
-        raise NonFiniteOutputError("NaN in output")
+        raise FloatingPointError("NaN in output")
     if math.isinf(x):
         return "1e999" if x > 0 else "-1e999"  # round-trips to infinity
     return format(x, ".17g")
@@ -693,10 +685,15 @@ def main(argv=None) -> int:
         workers = max(1, min(workers, os.cpu_count() or 1))  # results do not depend on it
         config = load_config(args.config)
         code, doc = run_config(args.subcommand, config, workers)
-        print(dumps(doc))
+        try:
+            print(dumps(doc), flush=True)
+        except BrokenPipeError as err:
+            # the reader is gone; what stays buffered goes to devnull at exit
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            raise ConfigError(f"cannot write stdout: {err.strerror}") from err
         return code
-    except (DecayError, DivergentIntegralError, SupportError, NonFiniteOutputError,
-            np.linalg.LinAlgError, ArithmeticError) as err:
+    except (ArithmeticError, np.linalg.LinAlgError) as err:  # LinAlgError is a ValueError
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
     except (ValueError, MemoryError) as err:

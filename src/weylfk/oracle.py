@@ -60,11 +60,11 @@ DECAY_TOL = 1e-12  # kernel mass, relative to its peak, allowed at a truncation 
 SUPPORT_TOL = 1e-10  # grid-function mass, relative to its peak, allowed on the boundary
 
 
-class DecayError(RuntimeError):
+class DecayError(ArithmeticError):
     """Kernel mass survives at the truncation edge; the grid is too small."""
 
 
-class SupportError(RuntimeError):
+class SupportError(ArithmeticError):
     """A grid function is not supported well inside the grid."""
 
 

@@ -62,14 +62,14 @@ class ScalarFunction:
     def value(self, y):
         return self.derivative(0, y)
 
-    def max_sup(self, k_min: int, k_max: int) -> float:
-        """Largest certified sup-norm over derivative orders k_min..k_max."""
+    def max_sup(self, k: int) -> float:
+        """Largest certified sup-norm over derivative orders 1..k."""
         worst = 0.0
-        for k in range(k_min, k_max + 1):
-            bound = self.sup_fn(k)
+        for order in range(1, k + 1):
+            bound = self.sup_fn(order)
             if bound is None:
                 raise MissingSupBoundError(
-                    f"{self.name!r} has no certified sup bound at order {k}"
+                    f"{self.name!r} has no certified sup bound at order {order}"
                 )
             worst = max(worst, bound)
         return worst
@@ -168,7 +168,7 @@ def gaussian_bump_function(amplitude=1.0, width=1.0) -> ScalarFunction:
 def lorentzian_function(amplitude=1.0, width=1.0) -> ScalarFunction:
     """a/(1+(y/w)^2): a real closed form at order 0, a Horner polynomial in u^2
     (u = y/w) above it, which overflows: inf at order 140 and NaN at 160 (ROADMAP
-    smaller item "Lorentzian derivatives by partial fractions")."""
+    item 19 replaces it by partial fractions above order 2)."""
     a, w = _validate_amp_width(amplitude, width)
 
     def deriv(k, y, out=None):
@@ -426,8 +426,8 @@ class NearestNeighborPotential(PairPotential):
         """
         if m < 1:
             raise ValueError("m must be >= 1")
-        on_site_part = 2.0**m * self.on_site.max_sup(1, m)
-        pair_part = 2.0 * 3.0**self.dim * 4.0**m * self.pair.max_sup(1, 2 * m)
+        on_site_part = 2.0**m * self.on_site.max_sup(m)
+        pair_part = 2.0 * 3.0**self.dim * 4.0**m * self.pair.max_sup(2 * m)
         return on_site_part + pair_part
 
 
@@ -449,7 +449,7 @@ class MeanFieldPotential(PairPotential):
         makes the all-pairs sum an O(1) aggregate per active site."""
         if m < 1:
             raise ValueError("m must be >= 1")
-        return 2.0 * 4.0**m * self.pair.max_sup(1, 2 * m)
+        return 2.0 * 4.0**m * self.pair.max_sup(2 * m)
 
 
 # the keys each variant and each family reads, besides the one that names it;

@@ -1,9 +1,12 @@
 import copy
+import errno
 import json
 import math
 import os
 import random
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -18,6 +21,7 @@ from weylfk import bounds, cli
 from weylfk.bounds import BoundReport
 
 from potential_helpers import CustomPotential
+from test_source import exception_classes
 
 
 def run(subcommand, config, workers=1):
@@ -105,7 +109,7 @@ class TestSerialization:
         assert cli.format_number(1) == "1"
         assert cli.format_number(True) == "true"
         assert cli.format_number(math.inf) == "1e999"
-        with pytest.raises(ValueError):
+        with pytest.raises(FloatingPointError):
             cli.format_number(math.nan)
 
     def test_dumps_roundtrip(self):
@@ -336,7 +340,7 @@ class TestExitCodes:
             "x": [0.0], "xi": [1.0], "t": 0.5, "seed": 1,
             "n_paths": 200, "n_steps": 2, "emit_metadata": False,
         }
-        with pytest.raises(cli.NonFiniteOutputError):
+        with pytest.raises(FloatingPointError):
             run("estimate", config)
         code = cli.main(["estimate", json.dumps(config)])
         assert code == 2
@@ -366,6 +370,51 @@ class TestExitCodes:
         path.write_text("[1]")
         assert cli.main(["bound", str(path)]) == 1
         assert capsys.readouterr().err == "config error: config must be a JSON object\n"
+
+    @pytest.mark.parametrize("error", [*exception_classes(), np.linalg.LinAlgError,
+                                       FloatingPointError, MemoryError],
+                             ids=lambda cls: cls.__name__)
+    def test_failure_class_maps_to_its_exit_code(self, error, monkeypatch, capsys):
+        # a failure's base decides its code: every class src defines, and the
+        # library's own numerical and memory errors
+        def fail(config, n_workers):
+            raise error("boom")
+
+        monkeypatch.setitem(cli.COMMANDS, "bound", fail)
+        numerical = issubclass(error, (ArithmeticError, np.linalg.LinAlgError))
+        assert cli.main(["bound", '{"m": 1, "t": 1.0, "c_m": 1.0}']) == (2 if numerical else 1)
+        assert capsys.readouterr().err == (
+            f"{'numerical failure' if numerical else 'config error'}: boom\n")
+
+    def test_closed_stdout_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # the reader of stdout is gone: one line, exit 1, and the stream's file
+        # descriptor now writes to devnull, so nothing more is printed at exit
+        class ClosedPipe:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+            def fileno(self):
+                return self.fd
+
+        with open(tmp_path / "stdout", "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(stdout.fileno()))
+            assert cli.main(["bound", '{"m": 1, "t": 1.0, "c_m": 1.0}']) == 1
+            assert os.path.samestat(os.fstat(stdout.fileno()), os.stat(os.devnull))
+        assert capsys.readouterr().err == "config error: cannot write stdout: Broken pipe\n"
+
+    def test_closed_stdout_pipe_prints_one_line(self):
+        src = str(Path(cli.__file__).parents[1])
+        with subprocess.Popen(
+                [sys.executable, "-m", "weylfk.cli", "bound", '{"m": 1, "t": 1.0, "c_m": 1.0}'],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env=os.environ | {"PYTHONPATH": src}) as proc:
+            proc.stdout.close()  # before the child writes: its write fails with EPIPE
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert err == "config error: cannot write stdout: Broken pipe\n"
 
     def test_unconverged_eigh_is_numerical_failure(self, monkeypatch, capsys):
         def unconverged(*args, **kwargs):
@@ -768,6 +817,21 @@ class TestExitCodes:
         assert cli.main(["verify", json.dumps(config | {
             "suite": "mixed-deriv", "alpha": "0:1", "lambda_sizes": [4]})]) == 0
         assert json.loads(capsys.readouterr().out)["results"]["bound_values"] == [math.inf]
+
+    def test_probe_against_infinite_bound_is_untested(self):
+        # a report whose bound left double range tests nothing and says so; the
+        # suite still exits 0
+        family = {"family": "mean_field", "G": {"name": "lorentzian"}}
+        config = {"seed": 1, "family": family, "m": 2, "t": 1.0, "n_paths": 64, "n_steps": 2}
+        code, doc = run("verify", config | {"suite": "class", "lambda_size": 4})
+        assert code == 0
+        reports = doc["results"]["reports"]
+        assert [r.get("untested", False) for r in reports] == [False, True, False, True]
+        assert [r["extra"]["bound"] == math.inf for r in reports] == [False, True, False, True]
+        code, doc = run("verify", config | {"suite": "mixed-deriv", "alpha": "0:1",
+                                            "lambda_sizes": [4]})
+        assert code == 0
+        assert [r.get("untested") for r in doc["results"]["reports"]] == [True]
 
     @pytest.mark.parametrize("config, columns, n_rows", [
         ({"suite": "linf", "n_points": 5}, ["bound"], 5),

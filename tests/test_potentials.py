@@ -93,7 +93,7 @@ class TestScalarFunctions:
         f = harmonic_function()
         assert f.sup_fn(1) is None
         with pytest.raises(MissingSupBoundError):
-            f.max_sup(1, 2)
+            f.max_sup(2)
 
     def test_parse_matches_direct_construction(self):
         cases = [

@@ -1,14 +1,17 @@
 """Code under src serves src: every definition, member, attribute set on self
 and defaulted parameter there has a use in src itself, not only in the tests,
-and no defaulted parameter is one constant that every src call passes.
+and no parameter is one constant that every src call passes.  Every exception
+class src defines says by its base what kind of failure it is.
 
-The checks read only the syntax tree, so docstrings and comments do not count,
-and __init__ is left out, as its re-exports are not uses.  A use is found by
-name, and an attribute of a module bound by ``import`` (``np.take``,
-``math.factorial``) names nothing in src.
+The checks but the last read only the syntax tree, so docstrings and comments
+do not count, and __init__ is left out, as its re-exports are not uses.  A use
+is found by name, and an attribute of a module bound by ``import``
+(``np.take``, ``math.factorial``) names nothing in src.
 """
 
 import ast
+import importlib
+import pkgutil
 import sys
 from collections import Counter
 from pathlib import Path
@@ -87,10 +90,11 @@ def _argument(call, param, position):
     return call.args[position] if position is not None and position < len(call.args) else None
 
 
-def _defaulted_parameters():
-    """(file:line and label, the nodes the src calls pass for it) of each
-    defaulted parameter in src, save __init__'s, those of UNSET_DEFAULTS and
-    those of a function used as a value, whose callers cannot be known."""
+def _parameters():
+    """(file:line and label, whether it has a default, the nodes the src calls
+    pass for it) of each parameter in src but self or cls, save __init__'s,
+    those of UNSET_DEFAULTS and those of a function used as a value, whose
+    callers cannot be known."""
     modules = _modules()
     calls, as_value = {}, set()
     for _, tree, imported in modules:
@@ -116,13 +120,21 @@ def _defaulted_parameters():
                 getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
             positional = f.args.posonlyargs + f.args.args
             first = len(positional) - len(f.args.defaults)
-            defaulted = [(p.arg, k - passed) for k, p in enumerate(positional) if k >= first]
-            defaulted += [(p.arg, None) for p, d in zip(f.args.kwonlyargs, f.args.kw_defaults)
-                          if d is not None]
-            out += [(f"{file}:{f.lineno} {f.name}({param})",
+            params = [(p.arg, k - passed, k >= first)
+                      for k, p in enumerate(positional) if k >= passed]
+            params += [(p.arg, None, d is not None)
+                       for p, d in zip(f.args.kwonlyargs, f.args.kw_defaults)]
+            out += [(f"{file}:{f.lineno} {f.name}({param})", defaulted,
                      [_argument(c, param, position) for c in calls.get(f.name, [])])
-                    for param, position in defaulted if (f.name, param) not in UNSET_DEFAULTS]
+                    for param, position, defaulted in params
+                    if (f.name, param) not in UNSET_DEFAULTS]
     return out
+
+
+def _defaulted_parameters():
+    """(file:line and label, the nodes the src calls pass for it) of each
+    defaulted parameter that _parameters finds."""
+    return [(label, args) for label, defaulted, args in _parameters() if defaulted]
 
 
 def test_every_defaulted_parameter_is_set_by_src():
@@ -134,6 +146,14 @@ def test_no_defaulted_parameter_is_a_constant():
     # every src call setting it to one and the same literal makes it a constant
     assert [label for label, args in _defaulted_parameters()
             if args and all(isinstance(a, ast.Constant) for a in args)
+            and len({ast.dump(a) for a in args}) == 1] == []
+
+
+def test_no_required_parameter_is_a_constant():
+    # as for a defaulted parameter, once two or more src calls pass it: one
+    # call passes a literal to many a parameter that varies
+    assert [label for label, defaulted, args in _parameters()
+            if not defaulted and len(args) > 1 and all(isinstance(a, ast.Constant) for a in args)
             and len({ast.dump(a) for a in args}) == 1] == []
 
 
@@ -171,3 +191,21 @@ def test_imports_only_the_standard_library_and_numpy():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.partition(".")[0] not in allowed]
     assert found == []
+
+
+def exception_classes():
+    """Every exception class that a src module defines."""
+    modules = [importlib.import_module(f"weylfk.{info.name}")
+               for info in pkgutil.iter_modules(weylfk.__path__)]
+    return [obj for module in modules for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__]
+
+
+def test_every_failure_is_numerical_or_a_config_error():
+    # the command line maps an ArithmeticError to exit 2 and a ValueError to
+    # exit 1, so a class's base, not a handler listing it, decides its code
+    classes = exception_classes()
+    assert classes
+    assert [cls.__qualname__ for cls in classes
+            if issubclass(cls, ArithmeticError) == issubclass(cls, ValueError)] == []
