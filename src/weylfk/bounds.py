@@ -216,13 +216,13 @@ def check_l1_bound(V: PotentialSpec, t, xi_list, grid: Grid) -> BoundReport:
             f"exp(-tV) is {edge:.3e} at the grid boundary; "
             "the comparison integral does not converge"
         )
-    right_side = float(weights.sum() * grid.spacing**grid.dim)
+    right_side = float(weights.sum() * grid.cell_volume)
     S = oracle.semigroup(t)
     centers = list(product(grid.axis()[decay_window(S.factors, grid, S.t)], repeat=grid.dim))
     values = np.array([semigroup_symbol_at(S, x, *np.transpose(xis)) for x in centers])
     # one contiguous |u| row per frequency, so each sum is pairwise
     sums = np.ascontiguousarray(np.abs(values).T).sum(axis=1)
-    margins = [right_side - float(s * grid.spacing**grid.dim) for s in sums]
+    margins = [right_side - float(s * grid.cell_volume) for s in sums]
     return BoundReport.from_margins(
         "l1-against-exp-potential",
         margins,

@@ -1,9 +1,10 @@
 """Command-line entry point: estimation, oracle, verification, experiments.
 
-One JSON document (inline or a file path) configures each subcommand.  One
-walk over a JSON Schema, one per subcommand and per verify suite, fills in the
-defaults and reports the config's first violation in jsonschema's words, so
-only numpy is imported.  A potential, family or scalar-function description is
+One JSON document (inline or a file path) configures each subcommand.  Every
+JSON Schema, one per subcommand and per verify suite, is built from one
+property table that states each key's rule once; one walk over a schema fills
+in the defaults and reports the config's first violation in jsonschema's
+words, so only numpy is imported.  A potential, family or scalar-function description is
 checked by its builder and echoed as given, without the defaults the builder
 applies (amplitude, width, include_diagonal, a chain's F); every other default
 is written into the config echoed next to the results.  Numeric output is
@@ -18,7 +19,8 @@ ArithmeticError or numpy LinAlgError (decay, divergence, support, NaN results,
 overflow, underflowed path weights, an unconverged eigensolver); 3 a bound
 violation from the verify suites, whose Monte Carlo suites write one CSV row
 per probe.  Each failure class in weylfk derives from one of ArithmeticError
-and ValueError, so its base decides its code.
+and ValueError, so its base decides its code; a failure prints one stderr
+line, as numpy's RuntimeWarnings are not printed.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import math
 import numbers
 import os
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -131,33 +134,12 @@ def write_csv(path: str, header, rows):
 # ---------------------------------------------------------------------------
 # schemas
 
-_GRID_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "half_width": {"type": "number", "exclusiveMinimum": 0, "default": 10.0},
-        "n_grid": {"type": "integer", "minimum": 16, "default": 512},
-        "dim": {"enum": [1, 2], "default": 1},
-    },
-    "additionalProperties": False,
-    "default": {},
-}
-
-_PRESET_SCHEMA = {
-    "enum": ["standard_wiener", "generator_laplacian"],
-    "default": "generator_laplacian",
-}
-
-_OUTPUT_PROPS = {
-    "output": {"type": ["string", "null"], "default": None},
-    "csv_output": {"type": ["string", "null"], "default": None},
-    "emit_metadata": {"type": "boolean", "default": True},
-}
-
-# every key a verify suite reads, each with its rule, in the order of the config echo
-_VERIFY_PROPS = {
+# every config key with its rule, each stated once; the verify suites' keys in their echo order
+_PROPS = {
     "suite": {"enum": ["linf", "xi-deriv", "l1", "mixed-deriv", "class"]},
     "seed": {"type": "integer", "minimum": 0},
-    "preset": _PRESET_SCHEMA,
+    "preset": {"enum": ["standard_wiener", "generator_laplacian"],
+               "default": "generator_laplacian"},
     "n_points": {"type": "integer", "minimum": 1, "default": 40},
     "n_paths": {"type": "integer", "minimum": 2, "default": 4096},
     "n_steps": {"type": "integer", "minimum": 1, "default": 24},
@@ -167,7 +149,7 @@ _VERIFY_PROPS = {
     "potential": {"type": "object"},
     "family": {"type": "object"},
     "m": {"type": "integer", "minimum": 1, "default": 1},
-    "alpha": {"type": "string", "default": "0:1"},
+    "alpha": {"type": "string", "default": ""},
     "beta": {"type": "string", "default": ""},
     "lambda_sizes": {"type": "array", "items": {"type": "integer", "minimum": 1},
                      "minItems": 1, "default": [2, 4, 8]},
@@ -179,147 +161,98 @@ _VERIFY_PROPS = {
         "minItems": 1,
         "default": [-2.0, -1.0, 0.0, 1.0, 2.0],
     },
-    "grid": _GRID_SCHEMA,
-    **_OUTPUT_PROPS,
+    "grid": {
+        "type": "object",
+        "properties": {
+            "half_width": {"type": "number", "exclusiveMinimum": 0, "default": 10.0},
+            "n_grid": {"type": "integer", "minimum": 16, "default": 512},
+            "dim": {"enum": [1, 2], "default": 1},
+        },
+        "additionalProperties": False,
+        "default": {},
+    },
+    "x": {"type": "array", "items": {"type": "number"}},
+    "chunk_size": {"type": "integer", "minimum": 1, "default": 4096},
+    "xi_sweep": {
+        "type": ["object", "null"],
+        "default": None,
+        "properties": {
+            "site_index": {"type": "integer", "minimum": 0},
+            "start": {"type": "number"},
+            "stop": {"type": "number"},
+            "count": {"type": "integer", "minimum": 2},
+        },
+        "required": ["site_index", "start", "stop", "count"],
+        "additionalProperties": False,
+    },
+    "region": {
+        "anyOf": [{"enum": ["auto", "full"]}, {"type": "number", "exclusiveMinimum": 0}],
+        "default": "auto",
+    },
+    "c_m": {"type": "number", "minimum": 0},
+    "poly": {"type": "array", "items": {"type": "number"}, "minItems": 1, "maxItems": 5,
+             "default": [0.0, 1.0]},
+    "site_axis": {"type": "integer", "minimum": 0, "default": 0},
+    "state": {
+        "type": "object",
+        "properties": {
+            key: {"type": "array", "items": {"type": "number"}, "minItems": 1}
+            for key in ("center_x", "center_xi", "width_x", "width_xi")
+        },
+        "required": ["center_x", "center_xi", "width_x", "width_xi"],
+        "additionalProperties": False,
+    },
+    "t_list": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0},
+               "minItems": 1, "default": [0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0]},
+    "output": {"type": ["string", "null"], "default": None},
+    "csv_output": {"type": ["string", "null"], "default": None},
+    "emit_metadata": {"type": "boolean", "default": True},
 }
 
 
-def _suite_schema(*keys):
-    """The schema of a verify suite that reads keys, besides the suite and the output keys."""
-    read = {"suite", *keys, *_OUTPUT_PROPS}
-    return {
-        "type": "object",
-        "properties": {key: rule for key, rule in _VERIFY_PROPS.items() if key in read},
-        "required": [key for key in ("suite", "seed", "family") if key in read],
-        "additionalProperties": False,
-    }
+def _schema(keys, required, rules=None, **defaults):
+    """The object schema over the whitespace-separated keys and the output keys,
+    in that order: each key's rule from rules or else _PROPS, with defaults in
+    place of the table's; a required key has no default."""
+    required, properties = required.split(), {}
+    for key in (*keys.split(), "output", "csv_output", "emit_metadata"):
+        rule = (rules or {}).get(key, _PROPS[key])
+        if key in defaults:
+            rule = {**rule, "default": defaults[key]}
+        properties[key] = {k: v for k, v in rule.items() if k != "default" or key not in required}
+    return {"type": "object", "properties": properties, "required": required,
+            "additionalProperties": False}
 
 
-_MC_KEYS = ("seed", "preset", "n_paths", "n_steps")  # the Monte Carlo suites' sampling
 VERIFY_SCHEMAS = {
-    "linf": _suite_schema("n_points", *_MC_KEYS),
-    "xi-deriv": _suite_schema("potential", "betas", "t", "n_points", *_MC_KEYS),
-    "l1": _suite_schema("potential", "t", "xi", "grid"),
-    "mixed-deriv": _suite_schema("family", "m", "t", "alpha", "beta", "lambda_sizes", *_MC_KEYS),
-    "class": _suite_schema("family", "m", "t", "lambda_size", *_MC_KEYS),
+    "linf": _schema("suite seed preset n_points n_paths n_steps", "suite seed"),
+    "xi-deriv": _schema("suite seed preset n_points n_paths n_steps t betas potential",
+                        "suite seed"),
+    "l1": _schema("suite t potential xi grid", "suite"),
+    "mixed-deriv": _schema("suite seed preset n_paths n_steps t family m alpha beta lambda_sizes",
+                           "suite seed family", alpha="0:1"),
+    "class": _schema("suite seed preset n_paths n_steps t family m lambda_size",
+                     "suite seed family"),
 }
 
 SCHEMAS = {
-    "estimate": {
-        "type": "object",
-        "properties": {
-            "potential": {"type": "object"},
-            "x": {"type": "array", "items": {"type": "number"}},
-            "xi": {"type": "array", "items": {"type": "number"}},
-            "t": {"type": "number", "exclusiveMinimum": 0},
-            "alpha": {"type": "string", "default": ""},
-            "beta": {"type": "string", "default": ""},
-            "n_paths": {"type": "integer", "minimum": 2, "default": 20000},
-            "n_steps": {"type": "integer", "minimum": 1, "default": 32},
-            "seed": {"type": "integer", "minimum": 0},
-            "preset": _PRESET_SCHEMA,
-            "chunk_size": {"type": "integer", "minimum": 1, "default": 4096},
-            "xi_sweep": {
-                "type": ["object", "null"],
-                "default": None,
-                "properties": {
-                    "site_index": {"type": "integer", "minimum": 0},
-                    "start": {"type": "number"},
-                    "stop": {"type": "number"},
-                    "count": {"type": "integer", "minimum": 2},
-                },
-                "required": ["site_index", "start", "stop", "count"],
-                "additionalProperties": False,
-            },
-            **_OUTPUT_PROPS,
-        },
-        "required": ["potential", "x", "xi", "t", "seed"],
-        "additionalProperties": False,
-    },
-    "moments": {
-        "type": "object",
-        "properties": {
-            "beta": {"type": "string"},
-            "t": {"type": "number", "exclusiveMinimum": 0},
-            "preset": _PRESET_SCHEMA,
-            "n_paths": {"type": "integer", "minimum": 2, "default": 100000},
-            "seed": {"type": "integer", "minimum": 0},
-            **_OUTPUT_PROPS,
-        },
-        "required": ["beta", "t", "seed"],
-        "additionalProperties": False,
-    },
-    "oracle": {
-        "type": "object",
-        "properties": {
-            "potential": {"type": "object"},
-            "grid": _GRID_SCHEMA,
-            "t": {"type": "number", "exclusiveMinimum": 0},
-            "region": {
-                "anyOf": [{"enum": ["auto", "full"]}, {"type": "number", "exclusiveMinimum": 0}],
-                "default": "auto",
-            },
-            **_OUTPUT_PROPS,
-        },
-        "required": ["potential", "t"],
-        "additionalProperties": False,
-    },
-    "bound": {
-        "type": "object",
-        "properties": {
-            "alpha": {"type": "string", "default": ""},
-            "beta": {"type": "string", "default": ""},
-            "m": {"type": "integer", "minimum": 0},
-            "t": {"type": "number", "exclusiveMinimum": 0},
-            "c_m": {"type": "number", "minimum": 0},
-            "preset": _PRESET_SCHEMA,
-            **_OUTPUT_PROPS,
-        },
-        "required": ["m", "t", "c_m"],
-        "additionalProperties": False,
-    },
+    "estimate": _schema("potential x xi t alpha beta n_paths n_steps seed preset chunk_size "
+                        "xi_sweep", "potential x xi t seed", {"xi": _PROPS["x"]},
+                        n_paths=20000, n_steps=32),
+    "moments": _schema("beta t preset n_paths seed", "beta t seed", n_paths=100000),
+    "oracle": _schema("potential grid t region", "potential t"),
+    "bound": _schema("alpha beta m t c_m preset", "m t c_m",
+                     {"m": {"type": "integer", "minimum": 0}}),
     "verify": {  # names the suite, whose own schema in VERIFY_SCHEMAS checks the config
-        "type": "object", "properties": {"suite": _VERIFY_PROPS["suite"]}, "required": ["suite"],
+        "type": "object", "properties": {"suite": _PROPS["suite"]}, "required": ["suite"],
     },
-    "commutator": {
-        "type": "object",
-        "properties": {
-            "potential": {"type": "object"},
-            "grid": _GRID_SCHEMA,
-            "poly": {
-                "type": "array",
-                "items": {"type": "number"},
-                "minItems": 1,
-                "maxItems": 5,
-                "default": [0.0, 1.0],
-            },
-            "site_axis": {"type": "integer", "minimum": 0, "default": 0},
-            "state": {
-                "type": "object",
-                "properties": {
-                    key: {"type": "array", "items": {"type": "number"}, "minItems": 1}
-                    for key in ("center_x", "center_xi", "width_x", "width_xi")
-                },
-                "required": ["center_x", "center_xi", "width_x", "width_xi"],
-                "additionalProperties": False,
-            },
-            "t_list": {
-                "type": "array",
-                "items": {"type": "number", "exclusiveMinimum": 0},
-                "minItems": 1,
-                "default": [0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0],
-            },
-            **_OUTPUT_PROPS,
-        },
-        "required": ["potential", "state"],
-        "additionalProperties": False,
-    },
+    "commutator": _schema("potential grid poly site_axis state t_list", "potential state"),
 }
 
 
 def load_config(text_or_path: str) -> dict:
     text = text_or_path.strip()
-    if not text.startswith("{"):
+    if not text.startswith(("{", "[")):  # inline JSON, else a file path
         try:
             with open(text) as fh:
                 text = fh.read()
@@ -680,25 +613,28 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("config", help="JSON config: inline document or file path")
     args = parser.parse_args(argv)
-    try:
-        workers = args.workers if args.workers is not None else _env_workers()
-        workers = max(1, min(workers, os.cpu_count() or 1))  # results do not depend on it
-        config = load_config(args.config)
-        code, doc = run_config(args.subcommand, config, workers)
+    # a failure prints one line: numpy's RuntimeWarnings, from any thread, stay off stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
         try:
-            print(dumps(doc), flush=True)
-        except BrokenPipeError as err:
-            # the reader is gone; what stays buffered goes to devnull at exit
-            with open(os.devnull, "w") as devnull:
-                os.dup2(devnull.fileno(), sys.stdout.fileno())
-            raise ConfigError(f"cannot write stdout: {err.strerror}") from err
-        return code
-    except (ArithmeticError, np.linalg.LinAlgError) as err:  # LinAlgError is a ValueError
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, MemoryError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 1
+            workers = args.workers if args.workers is not None else _env_workers()
+            workers = max(1, min(workers, os.cpu_count() or 1))  # results do not depend on it
+            config = load_config(args.config)
+            code, doc = run_config(args.subcommand, config, workers)
+            try:
+                print(dumps(doc), flush=True)
+            except BrokenPipeError as err:
+                # the reader is gone; what stays buffered goes to devnull at exit
+                with open(os.devnull, "w") as devnull:
+                    os.dup2(devnull.fileno(), sys.stdout.fileno())
+                raise ConfigError(f"cannot write stdout: {err.strerror}") from err
+            return code
+        except (ArithmeticError, np.linalg.LinAlgError) as err:  # LinAlgError is a ValueError
+            print(f"numerical failure: {err}", file=sys.stderr)
+            return 2
+        except (ValueError, MemoryError) as err:
+            print(f"config error: {err}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

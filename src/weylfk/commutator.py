@@ -60,11 +60,10 @@ class WeylObservable:
         and no (centers x frequencies) table is formed."""
         grid = self.grid
         ax, xi = grid.axis(), grid.xi_axis()
-        dxi = math.pi / (grid.n_grid * grid.spacing)
         integral = self.norm_const
         for f in self.axes:
             px, pxi = f.x_profile(ax), f.xi_profile(xi)
-            integral *= px.sum() * grid.spacing * pxi.sum() * dxi / (2.0 * math.pi)
+            integral *= px.sum() * grid.spacing * pxi.sum() * grid.xi_spacing / (2.0 * math.pi)
         return float(integral)
 
 
@@ -115,7 +114,7 @@ def op_weyl_matrix(p: WeylObservable) -> np.ndarray:
     grid = p.grid
     n = grid.n_grid
     dx = grid.spacing
-    dxi = math.pi / (n * dx)
+    dxi = grid.xi_spacing
     xi_band = (np.arange(2 * n) - n) * dxi  # covers +-pi/spacing
     blocks = []
     for factor in p.axes:
@@ -228,8 +227,7 @@ def _reduce(C, q: WeylObservable, op_pairs, centers):
         _, window = band_window(lo, values, centers)
         if window.size:
             sup = max(sup, np.abs(window).max())
-    dxi = math.pi / (grid.n_grid * grid.spacing)
-    cell = (grid.spacing * dxi / (2.0 * math.pi)) ** grid.dim
+    cell = (grid.spacing * grid.xi_spacing / (2.0 * math.pi)) ** grid.dim
     return tr_matrix, q.norm_const * symbol * cell, sup
 
 

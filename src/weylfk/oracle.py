@@ -83,6 +83,14 @@ class Grid:
             raise ValueError("n_grid must be a power of two, at least 16")
         if self.dim not in (1, 2):
             raise ValueError("the oracle is limited to 1 or 2 sites")
+        try:
+            diagonal = 2.0 / self.spacing**2  # the 1-d Laplacian's diagonal entry
+        except (OverflowError, ZeroDivisionError):
+            diagonal = 0.0
+        if not 0.0 < diagonal < math.inf:
+            raise ArithmeticError(
+                f"grid spacing {self.spacing!r} (half_width {self.half_width!r}, n_grid "
+                f"{self.n_grid}) leaves double range: 2 / spacing**2 is not positive and finite")
 
     @property
     def spacing(self) -> float:
@@ -111,8 +119,12 @@ class Grid:
         return self.spacing**self.dim
 
     @property
+    def xi_spacing(self) -> float:
+        return math.pi / (self.n_grid * self.spacing)
+
+    @property
     def xi_cell_volume(self) -> float:
-        return (math.pi / (self.n_grid * self.spacing)) ** self.dim
+        return self.xi_spacing**self.dim
 
 
 def build_hamiltonian(V: PotentialSpec, grid: Grid) -> np.ndarray:

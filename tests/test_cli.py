@@ -10,7 +10,6 @@ import sys
 import time
 import tracemalloc
 import warnings
-from contextlib import nullcontext
 from pathlib import Path
 
 import jsonschema
@@ -39,6 +38,17 @@ def harmonic_potential_json():
 
 
 STATE = {"center_x": [0.6], "center_xi": [0.6], "width_x": [1.0], "width_xi": [1.0]}
+
+# the squares of the pair values overflow: the variance is inf - inf, a NaN
+OVERFLOWING_VARIANCE = {"potential": {"variant": "zero", "sites": [0]}, "beta": "0:300",
+                        "x": [0.0], "xi": [0.5], "t": 0.5, "seed": 1, "n_paths": 1000,
+                        "n_steps": 1}
+
+
+def assert_one_failure_line(err, end=""):
+    """err is one numerical-failure line, which ends with end."""
+    assert err.startswith("numerical failure:") and err.endswith(end or "\n")
+    assert err.count("\n") == 1
 
 
 # every schema the checker walks: one per subcommand, and one per verify suite
@@ -306,6 +316,30 @@ class TestConfigHandling:
         for sub in subs:
             jsonschema.validate(cli._resolve(sub, copy.deepcopy(sub["default"])), sub)
 
+    @pytest.mark.parametrize("subcommand, config, echoed", [
+        ("estimate", {"potential": {}, "x": [0.0], "xi": [1.0], "t": 0.5, "seed": 1},
+         "potential x xi t seed alpha beta n_paths n_steps preset chunk_size xi_sweep"),
+        ("moments", {"beta": "0:2", "t": 1.0, "seed": 0}, "beta t seed preset n_paths"),
+        ("oracle", {"potential": {}, "t": 0.5}, "potential t grid region"),
+        ("bound", {"m": 1, "t": 0.5, "c_m": 1.0}, "m t c_m alpha beta preset"),
+        ("commutator", {"potential": {}, "state": STATE},
+         "potential state grid poly site_axis t_list"),
+        ("verify", {"suite": "linf", "seed": 1}, "suite seed preset n_points n_paths n_steps"),
+        ("verify", {"suite": "xi-deriv", "seed": 1},
+         "suite seed preset n_points n_paths n_steps t betas"),
+        ("verify", {"suite": "l1"}, "suite t xi grid"),
+        ("verify", {"suite": "mixed-deriv", "seed": 1, "family": {}},
+         "suite seed family preset n_paths n_steps t m alpha beta lambda_sizes"),
+        ("verify", {"suite": "class", "seed": 1, "family": {}},
+         "suite seed family preset n_paths n_steps t m lambda_size"),
+    ], ids=["estimate", "moments", "oracle", "bound", "commutator", "verify-linf",
+            "verify-xi-deriv", "verify-l1", "verify-mixed-deriv", "verify-class"])
+    def test_echo_order(self, subcommand, config, echoed):
+        # the echo lists the given keys, then each default in its schema's order:
+        # a schema that reorders its defaults changes every echoed config
+        assert list(cli.validate_config(subcommand, config)) == [
+            *echoed.split(), "output", "csv_output", "emit_metadata"]
+
     def test_inline_and_file_configs(self, tmp_path):
         config = {"beta": "0:2", "t": 1.0, "seed": 3, "n_paths": 2000}
         path = tmp_path / "cfg.json"
@@ -368,8 +402,10 @@ class TestExitCodes:
     def test_non_object_config_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text("[1]")
-        assert cli.main(["bound", str(path)]) == 1
-        assert capsys.readouterr().err == "config error: config must be a JSON object\n"
+        # in a file or inline, an array is read as JSON, not as a path
+        for config in (str(path), "[1]", " []"):
+            assert cli.main(["bound", config]) == 1
+            assert capsys.readouterr().err == "config error: config must be a JSON object\n"
 
     @pytest.mark.parametrize("error", [*exception_classes(), np.linalg.LinAlgError,
                                        FloatingPointError, MemoryError],
@@ -415,6 +451,24 @@ class TestExitCodes:
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == 1
         assert err == "config error: cannot write stdout: Broken pipe\n"
+
+    def test_numerical_failure_prints_one_line(self):
+        # numpy warns of the overflow in the workers' variances; the warnings
+        # stay off stderr, which holds the one failure line
+        src = str(Path(cli.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "weylfk.cli", "--workers", "2", "estimate",
+             json.dumps({**OVERFLOWING_VARIANCE, "chunk_size": 250})],
+            capture_output=True, text=True, timeout=60, env=os.environ | {"PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert proc.stderr == "numerical failure: NaN in output\n"
+
+    def test_library_calls_still_warn(self, capsys):
+        config = {**OVERFLOWING_VARIANCE, "chunk_size": 250}
+        assert cli.main(["--workers", "2", "estimate", json.dumps(config)]) == 2
+        assert_one_failure_line(capsys.readouterr().err, " NaN in output\n")
+        with pytest.warns(RuntimeWarning), pytest.raises(FloatingPointError):
+            run("estimate", config, workers=2)
 
     def test_unconverged_eigh_is_numerical_failure(self, monkeypatch, capsys):
         def unconverged(*args, **kwargs):
@@ -523,13 +577,15 @@ class TestExitCodes:
     ], ids=["oracle-amplitude", "estimate-amplitude", "estimate-xi", "estimate-t",
             "oracle-half-width", "bound-c-m", "commutator-poly"])
     def test_non_finite_number_is_config_error(self, subcommand, text, key, capsys):
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            assert cli.main([subcommand, text]) == 1
+        assert cli.main([subcommand, text]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert key in err
-        assert "RuntimeWarning" not in err
+        # main keeps warnings off stderr, so the library call shows that none was raised
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=re.escape(key)):
+                run(subcommand, cli.load_config(text))
         assert [w.category for w in seen] == []
 
     def test_huge_integer_is_a_number(self):
@@ -569,42 +625,37 @@ class TestExitCodes:
         assert err.startswith("config error: Unable to allocate")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("subcommand, config", [
-        ("moments", {"beta": "0:400", "t": 0.5, "seed": 1}),
-        ("bound", {"beta": "0:400", "m": 400, "t": 0.5, "c_m": 16.0}),
+    @pytest.mark.parametrize("subcommand, config, line", [
+        ("moments", {"beta": "0:400", "t": 0.5, "seed": 1}, ""),
+        ("bound", {"beta": "0:400", "m": 400, "t": 0.5, "c_m": 16.0}, ""),
         ("verify", {"suite": "xi-deriv", "betas": ["0:400"], "seed": 1,
-                    "n_points": 1, "n_paths": 64, "n_steps": 2}),
+                    "n_points": 1, "n_paths": 64, "n_steps": 2}, ""),
         ("verify", {"suite": "class", "m": 400, "seed": 1,
-                    "family": {"family": "mean_field", "G": {"name": "lorentzian"}}}),
+                    "family": {"family": "mean_field", "G": {"name": "lorentzian"}}}, ""),
         ("oracle", {"potential": harmonic_potential_json(), "t": 0.5,
-                    "grid": {"half_width": 1e300, "n_grid": 16}}),
+                    "grid": {"half_width": 1e300, "n_grid": 16}},
+         " grid spacing 1.25e+299 (half_width 1e+300, n_grid 16) leaves double range: "
+         "2 / spacing**2 is not positive and finite\n"),
         ("oracle", {"potential": harmonic_potential_json(), "t": 0.5,
-                    "grid": {"half_width": 1e-300, "n_grid": 16}}),
-        # the squares of the pair values overflow: the variance is inf - inf
-        ("estimate", {"potential": {"variant": "zero", "sites": [0]}, "beta": "0:300",
-                      "x": [0.0], "xi": [0.5], "t": 0.5, "seed": 1, "n_paths": 1000,
-                      "n_steps": 1}),
+                    "grid": {"half_width": 1e-300, "n_grid": 16}},
+         " grid spacing 1.25e-301 (half_width 1e-300, n_grid 16) leaves double range: "
+         "2 / spacing**2 is not positive and finite\n"),
+        ("estimate", OVERFLOWING_VARIANCE, " NaN in output\n"),
     ], ids=["moments-gamma", "bound-gamma", "xi-deriv-gamma", "class-m", "oracle-huge-grid",
             "oracle-tiny-grid", "estimate-variance"])
-    def test_arithmetic_overflow_is_numerical_failure(self, subcommand, config, capsys):
-        # overflow or division by zero in the arithmetic exits 2, without a traceback;
-        # numpy warns of the overflow in the estimate's variance
-        warns = pytest.warns(RuntimeWarning) if subcommand == "estimate" else nullcontext()
-        with warns:
-            assert cli.main([subcommand, json.dumps(config)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure:")
-        assert "Traceback" not in err
+    def test_arithmetic_overflow_is_numerical_failure(self, subcommand, config, line, capsys):
+        # overflow or division by zero in the arithmetic exits 2 with one stderr
+        # line, which ends as line does if it is given: numpy's warnings of the
+        # overflow in the estimate's variance are not printed
+        assert cli.main([subcommand, json.dumps(config)]) == 2
+        assert_one_failure_line(capsys.readouterr().err, line)
 
     def test_moments_overflowed_second_moment_is_numerical_failure(self, capsys):
         # the squared samples overflow while their mean does not: an infinite
         # stderr would report a deviation of 0 stderr from the exact moment
         config = {"beta": "0:300", "t": 0.5, "seed": 1, "n_paths": 20000}
-        with pytest.warns(RuntimeWarning):
-            assert cli.main(["moments", json.dumps(config)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure:")
-        assert "Traceback" not in err
+        assert cli.main(["moments", json.dumps(config)]) == 2
+        assert_one_failure_line(capsys.readouterr().err)
 
     @pytest.mark.parametrize("n_sites", [256, 512])
     def test_underflowed_second_moment_is_numerical_failure(self, n_sites, capsys):
@@ -646,10 +697,9 @@ class TestExitCodes:
             "n_paths": 64, "n_steps": 4,
         }
         start = time.perf_counter()
-        with pytest.warns(RuntimeWarning):
-            assert cli.main(["estimate", json.dumps(config)]) == 2
+        assert cli.main(["estimate", json.dumps(config)]) == 2
         assert time.perf_counter() - start < 10.0
-        assert capsys.readouterr().err.startswith("numerical failure:")
+        assert_one_failure_line(capsys.readouterr().err)
 
     def test_xi_deriv_bound_overflow_fails_before_sampling(self, monkeypatch, capsys):
         calls = []
