@@ -45,9 +45,9 @@ OVERFLOWING_VARIANCE = {"potential": {"variant": "zero", "sites": [0]}, "beta": 
                         "n_steps": 1}
 
 
-def assert_one_failure_line(err, end=""):
+def assert_one_failure_line(err, end="\n"):
     """err is one numerical-failure line, which ends with end."""
-    assert err.startswith("numerical failure:") and err.endswith(end or "\n")
+    assert err.startswith("numerical failure:") and err.endswith(end)
     assert err.count("\n") == 1
 
 
@@ -626,12 +626,12 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("subcommand, config, line", [
-        ("moments", {"beta": "0:400", "t": 0.5, "seed": 1}, ""),
-        ("bound", {"beta": "0:400", "m": 400, "t": 0.5, "c_m": 16.0}, ""),
+        ("moments", {"beta": "0:400", "t": 0.5, "seed": 1}, "\n"),
+        ("bound", {"beta": "0:400", "m": 400, "t": 0.5, "c_m": 16.0}, "\n"),
         ("verify", {"suite": "xi-deriv", "betas": ["0:400"], "seed": 1,
-                    "n_points": 1, "n_paths": 64, "n_steps": 2}, ""),
+                    "n_points": 1, "n_paths": 64, "n_steps": 2}, "\n"),
         ("verify", {"suite": "class", "m": 400, "seed": 1,
-                    "family": {"family": "mean_field", "G": {"name": "lorentzian"}}}, ""),
+                    "family": {"family": "mean_field", "G": {"name": "lorentzian"}}}, "\n"),
         ("oracle", {"potential": harmonic_potential_json(), "t": 0.5,
                     "grid": {"half_width": 1e300, "n_grid": 16}},
          " grid spacing 1.25e+299 (half_width 1e+300, n_grid 16) leaves double range: "
@@ -645,8 +645,8 @@ class TestExitCodes:
             "oracle-tiny-grid", "estimate-variance"])
     def test_arithmetic_overflow_is_numerical_failure(self, subcommand, config, line, capsys):
         # overflow or division by zero in the arithmetic exits 2 with one stderr
-        # line, which ends as line does if it is given: numpy's warnings of the
-        # overflow in the estimate's variance are not printed
+        # line, which ends with line: numpy's warnings of the overflow in the
+        # estimate's variance are not printed
         assert cli.main([subcommand, json.dumps(config)]) == 2
         assert_one_failure_line(capsys.readouterr().err, line)
 
