@@ -128,10 +128,18 @@ def absolute_moment_estimate(rng, beta: MultiIndex, n_paths, t, variance=DEFAULT
 
 
 def abs_moment_constant(k: int) -> float:
-    """k-th absolute moment of the standard normal: 2^(k/2) Gamma((k+1)/2) / sqrt(pi)."""
+    """k-th absolute moment of the standard normal: 2^(k/2) Gamma((k+1)/2) / sqrt(pi).
+    Beyond double range, from order 302 on, an OverflowError names the order."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return 2.0 ** (k / 2.0) * math.gamma((k + 1) / 2.0) / math.sqrt(math.pi)
+    try:
+        value = 2.0 ** (k / 2.0) * math.gamma((k + 1) / 2.0) / math.sqrt(math.pi)
+    except OverflowError:  # math.gamma's, from order 343 on
+        value = math.inf
+    if value == math.inf:
+        raise OverflowError(f"the order-{k} absolute moment constant of the standard normal, "
+                            "2^(k/2) Gamma((k+1)/2) / sqrt(pi), overflows a float")
+    return value
 
 
 def abs_moment_max(m: int) -> float:

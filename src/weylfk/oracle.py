@@ -375,9 +375,17 @@ def gaussian_test_functions(grid: Grid):
     on the grid axis, against which the ``oracle`` command checks the pairing
     identity on every axis.  g vanishes at the boundary, to within
     ``SUPPORT_TOL`` of its peak, only for a half-width above about 7.1 plus
-    half a cell; below it the pairing raises :class:`SupportError`."""
-    f, g = (np.exp(-0.5 * (grid.axis() - center) ** 2) for center in (0.0, 0.3))
-    return tuple(h / math.sqrt((h**2).sum() * grid.spacing) for h in (f, g))
+    half a cell; below it the pairing raises :class:`SupportError`, and so does
+    a spacing so coarse that either is 0 at every cell."""
+    pair = []
+    for center in (0.0, 0.3):
+        h = np.exp(-0.5 * (grid.axis() - center) ** 2)
+        norm = math.sqrt((h**2).sum() * grid.spacing)
+        if not norm > 0.0:
+            raise SupportError(f"pairing test Gaussian centred at {center} is 0 at every cell "
+                               f"of spacing {grid.spacing:.3g}; refine the grid")
+        pair.append(h / norm)
+    return tuple(pair)
 
 
 def _pairing_table(f, g, grid: Grid) -> np.ndarray:

@@ -23,6 +23,9 @@ from .multiindex import MultiIndex
 
 # sup_y |He_k(y)| exp(-y^2/4) <= CRAMER_CONSTANT * sqrt(k!)
 CRAMER_CONSTANT = 1.086435
+# floats of points x sites in one working array: the Monte Carlo estimator's
+# path sub-batches, and the columns _block_sum evaluates per call
+SUB_BATCH_ELEMENTS = 1 << 17
 
 
 class MissingSupBoundError(ValueError):
@@ -66,7 +69,11 @@ class ScalarFunction:
         """Largest certified sup-norm over derivative orders 1..k."""
         worst = 0.0
         for order in range(1, k + 1):
-            bound = self.sup_fn(order)
+            try:
+                bound = self.sup_fn(order)
+            except OverflowError:  # from a factorial or a power beyond double range
+                raise OverflowError(f"the certified sup bound of {self.name!r} at order "
+                                    f"{order} overflows a float") from None
             if bound is None:
                 raise MissingSupBoundError(
                     f"{self.name!r} has no certified sup bound at order {order}"
@@ -259,31 +266,42 @@ def _block_sum(f: ScalarFunction, x, blocks):
 
     In one fixed order: block by block, column c of a block adds f at it into
     accumulator c mod 8; the 8 accumulators are then added in turn into zeros.
-    f is evaluated on up to 64 columns per call, in a site-major buffer that
-    shares one array with the accumulators, and each group of 8 is added in
-    turn.  Only elementwise operations touch the sum, so neither the layout of
-    x nor the number of columns per call changes it.
+    f is evaluated on as many columns per call as SUB_BATCH_ELEMENTS floats hold
+    at the points of x, at least 64 and rounded up to a multiple of 8 (so each
+    block of an estimator's sub-batch is one call), in a site-major buffer that
+    shares one array with the accumulators.  A call adds two or more full
+    groups of 8 with one reduction, the accumulators first and then each group
+    in turn, and a last partial group after them.  Only elementwise operations touch the sum,
+    so neither the layout of x nor the number of columns per call changes it.
     """
     widest = max((a.stop - a.start for a, _ in blocks), default=0)
+    lead = x.shape[:-1]
     if not widest:
-        return np.zeros(x.shape[:-1])
+        return np.zeros(lead)
     width = min(8, widest)
-    store = np.moveaxis(np.empty((width + min(64, widest),) + x.shape[:-1]), 0, -1)
-    acc, buf = store[..., :width], store[..., width:]
+    step = -(-max(64, SUB_BATCH_ELEMENTS // max(math.prod(lead), 1)) // 8) * 8
+    store = np.empty((width + min(step, widest),) + lead)
+    acc, buf = store[:width], np.moveaxis(store[width:], 0, -1)
     acc.fill(0.0)
     for a, b in blocks:
-        for lo in range(0, a.stop - a.start, 64):
-            y = x[..., a][..., lo:lo + 64]
-            out = buf[..., :y.shape[-1]]
+        for lo in range(0, a.stop - a.start, step):
+            y = x[..., a][..., lo:lo + step]
+            n = y.shape[-1]
+            out = buf[..., :n]
             if b is not None:
-                y = np.subtract(y, x[..., b][..., lo:lo + 64], out=out)
+                y = np.subtract(y, x[..., b][..., lo:lo + step], out=out)
             f.derivative(0, y, out=out)
-            for c in range(0, out.shape[-1], 8):
-                group = out[..., c:c + 8]
-                acc[..., :group.shape[-1]] += group
-    total = np.zeros(x.shape[:-1])
+            full = n - n % 8
+            if full == 8:
+                acc += store[8:16]
+            elif full:  # acc + group 0 == group 0 + acc, bit for bit
+                store[8:16] += acc
+                np.add.reduce(store[8:8 + full].reshape((-1, 8) + lead), axis=0, out=acc)
+            if full < n:
+                acc[:n - full] += store[width + full:width + n]
+    total = np.zeros(lead)
     for c in range(width):
-        total += acc[..., c]
+        total += acc[c]
     return total
 
 

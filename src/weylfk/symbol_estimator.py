@@ -17,9 +17,12 @@ derived from (master seed, chunk index), in site-major sub-batches of
 SUB_BATCH_ELEMENTS path coordinates (paths x time points x sites, so the
 buffers keep one size at any site count and few sites get many paths per
 numpy call) held in two buffers the chunk owns, and shifts it about x
-forward, then backward; _weight gives exp(-action), or its alpha
-derivative, on each; _pair_sums forms the beta moment, one phase per xi and
-the pair averages, and returns per-xi totals and centred sums of squares.
+forward, then backward.  Each sub-batch's endpoints w(t) are reduced as they
+are sampled to what _pair_sums reads, the phase angle w(t).xi of each xi and
+the beta moment, and _weight gives exp(-action), or its alpha derivative, on
+each shifted path; so besides those buffers a chunk holds a few numbers per
+pair, at any site count.  _pair_sums forms one phase per xi and the pair
+averages, and returns per-xi totals and centred sums of squares.
 brownian.mean_and_stderr merges chunks in order, so results are bit-identical
 for any worker count or sub-batch size, and each of a batch of frequencies
 (sharing one path set) is bit-identical to its lone call.
@@ -35,9 +38,9 @@ import numpy as np
 from .brownian import DEFAULT_PRESET, mean_and_stderr, sample_path_batch
 from .faadibruno import derivative_of_exponential
 from .multiindex import MultiIndex, ZERO_INDEX, sub_multiindices
+from .potentials import SUB_BATCH_ELEMENTS
 
 DEFAULT_CHUNK_SIZE = 4096  # antithetic pairs per chunk
-SUB_BATCH_ELEMENTS = 1 << 18  # path coordinates (paths x time points x sites) at once
 UNDERFLOW_FLOOR = np.sqrt(np.finfo(float).tiny)  # smallest weight whose square is normal
 
 
@@ -114,21 +117,32 @@ def _weight(V, path, dt, alpha, alpha_subs, out):
     return largest
 
 
-def _pair_sums(endpoint, weights, beta_vec, xis):
-    """The chunk's entry for mean_and_stderr: pair count, per-xi totals and centred m2."""
+def _endpoint_terms(ends, xis, support, orders, theta, moment):
+    """Reduce a sub-batch's endpoints w(t), one row per pair, to what _pair_sums
+    reads: theta[k] = w(t).xi_k, and the beta moment prod_j (-i w_j(t))^(beta_j)
+    (the empty product, beta = 0, is exactly 1) into moment.  Each is a
+    fixed-order reduction along a row of a C-ordered copy, so its bits do not
+    depend on how many rows a sub-batch holds; BLAS's @ would round by them."""
+    ends = np.ascontiguousarray(ends)
+    for angle, xi in zip(theta, xis):
+        np.sum(ends * xi, axis=-1, out=angle)
+    np.prod((-1j * ends[:, support]) ** orders, axis=-1, out=moment)
+
+
+def _pair_sums(theta, moment, weights, parity):
+    """The chunk's entry for mean_and_stderr from its phase angles theta (a row
+    per xi), beta moments and weights, with parity (-1)^|beta|: pair count,
+    per-xi totals and centred m2."""
     forward, backward = weights
-    support = np.flatnonzero(beta_vec)  # an empty product, beta = 0, is exactly 1
-    moment = np.prod((-1j * endpoint[:, support]) ** beta_vec[support], axis=-1)
-    reflected = moment * (-1.0) ** int(beta_vec.sum())
-    totals, m2 = np.empty(len(xis), dtype=complex), np.empty(len(xis))
-    for k, xi in enumerate(xis):
-        # each phase is its own matrix-vector product, so its bits match a lone call
-        phase = np.exp(-1j * (endpoint @ xi))
+    reflected = moment * parity
+    totals, m2 = np.empty(len(theta), dtype=complex), np.empty(len(theta))
+    for k, angle in enumerate(theta):
+        phase = np.exp(-1j * angle)
         combined = 0.5 * (moment * phase * forward + reflected * np.conj(phase) * backward)
         totals[k] = combined.sum()
         dev = combined - totals[k] / len(combined)
         m2[k] = (dev.real**2).sum() + (dev.imag**2).sum()
-    return len(endpoint), totals, m2
+    return len(moment), totals, m2
 
 
 def estimate_mixed_derivative(V, point: PhasePoint, t, n_paths, n_steps, seed, *,
@@ -165,24 +179,29 @@ def estimate_mixed_derivative(V, point: PhasePoint, t, n_paths, n_steps, seed, *
     V.check_positions(alpha, beta)
 
     dt = t / n_steps
+    xis = np.atleast_2d(point.xi)
     beta_vec = np.array([beta.get(j) for j in range(V.n_sites)], dtype=int)
+    support = np.flatnonzero(beta_vec)
+    orders, parity = beta_vec[support], (-1.0) ** int(beta_vec.sum())
     alpha_subs = () if alpha.is_zero() else sub_multiindices(alpha)
 
     def run_chunk(args):
         index, pairs = args
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-        endpoint, weights = np.empty((pairs, V.n_sites)), np.empty((2, pairs))
+        theta, moment = np.empty((len(xis), pairs)), np.empty(pairs, dtype=complex)
+        weights = np.empty((2, pairs))
         paths = _shifted_paths(rng, pairs, t, n_steps, point.x, variance)
         largest = 0.0  # exp(-A), before the alpha factor and the beta moment; NaN stays
         for i, (lo, hi, ends, path) in enumerate(paths):  # forward, backward in turn
-            endpoint[lo:hi] = ends
+            if not i % 2:
+                _endpoint_terms(ends, xis, support, orders, theta[:, lo:hi], moment[lo:hi])
             largest = np.maximum(largest, _weight(V, path, dt, alpha, alpha_subs,
                                                   weights[i % 2, lo:hi]))
         if largest < UNDERFLOW_FLOOR:
             raise FloatingPointError(
                 f"the largest path weight exp(-A) of a chunk at {V.n_sites} sites is "
                 f"{largest:.3g}, below {UNDERFLOW_FLOOR:.3g}: its second moment underflows")
-        return _pair_sums(endpoint, weights, beta_vec, np.atleast_2d(point.xi))
+        return _pair_sums(theta, moment, weights, parity)
 
     tasks = list(enumerate(_chunk_sizes(n_paths // 2, chunk_size)))
     if n_workers > 1 and len(tasks) > 1:

@@ -38,6 +38,14 @@ class TestMomentConstants:
         with pytest.raises(ValueError):
             abs_moment_constant(-1)
 
+    def test_overflow_names_the_order(self):
+        # 6.5e307 at order 301; at 302 the product overflows to inf, and from
+        # 343 on math.gamma raises: both name the order
+        assert abs_moment_constant(301) < math.inf
+        for k in (302, 400):
+            with pytest.raises(OverflowError, match=f"^the order-{k} absolute moment constant"):
+                abs_moment_constant(k)
+
     def test_max_examples(self):
         assert abs_moment_max(0) == pytest.approx(1.0)
         assert abs_moment_max(1) == pytest.approx(1.0)  # max(1, sqrt(2/pi))

@@ -44,6 +44,9 @@ OVERFLOWING_VARIANCE = {"potential": {"variant": "zero", "sites": [0]}, "beta": 
                         "x": [0.0], "xi": [0.5], "t": 0.5, "seed": 1, "n_paths": 1000,
                         "n_steps": 1}
 
+MOMENT_CONSTANT_OVERFLOW = (" the order-%d absolute moment constant of the standard normal, "
+                            "2^(k/2) Gamma((k+1)/2) / sqrt(pi), overflows a float\n")
+
 
 def assert_one_failure_line(err, end="\n"):
     """err is one numerical-failure line, which ends with end."""
@@ -626,12 +629,19 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("subcommand, config, line", [
-        ("moments", {"beta": "0:400", "t": 0.5, "seed": 1}, "\n"),
-        ("bound", {"beta": "0:400", "m": 400, "t": 0.5, "c_m": 16.0}, "\n"),
+        ("moments", {"beta": "0:400", "t": 0.5, "seed": 1}, MOMENT_CONSTANT_OVERFLOW % 400),
+        # the bound takes the largest constant up to m
+        ("bound", {"beta": "0:400", "m": 400, "t": 0.5, "c_m": 16.0},
+         MOMENT_CONSTANT_OVERFLOW % 302),
         ("verify", {"suite": "xi-deriv", "betas": ["0:400"], "seed": 1,
-                    "n_points": 1, "n_paths": 64, "n_steps": 2}, "\n"),
+                    "n_points": 1, "n_paths": 64, "n_steps": 2}, MOMENT_CONSTANT_OVERFLOW % 400),
         ("verify", {"suite": "class", "m": 400, "seed": 1,
-                    "family": {"family": "mean_field", "G": {"name": "lorentzian"}}}, "\n"),
+                    "family": {"family": "mean_field", "G": {"name": "lorentzian"}}},
+         " the certified sup bound of 'lorentzian' at order 171 overflows a float\n"),
+        ("oracle", {"potential": harmonic_potential_json(), "t": 0.5,
+                    "grid": {"half_width": 1e150, "n_grid": 16}},
+         " pairing test Gaussian centred at 0.0 is 0 at every cell of spacing 1.25e+149; "
+         "refine the grid\n"),
         ("oracle", {"potential": harmonic_potential_json(), "t": 0.5,
                     "grid": {"half_width": 1e300, "n_grid": 16}},
          " grid spacing 1.25e+299 (half_width 1e+300, n_grid 16) leaves double range: "
@@ -641,8 +651,8 @@ class TestExitCodes:
          " grid spacing 1.25e-301 (half_width 1e-300, n_grid 16) leaves double range: "
          "2 / spacing**2 is not positive and finite\n"),
         ("estimate", OVERFLOWING_VARIANCE, " NaN in output\n"),
-    ], ids=["moments-gamma", "bound-gamma", "xi-deriv-gamma", "class-m", "oracle-huge-grid",
-            "oracle-tiny-grid", "estimate-variance"])
+    ], ids=["moments-gamma", "bound-gamma", "xi-deriv-gamma", "class-m", "oracle-coarse-grid",
+            "oracle-huge-grid", "oracle-tiny-grid", "estimate-variance"])
     def test_arithmetic_overflow_is_numerical_failure(self, subcommand, config, line, capsys):
         # overflow or division by zero in the arithmetic exits 2 with one stderr
         # line, which ends with line: numpy's warnings of the overflow in the

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from weylfk import symbol_estimator
+from weylfk import potentials, symbol_estimator
 from weylfk.brownian import VariancePreset, mean_and_stderr, sample_path_batch
 from weylfk.multiindex import MultiIndex, from_text
 from weylfk.potentials import (
@@ -430,23 +430,29 @@ class TestFrequencyBatch:
 
 _SUB_BATCH_CASES = {
     "mean_field_16": (lambda: MeanFieldPotential(range(16), lorentzian_function()),
-                      "0:1,1:1", 3),
+                      "0:1,1:1", "", 3),
+    # a frequency derivative at several frequencies: the beta moment and the
+    # phase angles are reduced sub-batch by sub-batch
+    "mean_field_6_beta": (lambda: MeanFieldPotential(range(6), lorentzian_function()),
+                          "", "0:2,3:1,5:3", 4),
     "harmonic_lorentzian_chain_8": (
         lambda: NearestNeighborPotential(1, [(i,) for i in range(8)], harmonic_function(),
                                          lorentzian_function()),
-        "0:1", 1),
-    # more sites than one 64-column call of the pair and on-site sums takes
+        "0:1", "", 1),
+    # at one sub-batch per chunk the pair block (69 columns) and the on-site sum
+    # (70) each span two 64-column calls of _block_sum; at the other sizes each
+    # is one call
     "harmonic_lorentzian_chain_70": (
         lambda: NearestNeighborPotential(1, [(i,) for i in range(70)], harmonic_function(),
                                          lorentzian_function()),
-        "0:1", 1),
+        "0:1", "", 1),
 }
 
 
 class TestSubBatches:
     @pytest.mark.parametrize("case", sorted(_SUB_BATCH_CASES))
     def test_estimate_independent_of_sub_batch_size(self, case, monkeypatch):
-        make, alpha, n_xi = _SUB_BATCH_CASES[case]
+        make, alpha, beta, n_xi = _SUB_BATCH_CASES[case]
         V = make()
         rng = np.random.default_rng(8)
         point = PhasePoint(rng.uniform(-1, 1, V.n_sites),
@@ -454,12 +460,14 @@ class TestSubBatches:
         digests = []
         # 400 pairs in chunks of 300 and 100, at 32 steps: one pair per sub-batch;
         # 7, so both chunks end on a ragged sub-batch (6 and 2 pairs) held in a
-        # prefix of the chunk's buffers; the default; one sub-batch per chunk
+        # prefix of the chunk's buffers; the default; one sub-batch per chunk,
+        # whose 300 x 33 path points take 64 columns per _block_sum call
+        assert potentials.SUB_BATCH_ELEMENTS // (300 * 33) <= 64
         pair = 33 * V.n_sites  # the coordinates of one path
         for elements in (pair, 7 * pair, symbol_estimator.SUB_BATCH_ELEMENTS, 1 << 30):
             monkeypatch.setattr(symbol_estimator, "SUB_BATCH_ELEMENTS", elements)
             est = estimate_mixed_derivative(V, point, 0.5, 800, 32, seed=13,
-                                            alpha=from_text(alpha),
+                                            alpha=from_text(alpha), beta=from_text(beta),
                                             chunk_size=300, n_workers=2)
             digests.append(hashlib.sha256(
                 repr((est.value.tolist(), est.stderr.tolist())).encode()).hexdigest())
@@ -484,13 +492,17 @@ class TestSubBatches:
             assert all(b is chunk[0] for b in chunk)
             assert chunk[0].shape == (2, 7 * 9 * 3)
 
-    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024])
     def test_chain_memory_bounded_in_sites(self, n):
         # 2048 pairs in one chunk.  Sub-batches of a fixed number of path points
-        # peaked at 3.5, 10.6 and 39.6 MiB at 16, 64 and 256 sites; of
-        # SUB_BATCH_ELEMENTS path coordinates at 7.8, 7.6 and 8.8 MiB
-        V = NearestNeighborPotential(1, [(i,) for i in range(n)], harmonic_function(),
-                                     lorentzian_function())
+        # peaked at 3.5, 10.6 and 39.6 MiB at 16, 64 and 256 sites; of 2^18 path
+        # coordinates, with the chunk's endpoints kept for the phases, at 7.8,
+        # 7.6, 8.8 and 20.5 MiB (1024 sites); with them reduced per sub-batch of
+        # 2^17, at 3.8, 3.4, 3.2 and 3.2 MiB.  At amplitude 1 the weights of 1024
+        # sites underflow
+        amplitude = 0.01 if n == 1024 else 1.0
+        V = NearestNeighborPotential(1, [(i,) for i in range(n)], harmonic_function(amplitude),
+                                     lorentzian_function(amplitude))
         rng = np.random.default_rng(2)
         point = PhasePoint(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
         tracemalloc.start()
@@ -500,7 +512,7 @@ class TestSubBatches:
         finally:
             tracemalloc.stop()
         assert math.isfinite(est.stderr)
-        assert peak < 10.6 * 2**20  # the largest measured peak plus 20%
+        assert peak < 4.6 * 2**20  # the largest measured peak plus 20%
 
 
 def chunk_stats(values):

@@ -15,6 +15,7 @@ from weylfk.oracle import (
     SupportError,
     build_hamiltonian,
     decay_window,
+    gaussian_test_functions,
     grid_edge_max,
     matrix_symbol_bands,
     semigroup_symbol_at,
@@ -313,6 +314,13 @@ class TestWigner:
         f = np.ones(grid.n_points)
         with pytest.raises(SupportError):
             _pairing_table(f, f, grid)
+
+    def test_test_functions_on_a_grid_coarser_than_them(self):
+        # every cell centre lies 6e148 or more from the peaks, where both
+        # Gaussians are 0: their normalisation would be 0 / 0
+        grid = Grid(1e150, 16, 1)
+        with pytest.raises(SupportError, match="every cell of spacing 1.25e[+]149"):
+            gaussian_test_functions(grid)
 
 
 class TestPairing:

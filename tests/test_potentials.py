@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weylfk import potentials
 from weylfk.multiindex import MultiIndex, sub_multiindices
 from weylfk.potentials import (
     MeanFieldPotential,
@@ -94,6 +95,14 @@ class TestScalarFunctions:
         assert f.sup_fn(1) is None
         with pytest.raises(MissingSupBoundError):
             f.max_sup(2)
+
+    @pytest.mark.parametrize("builder", [lorentzian_function, gaussian_bump_function])
+    def test_overflowing_sup_names_its_order(self, builder):
+        # both bounds take k! as a float, which leaves double range at order 171
+        f = builder()
+        assert f.max_sup(170) < math.inf
+        with pytest.raises(OverflowError, match=f"{f.name!r} at order 171 overflows a float"):
+            f.max_sup(400)
 
     def test_parse_matches_direct_construction(self):
         cases = [
@@ -397,8 +406,10 @@ def per_site_reference(F, x):
 
 
 # widest blocks just below, at and above one and two 8-column groups, and one
-# and two 64-column calls
+# and two 64-column calls; the budgets take a block of 6 x 9 points in one call,
+# and in 64-column calls (one element per point)
 BLOCK_WIDTHS = (7, 8, 9, 16, 17, 63, 64, 65, 129)
+BUDGETS = (potentials.SUB_BATCH_ELEMENTS, 54)
 ON_SITE_FUNCTIONS = [harmonic_function(1.2), gaussian_bump_function(1.3, 0.9),
                      lorentzian_function(1.3, 0.9), cosine_function(1.3, 0.9)]
 
@@ -433,21 +444,39 @@ class TestInPlaceEvaluation:
     ] + [[(j, j + 1) for j in range(w)] for w in BLOCK_WIDTHS],
         ids=["chain_32", "chain_140", "mean_field_16"] + [f"block_{w}" for w in BLOCK_WIDTHS])
     @pytest.mark.parametrize("G", PAIR_FUNCTIONS, ids=lambda G: G.name)
-    def test_pair_sum_bitwise_equal_to_per_pair_reference(self, pairs, G):
+    def test_pair_sum_bitwise_equal_to_per_pair_reference(self, pairs, G, monkeypatch):
         n = pairs[-1][1] + 1
         x = np.random.default_rng(n).normal(size=(6, 9, n))
         ref = per_pair_reference(G, x, pairs)
-        for layout in (np.copy, site_major):
+        for budget, layout in itertools.product(BUDGETS, (np.copy, site_major)):
+            monkeypatch.setattr(potentials, "SUB_BATCH_ELEMENTS", budget)
             total = 2.0 * _block_sum(G, layout(x), _pair_blocks(pairs))
             assert total.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("scale", [1, 2])
+    def test_columns_per_call_fill_the_budget(self, scale):
+        # a sub-batch of a 1024-site chain, SUB_BATCH_ELEMENTS / 1024 points,
+        # takes each block in one call; twice the points take half the columns
+        calls, G = [], lorentzian_function()
+
+        def deriv(k, y, out=None):
+            calls.append(y.shape[-1])
+            return G.deriv_fn(k, y, out)
+
+        counted = ScalarFunction("counted", deriv, G.sup_fn, in_place=True)
+        V = NearestNeighborPotential(1, [(i,) for i in range(1024)], counted, counted)
+        points = scale * potentials.SUB_BATCH_ELEMENTS // 1024
+        V.eval(np.random.default_rng(scale).normal(size=(points, 1024)))
+        assert calls == ([1023, 1024] if scale == 1 else [512, 511, 512, 512])
+
     @pytest.mark.parametrize("n", (1,) + BLOCK_WIDTHS)
     @pytest.mark.parametrize("F", ON_SITE_FUNCTIONS, ids=lambda F: F.name)
-    def test_on_site_sum_bitwise_equal_to_per_site_reference(self, n, F):
+    def test_on_site_sum_bitwise_equal_to_per_site_reference(self, n, F, monkeypatch):
         x = np.random.default_rng(n).normal(size=(6, 9, n))
         V = PairPotential(range(n), F, zero_function(), [])
         ref = per_site_reference(F, x)
-        for layout in (np.copy, site_major):
+        for budget, layout in itertools.product(BUDGETS, (np.copy, site_major)):
+            monkeypatch.setattr(potentials, "SUB_BATCH_ELEMENTS", budget)
             assert V.eval(layout(x)).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("V, constant", [
