@@ -15,6 +15,7 @@ over CLASS_INDEX_PAIRS.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
@@ -178,8 +179,14 @@ def xi_derivative_probes(V: PotentialSpec, betas, t, n_points, seed, variance) -
     groups = []
     for beta in betas:
         exact = absolute_moment_product(beta, t, variance)
-        coarse = (abs_moment_max(beta.max_order) ** beta.order
-                  * (variance.sigma2 * t) ** (beta.order / 2.0))
+        try:
+            coarse = (abs_moment_max(beta.max_order) ** beta.order
+                      * (variance.sigma2 * t) ** (beta.order / 2.0))
+        except OverflowError:  # a float power's
+            coarse = math.inf
+        if not math.isfinite(coarse):
+            raise OverflowError(f"the max-order bound B_m^|beta| (sigma2 t)^(|beta|/2) at beta "
+                                f"{beta.to_text()}, t {t:g} leaves double range")
         probes = [(V, _uniform_point(rng, V.n_sites, SWEEP_HALFWIDTH), t, seed + 31 * k,
                    ZERO_INDEX, beta) for k in range(n_points)]
         groups.append((probes, {

@@ -154,11 +154,19 @@ def absolute_moment_product(beta: MultiIndex, t, variance=DEFAULT_PRESET) -> flo
 
     The path endpoint is Gaussian with per-coordinate variance sigma2 * t, so
     the product of absolute moments factorizes into
-    (sigma2 t)^(|beta|/2) * prod_j abs_moment_constant(beta_j).
+    (sigma2 t)^(|beta|/2) * prod_j abs_moment_constant(beta_j).  A product
+    beyond double range raises an OverflowError naming beta, also where each
+    factor is finite.
     """
     if not t > 0.0:
         raise ValueError("t must be positive")
-    out = (variance.sigma2 * t) ** (beta.order / 2.0)
+    try:
+        out = (variance.sigma2 * t) ** (beta.order / 2.0)
+    except OverflowError:  # the float power's
+        out = math.inf
     for _, order in beta.entries:
         out *= abs_moment_constant(order)
+    if not math.isfinite(out):  # inf, or NaN from an underflowed power times inf
+        raise OverflowError(f"the absolute moment product E prod_j |w_j(t)|^(beta_j) at beta "
+                            f"{beta.to_text()}, t {t:g} leaves double range")
     return out

@@ -16,20 +16,34 @@ A chunk of pairs runs three steps.  _shifted_paths samples w with a seed
 derived from (master seed, chunk index), in site-major sub-batches of
 SUB_BATCH_ELEMENTS path coordinates (paths x time points x sites, so the
 buffers keep one size at any site count and few sites get many paths per
-numpy call) held in two buffers the chunk owns, and shifts it about x
-forward, then backward.  Each sub-batch's endpoints w(t) are reduced as they
-are sampled to what _pair_sums reads, the phase angle w(t).xi of each xi and
-the beta moment, and _weight gives exp(-action), or its alpha derivative, on
-each shifted path; so besides those buffers a chunk holds a few numbers per
-pair, at any site count.  _pair_sums forms one phase per xi and the pair
-averages, and returns per-xi totals and centred sums of squares.
+numpy call), and shifts it about x forward, then backward.  Each sub-batch's
+endpoints w(t) are reduced as they are sampled to what _pair_sums reads, the
+phase angle w(t).xi of each xi and the beta moment, and _weight gives
+exp(-action), or its alpha derivative, on each shifted path; so besides the
+path buffers a chunk holds a few numbers per pair, at any site count.
+_pair_sums forms the pair averages of blocks of whole xi rows, in real
+arithmetic, and returns per-xi totals and centred sums of squares.
 brownian.mean_and_stderr merges chunks in order, so results are bit-identical
 for any worker count or sub-batch size, and each of a batch of frequencies
 (sharing one path set) is bit-identical to its lone call.
+
+Each phase comes from the half-angle tangent (_half_angle_phase): on an
+AVX-512 x86-64 machine numpy 2.4 runs float64 sin and cos one element at a
+time (about 20 ns each, 35 ns for the complex exp) and tan vectorized (1.5
+ns), which made the phases a third of a 21-frequency sweep's time.
+
+Every array a chunk uses lives in a working set (_WorkingSet): the two path
+buffers, the phase angles, the beta moments, the weights and the phase
+scratch, sized for the largest chunk.  A call allocates one set per worker
+up front and a chunk borrows one; the short last chunk takes leading views.
+Blocks of a few MiB that were freed and allocated again chunk by chunk
+crossed glibc's dynamic trim threshold and went back to the kernel, to be
+page-faulted in again by the next chunk.
 """
 
 from __future__ import annotations
 
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -42,6 +56,7 @@ from .potentials import SUB_BATCH_ELEMENTS
 
 DEFAULT_CHUNK_SIZE = 4096  # antithetic pairs per chunk
 UNDERFLOW_FLOOR = np.sqrt(np.finfo(float).tiny)  # smallest weight whose square is normal
+PHASE_ARRAYS = 4  # (rows, pairs) arrays in a block of _pair_sums
 
 
 @dataclass(frozen=True)
@@ -85,16 +100,16 @@ def _chunk_sizes(n_pairs, chunk_size):
     return [chunk_size] * full + ([rest] if rest else [])
 
 
-def _shifted_paths(rng, pairs, t, n_steps, x0, variance):
+def _shifted_paths(rng, pairs, t, n_steps, x0, variance, buffers):
     """Yield (lo, hi, endpoints, path) twice per sub-batch of a chunk's pairs:
-    the path x - w(t)/2 + w(s), then x + w(t)/2 - w(s), in the same buffer."""
-    n_sites = len(x0)
-    step = max(1, SUB_BATCH_ELEMENTS // ((n_steps + 1) * n_sites))
-    # w in the first, the shifted paths in the second (the normals before them)
-    buffers = np.empty((2, min(step, pairs) * (n_steps + 1) * n_sites))
+    the path x - w(t)/2 + w(s), then x + w(t)/2 - w(s), in the same buffer.
+    buffers, two flat arrays of at least _sub_batch(...) * (n_steps + 1) *
+    n_sites floats, take w in the first and the shifted paths in the second
+    (the normals before them)."""
+    step = _sub_batch(n_steps, len(x0))
     for lo in range(0, pairs, step):
         hi = min(lo + step, pairs)
-        w = sample_path_batch(rng, hi - lo, t, n_steps, n_sites, variance, buffers)
+        w = sample_path_batch(rng, hi - lo, t, n_steps, len(x0), variance, buffers)
         half = w[:, -1:, :] / 2.0
         path = np.ndarray(w.shape, buffer=buffers[1], strides=w.strides)  # like w
         # shifts on site-major views, so each inner loop runs along one path's time points
@@ -103,6 +118,11 @@ def _shifted_paths(rng, pairs, t, n_steps, x0, variance):
         yield lo, hi, w[:, -1, :], path
         np.subtract(np.moveaxis(x0 + half, -1, 0), sites[0], out=sites[1])
         yield lo, hi, w[:, -1, :], path
+
+
+def _sub_batch(n_steps, n_sites):
+    # pairs per sub-batch: SUB_BATCH_ELEMENTS path coordinates, at least one path
+    return max(1, SUB_BATCH_ELEMENTS // ((n_steps + 1) * n_sites))
 
 
 def _weight(V, path, dt, alpha, alpha_subs, out):
@@ -129,20 +149,85 @@ def _endpoint_terms(ends, xis, support, orders, theta, moment):
     np.prod((-1j * ends[:, support]) ** orders, axis=-1, out=moment)
 
 
-def _pair_sums(theta, moment, weights, parity):
+def _half_angle_phase(theta, cos, sin):
+    """cos theta into cos and sin theta into sin, elementwise, from the half-angle
+    tangent t = tan(theta / 2): with r = 2 / (1 + t^2), cos theta = r - 1 =
+    (1 - t^2) / (1 + t^2) and sin theta = t r.  A NaN angle gives NaN."""
+    np.multiply(theta, 0.5, out=sin)
+    np.tan(sin, out=sin)
+    np.multiply(sin, sin, out=cos)
+    cos += 1.0
+    np.divide(2.0, cos, out=cos)
+    sin *= cos
+    cos -= 1.0
+
+
+def _phase_rows(n_xi, pairs):
+    # xi rows per block of _pair_sums: PHASE_ARRAYS (rows, pairs) arrays in one
+    # budget of SUB_BATCH_ELEMENTS floats, at least one row
+    return min(n_xi, max(1, SUB_BATCH_ELEMENTS // (PHASE_ARRAYS * pairs)))
+
+
+def _pair_sums(theta, moment, weights, parity, scratch):
     """The chunk's entry for mean_and_stderr from its phase angles theta (a row
-    per xi), beta moments and weights, with parity (-1)^|beta|: pair count,
-    per-xi totals and centred m2."""
+    per xi), beta moments (None for beta = 0) and weights, with parity
+    (-1)^|beta|: pair count, per-xi totals and centred m2.
+
+    A pair's mean is moment (cos theta (f + parity b) - i sin theta (f - parity b)) / 2
+    for the forward and backward weights f and b.  Blocks of whole xi rows,
+    (rows, pairs) arrays of the flat scratch (two of them without a moment),
+    hold the real and imaginary parts, so each row's bits do not depend on
+    the block."""
     forward, backward = weights
-    reflected = moment * parity
-    totals, m2 = np.empty(len(theta), dtype=complex), np.empty(len(theta))
-    for k, angle in enumerate(theta):
-        phase = np.exp(-1j * angle)
-        combined = 0.5 * (moment * phase * forward + reflected * np.conj(phase) * backward)
-        totals[k] = combined.sum()
-        dev = combined - totals[k] / len(combined)
-        m2[k] = (dev.real**2).sum() + (dev.imag**2).sum()
-    return len(moment), totals, m2
+    n_xi, pairs = theta.shape
+    even = 0.5 * (forward + parity * backward)
+    odd = 0.5 * (parity * backward - forward)  # the imaginary part's, sign included
+    rows = _phase_rows(n_xi, pairs)
+    blocks = scratch[: PHASE_ARRAYS * rows * pairs].reshape(PHASE_ARRAYS, rows, pairs)
+    if moment is not None:
+        even, odd = moment * even, moment * odd
+    totals, m2 = np.empty(n_xi, dtype=complex), np.empty(n_xi)
+    for lo in range(0, n_xi, rows):
+        hi = min(lo + rows, n_xi)
+        cos, sin = blocks[0, : hi - lo], blocks[1, : hi - lo]
+        _half_angle_phase(theta[lo:hi], cos, sin)
+        if moment is None:
+            re, im = np.multiply(cos, even, out=cos), np.multiply(sin, odd, out=sin)
+        else:  # times the moment: cos even.real - sin odd.imag, cos even.imag + sin odd.real
+            re, im, other = cos, blocks[2, : hi - lo], blocks[3, : hi - lo]
+            np.multiply(cos, even.imag, out=im)
+            np.multiply(sin, odd.real, out=other)
+            im += other
+            re *= even.real
+            np.multiply(sin, odd.imag, out=other)
+            re -= other
+        for part, total in ((re, totals.real), (im, totals.imag)):
+            np.sum(part, axis=-1, out=total[lo:hi])
+            part -= (total[lo:hi] / pairs)[:, None]
+            np.square(part, out=part)
+        m2[lo:hi] = re.sum(axis=-1) + im.sum(axis=-1)
+    return pairs, totals, m2
+
+
+class _WorkingSet:
+    """One worker's arrays for every chunk of a call, each sized for the largest
+    chunk: the two path buffers, the phase angles, the beta moments, the
+    weights and the flat phase scratch.  A chunk of fewer pairs takes leading
+    views, so no chunk allocates or frees a block."""
+
+    def __init__(self, sizes, n_xi, n_steps, n_sites):
+        pairs = max(sizes)
+        self.paths = np.empty((2, min(_sub_batch(n_steps, n_sites), pairs)
+                               * (n_steps + 1) * n_sites))
+        self.theta = np.empty(n_xi * pairs)
+        self.moment = np.empty(pairs, dtype=complex)
+        self.weights = np.empty(2 * pairs)
+        self.phase = np.empty(max(PHASE_ARRAYS * _phase_rows(n_xi, p) * p for p in sizes))
+
+    def views(self, n_xi, pairs):
+        """theta (n_xi, pairs), moment (pairs,) and weights (2, pairs), contiguous."""
+        return (self.theta[: n_xi * pairs].reshape(n_xi, pairs), self.moment[:pairs],
+                self.weights[: 2 * pairs].reshape(2, pairs))
 
 
 def estimate_mixed_derivative(V, point: PhasePoint, t, n_paths, n_steps, seed, *,
@@ -185,25 +270,34 @@ def estimate_mixed_derivative(V, point: PhasePoint, t, n_paths, n_steps, seed, *
     orders, parity = beta_vec[support], (-1.0) ** int(beta_vec.sum())
     alpha_subs = () if alpha.is_zero() else sub_multiindices(alpha)
 
+    sizes = _chunk_sizes(n_paths // 2, chunk_size)
+    sets = queue.SimpleQueue()  # one for each chunk that runs at once
+    for _ in range(min(n_workers, len(sizes))):
+        sets.put(_WorkingSet(sizes, len(xis), n_steps, V.n_sites))
+
     def run_chunk(args):
         index, pairs = args
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-        theta, moment = np.empty((len(xis), pairs)), np.empty(pairs, dtype=complex)
-        weights = np.empty((2, pairs))
-        paths = _shifted_paths(rng, pairs, t, n_steps, point.x, variance)
-        largest = 0.0  # exp(-A), before the alpha factor and the beta moment; NaN stays
-        for i, (lo, hi, ends, path) in enumerate(paths):  # forward, backward in turn
-            if not i % 2:
-                _endpoint_terms(ends, xis, support, orders, theta[:, lo:hi], moment[lo:hi])
-            largest = np.maximum(largest, _weight(V, path, dt, alpha, alpha_subs,
-                                                  weights[i % 2, lo:hi]))
-        if largest < UNDERFLOW_FLOOR:
-            raise FloatingPointError(
-                f"the largest path weight exp(-A) of a chunk at {V.n_sites} sites is "
-                f"{largest:.3g}, below {UNDERFLOW_FLOOR:.3g}: its second moment underflows")
-        return _pair_sums(theta, moment, weights, parity)
+        work = sets.get()
+        try:
+            theta, moment, weights = work.views(len(xis), pairs)
+            paths = _shifted_paths(rng, pairs, t, n_steps, point.x, variance, work.paths)
+            largest = 0.0  # exp(-A), before the alpha factor and the beta moment; NaN stays
+            for i, (lo, hi, ends, path) in enumerate(paths):  # forward, backward in turn
+                if not i % 2:
+                    _endpoint_terms(ends, xis, support, orders, theta[:, lo:hi], moment[lo:hi])
+                largest = np.maximum(largest, _weight(V, path, dt, alpha, alpha_subs,
+                                                      weights[i % 2, lo:hi]))
+            if largest < UNDERFLOW_FLOOR:
+                raise FloatingPointError(
+                    f"the largest path weight exp(-A) of a chunk at {V.n_sites} sites is "
+                    f"{largest:.3g}, below {UNDERFLOW_FLOOR:.3g}: its second moment underflows")
+            return _pair_sums(theta, moment if support.size else None, weights, parity,
+                              work.phase)
+        finally:
+            sets.put(work)
 
-    tasks = list(enumerate(_chunk_sizes(n_paths // 2, chunk_size)))
+    tasks = list(enumerate(sizes))
     if n_workers > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             chunk_stats = list(pool.map(run_chunk, tasks))

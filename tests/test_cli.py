@@ -48,6 +48,10 @@ MOMENT_CONSTANT_OVERFLOW = (" the order-%d absolute moment constant of the stand
                             "2^(k/2) Gamma((k+1)/2) / sqrt(pi), overflows a float\n")
 
 
+MOMENT_PRODUCT_OVERFLOW = (" the absolute moment product E prod_j |w_j(t)|^(beta_j) at beta "
+                           "0:250,1:250, t 0.5 leaves double range\n")
+
+
 def assert_one_failure_line(err, end="\n"):
     """err is one numerical-failure line, which ends with end."""
     assert err.startswith("numerical failure:") and err.endswith(end)
@@ -651,8 +655,18 @@ class TestExitCodes:
          " grid spacing 1.25e-301 (half_width 1e-300, n_grid 16) leaves double range: "
          "2 / spacing**2 is not positive and finite\n"),
         ("estimate", OVERFLOWING_VARIANCE, " NaN in output\n"),
+        # two finite constants, about 1e245 each, whose product overflows
+        ("moments", {"beta": "0:250,1:250", "t": 0.5, "seed": 1}, MOMENT_PRODUCT_OVERFLOW),
+        ("verify", {"suite": "xi-deriv", "betas": ["0:250,1:250"], "seed": 1,
+                    "n_points": 1, "n_paths": 64, "n_steps": 2}, MOMENT_PRODUCT_OVERFLOW),
+        # the exact product is finite, its max-order coarsening B_250^250 is not
+        ("verify", {"suite": "xi-deriv", "betas": ["0:250"], "seed": 1,
+                    "n_points": 1, "n_paths": 64, "n_steps": 2},
+         " the max-order bound B_m^|beta| (sigma2 t)^(|beta|/2) at beta 0:250, t 0.5 "
+         "leaves double range\n"),
     ], ids=["moments-gamma", "bound-gamma", "xi-deriv-gamma", "class-m", "oracle-coarse-grid",
-            "oracle-huge-grid", "oracle-tiny-grid", "estimate-variance"])
+            "oracle-huge-grid", "oracle-tiny-grid", "estimate-variance", "moments-product",
+            "xi-deriv-product", "xi-deriv-max-order"])
     def test_arithmetic_overflow_is_numerical_failure(self, subcommand, config, line, capsys):
         # overflow or division by zero in the arithmetic exits 2 with one stderr
         # line, which ends with line: numpy's warnings of the overflow in the
@@ -720,6 +734,13 @@ class TestExitCodes:
         assert cli.main(["verify", json.dumps(config)]) == 2
         assert capsys.readouterr().err.startswith("numerical failure:")
         assert calls == []
+
+    def test_bound_of_a_large_frequency_order_sum_is_infinite(self):
+        # the moments and the xi-deriv suite fail on this beta; the closed-form
+        # bound reports its documented infinite value
+        code, doc = run("bound", {"beta": "0:250,1:250", "m": 250, "t": 0.5, "c_m": 1.0})
+        assert code == 0
+        assert doc["results"]["bound"] == math.inf
 
     def test_nonpositive_oracle_region_is_config_error(self, capsys):
         config = {"potential": harmonic_potential_json(), "t": 0.5, "region": -1,

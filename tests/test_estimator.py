@@ -391,23 +391,54 @@ _BATCH_CASES = {
 }
 
 
+def assert_rows_equal_single_calls(case, n_xi, chunk_size, workers):
+    make, x, alpha, beta = _BATCH_CASES[case]
+    V = make()
+    xis = np.random.default_rng(4).uniform(-2.0, 2.0, (n_xi, V.n_sites))
+    kwargs = dict(alpha=from_text(alpha), beta=from_text(beta), chunk_size=chunk_size,
+                  n_workers=workers)
+    batch = estimate_mixed_derivative(V, PhasePoint(x, xis), 0.5, 4000, 8, seed=17, **kwargs)
+    for k, xi in enumerate(xis):
+        single = estimate_mixed_derivative(V, PhasePoint(x, xi.copy()), 0.5, 4000, 8,
+                                           seed=17, **kwargs)
+        assert batch.value[k] == single.value
+        assert batch.stderr[k] == single.stderr
+
+
 class TestFrequencyBatch:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("case", sorted(_BATCH_CASES))
     def test_rows_bitwise_equal_single_calls(self, case, workers):
-        make, x, alpha, beta = _BATCH_CASES[case]
-        V = make()
-        xis = np.random.default_rng(4).uniform(-2.0, 2.0, (5, V.n_sites))
         # 4000 paths in chunks of 1000 pairs: two chunks
-        kwargs = dict(alpha=from_text(alpha), beta=from_text(beta), chunk_size=1000,
-                      n_workers=workers)
-        batch = estimate_mixed_derivative(V, PhasePoint(x, xis), 0.5, 4000, 8, seed=17,
-                                          **kwargs)
-        for k, xi in enumerate(xis):
-            single = estimate_mixed_derivative(V, PhasePoint(x, xi.copy()), 0.5, 4000, 8,
-                                               seed=17, **kwargs)
-            assert batch.value[k] == single.value
-            assert batch.stderr[k] == single.stderr
+        assert_rows_equal_single_calls(case, 5, 1000, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", sorted(_BATCH_CASES))
+    def test_rows_spanning_blocks_bitwise_equal_single_calls(self, case, workers,
+                                                             monkeypatch):
+        # chunks of 1500 and 500 pairs, the second in leading views of the
+        # working set; a budget of 12000 floats holds blocks of 2 and 6 rows,
+        # so the 7 rows span 4 and 2 blocks
+        monkeypatch.setattr(symbol_estimator, "SUB_BATCH_ELEMENTS", 12000)
+        assert [symbol_estimator._phase_rows(7, p) for p in (1500, 500)] == [2, 6]
+        assert_rows_equal_single_calls(case, 7, 1500, workers)
+
+    def test_phase_scratch_does_not_grow_with_the_rows(self):
+        # one 4096-pair chunk at 256 frequencies peaked at 12.25 MiB: theta
+        # (8 MiB), one budget of phase scratch (1 MiB), the two path buffers
+        # (2 MiB) and the zero potential's values of a sub-batch (1 MiB).
+        # Phase arrays for every row would add 15 MiB
+        V = zero_potential([0])
+        point = PhasePoint([0.1], np.linspace(-2.0, 2.0, 256)[:, None])
+        estimate_mixed_derivative(V, point, 0.5, 8192, 32, seed=3)  # numpy's first-call caches
+        tracemalloc.start()
+        try:
+            est = estimate_mixed_derivative(V, point, 0.5, 8192, 32, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(est.stderr))
+        assert peak < 1.2 * 12.25 * 2**20  # the measured peak plus 20%
 
     def test_batch_keeps_one_estimate_with_integer_provenance(self):
         # per-call counters (perfbench/tracing.py) read n_paths and n_steps off
@@ -486,11 +517,17 @@ class TestSubBatches:
         V = MeanFieldPotential(range(3), lorentzian_function())
         estimate_mixed_derivative(V, PhasePoint(np.zeros(3), np.ones(3)), 0.5, 200, 8,
                                   seed=1, chunk_size=50, n_workers=1)
-        # two chunks of 50 pairs, each in sub-batches of 7 pairs (the last of 1)
+        # two chunks of 50 pairs, each in sub-batches of 7 pairs (the last of
+        # 1), in the one working set of the one worker
         assert len(buffers) == 16
-        for chunk in (buffers[:8], buffers[8:]):
-            assert all(b is chunk[0] for b in chunk)
-            assert chunk[0].shape == (2, 7 * 9 * 3)
+        assert all(b is buffers[0] for b in buffers)
+        assert buffers[0].shape == (2, 7 * 9 * 3)
+        # five chunks (the last of 10 pairs) on two workers: at most two sets
+        buffers.clear()
+        estimate_mixed_derivative(V, PhasePoint(np.zeros(3), np.ones(3)), 0.5, 420, 8,
+                                  seed=1, chunk_size=50, n_workers=2)
+        assert len(buffers) == 4 * 8 + 2
+        assert len({id(b) for b in buffers}) <= 2  # the list keeps each one alive
 
     @pytest.mark.parametrize("n", [16, 64, 256, 1024])
     def test_chain_memory_bounded_in_sites(self, n):
@@ -513,6 +550,46 @@ class TestSubBatches:
             tracemalloc.stop()
         assert math.isfinite(est.stderr)
         assert peak < 4.6 * 2**20  # the largest measured peak plus 20%
+
+
+class TestHalfAnglePhase:
+    SPECIAL = [0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 1e3, -1e3, 1e6, -1e6,
+               *(2 * np.pi * k for k in range(-4, 5)), 2 * np.pi * 1e5]
+
+    @pytest.mark.parametrize("angles", [
+        np.array(SPECIAL),
+        np.random.default_rng(6).uniform(-300.0, 300.0, 1 << 16),
+    ], ids=["special", "uniform"])
+    def test_matches_numpy_cos_and_sin(self, angles):
+        cos, sin = np.empty_like(angles), np.empty_like(angles)
+        symbol_estimator._half_angle_phase(angles, cos, sin)
+        assert np.max(np.abs(cos - np.cos(angles))) <= 4 * 2.0**-52
+        assert np.max(np.abs(sin - np.sin(angles))) <= 4 * 2.0**-52
+
+    def test_nan_angle_is_nan(self):
+        angles = np.array([0.5, np.nan, -1.0])
+        cos, sin = np.empty(3), np.empty(3)
+        symbol_estimator._half_angle_phase(angles, cos, sin)
+        assert np.isnan(cos).tolist() == np.isnan(sin).tolist() == [False, True, False]
+
+    @pytest.mark.parametrize("parity", [1.0, -1.0])
+    @pytest.mark.parametrize("with_moment", [False, True])
+    def test_pair_sums_match_complex_exponentials(self, parity, with_moment):
+        # the pair value 0.5 moment (exp(-i theta) f + parity exp(i theta) b)
+        rng = np.random.default_rng(8)
+        theta, weights = rng.uniform(-30.0, 30.0, (5, 300)), rng.uniform(0.1, 1.0, (2, 300))
+        moment = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+        scratch = np.empty(symbol_estimator.PHASE_ARRAYS * theta.size)
+        n, totals, m2 = symbol_estimator._pair_sums(
+            theta, moment if with_moment else None, weights, parity, scratch)
+        factor = moment if with_moment else 1.0
+        values = 0.5 * factor * (np.exp(-1j * theta) * weights[0]
+                                 + parity * np.exp(1j * theta) * weights[1])
+        reference = [chunk_stats(row) for row in values]
+        assert n == 300
+        np.testing.assert_allclose(totals, [total[0] for _, total, _ in reference],
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(m2, [dev[0] for _, _, dev in reference], rtol=1e-12)
 
 
 def chunk_stats(values):

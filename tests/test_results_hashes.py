@@ -1,7 +1,10 @@
 import importlib.util
+import math
 import os
 import subprocess
 import sys
+
+import pytest
 
 from weylfk import cli
 
@@ -26,10 +29,48 @@ def test_every_op_hashes_the_same_at_one_and_two_workers():
     assert all(len(line.split()) == 6 for line in one)  # results, CSV and config hashes
 
 
-def test_exits_1_when_an_op_exits_nonzero(monkeypatch, capsys):
+def _tool():
     spec = importlib.util.spec_from_file_location("results_hashes", SCRIPT)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_exits_1_when_an_op_exits_nonzero(monkeypatch, capsys):
+    tool = _tool()
     monkeypatch.setattr(cli, "run_config", lambda *args: (2, {"results": {}, "config": {}}))
     assert tool.main(["--seed", "5", "--tiny"]) == 1
     assert all(line.split()[2] == "2" for line in capsys.readouterr().out.splitlines())
+
+
+def test_a_checkout_does_not_drift_from_itself():
+    out = subprocess.run([sys.executable, SCRIPT, "--seed", "5", "--tiny", "--drift", ROOT],
+                         capture_output=True, text=True, check=True).stdout
+    lines = [line.split() for line in out.splitlines()]
+    assert [line[:2] for line in lines] == [line.split()[:2] for line in _lines(1)]
+    assert all(line[2:] == ["0", "0"] for line in lines)  # exit code, drift
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    ({"x": [1.0, 0.5], "s": "a"}, {"x": [1.0, 0.75], "s": "a"}, 1 / 3),
+    ({"x": 0.0, "y": math.nan}, {"x": 0.0, "y": math.nan}, 0.0),
+    ({"x": 1.0}, {"x": -1.0}, 2.0),
+    ({"x": math.inf}, {"x": 1.0}, math.inf),
+    ({"s": "a"}, {"s": "b"}, math.inf),
+    ({"x": [1.0]}, {"x": [1.0, 2.0]}, math.inf),
+    ({"x": 1.0}, {"y": 1.0}, math.inf),
+], ids=["relative", "nan-and-zero", "sign", "infinite", "string", "length", "key"])
+def test_drift_is_the_largest_relative_difference(a, b, expected):
+    assert _tool().drift(a, b) == expected
+
+
+@pytest.mark.parametrize("other, expected", [
+    ((0, {"x": 1.0}, "x\n1.0\n"), "0"),
+    ((0, {"x": 1.0}, "x\n0.5\n"), "0.5"),  # from the CSV
+    ((2, {"x": 1.0}, "x\n1.0\n"), "inf"),  # an exit code is not a number to compare
+], ids=["equal", "csv", "exit-code"])
+def test_drift_line_of_an_op(other, expected, monkeypatch):
+    tool = _tool()
+    ops = {tool.ROOT: [("w", "op", 0, {"x": 1.0}, "x\n1.0\n")], "other": [("w", "op", *other)]}
+    monkeypatch.setattr(tool, "_child_outputs", lambda checkout, *args: ops[checkout])
+    assert tool.drift_lines("other", 5, 1, True) == [f"w op 0 {expected}"]

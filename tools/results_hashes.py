@@ -11,15 +11,30 @@ and the sha256 of ``cli.dumps`` of its echoed ``config`` without the
 temporary ``csv_output``.  Equal lines from two checkouts, or two worker
 counts, mean byte-identical results and config echoes.  Exits 1 when any
 op's exit code is not 0.
+
+    python3 tools/results_hashes.py --seed 5 --drift OTHER_CHECKOUT
+
+runs the ops on this checkout and on OTHER_CHECKOUT (its ``src`` and its
+perfbench/workloads.py), each in a child process, and prints one line per
+op instead: workload, label, exit code here and the largest relative
+difference |a - b| / max(|a|, |b|) over every number in its ``results``
+block and its CSV, 0 where all are equal.  The drift reads inf where the
+two differ in anything but a number (a string, a key, a row count or the
+exit code) or a number is finite on one side only.  A change that moves
+results states this drift.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import importlib.util
+import io
 import json
+import math
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -27,8 +42,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("mc_interacting", "mc_free", "oracle_grid")
 
 
-def _load_workloads():
-    path = os.path.join(ROOT, "perfbench", "workloads.py")
+def _load_workloads(root):
+    path = os.path.join(root, "perfbench", "workloads.py")
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
@@ -40,12 +55,14 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def hash_lines(seed, workers, tiny) -> list:
-    sys.path.insert(0, os.path.join(ROOT, "src"))
+def op_outputs(root, seed, workers, tiny) -> list:
+    """(workload, label, exit code, results block, CSV bytes, config echo
+    without csv_output) of every op, run on the checkout at root."""
+    sys.path.insert(0, os.path.join(root, "src"))
     from weylfk import cli
 
-    workloads = _load_workloads()
-    lines = []
+    workloads = _load_workloads(root)
+    outputs = []
     with tempfile.TemporaryDirectory() as tmp:
         csv_path = os.path.join(tmp, "rows.csv")
         for name in WORKLOADS:
@@ -58,10 +75,73 @@ def hash_lines(seed, workers, tiny) -> list:
                     with open(csv_path, "rb") as fh:
                         raw = fh.read()
                     os.remove(csv_path)
-                results = _sha256(cli.dumps(doc["results"]).encode())
                 echo = {k: v for k, v in doc["config"].items() if k != "csv_output"}
-                echo = _sha256(cli.dumps(echo).encode())
-                lines.append(f"{name} {op.label} {code} {results} {_sha256(raw)} {echo}")
+                outputs.append((name, op.label, code, doc["results"], raw, echo))
+    return outputs
+
+
+def hash_lines(seed, workers, tiny) -> list:
+    outputs = op_outputs(ROOT, seed, workers, tiny)
+    from weylfk import cli  # importable once op_outputs put src on the path
+
+    return [f"{name} {label} {code} {_sha256(cli.dumps(results).encode())} {_sha256(raw)} "
+            f"{_sha256(cli.dumps(echo).encode())}"
+            for name, label, code, results, raw, echo in outputs]
+
+
+def _child_outputs(checkout, seed, workers, tiny) -> list:
+    """op_outputs of a checkout, from a child process that imports its src;
+    each as (workload, label, exit code, results, CSV text)."""
+    script = ("import json, sys; sys.path.insert(0, sys.argv[1]); import results_hashes as r; "
+              "json.dump([(n, l, c, res, raw.decode()) for n, l, c, res, raw, _ in "
+              "r.op_outputs(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]), sys.argv[5] == "
+              "'tiny')], sys.stdout)")
+    out = subprocess.run([sys.executable, "-c", script, os.path.dirname(__file__), checkout,
+                          str(seed), str(workers), "tiny" if tiny else "full"],
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
+
+
+def _cells(text):
+    # a CSV's cells, numbers as floats
+    def cell(value):
+        try:
+            return float(value)
+        except ValueError:
+            return value
+    return [[cell(value) for value in row] for row in csv.reader(io.StringIO(text))]
+
+
+def drift(a, b) -> float:
+    """Largest relative difference over the numbers at the same places of two
+    JSON values, 0 where all are equal and inf where they differ otherwise."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return drift(sorted(a.items()), sorted(b.items()))
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        if len(a) != len(b):
+            return math.inf
+        return max((drift(x, y) for x, y in zip(a, b)), default=0.0)
+    numbers = [isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)]
+    if not all(numbers):
+        return 0.0 if a == b else math.inf
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def drift_lines(other, seed, workers, tiny) -> list:
+    mine = _child_outputs(ROOT, seed, workers, tiny)
+    theirs = _child_outputs(other, seed, workers, tiny)
+    if [op[:2] for op in mine] != [op[:2] for op in theirs]:
+        raise SystemExit(f"{other} runs other ops than {ROOT}")
+    lines = []
+    for (name, label, code, results, raw), (_, _, code_b, results_b, raw_b) in zip(mine, theirs):
+        largest = math.inf
+        if code == code_b:
+            largest = max(drift(results, results_b), drift(_cells(raw), _cells(raw_b)))
+        lines.append(f"{name} {label} {code} {largest:.3g}")
     return lines
 
 
@@ -70,8 +150,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--tiny", action="store_true", help="the workloads' smoke-test sizes")
+    parser.add_argument("--drift", metavar="OTHER_CHECKOUT",
+                        help="print each op's largest relative difference from this checkout")
     args = parser.parse_args(argv)
-    lines = hash_lines(args.seed, args.workers, args.tiny)
+    if args.drift:
+        lines = drift_lines(args.drift, args.seed, args.workers, args.tiny)
+    else:
+        lines = hash_lines(args.seed, args.workers, args.tiny)
     print("\n".join(lines))
     # any op that did not exit 0 fails the run, so scripted comparisons see it
     return 0 if all(line.split()[2] == "0" for line in lines) else 1
