@@ -19,13 +19,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .brownian import SUB_BATCH_ELEMENTS
 from .multiindex import MultiIndex
 
 # sup_y |He_k(y)| exp(-y^2/4) <= CRAMER_CONSTANT * sqrt(k!)
 CRAMER_CONSTANT = 1.086435
-# floats of points x sites in one working array: the Monte Carlo estimator's
-# path sub-batches, and the columns _block_sum evaluates per call
-SUB_BATCH_ELEMENTS = 1 << 17
 
 
 class MissingSupBoundError(ValueError):

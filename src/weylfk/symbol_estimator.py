@@ -49,10 +49,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brownian import DEFAULT_PRESET, mean_and_stderr, sample_path_batch
+from .brownian import DEFAULT_PRESET, SUB_BATCH_ELEMENTS, mean_and_stderr, sample_path_batch
 from .faadibruno import derivative_of_exponential
 from .multiindex import MultiIndex, ZERO_INDEX, sub_multiindices
-from .potentials import SUB_BATCH_ELEMENTS
 
 DEFAULT_CHUNK_SIZE = 4096  # antithetic pairs per chunk
 UNDERFLOW_FLOOR = np.sqrt(np.finfo(float).tiny)  # smallest weight whose square is normal

@@ -185,43 +185,48 @@ CHUNK_ENTRIES = [{}, {0: 2}, {0: 1, 1: 2, 2: 1}, {1: 3, 4: 1}]
 
 
 class TestChunkedMomentSamples:
-    @pytest.mark.parametrize("n", [10_007, 2 * (1 << 16) + 5, 3 * (1 << 16) - 1])
+    # the default budget, and a small odd one that splits each chunk unevenly
+    @pytest.mark.parametrize("budget", [brownian.SUB_BATCH_ELEMENTS, 999])
+    @pytest.mark.parametrize("n", [4096, 10_007, 2 * (1 << 16) + 5, 3 * (1 << 16) - 1])
     @pytest.mark.parametrize("entries", CHUNK_ENTRIES)
-    def test_bitwise_equal_to_one_batch(self, entries, n):
+    def test_bitwise_equal_to_one_batch(self, entries, n, budget, monkeypatch):
         beta, t = MultiIndex.of(entries), 0.7
         assert brownian.ENDPOINT_CHUNK == 1 << 16
+        monkeypatch.setattr(brownian, "SUB_BATCH_ELEMENTS", budget)
         samples = moment_chunks(np.random.default_rng(5), beta, n, t)
         assert samples.tobytes() == one_batch_samples(5, beta, n, t).tobytes()
 
-    def test_chunks_hold_at_least_the_chunk_size(self, monkeypatch):
-        sizes = []
+    @staticmethod
+    def _recorded_calls(monkeypatch, entries, n):
+        """The chunks of a call and the (n_paths, buffers) of each sampler call."""
+        calls = []
         sample = brownian.sample_path_batch
 
         def recorded(rng, n_paths, *args):
-            sizes.append(n_paths)
+            calls.append((n_paths, args[-1]))
             return sample(rng, n_paths, *args)
 
         monkeypatch.setattr(brownian, "sample_path_batch", recorded)
-        chunks = brownian._moment_chunks(np.random.default_rng(5), MultiIndex.of({0: 1}),
-                                         3 * (1 << 16) - 1, 0.7, GEN)
+        chunks = list(brownian._moment_chunks(np.random.default_rng(5), MultiIndex.of(entries),
+                                              n, 0.7, GEN))
+        return chunks, calls
+
+    def test_chunks_hold_at_least_the_chunk_size(self, monkeypatch):
+        n = 3 * (1 << 16) - 1
+        chunks, calls = self._recorded_calls(monkeypatch, {0: 1, 1: 2}, n)
         assert [len(chunk) for chunk in chunks] == [1 << 16, 2 * (1 << 16) - 1]
-        assert sizes == [1 << 16, 2 * (1 << 16) - 1]
+        sizes = [n_paths for n_paths, _ in calls]
+        # one-step paths over two sites: 2 * 2 floats a path, at most one budget a call
+        assert max(sizes) * 4 <= brownian.SUB_BATCH_ELEMENTS
+        assert sum(sizes) == n
+        assert 1 << 16 in np.cumsum(sizes)  # no call spans two chunks
 
     def test_chunks_share_one_pair_of_buffers(self, monkeypatch):
-        buffers = []
-        sample = brownian.sample_path_batch
-
-        def recorded(rng, n_paths, *args):
-            buffers.append(args[-1])
-            return sample(rng, n_paths, *args)
-
-        monkeypatch.setattr(brownian, "sample_path_batch", recorded)
-        chunks = list(brownian._moment_chunks(np.random.default_rng(5),
-                                              MultiIndex.of({0: 1, 1: 2}),
-                                              3 * (1 << 16) - 1, 0.7, GEN))
-        assert len(buffers) == 2 and buffers[0] is buffers[1]
-        # sized for the last (largest) chunk of one-step paths over two sites
-        assert buffers[0].shape == (2, (2 * (1 << 16) - 1) * 2 * 2)
+        chunks, calls = self._recorded_calls(monkeypatch, {0: 1, 1: 2}, 3 * (1 << 16) - 1)
+        buffers = calls[0][1]
+        assert len(calls) > 2 and all(pair is buffers for _, pair in calls)
+        # one budget each, whatever the number of paths
+        assert buffers.shape == (2, brownian.SUB_BATCH_ELEMENTS)
         # and the samples of every chunk land in one array
         assert chunks[0].base is chunks[1].base is not None
 
@@ -243,10 +248,13 @@ class TestMomentEstimate:
                                              MultiIndex.of({0: 1}), 1, 0.5)
         assert stderr == math.inf
 
-    def test_memory_bounded_in_paths(self):
-        # every sample held at once peaked at 8.7 and 14.0 MB on these sizes;
+    # the measured tracemalloc peaks plus 20%; sampling each chunk in one call
+    # peaked at 6.5 and 12.5 MiB
+    @pytest.mark.parametrize("entries, measured_mib", [
+        ({0: 2, 1: 1}, 3.51), ({0: 1, 1: 2, 2: 1, 3: 3}, 4.51)], ids=["2-site", "4-site"])
+    def test_memory_bounded_in_paths(self, entries, measured_mib):
         # a first call also counts 0.7 MB of numpy's lazy set-up, so warm it
-        beta, peaks = MultiIndex.of({0: 2, 1: 1}), []
+        beta, peaks = MultiIndex.of(entries), []
         absolute_moment_estimate(np.random.default_rng(4), beta, 2, 0.5)
         for n in ((1 << 18) + 5, (1 << 20) + 5):
             tracemalloc.start()
@@ -256,7 +264,7 @@ class TestMomentEstimate:
             finally:
                 tracemalloc.stop()
             peaks.append(peak)
-        assert max(peaks) < 8 * 2**20
+        assert max(peaks) < 1.2 * measured_mib * 2**20
         assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
 
 

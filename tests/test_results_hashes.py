@@ -29,6 +29,20 @@ def test_every_op_hashes_the_same_at_one_and_two_workers():
     assert all(len(line.split()) == 6 for line in one)  # results, CSV and config hashes
 
 
+def test_memory_adds_each_ops_peak_to_its_hashes():
+    out = subprocess.run([sys.executable, SCRIPT, "--seed", "5", "--tiny", "--memory"],
+                         capture_output=True, text=True, check=True).stdout
+    lines = [line.split() for line in out.splitlines()]
+    assert [line[:6] for line in lines] == [line.split() for line in _lines(1)]
+    assert all(0.0 < float(line[6]) < 100.0 for line in lines)  # MiB
+
+
+def test_memory_does_not_apply_to_drift():
+    with pytest.raises(SystemExit) as exc:
+        _tool().main(["--seed", "5", "--memory", "--drift", ROOT])
+    assert exc.value.code == 2
+
+
 def _tool():
     spec = importlib.util.spec_from_file_location("results_hashes", SCRIPT)
     tool = importlib.util.module_from_spec(spec)

@@ -12,6 +12,11 @@ temporary ``csv_output``.  Equal lines from two checkouts, or two worker
 counts, mean byte-identical results and config echoes.  Exits 1 when any
 op's exit code is not 0.
 
+    python3 tools/results_hashes.py --seed 5 --memory
+
+adds to each line the op's ``tracemalloc`` peak in MiB, from start to end of
+its ``run_config`` call: a workload's peak RSS shows only its largest op.
+
     python3 tools/results_hashes.py --seed 5 --drift OTHER_CHECKOUT
 
 runs the ops on this checkout and on OTHER_CHECKOUT (its ``src`` and its
@@ -37,6 +42,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("mc_interacting", "mc_free", "oracle_grid")
@@ -55,9 +61,10 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def op_outputs(root, seed, workers, tiny) -> list:
+def op_outputs(root, seed, workers, tiny, memory=False) -> list:
     """(workload, label, exit code, results block, CSV bytes, config echo
-    without csv_output) of every op, run on the checkout at root."""
+    without csv_output, tracemalloc peak in bytes, 0 without memory) of every
+    op, run on the checkout at root."""
     sys.path.insert(0, os.path.join(root, "src"))
     from weylfk import cli
 
@@ -69,31 +76,36 @@ def op_outputs(root, seed, workers, tiny) -> list:
             for op in workloads.build(name, seed, workers, tiny).ops:
                 config = json.loads(json.dumps(op.config))
                 config.update(emit_metadata=False, csv_output=csv_path)
+                if memory:
+                    tracemalloc.start()
                 code, doc = cli.run_config(op.subcommand, config, workers)
+                peak = tracemalloc.get_traced_memory()[1] if memory else 0
+                if memory:
+                    tracemalloc.stop()
                 raw = b""
                 if os.path.exists(csv_path):
                     with open(csv_path, "rb") as fh:
                         raw = fh.read()
                     os.remove(csv_path)
                 echo = {k: v for k, v in doc["config"].items() if k != "csv_output"}
-                outputs.append((name, op.label, code, doc["results"], raw, echo))
+                outputs.append((name, op.label, code, doc["results"], raw, echo, peak))
     return outputs
 
 
-def hash_lines(seed, workers, tiny) -> list:
-    outputs = op_outputs(ROOT, seed, workers, tiny)
+def hash_lines(seed, workers, tiny, memory=False) -> list:
+    outputs = op_outputs(ROOT, seed, workers, tiny, memory)
     from weylfk import cli  # importable once op_outputs put src on the path
 
     return [f"{name} {label} {code} {_sha256(cli.dumps(results).encode())} {_sha256(raw)} "
-            f"{_sha256(cli.dumps(echo).encode())}"
-            for name, label, code, results, raw, echo in outputs]
+            f"{_sha256(cli.dumps(echo).encode())}" + (f" {peak / 2**20:.2f}" if memory else "")
+            for name, label, code, results, raw, echo, peak in outputs]
 
 
 def _child_outputs(checkout, seed, workers, tiny) -> list:
     """op_outputs of a checkout, from a child process that imports its src;
     each as (workload, label, exit code, results, CSV text)."""
     script = ("import json, sys; sys.path.insert(0, sys.argv[1]); import results_hashes as r; "
-              "json.dump([(n, l, c, res, raw.decode()) for n, l, c, res, raw, _ in "
+              "json.dump([(n, l, c, res, raw.decode()) for n, l, c, res, raw, *_ in "
               "r.op_outputs(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]), sys.argv[5] == "
               "'tiny')], sys.stdout)")
     out = subprocess.run([sys.executable, "-c", script, os.path.dirname(__file__), checkout,
@@ -152,11 +164,15 @@ def main(argv=None) -> int:
     parser.add_argument("--tiny", action="store_true", help="the workloads' smoke-test sizes")
     parser.add_argument("--drift", metavar="OTHER_CHECKOUT",
                         help="print each op's largest relative difference from this checkout")
+    parser.add_argument("--memory", action="store_true",
+                        help="add each op's tracemalloc peak in MiB to its hashes")
     args = parser.parse_args(argv)
+    if args.drift and args.memory:
+        parser.error("--memory adds to the hash lines, not to --drift")
     if args.drift:
         lines = drift_lines(args.drift, args.seed, args.workers, args.tiny)
     else:
-        lines = hash_lines(args.seed, args.workers, args.tiny)
+        lines = hash_lines(args.seed, args.workers, args.tiny, args.memory)
     print("\n".join(lines))
     # any op that did not exit 0 fails the run, so scripted comparisons see it
     return 0 if all(line.split()[2] == "0" for line in lines) else 1
