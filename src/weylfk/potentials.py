@@ -303,8 +303,20 @@ def _block_sum(f: ScalarFunction, x, blocks):
     return total
 
 
+def _flat(f: ScalarFunction) -> bool:
+    """Whether f certifies sup |f'| == 0, so it takes one value everywhere."""
+    try:
+        return f.sup_fn(1) == 0
+    except OverflowError:  # a bound beyond float range certifies nothing
+        return False
+
+
 class PotentialSpec:
-    """Base class for a nonnegative potential over an ordered finite site list."""
+    """Base class for a nonnegative potential over an ordered finite site list.
+
+    constant is true when V takes one value, bit for bit, at every point."""
+
+    constant = False
 
     def __init__(self, sites):
         self.sites = tuple(sites)
@@ -372,6 +384,8 @@ class PairPotential(PotentialSpec):
         self._constant = constant
         pairs = list(pairs)
         self._blocks = _pair_blocks(pairs)
+        evaluated = ([pair] if self._blocks else []) + ([] if on_site is None else [on_site])
+        self.constant = all(_flat(f) for f in evaluated)
         self._partners = [[] for _ in self.sites]
         for j, k in pairs:
             self._partners[j].append(k)

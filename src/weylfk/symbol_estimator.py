@@ -12,15 +12,19 @@ derivatives differentiate exp(-action) along each path by the chain rule
 (the pathwise derivative estimator), using the exact partials of the
 potential, so they carry no finite-difference step.
 
-A chunk of pairs runs three steps.  _shifted_paths samples w with a seed
-derived from (master seed, chunk index), in site-major sub-batches of
+A chunk of pairs runs one loop over site-major sub-batches of
 SUB_BATCH_ELEMENTS path coordinates (paths x time points x sites, so the
 buffers keep one size at any site count and few sites get many paths per
-numpy call), and shifts it about x forward, then backward.  Each sub-batch's
-endpoints w(t) are reduced as they are sampled to what _pair_sums reads, the
-phase angle w(t).xi of each xi and the beta moment, and _weight gives
-exp(-action), or its alpha derivative, on each shifted path; so besides the
-path buffers a chunk holds a few numbers per pair, at any site count.
+numpy call).  It samples each sub-batch's w with a seed derived from (master
+seed, chunk index) and reduces its endpoints w(t) to what _pair_sums reads,
+the phase angle w(t).xi of each xi and the beta moment.  Only for a
+position-dependent V does _shift move w about x, forward, then backward, and
+_weight give exp(-action), or its alpha derivative, on each shifted path.  A
+constant V (PotentialSpec.constant) takes one value at every point, and
+_trapezoid, exp and the alpha factor act row by row, so one _weight call on
+the constant path at x gives every path's weight, bit for bit: the free case
+samples endpoints only.  Besides the path buffers a chunk holds a few
+numbers per pair, at any site count.
 _pair_sums forms the pair averages of blocks of whole xi rows, in real
 arithmetic, and returns per-xi totals and centred sums of squares.
 brownian.mean_and_stderr merges chunks in order, so results are bit-identical
@@ -99,24 +103,16 @@ def _chunk_sizes(n_pairs, chunk_size):
     return [chunk_size] * full + ([rest] if rest else [])
 
 
-def _shifted_paths(rng, pairs, t, n_steps, x0, variance, buffers):
-    """Yield (lo, hi, endpoints, path) twice per sub-batch of a chunk's pairs:
-    the path x - w(t)/2 + w(s), then x + w(t)/2 - w(s), in the same buffer.
-    buffers, two flat arrays of at least _sub_batch(...) * (n_steps + 1) *
-    n_sites floats, take w in the first and the shifted paths in the second
-    (the normals before them)."""
-    step = _sub_batch(n_steps, len(x0))
-    for lo in range(0, pairs, step):
-        hi = min(lo + step, pairs)
-        w = sample_path_batch(rng, hi - lo, t, n_steps, len(x0), variance, buffers)
-        half = w[:, -1:, :] / 2.0
-        path = np.ndarray(w.shape, buffer=buffers[1], strides=w.strides)  # like w
-        # shifts on site-major views, so each inner loop runs along one path's time points
-        sites = [np.moveaxis(a, -1, 0) for a in (w, path)]
-        np.add(np.moveaxis(x0 - half, -1, 0), sites[0], out=sites[1])
-        yield lo, hi, w[:, -1, :], path
-        np.subtract(np.moveaxis(x0 + half, -1, 0), sites[0], out=sites[1])
-        yield lo, hi, w[:, -1, :], path
+def _shift(w, x0, side, buffer):
+    """The forward path x - w(t)/2 + w(s) of a sub-batch w for side 0, the
+    backward path x + w(t)/2 - w(s) for side 1, laid out like w in buffer,
+    the second path buffer (sample_path_batch drew w's normals there)."""
+    half = w[:, -1:, :] / 2.0
+    start, op = (x0 - half, np.add) if side == 0 else (x0 + half, np.subtract)
+    path = np.ndarray(w.shape, buffer=buffer, strides=w.strides)
+    # on site-major views, so each inner loop runs along one path's time points
+    op(np.moveaxis(start, -1, 0), np.moveaxis(w, -1, 0), out=np.moveaxis(path, -1, 0))
+    return path
 
 
 def _sub_batch(n_steps, n_sites):
@@ -273,6 +269,12 @@ def estimate_mixed_derivative(V, point: PhasePoint, t, n_paths, n_steps, seed, *
     sets = queue.SimpleQueue()  # one for each chunk that runs at once
     for _ in range(min(n_workers, len(sizes))):
         sets.put(_WorkingSet(sizes, len(xis), n_steps, V.n_sites))
+    step, sides = _sub_batch(n_steps, V.n_sites), (0, 1)  # forward, backward
+    start = 0.0  # exp(-A), before the alpha factor and the beta moment; NaN stays
+    if V.constant:  # V is the same at every point: the constant path at x weights every path
+        sides, constant = (), np.empty(1)
+        start = _weight(V, np.broadcast_to(point.x, (1, n_steps + 1, V.n_sites)), dt,
+                        alpha, alpha_subs, constant)
 
     def run_chunk(args):
         index, pairs = args
@@ -280,13 +282,17 @@ def estimate_mixed_derivative(V, point: PhasePoint, t, n_paths, n_steps, seed, *
         work = sets.get()
         try:
             theta, moment, weights = work.views(len(xis), pairs)
-            paths = _shifted_paths(rng, pairs, t, n_steps, point.x, variance, work.paths)
-            largest = 0.0  # exp(-A), before the alpha factor and the beta moment; NaN stays
-            for i, (lo, hi, ends, path) in enumerate(paths):  # forward, backward in turn
-                if not i % 2:
-                    _endpoint_terms(ends, xis, support, orders, theta[:, lo:hi], moment[lo:hi])
-                largest = np.maximum(largest, _weight(V, path, dt, alpha, alpha_subs,
-                                                      weights[i % 2, lo:hi]))
+            largest = start
+            for lo in range(0, pairs, step):
+                hi = min(lo + step, pairs)
+                w = sample_path_batch(rng, hi - lo, t, n_steps, V.n_sites, variance, work.paths)
+                _endpoint_terms(w[:, -1, :], xis, support, orders, theta[:, lo:hi], moment[lo:hi])
+                for side in sides:
+                    path = _shift(w, point.x, side, work.paths[1])
+                    largest = np.maximum(largest, _weight(V, path, dt, alpha, alpha_subs,
+                                                          weights[side, lo:hi]))
+            if V.constant:
+                weights[...] = constant
             if largest < UNDERFLOW_FLOOR:
                 raise FloatingPointError(
                     f"the largest path weight exp(-A) of a chunk at {V.n_sites} sites is "

@@ -1370,7 +1370,9 @@ class TestSinglePass:
         assert len(doc["results"]["points"]) == 7
         assert peak < 53 * 2**20
 
-    def test_estimate_sweep_samples_one_path_set_per_chunk(self, monkeypatch):
+    @staticmethod
+    def sweep_calls(monkeypatch, potential):
+        """Sampler and potential calls of a 21-frequency sweep in two chunks."""
         from weylfk import potentials, symbol_estimator
 
         calls = {"sample": 0, "eval": 0}
@@ -1386,15 +1388,27 @@ class TestSinglePass:
         monkeypatch.setattr(potentials.PairPotential, "eval",
                             counted("eval", potentials.PairPotential.eval))
         code, doc = run("estimate", {
-            "potential": {"variant": "zero", "sites": [0]},
+            "potential": potential,
             "x": [0.0], "xi": [0.5], "t": 0.5, "seed": 4,
             "n_paths": 400, "n_steps": 4, "chunk_size": 100,
             "xi_sweep": {"site_index": 0, "start": -1.0, "stop": 1.0, "count": 20},
         })
         assert code == 0
+        return calls
+
+    def test_estimate_sweep_samples_one_path_set_per_chunk(self, monkeypatch):
+        calls = self.sweep_calls(monkeypatch, {
+            "variant": "nearest_neighbor", "d": 1, "sites": [[0]],
+            "F": {"name": "harmonic"}, "G": {"name": "zero"}})
         # 200 pairs in two chunks; each chunk weights its forward and backward
         # paths once for all 21 frequencies
         assert calls == {"sample": 2, "eval": 4}
+
+    def test_constant_potential_sweep_weights_one_path(self, monkeypatch):
+        calls = self.sweep_calls(monkeypatch, {"variant": "zero", "sites": [0]})
+        # the zero potential is constant: one evaluation on the constant path
+        # at x weights every path of both chunks
+        assert calls == {"sample": 2, "eval": 1}
 
 
 _WORKER_INVARIANCE_CONFIGS = {

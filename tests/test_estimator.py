@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -12,7 +13,10 @@ from weylfk.multiindex import MultiIndex, from_text
 from weylfk.potentials import (
     MeanFieldPotential,
     NearestNeighborPotential,
+    PairPotential,
     constant_function,
+    cosine_function,
+    gaussian_bump_function,
     harmonic_function,
     lorentzian_function,
     zero_function,
@@ -550,6 +554,93 @@ class TestSubBatches:
             tracemalloc.stop()
         assert math.isfinite(est.stderr)
         assert peak < 4.6 * 2**20  # the largest measured peak plus 20%
+
+
+def uncertified(f):
+    """f, certifying no sup bound at order 1: a potential evaluating it is not
+    constant, so the estimator shifts and weights its paths."""
+    return dataclasses.replace(f, sup_fn=lambda k: None if k == 1 else f.sup_fn(k))
+
+
+def _same(f):
+    return f
+
+
+def chain(n, F, G):
+    return NearestNeighborPotential(1, [(i,) for i in range(n)], F, G)
+
+
+def zero_sites(n):
+    # the zero variant evaluates no function: its path route adds the zero
+    # function on site, which gives the same +0.0 at every point
+    return lambda f: PairPotential(range(n), None if f is _same else f(zero_function()),
+                                   zero_function(), [])
+
+
+# each case builds a potential from a function map: _same gives the constant
+# route, uncertified the path route
+_CONSTANT_CASES = {
+    "zero_1": zero_sites(1),
+    "zero_3": zero_sites(3),
+    "chain_4_constant_F": lambda f: chain(4, f(constant_function(0.7)), f(zero_function())),
+    "mean_field_5_constant_G": lambda f: MeanFieldPotential(range(5), f(constant_function(0.3))),
+}
+_AMPLITUDE_0_CASES = {
+    "bump_F_lorentzian_G": lambda f: chain(3, f(gaussian_bump_function(0.0, 0.8)),
+                                           f(lorentzian_function(0.0))),
+    "cosine_F_bump_G": lambda f: chain(3, f(cosine_function(0.0, 0.5)),
+                                       f(gaussian_bump_function(0.0))),
+    "lorentzian_F_cosine_G": lambda f: chain(3, f(lorentzian_function(0.0, 2.0)),
+                                             f(cosine_function(0.0))),
+}
+
+
+def assert_routes_bitwise_equal(case, alphas, betas, workers, chunk_size):
+    constant, paths = case(_same), case(uncertified)
+    assert constant.constant and not paths.constant
+    n = constant.n_sites
+    rng = np.random.default_rng(6)
+    point = PhasePoint(rng.uniform(-1, 1, n), rng.uniform(-2, 2, (3, n)))
+    for alpha, beta, variance in itertools.product(alphas, betas, [GEN, WIENER]):
+        fast, slow = (estimate_mixed_derivative(
+            V, point, 0.5, 1200, 8, seed=9, alpha=alpha, beta=beta(n), variance=variance,
+            chunk_size=chunk_size, n_workers=workers) for V in (constant, paths))
+        assert fast.value.tobytes() == slow.value.tobytes()
+        assert fast.stderr.tobytes() == slow.stderr.tobytes()
+
+
+_BETAS = [lambda n: mi({}), lambda n: mi({0: 2}), lambda n: mi({0: 1, n - 1: 1})]
+_WORKER_CHUNKS = pytest.mark.parametrize("workers, chunk_size", [(1, 4096), (2, 300)],
+                                         ids=["1_worker", "2_workers"])
+
+
+class TestConstantRoute:
+    # a constant V weights every path by one _weight call on the constant path
+    # at x; the path route shifts and weights each path, to the same bits
+
+    @_WORKER_CHUNKS
+    @pytest.mark.parametrize("case", sorted(_CONSTANT_CASES))
+    def test_bitwise_equal_to_path_route(self, case, workers, chunk_size):
+        assert_routes_bitwise_equal(_CONSTANT_CASES[case], [mi({}), mi({0: 1}), mi({0: 2})],
+                                    _BETAS, workers, chunk_size)
+
+    @_WORKER_CHUNKS
+    @pytest.mark.parametrize("case", sorted(_AMPLITUDE_0_CASES))
+    def test_amplitude_0_chain_bitwise_equal_to_path_route(self, case, workers, chunk_size):
+        alphas = [mi({}), mi({1: 1}), mi({0: 1, 1: 2}), mi({2: 3})]
+        assert_routes_bitwise_equal(_AMPLITUDE_0_CASES[case], alphas, _BETAS[::2], workers,
+                                    chunk_size)
+
+    def test_underflow_raises_the_path_route_line(self):
+        # exp(-2000) underflows to 0 on every path
+        messages = []
+        for f in (_same, uncertified):
+            V = MeanFieldPotential([0], f(constant_function(2000.0)))
+            with pytest.raises(FloatingPointError) as raised:
+                estimate_mixed_derivative(V, PhasePoint([0.1], [0.3]), 1.0, 400, 4, seed=1)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("the largest path weight exp(-A) of a chunk at 1 sites is 0,")
 
 
 class TestHalfAnglePhase:

@@ -203,6 +203,29 @@ class TestEval:
         assert out.shape == (10, 7)
         assert out[2, 3] == pytest.approx(float(V.eval(xs[2, 3])), rel=1e-14)
 
+    @pytest.mark.parametrize("make, constant", [
+        (lambda: potential_from_json(ZERO), True),
+        (lambda: NearestNeighborPotential(1, [(i,) for i in range(4)], constant_function(0.7),
+                                          zero_function()), True),
+        (lambda: MeanFieldPotential(range(5), constant_function(0.7)), True),
+        (lambda: NearestNeighborPotential(1, [(i,) for i in range(4)], harmonic_function(),
+                                          zero_function()), False),
+        (lambda: MeanFieldPotential(range(5), lorentzian_function()), False),
+        (lambda: NearestNeighborPotential(1, [(i,) for i in range(4)], harmonic_function(),
+                                          constant_function(0.7)), False),
+        (lambda: CustomPotential([0], lambda x: np.zeros(x.shape[:-1])), False),
+    ], ids=["zero", "chain_constant_F_zero_G", "mean_field_constant",
+            "chain_harmonic_F", "mean_field_lorentzian", "chain_harmonic_F_constant_G",
+            "custom"])
+    def test_constant_flag(self, make, constant):
+        # true only when every function the potential evaluates certifies
+        # sup |f'| == 0; a custom potential keeps the base-class default
+        V = make()
+        assert V.constant is constant
+        if constant:  # then V takes one value, bit for bit, at every point
+            x = np.random.default_rng(2).normal(scale=3.0, size=(6, 9, V.n_sites))
+            assert np.unique(V.eval(x)).size == 1
+
 
 BUILTIN_BUILDERS = [zero_function, constant_function, harmonic_function,
                     gaussian_bump_function, lorentzian_function, cosine_function]
