@@ -42,13 +42,9 @@ class VariancePreset(enum.Enum):
 
 DEFAULT_PRESET = VariancePreset.GENERATOR_LAPLACIAN
 # floats of points x sites in one working array: the sampler calls of the Monte
-# Carlo estimator and of absolute_moment_estimate, and the columns
-# potentials._block_sum evaluates per call
+# Carlo estimator and of absolute_moment_estimate (each call one chunk of its
+# statistics), and the columns potentials._block_sum evaluates per call
 SUB_BATCH_ELEMENTS = 1 << 17
-# paths per chunk of absolute_moment_estimate, above the 4096 rows up to which
-# numpy 2.4 takes the power of an F-ordered (n, 2) array of orders [2, 1]
-# through pow, not as a square
-ENDPOINT_CHUNK = 1 << 16
 
 
 def sample_path_batch(rng, n_paths, t, n_steps, n_sites, variance=DEFAULT_PRESET, out=None):
@@ -87,36 +83,22 @@ def sample_path_batch(rng, n_paths, t, n_steps, n_sites, variance=DEFAULT_PRESET
     return paths
 
 
-def _moment_chunks(rng, beta: MultiIndex, n_paths, t, variance):
+def _moment_samples(rng, beta: MultiIndex, n_paths, t, variance):
     """Yield prod_j |x_j(t)|^(beta_j) (1 where beta is zero) at n_paths endpoints of
-    one-step paths, chunk by chunk, into one array.
-
-    Consecutive chunks continue one stream.  Each holds at least ENDPOINT_CHUNK
-    paths (the remainder joins the last one), sampled SUB_BATCH_ELEMENTS //
-    (2 k) paths over the k sites of beta per call into one pair of buffers;
-    |x(t)| goes into one (k, largest chunk) array, whose transposed leading
-    view is the chunk's F-ordered (n, k) endpoints, and power and product run
-    on that whole view.  numpy 2.4 rounds the power of a contiguous F-ordered
-    (n, 2) array of orders [2, 1] through pow up to 4096 rows and as a square
-    above, and of a strided view as a square at any row count; so the power
-    sees whole chunks, strided only above 4096 rows, and every sample is
-    bitwise that of one batch.
-    """
-    orders = np.array([order for _, order in beta.entries], dtype=int)
+    one-step paths, a sampler call of SUB_BATCH_ELEMENTS // (2 k) paths over the k
+    sites of beta at a time, into one pair of buffers.  Built site by site,
+    s *= |x_j(t)| ** beta_j with a scalar order, each sample is bitwise that of one
+    batch at any budget."""
+    orders = [order for _, order in beta.entries]
     n_sites = max(len(orders), 1)
-    sizes = [ENDPOINT_CHUNK] * max(n_paths // ENDPOINT_CHUNK - 1, 0)
-    sizes.append(n_paths - sum(sizes))  # the largest
-    step = min(max(1, SUB_BATCH_ELEMENTS // (2 * n_sites)), sizes[-1])
+    step = min(max(1, SUB_BATCH_ELEMENTS // (2 * n_sites)), n_paths)
     buffers = np.empty((2, 2 * n_sites * step))
-    endpoints, samples = np.empty((n_sites, sizes[-1])), np.empty(sizes[-1])
-    for n in sizes:
-        for lo in range(0, n, step):
-            m = min(step, n - lo)
-            paths = sample_path_batch(rng, m, t, 1, n_sites, variance, buffers)
-            np.abs(paths[:, -1, :].T, out=endpoints[:, lo:lo + m])
-        powers = endpoints[: len(orders), :n].T
-        np.power(powers, orders, out=powers)
-        yield np.prod(powers, axis=1, out=samples[:n])
+    for lo in range(0, n_paths, step):
+        paths = sample_path_batch(rng, min(step, n_paths - lo), t, 1, n_sites, variance, buffers)
+        samples = np.ones(len(paths))
+        for j, order in enumerate(orders):
+            samples *= np.abs(paths[:, -1, j]) ** order
+        yield samples
 
 
 def mean_and_stderr(chunks):
@@ -138,14 +120,17 @@ def mean_and_stderr(chunks):
 
 def absolute_moment_estimate(rng, beta: MultiIndex, n_paths, t, variance=DEFAULT_PRESET):
     """Mean of prod_j |x_j(t)|^(beta_j) over n_paths sampled endpoints and its
-    standard error, bitwise as from one batch, in one budget's buffer pair plus
-    one chunk's samples and |x(t)| columns at the sites of beta."""
+    standard error, merged over the sub-batches of _moment_samples, within one
+    budget's buffer pair plus a sub-batch's samples and two of its columns."""
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, not {n_paths!r}")
+
     def centred(samples):  # in place, and no BLAS: np.dot would run its threads
         n, total = len(samples), samples.sum()
         samples -= total / n
         return n, total, np.multiply(samples, samples, out=samples).sum()
 
-    mean, stderr = mean_and_stderr(map(centred, _moment_chunks(rng, beta, n_paths, t, variance)))
+    mean, stderr = mean_and_stderr(map(centred, _moment_samples(rng, beta, n_paths, t, variance)))
     return float(mean), float(stderr)
 
 

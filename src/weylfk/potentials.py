@@ -260,46 +260,31 @@ def _pair_blocks(pairs) -> list:
 
 def _block_sum(f: ScalarFunction, x, blocks):
     """Sum of f over the columns of blocks: x[..., a] - x[..., b] for a block (a, b),
-    x[..., a] for (a, None).
+    x[..., a] for (a, None), added in turn into one running total from zeros.
 
-    In one fixed order: block by block, column c of a block adds f at it into
-    accumulator c mod 8; the 8 accumulators are then added in turn into zeros.
-    f is evaluated on as many columns per call as SUB_BATCH_ELEMENTS floats hold
-    at the points of x, at least 64 and rounded up to a multiple of 8 (so each
-    block of an estimator's sub-batch is one call), in a site-major buffer that
-    shares one array with the accumulators.  A call adds two or more full
-    groups of 8 with one reduction, the accumulators first and then each group
-    in turn, and a last partial group after them.  Only elementwise operations touch the sum,
-    so neither the layout of x nor the number of columns per call changes it.
+    f is evaluated on as many columns per call as SUB_BATCH_ELEMENTS floats hold at
+    the points of x, at least 64 (so each block of an estimator's sub-batch is one
+    call), in a site-major buffer whose first column takes the total; one reduction
+    across the columns, elementwise over the points, then adds them in turn.  So
+    neither the layout of x nor the number of columns per call or of points changes it.
     """
+    lead, points = x.shape[:-1], math.prod(x.shape[:-1])
+    if points == 1:  # numpy would reduce a lone point's columns pairwise
+        return _block_sum(f, np.broadcast_to(x, (2,) + x.shape), blocks)[0, ...]
+    total = np.zeros(lead)
+    step = max(64, SUB_BATCH_ELEMENTS // max(points, 1))
     widest = max((a.stop - a.start for a, _ in blocks), default=0)
-    lead = x.shape[:-1]
-    if not widest:
-        return np.zeros(lead)
-    width = min(8, widest)
-    step = -(-max(64, SUB_BATCH_ELEMENTS // max(math.prod(lead), 1)) // 8) * 8
-    store = np.empty((width + min(step, widest),) + lead)
-    acc, buf = store[:width], np.moveaxis(store[width:], 0, -1)
-    acc.fill(0.0)
+    store = np.empty((min(step, widest),) + lead)
     for a, b in blocks:
         for lo in range(0, a.stop - a.start, step):
             y = x[..., a][..., lo:lo + step]
             n = y.shape[-1]
-            out = buf[..., :n]
+            out = np.moveaxis(store[:n], 0, -1)
             if b is not None:
                 y = np.subtract(y, x[..., b][..., lo:lo + step], out=out)
             f.derivative(0, y, out=out)
-            full = n - n % 8
-            if full == 8:
-                acc += store[8:16]
-            elif full:  # acc + group 0 == group 0 + acc, bit for bit
-                store[8:16] += acc
-                np.add.reduce(store[8:8 + full].reshape((-1, 8) + lead), axis=0, out=acc)
-            if full < n:
-                acc[:n - full] += store[width + full:width + n]
-    total = np.zeros(lead)
-    for c in range(width):
-        total += acc[c]
+            store[0] += total  # total + f(first column), bit for bit
+            np.add.reduce(store[:n], axis=0, out=total)
     return total
 
 

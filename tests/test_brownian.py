@@ -167,38 +167,40 @@ class TestSampledMoments:
         assert checked == 83
 
 
-def moment_chunks(rng, beta, n, t):
-    """Every sample of brownian._moment_chunks, copied out of its reused array."""
-    return np.concatenate([chunk.copy() for chunk in
-                           brownian._moment_chunks(rng, beta, n, t, GEN)])
+def moment_samples(rng, beta, n, t):
+    """Every sample of brownian._moment_samples, copied out of its reused array."""
+    return np.concatenate([samples.copy() for samples in
+                           brownian._moment_samples(rng, beta, n, t, GEN)])
 
 
 def one_batch_samples(seed, beta, n, t):
     """The one-shot reference: every path from one sample_path_batch call,
-    reduced at once in its site-major layout."""
-    orders = np.array([order for _, order in beta.entries], dtype=int)
+    reduced site by site with a scalar power, s *= |x_j(t)| ** beta_j."""
+    orders = [order for _, order in beta.entries]
     paths = sample_path_batch(np.random.default_rng(seed), n, t, 1, max(len(orders), 1))
-    return np.prod(np.abs(paths[:, -1, : len(orders)]) ** orders, axis=1)
+    samples = np.ones(n)
+    for j, order in enumerate(orders):
+        samples *= np.abs(paths[:, -1, j]) ** order
+    return samples
 
 
 CHUNK_ENTRIES = [{}, {0: 2}, {0: 1, 1: 2, 2: 1}, {1: 3, 4: 1}]
 
 
-class TestChunkedMomentSamples:
-    # the default budget, and a small odd one that splits each chunk unevenly
+class TestMomentSamples:
+    # the default budget, and a small odd one that splits the paths unevenly
     @pytest.mark.parametrize("budget", [brownian.SUB_BATCH_ELEMENTS, 999])
-    @pytest.mark.parametrize("n", [4096, 10_007, 2 * (1 << 16) + 5, 3 * (1 << 16) - 1])
+    @pytest.mark.parametrize("n", [4096, 4097, 10_007, 2 * (1 << 16) + 5, 3 * (1 << 16) - 1])
     @pytest.mark.parametrize("entries", CHUNK_ENTRIES)
     def test_bitwise_equal_to_one_batch(self, entries, n, budget, monkeypatch):
         beta, t = MultiIndex.of(entries), 0.7
-        assert brownian.ENDPOINT_CHUNK == 1 << 16
         monkeypatch.setattr(brownian, "SUB_BATCH_ELEMENTS", budget)
-        samples = moment_chunks(np.random.default_rng(5), beta, n, t)
+        samples = moment_samples(np.random.default_rng(5), beta, n, t)
         assert samples.tobytes() == one_batch_samples(5, beta, n, t).tobytes()
 
     @staticmethod
     def _recorded_calls(monkeypatch, entries, n):
-        """The chunks of a call and the (n_paths, buffers) of each sampler call."""
+        """The sub-batches of a call and the (n_paths, buffers) of each sampler call."""
         calls = []
         sample = brownian.sample_path_batch
 
@@ -207,28 +209,30 @@ class TestChunkedMomentSamples:
             return sample(rng, n_paths, *args)
 
         monkeypatch.setattr(brownian, "sample_path_batch", recorded)
-        chunks = list(brownian._moment_chunks(np.random.default_rng(5), MultiIndex.of(entries),
-                                              n, 0.7, GEN))
-        return chunks, calls
+        sub_batches = list(brownian._moment_samples(np.random.default_rng(5),
+                                                    MultiIndex.of(entries), n, 0.7, GEN))
+        return sub_batches, calls
 
-    def test_chunks_hold_at_least_the_chunk_size(self, monkeypatch):
+    @pytest.mark.parametrize("entries, n_sites", [({0: 1, 1: 2}, 2), ({1: 3}, 1), ({}, 1)])
+    def test_no_sampler_call_above_the_budget(self, monkeypatch, entries, n_sites):
         n = 3 * (1 << 16) - 1
-        chunks, calls = self._recorded_calls(monkeypatch, {0: 1, 1: 2}, n)
-        assert [len(chunk) for chunk in chunks] == [1 << 16, 2 * (1 << 16) - 1]
+        sub_batches, calls = self._recorded_calls(monkeypatch, entries, n)
         sizes = [n_paths for n_paths, _ in calls]
-        # one-step paths over two sites: 2 * 2 floats a path, at most one budget a call
-        assert max(sizes) * 4 <= brownian.SUB_BATCH_ELEMENTS
+        # one-step paths: 2 floats a path and site, at most one budget a call
+        assert max(sizes) * 2 * n_sites <= brownian.SUB_BATCH_ELEMENTS
         assert sum(sizes) == n
-        assert 1 << 16 in np.cumsum(sizes)  # no call spans two chunks
+        assert [len(samples) for samples in sub_batches] == sizes
 
-    def test_chunks_share_one_pair_of_buffers(self, monkeypatch):
-        chunks, calls = self._recorded_calls(monkeypatch, {0: 1, 1: 2}, 3 * (1 << 16) - 1)
+    def test_sub_batches_share_one_pair_of_buffers(self, monkeypatch):
+        _, calls = self._recorded_calls(monkeypatch, {0: 1, 1: 2}, 3 * (1 << 16) - 1)
         buffers = calls[0][1]
         assert len(calls) > 2 and all(pair is buffers for _, pair in calls)
         # one budget each, whatever the number of paths
         assert buffers.shape == (2, brownian.SUB_BATCH_ELEMENTS)
-        # and the samples of every chunk land in one array
-        assert chunks[0].base is chunks[1].base is not None
+
+    def test_few_paths_take_buffers_of_their_size(self, monkeypatch):
+        _, calls = self._recorded_calls(monkeypatch, {0: 1, 1: 2}, 10)
+        assert [(n_paths, pair.shape) for n_paths, pair in calls] == [(10, (2, 40))]
 
 
 class TestMomentEstimate:
@@ -243,15 +247,25 @@ class TestMomentEstimate:
         assert abs(mean - ref_mean) <= 1e-14 * abs(ref_mean)
         assert abs(stderr - ref_stderr) <= 1e-14 * ref_stderr
 
+    @pytest.mark.parametrize("n_paths", [0, -3])
+    def test_fewer_than_one_path_is_named(self, n_paths, monkeypatch):
+        def sample(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(brownian, "sample_path_batch", sample)
+        with pytest.raises(ValueError, match=f"n_paths must be >= 1, not {n_paths}"):
+            absolute_moment_estimate(np.random.default_rng(1), MultiIndex.of({0: 1}), n_paths, 0.5)
+
     def test_single_path_has_infinite_stderr(self):
         _, stderr = absolute_moment_estimate(np.random.default_rng(1),
                                              MultiIndex.of({0: 1}), 1, 0.5)
         assert stderr == math.inf
 
-    # the measured tracemalloc peaks plus 20%; sampling each chunk in one call
-    # peaked at 6.5 and 12.5 MiB
+    # the measured tracemalloc peaks plus 20%; a table of |x(t)| columns over
+    # 2^16-path chunks peaked at 3.5 and 4.5 MiB, and sampling each chunk in
+    # one call at 6.5 and 12.5 MiB
     @pytest.mark.parametrize("entries, measured_mib", [
-        ({0: 2, 1: 1}, 3.51), ({0: 1, 1: 2, 2: 1, 3: 3}, 4.51)], ids=["2-site", "4-site"])
+        ({0: 2, 1: 1}, 2.76), ({0: 1, 1: 2, 2: 1, 3: 3}, 2.39)], ids=["2-site", "4-site"])
     def test_memory_bounded_in_paths(self, entries, measured_mib):
         # a first call also counts 0.7 MB of numpy's lazy set-up, so warm it
         beta, peaks = MultiIndex.of(entries), []

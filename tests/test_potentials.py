@@ -400,37 +400,26 @@ class TestSiteSum:
 
 def per_pair_reference(G, x, pairs):
     """The order _block_sum documents, pair by pair: in blocks of one offset k - j
-    with consecutive j, in order of offset, column c of a block adds
-    G(x_k - x_j) into accumulator c mod 8; the 8 accumulators are then added
-    in turn into zeros, and the total is doubled."""
-    acc = np.zeros(x.shape[:-1] + (8,))
-    c, prev = 0, None
-    for j, k in sorted(pairs, key=lambda p: (p[1] - p[0], p[0])):
-        c = c + 1 if prev == (j - 1, k - 1) else 0
-        prev = (j, k)
-        diff = x[..., k] - x[..., j]
-        acc[..., c % 8] += G.value(diff)
+    with consecutive j, in order of offset, G(x_k - x_j) is added in turn into
+    one total from zeros, and the total is doubled."""
     total = np.zeros(x.shape[:-1])
-    for c in range(8):
-        total += acc[..., c]
+    for j, k in sorted(pairs, key=lambda p: (p[1] - p[0], p[0])):
+        total += G.value(x[..., k] - x[..., j])
     return 2.0 * total
 
 
 def per_site_reference(F, x):
-    """The order _block_sum documents, site by site: F(x_j) is added into
-    accumulator j mod 8, and the 8 accumulators are then added in turn into zeros."""
-    acc = np.zeros(x.shape[:-1] + (8,))
-    for j in range(x.shape[-1]):
-        acc[..., j % 8] += F.value(x[..., j])
+    """The order _block_sum documents, site by site: F(x_j) is added in turn
+    into one total from zeros."""
     total = np.zeros(x.shape[:-1])
-    for c in range(8):
-        total += acc[..., c]
+    for j in range(x.shape[-1]):
+        total += F.value(x[..., j])
     return total
 
 
-# widest blocks just below, at and above one and two 8-column groups, and one
-# and two 64-column calls; the budgets take a block of 6 x 9 points in one call,
-# and in 64-column calls (one element per point)
+# widest blocks of a few columns up to two 64-column calls and one past them;
+# the budgets take a block of 6 x 9 points in one call, and in 64-column calls
+# (one element per point)
 BLOCK_WIDTHS = (7, 8, 9, 16, 17, 63, 64, 65, 129)
 BUDGETS = (potentials.SUB_BATCH_ELEMENTS, 54)
 ON_SITE_FUNCTIONS = [harmonic_function(1.2), gaussian_bump_function(1.3, 0.9),
@@ -501,6 +490,17 @@ class TestInPlaceEvaluation:
         for budget, layout in itertools.product(BUDGETS, (np.copy, site_major)):
             monkeypatch.setattr(potentials, "SUB_BATCH_ELEMENTS", budget)
             assert V.eval(layout(x)).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+    def test_lone_point_sums_as_in_a_batch(self, shape):
+        # numpy reduces the columns of a lone point pairwise, not in turn
+        V = NearestNeighborPotential(1, [(i,) for i in range(130)], harmonic_function(),
+                                     lorentzian_function())
+        x = np.random.default_rng(4).normal(size=(3, 130))
+        batch = V.eval(x)
+        for i in range(3):
+            one = V.eval(x[i].reshape(shape + (130,)))
+            assert one.shape == shape and one.tobytes() == batch[i].tobytes()
 
     @pytest.mark.parametrize("V, constant", [
         (PairPotential([], None, lorentzian_function(), [], 2, 3.0), 1.5),

@@ -1,7 +1,8 @@
-"""Code under src serves src: every definition, member, attribute set on self
-and defaulted parameter there has a use in src itself, not only in the tests,
-and no parameter is one constant that every src call passes.  Every exception
-class src defines says by its base what kind of failure it is.
+"""Code under src serves src: every definition, member, module-level constant,
+attribute set on self and defaulted parameter there has a use in src itself,
+not only in the tests, and no parameter is one constant that every src call
+passes.  Every exception class src defines says by its base what kind of
+failure it is.
 
 The checks but the last read only the syntax tree, so docstrings and comments
 do not count, and __init__ is left out, as its re-exports are not uses.  A use
@@ -12,6 +13,7 @@ is found by name, and an attribute of a module bound by ``import``
 import ast
 import importlib
 import pkgutil
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -76,6 +78,25 @@ def test_every_member_is_named_outside_its_body():
         for node in cls.body
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
     )) == []
+
+
+def test_every_constant_is_named_outside_its_assignment():
+    # a module-level constant that only the tests read keeps a rule src no
+    # longer follows
+    modules = _modules()
+    named = Counter(n for _, tree, imported in modules for n in _named(tree, imported))
+    found = []
+    for file, tree, imported in modules:
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                own = Counter(_named(node, imported))
+                found += [f"{file}:{node.lineno} {target.id}"
+                          for t in (node.targets if isinstance(node, ast.Assign)
+                                    else [node.target])
+                          for target in ast.walk(t) if isinstance(target, ast.Name)
+                          and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)
+                          and named[target.id] == own[target.id]]
+    assert found == []
 
 
 def _argument(call, param, position):
