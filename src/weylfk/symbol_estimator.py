@@ -22,9 +22,11 @@ position-dependent V does _shift move w about x, forward, then backward, and
 _weight give exp(-action), or its alpha derivative, on each shifted path.  A
 constant V (PotentialSpec.constant) takes one value at every point, and
 _trapezoid, exp and the alpha factor act row by row, so one _weight call on
-the constant path at x gives every path's weight, bit for bit: the free case
-samples endpoints only.  Besides the path buffers a chunk holds a few
-numbers per pair, at any site count.
+the constant path at x gives every path's weight, bit for bit.  Such an
+estimate reads a path only at w(t), whose law N(0, sigma^2 t) per site is the
+same at any step count, so a constant V samples one-step paths: the free case
+draws one normal per pair and site.  Besides the path buffers a chunk holds a
+few numbers per pair, at any site count.
 _pair_sums forms the pair averages of blocks of whole xi rows, in real
 arithmetic, and returns per-xi totals and centred sums of squares.
 brownian.mean_and_stderr merges chunks in order, so results are bit-identical
@@ -206,9 +208,10 @@ def _pair_sums(theta, moment, weights, parity, scratch):
 
 class _WorkingSet:
     """One worker's arrays for every chunk of a call, each sized for the largest
-    chunk: the two path buffers, the phase angles, the beta moments, the
-    weights and the flat phase scratch.  A chunk of fewer pairs takes leading
-    views, so no chunk allocates or frees a block."""
+    chunk: the two path buffers (for paths of the sampled step count, one for
+    a constant V), the phase angles, the beta moments, the weights and the
+    flat phase scratch.  A chunk of fewer pairs takes leading views, so no
+    chunk allocates or frees a block."""
 
     def __init__(self, sizes, n_xi, n_steps, n_sites):
         pairs = max(sizes)
@@ -265,11 +268,13 @@ def estimate_mixed_derivative(V, point: PhasePoint, t, n_paths, n_steps, seed, *
     orders, parity = beta_vec[support], (-1.0) ** int(beta_vec.sum())
     alpha_subs = () if alpha.is_zero() else sub_multiindices(alpha)
 
+    # sampled steps: a constant V's estimate reads w(t) only, whose law one step draws exactly
+    steps = 1 if V.constant else n_steps
     sizes = _chunk_sizes(n_paths // 2, chunk_size)
     sets = queue.SimpleQueue()  # one for each chunk that runs at once
     for _ in range(min(n_workers, len(sizes))):
-        sets.put(_WorkingSet(sizes, len(xis), n_steps, V.n_sites))
-    step, sides = _sub_batch(n_steps, V.n_sites), (0, 1)  # forward, backward
+        sets.put(_WorkingSet(sizes, len(xis), steps, V.n_sites))
+    step, sides = _sub_batch(steps, V.n_sites), (0, 1)  # forward, backward
     start = 0.0  # exp(-A), before the alpha factor and the beta moment; NaN stays
     if V.constant:  # V is the same at every point: the constant path at x weights every path
         sides, constant = (), np.empty(1)
@@ -285,7 +290,7 @@ def estimate_mixed_derivative(V, point: PhasePoint, t, n_paths, n_steps, seed, *
             largest = start
             for lo in range(0, pairs, step):
                 hi = min(lo + step, pairs)
-                w = sample_path_batch(rng, hi - lo, t, n_steps, V.n_sites, variance, work.paths)
+                w = sample_path_batch(rng, hi - lo, t, steps, V.n_sites, variance, work.paths)
                 _endpoint_terms(w[:, -1, :], xis, support, orders, theta[:, lo:hi], moment[lo:hi])
                 for side in sides:
                     path = _shift(w, point.x, side, work.paths[1])

@@ -1372,10 +1372,11 @@ class TestSinglePass:
 
     @staticmethod
     def sweep_calls(monkeypatch, potential):
-        """Sampler and potential calls of a 21-frequency sweep in two chunks."""
+        """Sampler and potential calls of a 21-frequency sweep in two chunks, and
+        the n_steps of each sampler call."""
         from weylfk import potentials, symbol_estimator
 
-        calls = {"sample": 0, "eval": 0}
+        calls, steps = {"sample": 0, "eval": 0}, []
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -1383,8 +1384,13 @@ class TestSinglePass:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(symbol_estimator, "sample_path_batch",
-                            counted("sample", symbol_estimator.sample_path_batch))
+        sample = counted("sample", symbol_estimator.sample_path_batch)
+
+        def sampler(rng, n_paths, t, n_steps, *args):
+            steps.append(n_steps)
+            return sample(rng, n_paths, t, n_steps, *args)
+
+        monkeypatch.setattr(symbol_estimator, "sample_path_batch", sampler)
         monkeypatch.setattr(potentials.PairPotential, "eval",
                             counted("eval", potentials.PairPotential.eval))
         code, doc = run("estimate", {
@@ -1394,21 +1400,24 @@ class TestSinglePass:
             "xi_sweep": {"site_index": 0, "start": -1.0, "stop": 1.0, "count": 20},
         })
         assert code == 0
-        return calls
+        return calls, steps
 
     def test_estimate_sweep_samples_one_path_set_per_chunk(self, monkeypatch):
-        calls = self.sweep_calls(monkeypatch, {
+        calls, steps = self.sweep_calls(monkeypatch, {
             "variant": "nearest_neighbor", "d": 1, "sites": [[0]],
             "F": {"name": "harmonic"}, "G": {"name": "zero"}})
         # 200 pairs in two chunks; each chunk weights its forward and backward
-        # paths once for all 21 frequencies
+        # paths, of the configured 4 steps, once for all 21 frequencies
         assert calls == {"sample": 2, "eval": 4}
+        assert steps == [4, 4]
 
     def test_constant_potential_sweep_weights_one_path(self, monkeypatch):
-        calls = self.sweep_calls(monkeypatch, {"variant": "zero", "sites": [0]})
+        calls, steps = self.sweep_calls(monkeypatch, {"variant": "zero", "sites": [0]})
         # the zero potential is constant: one evaluation on the constant path
-        # at x weights every path of both chunks
+        # at x weights every path of both chunks, and only the endpoints are
+        # read, so each chunk samples one-step paths
         assert calls == {"sample": 2, "eval": 1}
+        assert steps == [1, 1]
 
 
 _WORKER_INVARIANCE_CONFIGS = {

@@ -428,10 +428,10 @@ class TestFrequencyBatch:
         assert_rows_equal_single_calls(case, 7, 1500, workers)
 
     def test_phase_scratch_does_not_grow_with_the_rows(self):
-        # one 4096-pair chunk at 256 frequencies peaked at 12.25 MiB: theta
-        # (8 MiB), one budget of phase scratch (1 MiB), the two path buffers
-        # (2 MiB) and the zero potential's values of a sub-batch (1 MiB).
-        # Phase arrays for every row would add 15 MiB
+        # one 4096-pair chunk at 256 frequencies peaked at 9.39 MiB: theta
+        # (8 MiB), one budget of phase scratch (1 MiB) and the two path buffers
+        # of the zero potential's one-step paths (128 KiB).  Phase arrays for
+        # every row would add 15 MiB
         V = zero_potential([0])
         point = PhasePoint([0.1], np.linspace(-2.0, 2.0, 256)[:, None])
         estimate_mixed_derivative(V, point, 0.5, 8192, 32, seed=3)  # numpy's first-call caches
@@ -442,7 +442,7 @@ class TestFrequencyBatch:
         finally:
             tracemalloc.stop()
         assert np.all(np.isfinite(est.stderr))
-        assert peak < 1.2 * 12.25 * 2**20  # the measured peak plus 20%
+        assert peak < 1.2 * 9.39 * 2**20  # the measured peak plus 20%
 
     def test_batch_keeps_one_estimate_with_integer_provenance(self):
         # per-call counters (perfbench/tracing.py) read n_paths and n_steps off
@@ -595,18 +595,30 @@ _AMPLITUDE_0_CASES = {
 }
 
 
-def assert_routes_bitwise_equal(case, alphas, betas, workers, chunk_size):
+def assert_routes_agree(case, alphas, betas, workers, chunk_size):
+    """The constant route of a case against its path route.  At one step both
+    sample alike, to the same bits.  At 8 steps the constant route still
+    samples one step, so where V is zero, and every weight exactly 1, it is
+    bitwise the path route at one step; and it agrees with the path route at
+    8 steps, a different stream, within 3 combined standard errors, and
+    reports the 8 steps asked for."""
     constant, paths = case(_same), case(uncertified)
     assert constant.constant and not paths.constant
     n = constant.n_sites
     rng = np.random.default_rng(6)
     point = PhasePoint(rng.uniform(-1, 1, n), rng.uniform(-2, 2, (3, n)))
+    zero = not constant.eval(np.broadcast_to(point.x, (1, 2, n))).any()
     for alpha, beta, variance in itertools.product(alphas, betas, [GEN, WIENER]):
-        fast, slow = (estimate_mixed_derivative(
-            V, point, 0.5, 1200, 8, seed=9, alpha=alpha, beta=beta(n), variance=variance,
-            chunk_size=chunk_size, n_workers=workers) for V in (constant, paths))
-        assert fast.value.tobytes() == slow.value.tobytes()
-        assert fast.stderr.tobytes() == slow.stderr.tobytes()
+        fast, slow = ({n_steps: estimate_mixed_derivative(
+            V, point, 0.5, 1200, n_steps, seed=9, alpha=alpha, beta=beta(n), variance=variance,
+            chunk_size=chunk_size, n_workers=workers) for n_steps in (1, 8)}
+            for V in (constant, paths))
+        for a, b in [(fast[1], slow[1])] + ([(fast[8], slow[1])] if zero else []):
+            assert a.value.tobytes() == b.value.tobytes()
+            assert a.stderr.tobytes() == b.stderr.tobytes()
+        gap = np.abs(fast[8].value - slow[8].value)
+        assert np.all(gap <= 3.0 * np.hypot(fast[8].stderr, slow[8].stderr))
+        assert fast[8].n_steps == 8  # the requested grid, not the sampled one
 
 
 _BETAS = [lambda n: mi({}), lambda n: mi({0: 2}), lambda n: mi({0: 1, n - 1: 1})]
@@ -616,20 +628,20 @@ _WORKER_CHUNKS = pytest.mark.parametrize("workers, chunk_size", [(1, 4096), (2, 
 
 class TestConstantRoute:
     # a constant V weights every path by one _weight call on the constant path
-    # at x; the path route shifts and weights each path, to the same bits
+    # at x and samples one-step paths; the path route shifts and weights each
+    # path of the requested steps
 
     @_WORKER_CHUNKS
     @pytest.mark.parametrize("case", sorted(_CONSTANT_CASES))
     def test_bitwise_equal_to_path_route(self, case, workers, chunk_size):
-        assert_routes_bitwise_equal(_CONSTANT_CASES[case], [mi({}), mi({0: 1}), mi({0: 2})],
-                                    _BETAS, workers, chunk_size)
+        assert_routes_agree(_CONSTANT_CASES[case], [mi({}), mi({0: 1}), mi({0: 2})], _BETAS,
+                            workers, chunk_size)
 
     @_WORKER_CHUNKS
     @pytest.mark.parametrize("case", sorted(_AMPLITUDE_0_CASES))
     def test_amplitude_0_chain_bitwise_equal_to_path_route(self, case, workers, chunk_size):
         alphas = [mi({}), mi({1: 1}), mi({0: 1, 1: 2}), mi({2: 3})]
-        assert_routes_bitwise_equal(_AMPLITUDE_0_CASES[case], alphas, _BETAS[::2], workers,
-                                    chunk_size)
+        assert_routes_agree(_AMPLITUDE_0_CASES[case], alphas, _BETAS[::2], workers, chunk_size)
 
     def test_underflow_raises_the_path_route_line(self):
         # exp(-2000) underflows to 0 on every path

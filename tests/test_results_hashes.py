@@ -62,7 +62,11 @@ def test_a_checkout_does_not_drift_from_itself():
                          capture_output=True, text=True, check=True).stdout
     lines = [line.split() for line in out.splitlines()]
     assert [line[:2] for line in lines] == [line.split()[:2] for line in _lines(1)]
-    assert all(line[2:] == ["0", "0"] for line in lines)  # exit code, drift
+    assert all(line[2:4] == ["0", "0"] for line in lines)  # exit code, relative drift
+    # the drift in standard errors of the estimate ops; the rest carry no stderr
+    estimates = {"mean_field_16", "chain_32", "mixed_alpha_8", "free_sweep"}
+    assert [line[4] for line in lines] == ["0" if line[1] in estimates else "-"
+                                           for line in lines]
 
 
 @pytest.mark.parametrize("a, b, expected", [
@@ -78,13 +82,26 @@ def test_drift_is_the_largest_relative_difference(a, b, expected):
     assert _tool().drift(a, b) == expected
 
 
-@pytest.mark.parametrize("other, expected", [
-    ((0, {"x": 1.0}, "x\n1.0\n"), "0"),
-    ((0, {"x": 1.0}, "x\n0.5\n"), "0.5"),  # from the CSV
-    ((2, {"x": 1.0}, "x\n1.0\n"), "inf"),  # an exit code is not a number to compare
-], ids=["equal", "csv", "exit-code"])
-def test_drift_line_of_an_op(other, expected, monkeypatch):
+_SWEEP = "xi,value_re,value_im,stderr\n"
+_ESTIMATE = {"value_re": 1.0, "value_im": 0.0, "stderr": 0.3}
+
+
+@pytest.mark.parametrize("mine, other, expected", [
+    (({"x": 1.0}, "x\n1.0\n"), (0, {"x": 1.0}, "x\n1.0\n"), "0 -"),
+    (({"x": 1.0}, "x\n1.0\n"), (0, {"x": 1.0}, "x\n0.5\n"), "0.5 -"),  # from the CSV
+    # an exit code is not a number to compare
+    (({"x": 1.0}, "x\n1.0\n"), (2, {"x": 1.0}, "x\n1.0\n"), "inf -"),
+    # |a - b| = 1 over hypot(0.3, 0.4) = 0.5 standard errors
+    ((_ESTIMATE, ""), (0, {"value_re": 1.0, "value_im": 1.0, "stderr": 0.4}, ""), "1 2"),
+    # the sweep's second row moved hypot(9, 12) = 15 over hypot(3, 4) = 5
+    ((_ESTIMATE, _SWEEP + "0.5,1,0,3\n1,1,0,3\n"),
+     (0, _ESTIMATE, _SWEEP + "0.5,1,0,3\n1,10,12,4\n"), "1 3"),
+    # a move with no standard error on either side
+    (({**_ESTIMATE, "stderr": 0.0}, ""), (0, {**_ESTIMATE, "value_re": 2.0, "stderr": 0.0}, ""),
+     "0.5 inf"),
+], ids=["equal", "csv", "exit-code", "estimate-z", "sweep-z", "no-stderr-z"])
+def test_drift_line_of_an_op(mine, other, expected, monkeypatch):
     tool = _tool()
-    ops = {tool.ROOT: [("w", "op", 0, {"x": 1.0}, "x\n1.0\n")], "other": [("w", "op", *other)]}
+    ops = {tool.ROOT: [("w", "op", 0, *mine)], "other": [("w", "op", *other)]}
     monkeypatch.setattr(tool, "_child_outputs", lambda checkout, *args: ops[checkout])
     assert tool.drift_lines("other", 5, 1, True) == [f"w op 0 {expected}"]

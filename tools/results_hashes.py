@@ -21,12 +21,17 @@ its ``run_config`` call: a workload's peak RSS shows only its largest op.
 
 runs the ops on this checkout and on OTHER_CHECKOUT (its ``src`` and its
 perfbench/workloads.py), each in a child process, and prints one line per
-op instead: workload, label, exit code here and the largest relative
+op instead: workload, label, exit code here, the largest relative
 difference |a - b| / max(|a|, |b|) over every number in its ``results``
-block and its CSV, 0 where all are equal.  The drift reads inf where the
-two differ in anything but a number (a string, a key, a row count or the
-exit code) or a number is finite on one side only.  A change that moves
-results states this drift.
+block and its CSV, 0 where all are equal, and the drift in standard errors.
+The relative drift reads inf where the two differ in anything but a number
+(a string, a key, a row count or the exit code) or a number is finite on
+one side only.  The drift in standard errors is the largest |a - b| /
+hypot(se_a, se_b) over the complex estimate (value_re, value_im, stderr)
+of an op's ``results`` and the rows of its sweep CSV (xi, value_re,
+value_im, stderr), and ``-`` for an op whose results carry no stderr.  A
+change that moves results states both drifts; one that moves a random
+stream reads the second against the gates' few standard errors.
 """
 
 from __future__ import annotations
@@ -143,6 +148,32 @@ def drift(a, b) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
+ESTIMATE = ("value_re", "value_im", "stderr")
+
+
+def _estimates(results, cells) -> list:
+    """(re, im, se) of an op's estimate and of each row of its sweep CSV, given
+    as cells; empty for an op whose results carry no stderr."""
+    if not all(key in results for key in ESTIMATE):
+        return []
+    rows = cells[1:] if cells[:1] == [["xi", *ESTIMATE]] else []
+    return [[results[key] for key in ESTIMATE]] + [row[1:] for row in rows]
+
+
+def z_drift(a, b) -> float:
+    """Largest |a - b| / hypot(se_a, se_b) over estimates (re, im, se) at the
+    same places, 0 where all are equal and inf where an estimate moved with
+    no standard error on either side, or the counts differ."""
+    if len(a) != len(b):
+        return math.inf
+    largest = 0.0
+    for (re, im, se), (re_b, im_b, se_b) in zip(a, b):
+        gap, scale = math.hypot(re - re_b, im - im_b), math.hypot(se, se_b)
+        if gap:
+            largest = max(largest, gap / scale if scale else math.inf)
+    return largest
+
+
 def drift_lines(other, seed, workers, tiny) -> list:
     mine = _child_outputs(ROOT, seed, workers, tiny)
     theirs = _child_outputs(other, seed, workers, tiny)
@@ -150,10 +181,13 @@ def drift_lines(other, seed, workers, tiny) -> list:
         raise SystemExit(f"{other} runs other ops than {ROOT}")
     lines = []
     for (name, label, code, results, raw), (_, _, code_b, results_b, raw_b) in zip(mine, theirs):
-        largest = math.inf
+        largest = z = math.inf
+        cells, cells_b = _cells(raw), _cells(raw_b)
+        estimates = _estimates(results, cells)
         if code == code_b:
-            largest = max(drift(results, results_b), drift(_cells(raw), _cells(raw_b)))
-        lines.append(f"{name} {label} {code} {largest:.3g}")
+            largest = max(drift(results, results_b), drift(cells, cells_b))
+            z = z_drift(estimates, _estimates(results_b, cells_b))
+        lines.append(f"{name} {label} {code} {largest:.3g} {f'{z:.3g}' if estimates else '-'}")
     return lines
 
 
@@ -163,7 +197,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--tiny", action="store_true", help="the workloads' smoke-test sizes")
     parser.add_argument("--drift", metavar="OTHER_CHECKOUT",
-                        help="print each op's largest relative difference from this checkout")
+                        help="print each op's largest relative difference from this checkout "
+                        "and its largest difference in standard errors")
     parser.add_argument("--memory", action="store_true",
                         help="add each op's tracemalloc peak in MiB to its hashes")
     args = parser.parse_args(argv)
