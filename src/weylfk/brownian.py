@@ -1,8 +1,8 @@
 """Brownian path sampling, exact Gaussian absolute moments, and chunked sample statistics.
 
 Paths vanish at time zero and accumulate independent Gaussian increments on a
-uniform time grid, summed in np.cumsum's order a time point at a time over
-the whole batch.  The per-unit-time coordinate variance is an explicit
+uniform time grid, summed along time in np.cumsum's order by one np.add.accumulate
+over the whole batch.  The per-unit-time coordinate variance is an explicit
 parameter, variance, one of the two :class:`VariancePreset` values.  Loops over
 batches hand the sampler two buffers as ``out`` and reuse them, bit for bit;
 SUB_BATCH_ELEMENTS bounds each buffer of every budgeted caller.
@@ -43,7 +43,7 @@ class VariancePreset(enum.Enum):
 DEFAULT_PRESET = VariancePreset.GENERATOR_LAPLACIAN
 # floats of points x sites in one working array: the sampler calls of the Monte
 # Carlo estimator and of absolute_moment_estimate (each call one chunk of its
-# statistics), and the columns potentials._block_sum evaluates per call
+# statistics), and the store of columns potentials._block_sum evaluates at once
 SUB_BATCH_ELEMENTS = 1 << 17
 
 
@@ -74,12 +74,12 @@ def sample_path_batch(rng, n_paths, t, n_steps, n_sites, variance=DEFAULT_PRESET
     increments *= math.sqrt(variance.sigma2 * dt)
     paths = np.moveaxis(storage[:size].reshape(n_sites, n_paths, n_steps + 1), 0, -1)
     paths[:, 0, :] = 0.0
-    # cumsum's additions, a time point at a time, on the increments copied into
-    # the paths' layout: each call's inner loop runs across paths, where
-    # cumsum's runs along the few time points of one path
-    np.copyto(paths[:, 1:, :], increments)
-    for s in range(1, n_steps):
-        np.add(paths[:, s, :], paths[:, s + 1, :], out=paths[:, s + 1, :])
+    # one call, so an estimator worker gives up the GIL once a sub-batch, not once a
+    # time point; a one-step path is a copy, which accumulate runs far slower
+    if n_steps == 1:
+        np.copyto(paths[:, 1:, :], increments)
+    else:
+        np.add.accumulate(increments, axis=1, out=paths[:, 1:, :])
     return paths
 
 

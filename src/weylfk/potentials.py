@@ -129,10 +129,10 @@ def harmonic_function(amplitude=1.0) -> ScalarFunction:
             np.multiply(a, y, out=v)
             return np.multiply(v, y, out=v)
         if k == 1:
-            return 2.0 * a * y
-        if k == 2:
-            return np.full_like(y, 2.0 * a)
-        return np.zeros_like(y)
+            return np.multiply(2.0 * a, y, out=out)
+        v = np.empty_like(y) if out is None else out
+        v.fill(2.0 * a if k == 2 else 0.0)
+        return v
 
     def sup(k):
         if k <= 1:
@@ -177,29 +177,32 @@ def lorentzian_function(amplitude=1.0, width=1.0) -> ScalarFunction:
     a, w = _validate_amp_width(amplitude, width)
 
     def deriv(k, y, out=None):
-        if k == 0:
-            # real closed form, in place on one array; y / 1.0 is y exactly
-            v = np.empty_like(y) if out is None else out
+        v = np.empty_like(y) if out is None else out
+        if k == 0:  # real closed form, in place on one array; y / 1.0 is y exactly
             u = y if w == 1.0 else np.divide(y, w, out=v)
             np.multiply(u, u, out=v)
             v += 1.0
             return np.divide(a, v, out=v)
         # d^k/du^k 1/(1+u^2) = (-1)^(k+1) k! Im((u-i)^(k+1)) / (1+u^2)^(k+1), whose
         # numerator sums C(k+1, j) (-1)^((j+1)/2) u^(k+1-j) over odd j: a real
-        # polynomial in s = u^2 (times u for odd k), evaluated by Horner's rule
-        u = y / w
-        s = u * u
+        # polynomial in s = u^2 (times u for odd k), summed in v by Horner's rule
+        # beside one scratch s; u is y at unit width, copied at odd k if v overlaps it
+        u = y if w == 1.0 else np.divide(y, w)
+        u = u.copy("K") if k % 2 and np.may_share_memory(u, v) else u
+        s = np.multiply(u, u)
         scale = a * w ** (-k) * (-1.0) ** (k + 1) * math.factorial(k)
         coeffs = [scale * math.comb(k + 1, j) * (-1.0) ** ((j + 1) // 2)
                   for j in range(1, k + 2, 2)]
-        num = np.full_like(s, coeffs[0])
+        v.fill(coeffs[0])
         for c in coeffs[1:]:
-            num *= s
-            num += c
+            v *= s
+            v += c
         if k % 2:
-            num *= u
-        num /= (s + 1.0) ** (k + 1)
-        return num
+            v *= u
+        s += 1.0
+        s **= k + 1
+        v /= s
+        return v
 
     def sup(k):
         # |(u+i)^(-k-1)| <= 1 on the real line
@@ -258,33 +261,49 @@ def _pair_blocks(pairs) -> list:
     return [(slice(lo + d, hi + d), slice(lo, hi)) for d, lo, hi in runs]
 
 
-def _block_sum(f: ScalarFunction, x, blocks):
-    """Sum of f over the columns of blocks: x[..., a] - x[..., b] for a block (a, b),
-    x[..., a] for (a, None), added in turn into one running total from zeros.
+def _block_sum(f: ScalarFunction, x, blocks, total=None, m=0, scale=None):
+    """Add f^(m), times scale if given, over the columns of blocks in turn into total
+    (zeros if None; overwritten) and return the sum: x[..., a] - x[..., b] for a
+    block (a, b), a one-column a meeting each column of b, x[..., a] for (a, None).
 
-    f is evaluated on as many columns per call as SUB_BATCH_ELEMENTS floats hold at
-    the points of x, at least 64 (so each block of an estimator's sub-batch is one
-    call), in a site-major buffer whose first column takes the total; one reduction
-    across the columns, elementwise over the points, then adds them in turn.  So
-    neither the layout of x nor the number of columns per call or of points changes it.
-    """
-    lead, points = x.shape[:-1], math.prod(x.shape[:-1])
-    if points == 1:  # numpy would reduce a lone point's columns pairwise
-        return _block_sum(f, np.broadcast_to(x, (2,) + x.shape), blocks)[0, ...]
-    total = np.zeros(lead)
-    step = max(64, SUB_BATCH_ELEMENTS // max(points, 1))
-    widest = max((a.stop - a.start for a, _ in blocks), default=0)
-    store = np.empty((min(step, widest),) + lead)
-    for a, b in blocks:
-        for lo in range(0, a.stop - a.start, step):
-            y = x[..., a][..., lo:lo + step]
-            n = y.shape[-1]
-            out = np.moveaxis(store[:n], 0, -1)
-            if b is not None:
-                y = np.subtract(y, x[..., b][..., lo:lo + step], out=out)
-            f.derivative(0, y, out=out)
-            store[0] += total  # total + f(first column), bit for bit
-            np.add.reduce(store[:n], axis=0, out=total)
+    Consecutive blocks are packed whole, split where wider, into a site-major store
+    of as many columns as SUB_BATCH_ELEMENTS floats hold at the points of x (half
+    for m >= 1, where f takes a scratch as large), at least one.  f, the scaling and
+    one reduction across the columns, elementwise over the points, run once per
+    store, so neither the layout of x nor the store's size changes the total."""
+    lead = x.shape[:-1]
+    total = np.zeros(lead) if total is None else total
+    if total.size == 1:  # numpy would reduce a lone point's columns pairwise
+        return _block_sum(f, np.broadcast_to(x, (2,) + x.shape), blocks,
+                          np.stack([total] * 2), m, scale)[0, ...]
+    widths = [(b or a).stop - (b or a).start for a, b in blocks]
+    cols = max(1, SUB_BATCH_ELEMENTS // ((2 if m else 1) * max(total.size, 1)))
+    store = np.empty((min(cols, sum(widths)),) + lead)
+    axes = tuple(range(1, store.ndim)) + (0,)  # the columns last, as f sees them
+
+    def add(y, n):  # f^(m)(y) into the store's first n columns, then into the total
+        f.derivative(m, y, out=store[:n].transpose(axes))
+        if scale is not None:
+            store[:n] *= scale
+        store[0] += total  # total + first column, bit for bit
+        np.add.reduce(store[:n], axis=0, out=total)
+
+    used = 0  # pair differences waiting in the store
+    for (a, b), width in zip(blocks, widths):
+        for lo in range(0, width, cols):
+            n = min(cols, width - lo)
+            if used and (b is None or used + n > cols):
+                add(store[:used].transpose(axes), used)
+                used = 0
+            piece = a if a.stop - a.start == 1 else slice(a.start + lo, a.start + lo + n)
+            if b is None:  # f reads x's columns, in a store of their own
+                add(x[..., piece], n)
+                continue
+            np.subtract(x[..., piece], x[..., b.start + lo:b.start + lo + n],
+                        out=store[used:used + n].transpose(axes))
+            used += n
+    if used:
+        add(store[:used].transpose(axes), used)
     return total
 
 
@@ -375,6 +394,11 @@ class PairPotential(PotentialSpec):
         for j, k in pairs:
             self._partners[j].append(k)
             self._partners[k].append(j)
+        # site j against each run of consecutive partners (constant k - place), in order
+        self._partner_blocks = [[(slice(j, j + 1), slice(run[0][1], run[-1][1] + 1)) for run in
+                                 (list(g) for _, g in itertools.groupby(enumerate(ks),
+                                                                        lambda p: p[1] - p[0]))]
+                                for j, ks in enumerate(self._partners)]
 
     def separable_axis(self):
         """The on-site term and an even share of the constant, when no pair term
@@ -402,8 +426,7 @@ class PairPotential(PotentialSpec):
             (j,) = support
             if self.on_site is not None:
                 total += self.on_site.derivative(m, x[..., j])
-            for k in self._partners[j]:
-                total += 2.0 * self.pair.derivative(m, x[..., j] - x[..., k])
+            total = _block_sum(self.pair, x, self._partner_blocks[j], total, m, 2.0)
         elif len(support) == 2 and support[1] in self._partners[support[0]]:
             j, k = support
             sign = (-1.0) ** alpha.get(k)

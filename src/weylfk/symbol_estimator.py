@@ -14,19 +14,21 @@ potential, so they carry no finite-difference step.
 
 A chunk of pairs runs one loop over site-major sub-batches of
 SUB_BATCH_ELEMENTS path coordinates (paths x time points x sites, so the
-buffers keep one size at any site count and few sites get many paths per
-numpy call).  It samples each sub-batch's w with a seed derived from (master
-seed, chunk index) and reduces its endpoints w(t) to what _pair_sums reads,
-the phase angle w(t).xi of each xi and the beta moment.  Only for a
-position-dependent V does _shift move w about x, forward, then backward, and
-_weight give exp(-action), or its alpha derivative, on each shifted path.  A
-constant V (PotentialSpec.constant) takes one value at every point, and
-_trapezoid, exp and the alpha factor act row by row, so one _weight call on
-the constant path at x gives every path's weight, bit for bit.  Such an
-estimate reads a path only at w(t), whose law N(0, sigma^2 t) per site is the
-same at any step count, so a constant V samples one-step paths: the free case
-draws one normal per pair and site.  Besides the path buffers a chunk holds a
-few numbers per pair, at any site count.
+buffers keep one size at any site count and few sites get many paths per numpy
+call).  At two workers each large numpy call may wait to take back the GIL it
+gave up, so the sampler and the potential's sums make a few a sub-batch.  It
+samples each sub-batch's w with a seed derived from (master seed, chunk index)
+and reduces its endpoints w(t) to what _pair_sums reads, the phase angle
+w(t).xi of each xi and the beta moment.  Only for a position-dependent V does
+_shift move w about x, forward, then backward, and _weight give exp(-action),
+or its alpha derivative, on each shifted path.  A constant V
+(PotentialSpec.constant) takes one value at every point, and _trapezoid, exp
+and the alpha factor act row by row, so one _weight call on the constant path
+at x gives every path's weight, bit for bit.  Such an estimate reads a path
+only at w(t), whose law N(0, sigma^2 t) per site is the same at any step
+count, so a constant V samples one-step paths: the free case draws one normal
+per pair and site.  Besides the path buffers a chunk holds a few numbers per
+pair, at any site count.
 _pair_sums forms the pair averages of blocks of whole xi rows, in real
 arithmetic, and returns per-xi totals and centred sums of squares.
 brownian.mean_and_stderr merges chunks in order, so results are bit-identical
@@ -113,7 +115,7 @@ def _shift(w, x0, side, buffer):
     start, op = (x0 - half, np.add) if side == 0 else (x0 + half, np.subtract)
     path = np.ndarray(w.shape, buffer=buffer, strides=w.strides)
     # on site-major views, so each inner loop runs along one path's time points
-    op(np.moveaxis(start, -1, 0), np.moveaxis(w, -1, 0), out=np.moveaxis(path, -1, 0))
+    op(start.transpose(2, 0, 1), w.transpose(2, 0, 1), out=path.transpose(2, 0, 1))
     return path
 
 

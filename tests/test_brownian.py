@@ -124,12 +124,13 @@ class TestSamplerBuffers:
             assert got.shape == ref.shape and got.strides == ref.strides
             assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(ref).tobytes()
 
+    @pytest.mark.parametrize("n_sites", [1, 3, 16])
     @pytest.mark.parametrize("n_steps", [1, 2, 32])
     @pytest.mark.parametrize("use_out", [False, True], ids=["allocating", "out"])
-    def test_paths_bitwise_equal_to_cumsum_of_increments(self, n_steps, use_out):
-        # the running sums are np.cumsum's sequential additions, taken a time
-        # point at a time; the increments are the scaled normals in draw order
-        n_paths, n_sites, t = 6, 3, 0.7
+    def test_paths_bitwise_equal_to_cumsum_of_increments(self, n_steps, use_out, n_sites):
+        # the running sums are np.cumsum's sequential additions along time; the
+        # increments are the scaled normals in draw order
+        n_paths, t = 6, 0.7
         increments = np.random.default_rng(9).standard_normal((n_paths, n_steps, n_sites))
         increments *= math.sqrt(GEN.sigma2 * t / n_steps)
         ref = np.zeros((n_paths, n_steps + 1, n_sites))

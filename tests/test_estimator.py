@@ -475,8 +475,8 @@ _SUB_BATCH_CASES = {
                                          lorentzian_function()),
         "0:1", "", 1),
     # at one sub-batch per chunk the pair block (69 columns) and the on-site sum
-    # (70) each span two 64-column calls of _block_sum; at the other sizes each
-    # is one call
+    # (70) each span several stores of _block_sum; at the other sizes each is
+    # one store
     "harmonic_lorentzian_chain_70": (
         lambda: NearestNeighborPotential(1, [(i,) for i in range(70)], harmonic_function(),
                                          lorentzian_function()),
@@ -496,7 +496,7 @@ class TestSubBatches:
         # 400 pairs in chunks of 300 and 100, at 32 steps: one pair per sub-batch;
         # 7, so both chunks end on a ragged sub-batch (6 and 2 pairs) held in a
         # prefix of the chunk's buffers; the default; one sub-batch per chunk,
-        # whose 300 x 33 path points take 64 columns per _block_sum call
+        # whose 300 x 33 path points take at most 64 columns per _block_sum store
         assert potentials.SUB_BATCH_ELEMENTS // (300 * 33) <= 64
         pair = 33 * V.n_sites  # the coordinates of one path
         for elements in (pair, 7 * pair, symbol_estimator.SUB_BATCH_ELEMENTS, 1 << 30):

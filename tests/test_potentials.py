@@ -417,9 +417,8 @@ def per_site_reference(F, x):
     return total
 
 
-# widest blocks of a few columns up to two 64-column calls and one past them;
-# the budgets take a block of 6 x 9 points in one call, and in 64-column calls
-# (one element per point)
+# widest blocks of a few columns up to 129; the budgets take a block of 6 x 9
+# points in one store, and one column per store (one element per point)
 BLOCK_WIDTHS = (7, 8, 9, 16, 17, 63, 64, 65, 129)
 BUDGETS = (potentials.SUB_BATCH_ELEMENTS, 54)
 ON_SITE_FUNCTIONS = [harmonic_function(1.2), gaussian_bump_function(1.3, 0.9),
@@ -481,6 +480,24 @@ class TestInPlaceEvaluation:
         V.eval(np.random.default_rng(scale).normal(size=(points, 1024)))
         assert calls == ([1023, 1024] if scale == 1 else [512, 511, 512, 512])
 
+    def test_pair_blocks_share_stores(self):
+        # the 15 offset blocks of a 16-site mean field on one estimator sub-batch
+        # (248 paths x 33 points, 16 columns a store) fill 10 stores, and the 15
+        # partners of site 5, in runs of 5 and 10, three stores of half the columns
+        calls, G = [], lorentzian_function()
+
+        def deriv(k, y, out=None):
+            calls.append(y.shape[-1])
+            return G.deriv_fn(k, y, out)
+
+        V = MeanFieldPotential(range(16), ScalarFunction("counted", deriv, G.sup_fn, True),
+                               include_diagonal=False)
+        V.eval(np.random.default_rng(16).normal(size=(248, 33, 16)))
+        assert calls == [15, 14, 13, 12, 11, 10, 9, 8 + 7, 6 + 5 + 4, 3 + 2 + 1]
+        calls.clear()
+        V.partial(mi({5: 1}), np.random.default_rng(16).normal(size=(248, 33, 16)))
+        assert calls == [5, 8, 2] and len(calls) < len(V._partners[5])
+
     @pytest.mark.parametrize("n", (1,) + BLOCK_WIDTHS)
     @pytest.mark.parametrize("F", ON_SITE_FUNCTIONS, ids=lambda F: F.name)
     def test_on_site_sum_bitwise_equal_to_per_site_reference(self, n, F, monkeypatch):
@@ -497,10 +514,12 @@ class TestInPlaceEvaluation:
         V = NearestNeighborPotential(1, [(i,) for i in range(130)], harmonic_function(),
                                      lorentzian_function())
         x = np.random.default_rng(4).normal(size=(3, 130))
-        batch = V.eval(x)
-        for i in range(3):
-            one = V.eval(x[i].reshape(shape + (130,)))
-            assert one.shape == shape and one.tobytes() == batch[i].tobytes()
+        W = MeanFieldPotential(range(130), lorentzian_function())
+        for value in (V.eval, lambda x: W.partial(mi({65: 3}), x)):
+            batch = value(x)
+            for i in range(3):
+                one = value(x[i].reshape(shape + (130,)))
+                assert one.shape == shape and one.tobytes() == batch[i].tobytes()
 
     @pytest.mark.parametrize("V, constant", [
         (PairPotential([], None, lorentzian_function(), [], 2, 3.0), 1.5),
@@ -511,6 +530,46 @@ class TestInPlaceEvaluation:
     def test_no_sites_evaluates_to_its_constant(self, V, constant):
         value = V.eval(np.empty((4, 3, 0)))
         assert value.tobytes() == np.full((4, 3), constant).tobytes()
+
+
+def per_partner_reference(V, alpha, x):
+    """The order PairPotential._partial adds its terms in: at one site j, the on-site
+    F^(m)(x_j) into zeros, then 2 G^(m)(x_j - x_k) added in turn over the partners
+    k in _partners[j] order; at two sites, the one pair term; then the divisor."""
+    m, support = alpha.order, alpha.support
+    total = np.zeros(x.shape[:-1])
+    if len(support) == 1:
+        (j,) = support
+        if V.on_site is not None:
+            total += V.on_site.derivative(m, x[..., j])
+        for k in V._partners[j]:
+            total += 2.0 * V.pair.derivative(m, x[..., j] - x[..., k])
+    else:
+        j, k = support
+        total += 2.0 * (-1.0) ** alpha.get(k) * V.pair.derivative(m, x[..., j] - x[..., k])
+    return total / V._divisor
+
+
+PARTNER_POTENTIALS = [
+    lambda G: MeanFieldPotential(range(16), G),
+    lambda G: NearestNeighborPotential(1, [(i,) for i in range(32)], harmonic_function(1.2), G),
+    lambda G: NearestNeighborPotential(2, [(i, j) for i in range(4) for j in range(5)],
+                                       gaussian_bump_function(0.8, 1.1), G),
+]
+
+
+@pytest.mark.parametrize("make", PARTNER_POTENTIALS,
+                         ids=["mean_field_16", "chain_32", "lattice_20"])
+@pytest.mark.parametrize("G", PAIR_FUNCTIONS, ids=lambda G: G.name)
+def test_partial_bitwise_equal_to_per_partner_reference(make, G, monkeypatch):
+    V = make(G)
+    j = V.n_sites // 2
+    x = np.random.default_rng(V.n_sites).normal(size=(6, 9, V.n_sites))
+    for alpha in [mi({j: 1}), mi({j: 2}), mi({j: 3}), mi({j: 2, V._partners[j][-1]: 1})]:
+        ref = per_partner_reference(V, alpha, x)
+        for budget, layout in itertools.product(BUDGETS, (np.copy, site_major)):
+            monkeypatch.setattr(potentials, "SUB_BATCH_ELEMENTS", budget)
+            assert V.partial(alpha, layout(x)).tobytes() == ref.tobytes(), alpha.to_text()
 
 
 def partial_indices(n_sites, ordered_pairs):

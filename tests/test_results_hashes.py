@@ -34,7 +34,9 @@ def test_memory_adds_each_ops_peak_to_its_hashes():
                          capture_output=True, text=True, check=True).stdout
     lines = [line.split() for line in out.splitlines()]
     assert [line[:6] for line in lines] == [line.split() for line in _lines(1)]
+    assert all(len(line) == 8 for line in lines)
     assert all(0.0 < float(line[6]) < 100.0 for line in lines)  # MiB
+    assert all(int(line[7]) >= 0 for line in lines)  # voluntary context switches
 
 
 def test_memory_does_not_apply_to_drift():

@@ -15,7 +15,9 @@ op's exit code is not 0.
     python3 tools/results_hashes.py --seed 5 --memory
 
 adds to each line the op's ``tracemalloc`` peak in MiB, from start to end of
-its ``run_config`` call: a workload's peak RSS shows only its largest op.
+its ``run_config`` call (a workload's peak RSS shows only its largest op), and
+the process's voluntary context switches across that call (``ru_nvcsw``,
+counted while tracemalloc runs): at two workers, mostly GIL waits.
 
     python3 tools/results_hashes.py --seed 5 --drift OTHER_CHECKOUT
 
@@ -44,6 +46,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -68,8 +71,8 @@ def _sha256(data: bytes) -> str:
 
 def op_outputs(root, seed, workers, tiny, memory=False) -> list:
     """(workload, label, exit code, results block, CSV bytes, config echo
-    without csv_output, tracemalloc peak in bytes, 0 without memory) of every
-    op, run on the checkout at root."""
+    without csv_output, tracemalloc peak in bytes or 0 without memory, voluntary
+    context switches) of every op, run on the checkout at root."""
     sys.path.insert(0, os.path.join(root, "src"))
     from weylfk import cli
 
@@ -83,7 +86,9 @@ def op_outputs(root, seed, workers, tiny, memory=False) -> list:
                 config.update(emit_metadata=False, csv_output=csv_path)
                 if memory:
                     tracemalloc.start()
+                switches = resource.getrusage(resource.RUSAGE_SELF).ru_nvcsw
                 code, doc = cli.run_config(op.subcommand, config, workers)
+                switches = resource.getrusage(resource.RUSAGE_SELF).ru_nvcsw - switches
                 peak = tracemalloc.get_traced_memory()[1] if memory else 0
                 if memory:
                     tracemalloc.stop()
@@ -93,7 +98,7 @@ def op_outputs(root, seed, workers, tiny, memory=False) -> list:
                         raw = fh.read()
                     os.remove(csv_path)
                 echo = {k: v for k, v in doc["config"].items() if k != "csv_output"}
-                outputs.append((name, op.label, code, doc["results"], raw, echo, peak))
+                outputs.append((name, op.label, code, doc["results"], raw, echo, peak, switches))
     return outputs
 
 
@@ -102,8 +107,9 @@ def hash_lines(seed, workers, tiny, memory=False) -> list:
     from weylfk import cli  # importable once op_outputs put src on the path
 
     return [f"{name} {label} {code} {_sha256(cli.dumps(results).encode())} {_sha256(raw)} "
-            f"{_sha256(cli.dumps(echo).encode())}" + (f" {peak / 2**20:.2f}" if memory else "")
-            for name, label, code, results, raw, echo, peak in outputs]
+            f"{_sha256(cli.dumps(echo).encode())}"
+            + (f" {peak / 2**20:.2f} {switches}" if memory else "")
+            for name, label, code, results, raw, echo, peak, switches in outputs]
 
 
 def _child_outputs(checkout, seed, workers, tiny) -> list:
@@ -200,7 +206,8 @@ def main(argv=None) -> int:
                         help="print each op's largest relative difference from this checkout "
                         "and its largest difference in standard errors")
     parser.add_argument("--memory", action="store_true",
-                        help="add each op's tracemalloc peak in MiB to its hashes")
+                        help="add each op's tracemalloc peak in MiB and voluntary "
+                        "context switches to its hashes")
     args = parser.parse_args(argv)
     if args.drift and args.memory:
         parser.error("--memory adds to the hash lines, not to --drift")
